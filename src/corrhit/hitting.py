@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import Number
+from ._util import Number, mixed_radix_digits
 from .dist_core import (
     StepDistribution,
     alpha,
@@ -74,6 +75,50 @@ class HittingInstance:
 
 # ---------------------------------------------------------------------------
 # exact expectation routes
+#
+# Both routes compile their inputs once per call and run their inner loops on
+# plain numbers.  Exact inputs are scaled to integers (support weights by the
+# least common denominator of the support, table values by that of each
+# table) and divided back once at the end, so the result is the same Fraction
+# that rational arithmetic throughout would give.  Float inputs run the same
+# loops on floats.
+
+# Support assignments of the leading coordinates that enumeration expands once
+# up front and then reuses under every prefix of the remaining coordinates.
+_ENUM_BLOCK = 4096
+
+
+def _scaled_weights(support, exact: bool):
+    """(scale, weights) with support weight t equal to weights[t] / scale."""
+    if not exact:
+        return 1, [float(w) for _, w in support]
+    scale = math.lcm(*(w.denominator for _, w in support))
+    return scale, [w.numerator * (scale // w.denominator) for _, w in support]
+
+
+class _PointValues(dict):
+    """Values of a non-table function by mixed-radix index, evaluated on first use."""
+
+    def __init__(self, f: FunctionSpec, cast):
+        super().__init__()
+        self.f = f
+        self.cast = cast
+
+    def __missing__(self, idx: int):
+        point = mixed_radix_digits(idx, len(self.f.alphabet), self.f.n)
+        value = self[idx] = self.cast(evaluate(self.f, point))
+        return value
+
+
+def _scaled_values(f: FunctionSpec, exact: bool):
+    """(scale, values) indexable by mixed-radix point index, value = values[idx] / scale."""
+    if f.kind != "table":  # the other kinds are 0/1 indicators
+        return 1, _PointValues(f, int if exact else float)
+    values = f.payload["values"]
+    if not exact:
+        return 1, [float(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
@@ -83,25 +128,48 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
         raise BudgetExceeded(
             f"{len(support)}^{n} support assignments exceed the budget {cap}"
         )
-    ell = p.steps
-    total = Fraction(0)
     exact = p.exact and all(f.is_exact() for f in fns)
-    if not exact:
-        total = 0.0
-    for assignment in itertools.product(support, repeat=n):
-        weight: Number = Fraction(1) if exact else 1.0
-        for _, w in assignment:
-            weight *= w
-        value = weight
-        for j in range(ell):
-            row = tuple(tup[j] for tup, _ in assignment)
-            fv = evaluate(fns[j], row)
-            if fv == 0:
-                value = 0
-                break
-            value *= fv if exact else float(fv)
-        total += value
-    return total
+    if any(f.zero for f in fns):
+        return Fraction(0) if exact else 0.0
+    m = len(p.alphabet)
+    scale, weights = _scaled_weights(support, exact)
+    den = scale**n
+    tables = []
+    for f in fns:
+        v_scale, values = _scaled_values(f, exact)
+        den *= v_scale
+        tables.append(values)
+    # block: every assignment of coordinates 1..inner, as a weight and one
+    # row-index offset per step, in the same order in every list
+    inner = 1
+    while inner < n and len(support) ** (inner + 1) <= _ENUM_BLOCK:
+        inner += 1
+    block_w = [1 if exact else 1.0]
+    block_offs = [[0] for _ in fns]
+    for c in range(inner):
+        stride = m**c
+        block_w = [bw * w for bw in block_w for w in weights]
+        block_offs = [
+            [o + tup[j] * stride for o in offs for tup, _ in support]
+            for j, offs in enumerate(block_offs)
+        ]
+
+    def walk(coord: int, weight, bases) -> Number:
+        """Weighted sum over coordinates coord..n, fixed depth-first, with the
+        block summed at each leaf."""
+        if coord > n:
+            prods = block_w
+            for values, base, offs in zip(tables, bases, block_offs):
+                prods = list(map(operator.mul, prods, [values[base + o] for o in offs]))
+            return weight * sum(prods)
+        stride = m ** (coord - 1)
+        return sum(
+            walk(coord + 1, weight * w, [b + s * stride for b, s in zip(bases, tup)])
+            for (tup, _), w in zip(support, weights)
+        )
+
+    total = walk(inner + 1, 1 if exact else 1.0, [0] * len(fns))
+    return Fraction(total, den) if exact else float(total)
 
 
 def _dp_special_coords(fns) -> tuple[int, ...] | None:
@@ -119,111 +187,168 @@ def _dp_special_coords(fns) -> tuple[int, ...] | None:
     return tuple(sorted(special))
 
 
-def _dp_initial_state(fns, special, assignment):
-    """Per-function starting state after pinning the special coordinates.
+class _ResidueShift(dict):
+    """Change of the packed residue number when every modular function j adds inc[j]."""
 
-    Returns None when some pinned symbol already kills a function (anchor
-    mismatch or window overrun).
+    def __init__(self, mods, inc):
+        super().__init__()
+        self.mods = mods
+        self.inc = inc
+
+    def __missing__(self, r: int) -> int:
+        shift = 0
+        for (_, q, radix), a in zip(self.mods, self.inc):
+            digit = r // radix % q
+            shift += ((digit + a) % q - digit) * radix
+        self[r] = shift
+        return shift
+
+
+class _JointLayout:
+    """The joint state of every step function packed into one int.
+
+    The residues of the modular-linear functions form a mixed-radix number in
+    the low `rmask` bits.  Above them each window slot (step, symbol) owns a
+    field of b = hi.bit_length() value bits and one guard bit.  The field
+    holds count + 2^b - 1 - hi, so a count passing hi sets the guard bit and
+    one AND with `guard` catches an overrun in any slot.
     """
-    states = []
-    for j, f in enumerate(fns):
-        if f.kind == "mod_linear":
-            pay = f.payload
-            res = 0
-            for coord, tup in zip(special, assignment):
-                res = (res + pay["coeffs"][coord - 1] * pay["symbol_map"][tup[j]]) % pay["modulus"]
-            states.append(res)
-            continue
-        pay = f.payload
-        anchor = pay["anchor"]
-        counts = {s: 0 for s in sorted(pay["windows"])}
-        for coord, tup in zip(special, assignment):
-            sym = tup[j]
-            if anchor is not None and coord == anchor[0] and sym != anchor[1]:
-                return None
-            if coord in pay["ignored"]:
+
+    def __init__(self, fns):
+        self.fns = fns
+        self.mods = []  # (step, modulus, radix)
+        radix = 1
+        for j, f in enumerate(fns):
+            if f.kind == "mod_linear":
+                self.mods.append((j, f.payload["modulus"], radix))
+                radix *= f.payload["modulus"]
+        pos = (radix - 1).bit_length()
+        self.rmask = (1 << pos) - 1
+        self.target = sum(fns[j].payload["residue"] * r for j, _, r in self.mods)
+        self.slots = {}  # (step, symbol) -> (bit position, offset, lo, hi)
+        self.guard = 0
+        for j, f in enumerate(fns):
+            if f.kind == "anchored_symmetric":
+                for sym, (lo, hi) in sorted(f.payload["windows"].items()):
+                    bits = hi.bit_length()
+                    self.slots[(j, sym)] = (pos, (1 << bits) - 1 - hi, lo, hi)
+                    self.guard |= 1 << (pos + bits)
+                    pos += bits + 1
+
+    def pin(self, special, tuples) -> int | None:
+        """State after the special coordinates draw `tuples`, or None when an
+        anchor mismatches or a window overruns there."""
+        key = 0
+        counts = dict.fromkeys(self.slots, 0)
+        for j, f in enumerate(self.fns):
+            if f.kind == "mod_linear":
                 continue
-            if sym in counts:
-                counts[sym] += 1
-                if counts[sym] > pay["windows"][sym][1]:
-                    return None
-        states.append(tuple(counts[s] for s in sorted(counts)))
-    return tuple(states)
-
-
-def _dp_advance(fns, state, j_symbols, coord):
-    """Next joint state after one more coordinate draws the tuple with rows j_symbols."""
-    out = []
-    for j, f in enumerate(fns):
-        if f.kind == "mod_linear":
             pay = f.payload
-            res = (state[j] + pay["coeffs"][coord - 1] * pay["symbol_map"][j_symbols[j]]) % pay["modulus"]
-            out.append(res)
-            continue
-        pay = f.payload
-        syms = sorted(pay["windows"])
-        counts = list(state[j])
-        sym = j_symbols[j]
-        if sym in pay["windows"]:
-            k = syms.index(sym)
-            counts[k] += 1
-            if counts[k] > pay["windows"][sym][1]:
+            anchor = pay["anchor"]
+            for coord, tup in zip(special, tuples):
+                sym = tup[j]
+                if anchor is not None and coord == anchor[0] and sym != anchor[1]:
+                    return None
+                if coord not in pay["ignored"] and (j, sym) in counts:
+                    counts[(j, sym)] += 1
+        for j, q, radix in self.mods:
+            pay = self.fns[j].payload
+            res = sum(
+                pay["coeffs"][coord - 1] * pay["symbol_map"][tup[j]]
+                for coord, tup in zip(special, tuples)
+            )
+            key += res % q * radix
+        for slot, (pos, off, _, hi) in self.slots.items():
+            if counts[slot] > hi:
                 return None
-        out.append(tuple(counts))
-    return tuple(out)
+            key += (off + counts[slot]) << pos
+        return key
 
+    def floor(self, remaining: int) -> int:
+        """Packed lower bounds a state must meet to reach every window's lo
+        with `remaining` free coordinates left; 0 when nothing is bounded.
 
-def _dp_accepts(fns, state) -> bool:
-    for j, f in enumerate(fns):
-        if f.kind == "mod_linear":
-            if state[j] != f.payload["residue"]:
-                return False
-            continue
-        pay = f.payload
-        for k, s in enumerate(sorted(pay["windows"])):
-            lo, hi = pay["windows"][s]
-            if not lo <= state[j][k] <= hi:
-                return False
-    return True
+        A state meets the floor iff ((key | guard) - floor) & guard == guard:
+        every field then subtracts at most 2^b from 2^b + its value, so no
+        borrow crosses a field and its guard bit survives iff value >= bound.
+        """
+        floor = 0
+        for pos, off, lo, hi in self.slots.values():
+            need = min(lo - remaining, hi + 1)
+            if need > 0:
+                floor |= (off + need) << pos
+        return floor
+
+    def effects(self, support, weights, coord: int):
+        """(window increment, residue shift, weight) per distinct effect of one
+        more free coordinate, support tuples with equal effects merged."""
+        merged: dict = {}
+        for (tup, _), w in zip(support, weights):
+            bump = 0
+            for j, sym in enumerate(tup):
+                slot = self.slots.get((j, sym))
+                if slot is not None:
+                    bump += 1 << slot[0]
+            inc = tuple(
+                self.fns[j].payload["coeffs"][coord - 1]
+                * self.fns[j].payload["symbol_map"][tup[j]] % q
+                for j, q, _ in self.mods
+            )
+            merged[(bump, inc)] = merged.get((bump, inc), 0) + w
+        return [
+            (bump, _ResidueShift(self.mods, inc), w)
+            for (bump, inc), w in merged.items()
+        ]
 
 
 def _multi_dp(p: StepDistribution, n: int, fns, budget) -> Number:
     special = _dp_special_coords(fns)
     if special is None:
         raise ValueError("functions are not compatible with the joint-count route")
+    exact = p.exact
     if any(f.zero for f in fns):
-        return Fraction(0) if p.exact else 0.0
+        return Fraction(0) if exact else 0.0
     cap = TABLE_BUDGET if budget is None else budget
     support = p.support()
-    exact = p.exact
-    zero: Number = Fraction(0) if exact else 0.0
-    free_coords = [c for c in range(1, n + 1) if c not in special]
-    total = zero
-    for assignment in itertools.product(support, repeat=len(special)):
-        branch: Number = Fraction(1) if exact else 1.0
-        for _, w in assignment:
-            branch *= w
-        init = _dp_initial_state(fns, special, tuple(t for t, _ in assignment))
-        if init is None:
+    scale, weights = _scaled_weights(support, exact)
+    layout = _JointLayout(fns)
+    guard, rmask = layout.guard, layout.rmask
+    free = [c for c in range(1, n + 1) if c not in special]
+    # free coordinates with equal modular coefficients share their effects
+    by_coeffs: dict = {}
+    plan = []
+    for t, coord in enumerate(free):
+        sig = tuple(fns[j].payload["coeffs"][coord - 1] for j, _, _ in layout.mods)
+        if sig not in by_coeffs:
+            by_coeffs[sig] = layout.effects(support, weights, coord)
+        plan.append((by_coeffs[sig], layout.floor(len(free) - t - 1)))
+    start_floor = layout.floor(len(free))
+
+    total = 0
+    for assignment in itertools.product(range(len(support)), repeat=len(special)):
+        key = layout.pin(special, [support[a][0] for a in assignment])
+        if key is None or ((key | guard) - start_floor) & guard != guard:
             continue
-        states: dict = {init: branch}
-        for coord in free_coords:
+        branch = 1 if exact else 1.0
+        for a in assignment:
+            branch *= weights[a]
+        states = {key: branch}
+        for effects, floor in plan:
             nxt: dict = {}
-            for state, mass in states.items():
-                for tup, w in support:
-                    new = _dp_advance(fns, state, tup, coord)
-                    if new is None:
+            for key, mass in states.items():
+                r = key & rmask
+                for bump, shift, w in effects:
+                    new = key + bump + shift[r]
+                    if new & guard or (floor and ((new | guard) - floor) & guard != guard):
                         continue
-                    nxt[new] = nxt.get(new, zero) + mass * w
+                    nxt[new] = nxt.get(new, 0) + mass * w
             states = nxt
             if len(states) > cap:
                 raise BudgetExceeded(
                     f"joint-count state space {len(states)} exceeds the budget {cap}"
                 )
-        for state, mass in states.items():
-            if _dp_accepts(fns, state):
-                total += mass
-    return total
+        total += sum(mass for key, mass in states.items() if key & rmask == layout.target)
+    return Fraction(total, scale**n) if exact else float(total)
 
 
 def multi_set_expectation(
@@ -234,7 +359,12 @@ def multi_set_expectation(
     engine 'enumerate' walks support assignments, 'dp' runs the joint-count
     program (symmetric window and modular-linear functions whose anchored or
     pinned coordinates form a shared set of size <= 2), 'auto' prefers the dp
-    when compatible and enumeration otherwise.
+    when compatible and enumeration otherwise.  Both routes scale rational
+    weights and values to integers, work on ints, and divide once at the
+    end, so exact inputs give exact Fractions; float inputs give floats.
+    `budget` caps |support|^n for enumeration and, for the dp, the live
+    states after each coordinate, counted after dropping states that can no
+    longer reach some window's lower bound.
     """
     fns = tuple(fns)
     if len(fns) != p.steps:
@@ -751,15 +881,12 @@ def counterexample_unequal_marginals(
         for fa in (s1, s2):
             for fb in (s1, s2):
                 value += multi_set_expectation(p, n, (fa, fb), engine=engine, budget=budget)
-        m1 = expectation(s1, pi1, budget=budget) + expectation(s2, pi1, budget=budget)
-        m2 = expectation(s1, pi2, budget=budget) + expectation(s2, pi2, budget=budget)
+        s1_measure = expectation(s1, pi1, budget=budget)
+        s2_measure = expectation(s2, pi2, budget=budget)
+        m1 = s1_measure + expectation(s2, pi1, budget=budget)
+        m2 = expectation(s1, pi2, budget=budget) + s2_measure
         ratio = value / min(m1, m2) ** 2
-        entries.append(
-            SkewEntry(
-                n, value, m1, m2, ratio,
-                expectation(s1, pi1, budget=budget), expectation(s2, pi2, budget=budget),
-            )
-        )
+        entries.append(SkewEntry(n, value, m1, m2, ratio, s1_measure, s2_measure))
     decreasing = all(
         entries[t + 1].ratio < entries[t].ratio for t in range(len(entries) - 1)
     )
@@ -812,11 +939,23 @@ def counterexample_three_sets(
     value = multi_set_expectation(p, n, fns, engine=engine, budget=budget)
     pis = [marginal(p, j) for j in (1, 2, 3)]
     measures = tuple(expectation(f, pi, budget=budget) for f, pi in zip(fns, pis))
-    infl = tuple(
-        max(influence(f, pi, i=i, budget=budget) for i in range(1, n + 1))
-        for f, pi in zip(fns, pis)
-    )
+    infl = tuple(_max_influence(f, pi, budget) for f, pi in zip(fns, pis))
     return ThreeSetsReport(n, rho(p), value, measures, infl)
+
+
+def _max_influence(f: FunctionSpec, pi, budget) -> Number:
+    """max_i Inf_i(f).  A symmetric window function has at most three
+    coordinate classes (its anchor, its ignored coordinates, where the
+    influence is 0, and the rest, which are interchangeable), so one
+    coordinate per class suffices; other kinds visit every coordinate."""
+    coords = range(1, f.n + 1)
+    if f.kind == "anchored_symmetric":
+        pay = f.payload
+        anchor = {pay["anchor"][0]} if pay["anchor"] is not None else set()
+        free = next((i for i in coords if i not in anchor and i not in pay["ignored"]), None)
+        ignored = min(pay["ignored"], default=None)
+        coords = sorted(anchor | {i for i in (free, ignored) if i is not None})
+    return max(influence(f, pi, i=i, budget=budget) for i in coords)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ import pytest
 
 import helpers
 import oracles
-from corrhit.dist_core import alpha, marginal, parse_distribution, rho
+from corrhit.dist_core import StepDistribution, alpha, marginal, parse_distribution, rho
 from corrhit.fourier import (
     BudgetExceeded,
+    Restriction,
     expectation,
     influence,
     is_resilient,
@@ -20,9 +21,11 @@ from corrhit.fourier import (
     make_junta,
     make_mod_linear,
     make_table_function,
+    restrict,
 )
 from corrhit.hitting import (
     HittingInstance,
+    _max_influence,
     ap3_distribution,
     ap3_sets,
     counterexample_three_sets,
@@ -113,6 +116,141 @@ def test_dp_equals_enumeration_on_random_compatible_instances():
         dp = multi_set_expectation(p, n, fns, engine="dp")
         enum = multi_set_expectation(p, n, fns, engine="enumerate")
         assert dp == enum
+
+
+def _window_indicator(n, windows, anchor=None, fixed=None):
+    """Independent oracle for a window function, optionally with coordinates
+    substituted by a restriction {coord: symbol}."""
+    fixed = fixed or {}
+
+    def f(x):
+        x = [fixed.get(c, s) for c, s in enumerate(x, start=1)]
+        if anchor is not None and x[anchor[0] - 1] != anchor[1]:
+            return Fraction(0)
+        ok = all(lo <= x.count(sym) <= hi for sym, (lo, hi) in windows.items())
+        return Fraction(int(ok))
+
+    return f
+
+
+def _residue_indicator(q, coeffs, residue, symbol_map):
+    def f(x):
+        total = sum(c * symbol_map[s] for c, s in zip(coeffs, x))
+        return Fraction(int(total % q == residue))
+
+    return f
+
+
+def _random_dp_instance(rng, p, n, special):
+    """One window or residue function per step, with its oracle.
+
+    Windows may have lo > 0; the coordinates in `special` become anchors of
+    some window functions and restriction-ignored coordinates of others.
+    """
+    m = len(p.alphabet)
+    fns, oracles_ = [], []
+    for _ in range(p.steps):
+        if rng.random() < 0.6:
+            windows = {}
+            for sym in rng.sample(range(m), rng.randint(1, m)):
+                lo = rng.randint(0, n)
+                # an empty window (lo > hi) now and then
+                windows[sym] = (lo, rng.randint(0, n) if rng.random() < 0.1 else rng.randint(lo, n))
+            anchor = (special[0], rng.randrange(m)) if special and rng.random() < 0.5 else None
+            f = make_anchored_symmetric(n, p.alphabet, windows, anchor=anchor)
+            fixed = {}
+            if special and rng.random() < 0.5:
+                fixed = {c: rng.randrange(m) for c in special[1:] or special}
+                if anchor is not None:
+                    fixed.pop(anchor[0], None)
+                f = restrict(f, Restriction.from_dict(n, fixed))
+            fns.append(f)
+            oracles_.append(_window_indicator(n, windows, anchor, fixed))
+        else:
+            q = rng.randint(2, 4)
+            coeffs = [rng.randrange(q) for _ in range(n)]
+            residue = rng.randrange(q)
+            smap = [rng.randrange(q) for _ in range(m)]
+            fns.append(make_mod_linear(n, p.alphabet, q, coeffs, residue, smap))
+            oracles_.append(_residue_indicator(q, coeffs, residue, smap))
+    return tuple(fns), oracles_
+
+
+def _float_twin(p):
+    return StepDistribution(p.alphabet, p.steps, tuple(float(w) for w in p.weights), False)
+
+
+def _check_routes_against_brute(p, n, fns, oracle_fns):
+    cells = dict(zip(p.tuples(), p.weights))
+    brute = oracles.multi_set_expectation_brute(cells, p.steps, n, oracle_fns)
+    twin = _float_twin(p)
+    for engine in ("dp", "enumerate"):
+        ours = multi_set_expectation(p, n, fns, engine=engine)
+        assert isinstance(ours, Fraction)
+        assert ours == brute
+        approx = multi_set_expectation(twin, n, fns, engine=engine)
+        assert isinstance(approx, float)
+        assert approx == pytest.approx(float(brute), rel=1e-12, abs=1e-300)
+
+
+def test_dp_and_enumeration_match_brute_on_pruned_and_pinned_instances():
+    rng = random.Random(4242)
+    seen = {"lo": 0, "ignored": 0, "two_special": 0, "no_free": 0, "zero_weight": 0}
+    for trial in range(60):
+        steps = 3 if trial % 3 == 0 else 2
+        m = rng.choice((2, 3))
+        p = helpers.random_dist(rng, m, steps)
+        n = rng.randint(1, 3 if steps == 3 else 4)
+        n_special = rng.randint(0, min(2, n))
+        special = tuple(sorted(rng.sample(range(1, n + 1), n_special)))
+        fns, oracle_fns = _random_dp_instance(rng, p, n, special)
+        _check_routes_against_brute(p, n, fns, oracle_fns)
+        windows = [f.payload for f in fns if f.kind == "anchored_symmetric"]
+        pinned = {pay["anchor"][0] for pay in windows if pay["anchor"] is not None}
+        pinned |= {c for pay in windows for c in pay["ignored"]}
+        seen["lo"] += any(lo > 0 for pay in windows for lo, _ in pay["windows"].values())
+        seen["ignored"] += any(pay["ignored"] for pay in windows)
+        seen["two_special"] += len(pinned) == 2
+        seen["no_free"] += len(pinned) == n
+        seen["zero_weight"] += any(w == 0 for w in p.weights)
+    assert all(count >= 3 for count in seen.values()), seen
+
+
+def test_zero_functions_give_exact_and_float_zero():
+    p = parse_distribution(helpers.AP3_TEXT)
+    n = 3
+    live = make_anchored_symmetric(n, TRIT, {"0": (0, n)})
+    # fixing the anchor to another symbol yields the explicit zero function
+    anchored = make_anchored_symmetric(n, TRIT, {"1": (1, 2)}, anchor=(1, "0"))
+    killed = restrict(anchored, Restriction.from_dict(n, {1: 2}))
+    assert killed.zero
+    parity = make_mod_linear(n, TRIT, 3, (1, 1, 1), 0, (0, 1, 2), zero=True)
+    for fns in ((live, killed, live), (parity, live, live)):
+        for engine in ("dp", "enumerate"):
+            exact = multi_set_expectation(p, n, fns, engine=engine)
+            assert isinstance(exact, Fraction) and exact == 0
+            approx = multi_set_expectation(_float_twin(p), n, fns, engine=engine)
+            assert isinstance(approx, float) and approx == 0.0
+    # zero values that are not flagged: the AP3 sets at n = 4, and an empty
+    # window (lo > hi) with every coordinate pinned
+    q = helpers.basic_dist()
+    empty = make_anchored_symmetric(2, TRIT, {"0": (2, 0)}, anchor=(1, "1"))
+    pinned = restrict(make_anchored_symmetric(2, TRIT, {"1": (0, 2)}), Restriction.from_dict(2, {2: 0}))
+    for engine in ("dp", "enumerate"):
+        value = multi_set_expectation(p, 4, ap3_sets(4), engine=engine)
+        assert isinstance(value, Fraction) and value == 0
+        value = multi_set_expectation(q, 2, (empty, pinned), engine=engine)
+        assert isinstance(value, Fraction) and value == 0
+
+
+def test_enumeration_budget_threshold_is_exact():
+    p = helpers.basic_dist()
+    n = 3
+    f = make_junta(n, TRIT, [(1, "0")])
+    size = len(p.support()) ** n
+    with pytest.raises(BudgetExceeded):
+        same_set_expectation(p, n, f, engine="enumerate", budget=size - 1)
+    assert same_set_expectation(p, n, f, engine="enumerate", budget=size) == Fraction(1, 6)
 
 
 def test_dp_refuses_incompatible_functions():
@@ -364,6 +502,24 @@ def test_ap3_influences_match_oracle_and_decrease():
         assert rep.max_influences == (want, want, want)
         values.append(want)
     assert values[0] > values[1] > values[2]
+
+
+def test_max_influence_coordinate_classes_match_every_coordinate():
+    rng = random.Random(606)
+    p = helpers.basic_dist()
+    pi = marginal(p, 1)
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        windows = {}
+        for sym in rng.sample(range(3), rng.randint(1, 3)):
+            lo = rng.randint(0, n // 2)
+            windows[sym] = (lo, rng.randint(lo, n))
+        anchor = (rng.randint(1, n), rng.randrange(3)) if rng.random() < 0.6 else None
+        pool = [c for c in range(1, n + 1) if anchor is None or c != anchor[0]]
+        ignored = rng.sample(pool, rng.randint(0, len(pool)))
+        f = make_anchored_symmetric(n, TRIT, windows, anchor=anchor, ignored=ignored)
+        every = max(influence(f, pi, i=i) for i in range(1, n + 1))
+        assert _max_influence(f, pi, None) == every
 
 
 def test_ap3_support_feeds_exactly_one_scarcity_count():
