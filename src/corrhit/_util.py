@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from fractions import Fraction
 
@@ -26,6 +27,20 @@ def mixed_radix_digits(index: int, base: int, length: int) -> tuple[int, ...]:
         out.append(index % base)
         index //= base
     return tuple(out)
+
+
+def scale_to_ints(numbers, exact: bool):
+    """(scale, scaled) with numbers[t] == scaled[t] / scale.
+
+    Exact numbers (Fractions or ints) become ints scaled by the least common
+    multiple of their denominators, so exact kernels run on plain integers
+    and divide once at the end.  Otherwise every number becomes a float and
+    the scale is 1.
+    """
+    if not exact:
+        return 1, [float(x) for x in numbers]
+    scale = math.lcm(*{x.denominator for x in numbers})
+    return scale, [x.numerator * (scale // x.denominator) for x in numbers]
 
 
 def parse_weight(token: str) -> Number:

@@ -3,10 +3,16 @@
 Four function representations share one interface: dense tables, symmetric
 count-window acceptors with an optional anchored coordinate, junta indicators,
 and modular linear-form indicators.  On top of them: exact expectations and
-influences (by enumeration and by count or residue dynamic programs),
-orthonormal bases, Fourier expansions, the noise operator, projections onto
-coordinate subsets, restrictions, resilience checks, and the pointwise-max
-substitution operator.
+influences (by tensor contraction over all points, by count or residue
+dynamic programs, and in closed form for juntas), orthonormal bases, Fourier
+expansions, the noise operator, projections onto coordinate subsets,
+restrictions, resilience checks, and the pointwise-max substitution operator.
+
+Expectations, variances and influences of tables (and of the other kinds on
+the 'enumerate' engine) contract the value list one coordinate at a time.
+Exact inputs are scaled to integers first, so the contractions run on plain
+ints with one division at the end; table restrictions copy slabs of the value
+list by stride arithmetic.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from ._util import (
     mixed_radix_digits,
     mixed_radix_index,
     parse_weight,
+    scale_to_ints,
 )
 from .dist_core import Alphabet, MarginalDistribution
 
@@ -205,19 +212,21 @@ def restrict(f: FunctionSpec, r: Restriction) -> FunctionSpec:
     """
     if len(r.entries) != f.n:
         raise ValueError("restriction length must match coordinate count")
+    m = len(f.alphabet)
+    if any(e is not None and not 0 <= e < m for e in r.entries):
+        raise ValueError("restriction symbol outside the alphabet")
     if r.size == 0:
         return f
     if f.kind == "table":
-        m = len(f.alphabet)
+        # fixing coordinate c to e sends entry idx to idx - (idx // s % m - e) * s
+        # with s = m^(c-1): slab e of every block of s*m entries fills all m slabs
         values = f.payload["values"]
-        out = []
-        for idx in range(m**f.n):
-            digits = list(mixed_radix_digits(idx, m, f.n))
-            for pos, e in enumerate(r.entries):
-                if e is not None:
-                    digits[pos] = e
-            out.append(values[mixed_radix_index(digits, m)])
-        return FunctionSpec(f.n, f.alphabet, "table", {"values": tuple(out)})
+        for coord, sym in r.fixed_items():
+            s = m ** (coord - 1)
+            values = tuple(itertools.chain.from_iterable(
+                values[b:b + s] * m for b in range(sym * s, len(values), s * m)
+            ))
+        return FunctionSpec(f.n, f.alphabet, "table", {"values": values})
     if f.kind == "junta":
         if f.zero:
             return f
@@ -315,6 +324,12 @@ def evaluate(f: FunctionSpec, x) -> Number:
 
 # ---------------------------------------------------------------------------
 # expectation and variance
+#
+# Tables are contracted one coordinate at a time.  Values are scaled by the
+# least common denominator of the table and probabilities by that of the
+# marginal, so the single division at the end gives the Fraction that
+# rational arithmetic throughout would give.  Float inputs run the same
+# contractions on floats.
 
 
 def _check_budget(m: int, n: int, budget: int | None):
@@ -323,23 +338,37 @@ def _check_budget(m: int, n: int, budget: int | None):
         raise BudgetExceeded(f"{m}^{n} points exceed the exact-enumeration budget {cap}")
 
 
-def _expectation_enumerate(f: FunctionSpec, pi: MarginalDistribution, budget=None):
-    m = len(f.alphabet)
-    _check_budget(m, f.n, budget)
-    support = pi.support_indices()
+def _kernel_inputs(f: FunctionSpec, pi: MarginalDistribution, budget):
+    """(exact, value scale, values, weight scale, weights) for the contractions.
+
+    Non-table kinds are materialized with `to_table` first.  Zero-probability
+    symbols keep their weight 0, which adds exact zeros only.
+    """
+    _check_budget(len(f.alphabet), f.n, budget)
+    if f.kind != "table":
+        f = to_table(f, budget=budget)
     exact = pi.exact and f.is_exact()
-    total: Number = Fraction(0) if exact else 0.0
-    sq: Number = Fraction(0) if exact else 0.0
-    for point in itertools.product(support, repeat=f.n):
-        w: Number = Fraction(1) if exact else 1.0
-        for s in point:
-            w *= pi.probs[s]
-        v = evaluate(f, point)
-        if not exact:
-            w, v = float(w), float(v)
-        total += w * v
-        sq += w * v * v
-    return total, sq
+    v_scale, values = scale_to_ints(f.payload["values"], exact)
+    w_scale, weights = scale_to_ints(pi.probs, exact)
+    return exact, v_scale, values, w_scale, weights
+
+
+def _contract(t: list, weights, axes: int) -> list:
+    """Sum out the `axes` least significant axes: t'[j] = sum_a w_a t[j*m + a]."""
+    m = len(weights)
+    for _ in range(axes):
+        acc = [weights[0] * y for y in t[0::m]]
+        for a in range(1, m):
+            w = weights[a]
+            acc = [x + w * y for x, y in zip(acc, t[a::m])]
+        t = acc
+    return t
+
+
+def _expectation_contract(f: FunctionSpec, pi: MarginalDistribution, budget) -> Number:
+    exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget)
+    total = _contract(values, weights, f.n)[0]
+    return Fraction(total, v_scale * w_scale**f.n) if exact else total
 
 
 def _grouped_count_iter(f: FunctionSpec, pi: MarginalDistribution, shift, n_free, budget):
@@ -439,10 +468,11 @@ def expectation(
 ) -> Number:
     """E[f(X)] with X_i independent draws from pi.
 
-    engine: 'enumerate' walks all support points, 'dp' uses the count-window
-    or residue dynamic program (anchored_symmetric and mod_linear only),
-    'auto' prefers the dp when it applies and enumeration fits the budget
-    otherwise.  Exact inputs give exact rationals on every route.
+    engine: 'enumerate' contracts the values at all m^n points, 'dp' uses the
+    count-window or residue dynamic program (anchored_symmetric and
+    mod_linear only), 'auto' prefers the dp when it applies, the closed form
+    for juntas, and the contraction within the budget otherwise.  Exact
+    inputs give exact rationals on every route.
     """
     if n is not None and n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
@@ -451,7 +481,7 @@ def expectation(
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "enumerate":
-        return _expectation_enumerate(f, pi, budget)[0]
+        return _expectation_contract(f, pi, budget)
     if f.kind == "anchored_symmetric":
         return _expectation_anchored_dp(f, pi, budget)
     if f.kind == "mod_linear":
@@ -463,7 +493,7 @@ def expectation(
         for _, sym in f.payload["constraints"]:
             out *= pi.probs[sym]
         return out
-    return _expectation_enumerate(f, pi, budget)[0]
+    return _expectation_contract(f, pi, budget)
 
 
 def variance(
@@ -472,10 +502,18 @@ def variance(
 ) -> Number:
     """Var[f(X)]; for indicator kinds E[f^2] = E[f], so every engine applies."""
     if f.kind == "table":
+        if n is not None and n != f.n:
+            raise ValueError("n disagrees with the function's coordinate count")
         if engine == "dp":
             raise ValueError("no dynamic program for kind 'table'")
-        total, sq = _expectation_enumerate(f, pi, budget)
-        return sq - total * total
+        exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget)
+        mean = _contract(values, weights, f.n)[0]
+        sq = _contract([v * v for v in values], weights, f.n)[0]
+        if not exact:
+            return sq - mean * mean
+        # E[f^2] - E[f]^2 over the common denominator w_scale^(2n) v_scale^2
+        w_n = w_scale**f.n
+        return Fraction(sq * w_n - mean * mean, w_n * w_n * v_scale * v_scale)
     mu = expectation(f, pi, n, engine=engine, budget=budget)
     return mu - mu * mu
 
@@ -484,32 +522,42 @@ def variance(
 # influences
 
 
-def _influence_enumerate(f, pi, i, budget=None):
-    m = len(f.alphabet)
-    _check_budget(m, f.n, budget)
-    support = pi.support_indices()
-    exact = pi.exact and f.is_exact()
-    zero: Number = Fraction(0) if exact else 0.0
-    total = zero
-    others = [c for c in range(1, f.n + 1) if c != i]
-    for rest in itertools.product(support, repeat=f.n - 1):
-        w: Number = Fraction(1) if exact else 1.0
-        for s in rest:
-            w *= pi.probs[s]
-        mean = zero
-        mean_sq = zero
-        point = [0] * f.n
-        for coord, s in zip(others, rest):
-            point[coord - 1] = s
-        for a in support:
-            point[i - 1] = a
-            v = evaluate(f, tuple(point))
-            if not exact:
-                v = float(v)
-            mean += pi.probs[a] * v
-            mean_sq += pi.probs[a] * v * v
-        total += w * (mean_sq - mean * mean)
-    return total
+def _influence_contract(f, pi, i, budget) -> Number:
+    """Inf_i = E[f^2] - E[(E_i f)^2]: average out axis i, then contract the rest.
+
+    With values v = V / sv and weights w = W / sw, the fibre along axis i
+    contributes (sw * sum_a W_a V_a^2 - (sum_a W_a V_a)^2) / (sw^2 sv^2).
+    """
+    exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget)
+    m = len(weights)
+    s = m ** (i - 1)
+    mean = sq = None
+    for a, w in enumerate(weights):
+        # entries with digit a at coordinate i, in the order of the other axes
+        col = list(itertools.chain.from_iterable(
+            values[b:b + s] for b in range(a * s, len(values), s * m)
+        ))
+        if mean is None:
+            mean = [w * y for y in col]
+            sq = [w * y * y for y in col]
+        else:
+            mean = [x + w * y for x, y in zip(mean, col)]
+            sq = [x + w * y * y for x, y in zip(sq, col)]
+    spread = [w_scale * q - u * u for q, u in zip(sq, mean)]
+    total = _contract(spread, weights, f.n - 1)[0]
+    return Fraction(total, w_scale ** (f.n + 1) * v_scale * v_scale) if exact else total
+
+
+def _influence_junta(f, pi, i) -> Number:
+    """Inf_i of a conjunction: p_i (1 - p_i) times the other constraints' mass."""
+    out: Number = Fraction(1) if pi.exact else 1.0
+    cons = dict(f.payload["constraints"])
+    if f.zero or i not in cons:
+        return out * 0
+    for coord, sym in cons.items():
+        p = pi.probs[sym]
+        out *= p * (1 - p) if coord == i else p
+    return out
 
 
 def _influence_anchored_dp(f, pi, i, budget=None):
@@ -604,7 +652,10 @@ def influence(
     f: FunctionSpec, pi: MarginalDistribution, n: int | None = None, i: int = 1,
     engine: str = "auto", budget: int | None = None,
 ) -> Number:
-    """Inf_i(f) = E[Var[f(X) | X at all coordinates except i]], exact when inputs are."""
+    """Inf_i(f) = E[Var[f(X) | X at all coordinates except i]], exact when inputs are.
+
+    Engines as for `expectation`; 'auto' uses the closed form for juntas.
+    """
     if n is not None and n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
     if not 1 <= i <= f.n:
@@ -612,20 +663,24 @@ def influence(
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "enumerate":
-        return _influence_enumerate(f, pi, i, budget)
+        return _influence_contract(f, pi, i, budget)
     if f.kind == "anchored_symmetric":
         return _influence_anchored_dp(f, pi, i, budget)
     if f.kind == "mod_linear":
         return _influence_mod_linear_dp(f, pi, i)
     if engine == "dp":
         raise ValueError(f"no dynamic program for kind {f.kind!r}")
-    return _influence_enumerate(f, pi, i, budget)
+    if f.kind == "junta":
+        return _influence_junta(f, pi, i)
+    return _influence_contract(f, pi, i, budget)
 
 
 def total_influence(
     f: FunctionSpec, pi: MarginalDistribution, n: int | None = None,
     engine: str = "auto", budget: int | None = None,
 ) -> Number:
+    if n is not None and n != f.n:
+        raise ValueError("n disagrees with the function's coordinate count")
     return sum(influence(f, pi, i=i, engine=engine, budget=budget) for i in range(1, f.n + 1))
 
 

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import Number, mixed_radix_digits
+from ._util import Number, mixed_radix_digits, scale_to_ints
 from .dist_core import (
     StepDistribution,
     alpha,
@@ -88,14 +88,6 @@ class HittingInstance:
 _ENUM_BLOCK = 4096
 
 
-def _scaled_weights(support, exact: bool):
-    """(scale, weights) with support weight t equal to weights[t] / scale."""
-    if not exact:
-        return 1, [float(w) for _, w in support]
-    scale = math.lcm(*(w.denominator for _, w in support))
-    return scale, [w.numerator * (scale // w.denominator) for _, w in support]
-
-
 class _PointValues(dict):
     """Values of a non-table function by mixed-radix index, evaluated on first use."""
 
@@ -114,11 +106,7 @@ def _scaled_values(f: FunctionSpec, exact: bool):
     """(scale, values) indexable by mixed-radix point index, value = values[idx] / scale."""
     if f.kind != "table":  # the other kinds are 0/1 indicators
         return 1, _PointValues(f, int if exact else float)
-    values = f.payload["values"]
-    if not exact:
-        return 1, [float(v) for v in values]
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    return scale_to_ints(f.payload["values"], exact)
 
 
 def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
@@ -132,7 +120,7 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
     if any(f.zero for f in fns):
         return Fraction(0) if exact else 0.0
     m = len(p.alphabet)
-    scale, weights = _scaled_weights(support, exact)
+    scale, weights = scale_to_ints([w for _, w in support], exact)
     den = scale**n
     tables = []
     for f in fns:
@@ -310,7 +298,7 @@ def _multi_dp(p: StepDistribution, n: int, fns, budget) -> Number:
         return Fraction(0) if exact else 0.0
     cap = TABLE_BUDGET if budget is None else budget
     support = p.support()
-    scale, weights = _scaled_weights(support, exact)
+    scale, weights = scale_to_ints([w for _, w in support], exact)
     layout = _JointLayout(fns)
     guard, rmask = layout.guard, layout.rmask
     free = [c for c in range(1, n + 1) if c not in special]

@@ -327,6 +327,63 @@ def influence_iid(pi, n, f, symbols, i):
     return total
 
 
+# ---------------------------------------------------------------------------
+# per-point enumeration over a dense table: the reference for the contraction
+# kernels.  `values` is the mixed-radix table (coordinate 1 least significant),
+# `probs` one probability per symbol; exact mode multiplies Fractions, float
+# mode floats, and only positive-probability symbols are visited.
+
+
+def table_value(values, m, point):
+    idx = 0
+    for d in reversed(point):
+        idx = idx * m + d
+    return values[idx]
+
+
+def table_moments_enumerate(values, m, n, probs, exact):
+    """(E[f], E[f^2]) by one product weight per support point."""
+    support = [a for a, p in enumerate(probs) if p > 0]
+    total = Fraction(0) if exact else 0.0
+    sq = Fraction(0) if exact else 0.0
+    for point in itertools.product(support, repeat=n):
+        w = Fraction(1) if exact else 1.0
+        for s in point:
+            w *= probs[s]
+        v = table_value(values, m, point)
+        if not exact:
+            w, v = float(w), float(v)
+        total += w * v
+        sq += w * v * v
+    return total, sq
+
+
+def table_influence_enumerate(values, m, n, probs, exact, i):
+    """Inf_i as the weighted conditional variance along coordinate i."""
+    support = [a for a, p in enumerate(probs) if p > 0]
+    zero = Fraction(0) if exact else 0.0
+    total = zero
+    others = [c for c in range(1, n + 1) if c != i]
+    for rest in itertools.product(support, repeat=n - 1):
+        w = Fraction(1) if exact else 1.0
+        for s in rest:
+            w *= probs[s]
+        mean = zero
+        mean_sq = zero
+        point = [0] * n
+        for coord, s in zip(others, rest):
+            point[coord - 1] = s
+        for a in support:
+            point[i - 1] = a
+            v = table_value(values, m, point)
+            if not exact:
+                v = float(v)
+            mean += probs[a] * v
+            mean_sq += probs[a] * v * v
+        total += w * (mean_sq - mean * mean)
+    return total
+
+
 def orthant_probability(r):
     """Pr[G1 > 0, G2 > 0] for standard normals with correlation r, by quadrature."""
     from scipy.integrate import dblquad

@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 import oracles
-from corrhit.dist_core import marginal, parse_distribution
+from corrhit.dist_core import Alphabet, MarginalDistribution, marginal, parse_distribution
 from corrhit.fourier import (
     BudgetExceeded,
     Restriction,
@@ -51,6 +51,30 @@ def uniform_marginal(m: int):
 def random_marginal(rng: random.Random, m: int):
     p = helpers.random_dist(rng, m=m, steps=2, full_support=True)
     return marginal(p, 1)
+
+
+def kernel_marginal(rng: random.Random, m: int, with_zero: bool):
+    """Random exact marginal; with_zero gives one symbol probability 0."""
+    weights = [rng.randint(1, 9) for _ in range(m)]
+    if with_zero:
+        weights[rng.randrange(m)] = 0
+    total = sum(weights)
+    probs = tuple(Fraction(w, total) for w in weights)
+    return MarginalDistribution(Alphabet(tuple(str(a) for a in range(m))), probs, True)
+
+
+def kernel_instances(seed: int):
+    """(m, n, pi, values) over m in {2, 3, 4}, n in 1..5, mixed denominators."""
+    rng = random.Random(seed)
+    for m in (2, 3, 4):
+        for n in range(1, 6):
+            for with_zero in (False, True):
+                pi = kernel_marginal(rng, m, with_zero)
+                values = []
+                for _ in range(m**n):
+                    d = rng.randint(1, 12)
+                    values.append(Fraction(rng.randint(0, d), d))
+                yield m, n, pi, values
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +142,15 @@ def test_restrict_table_matches_pointwise_substitution():
     g = restrict(f, r)
     for x in itertools.product(range(3), repeat=3):
         assert evaluate(g, x) == evaluate(f, (x[0], 1, x[2]))
+    # every restriction size 0..n, m in {2, 3, 4}
+    for m, n, pi, values in kernel_instances(5155):
+        f = make_table_function(n, pi.alphabet, values)
+        for size in range(0, n + 1):
+            fixed = {c: rng.randrange(m) for c in rng.sample(range(1, n + 1), size)}
+            g = restrict(f, Restriction.from_dict(n, fixed))
+            for x in itertools.product(range(m), repeat=n):
+                y = tuple(fixed.get(c, x[c - 1]) for c in range(1, n + 1))
+                assert evaluate(g, x) == evaluate(f, y)
 
 
 def test_restrict_each_kind_agrees_with_table_route():
@@ -135,6 +168,18 @@ def test_restrict_each_kind_agrees_with_table_route():
             via_table = restrict(to_table(f), r)
             for x in itertools.product(range(3), repeat=3):
                 assert evaluate(direct, x) == evaluate(via_table, x)
+
+
+def test_restrict_rejects_symbols_outside_the_alphabet():
+    fns = [
+        make_table_function(2, BIT, [Fraction(0), Fraction(1), Fraction(1), Fraction(0)]),
+        make_junta(2, BIT, [(1, "0")]),
+        make_mod_linear(2, BIT, 2, (1, 1), 0, (0, 1)),
+    ]
+    for f in fns:
+        for entries in ((2, None), (None, -1)):
+            with pytest.raises(ValueError, match="outside the alphabet"):
+                restrict(f, Restriction(entries))
 
 
 def test_restrict_anchor_conflict_yields_zero():
@@ -230,6 +275,133 @@ def test_budget_refusal():
     f = make_table_function(3, TRIT, helpers.random_unit_table(random.Random(1), 3, 3))
     with pytest.raises(BudgetExceeded):
         expectation(f, pi, budget=5)
+    # the threshold is exactly m^n = 27 points on every contraction route
+    junta = make_junta(3, TRIT, [(1, "0")])
+    calls = [
+        lambda b: expectation(f, pi, budget=b),
+        lambda b: variance(f, pi, budget=b),
+        lambda b: influence(f, pi, i=2, budget=b),
+        lambda b: expectation(junta, pi, engine="enumerate", budget=b),
+        lambda b: influence(junta, pi, i=1, engine="enumerate", budget=b),
+    ]
+    for call in calls:
+        call(27)
+        with pytest.raises(BudgetExceeded):
+            call(26)
+
+
+# ---------------------------------------------------------------------------
+# contraction kernels against the per-point reference loops (tests/oracles.py)
+
+
+def test_table_kernels_equal_reference_exactly():
+    for m, n, pi, values in kernel_instances(5150):
+        f = make_table_function(n, pi.alphabet, values)
+        mean, sq = oracles.table_moments_enumerate(values, m, n, pi.probs, True)
+        for engine in ("auto", "enumerate"):
+            got = expectation(f, pi, engine=engine)
+            assert type(got) is Fraction and got == mean
+        var = variance(f, pi)
+        assert type(var) is Fraction and var == sq - mean * mean
+        for i in range(1, n + 1):
+            want = oracles.table_influence_enumerate(values, m, n, pi.probs, True, i)
+            for engine in ("auto", "enumerate"):
+                got = influence(f, pi, i=i, engine=engine)
+                assert type(got) is Fraction and got == want
+
+
+def test_table_kernels_float_mode_within_tolerance():
+    rng = random.Random(5151)
+    for m, n, pi, values in kernel_instances(5152):
+        float_pi = MarginalDistribution(
+            pi.alphabet, tuple(float(p) for p in pi.probs), False
+        )
+        cases = [
+            (pi, [float(v) for v in values]),  # float table, exact marginal
+            (float_pi, values),  # exact table, float marginal
+            (pi, [rng.randint(0, 1) for _ in values]),  # int table stays inexact
+        ]
+        for marg, vals in cases:
+            f = make_table_function(n, pi.alphabet, vals)
+            mean, sq = oracles.table_moments_enumerate(vals, m, n, marg.probs, False)
+            got = expectation(f, marg)
+            assert type(got) is float and abs(got - mean) <= 1e-12
+            var = variance(f, marg)
+            assert type(var) is float and abs(var - (sq - mean * mean)) <= 1e-12
+            for i in range(1, n + 1):
+                want = oracles.table_influence_enumerate(vals, m, n, marg.probs, False, i)
+                got = influence(f, marg, i=i)
+                assert type(got) is float and abs(got - want) <= 1e-12
+
+
+def test_enumerate_engine_on_indicator_kinds_matches_reference():
+    rng = random.Random(5153)
+    for _ in range(12):
+        m = rng.choice((2, 3))
+        n = rng.randint(1, 4)
+        pi = kernel_marginal(rng, m, rng.random() < 0.5)
+        fns = [
+            make_junta(n, pi.alphabet, [(rng.randint(1, n), rng.randrange(m))]),
+            make_anchored_symmetric(
+                n, pi.alphabet, {rng.randrange(m): (0, rng.randint(0, n))},
+                anchor=(rng.randint(1, n), rng.randrange(m)),
+            ),
+            make_mod_linear(
+                n, pi.alphabet, 3, [rng.randrange(3) for _ in range(n)], 1,
+                [rng.randrange(3) for _ in range(m)],
+            ),
+        ]
+        for f in fns:
+            values = to_table(f).payload["values"]
+            mean, _ = oracles.table_moments_enumerate(values, m, n, pi.probs, True)
+            got = expectation(f, pi, engine="enumerate")
+            assert type(got) is Fraction and got == mean
+            for i in range(1, n + 1):
+                want = oracles.table_influence_enumerate(values, m, n, pi.probs, True, i)
+                assert influence(f, pi, i=i, engine="enumerate") == want
+
+
+def test_coordinate_count_mismatch_is_refused():
+    pi = uniform_marginal(2)
+    f = make_table_function(2, BIT, [Fraction(0), Fraction(1), Fraction(1), Fraction(1)])
+    for call in (total_influence, variance, expectation):
+        with pytest.raises(ValueError, match="n disagrees"):
+            call(f, pi, n=7)
+
+
+def test_junta_influence_closed_form_matches_enumeration():
+    rng = random.Random(5156)
+    for _ in range(40):
+        m = rng.choice((2, 3))
+        n = rng.randint(1, 4)
+        pi = kernel_marginal(rng, m, rng.random() < 0.3)
+        cons = [(rng.randint(1, n), rng.randrange(m)) for _ in range(rng.randint(0, n))]
+        f = make_junta(n, pi.alphabet, cons)
+        float_pi = MarginalDistribution(
+            pi.alphabet, tuple(float(p) for p in pi.probs), False
+        )
+        for i in range(1, n + 1):
+            got = influence(f, pi, i=i)
+            assert type(got) is Fraction
+            assert got == influence(f, pi, i=i, engine="enumerate")
+            approx = influence(f, float_pi, i=i)
+            assert type(approx) is float and abs(approx - float(got)) <= 1e-12
+    zero = make_junta(2, BIT, [(1, "0"), (1, "1")])
+    assert zero.zero
+    pi2 = uniform_marginal(2)
+    assert influence(zero, pi2, i=1) == 0 == influence(zero, pi2, i=1, engine="enumerate")
+
+
+def test_junta_influence_at_large_n_and_dp_refusal():
+    pi = uniform_marginal(2)
+    f = make_junta(30, BIT, [(1, "0"), (7, "1"), (30, "1")])
+    assert expectation(f, pi) == Fraction(1, 8)
+    assert influence(f, pi, n=30, i=7) == Fraction(1, 4) * Fraction(1, 4)
+    assert influence(f, pi, i=2) == 0
+    with pytest.raises(BudgetExceeded):
+        influence(f, pi, i=7, engine="enumerate")
+    with pytest.raises(ValueError):
+        influence(f, pi, i=7, engine="dp")
 
 
 # ---------------------------------------------------------------------------
