@@ -63,10 +63,6 @@ def is_exact(x: Number) -> bool:
     return isinstance(x, (Fraction, int))
 
 
-def as_float(x: Number) -> float:
-    return float(x)
-
-
 def exact_sum(values) -> Number:
     total = Fraction(0)
     for v in values:

@@ -21,7 +21,6 @@ from .dist_core import (
     StepDistribution,
     alpha,
     equal_marginals,
-    marginal,
     rho,
 )
 
@@ -132,19 +131,16 @@ class ConvexDecomposition:
 # digraph cycle decomposition
 
 
-def digraph_cycle_decomposition(g: WeightedDigraph) -> list[WeightedCycle]:
-    """Split a regular digraph into at most |alphabet|^2 weighted cycles.
+def _peel_cycles(residual) -> list[tuple[tuple[int, ...], Number]]:
+    """(vertices, weight) cycles of a regular digraph given as a square matrix.
 
-    Walk rule: start at the smallest vertex with positive out-weight, always
-    follow the smallest-index positive out-edge; the first repeated vertex
-    closes a cycle, which is removed at the minimum edge weight along it.
-    Each extraction zeroes at least one edge, so the loop terminates.
+    The walk of `digraph_cycle_decomposition`, on ints or Fractions alike;
+    the matrix is consumed.  An irregular matrix raises ValueError.
     """
-    if not g.is_regular():
-        raise ValueError("digraph is not regular")
-    m = len(g.alphabet)
-    residual = [list(row) for row in g.weights]
-    cycles: list[WeightedCycle] = []
+    m = len(residual)
+    for v in range(m):
+        if sum(residual[v]) != sum(residual[u][v] for u in range(m)):
+            raise ValueError("digraph is not regular")
 
     def first_out(v: int) -> int | None:
         for u in range(m):
@@ -152,6 +148,7 @@ def digraph_cycle_decomposition(g: WeightedDigraph) -> list[WeightedCycle]:
                 return u
         return None
 
+    cycles = []
     while True:
         start = None
         for v in range(m):
@@ -176,9 +173,21 @@ def digraph_cycle_decomposition(g: WeightedDigraph) -> list[WeightedCycle]:
         w = min(residual[cyc[i]][cyc[(i + 1) % s]] for i in range(s))
         for i in range(s):
             residual[cyc[i]][cyc[(i + 1) % s]] -= w
-        cycles.append(WeightedCycle(cyc, w))
+        cycles.append((cyc, w))
         assert len(cycles) <= m * m, "cycle count exceeded the square bound"
     return cycles
+
+
+def digraph_cycle_decomposition(g: WeightedDigraph) -> list[WeightedCycle]:
+    """Split a regular digraph into at most |alphabet|^2 weighted cycles.
+
+    Walk rule: start at the smallest vertex with positive out-weight, always
+    follow the smallest-index positive out-edge; the first repeated vertex
+    closes a cycle, which is removed at the minimum edge weight along it.
+    Each extraction zeroes at least one edge, so the loop terminates.
+    """
+    residual = [list(row) for row in g.weights]
+    return [WeightedCycle(cyc, w) for cyc, w in _peel_cycles(residual)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +245,40 @@ def cycle_rho(s: int, p) -> tuple[float, float]:
 # convex decomposition
 
 
+_ZERO = Fraction(0)
+
+
 def _point_mass_part(base: StepDistribution, x: int, weight: Fraction) -> DecompositionPart:
     m = len(base.alphabet)
-    weights = [Fraction(0)] * (m * m)
+    weights = [_ZERO] * (m * m)
     weights[x + m * x] = Fraction(1)
     dist = StepDistribution(base.alphabet, 2, tuple(weights), True)
     return DecompositionPart(weight, dist, "point")
 
 
 def _cycle_part(
-    base: StepDistribution, cyc: WeightedCycle, p: Fraction, weight: Fraction
+    base: StepDistribution, vertices: tuple[int, ...], b: int, w: int, unit: int
 ) -> DecompositionPart:
+    """(s, q)-cycle part with q = b / (b + w) and mixture weight s (w + b) / unit.
+
+    b and w are the diagonal share and the cycle weight in units of 1/unit;
+    the part puts q/s on each diagonal pair of the cycle and (1-q)/s on each
+    forward edge.
+    """
     m = len(base.alphabet)
-    s = len(cyc.vertices)
-    weights = [Fraction(0)] * (m * m)
-    for i in range(s):
-        x = cyc.vertices[i]
-        y = cyc.vertices[(i + 1) % s]
-        weights[x + m * x] += p / s
-        weights[x + m * y] += (1 - p) / s
+    s = len(vertices)
+    stay = Fraction(b, s * (b + w))
+    move = Fraction(w, s * (b + w))
+    weights = [_ZERO] * (m * m)
+    for i, x in enumerate(vertices):
+        y = vertices[(i + 1) % s]
+        weights[x + m * x] = stay
+        weights[x + m * y] = move
     dist = StepDistribution(base.alphabet, 2, tuple(weights), True)
-    info = CycleDistribution(s, p, tuple(base.alphabet.symbols[v] for v in cyc.vertices))
-    return DecompositionPart(weight, dist, "cycle", cycle=info)
+    info = CycleDistribution(
+        s, Fraction(b, b + w), tuple(base.alphabet.symbols[v] for v in vertices)
+    )
+    return DecompositionPart(Fraction(s * (w + b), unit), dist, "cycle", cycle=info)
 
 
 def convex_cycle_decomposition(p: StepDistribution) -> ConvexDecomposition:
@@ -268,6 +289,10 @@ def convex_cycle_decomposition(p: StepDistribution) -> ConvexDecomposition:
     (s, q)-cycle part with diagonal share b = min(w, a/t^2), q = b/(b+w), and
     mixture weight s*(w+b).  Self-loop cycles and the unused diagonal mass
     become point-mass parts.  The weighted parts re-sum to P exactly.
+
+    Every step runs on ints: the weights scaled by the lcm of their
+    denominators times t^2, so that a, every residual edge and cycle weight,
+    and a/t^2 are integers.  Parts become Fractions only when they are built.
     """
     if p.steps != 2:
         raise ValueError("decomposition requires exactly 2 steps")
@@ -275,34 +300,33 @@ def convex_cycle_decomposition(p: StepDistribution) -> ConvexDecomposition:
         raise ValueError("decomposition requires rational weights")
     if not equal_marginals(p):
         raise ValueError("decomposition requires equal marginals")
-    a = alpha(p)
+    m = len(p.alphabet)
+    t2 = m * m
+    unit = p._scale * t2  # a weight w of P is w * unit here
+    diagonal = [p._scaled[x * (m + 1)] * t2 for x in range(m)]
+    a = min(diagonal)
     if a <= 0:
         raise ValueError("decomposition requires positive diagonal mass")
-    m = len(p.alphabet)
-    t2 = Fraction(m * m)
-    graph_weights = [
-        [p.weight((x, y)) - (a if x == y else 0) for y in range(m)] for x in range(m)
-    ]
-    graph = WeightedDigraph(p.alphabet, tuple(tuple(r) for r in graph_weights))
-    cycles = digraph_cycle_decomposition(graph)
+    residual = [[p._scaled[x + m * y] * t2 for y in range(m)] for x in range(m)]
+    for x in range(m):
+        residual[x][x] -= a
+    cap = a // t2  # a / t^2, exact by the choice of unit
 
     parts: list[DecompositionPart] = []
-    diagonal_used = [Fraction(0)] * m
-    for cyc in cycles:
-        if len(cyc.vertices) == 1:
+    diagonal_used = [0] * m
+    for cyc, w in _peel_cycles(residual):
+        if len(cyc) == 1:
             # self-loop: pure diagonal weight, absorbed by the point mass below
             continue
-        b = min(cyc.weight, a / t2)
-        q = b / (b + cyc.weight)
-        beta_k = len(cyc.vertices) * (cyc.weight + b)
-        parts.append(_cycle_part(p, cyc, q, beta_k))
-        for v in cyc.vertices:
+        b = min(w, cap)
+        parts.append(_cycle_part(p, cyc, b, w, unit))
+        for v in cyc:
             diagonal_used[v] += b
     for x in range(m):
-        leftover = p.weight((x, x)) - diagonal_used[x]
+        leftover = diagonal[x] - diagonal_used[x]
         assert leftover >= 0, "diagonal over-used by cycle parts"
         if leftover > 0:
-            parts.append(_point_mass_part(p, x, leftover))
+            parts.append(_point_mass_part(p, x, Fraction(leftover, unit)))
     return ConvexDecomposition(p, tuple(parts))
 
 
@@ -330,10 +354,9 @@ class GuaranteeReport:
 
 def _support_alpha(d: StepDistribution) -> Fraction:
     """Diagonal floor over the distribution's own marginal support."""
-    support = set(marginal(d, 1).support_indices()) | set(
-        marginal(d, 2).support_indices()
-    )
-    return min(d.weight((x, x)) for x in sorted(support))
+    m = len(d.alphabet)
+    first, second = d._scaled_marginals
+    return min(d.weights[x * (m + 1)] for x in range(m) if first[x] or second[x])
 
 
 def decomposition_guarantees(
@@ -343,8 +366,12 @@ def decomposition_guarantees(
 
     alpha of a part is taken over its own support; point masses have no
     variance-1 functions, so their correlation is reported as 0 and exempted
-    from the ceiling (rho_defined records the convention).
+    from the ceiling (rho_defined records the convention).  `p` must be the
+    distribution `dec` was made from; anything else raises ValueError, since
+    the floor and ceiling would be measured against the wrong alpha.
     """
+    if dec.base != p:
+        raise ValueError("decomposition was not made from this distribution")
     a = alpha(p)
     floor = a**4
     ceiling = 1.0 - 3.0 * float(a) ** 5

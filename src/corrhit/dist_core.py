@@ -4,24 +4,28 @@ A distribution here assigns probability to tuples of symbols, one symbol per
 step.  Coordinates of a product space draw such tuples independently.  The
 module computes the diagonal mass `alpha`, the support-box floor `beta`, the
 maximal correlation `rho` (by two independent routes that are cross-checked),
-double-sample kernels, and related diagnostics.
+double-sample kernels, and related diagnostics.  Exact quantities are computed
+on each distribution's integer view (weights scaled by the lcm of their
+denominators) and converted to Fractions once at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, truediv
 
 import numpy as np
 
 from ._util import (
     Number,
-    as_float,
     format_number,
     mixed_radix_digits,
     mixed_radix_index,
     parse_weight,
+    scale_to_ints,
 )
 
 REVERSIBILITY_TOL = 1e-10
@@ -66,7 +70,17 @@ class StepDistribution:
 
     Weights are stored densely in mixed-radix order with step 1 least
     significant.  `exact` is true when every weight is a Fraction; exact and
-    float weights never mix.
+    float weights never mix.  Weights must be finite and non-negative and sum
+    to 1, exactly or within FLOAT_SUM_TOL in float mode; nothing is
+    renormalized.
+
+    Validation builds the distribution's integer view once, and every quantity
+    in this package reads it: `_scale` and `_scaled` (weights times the lcm of
+    their denominators, as ints; in float mode the float weights with scale
+    1), `_support` and `_scaled_support` (positive-weight tuples in index
+    order with their weights), `_scaled_marginals` (per step, the scaled mass
+    of every symbol) and `_marginals` (the same as MarginalDistribution
+    objects).  The view never changes, like the object it derives from.
     """
 
     alphabet: Alphabet
@@ -84,31 +98,59 @@ class StepDistribution:
         if self.exact:
             if not all(isinstance(w, Fraction) for w in self.weights):
                 raise ValueError("exact distribution requires Fraction weights")
-            total = sum(self.weights, Fraction(0))
-            if total != 1:
+            scale, scaled = scale_to_ints(self.weights, True)
+            if sum(scaled) != scale:
                 raise DistributionFormatError(
-                    f"weights sum to {total}, expected exactly 1 (no renormalization)"
+                    f"weights sum to {Fraction(sum(scaled), scale)}, "
+                    "expected exactly 1 (no renormalization)"
                 )
         else:
-            total = float(sum(float(w) for w in self.weights))
+            scale, scaled = scale_to_ints(self.weights, False)
+            if not all(math.isfinite(w) for w in scaled):
+                raise DistributionFormatError("non-finite weight")
+            total = float(sum(scaled))
             if abs(total - 1.0) > FLOAT_SUM_TOL:
                 raise DistributionFormatError(
                     f"weights sum to {total!r}, expected 1 within {FLOAT_SUM_TOL}"
                 )
-        if any((w < 0) for w in self.weights):
+        if any(w < 0 for w in scaled):
             raise DistributionFormatError("negative weight")
+        support = []
+        scaled_support = []
+        margins = [[0 if self.exact else 0.0] * m for _ in range(self.steps)]
+        for idx, w in enumerate(scaled):
+            if w > 0:
+                tup = mixed_radix_digits(idx, m, self.steps)
+                support.append((tup, self.weights[idx]))
+                scaled_support.append((tup, w))
+                for row, x in zip(margins, tup):
+                    row[x] += w
+        if self.exact:
+            probs = [tuple(Fraction(w, scale) for w in row) for row in margins]
+        else:
+            probs = [tuple(row) for row in margins]
+        view = {
+            "_scale": scale,
+            "_scaled": tuple(scaled),
+            "_support": tuple(support),
+            "_scaled_support": tuple(scaled_support),
+            "_scaled_marginals": tuple(tuple(row) for row in margins),
+            "_marginals": tuple(
+                MarginalDistribution(self.alphabet, pr, self.exact) for pr in probs
+            ),
+        }
+        for name, value in view.items():
+            object.__setattr__(self, name, value)
 
     def weight(self, tup: tuple[int, ...]) -> Number:
         return self.weights[mixed_radix_index(tup, len(self.alphabet))]
 
     def support(self) -> list[tuple[tuple[int, ...], Number]]:
-        """Pairs (symbol-index tuple, weight) with positive weight, index order."""
-        m = len(self.alphabet)
-        out = []
-        for idx, w in enumerate(self.weights):
-            if w > 0:
-                out.append((mixed_radix_digits(idx, m, self.steps), w))
-        return out
+        """Pairs (symbol-index tuple, weight) with positive weight, index order.
+
+        A new list on every call, so callers may modify it.
+        """
+        return list(self._support)
 
     def tuples(self):
         m = len(self.alphabet)
@@ -280,79 +322,154 @@ def marginal(p: StepDistribution, j: int) -> MarginalDistribution:
     """Marginal of step j (1-indexed)."""
     if not 1 <= j <= p.steps:
         raise ValueError(f"step {j} out of range 1..{p.steps}")
-    zero: Number = Fraction(0) if p.exact else 0.0
-    probs = [zero] * len(p.alphabet)
-    for tup, w in p.support():
-        probs[tup[j - 1]] += w
-    return MarginalDistribution(p.alphabet, tuple(probs), p.exact)
+    return p._marginals[j - 1]
 
 
 def equal_marginals(p: StepDistribution, tol: float = 0.0) -> bool:
     """Whether all step marginals coincide (exactly, or within tol for floats)."""
-    first = marginal(p, 1).probs
-    for j in range(2, p.steps + 1):
-        cur = marginal(p, j).probs
-        if p.exact and tol == 0.0:
-            if cur != first:
-                return False
-        elif any(abs(float(a) - float(b)) > tol for a, b in zip(cur, first)):
-            return False
-    return True
+    if p.exact and tol == 0.0:
+        first = p._scaled_marginals[0]
+        return all(cur == first for cur in p._scaled_marginals[1:])
+    first = p._marginals[0].probs
+    return all(
+        abs(float(a) - float(b)) <= tol
+        for cur in p._marginals[1:]
+        for a, b in zip(cur.probs, first)
+    )
 
 
 def alpha(p: StepDistribution) -> Number:
     """Smallest diagonal weight: min over symbols x of P(x, x, ..., x)."""
-    return min(p.weight((x,) * p.steps) for x in range(len(p.alphabet)))
+    m = len(p.alphabet)
+    diagonal = sum(m**k for k in range(p.steps))  # index of (1, 1, ..., 1)
+    return min(p.weights[x * diagonal] for x in range(m))
+
+
+def _support_indices(scaled_marginal) -> tuple[int, ...]:
+    return tuple(x for x, w in enumerate(scaled_marginal) if w > 0)
 
 
 def beta(p: StepDistribution) -> Number:
     """Smallest weight over the product of the per-step marginal supports."""
-    supports = [marginal(p, j).support_indices() for j in range(1, p.steps + 1)]
-    return min(p.weight(tup) for tup in itertools.product(*supports))
+    m = len(p.alphabet)
+    supports = [_support_indices(row) for row in p._scaled_marginals]
+    return min(
+        p.weights[mixed_radix_index(tup, m)] for tup in itertools.product(*supports)
+    )
 
 
 # ---------------------------------------------------------------------------
 # double-sample kernel and spectra
 
 
+def _integer_support(p: StepDistribution):
+    """Support tuples with their weights as ints on one common scale.
+
+    Exact distributions read the view.  Float weights are dyadic rationals,
+    so they scale exactly by the largest of their power-of-two denominators;
+    derived quantities are then exact until one final rounding.
+    """
+    if p.exact:
+        return p._scaled_support
+    ratios = [(tup, w.as_integer_ratio()) for tup, w in p._scaled_support]
+    scale = max(den for _, (_, den) in ratios)
+    return [(tup, num * (scale // den)) for tup, (num, den) in ratios]
+
+
+def _double_sample_matrix(p: StepDistribution, j: int):
+    """(support, S, L, M): the double-sample mass matrix of step j, in ints.
+
+    `support` lists the symbols with positive step-j mass.  With W the
+    integer weights of `_integer_support`, group the support tuples by
+    `rest`, the symbols of the other steps; let R_rest be the mass of a group
+    and L the lcm of all R_rest.  Then S[a][b] = sum_rest W(rest, y)
+    W(rest, z) (L / R_rest) for y = support[a], z = support[b], and M[a] is
+    the mass of y at step j; both sum the same groups, so sum_b S[a][b] =
+    L M[a].  The probability that two resamples of step j given the rest are
+    (y, z) is S[a][b] / (L sum(M)).  S is symmetric by construction; callers
+    check it.
+    """
+    k = j - 1
+    support = _support_indices(p._scaled_marginals[k])
+    pos = {x: a for a, x in enumerate(support)}
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for tup, w in _integer_support(p):
+        groups.setdefault(tup[:k] + tup[j:], []).append((pos[tup[k]], w))
+    masses = [sum(w for _, w in g) for g in groups.values()]
+    lcm = math.lcm(*masses)
+    n = len(support)
+    s = [[0] * n for _ in range(n)]
+    mass = [0] * n
+    for g, rest_mass in zip(groups.values(), masses):
+        factor = lcm // rest_mass
+        for a, wa in g:
+            mass[a] += wa
+            row = s[a]
+            wa *= factor
+            for b, wb in g:
+                row[b] += wa * wb
+    return support, s, lcm, mass
+
+
+def _is_symmetric(s) -> bool:
+    return all(s[a][b] == s[b][a] for a in range(len(s)) for b in range(a))
+
+
 def double_sample_kernel(p: StepDistribution, j: int) -> MarkovKernel:
     """Transition kernel of resampling step j twice given the other steps.
 
     Symbols with zero marginal mass at step j are dropped first, so the kernel
-    lives on the support alphabet.  The result is reversible with respect to
-    the step-j marginal; construction fails if reversibility breaks tolerance.
+    lives on the support alphabet.  Built from the integer double-sample
+    matrix S (see `_double_sample_matrix`) as K[y][z] = S[y][z] / (L M_y):
+    exact Fractions for an exact distribution, and for a float one the
+    correctly rounded value of the same quotient of the weights' exact binary
+    values.  K is reversible with respect to the step-j marginal exactly when
+    S is symmetric; that is checked, and a failure raises ArithmeticError.
     """
-    pi_full = marginal(p, j)
-    support = pi_full.support_indices()
-    if not support:
-        raise ValueError("step marginal has empty support")
-    sub_alphabet = Alphabet(tuple(p.alphabet.symbols[i] for i in support))
-    pos = {sym: k for k, sym in enumerate(support)}
-    zero: Number = Fraction(0) if p.exact else 0.0
+    if not 1 <= j <= p.steps:
+        raise ValueError(f"step {j} out of range 1..{p.steps}")
+    support, s, lcm, mass = _double_sample_matrix(p, j)
+    if not _is_symmetric(s):
+        raise ArithmeticError("double-sample kernel violates reversibility")
+    ratio = Fraction if p.exact else truediv
+    rows = tuple(
+        tuple(ratio(x, lcm * mass[a]) for x in row) for a, row in enumerate(s)
+    )
+    sub_alphabet = Alphabet(tuple(p.alphabet.symbols[y] for y in support))
+    probs = p._marginals[j - 1].probs
+    stationary = MarginalDistribution(
+        sub_alphabet, tuple(probs[y] for y in support), p.exact
+    )
+    return MarkovKernel(sub_alphabet, rows, stationary, p.exact, reversible=True)
 
-    # joint[(rest tuple)][symbol] accumulates mass of (rest, y at step j)
-    joint: dict[tuple[int, ...], dict[int, Number]] = {}
-    for tup, w in p.support():
-        rest = tup[: j - 1] + tup[j:]
-        joint.setdefault(rest, {})[tup[j - 1]] = w
 
-    n = len(support)
-    rows = [[zero for _ in range(n)] for _ in range(n)]
-    for by_symbol in joint.values():
-        rest_mass = sum(by_symbol.values())
-        for y, wy in by_symbol.items():
-            for z, wz in by_symbol.items():
-                rows[pos[y]][pos[z]] += wy * wz / rest_mass
-    pi = tuple(pi_full.probs[i] for i in support)
-    for k in range(n):
-        if pi[k] <= 0:
-            raise ValueError("zero marginal mass at retained symbol")
-        rows[k] = [x / pi[k] for x in rows[k]]
-    rows_t = tuple(tuple(r) for r in rows)
-    if not _check_reversibility(rows_t, pi, p.exact):
-        raise ArithmeticError("double-sample kernel violates reversibility tolerance")
-    stationary = MarginalDistribution(sub_alphabet, pi, p.exact)
-    return MarkovKernel(sub_alphabet, rows_t, stationary, p.exact, reversible=True)
+def _double_sample_lambda2(p: StepDistribution, j: int) -> float:
+    """Second eigenvalue of the step-j double-sample kernel, clamped to [-1, 1].
+
+    The kernel is similar to the symmetric A = S / (L sqrt(M_y M_z)), whose
+    top eigenpair is 1 and v = sqrt(M / T), T = sum(M).  The deflated matrix
+    A - v v^T = (S T - L M_y M_z) / (L T sqrt(M_y M_z)) keeps every other
+    eigenvalue; its numerator is formed in ints, so lambda_2 comes out
+    accurate relative to itself even near 0, where sqrt(lambda_2) would
+    magnify rounding noise.  A is positive semidefinite, so lambda_2 is the
+    largest eigenvalue of the deflated matrix.  One support symbol gives 0.
+    """
+    _, s, lcm, mass = _double_sample_matrix(p, j)
+    if not _is_symmetric(s):
+        raise ArithmeticError("double-sample kernel violates reversibility")
+    total = sum(mass)
+    den = lcm * total * total
+    d = [math.sqrt(x / total) for x in mass]
+    n = len(mass)
+    deflated = np.array(
+        [
+            [(s[a][b] * total - lcm * mass[a] * mass[b]) / den / (d[a] * d[b])
+             for b in range(n)]
+            for a in range(n)
+        ]
+    )
+    lam2 = float(np.linalg.eigvalsh(deflated)[-1])
+    return min(1.0, max(-1.0, lam2))
 
 
 def kernel_second_eigenvalue(k: MarkovKernel) -> float:
@@ -392,28 +509,28 @@ def maximal_correlation(p: StepDistribution, s_steps, t_steps) -> float:
         if not 1 <= j <= p.steps:
             raise ValueError(f"step {j} out of range 1..{p.steps}")
 
-    joint: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-    pi_s: dict[tuple[int, ...], float] = {}
-    pi_t: dict[tuple[int, ...], float] = {}
-    for tup, w in p.support():
-        a = tuple(tup[j - 1] for j in s)
-        b = tuple(tup[j - 1] for j in t)
-        wf = float(w)
-        joint[(a, b)] = joint.get((a, b), 0.0) + wf
+    # a grouped tuple's key lists its symbols from the last step down, so
+    # sorting keys orders the groups by mixed-radix index
+    a_key = itemgetter(*[j - 1 for j in reversed(s)])
+    b_key = itemgetter(*[j - 1 for j in reversed(t)])
+    joint: dict = {}
+    pi_s: dict = {}
+    pi_t: dict = {}
+    scale = p._scale
+    for tup, w in p._scaled_support:
+        a = a_key(tup)
+        b = b_key(tup)
+        wf = w / scale
+        joint[a, b] = joint.get((a, b), 0.0) + wf
         pi_s[a] = pi_s.get(a, 0.0) + wf
         pi_t[b] = pi_t.get(b, 0.0) + wf
-    # grouped tuples sorted by mixed-radix index over the original alphabet
-    m = len(p.alphabet)
-    a_list = sorted(pi_s, key=lambda tup: mixed_radix_index(tup, m))
-    b_list = sorted(pi_t, key=lambda tup: mixed_radix_index(tup, m))
-    if len(a_list) == 1 or len(b_list) == 1:
+    if len(pi_s) == 1 or len(pi_t) == 1:
         return 0.0
-    mat = np.zeros((len(a_list), len(b_list)))
-    for ia, a in enumerate(a_list):
-        for ib, b in enumerate(b_list):
-            w = joint.get((a, b), 0.0)
-            if w:
-                mat[ia, ib] = w / np.sqrt(pi_s[a] * pi_t[b])
+    rows = {a: i for i, a in enumerate(sorted(pi_s))}
+    cols = {b: i for i, b in enumerate(sorted(pi_t))}
+    mat = np.zeros((len(rows), len(cols)))
+    for (a, b), w in joint.items():
+        mat[rows[a], cols[b]] = w / math.sqrt(pi_s[a] * pi_t[b])
     sv = np.linalg.svd(mat, compute_uv=False)
     return min(1.0, max(0.0, float(sv[1])))
 
@@ -421,22 +538,25 @@ def maximal_correlation(p: StepDistribution, s_steps, t_steps) -> float:
 def rho(p: StepDistribution) -> float:
     """Maximal correlation of one step against the rest, maximized over steps.
 
-    Computed twice: via second eigenvalues of the double-sample kernels (the
-    square root of lambda_2) and via the SVD route.  The two must agree within
-    1e-8 or an ArithmeticError is raised.  A one-step distribution has no
-    opposing group; returns 0.0.
+    Computed twice: via the second eigenvalue of each step's double-sample
+    kernel (the square root of lambda_2), taken straight from the integer
+    matrix S / (L sqrt(M_y M_z)) after the exact reversibility test S == S^T
+    (see `_double_sample_lambda2`), and via the SVD route of
+    `maximal_correlation`.  The two must agree within 1e-8 or an
+    ArithmeticError is raised.  A one-step distribution has no opposing
+    group; returns 0.0.
     """
     if p.steps == 1:
         return 0.0
     eigen_vals = []
     svd_vals = []
     for j in range(1, p.steps + 1):
-        lam2 = kernel_second_eigenvalue(double_sample_kernel(p, j))
+        lam2 = _double_sample_lambda2(p, j)
         if lam2 < -EIGEN_NEG_TOL:
             raise ArithmeticError(
                 f"double-sample kernel of step {j} has lambda_2 = {lam2} < 0"
             )
-        eigen_vals.append(float(np.sqrt(max(lam2, 0.0))))
+        eigen_vals.append(math.sqrt(max(lam2, 0.0)))
         rest = [i for i in range(1, p.steps + 1) if i != j]
         svd_vals.append(maximal_correlation(p, [j], rest))
     eigen_route = max(eigen_vals)

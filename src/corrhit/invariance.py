@@ -284,9 +284,19 @@ class GaussianCounterpart:
         return self.matrix @ self.matrix.T
 
     def sample(self, rng: Generator, size: int, n: int) -> np.ndarray:
-        """(size, n, #rows) Gaussian ensemble values, coordinates independent."""
-        base = rng.standard_normal((size, n, self.matrix.shape[1]))
-        return base @ self.matrix.T
+        """(size, n, #rows) Gaussian ensemble values, coordinates independent.
+
+        The draws are mapped by one (size * n, base_dim) matrix product, which
+        rounds like the stacked product `base @ matrix.T` for n >= 2.  For
+        n = 1 numpy runs the stack as one matrix-vector product per draw,
+        rounding differently, so that case keeps the stacked form and samples
+        stay the same for a given (seed, size, n).
+        """
+        dim = self.matrix.shape[1]
+        base = rng.standard_normal((size, n, dim))
+        if n == 1:
+            return base @ self.matrix.T
+        return (base.reshape(-1, dim) @ self.matrix.T).reshape(size, n, -1)
 
 
 def gaussian_counterpart(

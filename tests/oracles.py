@@ -384,6 +384,74 @@ def table_influence_enumerate(values, m, n, probs, exact, i):
     return total
 
 
+# ---------------------------------------------------------------------------
+# the convex cycle decomposition in Fraction arithmetic, as the package ran it
+# before it moved to integer-scaled weights: the reference for that version.
+# `weights` is the dense two-step table, pair (x, y) at x + m * y; parts come
+# back as (kind, weight, dense part weights, cycle) with cycle = (s, q,
+# vertex indices) for cycle parts and None for point masses.
+
+
+def convex_cycle_decomposition_fraction(weights, m):
+    a = min(weights[x + m * x] for x in range(m))
+    t2 = Fraction(m * m)
+    residual = [
+        [weights[x + m * y] - (a if x == y else 0) for y in range(m)] for x in range(m)
+    ]
+
+    def first_out(v):
+        for u in range(m):
+            if residual[v][u] > 0:
+                return u
+        return None
+
+    cycles = []
+    while True:
+        start = next((v for v in range(m) if first_out(v) is not None), None)
+        if start is None:
+            break
+        path = [start]
+        seen = {start: 0}
+        cur = start
+        while True:
+            nxt = first_out(cur)
+            if nxt in seen:
+                cyc = tuple(path[seen[nxt]:])
+                break
+            seen[nxt] = len(path)
+            path.append(nxt)
+            cur = nxt
+        s = len(cyc)
+        w = min(residual[cyc[i]][cyc[(i + 1) % s]] for i in range(s))
+        for i in range(s):
+            residual[cyc[i]][cyc[(i + 1) % s]] -= w
+        cycles.append((cyc, w))
+
+    parts = []
+    used = [Fraction(0)] * m
+    for cyc, w in cycles:
+        s = len(cyc)
+        if s == 1:
+            continue
+        b = min(w, a / t2)
+        q = b / (b + w)
+        dist = [Fraction(0)] * (m * m)
+        for i in range(s):
+            x, y = cyc[i], cyc[(i + 1) % s]
+            dist[x + m * x] += q / s
+            dist[x + m * y] += (1 - q) / s
+        parts.append(("cycle", s * (w + b), tuple(dist), (s, q, cyc)))
+        for v in cyc:
+            used[v] += b
+    for x in range(m):
+        leftover = weights[x + m * x] - used[x]
+        if leftover > 0:
+            dist = [Fraction(0)] * (m * m)
+            dist[x + m * x] = Fraction(1)
+            parts.append(("point", leftover, tuple(dist), None))
+    return parts
+
+
 def orthant_probability(r):
     """Pr[G1 > 0, G2 > 0] for standard normals with correlation r, by quadrature."""
     from scipy.integrate import dblquad

@@ -18,7 +18,7 @@ from corrhit.decompose import (
     digraph_cycle_decomposition,
     make_cycle,
 )
-from corrhit.dist_core import Alphabet, alpha, equal_marginals, rho
+from corrhit.dist_core import Alphabet, StepDistribution, alpha, equal_marginals, rho
 
 # ---------------------------------------------------------------------------
 # cycle distributions
@@ -190,3 +190,63 @@ def test_point_mass_parts_are_diagonal():
             assert len(support) == 1
             tup, w = support[0]
             assert tup[0] == tup[1] and w == 1
+
+
+def _circulation_dist(rng: random.Random, m: int) -> StepDistribution:
+    """Equal-marginal, mostly asymmetric: random directed cycles plus a diagonal."""
+    counts = [[0] * m for _ in range(m)]
+    for x in range(m):
+        counts[x][x] = rng.randint(1, 6)
+    for _ in range(rng.randint(1, 5)):
+        verts = rng.sample(range(m), rng.randint(2, m))
+        w = rng.randint(1, 9)
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            counts[a][b] += w
+    total = sum(map(sum, counts))
+    weights = [Fraction(counts[x][y], total) for y in range(m) for x in range(m)]
+    return StepDistribution(Alphabet(tuple(str(i) for i in range(m))), 2, tuple(weights), True)
+
+
+def test_decomposition_matches_fraction_reference():
+    rng = random.Random(4401)
+    dists = []
+    for _ in range(40):
+        m = rng.randint(2, 5)
+        dists.append(_circulation_dist(rng, m))
+        dists.append(
+            helpers.random_dist(rng, m=m, steps=2, symmetric=True, positive_diagonal=True)
+        )
+    for p in dists:
+        m = len(p.alphabet)
+        want = oracles.convex_cycle_decomposition_fraction(list(p.weights), m)
+        got = [
+            (
+                part.kind,
+                part.weight,
+                part.dist.weights,
+                None
+                if part.cycle is None
+                else (part.cycle.s, part.cycle.p, part.cycle.vertices),
+            )
+            for part in convex_cycle_decomposition(p).parts
+        ]
+        want = [
+            (kind, weight, dist, None if cyc is None else (cyc[0], cyc[1], tuple(str(v) for v in cyc[2])))
+            for kind, weight, dist, cyc in want
+        ]
+        assert got == want
+        for kind, weight, dist, cyc in got:
+            assert isinstance(weight, Fraction)
+            assert all(isinstance(w, Fraction) for w in dist)
+            assert cyc is None or isinstance(cyc[1], Fraction)
+
+
+def test_guarantees_reject_another_distribution():
+    p = helpers.basic_dist()
+    dec = convex_cycle_decomposition(p)
+    other = make_cycle(3, Fraction(1, 3))
+    assert equal_marginals(other) and alpha(other) != alpha(p)
+    with pytest.raises(ValueError):
+        decomposition_guarantees(dec, other)
+    # an equal distribution from another source is accepted
+    assert decomposition_guarantees(dec, helpers.basic_dist()).all_ok

@@ -110,6 +110,25 @@ def test_roundtrip_property(p):
     assert q.weights == p.weights
 
 
+def test_non_finite_float_weights_are_rejected():
+    alphabet = Alphabet(("0", "1"))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DistributionFormatError):
+            StepDistribution(alphabet, 2, (0.5, bad, 0.0, 0.5), False)
+        with pytest.raises(DistributionFormatError):
+            StepDistribution(alphabet, 1, (bad, 0.5), False)
+
+
+def test_support_returns_a_fresh_list():
+    p = helpers.basic_dist()
+    first = p.support()
+    want = list(first)
+    first.append(((0, 0), Fraction(1)))
+    first[0] = ((2, 2), Fraction(0))
+    assert p.support() == want
+    assert p.support() is not p.support()
+
+
 # ---------------------------------------------------------------------------
 # scalar quantities
 
@@ -177,6 +196,84 @@ def test_kernel_drops_unsupported_symbols():
     k = double_sample_kernel(p, 1)
     assert k.alphabet.symbols == ("0", "1")
     assert k.rows == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+def _random_cells(rng: random.Random, m: int, steps: int, shape: str) -> dict:
+    """Random exact cells; `shape` adds a zero-mass symbol or a one-symbol step."""
+    zero = rng.randrange(m) if shape == "zero_symbol" else None
+    const_step, const_sym = rng.randrange(steps), rng.randrange(m)
+    while True:
+        cells = {}
+        for idx in range(m**steps):
+            tup = tuple((idx // m**k) % m for k in range(steps))
+            if zero is not None and zero in tup:
+                continue
+            if shape == "one_symbol" and tup[const_step] != const_sym:
+                continue
+            w = rng.choice((0, 1, 2, 3, 5, rng.randint(1, 97)))
+            if w:
+                cells[tup] = Fraction(w)
+        if cells:
+            total = sum(cells.values())
+            return {tup: w / total for tup, w in cells.items()}
+
+
+def _oracle_cases(seed: int):
+    rng = random.Random(seed)
+    for m in range(2, 6):
+        for steps in (2, 3):
+            for shape in ("plain", "zero_symbol", "one_symbol"):
+                for _ in range(3):
+                    yield _random_cells(rng, m, steps, shape), m, steps
+
+
+def _make(cells: dict, m: int, steps: int, exact: bool) -> StepDistribution:
+    zero = Fraction(0) if exact else 0.0
+    weights = [zero] * (m**steps)
+    for tup, w in cells.items():
+        idx = sum(x * m**k for k, x in enumerate(tup))
+        weights[idx] = w if exact else float(w)
+    alphabet = Alphabet(tuple(str(i) for i in range(m)))
+    return StepDistribution(alphabet, steps, tuple(weights), exact)
+
+
+def test_kernel_rows_equal_brute_oracle_exactly():
+    for cells, m, steps in _oracle_cases(7301):
+        p = _make(cells, m, steps, exact=True)
+        for j in range(1, steps + 1):
+            k = double_sample_kernel(p, j)
+            support, brute = oracles.double_sample_kernel_brute(cells, steps, j)
+            assert k.alphabet.symbols == tuple(str(y) for y in support)
+            assert k.rows == tuple(
+                tuple(brute[(y, z)] for z in support) for y in support
+            )
+            assert all(isinstance(x, Fraction) for row in k.rows for x in row)
+            pi = oracles.marginal(cells, steps, j)
+            assert k.stationary.probs == tuple(pi[y] for y in support)
+
+
+def test_rho_matches_brute_oracle_in_both_modes():
+    # the oracle is the SVD route on the same exact values; both routes are
+    # accurate to about 1e-15 here, including where rho is exactly 0
+    for cells, m, steps in _oracle_cases(7302):
+        want = oracles.rho_brute(cells, steps)
+        assert rho(_make(cells, m, steps, exact=True)) == pytest.approx(want, abs=1e-12)
+        q = _make(cells, m, steps, exact=False)
+        float_cells = {tup: Fraction(float(w)) for tup, w in cells.items()}
+        want = oracles.rho_brute(float_cells, steps)
+        assert rho(q) == pytest.approx(want, abs=1e-12)
+
+
+def test_float_kernel_matches_exact_kernel():
+    for cells, m, steps in _oracle_cases(7303):
+        p = _make(cells, m, steps, exact=True)
+        q = _make(cells, m, steps, exact=False)
+        for j in range(1, steps + 1):
+            kp, kq = double_sample_kernel(p, j), double_sample_kernel(q, j)
+            assert kq.alphabet == kp.alphabet and not kq.exact
+            for rp, rq in zip(kp.rows, kq.rows):
+                assert all(isinstance(x, float) for x in rq)
+                assert rq == pytest.approx([float(x) for x in rp], abs=1e-15)
 
 
 def test_lambda2_basic_is_one_quarter():

@@ -276,6 +276,26 @@ def test_counterpart_sampling_matches_covariance():
     assert np.max(np.abs(emp - cp.gaussian_cov())) < 0.02
 
 
+def test_counterpart_samples_equal_the_stacked_product():
+    # (distribution, size, n): the shapes of this suite's invariance_gap and
+    # sampling calls (basic_dist: six support tuples, four rows) at reduced
+    # size, and of the benchmark's gap job (two-symbol dist, n = 3)
+    two_bits = helpers.dist_from_cells(
+        {(0, 0): 3, (0, 1): 1, (1, 0): 2, (1, 1): 4}, 2, 2
+    )
+    cases = [(helpers.basic_dist(), 20_000, n) for n in (1, 2, 3, 4, 8)]
+    cases += [(two_bits, 50_000, 3), (two_bits, 1_000, 3), (two_bits, 7, 1)]
+    for p, size, n in cases:
+        cp = gaussian_counterpart(p)
+        got = cp.sample(np.random.Generator(np.random.Philox(key=3)), size, n)
+        base = np.random.Generator(np.random.Philox(key=3)).standard_normal(
+            (size, n, cp.matrix.shape[1])
+        )
+        want = base @ cp.matrix.T
+        assert got.shape == want.shape == (size, n, len(cp.rows))
+        assert got.tobytes() == want.tobytes(), (size, n)
+
+
 # ---------------------------------------------------------------------------
 # hypercontractivity
 
