@@ -6,6 +6,7 @@ import hashlib
 import math
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 Number = Fraction | float
 
@@ -41,6 +42,48 @@ def scale_to_ints(numbers, exact: bool):
         return 1, [float(x) for x in numbers]
     scale = math.lcm(*{x.denominator for x in numbers})
     return scale, [x.numerator * (scale // x.denominator) for x in numbers]
+
+
+class ScaledView(NamedTuple):
+    """A number list scaled to ints: numbers[t] == ints[t] / scale.
+
+    Exact views hold ints over a common denominator (`of` takes the lcm, as
+    `scale_to_ints` does); the others hold floats with scale 1.  Objects
+    build their view once, when they are constructed, and never change it.
+    """
+
+    exact: bool
+    scale: int
+    ints: tuple
+
+    @classmethod
+    def of(cls, numbers, exact: bool) -> ScaledView:
+        scale, ints = scale_to_ints(numbers, exact)
+        return cls(exact, scale, tuple(ints))
+
+    def reduced(self) -> ScaledView:
+        """The same numbers over their least common denominator.
+
+        A view gathered from a larger one (a subset of its entries) keeps the
+        larger scale; dividing by gcd(scale, ints) restores the lcm, since the
+        lcm of the denominators of I_t / S is S / gcd(S, I_1, ..., I_k).
+        """
+        if not self.exact:
+            return self
+        g = math.gcd(self.scale, *self.ints)
+        if g == 1:
+            return self
+        return ScaledView(True, self.scale // g, tuple(v // g for v in self.ints))
+
+    def scaled(self, exact: bool):
+        """(scale, numbers) for a kernel that runs exact or on floats.
+
+        An exact view read in float mode yields ints[t] / scale, the correctly
+        rounded float of the same rational that float() of it gives.
+        """
+        if exact or not self.exact:
+            return self.scale, self.ints
+        return 1, [v / self.scale for v in self.ints]
 
 
 def parse_weight(token: str) -> Number:

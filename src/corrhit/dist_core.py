@@ -21,6 +21,7 @@ import numpy as np
 
 from ._util import (
     Number,
+    ScaledView,
     format_number,
     mixed_radix_digits,
     mixed_radix_index,
@@ -136,7 +137,10 @@ class StepDistribution:
             "_scaled_support": tuple(scaled_support),
             "_scaled_marginals": tuple(tuple(row) for row in margins),
             "_marginals": tuple(
-                MarginalDistribution(self.alphabet, pr, self.exact) for pr in probs
+                MarginalDistribution(
+                    self.alphabet, pr, self.exact, ScaledView(self.exact, scale, tuple(row))
+                )
+                for pr, row in zip(probs, margins)
             ),
         }
         for name, value in view.items():
@@ -168,11 +172,24 @@ class StepDistribution:
 
 @dataclass(frozen=True)
 class MarginalDistribution:
-    """Single-step marginal over the alphabet."""
+    """Single-step marginal over the alphabet.
+
+    `view` is the integer view of `probs` (`ScaledView`: the probabilities
+    times a common denominator when exact, floats with scale 1 otherwise),
+    built once at construction; the exact kernels in `fourier` read their
+    weights from it.  The denominator is the lcm of the probabilities'
+    denominators, except that a `StepDistribution` hands its step marginals
+    the masses it has already scaled by its own weights' lcm.
+    """
 
     alphabet: Alphabet
     probs: tuple[Number, ...]
     exact: bool
+    view: ScaledView | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.view is None:
+            object.__setattr__(self, "view", ScaledView.of(self.probs, self.exact))
 
     def support_indices(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.probs) if p > 0)

@@ -10,9 +10,13 @@ restrictions, resilience checks, and the pointwise-max substitution operator.
 
 Expectations, variances and influences of tables (and of the other kinds on
 the 'enumerate' engine) contract the value list one coordinate at a time.
-Exact inputs are scaled to integers first, so the contractions run on plain
-ints with one division at the end; table restrictions copy slabs of the value
-list by stride arithmetic.
+Every table and marginal carries an integer view, built once at
+construction, so the contractions run on plain ints with one division at the
+end; table restrictions and max-substitutions copy slabs of the values and
+of the view by stride arithmetic.  The restriction search behind
+`is_resilient` (and `hitting.density_increment`) contracts all axes but one
+coordinate set at a time, which yields the expectation under every symbol
+choice of that set at once.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +32,8 @@ import numpy as np
 
 from ._util import (
     Number,
+    ScaledView,
+    is_exact,
     mixed_radix_digits,
     mixed_radix_index,
     parse_weight,
@@ -62,27 +69,42 @@ class FunctionSpec:
       mod_linear         modulus, coeffs (one per coordinate), residue,
                          symbol_map: tuple mapping symbol index to Z_modulus
     Coordinates are 1-based everywhere in payloads.
+
+    A table also carries its integer view (`ScaledView`): whether every value
+    is a Fraction, the lcm of their denominators, and the values scaled by it
+    to ints (floats with scale 1 when not exact).  Construction builds it
+    from the values; `restrict` and `max_operator` instead pass the view they
+    gather from their input's view by the same slab copies as the values,
+    which construction reduces to the lcm of the entries kept.  The kernels
+    read the view and never rescale the values.  Other kinds have no view.
     """
 
     n: int
     alphabet: Alphabet
     kind: str
     payload: dict = field(compare=False)
+    view: ScaledView | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.kind not in ("table", "anchored_symmetric", "junta", "mod_linear"):
             raise ValueError(f"unknown function kind {self.kind!r}")
+        if self.kind != "table":
+            view = None
+        elif self.view is None:
+            values = self.payload["values"]
+            view = ScaledView.of(values, all(isinstance(v, Fraction) for v in values))
+        else:
+            view = self.view.reduced()
+        object.__setattr__(self, "view", view)
 
     @property
     def zero(self) -> bool:
         return bool(self.payload.get("zero", False))
 
     def is_exact(self) -> bool:
-        if self.kind == "table":
-            return all(isinstance(v, Fraction) for v in self.payload["values"])
-        return True
+        return self.view.exact if self.kind == "table" else True
 
 
 def _coerce_alphabet(alphabet) -> Alphabet:
@@ -203,6 +225,28 @@ class Restriction:
         return [(i + 1, e) for i, e in enumerate(self.entries) if e is not None]
 
 
+def _slab(t, m: int, s: int, a: int) -> list:
+    """Entries of t whose digit at stride s is a, in order: slab a of every
+    block of s*m entries."""
+    if s == 1:
+        return t[a::m]
+    return list(itertools.chain.from_iterable(
+        t[b:b + s] for b in range(a * s, len(t), s * m)
+    ))
+
+
+def _fix_coordinate(t, m: int, coord: int, sym: int) -> tuple:
+    """t with coordinate `coord` fixed to `sym`.
+
+    Entry idx becomes t[idx - (idx // s % m - sym) * s] with s = m^(coord-1):
+    slab sym of every block of s*m entries fills all m slabs.
+    """
+    s = m ** (coord - 1)
+    return tuple(itertools.chain.from_iterable(
+        t[b:b + s] * m for b in range(sym * s, len(t), s * m)
+    ))
+
+
 def restrict(f: FunctionSpec, r: Restriction) -> FunctionSpec:
     """Substitute the fixed symbols; the result keeps all n coordinates.
 
@@ -218,15 +262,13 @@ def restrict(f: FunctionSpec, r: Restriction) -> FunctionSpec:
     if r.size == 0:
         return f
     if f.kind == "table":
-        # fixing coordinate c to e sends entry idx to idx - (idx // s % m - e) * s
-        # with s = m^(c-1): slab e of every block of s*m entries fills all m slabs
-        values = f.payload["values"]
+        values, ints = f.payload["values"], f.view.ints
         for coord, sym in r.fixed_items():
-            s = m ** (coord - 1)
-            values = tuple(itertools.chain.from_iterable(
-                values[b:b + s] * m for b in range(sym * s, len(values), s * m)
-            ))
-        return FunctionSpec(f.n, f.alphabet, "table", {"values": values})
+            values = _fix_coordinate(values, m, coord, sym)
+            ints = _fix_coordinate(ints, m, coord, sym)
+        return FunctionSpec(
+            f.n, f.alphabet, "table", {"values": values}, f.view._replace(ints=ints)
+        )
     if f.kind == "junta":
         if f.zero:
             return f
@@ -338,29 +380,45 @@ def _check_budget(m: int, n: int, budget: int | None):
         raise BudgetExceeded(f"{m}^{n} points exceed the exact-enumeration budget {cap}")
 
 
+def _check_alphabet(f: FunctionSpec, pi: MarginalDistribution):
+    if f.alphabet.symbols != pi.alphabet.symbols:
+        raise ValueError("function alphabet must match the marginal")
+
+
 def _kernel_inputs(f: FunctionSpec, pi: MarginalDistribution, budget):
     """(exact, value scale, values, weight scale, weights) for the contractions.
 
-    Non-table kinds are materialized with `to_table` first.  Zero-probability
-    symbols keep their weight 0, which adds exact zeros only.
+    Read from the integer views of the table and the marginal; non-table
+    kinds are materialized with `to_table` first.  Zero-probability symbols
+    keep their weight 0, which adds exact zeros only.
     """
     _check_budget(len(f.alphabet), f.n, budget)
     if f.kind != "table":
         f = to_table(f, budget=budget)
     exact = pi.exact and f.is_exact()
-    v_scale, values = scale_to_ints(f.payload["values"], exact)
-    w_scale, weights = scale_to_ints(pi.probs, exact)
+    v_scale, values = f.view.scaled(exact)
+    w_scale, weights = pi.view.scaled(exact)
     return exact, v_scale, values, w_scale, weights
 
 
-def _contract(t: list, weights, axes: int) -> list:
-    """Sum out the `axes` least significant axes: t'[j] = sum_a w_a t[j*m + a]."""
+def _contract(t, weights, n: int, keep=()) -> list:
+    """Sum out every axis of the n-axis tensor t except the coordinates in `keep`.
+
+    Axes go least significant first.  With s = m^p for the p kept axes below
+    axis c, summing c out is t'[j*s + r] = sum_a w_a t[(j*m + a)*s + r]; the
+    result is indexed by the kept coordinates, the lowest least significant.
+    With nothing kept it is the one-entry list [sum over all points].
+    """
     m = len(weights)
-    for _ in range(axes):
-        acc = [weights[0] * y for y in t[0::m]]
+    s = 1
+    for c in range(1, n + 1):
+        if c in keep:
+            s *= m
+            continue
+        acc = [weights[0] * y for y in _slab(t, m, s, 0)]
         for a in range(1, m):
             w = weights[a]
-            acc = [x + w * y for x, y in zip(acc, t[a::m])]
+            acc = [x + w * y for x, y in zip(acc, _slab(t, m, s, a))]
         t = acc
     return t
 
@@ -476,6 +534,7 @@ def expectation(
     """
     if n is not None and n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
+    _check_alphabet(f, pi)
     if f.zero:
         return Fraction(0) if pi.exact else 0.0
     if engine not in ("auto", "enumerate", "dp"):
@@ -501,6 +560,7 @@ def variance(
     engine: str = "auto", budget: int | None = None,
 ) -> Number:
     """Var[f(X)]; for indicator kinds E[f^2] = E[f], so every engine applies."""
+    _check_alphabet(f, pi)
     if f.kind == "table":
         if n is not None and n != f.n:
             raise ValueError("n disagrees with the function's coordinate count")
@@ -534,9 +594,7 @@ def _influence_contract(f, pi, i, budget) -> Number:
     mean = sq = None
     for a, w in enumerate(weights):
         # entries with digit a at coordinate i, in the order of the other axes
-        col = list(itertools.chain.from_iterable(
-            values[b:b + s] for b in range(a * s, len(values), s * m)
-        ))
+        col = _slab(values, m, s, a)
         if mean is None:
             mean = [w * y for y in col]
             sq = [w * y * y for y in col]
@@ -660,6 +718,7 @@ def influence(
         raise ValueError("n disagrees with the function's coordinate count")
     if not 1 <= i <= f.n:
         raise ValueError("coordinate out of range")
+    _check_alphabet(f, pi)
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "enumerate":
@@ -907,6 +966,7 @@ def noise_operator(
         raise ValueError("n disagrees with the function's coordinate count")
     if not 0 <= float(rho) <= 1:
         raise ValueError("rho must lie in [0,1]")
+    _check_alphabet(f, pi)
     m = len(f.alphabet)
     _check_budget(m, f.n, budget)
     if f.kind != "table":
@@ -947,6 +1007,7 @@ def projection_subset(
     keep_set = set(int(c) for c in s)
     if any(not 1 <= c <= f.n for c in keep_set):
         raise ValueError("projection coordinate out of range")
+    _check_alphabet(f, pi)
     m = len(f.alphabet)
     _check_budget(m, f.n, budget)
     if f.kind != "table":
@@ -983,36 +1044,111 @@ def max_operator(f: FunctionSpec, i: int, y, z, budget: int | None = None) -> Fu
     _check_budget(m, f.n, budget)
     yi = f.alphabet.index(y) if isinstance(y, str) else int(y)
     zi = f.alphabet.index(z) if isinstance(z, str) else int(z)
-    values = f.payload["values"]
-    stride = m ** (i - 1)
-    out = list(values)
-    for idx in range(len(values)):
-        digit = (idx // stride) % m
-        base = idx - digit * stride
-        vy = values[base + yi * stride]
-        vz = values[base + zi * stride]
-        out[idx] = vy if vy >= vz else vz
-    return FunctionSpec(f.n, f.alphabet, "table", {"values": tuple(out)})
+    if not (0 <= yi < m and 0 <= zi < m):
+        raise ValueError("max-operator symbol outside the alphabet")
+    s = m ** (i - 1)
+
+    def substitute(t) -> tuple:
+        # per block of s*m entries: the larger of slabs y and z, in all m slabs
+        return tuple(itertools.chain.from_iterable(
+            list(map(max, t[b + yi * s:b + yi * s + s], t[b + zi * s:b + zi * s + s])) * m
+            for b in range(0, len(t), s * m)
+        ))
+
+    values = substitute(f.payload["values"])
+    # the view's numbers order like the values, so max picks the same entries
+    view = f.view._replace(ints=substitute(f.view.ints))
+    return FunctionSpec(f.n, f.alphabet, "table", {"values": values}, view)
 
 
 # ---------------------------------------------------------------------------
 # resilience
 
 
-def _restriction_candidates(n: int, k: int, support, max_candidates: int | None):
+def _restriction_values(f: FunctionSpec, pi: MarginalDistribution, coords, support):
+    """(exact, den, nums): E[Rf] = nums[t] / den for the restriction R fixing
+    `coords` (ascending) to the t-th tuple of product(support, repeat=|coords|).
+
+    A table takes one contraction: summing out every axis but `coords` leaves
+    E[Rf] for all m^|coords| symbol choices at once, scaled by
+    v_scale * w_scale^(n - |coords|), since the fixed axes, dummy in Rf, would
+    each only multiply by the weight total.  Other kinds evaluate
+    expectation(restrict(f, R), pi) per restriction.  Exact results hold
+    ints, the others floats with den 1.
+    """
+    tuples = list(itertools.product(support, repeat=len(coords)))
+    if f.kind != "table":
+        values = [
+            expectation(restrict(f, Restriction.from_dict(f.n, dict(zip(coords, syms)))), pi)
+            for syms in tuples
+        ]
+        den, nums = scale_to_ints(values, pi.exact)
+        return pi.exact, den, nums
+    exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, None)
+    kept = _contract(values, weights, f.n, keep=coords)
+    m = len(weights)
+    nums = [kept[mixed_radix_index(syms, m)] for syms in tuples]
+    return exact, v_scale * w_scale ** (f.n - len(coords)), nums
+
+
+def _first_outside(exact: bool, den: int, nums, upper, strict: bool, lower):
+    """Index of the first nums[t] / den above `upper` (or equal to it when not
+    strict) or below `lower` (None: no lower bound), or None.
+
+    Exact values against exact bounds compare as ints: T / den >= x iff
+    T >= ceil(x den), T / den > x iff T > floor(x den), T / den < x iff
+    T < ceil(x den).  Otherwise each value is compared as the Fraction or
+    float it stands for.
+    """
+    if exact and is_exact(upper) and (lower is None or is_exact(lower)):
+        top = upper * den
+        top = math.floor(top) + 1 if strict else math.ceil(top)
+        if lower is None:
+            return next((t for t, v in enumerate(nums) if v >= top), None)
+        bottom = math.ceil(lower * den)
+        return next((t for t, v in enumerate(nums) if v >= top or v < bottom), None)
+    above = operator.gt if strict else operator.ge
+    for t, v in enumerate(nums):
+        value = Fraction(v, den) if exact else v
+        if above(value, upper) or (lower is not None and value < lower):
+            return t
+    return None
+
+
+def _find_restriction(
+    f: FunctionSpec, pi: MarginalDistribution, k: int, first_size: int, cap: int,
+    upper, strict: bool, lower=None,
+):
+    """First restriction R with first_size <= |R| <= k whose E[Rf] lies above
+    `upper` (or equals it, unless strict) or below `lower`, as (R, E[Rf]),
+    or None when there is none.
+
+    Search order: size, then coordinate subset in lex order, then symbols of
+    support(pi) in mixed-radix order (the last coordinate's symbol varies
+    fastest).  Reaching candidate cap + 1 in that order raises
+    BudgetExceeded.  Each coordinate set's values come from one
+    `_restriction_values` call, and only the hit becomes a Restriction and a
+    Fraction (or float).
+    """
+    support = pi.support_indices()
     count = 0
-    for size in range(0, k + 1):
-        for coords in itertools.combinations(range(1, n + 1), size):
-            for symbols in itertools.product(support, repeat=size):
-                count += 1
-                if max_candidates is not None and count > max_candidates:
-                    raise BudgetExceeded(
-                        f"restriction search exceeds {max_candidates} candidates"
-                    )
-                entries = [None] * n
-                for c, s in zip(coords, symbols):
-                    entries[c - 1] = s
-                yield Restriction(tuple(entries))
+    for size in range(first_size, k + 1):
+        for coords in itertools.combinations(range(1, f.n + 1), size):
+            room = cap - count
+            if room <= 0:
+                raise BudgetExceeded(f"restriction search exceeds {cap} candidates")
+            exact, den, nums = _restriction_values(f, pi, coords, support)
+            t = _first_outside(exact, den, nums[:room], upper, strict, lower)
+            if t is not None:
+                syms = next(itertools.islice(
+                    itertools.product(support, repeat=size), t, None
+                ))
+                r = Restriction.from_dict(f.n, dict(zip(coords, syms)))
+                return r, Fraction(nums[t], den) if exact else nums[t]
+            if len(nums) > room:
+                raise BudgetExceeded(f"restriction search exceeds {cap} candidates")
+            count += len(nums)
+    return None
 
 
 def is_resilient(
@@ -1023,7 +1159,11 @@ def is_resilient(
 
     Restriction symbols range over support(pi).  Returns (True, None) or
     (False, witness) with the first violating restriction in deterministic
-    order (subset lex order, then mixed-radix symbol order).
+    order (size, subset lex order, then mixed-radix symbol order), the empty
+    restriction included; more than `budget` candidates raise BudgetExceeded.
+    `_find_restriction` runs the search: for a table, one partial contraction
+    per coordinate set gives every E[Rf] of that set, compared in ints when
+    eps, f and pi are exact; no restricted table is built.
     """
     if n is not None and n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
@@ -1031,16 +1171,13 @@ def is_resilient(
         raise ValueError("k must lie in [0, n]")
     if eps < 0:
         raise ValueError("eps must be non-negative")
+    _check_alphabet(f, pi)
     mu = expectation(f, pi)
     lo = (1 - eps) * mu
     hi = (1 + eps) * mu
-    support = pi.support_indices()
     cap = TABLE_BUDGET if budget is None else budget
-    for r in _restriction_candidates(f.n, k, support, cap):
-        value = expectation(restrict(f, r), pi)
-        if value > hi or (not upper_only and value < lo):
-            return False, r
-    return True, None
+    found = _find_restriction(f, pi, k, 0, cap, hi, True, None if upper_only else lo)
+    return (True, None) if found is None else (False, found[0])
 
 
 def is_upper_resilient(

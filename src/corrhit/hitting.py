@@ -32,6 +32,7 @@ from .fourier import (
     BudgetExceeded,
     FunctionSpec,
     Restriction,
+    _find_restriction,
     evaluate,
     expectation,
     influence,
@@ -106,7 +107,7 @@ def _scaled_values(f: FunctionSpec, exact: bool):
     """(scale, values) indexable by mixed-radix point index, value = values[idx] / scale."""
     if f.kind != "table":  # the other kinds are 0/1 indicators
         return 1, _PointValues(f, int if exact else float)
-    return scale_to_ints(f.payload["values"], exact)
+    return f.view.scaled(exact)
 
 
 def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
@@ -440,12 +441,20 @@ def density_increment(
     """Restrict f until it is eps-resilient up to size k, tracking the loss.
 
     Loop: while some restriction R of size <= k has E[Rg] >= (1 + eps') E[g]
-    with eps' = alpha(P)^k * eps, replace g by the lexicographically smallest
-    such R's image.  Stopping makes g eps'-upper-resilient, which implies
-    eps-resilience; that implication is re-verified exhaustively, not trusted.
-    Expectations run against the first-step marginal.  Returns (g, chain, log)
-    where chain is the tuple of applied restrictions.
+    with eps' = alpha(P)^k * eps, replace g by the first such R's image in
+    search order (size, coordinate subset in lex order, then support symbols
+    in mixed-radix order).  Stopping makes g eps'-upper-resilient, which
+    implies eps-resilience; that implication is re-verified exhaustively
+    with `is_resilient`, not trusted.  Expectations run against the
+    first-step marginal.  For a table, each coordinate set's candidates come
+    from one partial contraction of g's integer view, compared with the
+    threshold in ints when it is exact; only the chosen restriction is
+    applied.  More than `budget` candidates in one iteration raise
+    BudgetExceeded.  Returns (g, chain, log) where chain is the tuple of
+    applied restrictions.
     """
+    if n != f.n:
+        raise ValueError("n disagrees with the function's coordinate count")
     if not 0 <= k <= n:
         raise ValueError("k must lie in [0, n]")
     if eps <= 0:
@@ -459,7 +468,6 @@ def density_increment(
         raise ValueError("needs E[f] > 0")
     eps_prime = a**k * eps if isinstance(eps, (Fraction, int)) and p.exact else float(a) ** k * float(eps)
     max_iters = math.ceil(2.0 * math.log(1.0 / float(mu)) / float(eps_prime)) if float(mu) < 1 else 0
-    support = pi.support_indices()
     cap = TABLE_BUDGET if budget is None else budget
 
     g = f
@@ -467,28 +475,9 @@ def density_increment(
     chain: list[Restriction] = []
     steps: list[DensityStep] = []
     while True:
-        found = None
         threshold = (1 + eps_prime) * cur
-        count = 0
-        for size in range(1, k + 1):
-            for coords in itertools.combinations(range(1, n + 1), size):
-                for symbols in itertools.product(support, repeat=size):
-                    count += 1
-                    if count > cap:
-                        raise BudgetExceeded("restriction search exceeds the budget")
-                    entries: list[int | None] = [None] * n
-                    for c, s in zip(coords, symbols):
-                        entries[c - 1] = s
-                    r = Restriction(tuple(entries))
-                    val = expectation(restrict(g, r), pi)
-                    if val >= threshold:
-                        found = (r, val)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
+        found = _find_restriction(g, pi, k, 1, cap, threshold, False)
+        if found is None:
             break
         r, val = found
         loss: Number = Fraction(1) if pi.exact else 1.0

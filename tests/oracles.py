@@ -385,6 +385,73 @@ def table_influence_enumerate(values, m, n, probs, exact, i):
 
 
 # ---------------------------------------------------------------------------
+# restriction searches over a dense table: every candidate is restricted and
+# averaged on its own.  Search order: size, coordinate subset in lex order,
+# then positive-probability symbols with the last coordinate's varying
+# fastest.  `fixed` maps 1-based coordinates to symbols.
+
+
+def table_restrict(values, m, n, fixed):
+    """Value list of f with coordinate c replaced by fixed[c] at every point."""
+    out = []
+    for idx in range(m**n):
+        point = [(idx // m**c) % m for c in range(n)]
+        for c, s in fixed.items():
+            point[c - 1] = s
+        out.append(table_value(values, m, point))
+    return out
+
+
+def restriction_search_brute(values, m, n, probs, sizes, hit, exact):
+    """First (fixed, E[Rf]) in search order over the given sizes with
+    hit(E[Rf]), or None."""
+    support = [a for a, p in enumerate(probs) if p > 0]
+    for size in sizes:
+        for coords in itertools.combinations(range(1, n + 1), size):
+            for symbols in itertools.product(support, repeat=size):
+                fixed = dict(zip(coords, symbols))
+                restricted = table_restrict(values, m, n, fixed)
+                value = table_moments_enumerate(restricted, m, n, probs, exact)[0]
+                if hit(value):
+                    return fixed, value
+    return None
+
+
+def density_increment_brute(values, m, n, probs, eps_prime, k, exact):
+    """(final values, steps) of the density-increment loop: while some
+    restriction of size 1..k has E[Rg] >= (1 + eps') E[g], apply the first.
+    Steps are (fixed, before, after, loss)."""
+    cur = table_moments_enumerate(values, m, n, probs, exact)[0]
+    steps = []
+    while True:
+        threshold = (1 + eps_prime) * cur
+        found = restriction_search_brute(
+            values, m, n, probs, range(1, k + 1), lambda v: v >= threshold, exact
+        )
+        if found is None:
+            return values, steps
+        fixed, value = found
+        loss = Fraction(1) if exact else 1.0
+        for s in fixed.values():
+            loss *= probs[s]
+        steps.append((fixed, cur, value, loss))
+        values = table_restrict(values, m, n, fixed)
+        cur = value
+
+
+def resilience_witness_brute(values, m, n, probs, eps, k, upper_only, exact):
+    """First restriction of size 0..k with E[Rf] > (1+eps) E[f] or, unless
+    upper_only, E[Rf] < (1-eps) E[f], as a fixed dict; None when resilient."""
+    mu = table_moments_enumerate(values, m, n, probs, exact)[0]
+    lo, hi = (1 - eps) * mu, (1 + eps) * mu
+    found = restriction_search_brute(
+        values, m, n, probs, range(0, k + 1),
+        lambda v: v > hi or (not upper_only and v < lo), exact,
+    )
+    return None if found is None else found[0]
+
+
+# ---------------------------------------------------------------------------
 # the convex cycle decomposition in Fraction arithmetic, as the package ran it
 # before it moved to integer-scaled weights: the reference for that version.
 # `weights` is the dense two-step table, pair (x, y) at x + m * y; parts come

@@ -15,6 +15,7 @@ import oracles
 from corrhit.dist_core import (
     Alphabet,
     DistributionFormatError,
+    MarginalDistribution,
     StepDistribution,
     alpha,
     beta,
@@ -155,6 +156,23 @@ def test_marginals_and_equality():
     assert marginal(skew, 1).probs == (Fraction(2, 3), Fraction(1, 3))
     assert marginal(skew, 2).probs == (Fraction(1, 3), Fraction(2, 3))
     assert not equal_marginals(skew)
+
+
+def test_marginal_views_hold_the_probabilities():
+    """probs[t] == ints[t] / scale, exactly or as the same float, for step
+    marginals (scaled by the distribution's lcm) and built ones (own lcm)."""
+    rng = random.Random(4242)
+    for _ in range(60):
+        p = helpers.random_dist(rng, rng.choice((2, 3, 4)), rng.choice((1, 2, 3)))
+        fp = StepDistribution(p.alphabet, p.steps, tuple(float(w) for w in p.weights), False)
+        for j in range(1, p.steps + 1):
+            pi, fpi = marginal(p, j), marginal(fp, j)
+            assert pi.view.exact and not fpi.view.exact and fpi.view.scale == 1
+            assert [Fraction(v, pi.view.scale) for v in pi.view.ints] == list(pi.probs)
+            assert list(fpi.view.ints) == list(fpi.probs)
+            built = MarginalDistribution(pi.alphabet, pi.probs, True)
+            assert built.view.scale == math.lcm(*(q.denominator for q in pi.probs))
+            assert [Fraction(v, built.view.scale) for v in built.view.ints] == list(pi.probs)
 
 
 def test_marginal_rejects_bad_step():

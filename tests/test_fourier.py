@@ -10,6 +10,7 @@ import pytest
 
 import helpers
 import oracles
+from corrhit._util import scale_to_ints
 from corrhit.dist_core import Alphabet, MarginalDistribution, marginal, parse_distribution
 from corrhit.fourier import (
     BudgetExceeded,
@@ -186,6 +187,52 @@ def test_restrict_anchor_conflict_yields_zero():
     f = make_anchored_symmetric(2, BIT, {"1": (0, 2)}, anchor=(1, "1"))
     g = restrict(f, Restriction.from_dict(2, {1: 0}))
     assert g.zero
+
+
+def assert_view_matches_values(f):
+    """The table's integer view is what scale_to_ints makes of its values."""
+    values = f.payload["values"]
+    exact = all(isinstance(v, Fraction) for v in values)
+    scale, ints = scale_to_ints(values, exact)
+    assert f.view.exact == exact == f.is_exact()
+    assert f.view.scale == scale
+    assert list(f.view.ints) == ints
+
+
+def test_derived_tables_carry_the_view_of_their_values():
+    rng = random.Random(5160)
+    for m, n, pi, values in kernel_instances(5161):
+        # exact, float and int tables; restrictions and max-substitutions of
+        # restrictions keep only some entries, so their lcm can shrink
+        for vals in (values, [float(v) for v in values], [rng.randint(0, 1) for _ in values]):
+            f = make_table_function(n, pi.alphabet, vals)
+            assert_view_matches_values(f)
+            for size in range(0, n + 1):
+                fixed = {c: rng.randrange(m) for c in rng.sample(range(1, n + 1), size)}
+                g = restrict(f, Restriction.from_dict(n, fixed))
+                assert_view_matches_values(g)
+                i = rng.randint(1, n)
+                y, z = rng.randrange(m), rng.randrange(m)
+                assert_view_matches_values(max_operator(g, i, y, z))
+                assert_view_matches_values(max_operator(f, i, y, z))
+            keep = rng.sample(range(1, n + 1), rng.randint(0, n))
+            assert_view_matches_values(projection_subset(f, keep, pi))
+    for f in (
+        make_junta(3, TRIT, [(1, 0), (2, 2)]),
+        make_anchored_symmetric(3, TRIT, {"0": (1, 2)}, anchor=(2, "0")),
+        make_mod_linear(3, TRIT, 3, (1, 2, 1), 1, (0, 1, 2)),
+    ):
+        assert f.view is None
+        assert_view_matches_values(to_table(f))
+
+
+def test_restriction_lcm_shrinks_to_the_kept_entries():
+    f = make_table_function(1, BIT, [Fraction(1, 2), Fraction(1, 3)])
+    assert f.view.scale == 6
+    g = restrict(f, Restriction.from_dict(1, {1: 0}))
+    assert g.view == (True, 2, (1, 1))
+    h = max_operator(f, 1, 0, 1)
+    assert h.view == (True, 2, (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +416,36 @@ def test_coordinate_count_mismatch_is_refused():
             call(f, pi, n=7)
 
 
+def test_marginal_over_another_alphabet_is_refused():
+    """A table over {0,1,2} with a {0,1} marginal, and the reverse, on every
+    engine and in every call that averages f against a marginal."""
+    trit_table = make_table_function(2, TRIT, [Fraction(i, 8) for i in range(9)])
+    bit_table = make_table_function(2, BIT, [Fraction(i, 4) for i in range(4)])
+    pairs = [
+        (trit_table, uniform_marginal(2)),
+        (bit_table, uniform_marginal(3)),
+        (make_junta(2, TRIT, [(1, "0")]), uniform_marginal(2)),
+        (make_anchored_symmetric(2, BIT, {"0": (1, 2)}), uniform_marginal(3)),
+        (make_mod_linear(2, BIT, 2, (1, 1), 0, (0, 1)), uniform_marginal(3)),
+    ]
+    for f, pi in pairs:
+        calls = [
+            lambda: variance(f, pi),
+            lambda: is_resilient(f, Fraction(1, 4), 1, pi),
+            lambda: projection_subset(f, (1,), pi),
+            lambda: noise_operator(f, Fraction(1, 2), pi),
+        ]
+        for engine in ("auto", "enumerate", "dp"):
+            calls += [
+                lambda engine=engine: expectation(f, pi, engine=engine),
+                lambda engine=engine: variance(f, pi, engine=engine),
+                lambda engine=engine: influence(f, pi, i=2, engine=engine),
+            ]
+        for call in calls:
+            with pytest.raises(ValueError, match="alphabet must match"):
+                call()
+
+
 def test_junta_influence_closed_form_matches_enumeration():
     rng = random.Random(5156)
     for _ in range(40):
@@ -538,6 +615,20 @@ def test_max_operator_is_pointwise_max():
     for x in itertools.product(range(3), repeat=2):
         want = max(evaluate(f, (0, x[1])), evaluate(f, (2, x[1])))
         assert evaluate(g, x) == want
+    # every coordinate, m in {2, 3, 4}
+    for m, n, pi, values in kernel_instances(5162):
+        f = make_table_function(n, pi.alphabet, values)
+        for i in range(1, n + 1):
+            y, z = rng.randrange(m), rng.randrange(m)
+            g = max_operator(f, i, y, z)
+            for x in itertools.product(range(m), repeat=n):
+                at_y, at_z = list(x), list(x)
+                at_y[i - 1], at_z[i - 1] = y, z
+                assert evaluate(g, x) == max(evaluate(f, at_y), evaluate(f, at_z))
+    f = make_table_function(2, TRIT, helpers.random_unit_table(rng, 2, 3))
+    for y, z in ((0, 3), (-1, 2)):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            max_operator(f, 2, y, z)
 
 
 # ---------------------------------------------------------------------------

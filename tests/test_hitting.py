@@ -324,6 +324,14 @@ def test_density_increment_rejects_zero_mean():
         density_increment(p, 1, f, Fraction(1, 4), 1)
 
 
+def test_density_increment_rejects_a_wrong_coordinate_count():
+    p = helpers.basic_dist()
+    f = make_table_function(2, TRIT, [Fraction(1, 2)] * 9)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="n disagrees"):
+            density_increment(p, 3, f, Fraction(1, 4), k)
+
+
 # ---------------------------------------------------------------------------
 # influence reduction
 
