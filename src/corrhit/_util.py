@@ -106,13 +106,6 @@ def is_exact(x: Number) -> bool:
     return isinstance(x, (Fraction, int))
 
 
-def exact_sum(values) -> Number:
-    total = Fraction(0)
-    for v in values:
-        total += v
-    return total
-
-
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

@@ -6,7 +6,8 @@ quantities, kind "float" for deterministic floating point, kind "monte-carlo"
 for seeded sampling estimates.  Exit status: 0 when the requested computation
 succeeded and every checked inequality held, 1 on a violated certificate or an
 explicit refusal (correlation 1, budget cap, ...), 2 on usage or input-parse
-errors.
+errors.  A reader that closes the pipe early (`| head`) cuts the output off
+quietly; the exit status stays that of the computation.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -822,8 +824,6 @@ def _add_common(sp, dist=False, fn=False, needs_n=False):
                     help="enumeration cap (default 2^24); refuses beyond it")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker count; output is independent of it")
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="as_table", action="store_false", default=False)
     fmt.add_argument("--table", dest="as_table", action="store_true")
@@ -925,7 +925,7 @@ def main(argv=None) -> int:
     if args.samples is None and args.command in ("invariance",):
         args.samples = _MC_DEFAULT_SAMPLES
     inputs: dict = {}
-    started = time.time()
+    started = time.perf_counter()
     try:
         results, ok = args.handler(args, inputs)
     except _LoadError as e:
@@ -941,15 +941,20 @@ def main(argv=None) -> int:
         "command": list(argv),
         "inputs": inputs,
         "seed": args.seed,
-        "threads": args.threads,
         "ok": ok,
         "results": results,
-        "wall_time_s": round(time.time() - started, 6),
+        "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    if args.as_table:
-        for line in _flat_lines(results):
-            print(line)
-        print(f"ok = {ok}")
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        if args.as_table:
+            for line in _flat_lines(results):
+                print(line)
+            print(f"ok = {ok}")
+        else:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): drop the rest of the output, and
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if ok else 1

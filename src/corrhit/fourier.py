@@ -213,7 +213,10 @@ class Restriction:
                 idx = alphabet.index(sym)
             else:
                 idx = int(sym)
-            entries[int(coord) - 1] = idx
+            coord = int(coord)
+            if not 1 <= coord <= n:
+                raise ValueError(f"coordinate {coord} outside 1..{n}")
+            entries[coord - 1] = idx
         return cls(tuple(entries))
 
     @property

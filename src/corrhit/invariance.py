@@ -7,27 +7,27 @@ constant 1 and indices 1..p are mean-zero orthonormal functions of the step
 symbol (discrete) or independent standard normals (Gaussian).  Formal
 coefficient algebra is exact in the coefficients; evaluations and Monte Carlo
 runs are float, with counter-based RNG so every estimate is reproducible
-bit-for-bit from (seed, sample count).
+bit-for-bit from (seed, sample count).  All quadrature is fixed numpy
+rules: Gauss-Legendre for the mollifier and the two-step orthant,
+Gauss-Hermite for third moments over one or two normals.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy import integrate
 
 from .dist_core import MarginalDistribution, StepDistribution, marginal, rho
 from .fourier import (
     TABLE_BUDGET,
+    BudgetExceeded,
     FunctionSpec,
     OrthonormalBasis,
     analyze,
     build_basis,
-    evaluate,
     to_table,
 )
 
@@ -99,14 +99,56 @@ class MultilinearPolynomial:
 
     def evaluate(self, values) -> float:
         """values[i][k]: the k-th ensemble element of coordinate i+1 (k=0 -> 1)."""
-        total = 0.0
-        for sigma, c in self.terms:
-            term = c
-            for i, s in enumerate(sigma):
-                if s:
-                    term *= values[i][s]
-            total += term
-        return total
+        return float(_poly_values(self, lambda i, s: values[i][s], ()))
+
+
+def _poly_values(poly: MultilinearPolynomial, column, shape) -> np.ndarray:
+    """Values of poly at a block of points, as an array of the given shape.
+
+    column(i, s) gives element s >= 1 of coordinate i+1 at every point: an
+    array of `shape` or one that broadcasts to it, such as one (N,) column of
+    a draw or one axis of a product grid.  Every term multiplies its
+    coefficient by its factors in coordinate order and is added in term
+    order, so all callers round alike.
+    """
+    out = np.zeros(shape)
+    for sigma, c in poly.terms:
+        term = np.full(shape, c)
+        for i, s in enumerate(sigma):
+            if s:
+                term *= column(i, s)
+        out += term
+    return out
+
+
+def _axis(vec, i: int, n: int) -> np.ndarray:
+    """vec laid along axis i of an n-axis product grid, for broadcasting."""
+    return np.reshape(vec, (1,) * i + (-1,) + (1,) * (n - 1 - i))
+
+
+def _grid_weights(w: np.ndarray, n: int, budget: int | None) -> np.ndarray:
+    """Product masses of the grid {0..r-1}^n, coordinate 1 most significant.
+
+    Grids of more than `budget` points raise BudgetExceeded; r^n == budget
+    passes.
+    """
+    r = len(w)
+    cap = TABLE_BUDGET if budget is None else budget
+    if r**n > cap:
+        raise BudgetExceeded(f"{r}^{n} support assignments exceed the budget {cap}")
+    weights = np.ones((r,) * n)
+    for i in range(n):
+        weights *= _axis(w, i, n)
+    return weights.reshape(-1)
+
+
+def _grid_values(poly: MultilinearPolynomial, table: np.ndarray) -> np.ndarray:
+    """poly on every point of the grid of `_grid_weights`, flattened alike;
+    table[s][t] is element s of a coordinate at grid symbol t."""
+    n = poly.n
+    return _poly_values(
+        poly, lambda i, s: _axis(table[s], i, n), (table.shape[1],) * n
+    ).reshape(-1)
 
 
 def t_rho_poly(poly: MultilinearPolynomial, rho_value: float) -> MultilinearPolynomial:
@@ -244,16 +286,18 @@ def poly_from_function(
         raise ValueError("n disagrees with the function's coordinate count")
     expansion = analyze(f, basis, budget=budget)
     poly = MultilinearPolynomial.from_coeffs(f.n, basis.size - 1, expansion.coeffs)
-    for pos in itertools.product(range(basis.size), repeat=f.n):
-        values = [
-            [basis.functions[k][pos_i] for k in range(basis.size)] for pos_i in pos
-        ]
-        got = poly.evaluate(values)
-        want = float(evaluate(f, tuple(basis.support[q] for q in pos)))
-        if abs(got - want) > 1e-10:
-            raise ArithmeticError(
-                f"expansion fails to reproduce the function at {pos}: {got} vs {want}"
-            )
+    got = _grid_values(poly, np.array(basis.functions))
+    # table index: coordinate 1 least significant; transposed, it leads
+    m = len(f.alphabet)
+    table = np.array(f.view.scaled(False)[1]).reshape((m,) * f.n).transpose()
+    want = table[np.ix_(*[basis.support] * f.n)].reshape(-1)
+    bad = np.flatnonzero(np.abs(got - want) > 1e-10)
+    if bad.size:
+        t = bad[0]
+        pos = tuple(int(q) for q in np.unravel_index(t, (basis.size,) * f.n))
+        raise ArithmeticError(
+            f"expansion fails to reproduce the function at {pos}: {got[t]} vs {want[t]}"
+        )
     return poly
 
 
@@ -368,27 +412,6 @@ class HypercontractivityReport:
     stderr: float
 
 
-def _enumerate_discrete_values(poly: MultilinearPolynomial, basis: OrthonormalBasis):
-    """(weights, values) over the support grid, weights exact-probability floats."""
-    k = basis.size
-    probs = np.array([float(basis.pi.probs[s]) for s in basis.support])
-    n = poly.n
-    grids = np.meshgrid(*([np.arange(k)] * n), indexing="ij")
-    digits = [g.reshape(-1) for g in grids]
-    weights = np.ones(k**n)
-    for d in digits:
-        weights *= probs[d]
-    funcs = np.array(basis.functions)  # (k, k): funcs[s][pos]
-    vals = np.zeros(k**n)
-    for sigma, c in poly.terms:
-        term = np.full(k**n, c)
-        for i, s in enumerate(sigma):
-            if s:
-                term *= funcs[s][digits[i]]
-        vals += term
-    return weights, vals
-
-
 def hypercontractivity_check(
     poly: MultilinearPolynomial, ens: EnsembleSequence, a,
     budget: int | None = None, samples: int = 200_000, seed: int = 0,
@@ -410,11 +433,12 @@ def hypercontractivity_check(
     d = poly.degree()
     stderr = 0.0
     if ens.kind == "discrete":
-        cap = TABLE_BUDGET if budget is None else budget
-        if ens.basis.size**poly.n > cap:
-            raise ValueError("support grid exceeds the budget")
-        weights, vals = _enumerate_discrete_values(poly, ens.basis)
-        _, noisy_vals = _enumerate_discrete_values(noisy, ens.basis)
+        basis = ens.basis
+        probs = np.array([float(basis.pi.probs[s]) for s in basis.support])
+        weights = _grid_weights(probs, poly.n, budget)
+        funcs = np.array(basis.functions)  # funcs[s][pos]
+        vals = _grid_values(poly, funcs)
+        noisy_vals = _grid_values(noisy, funcs)
         third_noisy = float(np.sum(weights * np.abs(noisy_vals) ** 3))
         third_plain = float(np.sum(weights * np.abs(vals) ** 3))
         method = "exact"
@@ -424,8 +448,12 @@ def hypercontractivity_check(
     else:
         rng = Generator(Philox(key=int(seed)))
         values = sample_ensemble(ens, rng, samples)
-        vals = _eval_poly_vectorized(poly, values)
-        noisy_vals = _eval_poly_vectorized(noisy, values)
+
+        def column(i, s):
+            return values[:, i, s]
+
+        vals = _poly_values(poly, column, samples)
+        noisy_vals = _poly_values(noisy, column, samples)
         cubes = np.abs(noisy_vals) ** 3
         third_noisy = float(np.mean(cubes))
         third_plain = float(np.mean(np.abs(vals) ** 3))
@@ -443,18 +471,6 @@ def hypercontractivity_check(
     )
 
 
-def _eval_poly_vectorized(poly: MultilinearPolynomial, values: np.ndarray) -> np.ndarray:
-    """values: (N, n, p+1) ensemble draws; returns (N,) polynomial values."""
-    out = np.zeros(values.shape[0])
-    for sigma, c in poly.terms:
-        term = np.full(values.shape[0], c)
-        for i, s in enumerate(sigma):
-            if s:
-                term *= values[:, i, s]
-        out += term
-    return out
-
-
 def _gauss_quadrature_thirds(poly, noisy):
     """Third absolute moments of P and T_rho P over 1 or 2 standard normals."""
     dims = []
@@ -470,12 +486,12 @@ def _gauss_quadrature_thirds(poly, noisy):
         a, b = np.meshgrid(nodes, nodes, indexing="ij")
         pts = np.stack([a.reshape(-1), b.reshape(-1)], axis=1)
         w = np.outer(weights, weights).reshape(-1)
-    values = np.empty((pts.shape[0], poly.n, poly.p + 1))
-    values[:, :, 0] = 1.0
-    for col, (i, k) in enumerate(dims):
-        values[:, i, k] = pts[:, col]
-    third_plain = float(np.sum(w * np.abs(_eval_poly_vectorized(poly, values)) ** 3))
-    third_noisy = float(np.sum(w * np.abs(_eval_poly_vectorized(noisy, values)) ** 3))
+
+    def column(i, k):
+        return pts[:, dims.index((i, k))]
+
+    third_plain = float(np.sum(w * np.abs(_poly_values(poly, column, len(w))) ** 3))
+    third_noisy = float(np.sum(w * np.abs(_poly_values(noisy, column, len(w))) ** 3))
     return third_noisy, third_plain
 
 
@@ -483,69 +499,73 @@ def _gauss_quadrature_thirds(poly, noisy):
 # mollifier
 
 
-_BUMP_CACHE: dict = {}
+def _collar_table(cells: int = 4096, nodes: int = 6):
+    """The mass c of the bump exp(-1/(x+1)^2 - 1/(x-1)^2) on (-1, 1), and the
+    collar profile at the cell edges u_t = -1 + 2t/cells: returns
+    (c, edges, g, Psi) at those edges.
+
+    The collar profile g(u) = integral of psi(s) max(u + s, 0) ds, with
+    psi = bump / c, equals integral_{-1}^{u} (u - t) psi(t) dt by the
+    symmetry of psi, that is u Psi(u) - M(u) with Psi the distribution
+    function of psi and M(u) = integral_{-1}^{u} t psi(t) dt.  Its slope is
+    exactly g' = Psi.  Both integrals are running sums of a `nodes`-point
+    Gauss-Legendre rule on each cell.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(-1.0, 1.0, cells + 1)
+    half = 1.0 / cells
+    t = (edges[:-1] + half)[:, None] + half * x
+    f = np.exp(-1.0 / (t + 1.0) ** 2 - 1.0 / (t - 1.0) ** 2)
+    mass = (f @ w) * half
+    first = ((f * t) @ w) * half
+    c = math.fsum(mass)
+    cdf = np.concatenate(([0.0], np.cumsum(mass))) / c
+    moment = np.concatenate(([0.0], np.cumsum(first))) / c
+    return c, edges, edges * cdf - moment, cdf
 
 
-def _bump_raw(x: float) -> float:
-    if not -1.0 < x < 1.0:
-        return 0.0
-    return math.exp(-1.0 / (x + 1.0) ** 2) * math.exp(-1.0 / (x - 1.0) ** 2)
+_BUMP_C, _COLLAR_U, _COLLAR_G, _COLLAR_SLOPE = _collar_table()
 
 
-def _bump_constant() -> float:
-    if "c" not in _BUMP_CACHE:
-        val, err = integrate.quad(
-            _bump_raw, -1.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=800
-        )
-        if err > 1e-12:
-            raise ArithmeticError("bump normalization did not converge")
-        _BUMP_CACHE["c"] = val
-    return _BUMP_CACHE["c"]
-
-
-def _collar_profile(u: float) -> float:
-    """g(u) = integral of psi(s) * max(u + s, 0) ds for u in [-1, 1]."""
-    c = _bump_constant()
-    val, err = integrate.quad(
-        lambda s: _bump_raw(s) * (u + s), max(-u, -1.0), 1.0,
-        epsabs=1e-13, epsrel=1e-12, limit=800,
+def _collar(u: np.ndarray) -> np.ndarray:
+    """g on [-1, 1] by cubic Hermite interpolation of the tabulated values and
+    exact slopes (error about 3e-15)."""
+    cells = len(_COLLAR_U) - 1
+    h = 2.0 / cells
+    k = np.clip(((u + 1.0) / h).astype(np.intp), 0, cells - 1)
+    s = (u - _COLLAR_U[k]) / h
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2.0 * s3 - 3.0 * s2 + 1.0) * _COLLAR_G[k]
+        + (s3 - 2.0 * s2 + s) * h * _COLLAR_SLOPE[k]
+        + (3.0 * s2 - 2.0 * s3) * _COLLAR_G[k + 1]
+        + (s3 - s2) * h * _COLLAR_SLOPE[k + 1]
     )
-    if err > 1e-11:
-        raise ArithmeticError("collar quadrature did not converge")
-    return val / c
-
-
-def _collar_spline():
-    """Dense cubic interpolant of the collar profile; nodes by adaptive quadrature."""
-    if "spline" not in _BUMP_CACHE:
-        from scipy.interpolate import CubicSpline
-
-        us = np.linspace(-1.0, 1.0, 2049)
-        gs = np.array([_collar_profile(float(u)) for u in us])
-        _BUMP_CACHE["spline"] = CubicSpline(us, gs)
-    return _BUMP_CACHE["spline"]
 
 
 def _phi_values(lam: float, x: np.ndarray) -> np.ndarray:
-    """phi_lambda on an array: exact piecewise outside the collars, interpolated
-    collar profile (quadrature-sampled, error well under 1e-10) inside."""
+    """phi_lambda on an array: exact piecewise outside the collars, the
+    tabulated collar profile (error about 3e-15 before scaling by lambda)
+    inside."""
     if not 0.0 < lam < 0.5:
         raise ValueError("lambda must lie in (0, 1/2)")
     x = np.asarray(x, dtype=float)
     out = np.where(x >= lam, x, 0.0)
     out = np.where(x >= 1.0 - lam, 1.0, out)
-    spline = _collar_spline()
     low = (x > -lam) & (x < lam)
     if np.any(low):
-        out[low] = lam * np.maximum(spline(x[low] / lam), 0.0)
+        out[low] = lam * np.maximum(_collar(x[low] / lam), 0.0)
     high = (x > 1.0 - lam) & (x < 1.0 + lam)
     if np.any(high):
-        out[high] = x[high] - lam * np.maximum(spline((x[high] - 1.0) / lam), 0.0)
+        out[high] = x[high] - lam * np.maximum(_collar((x[high] - 1.0) / lam), 0.0)
     return np.clip(out, 0.0, 1.0)
 
 
 def mollifier_phi(lam: float, x) -> float:
-    """The clamp-to-[0,1] ramp convolved with the width-lambda bump."""
+    """The clamp-to-[0,1] ramp convolved with the width-lambda bump; inside
+    the collars |x| < lambda and |x - 1| < lambda it reads the collar profile
+    tabulated at import."""
     return float(_phi_values(float(lam), np.asarray([x], dtype=float))[0])
 
 
@@ -575,42 +595,25 @@ class InvarianceGapReport:
 
 
 def _support_grid(p: StepDistribution, n: int, budget: int | None):
+    """(support, weights) of the grid of support-tuple assignments to n
+    coordinates; over `budget` points raise BudgetExceeded."""
     support = p.support()
-    r = len(support)
-    cap = TABLE_BUDGET if budget is None else budget
-    if r**n > cap:
-        raise ValueError(f"{r}^{n} support assignments exceed the budget {cap}")
-    grids = np.meshgrid(*([np.arange(r)] * n), indexing="ij")
-    digits = [g.reshape(-1) for g in grids]
-    w = np.array([float(wt) for _, wt in support])
-    weights = np.ones(r**n)
-    for d in digits:
-        weights *= w[d]
-    return support, digits, weights
+    return support, _grid_weights(np.array([float(w) for _, w in support]), n, budget)
 
 
-def _discrete_step_values(
-    polys, bases, support, digits,
-) -> list[np.ndarray]:
-    """Per-step polynomial values on every support assignment of the grid."""
+def _step_values(polys, bases, support) -> list[np.ndarray]:
+    """Each step's polynomial on every point of the support grid."""
     out = []
-    for j, (poly, basis) in enumerate(zip(polys, bases), 1):
+    for j, (poly, basis) in enumerate(zip(polys, bases)):
         pos = {s: q for q, s in enumerate(basis.support)}
-        # ensemble value of element k at support tuple t, for this step
+        # element k of this step's ensemble at support tuple t
         elem = np.array(
             [
-                [basis.functions[k][pos[tup[j - 1]]] for tup, _ in support]
+                [basis.functions[k][pos[tup[j]]] for tup, _ in support]
                 for k in range(basis.size)
             ]
         )
-        vals = np.zeros(digits[0].shape[0])
-        for sigma, c in poly.terms:
-            term = np.full(digits[0].shape[0], c)
-            for i, s in enumerate(sigma):
-                if s:
-                    term *= elem[s][digits[i]]
-            vals += term
-        out.append(vals)
+        out.append(_grid_values(poly, elem))
     return out
 
 
@@ -636,8 +639,8 @@ def invariance_gap(
             raise ValueError("polynomial index range disagrees with the step basis")
     counterpart = gaussian_counterpart(dist, bases)
 
-    support, digits, weights = _support_grid(dist, n, budget)
-    step_vals = _discrete_step_values(polys, bases, support, digits)
+    support, weights = _support_grid(dist, n, budget)
+    step_vals = _step_values(polys, bases, support)
     prod = np.ones(weights.shape[0])
     for vals in step_vals:
         prod *= _phi_values(lam, vals)
@@ -647,13 +650,9 @@ def invariance_gap(
     gvals = counterpart.sample(rng, samples, n)  # (N, n, rows)
     prod_g = np.ones(samples)
     for j, poly in enumerate(polys, 1):
-        pv = np.zeros(samples)
-        for sigma, c in poly.terms:
-            term = np.full(samples, c)
-            for i, s in enumerate(sigma):
-                if s:
-                    term *= gvals[:, i, counterpart.row_index(j, s)]
-            pv += term
+        pv = _poly_values(
+            poly, lambda i, s: gvals[:, i, counterpart.row_index(j, s)], samples
+        )
         prod_g *= _phi_values(lam, pv)
     gaussian_estimate = float(np.mean(prod_g))
     stderr = float(np.std(prod_g, ddof=1) / math.sqrt(samples))
@@ -716,17 +715,19 @@ def smoothing_gap(
     if any(q.n != n for q in polys):
         raise ValueError("polynomials must share n")
     bases = tuple(build_basis(marginal(dist, j)) for j in range(1, ell + 1))
-    for j, (q, b) in enumerate(zip(polys, bases), 1):
+    for q, b in zip(polys, bases):
         if q.p != b.size - 1:
             raise ValueError("polynomial index range disagrees with the step basis")
-        _, vals = _enumerate_discrete_values(q, b)
+
+    support, weights = _support_grid(dist, n, budget)
+    raw_vals = _step_values(polys, bases, support)
+    # a step's symbols on the support grid meet in every combination, so
+    # these values cover its whole marginal grid
+    for j, vals in enumerate(raw_vals, 1):
         if np.min(vals) < -1e-9 or np.max(vals) > 1.0 + 1e-9:
             raise ValueError(f"step {j} polynomial leaves [0,1] on its support grid")
-
-    support, digits, weights = _support_grid(dist, n, budget)
-    raw_vals = _discrete_step_values(polys, bases, support, digits)
     smoothed = tuple(t_rho_poly(q, 1.0 - gamma) for q in polys)
-    smooth_vals = _discrete_step_values(smoothed, bases, support, digits)
+    smooth_vals = _step_values(smoothed, bases, support)
     raw = np.ones(weights.shape[0])
     smo = np.ones(weights.shape[0])
     for rv, sv in zip(raw_vals, smooth_vals):
@@ -858,15 +859,36 @@ def gaussian_rhc_check(
     return report
 
 
-def _bivariate_product_probability(cov: np.ndarray, forms) -> float:
-    """P[sign_1 G_1 > t_1, sign_2 G_2 > t_2] by bivariate normal CDF."""
-    from scipy.stats import multivariate_normal
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 
-    signs = np.array([forms[0].sign, forms[1].sign], dtype=float)
-    flipped = cov * np.outer(signs, signs)
-    upper = np.array([forms[0].offset, forms[1].offset])
-    # P[Y > t] = P[-Y <= -t], and -Y has the same covariance as Y
-    return float(multivariate_normal(mean=[0.0, 0.0], cov=flipped).cdf(-upper))
+
+def _bivariate_product_probability(cov: np.ndarray, forms) -> float:
+    """P[sign_1 G_1 > t_1, sign_2 G_2 > t_2], that is Phi_2(h, k; r) with
+    h = -t_1, k = -t_2 and r the correlation of sign_1 G_1 and sign_2 G_2.
+
+    Plackett's reduction, dPhi_2/dr = phi_2, gives Phi(h) Phi(k) plus the
+    integral of phi_2 over [0, r].  With r = sin(theta), delta = pi/2 - theta
+    and r >= 0 (r < 0 mirrors k), the integrand in theta is
+    exp(-((h-k)^2 + 4hk sin^2(delta/2)) / (2 sin^2 delta)) / (2 pi), free of
+    cancellation as delta -> 0, where it falls from exp(-hk/2) to 0 across a
+    layer of width |h - k|.  So delta runs over pieces doubling from acos|r|
+    to pi/2, each with a 20-point Gauss-Legendre rule.
+    """
+    h, k = -forms[0].offset, -forms[1].offset
+    r = forms[0].sign * forms[1].sign * float(cov[0, 1])
+    base = math.erfc(-h / math.sqrt(2.0)) * math.erfc(-k / math.sqrt(2.0)) / 4.0
+    sign = 1.0 if r >= 0.0 else -1.0
+    k *= sign
+    edges = [math.acos(abs(r))]
+    while 2.0 * edges[-1] < math.pi / 2:
+        edges.append(2.0 * edges[-1])
+    e = np.array(edges + [math.pi / 2])
+    lo, half = e[:-1, None], (e[1:, None] - e[:-1, None]) / 2
+    delta = lo + half * (1.0 + _GL_X)
+    dens = np.exp(
+        -((h - k) ** 2 + 4.0 * h * k * np.sin(delta / 2) ** 2) / (2.0 * np.sin(delta) ** 2)
+    )
+    return base + sign * float(np.sum(dens @ _GL_W * half[:, 0])) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

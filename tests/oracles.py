@@ -534,6 +534,65 @@ def orthant_probability(r):
     return val
 
 
+def bivariate_upper_probability(t1, t2, r):
+    """Pr[G1 > t1, G2 > t2] for standard normals with correlation r, |r| < 1.
+
+    A double integral of the independent pair (x, z) with G1 = x and
+    G2 = r x + sqrt(1 - r^2) z: x over (t1, 12), z beyond (t2 - r x) /
+    sqrt(1 - r^2).  That lower limit sweeps across the z range within a
+    layer of width about sqrt(1 - r^2) around x = t2 / r, so the x range is
+    cut there and at that width on either side.
+    """
+    from scipy.integrate import dblquad
+
+    top = 12.0
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+
+    def dens(z, x):
+        return math.exp(-(x * x + z * z) / 2) / (2 * math.pi)
+
+    def z_low(x):
+        return min(max((t2 - r * x) / s, -top), top)
+
+    cuts = {max(t1, -top), top}
+    if r != 0.0:
+        mid = t2 / r
+        cuts |= {mid + j * s for j in (-8, -1, 0, 1, 8)}
+    cuts = sorted(c for c in cuts if max(t1, -top) <= c <= top)
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        val, _ = dblquad(dens, a, b, z_low, lambda _: top, epsabs=1e-15, epsrel=1e-13)
+        total += val
+    return total
+
+
+def bump_raw(s):
+    """The unnormalized bump exp(-1/(s+1)^2 - 1/(s-1)^2) on (-1, 1)."""
+    if not -1.0 < s < 1.0:
+        return 0.0
+    return math.exp(-1.0 / (s + 1.0) ** 2) * math.exp(-1.0 / (s - 1.0) ** 2)
+
+
+def bump_constant():
+    """Integral of the bump over (-1, 1) by adaptive quadrature."""
+    from scipy.integrate import quad
+
+    val, _ = quad(bump_raw, -1.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=800)
+    return val
+
+
+def collar_profile(u):
+    """g(u) = integral of psi(s) max(u + s, 0) ds, psi the normalized bump,
+    by adaptive quadrature over the s range where u + s > 0."""
+    from scipy.integrate import quad
+
+    val, _ = quad(
+        lambda s: bump_raw(s) * (u + s), max(-u, -1.0), 1.0,
+        epsabs=1e-13, epsrel=1e-12, limit=800,
+    )
+    return val / bump_constant()
+
+
 def cycle_eigen_formula(s, p):
     vals = [
         1 - 2 * p * (1 - p) * (1 - math.cos(2 * math.pi * k / s)) for k in range(1, s)

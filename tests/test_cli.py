@@ -49,11 +49,10 @@ def test_report_envelope_fields(workdir, capsys):
     code, report = run_json(capsys, ["inspect", workdir / "basic.dist"])
     assert code == 0
     assert set(report) == {
-        "command", "inputs", "seed", "threads", "ok", "results", "wall_time_s",
+        "command", "inputs", "seed", "ok", "results", "wall_time_s",
     }
     assert report["ok"] is True
     assert report["seed"] == 0
-    assert report["threads"] == 1
     (path, digest), = report["inputs"].items()
     assert path.endswith("basic.dist")
     assert digest.startswith("sha256:") and len(digest) == len("sha256:") + 64
@@ -383,3 +382,28 @@ def test_module_entry_point(workdir):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["results"]["alpha"]["value"] == "1/6"
+
+
+def test_closed_pipe_ends_quietly(workdir):
+    # as in `corrhit decompose basic.dist | head -1`: the reader is gone
+    # before the report is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corrhit", "decompose", str(workdir / "basic.dist")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == ""
+
+
+def test_import_leaves_scipy_out():
+    code = (
+        "import sys, corrhit, corrhit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -183,6 +183,15 @@ def test_restrict_rejects_symbols_outside_the_alphabet():
                 restrict(f, Restriction(entries))
 
 
+def test_restriction_from_dict_rejects_coordinates_outside_1_to_n():
+    # coordinate 0 used to fix coordinate n through a negative index, and
+    # coordinate n + 1 used to raise IndexError
+    for coord in (0, -1, 4, 7):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            Restriction.from_dict(3, {coord: 1})
+    assert Restriction.from_dict(3, {1: 0, 3: 1}).entries == (0, None, 1)
+
+
 def test_restrict_anchor_conflict_yields_zero():
     f = make_anchored_symmetric(2, BIT, {"1": (0, 2)}, anchor=(1, "1"))
     g = restrict(f, Restriction.from_dict(2, {1: 0}))

@@ -12,8 +12,14 @@ import pytest
 
 import helpers
 import oracles
+from corrhit import invariance
 from corrhit.dist_core import marginal, parse_distribution
-from corrhit.fourier import build_basis, make_junta, make_table_function
+from corrhit.fourier import (
+    BudgetExceeded,
+    build_basis,
+    make_junta,
+    make_table_function,
+)
 from corrhit.invariance import (
     MultilinearPolynomial,
     ThresholdForm,
@@ -149,6 +155,31 @@ def test_projection_parts_are_orthogonal_under_enumeration():
             ]
             acc += w * qa.evaluate(values) * qb.evaluate(values)
         assert acc == pytest.approx(0.0, abs=1e-10)
+
+
+def test_vectorized_values_equal_pointwise_evaluation():
+    # the support grid and a block of draws give, bit for bit, the values
+    # that evaluate() gives one point at a time
+    rng = random.Random(9)
+    for m, n in ((2, 3), (3, 2), (4, 2)):
+        basis = build_basis(uniform_marginal(m))
+        funcs = np.array(basis.functions)
+        q = random_poly(rng, n, m - 1)
+        grid = invariance._grid_values(q, funcs)
+        for t, pos in enumerate(itertools.product(range(m), repeat=n)):
+            point = [funcs[:, d] for d in pos]
+            assert grid[t] == q.evaluate(point)
+        draws = sample_ensemble(
+            gaussian_ensemble(n, m - 1), np.random.Generator(np.random.Philox(key=2)), 50
+        )
+        block = invariance._poly_values(q, lambda i, s: draws[:, i, s], 50)
+        assert [q.evaluate(d) for d in draws] == list(block)
+
+
+def test_evaluate_multiplies_in_coordinate_order():
+    q = MultilinearPolynomial.from_coeffs(3, 1, {(1, 1, 1): 0.1, (0, 1, 0): 0.7})
+    values = [[1.0, 0.3], [1.0, 1.7], [1.0, -2.9]]
+    assert q.evaluate(values) == ((0.7 * 1.7) + ((0.1 * 0.3) * 1.7) * -2.9)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +400,20 @@ def test_mollifier_stays_close_to_the_clamp():
 
 
 def test_mollifier_collar_matches_direct_quadrature():
-    from corrhit.invariance import _collar_profile
-
+    us = np.linspace(-1.0, 1.0, 401)
+    direct = np.array([oracles.collar_profile(float(u)) for u in us])
+    assert float(np.max(np.abs(invariance._collar(us) - direct))) <= 1e-13
     lam = 0.2
     for u in (-0.9, -0.5, 0.0, 0.4, 0.95):
-        direct = lam * _collar_profile(u)
-        assert mollifier_phi(lam, lam * u) == pytest.approx(direct, abs=1e-10)
+        want = lam * oracles.collar_profile(u)
+        assert mollifier_phi(lam, lam * u) == pytest.approx(want, abs=1e-13)
+        # the upper collar mirrors the lower one
+        high = 1.0 + lam * u
+        assert mollifier_phi(lam, high) == pytest.approx(high - want, abs=1e-13)
+
+
+def test_bump_constant_matches_direct_quadrature():
+    assert abs(invariance._BUMP_C - oracles.bump_constant()) <= 1e-15
 
 
 def test_mollifier_chi_is_the_product():
@@ -430,10 +469,26 @@ def test_invariance_gap_validates_shapes():
 
 
 def test_invariance_gap_budget_refusal():
-    p = helpers.basic_dist()
+    p = helpers.basic_dist()  # six support tuples
     q = MultilinearPolynomial.from_coeffs(8, 2, {(0,) * 8: 0.5})
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded):
         invariance_gap((q, q), p, lam=0.2, budget=100)
+    # the support grid of n = 2 has 6^2 points: a budget of exactly that passes
+    q2 = MultilinearPolynomial.from_coeffs(2, 2, {(0, 0): 0.5})
+    assert invariance_gap((q2, q2), p, lam=0.2, samples=100, budget=36).holds
+    with pytest.raises(BudgetExceeded):
+        invariance_gap((q2, q2), p, lam=0.2, samples=100, budget=35)
+    assert smoothing_gap((q2, q2), p, gamma=0.0, eps=0.25, budget=36).holds
+    with pytest.raises(BudgetExceeded):
+        smoothing_gap((q2, q2), p, gamma=0.0, eps=0.25, budget=35)
+
+
+def test_hypercontractivity_budget_refusal():
+    ens = discrete_ensemble(uniform_marginal(3), 3)
+    q = MultilinearPolynomial.from_coeffs(3, 2, {(1, 0, 2): 1.0})
+    assert hypercontractivity_check(q, ens, 1 / 3, budget=27).method == "exact"
+    with pytest.raises(BudgetExceeded):
+        hypercontractivity_check(q, ens, 1 / 3, budget=26)
 
 
 SPREAD_DISCRETE = {
@@ -533,6 +588,41 @@ def test_rhc_orthant_golden():
         (rep.mus[0] * rep.mus[1]) ** (2 / 0.75), abs=1e-12
     )
     assert rep.eq46a_holds
+    assert rep.holds
+
+
+def test_orthant_matches_double_integral():
+    rng = random.Random(41)
+    limit = 1.0 - 1e-9  # the largest |rho| tested
+    cases = []
+    for _ in range(24):
+        r = rng.choice((-1, 1)) * rng.choice(
+            (rng.uniform(0.0, 0.99), 1.0 - 10 ** rng.uniform(-9, -1), limit)
+        )
+        cases.append((r, rng.uniform(-3, 3), rng.uniform(-3, 3)))
+    # offsets whose step layers nearly meet, where the integrand is sharpest
+    for _ in range(6):
+        t = rng.uniform(-2, 2)
+        sign = rng.choice((-1, 1))
+        cases.append((sign * limit, t, sign * t + rng.uniform(-1e-4, 1e-4)))
+    cases += [(limit, 0.0, 0.0), (-limit, 0.0, 0.0), (0.0, 0.5, -1.0)]
+    for r, t1, t2 in cases:
+        s1, s2 = rng.choice((-1, 1)), rng.choice((-1, 1))
+        cov = np.array([[1.0, r], [r, 1.0]])
+        forms = (ThresholdForm(s1, t1), ThresholdForm(s2, t2))
+        got = invariance._bivariate_product_probability(cov, forms)
+        # s_j G_j are standard normals with correlation s1 s2 r
+        want = oracles.bivariate_upper_probability(t1, t2, s1 * s2 * r)
+        assert got == pytest.approx(want, abs=1e-12), (r, s1, t1, s2, t2)
+
+
+def test_rhc_orthant_at_the_correlation_limit():
+    r = 1.0 - 1e-9
+    forms = (ThresholdForm(), ThresholdForm())
+    rep = gaussian_rhc_check([[1.0, r], [r, 1.0]], forms, samples=1_000, seed=5)
+    assert rep.quadrature_value == pytest.approx(
+        0.25 + math.asin(r) / (2 * math.pi), abs=1e-12
+    )
     assert rep.holds
 
 
