@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -42,6 +44,46 @@ def scale_to_ints(numbers, exact: bool):
         return 1, [float(x) for x in numbers]
     scale = math.lcm(*{x.denominator for x in numbers})
     return scale, [x.numerator * (scale // x.denominator) for x in numbers]
+
+
+def contract_axes(t, mats) -> list:
+    """Apply mats[c] along axis c of the mixed-radix list t, for every axis c.
+
+    t lists a tensor with axis 0 least significant; axis c has len(mats[c][0])
+    entries and leaves with len(mats[c]).  Pass c reads the least significant
+    axis through the slices t[a::cols], forms output row r as
+    sum_a mats[c][r][a] * t[a::cols] and appends the rows as the most
+    significant axis, so after the last pass the axes are back in their
+    original order.  An int k in place of a matrix is the identity on an
+    axis of size k: its slices move to the top unchanged.  Zero coefficients
+    are skipped and unit ones take their slice as it is, so 0/1 selection,
+    lifting and summing matrices cost no multiplications.  The arithmetic is
+    that of the entries: scaled ints stay exact, floats round as the
+    left-to-right sum of the terms.
+    """
+    for mat in mats:
+        if isinstance(mat, int):
+            if mat < len(t):  # a lone axis is in place already
+                t = list(itertools.chain.from_iterable(t[a::mat] for a in range(mat)))
+            continue
+        cols = len(mat[0])
+        rows = []
+        for row in mat:
+            acc = None
+            for a, c in enumerate(row):
+                if not c:
+                    continue
+                s = t[a::cols]
+                if acc is None:
+                    acc = s if c == 1 else [c * y for y in s]
+                elif c == 1:
+                    acc = list(map(operator.add, acc, s))
+                else:
+                    acc = [x + c * y for x, y in zip(acc, s)]
+            # an all-zero row still multiplies, for zeros of the entries' type
+            rows.append([row[0] * y for y in t[::cols]] if acc is None else acc)
+        t = rows[0] if len(rows) == 1 else list(itertools.chain.from_iterable(rows))
+    return t
 
 
 class ScaledView(NamedTuple):

@@ -33,6 +33,7 @@ import numpy as np
 from ._util import (
     Number,
     ScaledView,
+    contract_axes,
     is_exact,
     mixed_radix_digits,
     mixed_radix_index,
@@ -407,23 +408,22 @@ def _kernel_inputs(f: FunctionSpec, pi: MarginalDistribution, budget):
 def _contract(t, weights, n: int, keep=()) -> list:
     """Sum out every axis of the n-axis tensor t except the coordinates in `keep`.
 
-    Axes go least significant first.  With s = m^p for the p kept axes below
-    axis c, summing c out is t'[j*s + r] = sum_a w_a t[(j*m + a)*s + r]; the
-    result is indexed by the kept coordinates, the lowest least significant.
-    With nothing kept it is the one-entry list [sum over all points].
+    Axes go least significant first.  One `contract_axes` pass per summed
+    axis, with the weight row, and one identity pass (a re-ordering of
+    slices) per run of consecutive kept axes, which act as one axis.  The
+    result is indexed by the kept coordinates, the lowest least significant;
+    with nothing kept it is the one-entry list [sum over all points].
     """
     m = len(weights)
-    s = 1
+    mats: list = []
     for c in range(1, n + 1):
-        if c in keep:
-            s *= m
-            continue
-        acc = [weights[0] * y for y in _slab(t, m, s, 0)]
-        for a in range(1, m):
-            w = weights[a]
-            acc = [x + w * y for x, y in zip(acc, _slab(t, m, s, a))]
-        t = acc
-    return t
+        if c not in keep:
+            mats.append([weights])
+        elif mats and isinstance(mats[-1], int):
+            mats[-1] *= m
+        else:
+            mats.append(m)
+    return contract_axes(t, mats)
 
 
 def _expectation_contract(f: FunctionSpec, pi: MarginalDistribution, budget) -> Number:
@@ -864,11 +864,17 @@ def analyze(
     _check_budget(k, f.n, budget)
     probs = [float(basis.pi.probs[s]) for s in basis.support]
     # tensor of f over support^n, axis per coordinate, coordinate 1 first
-    values = np.zeros((k,) * f.n)
     pts = list(itertools.product(range(k), repeat=f.n))
-    for pos in pts:
-        point = tuple(basis.support[p] for p in pos)
-        values[pos] = float(evaluate(f, point))
+    if f.kind == "table":
+        # the view's floats round like float() of each value
+        m = len(f.alphabet)
+        table = np.array(f.view.scaled(False)[1]).reshape((m,) * f.n).transpose()
+        values = table[np.ix_(*[basis.support] * f.n)]
+    else:
+        values = np.zeros((k,) * f.n)
+        for pos in pts:
+            point = tuple(basis.support[p] for p in pos)
+            values[pos] = float(evaluate(f, point))
     # contract one axis at a time with the basis matrix weighted by pi
     mat = np.array([[probs[j] * basis.functions[s][j] for j in range(k)] for s in range(k)])
     t = values

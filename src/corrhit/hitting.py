@@ -2,8 +2,9 @@
 
 The central quantity is E[prod_j f^(j)(X^(j))] where every coordinate draws a
 step tuple independently from one distribution.  Two exact routes compute it:
-full enumeration over support assignments, and a joint-count dynamic program
-for symmetric window and modular-linear functions.  On top sit the two
+enumeration of the sum over support assignments, run as contractions of the
+step tables along every coordinate, and a joint-count dynamic program for
+symmetric window and modular-linear functions.  On top sit the two
 constructive loops (density increment and influence reduction), closed-form
 bound evaluators, the counterexample catalogs, the Markov-chain product
 identity, and an empirical hitting-exponent fit.
@@ -17,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import Number, mixed_radix_digits, scale_to_ints
+from ._util import Number, ScaledView, contract_axes, scale_to_ints
 from .dist_core import (
     StepDistribution,
     alpha,
@@ -33,7 +34,6 @@ from .fourier import (
     FunctionSpec,
     Restriction,
     _find_restriction,
-    evaluate,
     expectation,
     influence,
     is_resilient,
@@ -84,33 +84,25 @@ class HittingInstance:
 # that rational arithmetic throughout would give.  Float inputs run the same
 # loops on floats.
 
-# Support assignments of the leading coordinates that enumeration expands once
-# up front and then reuses under every prefix of the remaining coordinates.
-_ENUM_BLOCK = 4096
-
-
-class _PointValues(dict):
-    """Values of a non-table function by mixed-radix index, evaluated on first use."""
-
-    def __init__(self, f: FunctionSpec, cast):
-        super().__init__()
-        self.f = f
-        self.cast = cast
-
-    def __missing__(self, idx: int):
-        point = mixed_radix_digits(idx, len(self.f.alphabet), self.f.n)
-        value = self[idx] = self.cast(evaluate(self.f, point))
-        return value
-
-
-def _scaled_values(f: FunctionSpec, exact: bool):
-    """(scale, values) indexable by mixed-radix point index, value = values[idx] / scale."""
-    if f.kind != "table":  # the other kinds are 0/1 indicators
-        return 1, _PointValues(f, int if exact else float)
-    return f.view.scaled(exact)
+# Entries of the longest list the enumeration route's contractions build;
+# larger products walk their most significant coordinates instead.
+_BLOCK = 4096
 
 
 def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
+    """The product expectation as per-coordinate contractions.
+
+    Every coordinate draws its step tuple from p, so the sum over support
+    assignments factorizes per axis.  With P_k the distinct length-k prefixes
+    of the support tuples, the last step's table contracts by
+    W[q][x] = w(q + (x,)) onto P_(l-1)^n; then, for k = l-1 down to 1, f_k is
+    lifted onto P_k^n (each prefix reads its last symbol), multiplied in
+    pointwise, and the children of each prefix are summed onto P_(k-1)^n,
+    ending on the single point P_0^n.  When max(m, |P_k|)^n exceeds `_BLOCK`,
+    the most significant coordinates are walked over the support tuples,
+    each taking every table's contiguous slab for its symbol, and only the
+    remaining axes are contracted.
+    """
     support = p.support()
     cap = TABLE_BUDGET if budget is None else budget
     if len(support) ** n > cap:
@@ -120,44 +112,48 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
     exact = p.exact and all(f.is_exact() for f in fns)
     if any(f.zero for f in fns):
         return Fraction(0) if exact else 0.0
-    m = len(p.alphabet)
+    m, ell = len(p.alphabet), p.steps
     scale, weights = scale_to_ints([w for _, w in support], exact)
     den = scale**n
     tables = []
     for f in fns:
-        v_scale, values = _scaled_values(f, exact)
+        if f.kind != "table":
+            f = to_table(f, budget=budget)
+        v_scale, values = f.view.scaled(exact)
         den *= v_scale
         tables.append(values)
-    # block: every assignment of coordinates 1..inner, as a weight and one
-    # row-index offset per step, in the same order in every list
-    inner = 1
-    while inner < n and len(support) ** (inner + 1) <= _ENUM_BLOCK:
-        inner += 1
-    block_w = [1 if exact else 1.0]
-    block_offs = [[0] for _ in fns]
-    for c in range(inner):
-        stride = m**c
-        block_w = [bw * w for bw in block_w for w in weights]
-        block_offs = [
-            [o + tup[j] * stride for o in offs for tup, _ in support]
-            for j, offs in enumerate(block_offs)
-        ]
+    prefixes = [sorted({tup[:k] for tup, _ in support}) for k in range(ell)]
+    rank = {q: r for r, q in enumerate(prefixes[-1])}
+    last = [[0] * m for _ in prefixes[-1]]
+    for (tup, _), w in zip(support, weights):
+        last[rank[tup[:-1]]][tup[-1]] = w
+    lift = [[[int(q[-1] == x) for x in range(m)] for q in ps] for ps in prefixes[1:]]
+    up = [
+        [[int(q[:-1] == r) for q in ps] for r in shorter]
+        for shorter, ps in zip(prefixes, prefixes[1:])
+    ]
+    width = max(m, *map(len, prefixes))
+    axes = n
+    while axes and width**axes > _BLOCK:
+        axes -= 1
 
-    def walk(coord: int, weight, bases) -> Number:
-        """Weighted sum over coordinates coord..n, fixed depth-first, with the
-        block summed at each leaf."""
-        if coord > n:
-            prods = block_w
-            for values, base, offs in zip(tables, bases, block_offs):
-                prods = list(map(operator.mul, prods, [values[base + o] for o in offs]))
-            return weight * sum(prods)
-        stride = m ** (coord - 1)
+    def product(slabs) -> Number:
+        g = contract_axes(slabs[-1], [last] * axes)
+        for k in range(ell - 1, 0, -1):
+            g = list(map(operator.mul, g, contract_axes(slabs[k - 1], [lift[k - 1]] * axes)))
+            g = contract_axes(g, [up[k - 1]] * axes)
+        return g[0]
+
+    def walk(coord: int, slabs) -> Number:
+        if coord == axes:
+            return product(slabs)
+        size = m ** (coord - 1)
         return sum(
-            walk(coord + 1, weight * w, [b + s * stride for b, s in zip(bases, tup)])
+            w * walk(coord - 1, [t[x * size:(x + 1) * size] for t, x in zip(slabs, tup)])
             for (tup, _), w in zip(support, weights)
         )
 
-    total = walk(inner + 1, 1 if exact else 1.0, [0] * len(fns))
+    total = walk(n, tables)
     return Fraction(total, den) if exact else float(total)
 
 
@@ -345,13 +341,20 @@ def multi_set_expectation(
 ) -> Number:
     """E[prod_j f^(j)(X^(j))] with coordinates drawn i.i.d. from p, exact.
 
-    engine 'enumerate' walks support assignments, 'dp' runs the joint-count
-    program (symmetric window and modular-linear functions whose anchored or
-    pinned coordinates form a shared set of size <= 2), 'auto' prefers the dp
-    when compatible and enumeration otherwise.  Both routes scale rational
-    weights and values to integers, work on ints, and divide once at the
-    end, so exact inputs give exact Fractions; float inputs give floats.
-    `budget` caps |support|^n for enumeration and, for the dp, the live
+    engine 'enumerate' sums over all support assignments, 'dp' runs the
+    joint-count program (symmetric window and modular-linear functions whose
+    anchored or pinned coordinates form a shared set of size <= 2), 'auto'
+    prefers the dp when compatible and enumeration otherwise.  Both routes
+    scale rational weights and values to integers, work on ints, and divide
+    once at the end, so exact inputs give exact Fractions; float inputs give
+    floats.
+
+    Enumeration contracts the step tables along every coordinate (see
+    `_multi_enumerate`), materializing other kinds with `to_table`; besides
+    the tables, no list it builds exceeds 4096 entries.  `budget` caps
+    |support|^n for enumeration and the m^n points of every materialized
+    function, so a support narrower than the alphabet can pass the first cap
+    and fail the second with BudgetExceeded; for the dp it caps the live
     states after each coordinate, counted after dropping states that can no
     longer reach some window's lower bound.
     """
@@ -681,6 +684,8 @@ def max_gain_check(
 ) -> MaxGainReport:
     """Average E[M[i,Y,Z]f] over the double sample of step j_star and compare
     against E[f] + Inf_i(f) (1 - rho^2)."""
+    if n != f.n:
+        raise ValueError("n disagrees with the function's coordinate count")
     if f.kind != "table":
         f = to_table(f, budget=budget)
     pi = marginal(p, j_star)
@@ -948,28 +953,18 @@ class MarkovCheckReport:
     ell: int
 
 
-def _apply_kernel_tensor(kernel_rows, f: FunctionSpec) -> FunctionSpec:
-    """h(x) = sum_y prod_i K(x_i, y_i) f(y), one axis at a time, exact."""
-    m = len(f.alphabet)
-    values = list(f.payload["values"])
-    for i in range(1, f.n + 1):
-        stride = m ** (i - 1)
-        block = m**i
-        out = list(values)
-        for base in range(0, len(values), block):
-            for off in range(stride):
-                idxs = [base + off + a * stride for a in range(m)]
-                for a in range(m):
-                    out[idxs[a]] = sum(
-                        kernel_rows[a][b] * values[idxs[b]] for b in range(m)
-                    )
-        values = out
-    clamped = []
-    for v in values:
-        if v < 0 or v > 1:
-            raise ArithmeticError("kernel application left [0,1]")
-        clamped.append(v)
-    return FunctionSpec(f.n, f.alphabet, "table", {"values": tuple(clamped)})
+def _apply_kernel_tensor(kernel_rows, f: FunctionSpec, exact: bool):
+    """(scale, h) with h[x] / scale = sum_y prod_i K(x_i, y_i) f(y): the
+    kernel rows, scaled to ints, applied along every axis of f's view."""
+    k_scale, flat = scale_to_ints([c for row in kernel_rows for c in row], exact)
+    m = len(kernel_rows)
+    rows = [flat[a * m:(a + 1) * m] for a in range(m)]
+    v_scale, values = f.view.scaled(exact)
+    scale = v_scale * k_scale**f.n
+    h = contract_axes(values, [rows] * f.n)
+    if any(v < 0 or v > scale for v in h):
+        raise ArithmeticError("kernel application left [0,1]")
+    return scale, h
 
 
 def _prefix_distribution(p: StepDistribution) -> StepDistribution:
@@ -1001,19 +996,22 @@ def markov_same_set_check(
     if f.kind != "table":
         f = to_table(f, budget=budget)
     ell = p.steps
-    h = _apply_kernel_tensor(kernels[-1], f)
-    g_values = tuple(
-        fv * hv for fv, hv in zip(f.payload["values"], h.payload["values"])
-    )
-    g = FunctionSpec(f.n, f.alphabet, "table", {"values": g_values})
-    pointwise_ok = all(
-        gv <= fv for gv, fv in zip(g_values, f.payload["values"])
+    exact = p.exact and f.is_exact()
+    h_scale, h = _apply_kernel_tensor(kernels[-1], f, exact)
+    v_scale, values = f.view.scaled(exact)
+    # g = f h over v_scale * h_scale, so g <= f iff g_ints <= values * h_scale
+    g_ints = tuple(map(operator.mul, values, h))
+    g_scale = v_scale * h_scale
+    pointwise_ok = all(gv <= fv * h_scale for gv, fv in zip(g_ints, values))
+    g_values = tuple(Fraction(v, g_scale) for v in g_ints) if exact else g_ints
+    g = FunctionSpec(
+        f.n, f.alphabet, "table", {"values": g_values}, ScaledView(exact, g_scale, g_ints)
     )
     lhs = multi_set_expectation(p, n, (f,) * ell, budget=budget)
     prefix = _prefix_distribution(p)
     rhs_fns = (f,) * (ell - 2) + (g,)
     rhs = multi_set_expectation(prefix, n, rhs_fns, budget=budget)
-    if p.exact and f.is_exact():
+    if exact:
         equal = lhs == rhs
     else:
         equal = abs(float(lhs) - float(rhs)) <= 1e-10

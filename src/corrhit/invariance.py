@@ -107,9 +107,9 @@ def _poly_values(poly: MultilinearPolynomial, column, shape) -> np.ndarray:
 
     column(i, s) gives element s >= 1 of coordinate i+1 at every point: an
     array of `shape` or one that broadcasts to it, such as one (N,) column of
-    a draw or one axis of a product grid.  Every term multiplies its
-    coefficient by its factors in coordinate order and is added in term
-    order, so all callers round alike.
+    a draw or one coordinate's column of a flattened product grid.  Every
+    term multiplies its coefficient by its factors in coordinate order and is
+    added in term order, so all callers round alike.
     """
     out = np.zeros(shape)
     for sigma, c in poly.terms:
@@ -121,13 +121,17 @@ def _poly_values(poly: MultilinearPolynomial, column, shape) -> np.ndarray:
     return out
 
 
-def _axis(vec, i: int, n: int) -> np.ndarray:
-    """vec laid along axis i of an n-axis product grid, for broadcasting."""
-    return np.reshape(vec, (1,) * i + (-1,) + (1,) * (n - 1 - i))
+def _grid_column(vec, i: int, n: int) -> np.ndarray:
+    """vec laid along coordinate i+1 of the flattened grid {0..r-1}^n,
+    coordinate 1 most significant: one flat array, so that grids of any
+    number of axes stay within numpy's dimension limit."""
+    r = len(vec)
+    return np.tile(np.repeat(vec, r ** (n - 1 - i)), r**i)
 
 
 def _grid_weights(w: np.ndarray, n: int, budget: int | None) -> np.ndarray:
-    """Product masses of the grid {0..r-1}^n, coordinate 1 most significant.
+    """Product masses of the grid {0..r-1}^n, flattened with coordinate 1
+    most significant; each mass multiplies its factors in coordinate order.
 
     Grids of more than `budget` points raise BudgetExceeded; r^n == budget
     passes.
@@ -136,10 +140,10 @@ def _grid_weights(w: np.ndarray, n: int, budget: int | None) -> np.ndarray:
     cap = TABLE_BUDGET if budget is None else budget
     if r**n > cap:
         raise BudgetExceeded(f"{r}^{n} support assignments exceed the budget {cap}")
-    weights = np.ones((r,) * n)
-    for i in range(n):
-        weights *= _axis(w, i, n)
-    return weights.reshape(-1)
+    weights = np.ones(1)
+    for _ in range(n):
+        weights = np.outer(weights, w).ravel()
+    return weights
 
 
 def _grid_values(poly: MultilinearPolynomial, table: np.ndarray) -> np.ndarray:
@@ -147,8 +151,8 @@ def _grid_values(poly: MultilinearPolynomial, table: np.ndarray) -> np.ndarray:
     table[s][t] is element s of a coordinate at grid symbol t."""
     n = poly.n
     return _poly_values(
-        poly, lambda i, s: _axis(table[s], i, n), (table.shape[1],) * n
-    ).reshape(-1)
+        poly, lambda i, s: _grid_column(table[s], i, n), (table.shape[1] ** n,)
+    )
 
 
 def t_rho_poly(poly: MultilinearPolynomial, rho_value: float) -> MultilinearPolynomial:

@@ -152,6 +152,22 @@ def multi_set_expectation_brute(p, ell, n, fns):
     return total
 
 
+def apply_kernel_brute(rows, values, m, n):
+    """h(x) = sum_y prod_i rows[x_i][y_i] f(y) over every pair of points,
+    for the mixed-radix value list of f (coordinate 1 least significant)."""
+    points = [tuple((idx // m**c) % m for c in range(n)) for idx in range(m**n)]
+    out = []
+    for x in points:
+        total = 0
+        for idx, y in enumerate(points):
+            w = 1
+            for a, b in zip(x, y):
+                w *= rows[a][b]
+            total += w * values[idx]
+        out.append(total)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # golden scenario helpers
 

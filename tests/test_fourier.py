@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import helpers
@@ -540,6 +541,41 @@ def test_parseval_and_influence_identities_on_random_tables():
         assert float(total_influence(f, pi)) <= exp.degree() * float(
             variance(f, pi)
         ) + 1e-10
+
+
+def _analyze_pointwise(f, basis):
+    """Fourier coefficients from one float(evaluate()) per support point,
+    contracted axis by axis as `analyze` does."""
+    k = basis.size
+    probs = [float(basis.pi.probs[s]) for s in basis.support]
+    t = np.zeros((k,) * f.n)
+    for pos in itertools.product(range(k), repeat=f.n):
+        t[pos] = float(evaluate(f, [basis.support[q] for q in pos]))
+    mat = np.array([[probs[j] * basis.functions[s][j] for j in range(k)] for s in range(k)])
+    for axis in range(f.n):
+        t = np.moveaxis(np.tensordot(mat, t, axes=([1], [axis])), 0, axis)
+    return {
+        sigma: float(t[sigma])
+        for sigma in itertools.product(range(k), repeat=f.n)
+        if float(t[sigma]) != 0.0
+    }
+
+
+def test_analyze_reads_the_table_view_bit_identically():
+    rng = random.Random(515)
+    for trial in range(30):
+        m = rng.choice((2, 3, 4))
+        n = rng.randint(1, 3)
+        alphabet = tuple(str(i) for i in range(m))
+        # a zero-mass symbol now and then, so the support is a proper subset
+        pi = marginal(helpers.random_dist(rng, m=m, steps=2), 1)
+        values = [Fraction(rng.randint(0, 7), rng.choice((3, 7, 9))) for _ in range(m**n)]
+        values = [min(v, Fraction(1)) for v in values]
+        if trial % 3 == 0:
+            values = [float(v) for v in values]
+        f = make_table_function(n, alphabet, values)
+        basis = build_basis(pi)
+        assert analyze(f, basis).coeffs == _analyze_pointwise(f, basis)
 
 
 def test_synthesize_reproduces_function_on_support():

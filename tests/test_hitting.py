@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,38 @@ def test_enumeration_budget_threshold_is_exact():
     assert same_set_expectation(p, n, f, engine="enumerate", budget=size) == Fraction(1, 6)
 
 
+def test_enumeration_budget_covers_materializing_other_kinds():
+    # support narrower than the alphabet: |support|^n = 16 < m^n = 81
+    p = parse_distribution("alphabet 0 1 2\nsteps 2\nentry 0 0 1/2\nentry 1 1 1/2\n")
+    n = 4
+    junta = make_junta(n, TRIT, [(2, "1")])
+    table = make_table_function(n, TRIT, [Fraction(idx % 2) for idx in range(3**n)])
+    # a non-table function is materialized as a table of m^n points first,
+    # which the same budget caps
+    with pytest.raises(BudgetExceeded, match="3\\^4 points"):
+        same_set_expectation(p, n, junta, engine="enumerate", budget=16)
+    assert same_set_expectation(p, n, junta, engine="enumerate", budget=81) == Fraction(1, 2)
+    # a table is already materialized: only |support|^n counts
+    value = multi_set_expectation(p, n, (table, table), engine="enumerate", budget=16)
+    assert value == Fraction(1, 2)
+    with pytest.raises(BudgetExceeded, match="2\\^4 support assignments"):
+        multi_set_expectation(p, n, (table, table), engine="enumerate", budget=15)
+
+
+def test_enumeration_memory_stays_within_the_block():
+    p = ap3_distribution()
+    fns = ap3_sets(8)
+    tracemalloc.start()
+    try:
+        value = multi_set_expectation(p, 8, fns, engine="enumerate")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0
+    # one full contraction would hold lists of 6^8 entries (tens of MB)
+    assert peak < 4 * 2**20
+
+
 def test_dp_refuses_incompatible_functions():
     p = helpers.basic_dist()
     f = make_junta(2, TRIT, [(1, "0")])
@@ -360,13 +393,29 @@ def test_influence_reduction_certificates_on_random_instances():
     cap = math.floor(2 * 2 / (float(tau) * (1 - r * r)))
     assert cap == 53
     pis = [marginal(p, j) for j in (1, 2)]
-    for _ in range(6):
+    # (j*, i, x_bar, y, z, product before, product after) per iteration, as
+    # the per-point enumeration engine logged them
+    F = Fraction
+    pinned = [
+        [(2, 2, (0,), 0, 0, F(203, 768), F(1, 3)), (2, 1, (0,), 0, 1, F(1, 3), F(5, 8))],
+        [(2, 2, (1,), 1, 2, F(359, 1152), F(79, 192)), (1, 1, (0,), 0, 2, F(79, 192), F(1))],
+        [(2, 1, (1,), 1, 2, F(11, 64), F(21, 64))],
+        [(2, 1, (0,), 0, 0, F(161, 384), F(7, 8))],
+        [(2, 1, (0,), 0, 0, F(529, 2304), F(55, 128)), (2, 2, (0,), 0, 0, F(55, 128), F(3, 4))],
+        [(1, 1, (0,), 0, 0, F(509, 2304), F(167, 384)), (2, 2, (0,), 0, 1, F(167, 384), F(3, 4))],
+    ]
+    for want in pinned:
         n = rng.randint(1, 2)
         fns = tuple(
             make_table_function(n, TRIT, helpers.random_unit_table(rng, n, 3))
             for _ in range(2)
         )
         out, log = influence_reduction(p, n, fns, tau)
+        assert [
+            (s.j_star, s.i, s.x_bar, s.y, s.z, s.product_before, s.product_after)
+            for s in log.iterations
+        ] == want
+        assert log.params["product_final"] == want[-1][-1]
         assert len(log.iterations) <= cap
         for step in log.iterations:
             assert float(step.gain) >= gain_floor - 1e-12
@@ -399,6 +448,13 @@ def test_max_gain_equality_case_golden():
     assert rep.influence == Fraction(2, 9)
     assert rep.rhs == pytest.approx(1.0 / 3.0 + (2.0 / 9.0) * 0.75, abs=1e-12)
     assert rep.holds
+
+
+def test_max_gain_rejects_a_wrong_coordinate_count():
+    p = helpers.basic_dist()
+    f = make_table_function(2, TRIT, [Fraction(1)] + [Fraction(0)] * 8)
+    with pytest.raises(ValueError, match="n disagrees"):
+        max_gain_check(p, 1, 1, 3, f)
 
 
 def test_max_gain_matches_brute_oracle_and_holds():

@@ -13,7 +13,7 @@ import pytest
 import helpers
 import oracles
 from corrhit import invariance
-from corrhit.dist_core import marginal, parse_distribution
+from corrhit.dist_core import Alphabet, MarginalDistribution, marginal, parse_distribution
 from corrhit.fourier import (
     BudgetExceeded,
     build_basis,
@@ -364,6 +364,29 @@ def test_hypercontractivity_gaussian_mc_route():
     assert rep.method == "mc"
     assert rep.stderr > 0
     assert rep.noise_holds and rep.degree_holds
+
+
+def test_grid_weights_multiply_in_coordinate_order():
+    rng = random.Random(70)
+    for r, n in ((1, 5), (2, 4), (3, 3), (5, 2)):
+        w = np.array([rng.random() for _ in range(r)])
+        want = []
+        for point in itertools.product(range(r), repeat=n):
+            mass = 1.0
+            for x in point:
+                mass *= w[x]
+            want.append(mass)
+        assert invariance._grid_weights(w, n, None).tolist() == want
+
+
+def test_hypercontractivity_on_a_grid_of_more_than_64_axes():
+    # a one-symbol marginal: the exact grid has one point whatever n is
+    pi = MarginalDistribution(Alphabet(BIT), (Fraction(1), Fraction(0)), True)
+    ens = discrete_ensemble(pi, 70)
+    q = MultilinearPolynomial.from_coeffs(70, 0, {(0,) * 70: 0.5})
+    rep = hypercontractivity_check(q, ens, 0.5)
+    assert rep.method == "exact"
+    assert rep.noise_lhs == pytest.approx(0.5) and rep.noise_holds and rep.degree_holds
 
 
 def test_hypercontractivity_shape_mismatch():
