@@ -598,36 +598,48 @@ def is_markov_generated(
     skipped.  Returns (True, [T_2, ..., T_steps]) with each T_j a matrix over
     the full alphabet (rows of symbols never seen as a positive-mass step j-1
     value are zero-filled), or (False, None).  Two steps are vacuously Markov.
+
+    Prefix masses are summed on the integer view (floats in float mode).  The
+    conditional row of each prefix is compared with the first row seen for
+    its last symbol: exact rows by cross-multiplying, |c0 M - c M0| / (M0 M),
+    the correctly rounded float of the exact difference; float rows by
+    subtracting the divided masses.  Only the returned rows are divided.
     """
     if p.steps < 2:
         raise ValueError("needs at least 2 steps")
     m = len(p.alphabet)
     zero: Number = Fraction(0) if p.exact else 0.0
+    ratio = Fraction if p.exact else truediv
     kernels = []
     for j in range(2, p.steps + 1):
         # masses of step prefixes of lengths j and j-1
         pref_j: dict[tuple[int, ...], Number] = {}
         pref_prev: dict[tuple[int, ...], Number] = {}
-        for tup, w in p.support():
-            pref_j[tup[:j]] = pref_j.get(tup[:j], zero) + w
-            pref_prev[tup[: j - 1]] = pref_prev.get(tup[: j - 1], zero) + w
-        rows: list[list[Number] | None] = [None] * m
+        for tup, w in p._scaled_support:
+            pref_j[tup[:j]] = pref_j.get(tup[:j], 0) + w
+            pref_prev[tup[: j - 1]] = pref_prev.get(tup[: j - 1], 0) + w
+        # per last symbol: (mass, next-symbol masses) of the first prefix seen
+        first: list[tuple[Number, list[Number]] | None] = [None] * m
         for prev, mass in sorted(pref_prev.items()):
-            if mass <= 0:
-                continue
-            cond = [pref_j.get(prev + (b,), zero) / mass for b in range(m)]
+            counts = [pref_j.get(prev + (b,), 0) for b in range(m)]
             a = prev[-1]
-            if rows[a] is None:
-                rows[a] = cond
+            if first[a] is None:
+                first[a] = (mass, counts)
+                continue
+            mass0, counts0 = first[a]
+            if p.exact:
+                diffs = (
+                    abs(c0 * mass - c * mass0) / (mass0 * mass)
+                    for c0, c in zip(counts0, counts)
+                )
             else:
-                for b in range(m):
-                    diff = rows[a][b] - cond[b]
-                    if abs(float(diff)) > tol:
-                        return False, None
+                diffs = (abs(c0 / mass0 - c / mass) for c0, c in zip(counts0, counts))
+            if any(d > tol for d in diffs):
+                return False, None
         kernels.append(
             tuple(
-                tuple(r) if r is not None else (zero,) * m
-                for r in rows
+                tuple(ratio(c, row[0]) for c in row[1]) if row is not None else (zero,) * m
+                for row in first
             )
         )
     return True, kernels

@@ -389,17 +389,19 @@ def _check_alphabet(f: FunctionSpec, pi: MarginalDistribution):
         raise ValueError("function alphabet must match the marginal")
 
 
-def _kernel_inputs(f: FunctionSpec, pi: MarginalDistribution, budget):
+def _kernel_inputs(f: FunctionSpec, pi: MarginalDistribution, budget, exact: bool = True):
     """(exact, value scale, values, weight scale, weights) for the contractions.
 
     Read from the integer views of the table and the marginal; non-table
-    kinds are materialized with `to_table` first.  Zero-probability symbols
+    kinds are materialized with `to_table` first.  The kernels run exact when
+    `exact` is true and both inputs are; a caller combining several functions
+    passes False to read all of them as floats.  Zero-probability symbols
     keep their weight 0, which adds exact zeros only.
     """
     _check_budget(len(f.alphabet), f.n, budget)
     if f.kind != "table":
         f = to_table(f, budget=budget)
-    exact = pi.exact and f.is_exact()
+    exact = exact and pi.exact and f.is_exact()
     v_scale, values = f.view.scaled(exact)
     w_scale, weights = pi.view.scaled(exact)
     return exact, v_scale, values, w_scale, weights
@@ -426,8 +428,10 @@ def _contract(t, weights, n: int, keep=()) -> list:
     return contract_axes(t, mats)
 
 
-def _expectation_contract(f: FunctionSpec, pi: MarginalDistribution, budget) -> Number:
-    exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget)
+def _expectation_contract(
+    f: FunctionSpec, pi: MarginalDistribution, budget, exact: bool = True
+) -> Number:
+    exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget, exact)
     total = _contract(values, weights, f.n)[0]
     return Fraction(total, v_scale * w_scale**f.n) if exact else total
 
@@ -585,28 +589,36 @@ def variance(
 # influences
 
 
-def _influence_contract(f, pi, i, budget) -> Number:
-    """Inf_i = E[f^2] - E[(E_i f)^2]: average out axis i, then contract the rest.
+def _influence_contract(f, pi, coords, budget, exact: bool = True):
+    """(exact, den, nums): Inf_i(f) = nums[k] / den for the k-th coordinate i
+    of `coords`, every one from one read of the views.
 
-    With values v = V / sv and weights w = W / sw, the fibre along axis i
-    contributes (sw * sum_a W_a V_a^2 - (sum_a W_a V_a)^2) / (sw^2 sv^2).
+    Inf_i = E[f^2] - E[(E_i f)^2].  With values v = V / sv and weights
+    w = W / sw over n axes, E[f^2] = Q / (sw^n sv^2) for Q the contraction of
+    V^2, contracted once for all coordinates.  Averaging out axis i sums its
+    m slabs weighted by W, U_i = sum_a W_a V[x_i = a]; contracting U_i^2 over
+    the other n - 1 axes gives E[(E_i f)^2] = S_i / (sw^(n+1) sv^2).  So every
+    influence is an integer over the common denominator sw^(n+1) sv^2:
+    nums = sw Q - S_i.  Floats run the same sums with den 1.
     """
-    exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget)
-    m = len(weights)
-    s = m ** (i - 1)
-    mean = sq = None
-    for a, w in enumerate(weights):
-        # entries with digit a at coordinate i, in the order of the other axes
-        col = _slab(values, m, s, a)
-        if mean is None:
-            mean = [w * y for y in col]
-            sq = [w * y * y for y in col]
-        else:
-            mean = [x + w * y for x, y in zip(mean, col)]
-            sq = [x + w * y * y for x, y in zip(sq, col)]
-    spread = [w_scale * q - u * u for q, u in zip(sq, mean)]
-    total = _contract(spread, weights, f.n - 1)[0]
-    return Fraction(total, w_scale ** (f.n + 1) * v_scale * v_scale) if exact else total
+    exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget, exact)
+    n, m = f.n, len(weights)
+    sq = w_scale * _contract([v * v for v in values], weights, n)[0]
+    nums = []
+    for i in coords:
+        s = m ** (i - 1)
+        mean = None
+        for a, w in enumerate(weights):
+            if not w:
+                continue
+            # entries with digit a at coordinate i, in the order of the other axes
+            col = _slab(values, m, s, a)
+            if mean is None:
+                mean = [w * y for y in col]
+            else:
+                mean = [x + w * y for x, y in zip(mean, col)]
+        nums.append(sq - _contract([u * u for u in mean], weights, n - 1)[0])
+    return exact, w_scale ** (n + 1) * v_scale * v_scale, nums
 
 
 def _influence_junta(f, pi, i) -> Number:
@@ -724,17 +736,17 @@ def influence(
     _check_alphabet(f, pi)
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "enumerate":
-        return _influence_contract(f, pi, i, budget)
-    if f.kind == "anchored_symmetric":
-        return _influence_anchored_dp(f, pi, i, budget)
-    if f.kind == "mod_linear":
-        return _influence_mod_linear_dp(f, pi, i)
-    if engine == "dp":
-        raise ValueError(f"no dynamic program for kind {f.kind!r}")
-    if f.kind == "junta":
-        return _influence_junta(f, pi, i)
-    return _influence_contract(f, pi, i, budget)
+    if engine != "enumerate":
+        if f.kind == "anchored_symmetric":
+            return _influence_anchored_dp(f, pi, i, budget)
+        if f.kind == "mod_linear":
+            return _influence_mod_linear_dp(f, pi, i)
+        if engine == "dp":
+            raise ValueError(f"no dynamic program for kind {f.kind!r}")
+        if f.kind == "junta":
+            return _influence_junta(f, pi, i)
+    exact, den, (num,) = _influence_contract(f, pi, (i,), budget)
+    return Fraction(num, den) if exact else num
 
 
 def total_influence(

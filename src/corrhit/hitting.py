@@ -21,8 +21,9 @@ from fractions import Fraction
 from ._util import Number, ScaledView, contract_axes, scale_to_ints
 from .dist_core import (
     StepDistribution,
+    _double_sample_matrix,
+    _is_symmetric,
     alpha,
-    double_sample_kernel,
     is_markov_generated,
     marginal,
     parse_distribution,
@@ -33,7 +34,12 @@ from .fourier import (
     BudgetExceeded,
     FunctionSpec,
     Restriction,
+    _contract,
+    _expectation_contract,
     _find_restriction,
+    _influence_contract,
+    _kernel_inputs,
+    _slab,
     expectation,
     influence,
     is_resilient,
@@ -534,19 +540,45 @@ def influence_reduction(
 ):
     """Drive every influence of every step function below tau.
 
-    Per iteration: take the (step, coordinate) pair of maximal influence (ties
-    broken toward the smallest coordinate, then step), scan all tuples
-    (x-bar, y, z) in mixed-radix order, and apply the first whose recomputed
+    Per iteration: take the (step, coordinate) pair (j*, i) of maximal
+    influence (ties broken toward the smallest coordinate, then step), scan
+    all tuples (x-bar, y, z) in mixed-radix order, and apply the first whose
     certificates hold: the expectation sum rises by at least
     tau (1 - rho^2) / 2 and both involved step tuples have probability at
     least beta-hat = tau (1 - rho^2) / (2 l |alphabet|^(l+1)).  The step
-    function at j* becomes its max-operator image; every other step function
-    gets coordinate i substituted by its x-bar symbol.  Refuses rho = 1.
+    function at j* becomes its max-operator image M[i,y,z] f; every other
+    step function gets coordinate i substituted by its x-bar symbol.  The
+    product expectation before an iteration must be at least beta-hat times
+    the one after it, and the loop must stop within 2 l / (tau (1 - rho^2))
+    iterations.  Refuses rho = 1, and mismatched functions before any work.
+
+    Everything runs on the fibres of the step tables along axis i, read from
+    their integer views (as floats when any input is a float).  The
+    influences of a table come from one kernel over one common denominator
+    (`fourier._influence_contract`) and are compared by cross-multiplying;
+    coordinates chosen earlier are dummy in every step, so they are not
+    recomputed.  A step j != j* gets E[f_j | x_i = a] for every a, the
+    expectation of its restriction to that x-bar symbol, from one
+    contraction keeping axis i.  E[M[i,y,z] f_j*] is the contraction of the
+    fibre max(f[x_i = y], f[x_i = z]) over the other axes, computed per
+    unordered pair {y, z} when the scan first reaches it and kept for that
+    iteration only (`_MaxFibres`).  Candidates meet the gain threshold in
+    ints over the lcm of the steps' denominators, and only the chosen tuple
+    builds its max-operator and restricted tables.  Each iteration's
+    expectations and product expectation carry over as the next one's
+    `before` and `product_before`, so the loop runs one product expectation
+    per iteration and one per call.  Exact inputs give the same Fractions as
+    restricting and averaging every candidate.
     """
     fns = tuple(fns)
     ell = p.steps
     if len(fns) != ell:
         raise ValueError("need exactly one function per step")
+    for f in fns:
+        if f.n != n:
+            raise ValueError("n disagrees with the function's coordinate count")
+        if f.alphabet.symbols != p.alphabet.symbols:
+            raise ValueError("function alphabet must match the distribution")
     if not 0 < float(tau) <= 1:
         raise ValueError("tau must lie in (0, 1]")
     r = rho(p)
@@ -562,56 +594,73 @@ def influence_reduction(
     beta_hat = float(tau) * one_minus / (2.0 * ell * m ** (ell + 1))
     cap_iters = math.floor(2.0 * ell / (float(tau) * one_minus))
     marginals = [marginal(p, j) for j in range(1, ell + 1)]
+    exact = p.exact and all(f.is_exact() for f in fns)
+    # beta_hat > 0, so only support tuples can qualify; compared in ints when exact
+    floor = math.ceil(Fraction(beta_hat) * p._scale) if p.exact else beta_hat
+    admissible = {tup for tup, w in p._scaled_support if w >= floor}
 
-    def influences(cur):
-        out = {}
-        for j in range(1, ell + 1):
-            for i in range(1, n + 1):
-                out[(j, i)] = influence(cur[j - 1], marginals[j - 1], i=i, budget=budget)
-        return out
-
-    product_initial = multi_set_expectation(p, n, fns, budget=budget)
     cur = list(fns)
+    before = tuple(
+        _expectation_contract(g, pi, budget, exact) for g, pi in zip(cur, marginals)
+    )
+    product = product_initial = multi_set_expectation(p, n, fns, budget=budget)
     steps: list[InfluenceStep] = []
-    while True:
-        infl = influences(cur)
-        worst = max(infl.values())
+    # a chosen coordinate is dummy in every step from then on: influence 0
+    live = list(range(1, n + 1))
+    while live:
+        dens, infl = [], []
+        for g, pi in zip(cur, marginals):
+            _, den, nums = _influence_contract(g, pi, live, budget, exact)
+            dens.append(den)
+            infl.append(nums)
+        # the first maximum in (coordinate, step) order, by cross-multiplication
+        wc = wj = 0
+        for c in range(len(live)):
+            for j in range(ell):
+                if infl[j][c] * dens[wj] > infl[wj][wc] * dens[j]:
+                    wc, wj = c, j
+        worst = Fraction(infl[wj][wc], dens[wj]) if exact else infl[wj][wc]
         if worst <= tau:
             break
-        candidates = sorted(
-            (i, j) for (j, i), v in infl.items() if v == worst
-        )
-        i, j_star = candidates[0]
-        before_vec = tuple(expectation(g, m) for g, m in zip(cur, marginals))
-        before_sum = sum(before_vec)
-        product_before = multi_set_expectation(p, n, cur, budget=budget)
+        i, j_star = live.pop(wc), wj + 1
         other_steps = [j for j in range(1, ell + 1) if j != j_star]
+
+        # after-values over scales[j]: restricted steps for every symbol from
+        # one contraction keeping axis i, the max-operator step per pair
+        scales, sums = {}, {}
+        for j in range(1, ell + 1):
+            _, v_scale, values, w_scale, weights = _kernel_inputs(
+                cur[j - 1], marginals[j - 1], budget, exact
+            )
+            scales[j] = v_scale * w_scale**n
+            if j == j_star:
+                cols = [_slab(values, m, m ** (i - 1), a) for a in range(m)]
+                sums[j] = _MaxFibres(cols, weights, n)
+            else:
+                mass = sum(weights)
+                sums[j] = [c * mass for c in _contract(values, weights, n, keep=(i,))]
+        if exact:
+            den = math.lcm(*scales.values())
+            lift = {j: den // s for j, s in scales.items()}
+            # gain >= gain_target iff the integer sum of after-values reaches it
+            threshold = math.ceil((sum(before) + Fraction(gain_target)) * den)
+        else:
+            lift = dict.fromkeys(scales, 1)
+            threshold = sum(before) + gain_target
         hit = None
         for x_bar in itertools.product(range(m), repeat=ell - 1):
-            for y in range(m):
-                tup_y = _assemble_tuple(x_bar, other_steps, j_star, y)
-                prob_y = p.weight(tup_y)
-                if prob_y < beta_hat:
-                    continue
-                for z in range(m):
-                    tup_z = _assemble_tuple(x_bar, other_steps, j_star, z)
-                    prob_z = p.weight(tup_z)
-                    if prob_z < beta_hat:
-                        continue
-                    trial = list(cur)
-                    trial[j_star - 1] = max_operator(cur[j_star - 1], i, y, z, budget=budget)
-                    for idx, j in enumerate(other_steps):
-                        sub = Restriction.from_dict(n, {i: x_bar[idx]})
-                        trial[j - 1] = restrict(cur[j - 1], sub)
-                    after_vec = tuple(
-                        expectation(g, m) for g, m in zip(trial, marginals)
-                    )
-                    gain = sum(after_vec) - before_sum
-                    if gain >= gain_target:
-                        hit = (x_bar, y, z, prob_y, prob_z, trial, after_vec, gain)
-                        break
-                if hit:
-                    break
+            ys = [
+                y for y in range(m)
+                if _assemble_tuple(x_bar, other_steps, j_star, y) in admissible
+            ]
+            partial = sum(sums[j][a] * lift[j] for j, a in zip(other_steps, x_bar))
+            hit = next(
+                (
+                    (x_bar, y, z) for y in ys for z in ys
+                    if partial + sums[j_star][y, z] * lift[j_star] >= threshold
+                ),
+                None,
+            )
             if hit:
                 break
         if hit is None:
@@ -619,26 +668,37 @@ def influence_reduction(
                 "no qualifying tuple found although an influence exceeds tau; "
                 "this contradicts the existence guarantee and flags a bug"
             )
-        x_bar, y, z, prob_y, prob_z, trial, after_vec, gain = hit
+        x_bar, y, z = hit
+        picks = dict(zip(other_steps, x_bar))
+        picks[j_star] = (y, z)
+        trial = list(cur)
+        trial[j_star - 1] = max_operator(cur[j_star - 1], i, y, z, budget=budget)
+        for j, a in zip(other_steps, x_bar):
+            trial[j - 1] = restrict(cur[j - 1], Restriction.from_dict(n, {i: a}))
+        after = tuple(
+            Fraction(sums[j][picks[j]], scales[j]) if exact else sums[j][picks[j]]
+            for j in range(1, ell + 1)
+        )
         product_after = multi_set_expectation(p, n, trial, budget=budget)
-        if product_before < beta_hat * product_after:
+        if product < beta_hat * product_after:
             raise ArithmeticError(
                 "per-step product certificate failed: "
-                f"{float(product_before)} < beta_hat * {float(product_after)}"
+                f"{float(product)} < beta_hat * {float(product_after)}"
             )
         steps.append(
             InfluenceStep(
-                j_star, i, x_bar, y, z, prob_y, prob_z,
-                before_vec, after_vec, product_before, product_after, gain,
+                j_star, i, x_bar, y, z,
+                p.weight(_assemble_tuple(x_bar, other_steps, j_star, y)),
+                p.weight(_assemble_tuple(x_bar, other_steps, j_star, z)),
+                before, after, product, product_after, sum(after) - sum(before),
             )
         )
-        cur = trial
+        cur, before, product = trial, after, product_after
         if len(steps) > cap_iters:
             raise ArithmeticError(
                 f"influence reduction ran {len(steps)} iterations, cap is {cap_iters}"
             )
 
-    product_final = multi_set_expectation(p, n, cur, budget=budget)
     log = ReductionLog(
         "influence_reduction",
         tuple(steps),
@@ -649,10 +709,31 @@ def influence_reduction(
             "iteration_cap": cap_iters,
             "beta": beta_hat**cap_iters,
             "product_initial": product_initial,
-            "product_final": product_final,
+            "product_final": product,
         },
     )
     return tuple(cur), log
+
+
+class _MaxFibres(dict):
+    """Scaled E[M[i,y,z] f] per symbol pair (y, z), from the fibres `cols`
+    of f's view along axis i (cols[a] lists the entries with x_i = a in the
+    order of the other axes): max(cols[y], cols[z]) contracted over the other
+    n - 1 axes, times the mass of axis i, which M[i,y,z] f does not read.
+    (y, z) and (z, y) give one image, so each unordered pair is contracted
+    once, when it is first looked up."""
+
+    def __init__(self, cols, weights, n: int):
+        super().__init__()
+        self.cols, self.weights, self.n = cols, weights, n
+        self.mass = sum(weights)
+
+    def __missing__(self, pair) -> Number:
+        y, z = pair
+        cols = self.cols
+        fibre = cols[y] if y == z else list(map(max, cols[y], cols[z]))
+        self[y, z] = self[z, y] = _contract(fibre, self.weights, self.n - 1)[0] * self.mass
+        return self[y, z]
 
 
 def _assemble_tuple(x_bar, other_steps, j_star, sym) -> tuple[int, ...]:
@@ -683,26 +764,51 @@ def max_gain_check(
     budget: int | None = None,
 ) -> MaxGainReport:
     """Average E[M[i,Y,Z]f] over the double sample of step j_star and compare
-    against E[f] + Inf_i(f) (1 - rho^2)."""
+    against E[f] + Inf_i(f) (1 - rho^2).
+
+    The average is one weighted fibre sum along axis i: with W_yz the
+    double-sample masses (the integer matrix S of `_double_sample_matrix`,
+    over the support of step j_star; floats py K(y, z) in float mode),
+    sum_{y,z} W_yz max(f[x_i = y], f[x_i = z]) is contracted once over the
+    other n - 1 axes and divided once.  Exact inputs give the same Fraction
+    as averaging the max-operator images one pair at a time.
+    """
     if n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
     if f.kind != "table":
         f = to_table(f, budget=budget)
     pi = marginal(p, j_star)
-    kern = double_sample_kernel(p, j_star)
-    exact = p.exact and f.is_exact()
-    lhs: Number = Fraction(0) if exact else 0.0
-    for yi, y_sym in enumerate(kern.alphabet.symbols):
-        y = p.alphabet.index(y_sym)
-        py = kern.stationary.probs[yi]
-        for zi, z_sym in enumerate(kern.alphabet.symbols):
-            z = p.alphabet.index(z_sym)
-            w = py * kern.rows[yi][zi]
-            if w == 0:
-                continue
-            mf = max_operator(f, i, y, z, budget=budget)
-            lhs += w * expectation(mf, pi, budget=budget)
     mu = expectation(f, pi, budget=budget)
+    if not 1 <= i <= n:
+        raise ValueError("coordinate out of range")
+    support, s, lcm, mass = _double_sample_matrix(p, j_star)
+    if not _is_symmetric(s):
+        raise ArithmeticError("double-sample kernel violates reversibility")
+    exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget)
+    m = len(weights)
+    if exact:
+        pair, pair_scale = s, lcm * sum(mass)
+    else:
+        probs = pi.probs
+        pair = [
+            [probs[y] * (x / (lcm * mass[a])) for x in row]
+            for a, (y, row) in enumerate(zip(support, s))
+        ]
+        pair_scale = 1
+    cols = [_slab(values, m, m ** (i - 1), y) for y in support]
+    fibre = None
+    for a, b in itertools.combinations_with_replacement(range(len(support)), 2):
+        # (y, z) and (z, y) share one max-operator image
+        w = pair[a][a] if a == b else pair[a][b] + pair[b][a]
+        if not w:
+            continue
+        term = cols[a] if a == b else map(max, cols[a], cols[b])
+        fibre = (
+            [w * v for v in term] if fibre is None
+            else [u + w * v for u, v in zip(fibre, term)]
+        )
+    total = _contract(fibre, weights, n - 1)[0] * sum(weights)
+    lhs = Fraction(total, pair_scale * v_scale * w_scale**n) if exact else total
     inf = influence(f, pi, i=i, budget=budget)
     r = rho(p)
     rhs = float(mu) + float(inf) * (1.0 - r * r)

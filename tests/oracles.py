@@ -152,6 +152,33 @@ def multi_set_expectation_brute(p, ell, n, fns):
     return total
 
 
+def is_markov_generated_brute(p, ell, m, tol=1e-10):
+    """(ok, kernels) for a step-tuple -> weight map: every positive-mass
+    prefix must have the conditional law of its next symbol within tol of the
+    first such prefix (in sorted order) with the same last symbol, compared
+    as the float of the exact difference.  Kernel rows are those first laws,
+    zero rows for symbols no positive prefix ends in."""
+    kernels = []
+    for j in range(2, ell + 1):
+        prefixes = sorted({t[: j - 1] for t, w in p.items() if w > 0})
+        rows = [None] * m
+        for prev in prefixes:
+            mass = sum((w for t, w in p.items() if t[: j - 1] == prev), Fraction(0))
+            cond = [
+                sum((w for t, w in p.items() if t[:j] == prev + (b,)), Fraction(0)) / mass
+                for b in range(m)
+            ]
+            a = prev[-1]
+            if rows[a] is None:
+                rows[a] = cond
+            elif any(abs(float(u - v)) > tol for u, v in zip(rows[a], cond)):
+                return False, None
+        kernels.append(tuple(
+            tuple(r) if r is not None else (Fraction(0),) * m for r in rows
+        ))
+    return True, kernels
+
+
 def apply_kernel_brute(rows, values, m, n):
     """h(x) = sum_y prod_i rows[x_i][y_i] f(y) over every pair of points,
     for the mixed-radix value list of f (coordinate 1 least significant)."""
@@ -465,6 +492,134 @@ def resilience_witness_brute(values, m, n, probs, eps, k, upper_only, exact):
         lambda v: v > hi or (not upper_only and v < lo), exact,
     )
     return None if found is None else found[0]
+
+
+# ---------------------------------------------------------------------------
+# the influence-reduction loop point by point: every influence, max-operator
+# image, restriction, expectation and product is recomputed from the values
+# of every candidate, in the package's scan order and with its certificates.
+# `p` maps step tuples to weights, `tables` are mixed-radix value lists
+# (coordinate 1 least significant) and `rho_value` is rho(p) as a float.
+
+
+def table_max_operator(values, m, n, i, y, z):
+    """Value list of max(f with x_i = y, f with x_i = z)."""
+    return [
+        max(a, b) for a, b in zip(
+            table_restrict(values, m, n, {i: y}), table_restrict(values, m, n, {i: z})
+        )
+    ]
+
+
+def _point_expectation(values, m, n, pi):
+    total = Fraction(0)
+    for x in itertools.product(range(m), repeat=n):
+        w = Fraction(1)
+        for s in x:
+            w *= pi.get(s, 0)
+        total += w * table_value(values, m, x)
+    return total
+
+
+def _point_influence(values, m, n, pi, i):
+    """E over the other coordinates of Var[f] along coordinate i."""
+    total = Fraction(0)
+    for rest in itertools.product(range(m), repeat=n - 1):
+        w = Fraction(1)
+        for s in rest:
+            w *= pi.get(s, 0)
+        mean = mean_sq = Fraction(0)
+        for a in range(m):
+            v = table_value(values, m, rest[: i - 1] + (a,) + rest[i - 1:])
+            mean += pi.get(a, 0) * v
+            mean_sq += pi.get(a, 0) * v * v
+        total += w * (mean_sq - mean * mean)
+    return total
+
+
+def influence_reduction_brute(p, ell, m, n, tables, tau, rho_value):
+    """(final tables, iterations, params) of the influence-reduction loop.
+
+    Iterations are tuples (j*, i, x_bar, y, z, prob_y, prob_z, before, after,
+    product_before, product_after, gain); certificate failures raise
+    ArithmeticError like the package.
+    """
+    one_minus = 1.0 - rho_value * rho_value
+    gain_target = float(tau) * one_minus / 2.0
+    beta_hat = float(tau) * one_minus / (2.0 * ell * m ** (ell + 1))
+    cap = math.floor(2.0 * ell / (float(tau) * one_minus))
+    pis = [marginal(p, ell, j) for j in range(1, ell + 1)]
+
+    def product(ts):
+        fns = [lambda x, t=t: table_value(t, m, x) for t in ts]
+        return multi_set_expectation_brute(p, ell, n, fns)
+
+    cur = [list(t) for t in tables]
+    product_initial = product(cur)
+    iterations = []
+    while True:
+        infl = {
+            (j, i): _point_influence(cur[j - 1], m, n, pis[j - 1], i)
+            for j in range(1, ell + 1) for i in range(1, n + 1)
+        }
+        worst = max(infl.values())
+        if worst <= tau:
+            break
+        i, j_star = min((i, j) for (j, i), v in infl.items() if v == worst)
+        before = tuple(_point_expectation(t, m, n, pi) for t, pi in zip(cur, pis))
+        product_before = product(cur)
+        others = [j for j in range(1, ell + 1) if j != j_star]
+        hit = None
+        for x_bar in itertools.product(range(m), repeat=ell - 1):
+            def tup(sym):
+                out = [0] * ell
+                for j, a in zip(others, x_bar):
+                    out[j - 1] = a
+                out[j_star - 1] = sym
+                return tuple(out)
+
+            for y in range(m):
+                prob_y = p.get(tup(y), Fraction(0))
+                if prob_y < beta_hat:
+                    continue
+                for z in range(m):
+                    prob_z = p.get(tup(z), Fraction(0))
+                    if prob_z < beta_hat:
+                        continue
+                    trial = list(cur)
+                    trial[j_star - 1] = table_max_operator(cur[j_star - 1], m, n, i, y, z)
+                    for j, a in zip(others, x_bar):
+                        trial[j - 1] = table_restrict(cur[j - 1], m, n, {i: a})
+                    after = tuple(_point_expectation(t, m, n, pi) for t, pi in zip(trial, pis))
+                    gain = sum(after) - sum(before)
+                    if gain >= gain_target:
+                        hit = (x_bar, y, z, prob_y, prob_z, trial, after, gain)
+                        break
+                if hit:
+                    break
+            if hit:
+                break
+        if hit is None:
+            raise ArithmeticError("no qualifying tuple found although an influence exceeds tau")
+        x_bar, y, z, prob_y, prob_z, trial, after, gain = hit
+        product_after = product(trial)
+        if product_before < beta_hat * product_after:
+            raise ArithmeticError("per-step product certificate failed")
+        iterations.append((j_star, i, x_bar, y, z, prob_y, prob_z, before, after,
+                           product_before, product_after, gain))
+        cur = trial
+        if len(iterations) > cap:
+            raise ArithmeticError("influence reduction ran past its iteration cap")
+    params = {
+        "tau": tau,
+        "rho": rho_value,
+        "beta_hat": beta_hat,
+        "iteration_cap": cap,
+        "beta": beta_hat**cap,
+        "product_initial": product_initial,
+        "product_final": product(cur),
+    }
+    return cur, iterations, params
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -408,6 +409,94 @@ def test_markov_kernels_reproduce_random_chains():
 
 def test_two_steps_are_vacuously_markov():
     assert is_markov_generated(helpers.skew_dist())[0]
+
+
+def _markov_agrees_with_brute(p):
+    cells = dict(p.support())
+    got = is_markov_generated(p)
+    want = oracles.is_markov_generated_brute(cells, p.steps, len(p.alphabet))
+    assert got == want
+    return got[0]
+
+
+def test_markov_check_matches_brute_on_chains_and_perturbations():
+    rng = random.Random(4711)
+    verdicts = []
+    for m in (2, 3):
+        for steps in (3, 4):
+            for _ in range(3):
+                chain = helpers.random_markov_dist(rng, m, steps)
+                assert _markov_agrees_with_brute(chain)
+                # moving mass between two support tuples breaks the chain
+                cells = dict(chain.support())
+                tups = sorted(cells)
+                a, b = rng.sample(tups, 2)
+                cells[a] += cells[b] / 2
+                cells[b] /= 2
+                verdicts.append(_markov_agrees_with_brute(helpers.dist_from_cells(cells, m, steps)))
+    assert not all(verdicts)
+
+
+def test_markov_check_skips_zero_mass_prefixes():
+    # symbol 2 never starts and 0 -> 2 never happens, so the prefixes (2,),
+    # (0, 2) and (2, x) carry no mass; the row of 2 at step 2 is zero-filled
+    row = {0: (1, 2, 0), 1: (1, 1, 1), 2: (0, 1, 1)}
+    start = (1, 3, 0)
+    cells = {}
+    for tup in itertools.product(range(3), repeat=3):
+        w = Fraction(start[tup[0]])
+        for x, y in zip(tup, tup[1:]):
+            w *= Fraction(row[x][y], sum(row[x]))
+        if w:
+            cells[tup] = w
+    p = helpers.dist_from_cells(cells, 3, 3)
+    assert _markov_agrees_with_brute(p)
+    _, kernels = is_markov_generated(p)
+    assert kernels[0][2] == (Fraction(0),) * 3
+    assert kernels[1][1] == (Fraction(1, 3),) * 3
+
+
+def test_markov_check_on_three_step_non_markov_distributions():
+    rng = random.Random(4712)
+    seen_false = 0
+    for m in (2, 3):
+        for _ in range(6):
+            p = helpers.random_dist(rng, m, 3)
+            seen_false += not _markov_agrees_with_brute(p)
+    assert seen_false >= 6
+    assert not _markov_agrees_with_brute(helpers.ap3_dist())
+
+
+def test_markov_check_uses_the_float_of_the_exact_difference():
+    # the two step-3 laws after symbol 0 at step 2 differ by 10^-12 < tol
+    eps = Fraction(1, 10**12)
+    cells = {
+        (0, 0, 0): Fraction(1, 4) * (Fraction(1, 2) + eps),
+        (0, 0, 1): Fraction(1, 4) * (Fraction(1, 2) - eps),
+        (1, 0, 0): Fraction(1, 8),
+        (1, 0, 1): Fraction(1, 8),
+        (1, 1, 1): Fraction(1, 2),
+    }
+    p = helpers.dist_from_cells(cells, 2, 3)
+    assert _markov_agrees_with_brute(p)
+    assert not is_markov_generated(p, tol=1e-13)[0]
+    assert oracles.is_markov_generated_brute(dict(p.support()), 3, 2, tol=1e-13) == (False, None)
+
+
+def test_markov_check_float_twin_agrees():
+    rng = random.Random(4713)
+    for m in (2, 3):
+        chain = helpers.random_markov_dist(rng, m, 3)
+        twin = StepDistribution(
+            chain.alphabet, 3, tuple(float(w) for w in chain.weights), False
+        )
+        ok, kernels = is_markov_generated(twin)
+        assert ok
+        _, exact = is_markov_generated(chain)
+        for got, want in zip(kernels, exact):
+            for got_row, want_row in zip(got, want):
+                assert all(isinstance(x, float) for x in got_row)
+                assert got_row == pytest.approx([float(x) for x in want_row], rel=1e-12, abs=1e-15)
 
 
 def test_markov_needs_two_steps():

@@ -435,6 +435,90 @@ def test_influence_reduction_refuses_full_correlation():
         influence_reduction(p, 1, (f, f, f), Fraction(1, 10))
 
 
+def test_influence_reduction_refuses_mismatched_functions_before_any_work():
+    p = helpers.basic_dist()
+    # a junta over 30 coordinates would be materialized as a 3^30-point table
+    wide = make_junta(30, TRIT, [(1, "0")])
+    with pytest.raises(ValueError, match="n disagrees"):
+        influence_reduction(p, 1, (wide, wide), Fraction(1, 10))
+    one = make_junta(1, TRIT, [(1, "0")])
+    bits = make_junta(1, BIT, [(1, "0")])
+    with pytest.raises(ValueError, match="alphabet"):
+        influence_reduction(p, 1, (one, bits), Fraction(1, 10))
+
+
+def _reduction_instances(seed):
+    """(p, n, tables) with rho(p) < 1: two steps and three, alphabets 2 and 3,
+    n <= 3, tables with values in eighths and 0/1 tables."""
+    rng = random.Random(seed)
+    for ell, m in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for n in (1, 2, 3):
+            for denominator in (8, 1):
+                while True:
+                    p = helpers.random_dist(rng, m, ell)
+                    if rho(p) < 1 - 1e-6:
+                        break
+                tables = [helpers.random_unit_table(rng, n, m, denominator) for _ in range(ell)]
+                yield p, n, tables
+
+
+def _step_fields(step):
+    return (
+        step.j_star, step.i, step.x_bar, step.y, step.z, step.prob_y, step.prob_z,
+        step.before, step.after, step.product_before, step.product_after, step.gain,
+    )
+
+
+def _brute_reduction(p, n, tables, tau, r):
+    """The oracle's loop on p's exact weights, with r as rho."""
+    cells = dict(p.support())
+    assert r == pytest.approx(oracles.rho_brute(cells, p.steps), abs=1e-9)
+    return oracles.influence_reduction_brute(
+        cells, p.steps, len(p.alphabet), n, tables, tau, r
+    )
+
+
+def test_influence_reduction_matches_brute_oracle_exactly():
+    tau = Fraction(1, 10)
+    iterations = 0
+    for p, n, tables in _reduction_instances(4242):
+        symbols = p.alphabet.symbols
+        fns = tuple(make_table_function(n, symbols, t) for t in tables)
+        out, log = influence_reduction(p, n, fns, tau)
+        want_tables, want_steps, want_params = _brute_reduction(p, n, tables, tau, rho(p))
+        assert [_step_fields(s) for s in log.iterations] == want_steps
+        assert log.params == want_params
+        assert [list(f.payload["values"]) for f in out] == want_tables
+        iterations += len(want_steps)
+    assert iterations >= 20  # the instances exercise the loop, not only its exit
+
+
+def test_influence_reduction_float_twin_picks_the_same_tuples():
+    # tolerance fixed before the loop moved to fibre contractions
+    rel = 1e-12
+    tau = Fraction(1, 10)
+    for p, n, tables in _reduction_instances(4242):
+        twin = _float_twin(p)
+        # rho is a float on both routes; the twin's own value sets its
+        # thresholds and its iteration cap, a floor that can step at a tie
+        want_tables, want_steps, want_params = _brute_reduction(p, n, tables, tau, rho(twin))
+        symbols = p.alphabet.symbols
+        fns = tuple(make_table_function(n, symbols, [float(v) for v in t]) for t in tables)
+        out, log = influence_reduction(twin, n, fns, tau)
+        got = [_step_fields(s) for s in log.iterations]
+        assert [s[:5] for s in got] == [s[:5] for s in want_steps]
+        for g, w in zip(got, want_steps):
+            flat_g = [g[5], g[6], *g[7], *g[8], g[9], g[10], g[11]]
+            flat_w = [w[5], w[6], *w[7], *w[8], w[9], w[10], w[11]]
+            assert all(isinstance(x, float) for x in flat_g)
+            assert flat_g == pytest.approx([float(x) for x in flat_w], rel=rel, abs=0)
+        assert log.params["iteration_cap"] == want_params["iteration_cap"]
+        for key in ("rho", "beta_hat", "beta", "product_initial", "product_final"):
+            assert log.params[key] == pytest.approx(float(want_params[key]), rel=rel, abs=0)
+        for f, t in zip(out, want_tables):
+            assert list(f.payload["values"]) == pytest.approx([float(v) for v in t], rel=rel, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # max-gain inequality
 
@@ -478,6 +562,67 @@ def test_max_gain_matches_brute_oracle_and_holds():
                 brute = oracles.max_gain_brute(cells, ell, n, j_star, i, fn)
                 assert rep.lhs == brute
                 assert rep.holds
+
+
+def _check_max_gain_against_brute(p, n, values):
+    cells = dict(p.support())
+    m = len(p.alphabet)
+    f = make_table_function(n, p.alphabet.symbols, values)
+    for j_star in range(1, p.steps + 1):
+        probs = marginal(p, j_star).probs
+        for i in range(1, n + 1):
+            rep = max_gain_check(p, j_star, i, n, f)
+            assert rep.lhs == oracles.max_gain_brute(
+                cells, p.steps, n, j_star, i, lambda x: oracles.table_value(values, m, x)
+            )
+            assert rep.mu == oracles.table_moments_enumerate(values, m, n, probs, True)[0]
+            assert rep.influence == oracles.table_influence_enumerate(
+                values, m, n, probs, True, i
+            )
+            assert rep.holds
+
+
+def test_max_gain_on_a_kernel_over_a_sub_alphabet():
+    # step 2 never shows symbol 2, so its double-sample kernel lives on {0, 1}
+    rng = random.Random(31)
+    for _ in range(4):
+        cells = {
+            (a, b): Fraction(rng.randint(1, 4)) for a in range(3) for b in range(2)
+            if rng.random() < 0.8 or a == b
+        }
+        p = helpers.dist_from_cells(cells, 3, 2)
+        assert marginal(p, 2).probs[2] == 0
+        n = rng.randint(1, 2)
+        _check_max_gain_against_brute(p, n, helpers.random_unit_table(rng, n, 3))
+
+
+def test_max_gain_on_three_step_distributions():
+    rng = random.Random(32)
+    for m in (2, 3):
+        for _ in range(2):
+            p = helpers.random_dist(rng, m, 3)
+            n = rng.randint(1, 2)
+            _check_max_gain_against_brute(p, n, helpers.random_unit_table(rng, n, m))
+
+
+def test_max_gain_float_mode_agrees_with_exact():
+    rng = random.Random(33)
+    for m, ell in ((2, 2), (3, 2), (2, 3)):
+        p = helpers.random_dist(rng, m, ell, full_support=True)
+        twin = _float_twin(p)
+        n = rng.randint(1, 3)
+        values = helpers.random_unit_table(rng, n, m)
+        f = make_table_function(n, p.alphabet.symbols, values)
+        f_float = make_table_function(n, p.alphabet.symbols, [float(v) for v in values])
+        for j_star in range(1, ell + 1):
+            for i in range(1, n + 1):
+                exact = max_gain_check(p, j_star, i, n, f)
+                rep = max_gain_check(twin, j_star, i, n, f_float)
+                assert isinstance(rep.lhs, float) and isinstance(rep.influence, float)
+                for got, want in ((rep.lhs, exact.lhs), (rep.mu, exact.mu),
+                                  (rep.influence, exact.influence), (rep.rhs, exact.rhs)):
+                    assert got == pytest.approx(float(want), rel=1e-12, abs=1e-15)
+                assert rep.holds == exact.holds
 
 
 # ---------------------------------------------------------------------------
