@@ -3,10 +3,12 @@
 Four function representations share one interface: dense tables, symmetric
 count-window acceptors with an optional anchored coordinate, junta indicators,
 and modular linear-form indicators.  On top of them: exact expectations and
-influences (by tensor contraction over all points, by count or residue
-dynamic programs, and in closed form for juntas), orthonormal bases, Fourier
-expansions, the noise operator, projections onto coordinate subsets,
-restrictions, resilience checks, and the pointwise-max substitution operator.
+influences (by tensor contraction over all points, by the joint-count dynamic
+program for windows and residues, and in closed form for juntas), orthonormal
+bases, Fourier expansions, the noise operator, projections onto coordinate
+subsets, restrictions, resilience checks, and the pointwise-max substitution
+operator.  The one dynamic program, `_JointLayout`, runs over a marginal's
+one-step support here and over a distribution's step tuples in `hitting`.
 
 Expectations, variances and influences of tables (and of the other kinds on
 the 'enumerate' engine) contract the value list one coordinate at a time.
@@ -144,6 +146,8 @@ def make_anchored_symmetric(
         if not 1 <= coord <= n:
             raise ValueError("anchor coordinate out of range")
         anc = (int(coord), idx)
+    if any(not 0 <= s < len(alphabet) for s in [*win, *(anc[1:] if anc else ())]):
+        raise ValueError("window or anchor symbol outside the alphabet")
     ign = frozenset(int(c) for c in ignored)
     if any(not 1 <= c <= n for c in ign):
         raise ValueError("ignored coordinate out of range")
@@ -436,95 +440,216 @@ def _expectation_contract(
     return Fraction(total, v_scale * w_scale**f.n) if exact else total
 
 
-def _grouped_count_iter(f: FunctionSpec, pi: MarginalDistribution, shift, n_free, budget):
-    """Iterate (probability, shifted counts) over constrained-symbol count vectors.
+# ---------------------------------------------------------------------------
+# joint-count dynamic program
+#
+# A window (anchored_symmetric) or residue (mod_linear) function reads a point
+# only through per-symbol counts and linear residues, so E[f], Inf_i(f) and
+# the hitting product E[prod_j f_j(X^(j))] are one count over i.i.d.
+# coordinate draws.  Each coordinate draws a support tuple, one symbol per
+# function: a step tuple of the distribution for a product, the one-step
+# tuple (a,) of the marginal for a single function.  The joint state of all
+# functions is one packed int; masses are the draws' weights scaled to ints
+# (floats in float mode), divided once at the end.
 
-    Unconstrained symbols are lumped into one complement group, so the state
-    space is the product of the window boxes.  Probabilities are exact for
-    rational marginals.  `shift[sym]` counts already-pinned occurrences that
-    the windows must also cover.
+COUNT_KINDS = ("anchored_symmetric", "mod_linear")
+
+
+class _ResidueShift(dict):
+    """Change of the packed residue number when every modular function j adds inc[j]."""
+
+    def __init__(self, mods, inc):
+        super().__init__()
+        self.mods = mods
+        self.inc = inc
+
+    def __missing__(self, r: int) -> int:
+        shift = 0
+        for (_, q, radix), a in zip(self.mods, self.inc):
+            digit = r // radix % q
+            shift += ((digit + a) % q - digit) * radix
+        self[r] = shift
+        return shift
+
+
+class _JointLayout:
+    """The joint state of window and residue functions packed into one int,
+    and the effect of one coordinate's draw on it.
+
+    The residues of the modular-linear functions form a mixed-radix number in
+    the low `rmask` bits.  Above them each window slot (function, symbol)
+    owns a field of b = hi.bit_length() value bits and one guard bit.  The
+    field holds count + 2^b - 1 - hi, so a count passing hi sets the guard
+    bit and one AND with `guard` catches an overrun in any slot.  `start` is
+    the state before any draw.  `support` lists (tuple, scaled weight) pairs,
+    one symbol per function.
     """
-    pay = f.payload
-    con = sorted(pay["windows"])
-    exact = pi.exact
-    p_con = [pi.probs[s] for s in con]
-    p_other = (Fraction(1) if exact else 1.0) - sum(p_con)
-    cap = TABLE_BUDGET if budget is None else budget
-    boxes = []
-    for s in con:
-        lo, hi = pay["windows"][s]
-        lo_free = max(lo - shift.get(s, 0), 0)
-        hi_free = min(hi - shift.get(s, 0), n_free)
-        if hi_free < lo_free:
-            return
-        boxes.append(range(lo_free, hi_free + 1))
-    size = 1
-    for b in boxes:
-        size *= len(b)
-    if size > cap:
-        raise BudgetExceeded(f"window box of {size} states exceeds budget {cap}")
-    for combo in itertools.product(*boxes):
-        used = sum(combo)
-        rest = n_free - used
-        if rest < 0:
-            continue
-        if p_other == 0 and rest > 0:
-            continue
-        # multinomial over the constrained groups plus the complement
-        weight: Number = Fraction(1) if exact else 1.0
-        remaining = n_free
-        for c, p in zip(combo, p_con):
-            weight *= math.comb(remaining, c) * (p**c)
-            remaining -= c
-        weight *= p_other**rest
-        yield weight, dict(zip(con, combo))
 
-
-def _expectation_anchored_dp(f: FunctionSpec, pi: MarginalDistribution, budget=None):
-    pay = f.payload
-    exact = pi.exact
-    one: Number = Fraction(1) if exact else 1.0
-    if f.zero:
-        return one * 0
-    anchor = pay["anchor"]
-    shift: dict[int, int] = {}
-    factor = one
-    n_free = f.n - len(pay["ignored"])
-    if anchor is not None:
-        factor = factor * pi.probs[anchor[1]]
-        shift[anchor[1]] = 1
-        n_free -= 1
-    if factor == 0:
-        return one * 0
-    total = one * 0
-    for weight, _ in _grouped_count_iter(f, pi, shift, n_free, budget):
-        total += weight
-    return factor * total
-
-
-def _expectation_mod_linear_dp(f: FunctionSpec, pi: MarginalDistribution):
-    pay = f.payload
-    exact = pi.exact
-    zero: Number = Fraction(0) if exact else 0.0
-    if f.zero:
-        return zero
-    mod = pay["modulus"]
-    dist = [zero] * mod
-    dist[0] = Fraction(1) if exact else 1.0
-    for c in pay["coeffs"]:
-        step = [zero] * mod
-        for s, p in enumerate(pi.probs):
-            if p > 0:
-                step[(c * pay["symbol_map"][s]) % mod] += p
-        nxt = [zero] * mod
-        for a, wa in enumerate(dist):
-            if wa == 0:
+    def __init__(self, fns, support):
+        self.fns, self.support = fns, support
+        self.mods = []  # (function, modulus, radix)
+        radix = 1
+        for j, f in enumerate(fns):
+            if f.kind == "mod_linear":
+                self.mods.append((j, f.payload["modulus"], radix))
+                radix *= f.payload["modulus"]
+        pos = (radix - 1).bit_length()
+        self.rmask = (1 << pos) - 1
+        self.target = sum(fns[j].payload["residue"] * r for j, _, r in self.mods)
+        self.slots = {}  # (function, symbol) -> (bit position, offset, lo, hi)
+        self.guard = self.start = 0
+        # per function, the coordinates that bump none of its slots; and the
+        # coordinates some window anchors or ignores -> (anchors, muted functions)
+        self.ignored = [frozenset()] * len(fns)
+        self.special: dict = {}
+        for j, f in enumerate(fns):
+            if f.kind != "anchored_symmetric":
                 continue
-            for b, wb in enumerate(step):
-                if wb != 0:
-                    nxt[(a + b) % mod] += wa * wb
-        dist = nxt
-    return dist[pay["residue"]]
+            for sym, (lo, hi) in sorted(f.payload["windows"].items()):
+                bits = hi.bit_length()
+                off = (1 << bits) - 1 - hi
+                self.slots[(j, sym)] = (pos, off, lo, hi)
+                self.start |= off << pos
+                self.guard |= 1 << (pos + bits)
+                pos += bits + 1
+            self.ignored[j] = f.payload["ignored"]
+            for c in self.ignored[j]:
+                anchors, muted = self.special.get(c, ((), ()))
+                self.special[c] = (anchors, muted + (j,))
+            if f.payload["anchor"] is not None:
+                c, sym = f.payload["anchor"]
+                anchors, muted = self.special.get(c, ((), ()))
+                self.special[c] = (anchors + ((j, sym),), muted)
+        coeffs = [fns[j].payload["coeffs"] for j, _, _ in self.mods]
+        self.coeffs = list(zip(*coeffs)) if coeffs else [()] * fns[0].n
+        self.final = self.floor([0] * len(fns))
+        self._effects: dict = {}
+
+    def floor(self, rest) -> int:
+        """Packed lower bounds a state must meet to reach every window's lo
+        when rest[j] more coordinates can bump function j's slots; 0 when
+        nothing is bounded.
+
+        A state meets the floor iff ((key | guard) - floor) & guard == guard:
+        every field then subtracts at most 2^b from 2^b + its value, so no
+        borrow crosses a field and its guard bit survives iff value >= bound.
+        """
+        floor = 0
+        for (j, _), (pos, off, lo, hi) in self.slots.items():
+            need = min(lo - rest[j], hi + 1)
+            if need > 0:
+                floor |= (off + need) << pos
+        return floor
+
+    def accepts(self, key: int) -> bool:
+        """Whether a state after the last draw lies in every window and hits
+        every residue."""
+        guard = self.guard
+        return (
+            not key & guard
+            and ((key | guard) - self.final) & guard == guard
+            and key & self.rmask == self.target
+        )
+
+    def effects(self, coord: int):
+        """(window increment, residue shift, weight) per distinct effect of the
+        draw at `coord`, support tuples with equal effects merged.
+
+        A function anchored at `coord` admits only the tuples that carry its
+        anchor symbol there, and one that ignores `coord` bumps none of its
+        slots.  Coordinates with equal anchors, ignoring functions and modular
+        coefficients share one list.
+        """
+        sig = (self.special.get(coord), self.coeffs[coord - 1])
+        if sig in self._effects:
+            return self._effects[sig]
+        anchors, muted = sig[0] or ((), ())
+        merged: dict = {}
+        for tup, w in self.support:
+            if any(tup[j] != a for j, a in anchors):
+                continue
+            bump = 0
+            for j, sym in enumerate(tup):
+                slot = self.slots.get((j, sym))
+                if slot is not None and j not in muted:
+                    bump += 1 << slot[0]
+            inc = tuple(
+                c * self.fns[j].payload["symbol_map"][tup[j]] % q
+                for c, (j, q, _) in zip(sig[1], self.mods)
+            )
+            merged[bump, inc] = merged.get((bump, inc), 0) + w
+        effects = [
+            (bump, _ResidueShift(self.mods, inc), w) for (bump, inc), w in merged.items()
+        ]
+        self._effects[sig] = effects
+        return effects
+
+    def walk(self, coords, budget, later=()) -> dict:
+        """Live states {packed key: scaled mass} after the coordinates `coords`
+        draw, in that order.
+
+        A state is dropped when a window overruns or when some window's lo is
+        out of reach with the rest of `coords` and the coordinates `later`
+        still to draw.  More than `budget` live states after a draw raise
+        BudgetExceeded.  A zero function leaves no state.
+        """
+        if any(f.zero for f in self.fns):
+            return {}
+        cap = TABLE_BUDGET if budget is None else budget
+        guard, rmask = self.guard, self.rmask
+        rest = [sum(c not in ign for c in (*coords, *later)) for ign in self.ignored]
+        states = {self.start: 1}
+        for c in coords:
+            rest = [r - (c not in ign) for r, ign in zip(rest, self.ignored)]
+            effects, floor = self.effects(c), self.floor(rest)
+            nxt: dict = {}
+            for key, mass in states.items():
+                r = key & rmask
+                for bump, shift, w in effects:
+                    new = key + bump + shift[r]
+                    if new & guard or (floor and ((new | guard) - floor) & guard != guard):
+                        continue
+                    nxt[new] = nxt.get(new, 0) + mass * w
+            states = nxt
+            if not states:
+                break
+            if len(states) > cap:
+                raise BudgetExceeded(
+                    f"joint-count state space {len(states)} exceeds the budget {cap}"
+                )
+        return states
+
+
+def _joint_count(fns, support, n: int, budget):
+    """Scaled mass of the draws at coordinates 1..n that every function accepts."""
+    layout = _JointLayout(fns, support)
+    states = layout.walk(range(1, n + 1), budget)
+    return sum(mass for key, mass in states.items() if layout.accepts(key))
+
+
+def _marginal_support(pi: MarginalDistribution):
+    """The one-step support tuples ((a,), W_a) of pi, weights read from its view."""
+    return [((a,), w) for a, w in enumerate(pi.view.ints) if w > 0]
+
+
+def _influence_count(f: FunctionSpec, pi: MarginalDistribution, i: int, budget) -> Number:
+    """Inf_i(f) of a window or residue function by the joint-count program.
+
+    Every coordinate but i draws, with i counted as still to come in the
+    floors.  In a live state of scaled mass M, the draws at i that lead to
+    acceptance weigh P of the weight scale sw, so the state adds
+    M (sw P - P^2) / sw^(n+1) to E[Var[f | every coordinate but i]].
+    """
+    sw = pi.view.scale
+    layout = _JointLayout((f,), _marginal_support(pi))
+    states = layout.walk([c for c in range(1, f.n + 1) if c != i], budget, later=(i,))
+    effects, rmask = layout.effects(i), layout.rmask
+    total = 0
+    for key, mass in states.items():
+        r = key & rmask
+        hit = sum(w for bump, shift, w in effects if layout.accepts(key + bump + shift[r]))
+        total += mass * (sw * hit - hit * hit)
+    return Fraction(total, sw ** (f.n + 1)) if pi.exact else float(total)
 
 
 def expectation(
@@ -533,11 +658,14 @@ def expectation(
 ) -> Number:
     """E[f(X)] with X_i independent draws from pi.
 
-    engine: 'enumerate' contracts the values at all m^n points, 'dp' uses the
-    count-window or residue dynamic program (anchored_symmetric and
-    mod_linear only), 'auto' prefers the dp when it applies, the closed form
-    for juntas, and the contraction within the budget otherwise.  Exact
-    inputs give exact rationals on every route.
+    engine: 'enumerate' contracts the values at all m^n points, 'dp' runs the
+    joint-count program over the marginal's one-step support (window and
+    residue kinds only), 'auto' prefers the dp when it applies, the closed
+    form for juntas, and the contraction within the budget otherwise.  Exact
+    inputs give exact rationals on every route.  `budget` caps the m^n points
+    of a contraction; on the dp it caps the live states after each
+    coordinate, counted after dropping those that can no longer reach a
+    window's lower bound.
     """
     if n is not None and n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
@@ -548,10 +676,9 @@ def expectation(
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "enumerate":
         return _expectation_contract(f, pi, budget)
-    if f.kind == "anchored_symmetric":
-        return _expectation_anchored_dp(f, pi, budget)
-    if f.kind == "mod_linear":
-        return _expectation_mod_linear_dp(f, pi)
+    if f.kind in COUNT_KINDS:
+        total = _joint_count((f,), _marginal_support(pi), f.n, budget)
+        return Fraction(total, pi.view.scale**f.n) if pi.exact else float(total)
     if engine == "dp":
         raise ValueError(f"no dynamic program for kind {f.kind!r}")
     if f.kind == "junta":
@@ -633,101 +760,15 @@ def _influence_junta(f, pi, i) -> Number:
     return out
 
 
-def _influence_anchored_dp(f, pi, i, budget=None):
-    pay = f.payload
-    exact = pi.exact
-    zero: Number = Fraction(0) if exact else 0.0
-    one: Number = Fraction(1) if exact else 1.0
-    if f.zero or i in pay["ignored"]:
-        return zero
-    anchor = pay["anchor"]
-    windows = pay["windows"]
-
-    def in_windows(counts: dict[int, int]) -> bool:
-        return all(lo <= counts.get(s, 0) <= hi for s, (lo, hi) in windows.items())
-
-    if anchor is not None and i == anchor[0]:
-        # f depends on x_i only through the anchor match and x_i's own count
-        pv = pi.probs[anchor[1]]
-        n_free = f.n - 1 - len(pay["ignored"])
-        prob = zero
-        for weight, counts in _grouped_count_iter(f, pi, {anchor[1]: 1}, n_free, budget):
-            prob += weight
-        return pv * (1 - pv) * prob
-    shift: dict[int, int] = {}
-    factor = one
-    n_free = f.n - len(pay["ignored"]) - 1
-    if anchor is not None:
-        factor = factor * pi.probs[anchor[1]]
-        shift[anchor[1]] = 1
-        n_free -= 1
-    if factor == 0:
-        return zero
-    total = zero
-    con = sorted(windows)
-    # iterate over free-count states ignoring windows on the +1 slot: widen
-    # each box by one below so boundary states appear
-    widened = dict(windows)
-    pay_widened = {**pay, "windows": {s: (max(lo - 1, 0), hi) for s, (lo, hi) in widened.items()}}
-    f_wide = FunctionSpec(f.n, f.alphabet, f.kind, pay_widened)
-    for weight, counts in _grouped_count_iter(f_wide, pi, shift, n_free, budget):
-        base = {s: counts.get(s, 0) + shift.get(s, 0) for s in set(counts) | set(shift)}
-        p = zero
-        for a, pa in enumerate(pi.probs):
-            if pa <= 0:
-                continue
-            bumped = dict(base)
-            bumped[a] = bumped.get(a, 0) + 1
-            if in_windows(bumped):
-                p += pa
-        total += weight * (p - p * p)
-    return factor * total
-
-
-def _influence_mod_linear_dp(f, pi, i):
-    pay = f.payload
-    exact = pi.exact
-    zero: Number = Fraction(0) if exact else 0.0
-    if f.zero:
-        return zero
-    mod = pay["modulus"]
-    dist = [zero] * mod
-    dist[0] = Fraction(1) if exact else 1.0
-    for coord, c in enumerate(pay["coeffs"], start=1):
-        if coord == i:
-            continue
-        step = [zero] * mod
-        for s, p in enumerate(pi.probs):
-            if p > 0:
-                step[(c * pay["symbol_map"][s]) % mod] += p
-        nxt = [zero] * mod
-        for a, wa in enumerate(dist):
-            if wa == 0:
-                continue
-            for b, wb in enumerate(step):
-                if wb != 0:
-                    nxt[(a + b) % mod] += wa * wb
-        dist = nxt
-    ci = pay["coeffs"][i - 1]
-    total = zero
-    for s, ws in enumerate(dist):
-        if ws == 0:
-            continue
-        p = zero
-        for a, pa in enumerate(pi.probs):
-            if pa > 0 and (s + ci * pay["symbol_map"][a]) % mod == pay["residue"]:
-                p += pa
-        total += ws * (p - p * p)
-    return total
-
-
 def influence(
     f: FunctionSpec, pi: MarginalDistribution, n: int | None = None, i: int = 1,
     engine: str = "auto", budget: int | None = None,
 ) -> Number:
     """Inf_i(f) = E[Var[f(X) | X at all coordinates except i]], exact when inputs are.
 
-    Engines as for `expectation`; 'auto' uses the closed form for juntas.
+    Engines and budgets as for `expectation`; the dp walks every coordinate
+    but i (see `_influence_count`), and 'auto' uses the closed form for
+    juntas.
     """
     if n is not None and n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
@@ -737,10 +778,8 @@ def influence(
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine != "enumerate":
-        if f.kind == "anchored_symmetric":
-            return _influence_anchored_dp(f, pi, i, budget)
-        if f.kind == "mod_linear":
-            return _influence_mod_linear_dp(f, pi, i)
+        if f.kind in COUNT_KINDS:
+            return _influence_count(f, pi, i, budget)
         if engine == "dp":
             raise ValueError(f"no dynamic program for kind {f.kind!r}")
         if f.kind == "junta":

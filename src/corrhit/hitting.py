@@ -3,8 +3,10 @@
 The central quantity is E[prod_j f^(j)(X^(j))] where every coordinate draws a
 step tuple independently from one distribution.  Two exact routes compute it:
 enumeration of the sum over support assignments, run as contractions of the
-step tables along every coordinate, and a joint-count dynamic program for
-symmetric window and modular-linear functions.  On top sit the two
+step tables along every coordinate, and the joint-count dynamic program of
+`fourier` for window and modular-linear functions, run over the
+distribution's support tuples (the same program gives their single
+expectations and influences).  On top sit the two
 constructive loops (density increment and influence reduction), closed-form
 bound evaluators, the counterexample catalogs, the Markov-chain product
 identity, and an empirical hitting-exponent fit.
@@ -30,6 +32,7 @@ from .dist_core import (
     rho,
 )
 from .fourier import (
+    COUNT_KINDS,
     TABLE_BUDGET,
     BudgetExceeded,
     FunctionSpec,
@@ -38,6 +41,7 @@ from .fourier import (
     _expectation_contract,
     _find_restriction,
     _influence_contract,
+    _joint_count,
     _kernel_inputs,
     _slab,
     expectation,
@@ -163,183 +167,13 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
     return Fraction(total, den) if exact else float(total)
 
 
-def _dp_special_coords(fns) -> tuple[int, ...] | None:
-    """Coordinates that must be enumerated explicitly, or None if incompatible."""
-    special: set[int] = set()
-    for f in fns:
-        if f.kind == "anchored_symmetric":
-            if f.payload["anchor"] is not None:
-                special.add(f.payload["anchor"][0])
-            special |= set(f.payload["ignored"])
-        elif f.kind != "mod_linear":
-            return None
-    if len(special) > 2:
-        return None
-    return tuple(sorted(special))
-
-
-class _ResidueShift(dict):
-    """Change of the packed residue number when every modular function j adds inc[j]."""
-
-    def __init__(self, mods, inc):
-        super().__init__()
-        self.mods = mods
-        self.inc = inc
-
-    def __missing__(self, r: int) -> int:
-        shift = 0
-        for (_, q, radix), a in zip(self.mods, self.inc):
-            digit = r // radix % q
-            shift += ((digit + a) % q - digit) * radix
-        self[r] = shift
-        return shift
-
-
-class _JointLayout:
-    """The joint state of every step function packed into one int.
-
-    The residues of the modular-linear functions form a mixed-radix number in
-    the low `rmask` bits.  Above them each window slot (step, symbol) owns a
-    field of b = hi.bit_length() value bits and one guard bit.  The field
-    holds count + 2^b - 1 - hi, so a count passing hi sets the guard bit and
-    one AND with `guard` catches an overrun in any slot.
-    """
-
-    def __init__(self, fns):
-        self.fns = fns
-        self.mods = []  # (step, modulus, radix)
-        radix = 1
-        for j, f in enumerate(fns):
-            if f.kind == "mod_linear":
-                self.mods.append((j, f.payload["modulus"], radix))
-                radix *= f.payload["modulus"]
-        pos = (radix - 1).bit_length()
-        self.rmask = (1 << pos) - 1
-        self.target = sum(fns[j].payload["residue"] * r for j, _, r in self.mods)
-        self.slots = {}  # (step, symbol) -> (bit position, offset, lo, hi)
-        self.guard = 0
-        for j, f in enumerate(fns):
-            if f.kind == "anchored_symmetric":
-                for sym, (lo, hi) in sorted(f.payload["windows"].items()):
-                    bits = hi.bit_length()
-                    self.slots[(j, sym)] = (pos, (1 << bits) - 1 - hi, lo, hi)
-                    self.guard |= 1 << (pos + bits)
-                    pos += bits + 1
-
-    def pin(self, special, tuples) -> int | None:
-        """State after the special coordinates draw `tuples`, or None when an
-        anchor mismatches or a window overruns there."""
-        key = 0
-        counts = dict.fromkeys(self.slots, 0)
-        for j, f in enumerate(self.fns):
-            if f.kind == "mod_linear":
-                continue
-            pay = f.payload
-            anchor = pay["anchor"]
-            for coord, tup in zip(special, tuples):
-                sym = tup[j]
-                if anchor is not None and coord == anchor[0] and sym != anchor[1]:
-                    return None
-                if coord not in pay["ignored"] and (j, sym) in counts:
-                    counts[(j, sym)] += 1
-        for j, q, radix in self.mods:
-            pay = self.fns[j].payload
-            res = sum(
-                pay["coeffs"][coord - 1] * pay["symbol_map"][tup[j]]
-                for coord, tup in zip(special, tuples)
-            )
-            key += res % q * radix
-        for slot, (pos, off, _, hi) in self.slots.items():
-            if counts[slot] > hi:
-                return None
-            key += (off + counts[slot]) << pos
-        return key
-
-    def floor(self, remaining: int) -> int:
-        """Packed lower bounds a state must meet to reach every window's lo
-        with `remaining` free coordinates left; 0 when nothing is bounded.
-
-        A state meets the floor iff ((key | guard) - floor) & guard == guard:
-        every field then subtracts at most 2^b from 2^b + its value, so no
-        borrow crosses a field and its guard bit survives iff value >= bound.
-        """
-        floor = 0
-        for pos, off, lo, hi in self.slots.values():
-            need = min(lo - remaining, hi + 1)
-            if need > 0:
-                floor |= (off + need) << pos
-        return floor
-
-    def effects(self, support, weights, coord: int):
-        """(window increment, residue shift, weight) per distinct effect of one
-        more free coordinate, support tuples with equal effects merged."""
-        merged: dict = {}
-        for (tup, _), w in zip(support, weights):
-            bump = 0
-            for j, sym in enumerate(tup):
-                slot = self.slots.get((j, sym))
-                if slot is not None:
-                    bump += 1 << slot[0]
-            inc = tuple(
-                self.fns[j].payload["coeffs"][coord - 1]
-                * self.fns[j].payload["symbol_map"][tup[j]] % q
-                for j, q, _ in self.mods
-            )
-            merged[(bump, inc)] = merged.get((bump, inc), 0) + w
-        return [
-            (bump, _ResidueShift(self.mods, inc), w)
-            for (bump, inc), w in merged.items()
-        ]
-
-
 def _multi_dp(p: StepDistribution, n: int, fns, budget) -> Number:
-    special = _dp_special_coords(fns)
-    if special is None:
+    """The product expectation by the joint-count program of `fourier`:
+    every coordinate draws a support tuple of p, one symbol per step."""
+    if any(f.kind not in COUNT_KINDS for f in fns):
         raise ValueError("functions are not compatible with the joint-count route")
-    exact = p.exact
-    if any(f.zero for f in fns):
-        return Fraction(0) if exact else 0.0
-    cap = TABLE_BUDGET if budget is None else budget
-    support = p.support()
-    scale, weights = scale_to_ints([w for _, w in support], exact)
-    layout = _JointLayout(fns)
-    guard, rmask = layout.guard, layout.rmask
-    free = [c for c in range(1, n + 1) if c not in special]
-    # free coordinates with equal modular coefficients share their effects
-    by_coeffs: dict = {}
-    plan = []
-    for t, coord in enumerate(free):
-        sig = tuple(fns[j].payload["coeffs"][coord - 1] for j, _, _ in layout.mods)
-        if sig not in by_coeffs:
-            by_coeffs[sig] = layout.effects(support, weights, coord)
-        plan.append((by_coeffs[sig], layout.floor(len(free) - t - 1)))
-    start_floor = layout.floor(len(free))
-
-    total = 0
-    for assignment in itertools.product(range(len(support)), repeat=len(special)):
-        key = layout.pin(special, [support[a][0] for a in assignment])
-        if key is None or ((key | guard) - start_floor) & guard != guard:
-            continue
-        branch = 1 if exact else 1.0
-        for a in assignment:
-            branch *= weights[a]
-        states = {key: branch}
-        for effects, floor in plan:
-            nxt: dict = {}
-            for key, mass in states.items():
-                r = key & rmask
-                for bump, shift, w in effects:
-                    new = key + bump + shift[r]
-                    if new & guard or (floor and ((new | guard) - floor) & guard != guard):
-                        continue
-                    nxt[new] = nxt.get(new, 0) + mass * w
-            states = nxt
-            if len(states) > cap:
-                raise BudgetExceeded(
-                    f"joint-count state space {len(states)} exceeds the budget {cap}"
-                )
-        total += sum(mass for key, mass in states.items() if key & rmask == layout.target)
-    return Fraction(total, scale**n) if exact else float(total)
+    total = _joint_count(fns, p._scaled_support, n, budget)
+    return Fraction(total, p._scale**n) if p.exact else float(total)
 
 
 def multi_set_expectation(
@@ -348,9 +182,9 @@ def multi_set_expectation(
     """E[prod_j f^(j)(X^(j))] with coordinates drawn i.i.d. from p, exact.
 
     engine 'enumerate' sums over all support assignments, 'dp' runs the
-    joint-count program (symmetric window and modular-linear functions whose
-    anchored or pinned coordinates form a shared set of size <= 2), 'auto'
-    prefers the dp when compatible and enumeration otherwise.  Both routes
+    joint-count program (window and modular-linear functions, with any
+    anchors and ignored coordinates), 'auto' takes the dp when every
+    function is of those kinds and enumeration otherwise.  Both routes
     scale rational weights and values to integers, work on ints, and divide
     once at the end, so exact inputs give exact Fractions; float inputs give
     floats.
@@ -376,9 +210,7 @@ def multi_set_expectation(
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "enumerate":
         return _multi_enumerate(p, n, fns, budget)
-    if engine == "dp":
-        return _multi_dp(p, n, fns, budget)
-    if _dp_special_coords(fns) is not None:
+    if engine == "dp" or all(f.kind in COUNT_KINDS for f in fns):
         return _multi_dp(p, n, fns, budget)
     return _multi_enumerate(p, n, fns, budget)
 
@@ -550,7 +382,8 @@ def influence_reduction(
     step function gets coordinate i substituted by its x-bar symbol.  The
     product expectation before an iteration must be at least beta-hat times
     the one after it, and the loop must stop within 2 l / (tau (1 - rho^2))
-    iterations.  Refuses rho = 1, and mismatched functions before any work.
+    iterations.  Refuses rho = 1 and a tau so small that this cap is not a
+    finite float, and mismatched functions before any work.
 
     Everything runs on the fibres of the step tables along axis i, read from
     their integer views (as floats when any input is a float).  The
@@ -587,12 +420,17 @@ def influence_reduction(
             "correlation is 1: the influence-reduction guarantee fails on such "
             "distributions (three-set counterexample), refusing"
         )
+    one_minus = 1.0 - r * r
+    span = float(tau) * one_minus
+    if not span or math.isinf(2.0 * ell / span):
+        raise ValueError(
+            f"tau = {float(tau)!r} leaves no finite iteration cap 2 l / (tau (1 - rho^2))"
+        )
     fns = tuple(to_table(f, budget=budget) for f in fns)
     m = len(p.alphabet)
-    one_minus = 1.0 - r * r
-    gain_target = float(tau) * one_minus / 2.0
-    beta_hat = float(tau) * one_minus / (2.0 * ell * m ** (ell + 1))
-    cap_iters = math.floor(2.0 * ell / (float(tau) * one_minus))
+    gain_target = span / 2.0
+    beta_hat = span / (2.0 * ell * m ** (ell + 1))
+    cap_iters = math.floor(2.0 * ell / span)
     marginals = [marginal(p, j) for j in range(1, ell + 1)]
     exact = p.exact and all(f.is_exact() for f in fns)
     # beta_hat > 0, so only support tuples can qualify; compared in ints when exact

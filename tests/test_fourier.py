@@ -111,6 +111,11 @@ def test_anchored_window_semantics():
     assert evaluate(f, (1, 1, 0)) == 1
     assert evaluate(f, (1, 1, 1)) == 0
     assert evaluate(f, (0, 1, 1)) == 0  # anchor violated
+    # symbol indices outside the alphabet are refused at construction
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        make_anchored_symmetric(3, BIT, {2: (0, 1)})
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        make_anchored_symmetric(3, BIT, {1: (0, 1)}, anchor=(1, 2))
 
 
 def test_anchored_ignored_coordinates_do_not_count():
@@ -257,32 +262,70 @@ def test_expectation_golden_dictator():
     assert influence(f, pi, i=1) == Fraction(2, 9)
 
 
+def _random_count_function(rng: random.Random, n: int, m: int, alphabet):
+    """A window or residue function, restricted at random coordinates half the
+    time, and its corrhit-free oracle."""
+    fixed = {}
+    if rng.random() < 0.5:
+        fixed = {c: rng.randrange(m) for c in rng.sample(range(1, n + 1), rng.randint(1, n))}
+    if rng.random() < 0.5:
+        # lo > 0 and empty windows (lo > hi) included
+        windows = {s: (rng.randint(0, n), rng.randint(0, n)) for s in rng.sample(range(m), rng.randint(1, 2))}
+        anchor = (rng.randint(1, n), rng.randrange(m)) if rng.random() < 0.5 else None
+        f = make_anchored_symmetric(n, alphabet, windows, anchor=anchor)
+
+        def accepts(x):
+            return (anchor is None or x[anchor[0] - 1] == anchor[1]) and all(
+                lo <= x.count(s) <= hi for s, (lo, hi) in windows.items()
+            )
+    else:
+        mod = rng.choice((2, 3, 5))
+        coeffs = [rng.randrange(mod) for _ in range(n)]
+        residue = rng.randrange(mod)
+        smap = [rng.randrange(mod) for _ in range(m)]
+        f = make_mod_linear(n, alphabet, mod, coeffs, residue, smap)
+
+        def accepts(x):
+            return sum(c * smap[s] for c, s in zip(coeffs, x)) % mod == residue
+
+    def oracle(x):
+        x = [fixed.get(c, s) for c, s in enumerate(x, start=1)]
+        return Fraction(int(accepts(x)))
+
+    if fixed:
+        f = restrict(f, Restriction.from_dict(n, fixed))
+    return f, oracle
+
+
 def test_expectation_dp_equals_enumeration_exactly():
     rng = random.Random(404)
-    pi_pool = [uniform_marginal(2), uniform_marginal(3), random_marginal(rng, 3)]
-    for trial in range(30):
+    pi_pool = [
+        uniform_marginal(2), uniform_marginal(3), random_marginal(rng, 3),
+        kernel_marginal(rng, 3, with_zero=True), kernel_marginal(rng, 2, with_zero=True),
+    ]
+    for trial in range(60):
         pi = pi_pool[trial % len(pi_pool)]
         m = len(pi.alphabet)
-        n = rng.randint(1, 4)
-        if rng.random() < 0.5:
-            windows = {rng.randrange(m): (0, rng.randint(0, n))}
-            anchor = (rng.randint(1, n), rng.randrange(m)) if rng.random() < 0.5 else None
-            f = make_anchored_symmetric(n, pi.alphabet, windows, anchor=anchor)
-        else:
-            mod = rng.choice((2, 3))
-            f = make_mod_linear(
-                n, pi.alphabet, mod,
-                [rng.randrange(mod) for _ in range(n)],
-                rng.randrange(mod),
-                [rng.randrange(mod) for _ in range(m)],
-            )
-        dp = expectation(f, pi, engine="dp")
-        enum = expectation(f, pi, engine="enumerate")
-        assert dp == enum
+        n = rng.randint(1, 5)
+        f, oracle = _random_count_function(rng, n, m, pi.alphabet)
+        pid = dict(enumerate(pi.probs))
+        float_pi = MarginalDistribution(pi.alphabet, tuple(float(q) for q in pi.probs), False)
+        symbols = tuple(range(m))
+        want = oracles.fn_expectation_iid(pid, n, oracle, symbols)
+        for engine in ("dp", "enumerate"):
+            got = expectation(f, pi, engine=engine)
+            assert isinstance(got, Fraction) and got == want
+            approx = expectation(f, float_pi, engine=engine)
+            assert isinstance(approx, float)
+            assert approx == pytest.approx(float(want), rel=1e-12, abs=1e-15)
         for i in range(1, n + 1):
-            assert influence(f, pi, i=i, engine="dp") == influence(
-                f, pi, i=i, engine="enumerate"
-            )
+            want = oracles.influence_iid(pid, n, oracle, symbols, i)
+            for engine in ("dp", "enumerate"):
+                got = influence(f, pi, i=i, engine=engine)
+                assert isinstance(got, Fraction) and got == want
+                approx = influence(f, float_pi, i=i, engine=engine)
+                assert isinstance(approx, float)
+                assert approx == pytest.approx(float(want), rel=1e-12, abs=1e-15)
 
 
 def test_expectation_dp_rejects_tables():

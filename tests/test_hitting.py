@@ -286,6 +286,33 @@ def test_enumeration_memory_stays_within_the_block():
     assert peak < 4 * 2**20
 
 
+def test_dp_budget_caps_live_states():
+    # For window and residue kinds the budget caps the live states after each
+    # draw, counted after dropping those that can no longer reach a window's
+    # lower bound.  Window 3 <= #0 <= 5 over n = 8 bits: after t draws the
+    # live counts are max(0, 3 - (8 - t))..min(t, 5), at most 6 (t = 5; also
+    # for the influence, which walks seven coordinates with i still to come).
+    # Residue sum x mod 5 over three symbols: at most 5 live residues.  On
+    # two independent uniform steps the joint states are pairs: 36 and 25.
+    window = make_anchored_symmetric(8, BIT, {"0": (3, 5)})
+    residue = make_mod_linear(4, TRIT, 5, (1,) * 4, 2, (0, 1, 2))
+    for f, peak in ((window, 6), (residue, 5)):
+        m = len(f.alphabet)
+        p = helpers.dist_from_cells(
+            {(a, b): Fraction(1, m * m) for a in range(m) for b in range(m)}, m, 2
+        )
+        pi = marginal(p, 1)
+        calls = [
+            (peak, lambda b: expectation(f, pi, budget=b)),
+            (peak, lambda b: influence(f, pi, i=2, budget=b)),
+            (peak * peak, lambda b: multi_set_expectation(p, f.n, (f, f), engine="dp", budget=b)),
+        ]
+        for threshold, call in calls:
+            assert call(threshold) == call(None)
+            with pytest.raises(BudgetExceeded, match="joint-count state space"):
+                call(threshold - 1)
+
+
 def test_dp_refuses_incompatible_functions():
     p = helpers.basic_dist()
     f = make_junta(2, TRIT, [(1, "0")])
@@ -433,6 +460,15 @@ def test_influence_reduction_refuses_full_correlation():
     f = make_table_function(1, TRIT, [Fraction(1), Fraction(0), Fraction(0)])
     with pytest.raises(ValueError):
         influence_reduction(p, 1, (f, f, f), Fraction(1, 10))
+
+
+def test_influence_reduction_refuses_a_tau_without_a_finite_iteration_cap():
+    p = helpers.basic_dist()
+    f = make_junta(1, TRIT, [(1, "0")])
+    # 2 l / (tau (1 - rho^2)) overflows to inf for a subnormal tau
+    for tau in (1e-310, 5e-324):
+        with pytest.raises(ValueError, match="tau"):
+            influence_reduction(p, 1, (f, f), tau)
 
 
 def test_influence_reduction_refuses_mismatched_functions_before_any_work():

@@ -3,7 +3,8 @@
 The enumeration engine of `multi_set_expectation`, the Markov kernel
 application and the partial contractions behind the restriction searches
 all run on the one per-axis kernel `_util.contract_axes`; the joint-count dp
-is the second route for window and residue functions.
+is the second route for window and residue functions, with any anchors and
+ignored coordinates.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ import oracles
 from corrhit._util import mixed_radix_index
 from corrhit.dist_core import StepDistribution, is_markov_generated
 from corrhit.fourier import (
+    Restriction,
     _contract,
     make_anchored_symmetric,
     make_junta,
     make_mod_linear,
     make_table_function,
+    restrict,
 )
 from corrhit.hitting import _apply_kernel_tensor, markov_same_set_check, multi_set_expectation
 
@@ -67,19 +70,22 @@ def step_function(draw, n, alphabet, kinds):
             make_mod_linear(n, alphabet, q, coeffs, residue, smap),
             lambda x: Fraction(int(sum(c * smap[s] for c, s in zip(coeffs, x)) % q == residue)),
         )
-    # a count window on one symbol, anchored at coordinate 1 or not; a shared
-    # anchor coordinate keeps every mix of windows and residues dp-compatible
+    # a count window on one symbol, anchored at any coordinate or not, then
+    # restricted at random coordinates, which it ignores from then on
     sym = draw(st.integers(0, m - 1))
     lo = draw(st.integers(0, n))
     hi = draw(st.integers(lo, n))
-    anchor = (1, draw(st.integers(0, m - 1))) if draw(st.booleans()) else None
+    anchor = (draw(st.integers(1, n)), draw(st.integers(0, m - 1))) if draw(st.booleans()) else None
+    fixed = draw(st.dictionaries(st.integers(1, n), st.integers(0, m - 1), max_size=n))
 
     def window(x):
-        if anchor is not None and x[0] != anchor[1]:
+        x = [fixed.get(c, s) for c, s in enumerate(x, start=1)]
+        if anchor is not None and x[anchor[0] - 1] != anchor[1]:
             return Fraction(0)
         return Fraction(int(lo <= x.count(sym) <= hi))
 
-    return make_anchored_symmetric(n, alphabet, {sym: (lo, hi)}, anchor=anchor), window
+    f = make_anchored_symmetric(n, alphabet, {sym: (lo, hi)}, anchor=anchor)
+    return restrict(f, Restriction.from_dict(n, fixed)), window
 
 
 @st.composite
