@@ -116,6 +116,20 @@ def _coerce_alphabet(alphabet) -> Alphabet:
     return Alphabet(tuple(str(s) for s in alphabet))
 
 
+def _symbol_index(alphabet: Alphabet, sym) -> int:
+    """The index of a symbol token (str) or of a symbol index (int);
+    ValueError when it names no symbol of the alphabet."""
+    if isinstance(sym, str):
+        try:
+            return alphabet.index(sym)
+        except KeyError:
+            raise ValueError(f"unknown symbol {sym!r}") from None
+    idx = int(sym)
+    if not 0 <= idx < len(alphabet):
+        raise ValueError(f"symbol index {idx} outside the alphabet")
+    return idx
+
+
 def make_table_function(n: int, alphabet: Alphabet, values) -> FunctionSpec:
     alphabet = _coerce_alphabet(alphabet)
     m = len(alphabet)
@@ -134,7 +148,7 @@ def make_anchored_symmetric(
     alphabet = _coerce_alphabet(alphabet)
     win = {}
     for sym, (lo, hi) in windows.items():
-        idx = alphabet.index(sym) if isinstance(sym, str) else int(sym)
+        idx = _symbol_index(alphabet, sym)
         lo, hi = int(lo), int(hi)
         if not (0 <= lo and hi <= n):
             raise ValueError("window bounds must lie within [0, n]")
@@ -142,12 +156,10 @@ def make_anchored_symmetric(
     anc = None
     if anchor is not None:
         coord, sym = anchor
-        idx = alphabet.index(sym) if isinstance(sym, str) else int(sym)
+        idx = _symbol_index(alphabet, sym)
         if not 1 <= coord <= n:
             raise ValueError("anchor coordinate out of range")
         anc = (int(coord), idx)
-    if any(not 0 <= s < len(alphabet) for s in [*win, *(anc[1:] if anc else ())]):
-        raise ValueError("window or anchor symbol outside the alphabet")
     ign = frozenset(int(c) for c in ignored)
     if any(not 1 <= c <= n for c in ign):
         raise ValueError("ignored coordinate out of range")
@@ -162,7 +174,7 @@ def make_junta(n: int, alphabet: Alphabet, constraints, zero=False) -> FunctionS
     seen: dict[int, int] = {}
     is_zero = bool(zero)
     for coord, sym in constraints:
-        idx = alphabet.index(sym) if isinstance(sym, str) else int(sym)
+        idx = _symbol_index(alphabet, sym)
         coord = int(coord)
         if not 1 <= coord <= n:
             raise ValueError("constraint coordinate out of range")
@@ -183,11 +195,12 @@ def make_mod_linear(
     if len(cs) != n:
         raise ValueError("need one coefficient per coordinate")
     if isinstance(symbol_map, dict):
-        sm = tuple(int(symbol_map[s]) % modulus for s in alphabet.symbols)
-    else:
-        sm = tuple(int(v) % modulus for v in symbol_map)
-        if len(sm) != len(alphabet):
-            raise ValueError("symbol map must cover the alphabet")
+        by_index = {_symbol_index(alphabet, s): v for s, v in symbol_map.items()}
+        # indices are valid, so a short list means an uncovered symbol
+        symbol_map = [by_index[i] for i in sorted(by_index)]
+    sm = tuple(int(v) % modulus for v in symbol_map)
+    if len(sm) != len(alphabet):
+        raise ValueError("symbol map must cover the alphabet")
     payload = {
         "modulus": int(modulus),
         "coeffs": cs,
@@ -649,7 +662,8 @@ def _influence_count(f: FunctionSpec, pi: MarginalDistribution, i: int, budget) 
         r = key & rmask
         hit = sum(w for bump, shift, w in effects if layout.accepts(key + bump + shift[r]))
         total += mass * (sw * hit - hit * hit)
-    return Fraction(total, sw ** (f.n + 1)) if pi.exact else float(total)
+    # float weights summing to just above sw can leave total a rounding below 0
+    return Fraction(total, sw ** (f.n + 1)) if pi.exact else max(float(total), 0.0)
 
 
 def expectation(
@@ -693,7 +707,8 @@ def variance(
     f: FunctionSpec, pi: MarginalDistribution, n: int | None = None,
     engine: str = "auto", budget: int | None = None,
 ) -> Number:
-    """Var[f(X)]; for indicator kinds E[f^2] = E[f], so every engine applies."""
+    """Var[f(X)]; for indicator kinds E[f^2] = E[f], so every engine applies.
+    Float results are clamped at 0 against rounding."""
     _check_alphabet(f, pi)
     if f.kind == "table":
         if n is not None and n != f.n:
@@ -704,12 +719,12 @@ def variance(
         mean = _contract(values, weights, f.n)[0]
         sq = _contract([v * v for v in values], weights, f.n)[0]
         if not exact:
-            return sq - mean * mean
+            return max(sq - mean * mean, 0.0)
         # E[f^2] - E[f]^2 over the common denominator w_scale^(2n) v_scale^2
         w_n = w_scale**f.n
         return Fraction(sq * w_n - mean * mean, w_n * w_n * v_scale * v_scale)
     mu = expectation(f, pi, n, engine=engine, budget=budget)
-    return mu - mu * mu
+    return mu - mu * mu if pi.exact else max(mu - mu * mu, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +783,7 @@ def influence(
 
     Engines and budgets as for `expectation`; the dp walks every coordinate
     but i (see `_influence_count`), and 'auto' uses the closed form for
-    juntas.
+    juntas.  Float results are clamped at 0 against rounding.
     """
     if n is not None and n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
@@ -785,7 +800,7 @@ def influence(
         if f.kind == "junta":
             return _influence_junta(f, pi, i)
     exact, den, (num,) = _influence_contract(f, pi, (i,), budget)
-    return Fraction(num, den) if exact else num
+    return Fraction(num, den) if exact else max(num, 0.0)
 
 
 def total_influence(

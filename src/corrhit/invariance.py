@@ -10,6 +10,11 @@ runs are float, with counter-based RNG so every estimate is reproducible
 bit-for-bit from (seed, sample count).  All quadrature is fixed numpy
 rules: Gauss-Legendre for the mollifier and the two-step orthant,
 Gauss-Hermite for third moments over one or two normals.
+
+The Monte Carlo checks draw their normals point-major, in the shapes their
+docstrings give, and evaluate polynomials from coordinate-major columns: one
+transposed copy of the draws (`_columns`) puts the N values of each
+(coordinate, element) pair in one contiguous row.
 """
 
 from __future__ import annotations
@@ -105,19 +110,30 @@ class MultilinearPolynomial:
 def _poly_values(poly: MultilinearPolynomial, column, shape) -> np.ndarray:
     """Values of poly at a block of points, as an array of the given shape.
 
-    column(i, s) gives element s >= 1 of coordinate i+1 at every point: an
-    array of `shape` or one that broadcasts to it, such as one (N,) column of
-    a draw or one coordinate's column of a flattened product grid.  Every
-    term multiplies its coefficient by its factors in coordinate order and is
-    added in term order, so all callers round alike.
+    column(i, s) gives element s >= 1 of coordinate i+1 at every point as an
+    array of `shape`: one contiguous row of `_columns` for a draw, one
+    coordinate's column of a flattened product grid, or a scalar for one
+    point.  Every term multiplies its coefficient by its factors in
+    coordinate order and is added in term order, so all callers round alike.
     """
     out = np.zeros(shape)
     for sigma, c in poly.terms:
-        term = np.full(shape, c)
-        for i, s in enumerate(sigma):
-            if s:
-                term *= column(i, s)
+        factors = (column(i, s) for i, s in enumerate(sigma) if s)
+        term = c * next(factors, 1.0)
+        for x in factors:
+            term *= x
         out += term
+    return out
+
+
+def _columns(draws: np.ndarray) -> np.ndarray:
+    """(N, ...) point-major draws as rows: row k holds trailing index k (in
+    C order) of every point, contiguous."""
+    flat = draws.reshape(draws.shape[0], -1)
+    out = np.empty(flat.shape[::-1])
+    # a block of 4096 points at a time, so that the strided reads stay in cache
+    for a in range(0, flat.shape[0], 4096):
+        out[:, a : a + 4096] = flat[a : a + 4096].T
     return out
 
 
@@ -450,17 +466,17 @@ def hypercontractivity_check(
         third_noisy, third_plain = _gauss_quadrature_thirds(poly, noisy)
         method = "quadrature"
     else:
+        # the (samples, n, p) normals of sample_ensemble, without its constant
+        # slot; element s of coordinate i+1 is row i p + s - 1
         rng = Generator(Philox(key=int(seed)))
-        values = sample_ensemble(ens, rng, samples)
+        cols = _columns(rng.standard_normal((samples, ens.n, ens.p)))
 
         def column(i, s):
-            return values[:, i, s]
+            return cols[i * ens.p + s - 1]
 
-        vals = _poly_values(poly, column, samples)
-        noisy_vals = _poly_values(noisy, column, samples)
-        cubes = np.abs(noisy_vals) ** 3
+        third_plain = float(np.mean(np.abs(_poly_values(poly, column, samples)) ** 3))
+        cubes = np.abs(_poly_values(noisy, column, samples)) ** 3
         third_noisy = float(np.mean(cubes))
-        third_plain = float(np.mean(np.abs(vals) ** 3))
         stderr = float(np.std(cubes, ddof=1) / math.sqrt(samples))
         method = "mc"
     noise_lhs = third_noisy ** (1.0 / 3.0)
@@ -549,21 +565,23 @@ def _collar(u: np.ndarray) -> np.ndarray:
 
 
 def _phi_values(lam: float, x: np.ndarray) -> np.ndarray:
-    """phi_lambda on an array: exact piecewise outside the collars, the
-    tabulated collar profile (error about 3e-15 before scaling by lambda)
-    inside."""
+    """phi_lambda on an array: the clamp to [0, 1] outside the collars
+    |x| < lambda and |x - 1| < lambda, the tabulated collar profile (error
+    about 3e-15 before scaling by lambda) inside."""
     if not 0.0 < lam < 0.5:
         raise ValueError("lambda must lie in (0, 1/2)")
     x = np.asarray(x, dtype=float)
-    out = np.where(x >= lam, x, 0.0)
-    out = np.where(x >= 1.0 - lam, 1.0, out)
+    out = np.clip(x, 0.0, 1.0)
     low = (x > -lam) & (x < lam)
-    if np.any(low):
+    if low.any():
         out[low] = lam * np.maximum(_collar(x[low] / lam), 0.0)
     high = (x > 1.0 - lam) & (x < 1.0 + lam)
-    if np.any(high):
-        out[high] = x[high] - lam * np.maximum(_collar((x[high] - 1.0) / lam), 0.0)
-    return np.clip(out, 0.0, 1.0)
+    if high.any():
+        # near u = 1 the tabulated profile falls below u by up to 2e-15,
+        # which would lift phi above 1
+        xh = x[high]
+        out[high] = np.minimum(xh - lam * np.maximum(_collar((xh - 1.0) / lam), 0.0), 1.0)
+    return out
 
 
 def mollifier_phi(lam: float, x) -> float:
@@ -651,11 +669,13 @@ def invariance_gap(
     discrete_value = float(np.sum(weights * prod))
 
     rng = Generator(Philox(key=int(seed)))
-    gvals = counterpart.sample(rng, samples, n)  # (N, n, rows)
+    rows = len(counterpart.rows)
+    # row i * rows + r: counterpart row r at coordinate i+1
+    cols = _columns(counterpart.sample(rng, samples, n))
     prod_g = np.ones(samples)
     for j, poly in enumerate(polys, 1):
         pv = _poly_values(
-            poly, lambda i, s: gvals[:, i, counterpart.row_index(j, s)], samples
+            poly, lambda i, s: cols[i * rows + counterpart.row_index(j, s)], samples
         )
         prod_g *= _phi_values(lam, pv)
     gaussian_estimate = float(np.mean(prod_g))
@@ -770,8 +790,12 @@ class ThresholdForm:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
+    def hits(self, x: np.ndarray) -> np.ndarray:
+        """Boolean sign * x > offset; negating x and offset is exact."""
+        return x > self.offset if self.sign == 1 else x < -self.offset
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (self.sign * x > self.offset).astype(float)
+        return self.hits(x).astype(float)
 
 
 @dataclass(frozen=True)
@@ -828,11 +852,11 @@ def gaussian_rhc_check(
     rng = Generator(Philox(key=int(seed)))
     base = rng.standard_normal((samples, ell))
     g = base @ transform.T
-    indicators = np.stack([form.apply(g[:, j]) for j, form in enumerate(forms)], axis=1)
-    prod = np.prod(indicators, axis=1)
-    prod_hat = float(np.mean(prod))
+    hits = [form.hits(g[:, j]) for j, form in enumerate(forms)]
+    # counts of 0/1 values are exact, so these equal the means of indicators
+    prod_hat = int(np.count_nonzero(np.logical_and.reduce(hits))) / samples
     prod_se = math.sqrt(max(prod_hat * (1.0 - prod_hat), 0.0) / samples)
-    mus = tuple(float(np.mean(indicators[:, j])) for j in range(ell))
+    mus = tuple(int(np.count_nonzero(h)) / samples for h in hits)
     mu_ses = tuple(
         math.sqrt(max(m * (1.0 - m), 0.0) / samples) for m in mus
     )

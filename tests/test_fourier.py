@@ -118,6 +118,22 @@ def test_anchored_window_semantics():
         make_anchored_symmetric(3, BIT, {1: (0, 1)}, anchor=(1, 2))
 
 
+def test_constructors_refuse_unknown_symbols():
+    calls = (
+        lambda: make_anchored_symmetric(2, BIT, {"x": (0, 1)}),
+        lambda: make_anchored_symmetric(2, BIT, {"1": (0, 1)}, anchor=(1, "x")),
+        lambda: make_junta(2, BIT, [(1, 5)]),
+        lambda: make_junta(2, BIT, [(1, "x")]),
+        lambda: make_mod_linear(2, BIT, 2, (1, 1), 0, {"0": 0, "x": 1}),
+        lambda: make_mod_linear(2, BIT, 2, (1, 1), 0, {"0": 0}),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    f = make_mod_linear(2, TRIT, 3, (1, 1), 0, {"2": 2, "0": 0, "1": 1})
+    assert f.payload["symbol_map"] == (0, 1, 2)
+
+
 def test_anchored_ignored_coordinates_do_not_count():
     f = make_anchored_symmetric(3, BIT, {"1": (0, 1)}, ignored=(2,))
     assert evaluate(f, (1, 1, 0)) == 1  # coordinate 2 is dummy
@@ -532,6 +548,31 @@ def test_junta_influence_at_large_n_and_dp_refusal():
         influence(f, pi, i=7, engine="enumerate")
     with pytest.raises(ValueError):
         influence(f, pi, i=7, engine="dp")
+
+
+def test_float_influence_and_variance_are_never_negative():
+    # decimal weights whose float sum lies just above 1: the constant-1
+    # residue function gave influences of -2.2e-16 and a variance of -4.4e-16
+    cells = (
+        (0, 0, 83914), (0, 1, 102965), (0, 2, 94899), (1, 0, 238503),
+        (1, 1, 27438), (1, 2, 256442), (2, 0, 34691), (2, 1, 161148),
+    )
+
+    def step_marginal(weight):
+        entries = "".join(f"entry {a} {b} {weight(w)}\n" for a, b, w in cells)
+        return marginal(parse_distribution("alphabet 0 1 2\nsteps 2\n" + entries), 1)
+
+    pi = step_marginal(lambda w: f"0.{w:06d}")
+    f = make_mod_linear(2, TRIT, 1, [1, 1], 0, [0, 1, 2])
+    for g in (f, to_table(f)):
+        for i in (1, 2):
+            for engine in ("auto", "enumerate"):
+                assert influence(g, pi, i=i, engine=engine) >= 0.0
+        assert variance(g, pi) >= 0.0
+    # the same weights as exact rationals keep their exact zeros
+    pi_exact = step_marginal(lambda w: f"{w}/1000000")
+    for value in (influence(f, pi_exact, i=1), variance(f, pi_exact)):
+        assert value == 0 and isinstance(value, Fraction)
 
 
 # ---------------------------------------------------------------------------

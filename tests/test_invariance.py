@@ -366,6 +366,27 @@ def test_hypercontractivity_gaussian_mc_route():
     assert rep.noise_holds and rep.degree_holds
 
 
+def test_hypercontractivity_mc_follows_the_raw_philox_stream():
+    # the third moments are those of the (samples, n, p) normals of
+    # Generator(Philox(key=seed)), each point evaluated on its own
+    rng = random.Random(23)
+    samples, seed = 500, 91
+    for n, p in ((3, 1), (2, 2), (3, 2)):
+        q = random_poly(rng, n, p)
+        rep = hypercontractivity_check(
+            q, gaussian_ensemble(n, p), 0.4, samples=samples, seed=seed
+        )
+        assert rep.method == "mc"
+        noisy = t_rho_poly(q, rep.rho)
+        z = np.random.Generator(np.random.Philox(key=seed)).standard_normal((samples, n, p))
+        points = [[[1.0, *z[t, i]] for i in range(n)] for t in range(samples)]
+        plain_cubes = np.abs(np.array([q.evaluate(x) for x in points])) ** 3
+        noisy_cubes = np.abs(np.array([noisy.evaluate(x) for x in points])) ** 3
+        assert rep.degree_lhs == float(np.mean(plain_cubes)) ** (1.0 / 3.0)
+        assert rep.noise_lhs == float(np.mean(noisy_cubes)) ** (1.0 / 3.0)
+        assert rep.stderr == float(np.std(noisy_cubes, ddof=1) / math.sqrt(samples))
+
+
 def test_grid_weights_multiply_in_coordinate_order():
     rng = random.Random(70)
     for r, n in ((1, 5), (2, 4), (3, 3), (5, 2)):
@@ -409,6 +430,17 @@ def test_mollifier_piecewise_identities():
     for x in (1.0 + lam, 1.5, 7.0):
         assert mollifier_phi(lam, x) == 1.0
     assert mollifier_phi(lam, 0.5) == 0.5
+
+
+def test_mollifier_is_continuous_at_the_collar_edges():
+    # the value at each exact edge -lambda, lambda, 1 - lambda, 1 + lambda
+    # agrees with both neighbouring doubles
+    for lam in (0.01, 0.05, 0.1, 0.2, 0.25, 1 / 3, 0.45):
+        for edge in (-lam, lam, 1.0 - lam, 1.0 + lam):
+            at = mollifier_phi(lam, edge)
+            for side in (-np.inf, np.inf):
+                near = mollifier_phi(lam, float(np.nextafter(edge, side)))
+                assert abs(at - near) <= 1e-12, (lam, edge, at, near)
 
 
 def test_mollifier_stays_close_to_the_clamp():
@@ -479,6 +511,39 @@ def test_invariance_gap_is_reproducible():
     assert a.holds
     c = invariance_gap((q, q), p, lam=0.1, samples=50_000, seed=12)
     assert c.gaussian_estimate != a.gaussian_estimate
+
+
+def test_invariance_gap_mc_follows_the_raw_philox_stream():
+    # the Gaussian side maps the (samples, n, base_dim) normals of
+    # Generator(Philox(key=seed)) through the counterpart as
+    # GaussianCounterpart.sample documents, then evaluates point by point
+    p = helpers.basic_dist()
+    cp = gaussian_counterpart(p)
+    dim = cp.matrix.shape[1]
+    rng = random.Random(29)
+    samples, seed, lam = 500, 57, 0.2
+    for n in (1, 2, 3):
+        polys = (random_poly(rng, n, 2), random_poly(rng, n, 2))
+        rep = invariance_gap(polys, p, lam, samples=samples, seed=seed)
+        base = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+            (samples, n, dim)
+        )
+        if n == 1:
+            g = base @ cp.matrix.T
+        else:
+            g = (base.reshape(-1, dim) @ cp.matrix.T).reshape(samples, n, -1)
+        prods = []
+        for t in range(samples):
+            prod = 1.0
+            for j, q in enumerate(polys, 1):
+                point = [
+                    [1.0] + [g[t, i, cp.row_index(j, k)] for k in (1, 2)] for i in range(n)
+                ]
+                prod *= mollifier_phi(lam, q.evaluate(point))
+            prods.append(prod)
+        prods = np.array(prods)
+        assert rep.gaussian_estimate == float(np.mean(prods))
+        assert rep.gaussian_stderr == float(np.std(prods, ddof=1) / math.sqrt(samples))
 
 
 def test_invariance_gap_validates_shapes():
@@ -612,6 +677,35 @@ def test_rhc_orthant_golden():
     )
     assert rep.eq46a_holds
     assert rep.holds
+
+
+def test_rhc_mc_follows_the_raw_philox_stream():
+    # hits of the (samples, l) normals of Generator(Philox(key=seed)) mapped
+    # by the covariance's eigen-factor, counted point by point
+    samples, seed = 500, 63
+    cases = (
+        ([[1.0, 0.6], [0.6, 1.0]], (ThresholdForm(-1, 0.3), ThresholdForm(1, -0.4))),
+        (
+            [[1.0, 0.3, -0.2], [0.3, 1.0, 0.25], [-0.2, 0.25, 1.0]],
+            (ThresholdForm(1, -0.5), ThresholdForm(-1, -0.2), ThresholdForm(1, 0.0)),
+        ),
+    )
+    for cov, forms in cases:
+        rep = gaussian_rhc_check(cov, forms, samples=samples, seed=seed)
+        vals, vecs = np.linalg.eigh(np.asarray(cov))
+        transform = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0)))
+        base = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+            (samples, len(forms))
+        )
+        g = base @ transform.T
+        hits = [
+            [f.sign * float(g[t, j]) > f.offset for j, f in enumerate(forms)]
+            for t in range(samples)
+        ]
+        assert rep.product_estimate == sum(all(h) for h in hits) / samples
+        assert rep.mus == tuple(
+            sum(h[j] for h in hits) / samples for j in range(len(forms))
+        )
 
 
 def test_orthant_matches_double_integral():
