@@ -60,6 +60,11 @@ def contract_axes(t, mats) -> list:
     lifting and summing matrices cost no multiplications.  The arithmetic is
     that of the entries: scaled ints stay exact, floats round as the
     left-to-right sum of the terms.
+
+    Callers: the `enumerate` engine and the Markov identity in `hitting`,
+    every expectation, influence and restriction-search contraction in
+    `fourier`, and the averaging operators there (the noise operator and the
+    projections), which pass one square averaging matrix per averaged axis.
     """
     for mat in mats:
         if isinstance(mat, int):

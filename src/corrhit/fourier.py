@@ -18,7 +18,11 @@ end; table restrictions and max-substitutions copy slabs of the values and
 of the view by stride arithmetic.  The restriction search behind
 `is_resilient` (and `hitting.density_increment`) contracts all axes but one
 coordinate set at a time, which yields the expectation under every symbol
-choice of that set at once.
+choice of that set at once.  The averaging operators (the noise operator
+T_rho and the projections f^S) run the same kernel with one integer
+averaging matrix per averaged axis (`_average_axes`) and return tables that
+carry their view.  On the float side, `analyze` and `synthesize` apply the
+basis matrix and its transpose along every axis (`_along_axes`).
 """
 
 from __future__ import annotations
@@ -225,10 +229,10 @@ class Restriction:
     def from_dict(cls, n: int, fixed: dict, alphabet: Alphabet | None = None):
         entries: list[int | None] = [None] * n
         for coord, sym in fixed.items():
-            if isinstance(sym, str):
-                if alphabet is None:
-                    raise ValueError("alphabet required to resolve symbol tokens")
-                idx = alphabet.index(sym)
+            if alphabet is not None:
+                idx = _symbol_index(alphabet, sym)
+            elif isinstance(sym, str):
+                raise ValueError("alphabet required to resolve symbol tokens")
             else:
                 idx = int(sym)
             coord = int(coord)
@@ -353,11 +357,8 @@ def evaluate(f: FunctionSpec, x) -> Number:
     """Value of f at a point given as symbol indices or tokens."""
     if len(x) != f.n:
         raise ValueError("point length must match coordinate count")
-    point = tuple(f.alphabet.index(s) if isinstance(s, str) else int(s) for s in x)
+    point = tuple(_symbol_index(f.alphabet, s) for s in x)
     m = len(f.alphabet)
-    for s in point:
-        if not 0 <= s < m:
-            raise ValueError(f"symbol index {s} outside alphabet")
     if f.zero:
         return Fraction(0)
     if f.kind == "table":
@@ -912,11 +913,32 @@ class FourierExpansion:
         )
 
 
-def _basis_point_value(basis: OrthonormalBasis, sigma, point_positions) -> float:
-    out = 1.0
-    for s, pos in zip(sigma, point_positions):
-        out *= basis.functions[s][pos]
-    return out
+def _support_tensor(f: FunctionSpec, support) -> np.ndarray:
+    """The table's values as floats on support^n, axis c - 1 for coordinate c.
+
+    The view's floats round like float() of each value.
+    """
+    m = len(f.alphabet)
+    table = np.array(f.view.scaled(False)[1]).reshape((m,) * f.n).transpose()
+    return table[np.ix_(*[support] * f.n)]
+
+
+def _analysis_matrix(basis: OrthonormalBasis) -> np.ndarray:
+    """probs * Phi: row s takes values on the support to the coefficient of phi_s."""
+    probs = np.array([float(basis.pi.probs[s]) for s in basis.support])
+    return probs * np.array(basis.functions)
+
+
+def _along_axes(t: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Apply mat along every axis of t, one tensordot per axis.
+
+    `analyze` applies probs * Phi (values to coefficients) and `synthesize`
+    its inverse Phi^T (coefficients to values on the support).
+    """
+    for axis in range(t.ndim):
+        t = np.tensordot(mat, t, axes=([1], [axis]))
+        t = np.moveaxis(t, 0, axis)
+    return t
 
 
 def analyze(
@@ -928,25 +950,16 @@ def analyze(
         raise ValueError("n disagrees with the function's coordinate count")
     k = basis.size
     _check_budget(k, f.n, budget)
-    probs = [float(basis.pi.probs[s]) for s in basis.support]
     # tensor of f over support^n, axis per coordinate, coordinate 1 first
     pts = list(itertools.product(range(k), repeat=f.n))
     if f.kind == "table":
-        # the view's floats round like float() of each value
-        m = len(f.alphabet)
-        table = np.array(f.view.scaled(False)[1]).reshape((m,) * f.n).transpose()
-        values = table[np.ix_(*[basis.support] * f.n)]
+        values = _support_tensor(f, basis.support)
     else:
         values = np.zeros((k,) * f.n)
         for pos in pts:
             point = tuple(basis.support[p] for p in pos)
             values[pos] = float(evaluate(f, point))
-    # contract one axis at a time with the basis matrix weighted by pi
-    mat = np.array([[probs[j] * basis.functions[s][j] for j in range(k)] for s in range(k)])
-    t = values
-    for axis in range(f.n):
-        t = np.tensordot(mat, t, axes=([1], [axis]))
-        t = np.moveaxis(t, 0, axis)
+    t = _along_axes(values, _analysis_matrix(basis))
     coeffs: dict[tuple[int, ...], float] = {}
     for sigma in pts:
         c = float(t[sigma])
@@ -962,29 +975,20 @@ def synthesize(expansion: FourierExpansion, budget: int | None = None) -> Functi
     raise, smaller ones are clamped.
     """
     basis = expansion.basis
-    k = basis.size
     n = expansion.n
-    _check_budget(k, n, budget)
-    t = np.zeros((k,) * n)
-    for sigma, c in expansion.coeffs.items():
-        if c == 0.0:
-            continue
-        # outer product of the per-coordinate basis vectors, coordinate 1 first
-        vecs = [np.array(basis.functions[s]) for s in sigma]
-        block = vecs[0]
-        for v in vecs[1:]:
-            block = np.multiply.outer(block, v)
-        t = t + c * block
-    alphabet = basis.pi.alphabet
-    m = len(alphabet)
-    out = [0.0] * (m**n)
-    for pos in itertools.product(range(k), repeat=n):
-        point = tuple(basis.support[p] for p in pos)
-        v = float(t[pos])
-        if v < -1e-8 or v > 1 + 1e-8:
-            raise ArithmeticError(f"synthesized value {v} escapes [0,1]")
-        out[mixed_radix_index(point, m)] = min(1.0, max(0.0, v))
-    return FunctionSpec(n, alphabet, "table", {"values": tuple(out)})
+    _check_budget(basis.size, n, budget)
+    t = np.zeros((basis.size,) * n)
+    if expansion.coeffs:
+        t[tuple(np.array(list(expansion.coeffs)).T)] = list(expansion.coeffs.values())
+    t = _along_axes(t, np.array(basis.functions).T)
+    bad = ~((t >= -1e-8) & (t <= 1 + 1e-8))
+    if bad.any():
+        raise ArithmeticError(f"synthesized value {t[bad][0]} escapes [0,1]")
+    m = len(basis.pi.alphabet)
+    table = np.zeros((m,) * n)
+    table[np.ix_(*[basis.support] * n)] = np.clip(t, 0.0, 1.0)
+    values = tuple(table.transpose().ravel().tolist())
+    return FunctionSpec(n, basis.pi.alphabet, "table", {"values": values})
 
 
 def low_degree_max_coefficient(
@@ -1005,26 +1009,34 @@ def low_degree_max_coefficient(
 # averaging operators
 
 
-def _table_tensor(f: FunctionSpec, exact: bool):
-    m = len(f.alphabet)
-    values = f.payload["values"]
+def _average_axes(f: FunctionSpec, pi: MarginalDistribution, rho, coords) -> FunctionSpec:
+    """The table f with every coordinate in `coords` kept with probability
+    rho and redrawn from pi otherwise; the other coordinates stay as they are.
+
+    With rho = a/b and pi's view W/sw, an averaged axis applies the integer
+    matrix M[x][y] = (b - a) W_y + a sw [x = y], whose rows sum to b sw; the
+    other axes get the identity m.  One `contract_axes` run over f's view and
+    one division per entry by (f's scale) (b sw)^|coords| give the averaged
+    table, which carries the contracted ints as its view.  Exact when f, pi
+    and rho are; otherwise a = rho, b = 1 and the same matrix runs on floats.
+    """
+    exact = f.is_exact() and pi.exact and is_exact(rho)
+    v_scale, values = f.view.scaled(exact)
+    sw, weights = pi.view.scaled(exact)
     if exact:
-        return list(values)
-    return [float(v) for v in values]
-
-
-def _average_coordinate(values, m: int, i: int, pi_probs, keep):
-    """Replace coordinate i by keep*x_i + (1-keep)*fresh-draw averaging."""
-    out = list(values)
-    stride = m ** (i - 1)
-    block = m**i
-    for base in range(0, len(values), block):
-        for off in range(stride):
-            idxs = [base + off + a * stride for a in range(m)]
-            avg = sum(pi_probs[a] * values[idxs[a]] for a in range(m))
-            for a in range(m):
-                out[idxs[a]] = keep * values[idxs[a]] + (1 - keep) * avg
-    return out
+        a, b = Fraction(rho).as_integer_ratio()
+    else:
+        a, b = float(rho), 1
+    m = len(weights)
+    avg = [
+        [(b - a) * w + (a * sw if x == y else 0) for y, w in enumerate(weights)]
+        for x in range(m)
+    ]
+    coords = set(coords)
+    ints = tuple(contract_axes(values, [avg if c in coords else m for c in range(1, f.n + 1)]))
+    den = v_scale * (b * sw) ** len(coords)
+    out = tuple(Fraction(v, den) for v in ints) if exact else ints
+    return FunctionSpec(f.n, f.alphabet, "table", {"values": out}, ScaledView(exact, den, ints))
 
 
 def noise_operator(
@@ -1033,42 +1045,35 @@ def noise_operator(
 ) -> FunctionSpec:
     """T_rho f: each coordinate kept with probability rho, resampled otherwise.
 
-    Computed by per-coordinate averaging and, independently, by scaling
-    Fourier coefficients by rho^|sigma|; the routes must agree within 1e-10 on
-    the support.  Returns the averaged table (exact for rational rho and f).
+    Computed by averaging every coordinate (`_average_axes`) and,
+    independently, by scaling the Fourier coefficients by rho^|sigma| and
+    synthesizing; the routes must agree within 1e-10 on the support.  Returns
+    the averaged table (exact for rational rho and f).
     """
     if n is not None and n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
     if not 0 <= float(rho) <= 1:
         raise ValueError("rho must lie in [0,1]")
     _check_alphabet(f, pi)
-    m = len(f.alphabet)
-    _check_budget(m, f.n, budget)
+    _check_budget(len(f.alphabet), f.n, budget)
     if f.kind != "table":
         f = to_table(f, budget=budget)
-    exact = f.is_exact() and pi.exact and isinstance(rho, (Fraction, int))
-    keep: Number = Fraction(rho) if exact else float(rho)
-    values = _table_tensor(f, exact)
-    probs = list(pi.probs) if exact else [float(p) for p in pi.probs]
-    for i in range(1, f.n + 1):
-        values = _average_coordinate(values, m, i, probs, keep)
-    averaged = FunctionSpec(f.n, f.alphabet, "table", {"values": tuple(values)})
+    averaged = _average_axes(f, pi, rho, range(1, f.n + 1))
 
     basis = build_basis(pi)
-    expansion = analyze(f, basis, budget=budget)
-    scaled = {
-        sigma: c * float(rho) ** sum(1 for s in sigma if s != 0)
-        for sigma, c in expansion.coeffs.items()
-    }
-    coeff_route = synthesize(FourierExpansion(basis, f.n, scaled), budget=budget)
-    for pos in itertools.product(pi.support_indices(), repeat=f.n):
-        idx = mixed_radix_index(pos, m)
-        a = float(averaged.payload["values"][idx])
-        b = float(coeff_route.payload["values"][idx])
-        if abs(a - b) > 1e-10:
-            raise ArithmeticError(
-                f"noise operator routes disagree at {pos}: {a} vs {b}"
-            )
+    phi = np.array(basis.functions)
+    coeffs = _along_axes(_support_tensor(f, basis.support), _analysis_matrix(basis))
+    # rho^|sigma| is rho per axis on every basis function but the constant
+    damp = np.array([1.0] + [float(rho)] * (basis.size - 1))
+    coeff_route = _along_axes(coeffs, phi.T * damp)
+    got = _support_tensor(averaged, basis.support)
+    off = np.argwhere(np.abs(got - coeff_route) > 1e-10)
+    if len(off):
+        pos = tuple(off[0])
+        raise ArithmeticError(
+            f"noise operator routes disagree at {tuple(basis.support[q] for q in pos)}: "
+            f"{got[pos]} vs {coeff_route[pos]}"
+        )
     return averaged
 
 
@@ -1083,18 +1088,10 @@ def projection_subset(
     if any(not 1 <= c <= f.n for c in keep_set):
         raise ValueError("projection coordinate out of range")
     _check_alphabet(f, pi)
-    m = len(f.alphabet)
-    _check_budget(m, f.n, budget)
+    _check_budget(len(f.alphabet), f.n, budget)
     if f.kind != "table":
         f = to_table(f, budget=budget)
-    exact = f.is_exact() and pi.exact
-    values = _table_tensor(f, exact)
-    probs = list(pi.probs) if exact else [float(p) for p in pi.probs]
-    zero_keep: Number = Fraction(0) if exact else 0.0
-    for i in range(1, f.n + 1):
-        if i not in keep_set:
-            values = _average_coordinate(values, m, i, probs, zero_keep)
-    return FunctionSpec(f.n, f.alphabet, "table", {"values": tuple(values)})
+    return _average_axes(f, pi, 0, (c for c in range(1, f.n + 1) if c not in keep_set))
 
 
 def to_table(f: FunctionSpec, budget: int | None = None) -> FunctionSpec:
@@ -1117,10 +1114,7 @@ def max_operator(f: FunctionSpec, i: int, y, z, budget: int | None = None) -> Fu
         raise ValueError("coordinate out of range")
     m = len(f.alphabet)
     _check_budget(m, f.n, budget)
-    yi = f.alphabet.index(y) if isinstance(y, str) else int(y)
-    zi = f.alphabet.index(z) if isinstance(z, str) else int(z)
-    if not (0 <= yi < m and 0 <= zi < m):
-        raise ValueError("max-operator symbol outside the alphabet")
+    yi, zi = _symbol_index(f.alphabet, y), _symbol_index(f.alphabet, z)
     s = m ** (i - 1)
 
     def substitute(t) -> tuple:
@@ -1255,14 +1249,6 @@ def is_resilient(
     return (True, None) if found is None else (False, found[0])
 
 
-def is_upper_resilient(
-    f: FunctionSpec, eps, k: int, pi: MarginalDistribution, n: int | None = None,
-    budget: int | None = None,
-):
-    """Like is_resilient but only the upper bound E[Rf] <= (1+eps) E[f]."""
-    return is_resilient(f, eps, k, pi, n, budget, upper_only=True)
-
-
 @dataclass(frozen=True)
 class LocalVarianceCertificate:
     """Outcome of the sufficient local-variance condition for resilience."""
@@ -1304,6 +1290,13 @@ def resilience_from_local_variance(
 # JSON function files
 
 
+def _pair(item, what: str, shape: str) -> list:
+    """A two-entry JSON list, or ValueError saying what it should have been."""
+    if not isinstance(item, list) or len(item) != 2:
+        raise ValueError(f"{what} must be a {shape} pair, not {json.dumps(item)}")
+    return item
+
+
 def parse_function(text: str) -> FunctionSpec:
     """Load the JSON function document format."""
     doc = json.loads(text)
@@ -1322,15 +1315,21 @@ def parse_function(text: str) -> FunctionSpec:
     if kind == "anchored_symmetric":
         anchor = doc.get("anchor")
         if anchor is not None:
-            anchor = (int(anchor[0]), str(anchor[1]))
-        windows = {str(sym): (int(w[0]), int(w[1])) for sym, w in doc["windows"].items()}
+            coord, sym = _pair(anchor, "an anchor", "[coordinate, symbol]")
+            anchor = (int(coord), str(sym))
+        windows = {}
+        for sym, w in doc["windows"].items():
+            lo, hi = _pair(w, f"window {sym!r}", "[lo, hi]")
+            windows[str(sym)] = (int(lo), int(hi))
         ignored = [int(c) for c in doc.get("ignored", [])]
         return make_anchored_symmetric(n, alphabet, windows, anchor, ignored, zero)
     if kind == "junta":
         constraints = [(int(c), str(s)) for c, s in doc["constraints"]]
         return make_junta(n, alphabet, constraints, zero)
     if kind == "mod_linear":
-        symbol_map = {str(s): int(v) for s, v in doc["symbol_map"].items()}
+        symbol_map = doc["symbol_map"]
+        if isinstance(symbol_map, dict):
+            symbol_map = {str(s): int(v) for s, v in symbol_map.items()}
         return make_mod_linear(
             n, alphabet, int(doc["modulus"]), [int(c) for c in doc["coeffs"]],
             int(doc["residue"]), symbol_map, zero,

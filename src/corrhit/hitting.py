@@ -54,36 +54,6 @@ from .fourier import (
 )
 
 
-@dataclass(frozen=True)
-class HittingInstance:
-    """A distribution, a coordinate count, and one function per step (or one shared)."""
-
-    dist: StepDistribution
-    n: int
-    fns: tuple[FunctionSpec, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if len(self.fns) not in (1, self.dist.steps):
-            raise ValueError("need one shared function or one per step")
-        for f in self.fns:
-            if f.alphabet.symbols != self.dist.alphabet.symbols:
-                raise ValueError("function alphabet must match the distribution")
-            if f.n != self.n:
-                raise ValueError("function coordinate count must match n")
-
-    def step_functions(self) -> tuple[FunctionSpec, ...]:
-        if len(self.fns) == 1:
-            return self.fns * self.dist.steps
-        return self.fns
-
-    def value(self, engine: str = "auto", budget: int | None = None) -> Number:
-        return multi_set_expectation(
-            self.dist, self.n, self.step_functions(), engine=engine, budget=budget
-        )
-
-
 # ---------------------------------------------------------------------------
 # exact expectation routes
 #

@@ -428,6 +428,49 @@ def table_influence_enumerate(values, m, n, probs, exact, i):
 
 
 # ---------------------------------------------------------------------------
+# averaging operators point by point: (Kf)(x) = sum_y prod_i K_i(x_i, y_i) f(y)
+# over all m^n points y, in Fractions (float inputs convert exactly).
+
+
+def _average_brute(values, m, n, kernels):
+    """kernels[c](x, y) is K_c(x, y) for coordinate c + 1."""
+    vals = [Fraction(v) for v in values]
+    mats = [[[kernel(x, y) for y in range(m)] for x in range(m)] for kernel in kernels]
+    out = []
+    for idx in range(m**n):
+        x = [(idx // m**c) % m for c in range(n)]
+        total = Fraction(0)
+        # only the points y of positive weight
+        rows = [mats[c][x[c]] for c in range(n)]
+        for y in itertools.product(*[[b for b in range(m) if row[b]] for row in rows]):
+            w = Fraction(1)
+            for c in range(n):
+                w *= rows[c][y[c]]
+            total += w * table_value(vals, m, y)
+        out.append(total)
+    return out
+
+
+def noise_operator_brute(values, m, n, probs, rho):
+    """T_rho f: K(x, y) = rho [x = y] + (1 - rho) pi(y) on every coordinate."""
+    r = Fraction(rho)
+    p = [Fraction(q) for q in probs]
+    return _average_brute(
+        values, m, n, [lambda x, y: r * (x == y) + (1 - r) * p[y]] * n
+    )
+
+
+def projection_brute(values, m, n, probs, keep):
+    """f^S for S = keep: K(x, y) = [x = y] on S and pi(y) elsewhere."""
+    p = [Fraction(q) for q in probs]
+    kernels = [
+        (lambda x, y: Fraction(x == y)) if c + 1 in keep else (lambda x, y: p[y])
+        for c in range(n)
+    ]
+    return _average_brute(values, m, n, kernels)
+
+
+# ---------------------------------------------------------------------------
 # restriction searches over a dense table: every candidate is restricted and
 # averaged on its own.  Search order: size, coordinate subset in lex order,
 # then positive-probability symbols with the last coordinate's varying

@@ -368,6 +368,38 @@ def test_malformed_distribution_exits_two(workdir, capsys):
     assert "error:" in captured.err
 
 
+MOD_DOC = {
+    "n": 2, "alphabet": list(TRIT), "kind": "mod_linear",
+    "modulus": 3, "coeffs": [1, 1], "residue": 0,
+}
+WINDOW_DOC = {"n": 2, "alphabet": list(TRIT), "kind": "anchored_symmetric"}
+
+
+@pytest.mark.parametrize("doc", [
+    {**MOD_DOC, "symbol_map": [0, 1]},
+    {**WINDOW_DOC, "windows": {"0": [0]}},
+    {**WINDOW_DOC, "windows": {"0": [0, 1]}, "anchor": [1]},
+], ids=["short-symbol-map-list", "window-not-a-pair", "anchor-not-a-pair"])
+def test_malformed_function_document_exits_two(workdir, capsys, doc):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, captured = run_cli(capsys, ["fourier", "--dist", workdir / "basic.dist", "--fn", bad])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+
+
+def test_fourier_reads_a_list_symbol_map(workdir, capsys):
+    (workdir / "mod.json").write_text(json.dumps({**MOD_DOC, "symbol_map": [0, 1, 2]}))
+    code, report = run_json(
+        capsys, ["fourier", "--dist", workdir / "basic.dist", "--fn", workdir / "mod.json"]
+    )
+    assert code == 0
+    assert report["results"]["expectation"]["value"] == "1/3"
+    # every coordinate's influence, not only the first
+    assert [v["value"] for v in report["results"]["influences"]] == ["2/9", "2/9"]
+
+
 def test_unknown_subcommand_exits_two(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -154,6 +155,12 @@ def test_evaluate_rejects_bad_points():
         evaluate(f, (0, 5))
 
 
+def test_evaluate_refuses_unknown_tokens():
+    f = make_junta(2, BIT, [(1, "0")])
+    with pytest.raises(ValueError, match="unknown symbol 'x'"):
+        evaluate(f, ("x", "0"))
+
+
 # ---------------------------------------------------------------------------
 # restrictions
 
@@ -214,6 +221,13 @@ def test_restriction_from_dict_rejects_coordinates_outside_1_to_n():
     assert Restriction.from_dict(3, {1: 0, 3: 1}).entries == (0, None, 1)
 
 
+def test_restriction_from_dict_refuses_unknown_tokens():
+    alphabet = make_junta(2, BIT, []).alphabet
+    with pytest.raises(ValueError, match="unknown symbol 'x'"):
+        Restriction.from_dict(2, {1: "x"}, alphabet)
+    assert Restriction.from_dict(2, {2: "1"}, alphabet).entries == (None, 1)
+
+
 def test_restrict_anchor_conflict_yields_zero():
     f = make_anchored_symmetric(2, BIT, {"1": (0, 2)}, anchor=(1, "1"))
     g = restrict(f, Restriction.from_dict(2, {1: 0}))
@@ -248,6 +262,7 @@ def test_derived_tables_carry_the_view_of_their_values():
                 assert_view_matches_values(max_operator(f, i, y, z))
             keep = rng.sample(range(1, n + 1), rng.randint(0, n))
             assert_view_matches_values(projection_subset(f, keep, pi))
+            assert_view_matches_values(noise_operator(f, Fraction(1, 3), pi))
     for f in (
         make_junta(3, TRIT, [(1, 0), (2, 2)]),
         make_anchored_symmetric(3, TRIT, {"0": (1, 2)}, anchor=(2, "0")),
@@ -664,12 +679,22 @@ def test_analyze_reads_the_table_view_bit_identically():
 
 def test_synthesize_reproduces_function_on_support():
     rng = random.Random(44)
-    pi = random_marginal(rng, 3)
-    f = make_table_function(2, TRIT, helpers.random_unit_table(rng, 2, 3))
-    basis = build_basis(pi)
-    g = synthesize(analyze(f, basis))
-    for x in itertools.product(pi.support_indices(), repeat=2):
-        assert float(evaluate(g, x)) == pytest.approx(float(evaluate(f, x)), abs=1e-10)
+    cases = [(random_marginal(rng, 3), 2)]
+    # m up to 4, n up to 4, and supports narrower than the alphabet
+    for m in (2, 3, 4):
+        for n in range(1, 5):
+            for with_zero in (False, True):
+                cases.append((kernel_marginal(rng, m, with_zero), n))
+    for pi, n in cases:
+        m = len(pi.alphabet)
+        f = make_table_function(n, pi.alphabet, helpers.random_unit_table(rng, n, m))
+        g = synthesize(analyze(f, build_basis(pi)))
+        support = pi.support_indices()
+        for x in itertools.product(range(m), repeat=n):
+            if all(s in support for s in x):
+                assert float(evaluate(g, x)) == pytest.approx(float(evaluate(f, x)), abs=1e-10)
+            else:
+                assert evaluate(g, x) == 0.0
 
 
 def test_projection_variance_identity():
@@ -731,6 +756,65 @@ def test_noise_operator_identity_and_total_smoothing():
     assert flat.payload["values"] == (Fraction(1, 2),) * 3
 
 
+def averaging_cases(seed: int):
+    """(f, pi) over m in {2, 3, 4} with m^n <= 64: exact tables, a zero-mass
+    symbol now and then, and the three non-table kinds."""
+    rng = random.Random(seed)
+    for m, n in ((2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3)):
+        symbols = tuple(str(a) for a in range(m))
+        for with_zero in (False, True):
+            pi = kernel_marginal(rng, m, with_zero)
+            yield make_table_function(n, symbols, helpers.random_unit_table(rng, n, m, 12)), pi
+        yield make_junta(n, symbols, [(n, rng.randrange(m))]), pi
+        yield make_anchored_symmetric(n, symbols, {"0": (0, 1)}, anchor=(1, "1")), pi
+        yield make_mod_linear(n, symbols, 3, [1] * n, 1, [a % 3 for a in range(m)]), pi
+
+
+def float_marginal(pi):
+    return MarginalDistribution(pi.alphabet, tuple(float(p) for p in pi.probs), False)
+
+
+def test_averaging_operators_equal_the_oracles_exactly():
+    rng = random.Random(7310)
+    for f, pi in averaging_cases(7311):
+        m, n = len(f.alphabet), f.n
+        values = to_table(f).payload["values"]
+        for rho in (0, 1, Fraction(rng.randint(1, 6), 7)):
+            got = noise_operator(f, rho, pi).payload["values"]
+            assert all(isinstance(v, Fraction) for v in got)
+            assert list(got) == oracles.noise_operator_brute(values, m, n, pi.probs, rho)
+        for keep in ((), tuple(range(1, n + 1)), tuple(rng.sample(range(1, n + 1), n // 2))):
+            got = projection_subset(f, keep, pi).payload["values"]
+            assert all(isinstance(v, Fraction) for v in got)
+            assert list(got) == oracles.projection_brute(values, m, n, pi.probs, keep)
+
+
+def test_averaging_operators_float_mode_within_tolerance():
+    rng = random.Random(7312)
+    for f, pi in averaging_cases(7313):
+        m, n = len(f.alphabet), f.n
+        exact_values = to_table(f).payload["values"]
+        float_table = make_table_function(n, f.alphabet, [float(v) for v in exact_values])
+        # each of a float table, a float marginal and a float rho forces float mode
+        for g, mu, rho in (
+            (float_table, pi, Fraction(2, 5)),
+            (f, float_marginal(pi), Fraction(1, 3)),
+            (f, pi, rng.random()),
+            (float_table, float_marginal(pi), rng.choice((0.0, 1.0))),
+        ):
+            values = to_table(g).payload["values"]
+            got = noise_operator(g, rho, mu).payload["values"]
+            want = oracles.noise_operator_brute(values, m, n, mu.probs, rho)
+            assert all(isinstance(v, float) for v in got)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+            keep = tuple(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            got = projection_subset(g, keep, mu).payload["values"]
+            want = oracles.projection_brute(values, m, n, mu.probs, keep)
+            if not (g.is_exact() and mu.exact):
+                assert all(isinstance(v, float) for v in got)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
 def test_low_degree_max_coefficient_dictator():
     pi = uniform_marginal(2)
     f = make_junta(1, BIT, [(1, "1")])
@@ -758,6 +842,12 @@ def test_max_operator_is_pointwise_max():
     for y, z in ((0, 3), (-1, 2)):
         with pytest.raises(ValueError, match="outside the alphabet"):
             max_operator(f, 2, y, z)
+
+
+def test_max_operator_refuses_unknown_tokens():
+    f = to_table(make_junta(2, BIT, [(1, "0")]))
+    with pytest.raises(ValueError, match="unknown symbol 'x'"):
+        max_operator(f, 1, "x", "0")
 
 
 # ---------------------------------------------------------------------------
@@ -824,3 +914,32 @@ def test_function_json_roundtrip_all_kinds():
 def test_parse_function_rejects_garbage():
     with pytest.raises(ValueError):
         parse_function("{\"kind\": \"mystery\", \"n\": 1, \"alphabet\": [\"0\"]}")
+
+
+MOD_DOC = {
+    "n": 2, "alphabet": list(TRIT), "kind": "mod_linear",
+    "modulus": 3, "coeffs": [1, 1], "residue": 0,
+}
+WINDOW_DOC = {"n": 2, "alphabet": list(BIT), "kind": "anchored_symmetric"}
+
+
+def test_parse_function_takes_a_list_symbol_map():
+    f = parse_function(json.dumps({**MOD_DOC, "symbol_map": [0, 1, 2]}))
+    g = parse_function(json.dumps({**MOD_DOC, "symbol_map": {"0": 0, "1": 1, "2": 2}}))
+    assert f.payload == g.payload
+    with pytest.raises(ValueError, match="cover the alphabet"):
+        parse_function(json.dumps({**MOD_DOC, "symbol_map": [0, 1]}))
+
+
+def test_parse_function_refuses_windows_that_are_not_pairs():
+    for window in ([0], [0, 1, 2], 1, "01", None):
+        doc = {**WINDOW_DOC, "windows": {"0": window}}
+        with pytest.raises(ValueError, match=r"window '0' must be a \[lo, hi\] pair"):
+            parse_function(json.dumps(doc))
+
+
+def test_parse_function_refuses_anchors_that_are_not_pairs():
+    for anchor in ([1], [1, "0", 2], 1, "1"):
+        doc = {**WINDOW_DOC, "windows": {"0": [0, 1]}, "anchor": anchor}
+        with pytest.raises(ValueError, match=r"anchor must be a \[coordinate, symbol\] pair"):
+            parse_function(json.dumps(doc))

@@ -25,7 +25,6 @@ from corrhit.fourier import (
     restrict,
 )
 from corrhit.hitting import (
-    HittingInstance,
     _max_influence,
     ap3_distribution,
     ap3_sets,
@@ -327,15 +326,13 @@ def test_budget_refusal_on_enumeration():
         same_set_expectation(p, 8, f, engine="enumerate", budget=10)
 
 
-def test_hitting_instance_validates_shapes():
+def test_multi_set_expectation_validates_shapes():
     p = helpers.basic_dist()
     f = make_junta(2, TRIT, [(1, "0")])
-    inst = HittingInstance(p, 2, (f,))
-    assert inst.value() == same_set_expectation(p, 2, f)
-    with pytest.raises(ValueError):
-        HittingInstance(p, 3, (f,))
-    with pytest.raises(ValueError):
-        HittingInstance(p, 2, (f, f, f))
+    with pytest.raises(ValueError, match="coordinate count must match n"):
+        multi_set_expectation(p, 3, (f, f))
+    with pytest.raises(ValueError, match="one function per step"):
+        multi_set_expectation(p, 2, (f, f, f))
 
 
 # ---------------------------------------------------------------------------
