@@ -61,6 +61,7 @@ from .hitting import (
     influence_reduction,
     markov_same_set_check,
     multi_set_expectation,
+    resolve_engine,
     same_set_expectation,
 )
 from .invariance import (
@@ -273,7 +274,7 @@ def _cmd_hit(args, inputs):
         "functions": list(args.fn),
         "n": fns[0].n,
         "steps": p.steps,
-        "engine": args.engine,
+        "engine": resolve_engine(args.engine, fns),
         "expectation": _tag(value),
     }
     return results, True

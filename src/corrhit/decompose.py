@@ -5,7 +5,8 @@ into a convex mixture of well-behaved parts: point masses on diagonal pairs
 plus cycle distributions whose correlation is bounded away from 1.  The split
 follows a deterministic trace: subtract the diagonal floor, decompose the
 remaining regular digraph into weighted cycles, then cap each cycle's diagonal
-share.
+share.  A part is kept as its cycle record and read for its guarantees in
+closed form; it becomes a StepDistribution only when someone asks for one.
 """
 
 from __future__ import annotations
@@ -13,16 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._util import Number
-from .dist_core import (
-    Alphabet,
-    MarginalDistribution,
-    StepDistribution,
-    alpha,
-    equal_marginals,
-    rho,
-)
+from .dist_core import Alphabet, StepDistribution, alpha, equal_marginals
 
 
 @dataclass(frozen=True)
@@ -90,20 +85,66 @@ class CycleDistribution:
             raise ValueError("p must lie strictly between 0 and 1")
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class DecompositionPart:
-    """One mixture component: a point mass on a diagonal pair or a cycle part."""
+    """One mixture component: a cycle part or a point mass on a diagonal pair.
+
+    A part is its record over `alphabet`: the symbol indices `vertices` of
+    its cycle in walk order, its stay probability `q` and its mixture
+    `weight`.  With s = len(vertices) >= 2 and 0 < q < 1 it is the (s, q)-cycle
+    part, q/s on each diagonal pair of the cycle and (1-q)/s on each forward
+    edge; a point mass is the record with one vertex x and q = 1, mass 1 on
+    (x, x).  Parts compare by record.  `kind` and `cycle` derive from it, and
+    `dist`, the part as a StepDistribution, is built from it on first read and
+    kept.
+    """
 
     weight: Fraction
-    dist: StepDistribution
-    kind: str  # "cycle" or "point"
-    cycle: CycleDistribution | None = None
+    alphabet: Alphabet
+    vertices: tuple[int, ...]
+    q: Fraction
 
     def __post_init__(self):
-        if self.kind not in ("cycle", "point"):
-            raise ValueError("kind must be 'cycle' or 'point'")
         if self.weight <= 0:
             raise ValueError("part weight must be positive")
+        m = len(self.alphabet)
+        if len(set(self.vertices)) != len(self.vertices) or not all(
+            0 <= v < m for v in self.vertices
+        ):
+            raise ValueError("part vertices must be distinct symbol indices")
+        if not (self.q == 1 if len(self.vertices) == 1 else 0 < self.q < 1):
+            raise ValueError("a point mass needs q = 1 and a cycle 0 < q < 1")
+
+    @property
+    def kind(self) -> str:
+        return "point" if len(self.vertices) == 1 else "cycle"
+
+    @cached_property
+    def cycle(self) -> CycleDistribution | None:
+        if len(self.vertices) == 1:
+            return None
+        symbols = self.alphabet.symbols
+        return CycleDistribution(
+            len(self.vertices), self.q, tuple(symbols[v] for v in self.vertices)
+        )
+
+    @cached_property
+    def dist(self) -> StepDistribution:
+        m = len(self.alphabet)
+        s = len(self.vertices)
+        stay = self.q / s
+        move = (1 - self.q) / s
+        weights = [_ZERO] * (m * m)
+        # pair (x, y) sits at x + m * y; a point's forward edge is its own
+        # diagonal pair, so the stay mass is written last
+        for x, y in zip(self.vertices, self.vertices[1:] + self.vertices[:1]):
+            weights[x + m * y] = move
+            weights[x + m * x] = stay
+        return StepDistribution(self.alphabet, 2, tuple(weights), True)
 
 
 @dataclass(frozen=True)
@@ -162,7 +203,8 @@ def _peel_cycles(residual) -> list[tuple[tuple[int, ...], Number]]:
         cur = start
         while True:
             nxt = first_out(cur)
-            assert nxt is not None, "regularity guarantees an out-edge"
+            if nxt is None:
+                raise ArithmeticError("a regular digraph left a vertex without an out-edge")
             if nxt in seen:
                 cyc = tuple(path[seen[nxt] :])
                 break
@@ -174,7 +216,8 @@ def _peel_cycles(residual) -> list[tuple[tuple[int, ...], Number]]:
         for i in range(s):
             residual[cyc[i]][cyc[(i + 1) % s]] -= w
         cycles.append((cyc, w))
-        assert len(cycles) <= m * m, "cycle count exceeded the square bound"
+        if len(cycles) > m * m:
+            raise ArithmeticError("cycle count exceeded the square bound")
     return cycles
 
 
@@ -223,62 +266,32 @@ def cycle_rho(s: int, p) -> tuple[float, float]:
 
     The double-sample kernel of the cycle is circulant with eigenvalues
     lambda_k = 1 - 2p(1-p)(1 - cos(2 pi k / s)); the correlation is the square
-    root of the largest one with k > 0.  Returns (rho, 1 - 7p(1-p)/s^2), and
-    rho never exceeds the bound.
+    root of the largest one with k > 0.  For s = 2 that is lambda_1 =
+    (1-2p)^2, and |1-2p| is returned as it is: near p = 1/2 the general form
+    would lose it to cancellation.  Returns (rho, 1 - 7p(1-p)/s^2); rho above
+    the bound raises ArithmeticError.
     """
     if s < 2:
         raise ValueError("cycle size must be at least 2")
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
     pf = float(p)
-    lam = max(
-        1.0 - 2.0 * pf * (1.0 - pf) * (1.0 - math.cos(2.0 * math.pi * k / s))
-        for k in range(1, s)
-    )
-    r = math.sqrt(max(lam, 0.0))
+    if s == 2:
+        r = abs(float(1 - 2 * p))
+    else:
+        lam = max(
+            1.0 - 2.0 * pf * (1.0 - pf) * (1.0 - math.cos(2.0 * math.pi * k / s))
+            for k in range(1, s)
+        )
+        r = math.sqrt(max(lam, 0.0))
     bound = 1.0 - 7.0 * pf * (1.0 - pf) / (s * s)
-    assert r <= bound + 1e-12, f"cycle correlation {r} exceeds bound {bound}"
+    if r > bound + 1e-12:
+        raise ArithmeticError(f"cycle correlation {r} exceeds bound {bound}")
     return r, bound
 
 
 # ---------------------------------------------------------------------------
 # convex decomposition
-
-
-_ZERO = Fraction(0)
-
-
-def _point_mass_part(base: StepDistribution, x: int, weight: Fraction) -> DecompositionPart:
-    m = len(base.alphabet)
-    weights = [_ZERO] * (m * m)
-    weights[x + m * x] = Fraction(1)
-    dist = StepDistribution(base.alphabet, 2, tuple(weights), True)
-    return DecompositionPart(weight, dist, "point")
-
-
-def _cycle_part(
-    base: StepDistribution, vertices: tuple[int, ...], b: int, w: int, unit: int
-) -> DecompositionPart:
-    """(s, q)-cycle part with q = b / (b + w) and mixture weight s (w + b) / unit.
-
-    b and w are the diagonal share and the cycle weight in units of 1/unit;
-    the part puts q/s on each diagonal pair of the cycle and (1-q)/s on each
-    forward edge.
-    """
-    m = len(base.alphabet)
-    s = len(vertices)
-    stay = Fraction(b, s * (b + w))
-    move = Fraction(w, s * (b + w))
-    weights = [_ZERO] * (m * m)
-    for i, x in enumerate(vertices):
-        y = vertices[(i + 1) % s]
-        weights[x + m * x] = stay
-        weights[x + m * y] = move
-    dist = StepDistribution(base.alphabet, 2, tuple(weights), True)
-    info = CycleDistribution(
-        s, Fraction(b, b + w), tuple(base.alphabet.symbols[v] for v in vertices)
-    )
-    return DecompositionPart(Fraction(s * (w + b), unit), dist, "cycle", cycle=info)
 
 
 def convex_cycle_decomposition(p: StepDistribution) -> ConvexDecomposition:
@@ -292,7 +305,8 @@ def convex_cycle_decomposition(p: StepDistribution) -> ConvexDecomposition:
 
     Every step runs on ints: the weights scaled by the lcm of their
     denominators times t^2, so that a, every residual edge and cycle weight,
-    and a/t^2 are integers.  Parts become Fractions only when they are built.
+    and a/t^2 are integers.  A part keeps only its record (vertices, q and
+    weight; see `DecompositionPart`); its distribution is built when read.
     """
     if p.steps != 2:
         raise ValueError("decomposition requires exactly 2 steps")
@@ -319,14 +333,19 @@ def convex_cycle_decomposition(p: StepDistribution) -> ConvexDecomposition:
             # self-loop: pure diagonal weight, absorbed by the point mass below
             continue
         b = min(w, cap)
-        parts.append(_cycle_part(p, cyc, b, w, unit))
+        # b and w count units of 1/unit: q = b/(b+w), mixture weight s(w+b)
+        parts.append(
+            DecompositionPart(Fraction(len(cyc) * (w + b), unit), p.alphabet, cyc,
+                              Fraction(b, b + w))
+        )
         for v in cyc:
             diagonal_used[v] += b
     for x in range(m):
         leftover = diagonal[x] - diagonal_used[x]
-        assert leftover >= 0, "diagonal over-used by cycle parts"
+        if leftover < 0:
+            raise ArithmeticError("diagonal over-used by cycle parts")
         if leftover > 0:
-            parts.append(_point_mass_part(p, x, Fraction(leftover, unit)))
+            parts.append(DecompositionPart(Fraction(leftover, unit), p.alphabet, (x,), _ONE))
     return ConvexDecomposition(p, tuple(parts))
 
 
@@ -352,21 +371,17 @@ class GuaranteeReport:
     all_ok: bool
 
 
-def _support_alpha(d: StepDistribution) -> Fraction:
-    """Diagonal floor over the distribution's own marginal support."""
-    m = len(d.alphabet)
-    first, second = d._scaled_marginals
-    return min(d.weights[x * (m + 1)] for x in range(m) if first[x] or second[x])
-
-
 def decomposition_guarantees(
     dec: ConvexDecomposition, p: StepDistribution
 ) -> GuaranteeReport:
     """Verify alpha(P_k) >= alpha(P)^4 and rho(P_k) <= 1 - 3 alpha(P)^5 per part.
 
-    alpha of a part is taken over its own support; point masses have no
-    variance-1 functions, so their correlation is reported as 0 and exempted
-    from the ceiling (rho_defined records the convention).  `p` must be the
+    Both are read from the part's record, and no part distribution is built.
+    alpha of a part is taken over its own support, where every diagonal pair
+    carries q/s: q/s for a cycle part, 1 for a point mass.  A cycle part's
+    correlation is `cycle_rho(s, q)`.  Point masses have no variance-1
+    functions, so their correlation is reported as 0 and exempted from the
+    ceiling (rho_defined records the convention).  `p` must be the
     distribution `dec` was made from; anything else raises ValueError, since
     the floor and ceiling would be measured against the wrong alpha.
     """
@@ -378,12 +393,13 @@ def decomposition_guarantees(
     rows = []
     ok = True
     for part in dec.parts:
-        sa = _support_alpha(part.dist)
-        if part.kind == "point":
+        s = len(part.vertices)
+        sa = part.q / s
+        if s == 1:
             pr, defined = 0.0, False
             rho_ok = True
         else:
-            pr, defined = rho(part.dist), True
+            pr, defined = cycle_rho(s, part.q)[0], True
             rho_ok = pr <= ceiling + 1e-12
         alpha_ok = sa >= floor
         ok = ok and alpha_ok and rho_ok

@@ -82,6 +82,10 @@ class StepDistribution:
     order with their weights), `_scaled_marginals` (per step, the scaled mass
     of every symbol) and `_marginals` (the same as MarginalDistribution
     objects).  The view never changes, like the object it derives from.
+    `rho` stores its result on the distribution the first time it is asked
+    (`_rho`); that attribute is not a field, so it enters neither `==` nor
+    `hash`, and a fresh distribution carries no correlation until one is
+    asked for.
     """
 
     alphabet: Alphabet
@@ -562,7 +566,19 @@ def rho(p: StepDistribution) -> float:
     `maximal_correlation`.  The two must agree within 1e-8 or an
     ArithmeticError is raised.  A one-step distribution has no opposing
     group; returns 0.0.
+
+    The value is computed on the first call for `p` and stored on it (see
+    `StepDistribution`), so later calls for the same object return it at once.
     """
+    memo = p.__dict__.get("_rho")
+    if memo is None:
+        memo = _rho(p)
+        object.__setattr__(p, "_rho", memo)
+    return memo
+
+
+def _rho(p: StepDistribution) -> float:
+    """Both routes of `rho`, computed afresh."""
     if p.steps == 1:
         return 0.0
     eigen_vals = []

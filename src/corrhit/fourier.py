@@ -1297,9 +1297,25 @@ def _pair(item, what: str, shape: str) -> list:
     return item
 
 
+def _field(doc: dict, key: str, types, shape: str):
+    """doc[key] if it is one of the Python `types`, else ValueError saying
+    what it should have been."""
+    item = doc[key]
+    if not isinstance(item, types):
+        raise ValueError(f"{key} must be {shape}, not {json.dumps(item)}")
+    return item
+
+
 def parse_function(text: str) -> FunctionSpec:
-    """Load the JSON function document format."""
+    """Load the JSON function document format.
+
+    A document that is not a JSON object, windows or an anchor that are not
+    [lo, hi] or [coordinate, symbol] pairs under an object, and a symbol map
+    that is neither a list nor an object raise ValueError.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a function document must be a JSON object")
     n = int(doc["n"])
     alphabet = Alphabet(tuple(str(s) for s in doc["alphabet"]))
     kind = doc["kind"]
@@ -1318,7 +1334,7 @@ def parse_function(text: str) -> FunctionSpec:
             coord, sym = _pair(anchor, "an anchor", "[coordinate, symbol]")
             anchor = (int(coord), str(sym))
         windows = {}
-        for sym, w in doc["windows"].items():
+        for sym, w in _field(doc, "windows", dict, "an object").items():
             lo, hi = _pair(w, f"window {sym!r}", "[lo, hi]")
             windows[str(sym)] = (int(lo), int(hi))
         ignored = [int(c) for c in doc.get("ignored", [])]
@@ -1327,7 +1343,7 @@ def parse_function(text: str) -> FunctionSpec:
         constraints = [(int(c), str(s)) for c, s in doc["constraints"]]
         return make_junta(n, alphabet, constraints, zero)
     if kind == "mod_linear":
-        symbol_map = doc["symbol_map"]
+        symbol_map = _field(doc, "symbol_map", (list, dict), "a list or an object")
         if isinstance(symbol_map, dict):
             symbol_map = {str(s): int(v) for s, v in symbol_map.items()}
         return make_mod_linear(

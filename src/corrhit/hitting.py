@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import Number, ScaledView, contract_axes, scale_to_ints
+from ._util import Number, ScaledView, contract_axes, mixed_radix_index, scale_to_ints
 from .dist_core import (
     StepDistribution,
     _double_sample_matrix,
@@ -176,13 +176,20 @@ def multi_set_expectation(
             raise ValueError("function alphabet must match the distribution")
         if f.n != n:
             raise ValueError("function coordinate count must match n")
-    if engine not in ("auto", "enumerate", "dp"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "enumerate":
-        return _multi_enumerate(p, n, fns, budget)
-    if engine == "dp" or all(f.kind in COUNT_KINDS for f in fns):
+    if resolve_engine(engine, fns) == "dp":
         return _multi_dp(p, n, fns, budget)
     return _multi_enumerate(p, n, fns, budget)
+
+
+def resolve_engine(engine: str, fns) -> str:
+    """The engine that `multi_set_expectation` runs for `engine` on `fns`:
+    'dp' or 'enumerate' as asked, and for 'auto' the dp when every function
+    is of a joint-count kind, enumeration otherwise."""
+    if engine not in ("auto", "enumerate", "dp"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if engine == "auto":
+        return "dp" if all(f.kind in COUNT_KINDS for f in fns) else "enumerate"
+    return engine
 
 
 def same_set_expectation(
@@ -708,14 +715,24 @@ entry 2 0 1 1/6
 """
 
 
+_SKEW_PAIR = parse_distribution(SKEW_PAIR_TEXT, name="skew-pair")
+_AP3 = parse_distribution(AP3_TEXT, name="ap3")
+
+
 def skew_pair_distribution() -> StepDistribution:
-    """Two steps, uniform over {00, 01, 11}: unequal marginals, rho = 1/2."""
-    return parse_distribution(SKEW_PAIR_TEXT, name="skew-pair")
+    """Two steps, uniform over {00, 01, 11}: unequal marginals, rho = 1/2.
+
+    The same immutable instance on every call, so its `rho` is computed once.
+    """
+    return _SKEW_PAIR
 
 
 def ap3_distribution() -> StepDistribution:
-    """Three steps, uniform over the six arithmetic triples mod 3: rho = 1."""
-    return parse_distribution(AP3_TEXT, name="ap3")
+    """Three steps, uniform over the six arithmetic triples mod 3: rho = 1.
+
+    The same immutable instance on every call, so its `rho` is computed once.
+    """
+    return _AP3
 
 
 def _weight_window(n: int, center_num: int, center_den: int) -> tuple[int, int]:
@@ -882,16 +899,19 @@ def _apply_kernel_tensor(kernel_rows, f: FunctionSpec, exact: bool):
 
 
 def _prefix_distribution(p: StepDistribution) -> StepDistribution:
-    """Marginal of the first steps - 1 steps as a StepDistribution."""
+    """Marginal of the first steps - 1 steps as a StepDistribution.
+
+    The prefix masses are summed on the integer view, in index order, and
+    divided by its scale once per cell (floats keep scale 1).
+    """
     m = len(p.alphabet)
-    zero: Number = Fraction(0) if p.exact else 0.0
-    weights = [zero] * (m ** (p.steps - 1))
-    for tup, w in p.support():
-        idx = 0
-        for d in reversed(tup[:-1]):
-            idx = idx * m + d
-        weights[idx] += w
-    return StepDistribution(p.alphabet, p.steps - 1, tuple(weights), p.exact)
+    size = m ** (p.steps - 1)
+    masses = [0 if p.exact else 0.0] * size
+    for tup, w in p._scaled_support:
+        masses[mixed_radix_index(tup[:-1], m)] += w
+    ratio = Fraction if p.exact else operator.truediv
+    weights = tuple(ratio(w, p._scale) for w in masses)
+    return StepDistribution(p.alphabet, p.steps - 1, weights, p.exact)
 
 
 def markov_same_set_check(

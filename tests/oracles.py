@@ -152,6 +152,14 @@ def multi_set_expectation_brute(p, ell, n, fns):
     return total
 
 
+def prefix_marginal_brute(p):
+    """Law of all steps but the last: the last step summed out, cell by cell."""
+    out = {}
+    for t, w in p.items():
+        out[t[:-1]] = out.get(t[:-1], 0) + w
+    return {t: w for t, w in out.items() if w > 0}
+
+
 def is_markov_generated_brute(p, ell, m, tol=1e-10):
     """(ok, kernels) for a step-tuple -> weight map: every positive-mass
     prefix must have the conditional law of its next symbol within tol of the

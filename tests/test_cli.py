@@ -11,7 +11,12 @@ import pytest
 
 import helpers
 from corrhit.cli import main
-from corrhit.fourier import format_function, make_junta, make_table_function
+from corrhit.fourier import (
+    format_function,
+    make_anchored_symmetric,
+    make_junta,
+    make_table_function,
+)
 
 TRIT = ("0", "1", "2")
 
@@ -133,6 +138,19 @@ def test_hit_budget_refusal(workdir, capsys):
     )
     assert code == 1
     assert "refusal" in report["results"]
+
+
+@pytest.mark.parametrize("fn, engine", [
+    ("window.json", "dp"), ("table.json", "enumerate"),
+])
+def test_hit_reports_the_engine_that_ran(workdir, capsys, fn, engine):
+    window = make_anchored_symmetric(2, TRIT, {"0": (1, 2)})
+    (workdir / "window.json").write_text(format_function(window))
+    code, report = run_json(
+        capsys, ["hit", "--dist", workdir / "basic.dist", "--fn", workdir / fn]
+    )
+    assert code == 0
+    assert report["results"]["engine"] == engine
 
 
 def test_hit_multi_set(workdir, capsys):
@@ -387,6 +405,21 @@ def test_malformed_function_document_exits_two(workdir, capsys, doc):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**WINDOW_DOC, "windows": [["0", [0, 1]]]}, "windows must be an object"),
+    ({**MOD_DOC, "symbol_map": 3}, "symbol_map must be a list or an object"),
+    ([MOD_DOC], "a function document must be a JSON object"),
+], ids=["windows-a-list", "symbol-map-a-number", "document-a-list"])
+def test_function_document_of_the_wrong_shape_exits_two(workdir, capsys, doc, message):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, captured = run_cli(capsys, ["fourier", "--dist", workdir / "basic.dist", "--fn", bad])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: {message}")
+    assert "Traceback" not in captured.err
 
 
 def test_fourier_reads_a_list_symbol_map(workdir, capsys):

@@ -11,6 +11,7 @@ import pytest
 import helpers
 import oracles
 from corrhit.decompose import (
+    DecompositionPart,
     WeightedDigraph,
     convex_cycle_decomposition,
     cycle_rho,
@@ -250,3 +251,72 @@ def test_guarantees_reject_another_distribution():
         decomposition_guarantees(dec, other)
     # an equal distribution from another source is accepted
     assert decomposition_guarantees(dec, helpers.basic_dist()).all_ok
+
+
+# ---------------------------------------------------------------------------
+# parts read from their records
+
+
+def test_parts_are_read_from_their_records():
+    # circulations and symmetric tables with small diagonals, so that
+    # two-cycles, longer cycles and q = 1/2 parts all occur
+    rng = random.Random(8128)
+    seen = set()
+    for _ in range(300):
+        m = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            p = _circulation_dist(rng, m)
+        else:
+            p = helpers.random_dist(rng, m=m, steps=2, symmetric=True, positive_diagonal=True)
+        dec = convex_cycle_decomposition(p)
+        rep = decomposition_guarantees(dec, p)
+        want = oracles.convex_cycle_decomposition_fraction(list(p.weights), m)
+        assert len(want) == len(dec.parts) == len(rep.parts)
+        for part, row, (kind, weight, weights, _) in zip(dec.parts, rep.parts, want):
+            # the check built no part distribution; the first read builds the
+            # eager one, and the second returns it
+            assert "dist" not in part.__dict__
+            d = part.dist
+            assert d == StepDistribution(p.alphabet, 2, tuple(weights), True)
+            assert part.dist is d
+            assert part.kind == kind and part.weight == weight
+            support = {x for tup, _ in d.support() for x in tup}
+            assert row.support_alpha == min(d.weight((x, x)) for x in support)
+            assert isinstance(row.support_alpha, Fraction)
+            if part.kind == "point":
+                assert row.part_rho == 0.0 and not row.rho_defined
+                continue
+            s, q = part.cycle.s, part.cycle.p
+            seen.add("s=2" if s == 2 else "s>2")
+            if q == Fraction(1, 2):
+                seen.add("q=1/2")
+            assert row.part_rho == pytest.approx(rho(d), abs=1e-12)
+            # the oracle gives lambda_1; near rho = 0 its square root would
+            # carry the cancellation of its own formula
+            lam = oracles.cycle_eigen_formula(s, float(q))
+            assert row.part_rho**2 == pytest.approx(lam, abs=1e-12)
+    assert seen == {"s=2", "s>2", "q=1/2"}
+
+
+def test_parts_compare_by_record():
+    p = helpers.basic_dist()
+    a, b = convex_cycle_decomposition(p), convex_cycle_decomposition(helpers.basic_dist())
+    a.parts[0].dist  # one side built, the other not
+    assert a == b and a.parts == b.parts
+
+
+@pytest.mark.parametrize("vertices, q", [
+    ((0,), Fraction(1, 2)), ((0, 1), Fraction(1)), ((0, 0), Fraction(1, 2)),
+    ((0, 3), Fraction(1, 2)),
+])
+def test_part_record_refuses_bad_parameters(vertices, q):
+    with pytest.raises(ValueError):
+        DecompositionPart(Fraction(1), Alphabet(("0", "1", "2")), vertices, q)
+
+
+def test_two_cycle_correlation_is_exact_near_one_half():
+    # lambda_1 = (1 - 2q)^2 for s = 2; rho must not lose it to cancellation
+    for q in (Fraction(1, 2), Fraction(499999, 1000000), Fraction(1, 3)):
+        r, _ = cycle_rho(2, q)
+        assert r == float(1 - 2 * q)
+        assert r == pytest.approx(rho(make_cycle(2, q)), abs=1e-12)

@@ -555,3 +555,20 @@ def test_lambda2_cycle_goldens():
     formula = oracles.cycle_eigen_formula(4, 0.25)
     assert formula == pytest.approx(0.625, abs=1e-12)
     assert math.sqrt(formula) == pytest.approx(0.7905694150420949, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the stored correlation
+
+
+def test_rho_is_computed_once_and_leaves_equality_alone():
+    rng = random.Random(2024)
+    for _ in range(20):
+        p = helpers.random_dist(rng, m=rng.choice((2, 3)), steps=rng.choice((2, 3)))
+        twin = StepDistribution(p.alphabet, p.steps, p.weights, p.exact)
+        assert "_rho" not in p.__dict__  # a fresh distribution carries none
+        first = rho(p)
+        assert rho(p) == first and p._rho == first
+        assert rho(twin) == first
+        assert p == twin and hash(p) == hash(twin)
+        assert {p: 1}[twin] == 1

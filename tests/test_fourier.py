@@ -943,3 +943,21 @@ def test_parse_function_refuses_anchors_that_are_not_pairs():
         doc = {**WINDOW_DOC, "windows": {"0": [0, 1]}, "anchor": anchor}
         with pytest.raises(ValueError, match=r"anchor must be a \[coordinate, symbol\] pair"):
             parse_function(json.dumps(doc))
+
+
+def test_parse_function_refuses_windows_that_are_not_an_object():
+    doc = {**WINDOW_DOC, "windows": [["0", [0, 1]]]}
+    with pytest.raises(ValueError, match=r"windows must be an object"):
+        parse_function(json.dumps(doc))
+
+
+def test_parse_function_refuses_a_symbol_map_of_another_type():
+    for symbol_map in (3, "012", None):
+        with pytest.raises(ValueError, match=r"symbol_map must be a list or an object"):
+            parse_function(json.dumps({**MOD_DOC, "symbol_map": symbol_map}))
+
+
+def test_parse_function_refuses_a_document_that_is_not_an_object():
+    for doc in ([MOD_DOC], 3, "mod_linear", None):
+        with pytest.raises(ValueError, match=r"must be a JSON object"):
+            parse_function(json.dumps(doc))

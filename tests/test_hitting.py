@@ -11,7 +11,14 @@ import pytest
 
 import helpers
 import oracles
-from corrhit.dist_core import StepDistribution, alpha, marginal, parse_distribution, rho
+from corrhit.dist_core import (
+    Alphabet,
+    StepDistribution,
+    alpha,
+    marginal,
+    parse_distribution,
+    rho,
+)
 from corrhit.fourier import (
     BudgetExceeded,
     Restriction,
@@ -26,6 +33,7 @@ from corrhit.fourier import (
 )
 from corrhit.hitting import (
     _max_influence,
+    _prefix_distribution,
     ap3_distribution,
     ap3_sets,
     counterexample_three_sets,
@@ -800,6 +808,38 @@ def test_markov_identity_on_random_chains():
         assert rep.equal
         assert rep.pointwise_ok
         assert rep.ell == 3
+
+
+def _float_chain(rng: random.Random, m: int, steps: int) -> StepDistribution:
+    """Float Markov chain with eighths for pi and rows: every weight and every
+    partial sum of weights is a float exactly, in any order."""
+    def eighths():
+        cuts = sorted(rng.randint(0, 8) for _ in range(m - 1))
+        return [Fraction(b - a, 8) for a, b in zip([0] + cuts, cuts + [8])]
+
+    pi = eighths()
+    rows = [eighths() for _ in range(m)]
+    weights = []
+    for idx in range(m**steps):
+        tup = [(idx // m**j) % m for j in range(steps)]
+        w = pi[tup[0]]
+        for a, b in zip(tup, tup[1:]):
+            w *= rows[a][b]
+        weights.append(float(w))
+    return StepDistribution(Alphabet(tuple(str(a) for a in range(m))), steps, tuple(weights), False)
+
+
+def test_prefix_distribution_equals_the_brute_force_marginal():
+    rng = random.Random(4242)
+    chains = [helpers.random_markov_dist(rng, m=rng.choice((2, 3)), steps=rng.choice((2, 3, 4)))
+              for _ in range(10)]
+    chains += [_float_chain(rng, rng.choice((2, 3)), rng.choice((2, 3, 4))) for _ in range(10)]
+    for p in chains:
+        prefix = _prefix_distribution(p)
+        assert prefix.exact == p.exact and prefix.steps == p.steps - 1
+        want = oracles.prefix_marginal_brute(dict(p.support()))
+        assert dict(prefix.support()) == want
+        assert all(isinstance(w, Fraction if p.exact else float) for w in prefix.weights)
 
 
 def test_markov_check_refuses_non_markov():

@@ -1,4 +1,9 @@
-"""tests/oracles.py must not import the package it is the reference for."""
+"""Static checks on the sources.
+
+tests/oracles.py must not import the package it is the reference for, and
+the library states its checks as raised errors, never as `assert`, which
+`python -O` strips.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import ast
 from pathlib import Path
 
 ORACLES = Path(__file__).with_name("oracles.py")
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "corrhit"
 
 
 def imported_modules(tree: ast.AST):
@@ -36,3 +42,15 @@ def test_oracles_import_nothing_from_corrhit():
         if name.startswith(".") or name == "corrhit" or name.startswith("corrhit.")
     ]
     assert offending == []
+
+
+def test_library_has_no_assert_statements():
+    sources = sorted(LIBRARY.glob("*.py"))
+    assert sources, "no library sources found"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
