@@ -121,7 +121,7 @@ def _load_fn(path: str, inputs: dict) -> FunctionSpec:
     text = _read_file(path, inputs)
     try:
         return parse_function(text)
-    except (ValueError, KeyError, TypeError) as e:
+    except ValueError as e:
         raise _LoadError(f"{path}: {e}") from e
 
 

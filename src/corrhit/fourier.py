@@ -27,6 +27,7 @@ basis matrix and its transpose along every axis (`_along_axes`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -464,7 +465,9 @@ def _expectation_contract(
 # function: a step tuple of the distribution for a product, the one-step
 # tuple (a,) of the marginal for a single function.  The joint state of all
 # functions is one packed int; masses are the draws' weights scaled to ints
-# (floats in float mode), divided once at the end.
+# (floats in float mode), divided once at the end.  A run of coordinates with
+# equal effects draws in one multinomial step when no effect shifts a residue
+# and no two bump the same count (`_JointLayout._draw_run`).
 
 COUNT_KINDS = ("anchored_symmetric", "mod_linear")
 
@@ -484,6 +487,16 @@ class _ResidueShift(dict):
             shift += ((digit + a) % q - digit) * radix
         self[r] = shift
         return shift
+
+
+def _disjoint(effects) -> bool:
+    """Whether the effects shift no residue and their bumps touch pairwise
+    disjoint slots, so that a run of draws can go in one step."""
+    bumps = [bump for bump, _, _ in effects]
+    return (
+        not any(any(shift.inc) for _, shift, _ in effects)
+        and sum(bumps) == functools.reduce(operator.or_, bumps, 0)
+    )
 
 
 class _JointLayout:
@@ -537,6 +550,7 @@ class _JointLayout:
         coeffs = [fns[j].payload["coeffs"] for j, _, _ in self.mods]
         self.coeffs = list(zip(*coeffs)) if coeffs else [()] * fns[0].n
         self.final = self.floor([0] * len(fns))
+        self.exact = all(isinstance(w, int) for _, w in support)
         self._effects: dict = {}
 
     def floor(self, rest) -> int:
@@ -565,16 +579,20 @@ class _JointLayout:
             and key & self.rmask == self.target
         )
 
+    def signature(self, coord: int):
+        """The key of the draw's effects at `coord`: the anchors and ignoring
+        functions there, and the modular coefficients."""
+        return self.special.get(coord), self.coeffs[coord - 1]
+
     def effects(self, coord: int):
         """(window increment, residue shift, weight) per distinct effect of the
         draw at `coord`, support tuples with equal effects merged.
 
         A function anchored at `coord` admits only the tuples that carry its
         anchor symbol there, and one that ignores `coord` bumps none of its
-        slots.  Coordinates with equal anchors, ignoring functions and modular
-        coefficients share one list.
+        slots.  Coordinates with one `signature` share one list.
         """
-        sig = (self.special.get(coord), self.coeffs[coord - 1])
+        sig = self.signature(coord)
         if sig in self._effects:
             return self._effects[sig]
         anchors, muted = sig[0] or ((), ())
@@ -602,36 +620,91 @@ class _JointLayout:
         """Live states {packed key: scaled mass} after the coordinates `coords`
         draw, in that order.
 
-        A state is dropped when a window overruns or when some window's lo is
-        out of reach with the rest of `coords` and the coordinates `later`
-        still to draw.  More than `budget` live states after a draw raise
+        Each run of consecutive coordinates with one `signature` draws in one
+        step (`_draw_run`) when its effects shift no residue and their
+        nonzero bumps touch pairwise disjoint slots; every other coordinate
+        draws on its own.  A state is dropped when a window overruns or when
+        some window's lo is out of reach with the rest of `coords` and the
+        coordinates `later` still to draw.  More than `budget` live states
+        after a step (one draw, or one run drawn at once) raise
         BudgetExceeded.  A zero function leaves no state.
         """
         if any(f.zero for f in self.fns):
             return {}
         cap = TABLE_BUDGET if budget is None else budget
-        guard, rmask = self.guard, self.rmask
         rest = [sum(c not in ign for c in (*coords, *later)) for ign in self.ignored]
         states = {self.start: 1}
-        for c in coords:
-            rest = [r - (c not in ign) for r, ign in zip(rest, self.ignored)]
-            effects, floor = self.effects(c), self.floor(rest)
-            nxt: dict = {}
-            for key, mass in states.items():
-                r = key & rmask
-                for bump, shift, w in effects:
-                    new = key + bump + shift[r]
-                    if new & guard or (floor and ((new | guard) - floor) & guard != guard):
-                        continue
-                    nxt[new] = nxt.get(new, 0) + mass * w
-            states = nxt
-            if not states:
-                break
-            if len(states) > cap:
-                raise BudgetExceeded(
-                    f"joint-count state space {len(states)} exceeds the budget {cap}"
-                )
+        for _, run in itertools.groupby(coords, self.signature):
+            run = list(run)
+            effects = self.effects(run[0])
+            # the functions whose slots the run's coordinates may bump
+            live = [run[0] not in ign for ign in self.ignored]
+            at_once = len(run) > 1 and _disjoint(effects)
+            for k in [len(run)] if at_once else [1] * len(run):
+                rest = [r - k * d for r, d in zip(rest, live)]
+                floor = self.floor(rest)
+                if at_once:
+                    states = self._draw_run(states, effects, k, floor)
+                else:
+                    states = self._draw(states, effects, floor)
+                if not states:
+                    return states
+                if len(states) > cap:
+                    raise BudgetExceeded(
+                        f"joint-count state space {len(states)} exceeds the budget {cap}"
+                    )
         return states
+
+    def _draw(self, states, effects, floor) -> dict:
+        """States after one coordinate draws."""
+        guard, rmask = self.guard, self.rmask
+        nxt: dict = {}
+        for key, mass in states.items():
+            r = key & rmask
+            for bump, shift, w in effects:
+                new = key + bump + shift[r]
+                if new & guard or (floor and ((new | guard) - floor) & guard != guard):
+                    continue
+                nxt[new] = nxt.get(new, 0) + mass * w
+        return nxt
+
+    def _draw_run(self, states, effects, k, floor) -> dict:
+        """States after k coordinates with the same `effects` draw, in one step.
+
+        The effects shift no residue and their nonzero bumps touch disjoint
+        slots, so from each state every composition (c_e draws of each moving
+        effect e, the other k - sum c of the bump-0 effect of weight w_0) lands
+        on its own key, with mass C(k; c) prod w_e^c_e w_0^(k - sum c).  The
+        count of e grows until a slot of e overruns; its mass term grows by
+        (rem - c) w_e / (c + 1) per step, exact in ints.  The floor applies
+        to the states after the run only: a count short of it midway stays
+        short at the end, so the result is the one of k single draws.
+        """
+        guard = self.guard
+        div = operator.floordiv if self.exact else operator.truediv
+        w0 = sum(w for bump, _, w in effects if not bump)
+        moving = [(bump, w) for bump, _, w in effects if bump]
+        tail = [w0**r for r in range(k + 1)]
+        last = len(moving)
+        nxt: dict = {}
+
+        def spread(key, term, e, rem):
+            if e == last:
+                if (w0 or not rem) and (not floor or ((key | guard) - floor) & guard == guard):
+                    nxt[key] = nxt.get(key, 0) + term * tail[rem]
+                return
+            bump, w = moving[e]
+            for c in range(rem + 1):
+                if c:
+                    key += bump
+                    if key & guard:
+                        return
+                    term = div(term * (rem - c + 1) * w, c)
+                spread(key, term, e + 1, rem - c)
+
+        for key, mass in states.items():
+            spread(key, mass, 0, k)
+        return nxt
 
 
 def _joint_count(fns, support, n: int, budget):
@@ -678,9 +751,10 @@ def expectation(
     residue kinds only), 'auto' prefers the dp when it applies, the closed
     form for juntas, and the contraction within the budget otherwise.  Exact
     inputs give exact rationals on every route.  `budget` caps the m^n points
-    of a contraction; on the dp it caps the live states after each
-    coordinate, counted after dropping those that can no longer reach a
-    window's lower bound.
+    of a contraction; on the dp it caps the live states after each step (one
+    coordinate's draw, or a run of coordinates drawn at once, see
+    `_JointLayout.walk`), counted after dropping those that can no longer
+    reach a window's lower bound.
     """
     if n is not None and n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
@@ -1297,33 +1371,62 @@ def _pair(item, what: str, shape: str) -> list:
     return item
 
 
-def _field(doc: dict, key: str, types, shape: str):
-    """doc[key] if it is one of the Python `types`, else ValueError saying
-    what it should have been."""
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, types=object, shape: str = "", default=_REQUIRED):
+    """doc[key] if it is one of the Python `types` (`default` when the key is
+    absent and a default is given), else ValueError saying what is wrong."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"the field {key!r} is missing")
+        return default
     item = doc[key]
     if not isinstance(item, types):
         raise ValueError(f"{key} must be {shape}, not {json.dumps(item)}")
     return item
 
 
+def _integer(item, what: str) -> int:
+    """item as an int (a whole number or a numeral string), or ValueError
+    saying what it should have been."""
+    try:
+        value = int(item)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or (not isinstance(item, str) and value != item):
+        raise ValueError(f"{what} must be an integer, not {json.dumps(item)}")
+    return value
+
+
+def _table_value(v) -> Number:
+    """A table entry: a string weight (`parse_weight`) or a JSON number."""
+    if isinstance(v, str):
+        return parse_weight(v)
+    if isinstance(v, (int, float)):
+        return float(v)
+    raise ValueError(f"a table value must be a number or a string, not {json.dumps(v)}")
+
+
 def parse_function(text: str) -> FunctionSpec:
     """Load the JSON function document format.
 
-    A document that is not a JSON object, windows or an anchor that are not
-    [lo, hi] or [coordinate, symbol] pairs under an object, and a symbol map
-    that is neither a list nor an object raise ValueError.
+    Every malformed document raises ValueError: one that is not a JSON
+    object, a missing field, a count, coordinate or coefficient that is not
+    an integer, a list field (alphabet, values, constraints, coeffs,
+    ignored) that is not a list, windows or an anchor that are not [lo, hi]
+    or [coordinate, symbol] pairs under an object, and a symbol map that is
+    neither a list nor an object.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a function document must be a JSON object")
-    n = int(doc["n"])
-    alphabet = Alphabet(tuple(str(s) for s in doc["alphabet"]))
-    kind = doc["kind"]
+    n = _integer(_field(doc, "n"), "n")
+    alphabet = Alphabet(tuple(str(s) for s in _field(doc, "alphabet", list, "a list")))
+    kind = _field(doc, "kind", str, "a string")
     zero = bool(doc.get("zero", False))
     if kind == "table":
-        values = []
-        for v in doc["values"]:
-            values.append(parse_weight(v) if isinstance(v, str) else float(v))
+        values = [_table_value(v) for v in _field(doc, "values", list, "a list")]
         exact = all(isinstance(v, Fraction) for v in values)
         if not exact:
             values = [float(v) for v in values]
@@ -1332,23 +1435,33 @@ def parse_function(text: str) -> FunctionSpec:
         anchor = doc.get("anchor")
         if anchor is not None:
             coord, sym = _pair(anchor, "an anchor", "[coordinate, symbol]")
-            anchor = (int(coord), str(sym))
+            anchor = (_integer(coord, "the anchor coordinate"), str(sym))
         windows = {}
         for sym, w in _field(doc, "windows", dict, "an object").items():
             lo, hi = _pair(w, f"window {sym!r}", "[lo, hi]")
-            windows[str(sym)] = (int(lo), int(hi))
-        ignored = [int(c) for c in doc.get("ignored", [])]
+            what = f"a bound of window {sym!r}"
+            windows[str(sym)] = (_integer(lo, what), _integer(hi, what))
+        ignored = [
+            _integer(c, "an ignored coordinate")
+            for c in _field(doc, "ignored", list, "a list", default=[])
+        ]
         return make_anchored_symmetric(n, alphabet, windows, anchor, ignored, zero)
     if kind == "junta":
-        constraints = [(int(c), str(s)) for c, s in doc["constraints"]]
+        constraints = []
+        for item in _field(doc, "constraints", list, "a list"):
+            coord, sym = _pair(item, "a constraint", "[coordinate, symbol]")
+            constraints.append((_integer(coord, "a constraint coordinate"), str(sym)))
         return make_junta(n, alphabet, constraints, zero)
     if kind == "mod_linear":
         symbol_map = _field(doc, "symbol_map", (list, dict), "a list or an object")
         if isinstance(symbol_map, dict):
-            symbol_map = {str(s): int(v) for s, v in symbol_map.items()}
+            symbol_map = {str(s): _integer(v, "a symbol map value") for s, v in symbol_map.items()}
+        else:
+            symbol_map = [_integer(v, "a symbol map value") for v in symbol_map]
+        coeffs = [_integer(c, "a coefficient") for c in _field(doc, "coeffs", list, "a list")]
         return make_mod_linear(
-            n, alphabet, int(doc["modulus"]), [int(c) for c in doc["coeffs"]],
-            int(doc["residue"]), symbol_map, zero,
+            n, alphabet, _integer(_field(doc, "modulus"), "modulus"), coeffs,
+            _integer(_field(doc, "residue"), "residue"), symbol_map, zero,
         )
     raise ValueError(f"unknown function kind {kind!r}")
 

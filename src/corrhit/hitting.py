@@ -165,8 +165,9 @@ def multi_set_expectation(
     |support|^n for enumeration and the m^n points of every materialized
     function, so a support narrower than the alphabet can pass the first cap
     and fail the second with BudgetExceeded; for the dp it caps the live
-    states after each coordinate, counted after dropping states that can no
-    longer reach some window's lower bound.
+    states after each step (one coordinate's draw, or a run of coordinates
+    drawn at once, see `fourier._JointLayout.walk`), counted after dropping
+    states that can no longer reach some window's lower bound.
     """
     fns = tuple(fns)
     if len(fns) != p.steps:

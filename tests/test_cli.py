@@ -411,7 +411,11 @@ def test_malformed_function_document_exits_two(workdir, capsys, doc):
     ({**WINDOW_DOC, "windows": [["0", [0, 1]]]}, "windows must be an object"),
     ({**MOD_DOC, "symbol_map": 3}, "symbol_map must be a list or an object"),
     ([MOD_DOC], "a function document must be a JSON object"),
-], ids=["windows-a-list", "symbol-map-a-number", "document-a-list"])
+    ({**MOD_DOC, "symbol_map": [0, 1, 2], "n": [1]}, "n must be an integer, not [1]"),
+    ({**MOD_DOC, "symbol_map": [0, 1, 2], "coeffs": 3}, "coeffs must be a list, not 3"),
+    (MOD_DOC, "the field 'symbol_map' is missing"),
+], ids=["windows-a-list", "symbol-map-a-number", "document-a-list", "n-a-list",
+        "coeffs-a-number", "symbol-map-missing"])
 def test_function_document_of_the_wrong_shape_exits_two(workdir, capsys, doc, message):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps(doc))

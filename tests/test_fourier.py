@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -955,6 +957,58 @@ def test_parse_function_refuses_a_symbol_map_of_another_type():
     for symbol_map in (3, "012", None):
         with pytest.raises(ValueError, match=r"symbol_map must be a list or an object"):
             parse_function(json.dumps({**MOD_DOC, "symbol_map": symbol_map}))
+
+
+def test_parse_function_refuses_retyped_and_missing_fields():
+    # each of these raised TypeError or KeyError, or was truncated, before
+    # the field checks
+    for doc, message in (
+        ({**MOD_DOC, "symbol_map": [0, 1, 2], "n": [1]}, r"n must be an integer, not \[1\]"),
+        ({**MOD_DOC, "symbol_map": [0, 1, 2], "coeffs": 3}, r"coeffs must be a list, not 3"),
+        (MOD_DOC, r"the field 'symbol_map' is missing"),
+        ({**MOD_DOC, "symbol_map": [0, [1], 2]}, r"a symbol map value must be an integer"),
+        ({**MOD_DOC, "symbol_map": [0, 1, 2], "residue": None}, r"residue must be an integer"),
+        ({**WINDOW_DOC, "windows": {"0": [0, [1]]}}, r"a bound of window '0' must be an integer"),
+        ({**WINDOW_DOC, "windows": {}, "ignored": 1}, r"ignored must be a list, not 1"),
+        ({"n": 1, "alphabet": list(TRIT), "kind": "junta", "constraints": [1]},
+         r"a constraint must be a \[coordinate, symbol\] pair"),
+        ({"n": 1, "alphabet": list(BIT), "kind": "table", "values": [0, [1]]},
+         r"a table value must be a number or a string"),
+        ({"alphabet": list(BIT), "kind": "table", "values": [0, 1]}, r"the field 'n' is missing"),
+        ({**MOD_DOC, "symbol_map": [0, 1, 2], "n": 2.5}, r"n must be an integer, not 2.5"),
+        ({**MOD_DOC, "symbol_map": [0, 1, 2], "coeffs": [1, 1.5]}, r"a coefficient must be"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_function(json.dumps(doc))
+
+
+JSON_VALUES = st.sampled_from(
+    [None, True, 0, -1, 3, 2.5, float("inf"), "", "x", "1/2", [], [1], [[0, 1]], ["0", 1], {},
+     {"0": [0, 1]}, {"0": 1}]
+)
+VALID_DOCS = [
+    {**MOD_DOC, "symbol_map": [0, 1, 2]},
+    {**WINDOW_DOC, "windows": {"0": [0, 1]}, "anchor": [1, "1"], "ignored": [2]},
+    {"n": 1, "alphabet": list(TRIT), "kind": "junta", "constraints": [[1, "0"]]},
+    {"n": 1, "alphabet": list(BIT), "kind": "table", "values": ["1/2", 1]},
+]
+
+
+@given(st.sampled_from(VALID_DOCS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_function_fails_only_with_value_error(doc, data):
+    # drop or retype any fields of a valid document: the parse either gives
+    # a function or raises ValueError, never another error
+    doc = dict(doc)
+    for key in data.draw(st.lists(st.sampled_from(sorted(doc)), min_size=1, max_size=3)):
+        if data.draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = data.draw(JSON_VALUES)
+    try:
+        parse_function(json.dumps(doc))
+    except ValueError:
+        pass
 
 
 def test_parse_function_refuses_a_document_that_is_not_an_object():

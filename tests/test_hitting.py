@@ -8,11 +8,14 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
 from corrhit.dist_core import (
     Alphabet,
+    MarginalDistribution,
     StepDistribution,
     alpha,
     marginal,
@@ -295,29 +298,135 @@ def test_enumeration_memory_stays_within_the_block():
 
 def test_dp_budget_caps_live_states():
     # For window and residue kinds the budget caps the live states after each
-    # draw, counted after dropping those that can no longer reach a window's
-    # lower bound.  Window 3 <= #0 <= 5 over n = 8 bits: after t draws the
-    # live counts are max(0, 3 - (8 - t))..min(t, 5), at most 6 (t = 5; also
-    # for the influence, which walks seven coordinates with i still to come).
-    # Residue sum x mod 5 over three symbols: at most 5 live residues.  On
-    # two independent uniform steps the joint states are pairs: 36 and 25.
+    # step, counted after dropping those that can no longer reach a window's
+    # lower bound.  A step is one coordinate's draw, or a run of coordinates
+    # with one effect list drawn at once (no residue shift, disjoint bumps).
+    # Window 3 <= #0 <= 5 over n = 8 bits is one run of eight and ends on the
+    # counts 3..5: 3 states.  Its influence at i = 2 draws coordinate 1
+    # (counts 0..1), then 3..8 as one run with i still to come: counts 2..5,
+    # 4 states.  Residue sum x mod 5 over three symbols shifts residues, so
+    # every coordinate draws on its own: at most 5 live residues.  On two
+    # independent uniform steps the window pair's tuples 00, 01 and 10 bump
+    # overlapping slots, so the pair draws one coordinate at a time and peaks
+    # at 6 x 6 = 36 joint counts (t = 5); the residue pair peaks at 25.
     window = make_anchored_symmetric(8, BIT, {"0": (3, 5)})
     residue = make_mod_linear(4, TRIT, 5, (1,) * 4, 2, (0, 1, 2))
-    for f, peak in ((window, 6), (residue, 5)):
+    for f, peaks in ((window, (3, 4, 36)), (residue, (5, 5, 25))):
         m = len(f.alphabet)
         p = helpers.dist_from_cells(
             {(a, b): Fraction(1, m * m) for a in range(m) for b in range(m)}, m, 2
         )
         pi = marginal(p, 1)
         calls = [
-            (peak, lambda b: expectation(f, pi, budget=b)),
-            (peak, lambda b: influence(f, pi, i=2, budget=b)),
-            (peak * peak, lambda b: multi_set_expectation(p, f.n, (f, f), engine="dp", budget=b)),
+            lambda b: expectation(f, pi, budget=b),
+            lambda b: influence(f, pi, i=2, budget=b),
+            lambda b: multi_set_expectation(p, f.n, (f, f), engine="dp", budget=b),
         ]
-        for threshold, call in calls:
+        for threshold, call in zip(peaks, calls):
             assert call(threshold) == call(None)
             with pytest.raises(BudgetExceeded, match="joint-count state space"):
                 call(threshold - 1)
+
+
+# ---------------------------------------------------------------------------
+# joint-count run steps against the brute-force oracles
+#
+# A run of coordinates with one effect signature, whose effects shift no
+# residue and bump pairwise disjoint slots, draws in one multinomial step;
+# every other coordinate draws on its own.  Exact results must equal the
+# oracles as Fractions and float results lie within FLOAT_REL of them.  An
+# exact 0 admits 1e-15 absolute: a float influence sums terms sw*hit - hit^2
+# that cancel only up to rounding.
+
+FLOAT_REL = 1e-12
+
+
+def _assert_close(approx, want):
+    assert isinstance(approx, float)
+    gap = abs(approx - float(want))
+    assert gap <= FLOAT_REL * abs(float(want)) or (want == 0 and gap <= 1e-15)
+
+
+@st.composite
+def run_windows(draw, n, m):
+    """A window function on one or more symbols, anchored or not, restricted
+    at random coordinates (which it ignores from then on), and its oracle."""
+    syms = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    windows = {}
+    for sym in syms:
+        lo = draw(st.integers(0, n))
+        windows[sym] = (lo, draw(st.integers(lo, n)))
+    anchor = (draw(st.integers(1, n)), draw(st.integers(0, m - 1))) if draw(st.booleans()) else None
+    fixed = draw(st.dictionaries(st.integers(1, n), st.integers(0, m - 1), max_size=min(n - 1, 2)))
+    f = make_anchored_symmetric(n, tuple(str(a) for a in range(m)), windows, anchor=anchor)
+    if fixed:
+        f = restrict(f, Restriction.from_dict(n, fixed))
+    return f, _window_indicator(n, windows, anchor, fixed)
+
+
+@st.composite
+def run_residues(draw, n, m):
+    """A residue function whose zero coefficients give run-eligible coordinates."""
+    q = draw(st.integers(2, 4))
+    coeff = st.one_of(st.just(0), st.just(0), st.integers(1, q - 1))
+    coeffs = draw(st.lists(coeff, min_size=n, max_size=n))
+    smap = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+    residue = draw(st.integers(0, q - 1))
+    f = make_mod_linear(n, tuple(str(a) for a in range(m)), q, coeffs, residue, smap)
+    return f, lambda x: Fraction(int(sum(c * smap[s] for c, s in zip(coeffs, x)) % q == residue))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_dp_run_steps_match_iid_oracles(data):
+    m = data.draw(st.integers(2, 3))
+    n = data.draw(st.integers(1, 6 if m == 2 else 5))
+    raw = data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any))
+    probs = tuple(Fraction(w, sum(raw)) for w in raw)
+    alphabet = Alphabet(tuple(str(a) for a in range(m)))
+    pi = MarginalDistribution(alphabet, probs, True)
+    twin = MarginalDistribution(alphabet, tuple(float(q) for q in probs), False)
+    f, oracle = data.draw(st.one_of(run_windows(n, m), run_residues(n, m)))
+    pid, symbols = dict(enumerate(probs)), tuple(range(m))
+    want = oracles.fn_expectation_iid(pid, n, oracle, symbols)
+    got = expectation(f, pi, engine="dp")
+    assert isinstance(got, Fraction) and got == want
+    _assert_close(expectation(f, twin, engine="dp"), want)
+    for i in range(1, n + 1):
+        want = oracles.influence_iid(pid, n, oracle, symbols, i)
+        got = influence(f, pi, i=i, engine="dp")
+        assert isinstance(got, Fraction) and got == want
+        _assert_close(influence(f, twin, i=i, engine="dp"), want)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_dp_run_steps_match_brute_product_oracle(data):
+    # tuples k = (s_1(k), ..., s_ell(k)) for permutations s_j differ at every
+    # step, so window bumps of distinct tuples never share a slot and runs
+    # draw in one step; extra tuples can make bumps overlap, and residue
+    # functions with nonzero coefficients draw their coordinates one by one
+    m = data.draw(st.integers(2, 3))
+    ell = data.draw(st.integers(2, 3))
+    perms = [tuple(range(m))] + [data.draw(st.permutations(range(m))) for _ in range(ell - 1)]
+    tuples = {tuple(s[k] for s in perms) for k in range(m)}
+    if data.draw(st.booleans()):
+        tuples.add(tuple(data.draw(st.integers(0, m - 1)) for _ in range(ell)))
+    cells = {t: Fraction(data.draw(st.integers(1, 4))) for t in sorted(tuples)}
+    p = helpers.dist_from_cells(cells, m, ell)
+    n = data.draw(st.integers(1, 5))
+    while n > 1 and len(cells) ** n > 1500:
+        n -= 1
+    pairs = [data.draw(st.one_of(run_windows(n, m), run_windows(n, m), run_residues(n, m)))
+             for _ in range(ell)]
+    fns, oracle_fns = tuple(f for f, _ in pairs), [o for _, o in pairs]
+    want = oracles.multi_set_expectation_brute(
+        dict(zip(p.tuples(), p.weights)), ell, n, oracle_fns
+    )
+    got = multi_set_expectation(p, n, fns, engine="dp")
+    assert isinstance(got, Fraction) and got == want
+    twin = StepDistribution(p.alphabet, p.steps, tuple(float(w) for w in p.weights), False)
+    _assert_close(multi_set_expectation(twin, n, fns, engine="dp"), want)
 
 
 def test_dp_refuses_incompatible_functions():
