@@ -136,7 +136,10 @@ class ScaledView(NamedTuple):
 def parse_weight(token: str) -> Number:
     """`p/q` and plain integers parse exactly; anything else is a float."""
     if _RAT_RE.match(token) or _INT_RE.match(token):
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in weight {token!r}") from None
     value = float(token)  # raises ValueError on garbage
     if value != value or value in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite weight {token!r}")

@@ -139,7 +139,9 @@ def make_table_function(n: int, alphabet: Alphabet, values) -> FunctionSpec:
     alphabet = _coerce_alphabet(alphabet)
     m = len(alphabet)
     vals = tuple(values)
-    if len(vals) != m**n:
+    # for m >= 2, m^n exceeds the value count once n passes its bit length:
+    # a huge n is refused before m^n is computed
+    if (m > 1 and n > len(vals).bit_length()) or len(vals) != m**n:
         raise ValueError("table length must be |alphabet|^n")
     for v in vals:
         if not 0 <= v <= 1:
@@ -499,6 +501,27 @@ def _disjoint(effects) -> bool:
     )
 
 
+def _run_pays(live: int, k: int, effects) -> bool:
+    """Whether k draws of `effects` from `live` states cost no more in one
+    step than one at a time, by an estimate that ignores window bounds.
+
+    With e moving effects, t draws spread over C(t + e, e) compositions
+    (C(t + e - 1, e - 1) when no effect stays put).  The run step walks every
+    composition from every state; the t-th single draw walks every effect
+    from each state then live, taken as the larger of `live` and the
+    compositions of t draws.  From one state the run always pays; from many,
+    compositions of several effects land on shared keys and the single
+    draws stay cheaper.
+    """
+    parts = sum(1 for bump, _, _ in effects if bump) - all(bump for bump, _, _ in effects)
+    comps = [math.comb(t + parts, parts) for t in range(k + 1)]
+    return live * comps[k] <= len(effects) * sum(max(live, c) for c in comps[1:])
+
+
+def _over_budget(size: int, cap: int) -> BudgetExceeded:
+    return BudgetExceeded(f"joint-count state space {size} exceeds the budget {cap}")
+
+
 class _JointLayout:
     """The joint state of window and residue functions packed into one int,
     and the effect of one coordinate's draw on it.
@@ -524,6 +547,7 @@ class _JointLayout:
         self.rmask = (1 << pos) - 1
         self.target = sum(fns[j].payload["residue"] * r for j, _, r in self.mods)
         self.slots = {}  # (function, symbol) -> (bit position, offset, lo, hi)
+        self.fields = []  # per slot (bit position, mask with guard, largest live value)
         self.guard = self.start = 0
         # per function, the coordinates that bump none of its slots; and the
         # coordinates some window anchors or ignores -> (anchors, muted functions)
@@ -536,6 +560,7 @@ class _JointLayout:
                 bits = hi.bit_length()
                 off = (1 << bits) - 1 - hi
                 self.slots[(j, sym)] = (pos, off, lo, hi)
+                self.fields.append((pos, (2 << bits) - 1, (1 << bits) - 1))
                 self.start |= off << pos
                 self.guard |= 1 << (pos + bits)
                 pos += bits + 1
@@ -621,13 +646,15 @@ class _JointLayout:
         draw, in that order.
 
         Each run of consecutive coordinates with one `signature` draws in one
-        step (`_draw_run`) when its effects shift no residue and their
-        nonzero bumps touch pairwise disjoint slots; every other coordinate
-        draws on its own.  A state is dropped when a window overruns or when
-        some window's lo is out of reach with the rest of `coords` and the
-        coordinates `later` still to draw.  More than `budget` live states
+        step (`_draw_run`) when its effects shift no residue, their nonzero
+        bumps touch pairwise disjoint slots and the step costs less than its
+        single draws from the states live before it (`_run_pays`); every
+        other coordinate draws on its own.  A state is dropped when a window
+        overruns or when some window's lo is out of reach with the rest of
+        `coords` and the coordinates `later` still to draw.  More than `budget` live states
         after a step (one draw, or one run drawn at once) raise
-        BudgetExceeded.  A zero function leaves no state.
+        BudgetExceeded; a run raises as soon as it stores one state too
+        many.  A zero function leaves no state.
         """
         if any(f.zero for f in self.fns):
             return {}
@@ -639,20 +666,20 @@ class _JointLayout:
             effects = self.effects(run[0])
             # the functions whose slots the run's coordinates may bump
             live = [run[0] not in ign for ign in self.ignored]
-            at_once = len(run) > 1 and _disjoint(effects)
+            at_once = (
+                len(run) > 1 and _disjoint(effects) and _run_pays(len(states), len(run), effects)
+            )
             for k in [len(run)] if at_once else [1] * len(run):
                 rest = [r - k * d for r, d in zip(rest, live)]
                 floor = self.floor(rest)
                 if at_once:
-                    states = self._draw_run(states, effects, k, floor)
+                    states = self._draw_run(states, effects, k, floor, cap)
                 else:
                     states = self._draw(states, effects, floor)
+                    if len(states) > cap:
+                        raise _over_budget(len(states), cap)
                 if not states:
                     return states
-                if len(states) > cap:
-                    raise BudgetExceeded(
-                        f"joint-count state space {len(states)} exceeds the budget {cap}"
-                    )
         return states
 
     def _draw(self, states, effects, floor) -> dict:
@@ -668,15 +695,21 @@ class _JointLayout:
                 nxt[new] = nxt.get(new, 0) + mass * w
         return nxt
 
-    def _draw_run(self, states, effects, k, floor) -> dict:
+    def _draw_run(self, states, effects, k, floor, cap) -> dict:
         """States after k coordinates with the same `effects` draw, in one step.
 
         The effects shift no residue and their nonzero bumps touch disjoint
         slots, so from each state every composition (c_e draws of each moving
         effect e, the other k - sum c of the bump-0 effect of weight w_0) lands
-        on its own key, with mass C(k; c) prod w_e^c_e w_0^(k - sum c).  The
-        count of e grows until a slot of e overruns; its mass term grows by
-        (rem - c) w_e / (c + 1) per step, exact in ints.  The floor applies
+        on its own key, with mass C(k; c) prod w_e^c_e w_0^(k - sum c).  Only
+        e moves the slots of e, so from a state c_e runs from the least count
+        that lifts them to the floor up to the most before one overruns,
+        leaving enough draws for the least counts of the effects after e;
+        with w_0 = 0 the last effect takes every draw left.  A state below the
+        floor in a slot no effect moves is dropped.  Every composition walked
+        is thus stored, and the state that passes `cap` raises
+        BudgetExceeded at once.  The mass term of e grows by
+        (rem - c) w_e / (c + 1) per count, exact in ints.  The floor applies
         to the states after the run only: a count short of it midway stays
         short at the end, so the result is the one of k single draws.
         """
@@ -684,25 +717,48 @@ class _JointLayout:
         div = operator.floordiv if self.exact else operator.truediv
         w0 = sum(w for bump, _, w in effects if not bump)
         moving = [(bump, w) for bump, _, w in effects if bump]
+        fields = [[fd for fd in self.fields if bump >> fd[0] & 1] for bump, _ in moving]
         tail = [w0**r for r in range(k + 1)]
         last = len(moving)
         nxt: dict = {}
 
         def spread(key, term, e, rem):
             if e == last:
-                if (w0 or not rem) and (not floor or ((key | guard) - floor) & guard == guard):
-                    nxt[key] = nxt.get(key, 0) + term * tail[rem]
+                nxt[key] = nxt.get(key, 0) + term * tail[rem]
+                if len(nxt) > cap:
+                    raise _over_budget(len(nxt), cap)
                 return
             bump, w = moving[e]
-            for c in range(rem + 1):
-                if c:
+            lo, most = bounds[e]
+            hi = min(most, rem - least_after[e + 1])
+            if not w0 and e == last - 1:
+                lo = max(lo, rem)
+            if lo > hi:
+                return
+            for c in range(1, lo + 1):
+                term = div(term * (rem - c + 1) * w, c)
+            key += lo * bump
+            for c in range(lo, hi + 1):
+                if c > lo:
                     key += bump
-                    if key & guard:
-                        return
                     term = div(term * (rem - c + 1) * w, c)
                 spread(key, term, e + 1, rem - c)
 
         for key, mass in states.items():
+            # per moving effect, (least count meeting the floor, most count)
+            bounds = [
+                (
+                    max(0, *((floor >> pos & mask) - (key >> pos & mask) for pos, mask, _ in fs)),
+                    min(top - (key >> pos & mask) for pos, mask, top in fs),
+                )
+                for fs in fields
+            ]
+            least_after = [sum(lo for lo, _ in bounds[e:]) for e in range(last + 1)]
+            if least_after[0] > k or any(lo > most for lo, most in bounds):
+                continue
+            lowest = key + sum(lo * bump for (lo, _), (bump, _) in zip(bounds, moving))
+            if floor and ((lowest | guard) - floor) & guard != guard:
+                continue
             spread(key, mass, 0, k)
         return nxt
 
@@ -1404,7 +1460,10 @@ def _table_value(v) -> Number:
     if isinstance(v, str):
         return parse_weight(v)
     if isinstance(v, (int, float)):
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:
+            raise ValueError("a table value is too large for a float") from None
     raise ValueError(f"a table value must be a number or a string, not {json.dumps(v)}")
 
 

@@ -414,8 +414,12 @@ def test_malformed_function_document_exits_two(workdir, capsys, doc):
     ({**MOD_DOC, "symbol_map": [0, 1, 2], "n": [1]}, "n must be an integer, not [1]"),
     ({**MOD_DOC, "symbol_map": [0, 1, 2], "coeffs": 3}, "coeffs must be a list, not 3"),
     (MOD_DOC, "the field 'symbol_map' is missing"),
+    ({"n": 1, "alphabet": list(TRIT), "kind": "table", "values": ["1/0", 0, 0]},
+     "zero denominator in weight '1/0'"),
+    ({"n": 1, "alphabet": list(TRIT), "kind": "table", "values": [10**400, 0, 0]},
+     "a table value is too large for a float"),
 ], ids=["windows-a-list", "symbol-map-a-number", "document-a-list", "n-a-list",
-        "coeffs-a-number", "symbol-map-missing"])
+        "coeffs-a-number", "symbol-map-missing", "value-over-zero", "value-past-float"])
 def test_function_document_of_the_wrong_shape_exits_two(workdir, capsys, doc, message):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -75,6 +75,12 @@ def test_parse_rejects_negative_weight():
         parse_distribution(text)
 
 
+def test_parse_rejects_zero_denominator():
+    text = "alphabet 0 1\nsteps 2\nentry 0 0 1/0\nentry 1 1 1/2\n"
+    with pytest.raises(DistributionFormatError, match="zero denominator"):
+        parse_distribution(text)
+
+
 def test_decimal_weights_force_float_mode():
     text = "alphabet 0 1\nsteps 2\nentry 0 0 0.5\nentry 1 1 0.5\n"
     p = parse_distribution(text)

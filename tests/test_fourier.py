@@ -977,14 +977,22 @@ def test_parse_function_refuses_retyped_and_missing_fields():
         ({"alphabet": list(BIT), "kind": "table", "values": [0, 1]}, r"the field 'n' is missing"),
         ({**MOD_DOC, "symbol_map": [0, 1, 2], "n": 2.5}, r"n must be an integer, not 2.5"),
         ({**MOD_DOC, "symbol_map": [0, 1, 2], "coeffs": [1, 1.5]}, r"a coefficient must be"),
+        # these two raised ZeroDivisionError and OverflowError
+        ({"n": 1, "alphabet": list(BIT), "kind": "table", "values": ["1/0", 1]},
+         r"zero denominator in weight '1/0'"),
+        ({"n": 1, "alphabet": list(BIT), "kind": "table", "values": [10**400, 1]},
+         r"a table value is too large for a float"),
+        # this one computed 2^(10^400) and never returned
+        ({"n": 10**400, "alphabet": list(BIT), "kind": "table", "values": [0, 1]},
+         r"table length must be \|alphabet\|\^n"),
     ):
         with pytest.raises(ValueError, match=message):
             parse_function(json.dumps(doc))
 
 
 JSON_VALUES = st.sampled_from(
-    [None, True, 0, -1, 3, 2.5, float("inf"), "", "x", "1/2", [], [1], [[0, 1]], ["0", 1], {},
-     {"0": [0, 1]}, {"0": 1}]
+    [None, True, 0, -1, 3, 2.5, float("inf"), 10**400, "", "x", "1/2", "1/0", [], [1], [[0, 1]],
+     ["0", 1], ["1/0", 10**400], {}, {"0": [0, 1]}, {"0": 1}]
 )
 VALID_DOCS = [
     {**MOD_DOC, "symbol_map": [0, 1, 2]},

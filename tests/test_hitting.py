@@ -56,6 +56,7 @@ from corrhit.hitting import (
 
 TRIT = ("0", "1", "2")
 BIT = ("0", "1")
+QUAD = ("0", "1", "2", "3")
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +301,12 @@ def test_dp_budget_caps_live_states():
     # For window and residue kinds the budget caps the live states after each
     # step, counted after dropping those that can no longer reach a window's
     # lower bound.  A step is one coordinate's draw, or a run of coordinates
-    # with one effect list drawn at once (no residue shift, disjoint bumps).
+    # with one effect list drawn at once (no residue shift, disjoint bumps,
+    # and few enough live states before it that one step costs less).
     # Window 3 <= #0 <= 5 over n = 8 bits is one run of eight and ends on the
-    # counts 3..5: 3 states.  Its influence at i = 2 draws coordinate 1
-    # (counts 0..1), then 3..8 as one run with i still to come: counts 2..5,
-    # 4 states.  Residue sum x mod 5 over three symbols shifts residues, so
+    # counts 3..5: 3 states.  In its influence at i = 2 the seven coordinates
+    # other than i draw as one run, with i still to come: counts 2..5, 4
+    # states.  Residue sum x mod 5 over three symbols shifts residues, so
     # every coordinate draws on its own: at most 5 live residues.  On two
     # independent uniform steps the window pair's tuples 00, 01 and 10 bump
     # overlapping slots, so the pair draws one coordinate at a time and peaks
@@ -326,6 +328,44 @@ def test_dp_budget_caps_live_states():
             assert call(threshold) == call(None)
             with pytest.raises(BudgetExceeded, match="joint-count state space"):
                 call(threshold - 1)
+
+
+def test_dp_run_step_raises_before_storing_the_whole_run():
+    # Windows [0, n] on three of four symbols keep every composition of the
+    # one run over all n coordinates: C(n + 3, 3) = 1373701 states at
+    # n = 200.  The run raises on the state that passes the budget, so it
+    # never holds more than budget + 1 of them.
+    n = 200
+    f = make_anchored_symmetric(n, QUAD, {s: (0, n) for s in "012"})
+    pi = MarginalDistribution(Alphabet(QUAD), (Fraction(1, 4),) * 4, True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="state space 1001 exceeds the budget 1000"):
+            expectation(f, pi, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_dp_run_step_starts_each_count_at_the_floor():
+    # Windows [95, n] on three of four symbols at n = 300: a run walks only
+    # counts 95 + d with d summing to at most 15 (816 states), not the
+    # C(303, 3) compositions of the whole run.  The mass is the multinomial
+    # sum over those counts.
+    n, lo = 300, 95
+    f = make_anchored_symmetric(n, QUAD, {s: (lo, n) for s in "012"})
+    pi = MarginalDistribution(Alphabet(QUAD), (Fraction(1, 4),) * 4, True)
+    fact = math.factorial
+    want = sum(
+        fact(n) // (fact(a) * fact(b) * fact(c) * fact(n - a - b - c))
+        for a in range(lo, n + 1)
+        for b in range(lo, n - a + 1)
+        for c in range(lo, n - a - b + 1)
+    )
+    assert expectation(f, pi, budget=816) == Fraction(want, 4**n)
+    with pytest.raises(BudgetExceeded):
+        expectation(f, pi, budget=815)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +413,7 @@ def run_residues(draw, n, m):
     smap = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
     residue = draw(st.integers(0, q - 1))
     f = make_mod_linear(n, tuple(str(a) for a in range(m)), q, coeffs, residue, smap)
-    return f, lambda x: Fraction(int(sum(c * smap[s] for c, s in zip(coeffs, x)) % q == residue))
+    return f, _residue_indicator(q, coeffs, residue, smap)
 
 
 @given(st.data())
