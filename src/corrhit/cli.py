@@ -50,6 +50,7 @@ from .fourier import (
     make_mod_linear,
     make_table_function,
     parse_function,
+    resolve_engine,
     to_table,
     variance,
 )
@@ -61,7 +62,6 @@ from .hitting import (
     influence_reduction,
     markov_same_set_check,
     multi_set_expectation,
-    resolve_engine,
     same_set_expectation,
 )
 from .invariance import (
@@ -154,6 +154,12 @@ def _rebase(f: FunctionSpec, n: int) -> FunctionSpec:
     raise ValueError(f"table function of {f.n} coordinates cannot be re-targeted to {n}")
 
 
+def _load_fns(args, inputs: dict) -> list:
+    """Every --fn, re-targeted at --n when given."""
+    fns = [_load_fn(path, inputs) for path in args.fn]
+    return fns if args.n is None else [_rebase(f, args.n) for f in fns]
+
+
 def _flat_lines(tree, prefix=""):
     if isinstance(tree, dict):
         if set(tree) == {"value", "kind"}:
@@ -233,9 +239,7 @@ def _cmd_decompose(args, inputs):
 
 def _cmd_fourier(args, inputs):
     p = _load_dist(args.dist, inputs)
-    f = _load_fn(args.fn[0], inputs)
-    if args.n is not None:
-        f = _rebase(f, args.n)
+    f = _load_fns(args, inputs)[0]
     pi = marginal(p, args.step)
     basis = build_basis(pi)
     exp_val = expectation(f, pi, budget=args.budget)
@@ -262,9 +266,7 @@ def _cmd_fourier(args, inputs):
 
 def _cmd_hit(args, inputs):
     p = _load_dist(args.dist, inputs)
-    fns = [_load_fn(path, inputs) for path in args.fn]
-    if args.n is not None:
-        fns = [_rebase(f, args.n) for f in fns]
+    fns = _load_fns(args, inputs)
     if len(fns) == 1:
         value = same_set_expectation(p, fns[0].n, fns[0], args.engine, args.budget)
     else:
@@ -330,9 +332,7 @@ def _influence_log_json(gs, log, alphabet):
 
 def _cmd_reduce(args, inputs):
     p = _load_dist(args.dist, inputs)
-    fns = [_load_fn(path, inputs) for path in args.fn]
-    if args.n is not None:
-        fns = [_rebase(f, args.n) for f in fns]
+    fns = _load_fns(args, inputs)
     if args.tau is not None:
         gs, log = influence_reduction(
             p, fns[0].n, tuple(fns), args.tau, budget=args.budget
@@ -607,26 +607,24 @@ def _cmd_verify(args, inputs):
 # -- invariance subcommands
 
 
-def _polys_for(p, fns, n):
+def _polys_for(p, fns):
     bases = tuple(build_basis(marginal(p, j)) for j in range(1, p.steps + 1))
     if len(fns) == 1:
         fns = fns * p.steps
     if len(fns) != p.steps:
         raise ValueError("pass one function, or one per step")
     polys = tuple(
-        poly_from_function(to_table(f), basis) for f, basis in zip(fns, bases)
+        poly_from_function(f, basis) for f, basis in zip(fns, bases)
     )
     return polys, bases
 
 
 def _cmd_inv_hyper(args, inputs):
     p = _load_dist(args.dist, inputs)
-    f = _load_fn(args.fn[0], inputs)
-    if args.n is not None:
-        f = _rebase(f, args.n)
+    f = _load_fns(args, inputs)[0]
     pi = marginal(p, args.step)
     basis = build_basis(pi)
-    poly = poly_from_function(to_table(f, budget=args.budget), basis)
+    poly = poly_from_function(f, basis, budget=args.budget)
     a = args.alpha
     if a is None:
         a = min(float(pi.probs[s]) for s in pi.support_indices())
@@ -661,10 +659,8 @@ def _cmd_inv_hyper(args, inputs):
 
 def _cmd_inv_gap(args, inputs):
     p = _load_dist(args.dist, inputs)
-    fns = [_load_fn(path, inputs) for path in args.fn]
-    if args.n is not None:
-        fns = [_rebase(f, args.n) for f in fns]
-    polys, _ = _polys_for(p, fns, args.n)
+    fns = _load_fns(args, inputs)
+    polys, _ = _polys_for(p, fns)
     rep = invariance_gap(
         polys, p, args.lam, samples=args.samples, seed=args.seed,
         c_const=args.c_const, budget=args.budget,
@@ -690,10 +686,8 @@ def _cmd_inv_gap(args, inputs):
 
 def _cmd_inv_smooth(args, inputs):
     p = _load_dist(args.dist, inputs)
-    fns = [_load_fn(path, inputs) for path in args.fn]
-    if args.n is not None:
-        fns = [_rebase(f, args.n) for f in fns]
-    polys, _ = _polys_for(p, fns, args.n)
+    fns = _load_fns(args, inputs)
+    polys, _ = _polys_for(p, fns)
     rep = smoothing_gap(polys, p, args.gamma, args.eps, budget=args.budget)
     results = {
         "check": "smoothing-gap",
@@ -820,7 +814,6 @@ def _add_common(sp, dist=False, fn=False, needs_n=False):
     if needs_n:
         sp.add_argument("--n", type=int, default=None,
                         help="coordinate count (re-targets structured functions)")
-    sp.add_argument("--engine", choices=("auto", "enumerate", "dp"), default="auto")
     sp.add_argument("--budget", type=int, default=None,
                     help="enumeration cap (default 2^24); refuses beyond it")
     sp.add_argument("--seed", type=int, default=0)
@@ -855,6 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hit", help="same-set / multi-set expectation")
     _add_common(sp, dist=True, fn=True, needs_n=True)
+    sp.add_argument("--engine", choices=("auto", "enumerate", "dp"), default="auto",
+                    help="auto takes the joint-count dp when every function allows it")
     sp.set_defaults(handler=_cmd_hit)
 
     sp = sub.add_parser("reduce", help="density increment or influence reduction loop")

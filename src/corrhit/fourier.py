@@ -420,8 +420,7 @@ def _kernel_inputs(f: FunctionSpec, pi: MarginalDistribution, budget, exact: boo
     keep their weight 0, which adds exact zeros only.
     """
     _check_budget(len(f.alphabet), f.n, budget)
-    if f.kind != "table":
-        f = to_table(f, budget=budget)
+    f = to_table(f, budget=budget)
     exact = exact and pi.exact and f.is_exact()
     v_scale, values = f.view.scaled(exact)
     w_scale, weights = pi.view.scaled(exact)
@@ -796,37 +795,53 @@ def _influence_count(f: FunctionSpec, pi: MarginalDistribution, i: int, budget) 
     return Fraction(total, sw ** (f.n + 1)) if pi.exact else max(float(total), 0.0)
 
 
+def resolve_engine(engine: str, fns) -> str:
+    """The route, 'dp' or 'enumerate', that computes a quantity of `fns`.
+
+    The one engine rule of `expectation`, `variance`, `influence` and
+    `hitting.multi_set_expectation`.  'enumerate' contracts the values at
+    every point, materializing other kinds with `to_table`; 'dp' runs the
+    joint-count program, which reads only window and residue kinds
+    (`COUNT_KINDS`); 'auto' takes the dp when every function is of those
+    kinds and enumeration otherwise.  Under 'auto', `expectation` and
+    `influence` answer a junta by its closed form in place of enumeration.
+    An unknown engine, or 'dp' on any other kind, raises ValueError.
+    """
+    if engine not in ("auto", "enumerate", "dp"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if engine == "enumerate":
+        return engine
+    other = next((f.kind for f in fns if f.kind not in COUNT_KINDS), None)
+    if other is None:
+        return "dp"
+    if engine == "dp":
+        raise ValueError(f"no dynamic program for kind {other!r}")
+    return "enumerate"
+
+
 def expectation(
-    f: FunctionSpec, pi: MarginalDistribution, n: int | None = None,
+    f: FunctionSpec, pi: MarginalDistribution,
     engine: str = "auto", budget: int | None = None,
 ) -> Number:
     """E[f(X)] with X_i independent draws from pi.
 
-    engine: 'enumerate' contracts the values at all m^n points, 'dp' runs the
-    joint-count program over the marginal's one-step support (window and
-    residue kinds only), 'auto' prefers the dp when it applies, the closed
-    form for juntas, and the contraction within the budget otherwise.  Exact
-    inputs give exact rationals on every route.  `budget` caps the m^n points
-    of a contraction; on the dp it caps the live states after each step (one
+    The route is `resolve_engine(engine, (f,))`: the contraction over all m^n
+    points, the joint-count program over the marginal's one-step support, or
+    under 'auto' the closed form of a junta.  Exact inputs give exact
+    rationals on every route.  `budget` caps the m^n points of a
+    contraction; on the dp it caps the live states after each step (one
     coordinate's draw, or a run of coordinates drawn at once, see
     `_JointLayout.walk`), counted after dropping those that can no longer
     reach a window's lower bound.
     """
-    if n is not None and n != f.n:
-        raise ValueError("n disagrees with the function's coordinate count")
     _check_alphabet(f, pi)
+    route = resolve_engine(engine, (f,))
     if f.zero:
         return Fraction(0) if pi.exact else 0.0
-    if engine not in ("auto", "enumerate", "dp"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "enumerate":
-        return _expectation_contract(f, pi, budget)
-    if f.kind in COUNT_KINDS:
+    if route == "dp":
         total = _joint_count((f,), _marginal_support(pi), f.n, budget)
         return Fraction(total, pi.view.scale**f.n) if pi.exact else float(total)
-    if engine == "dp":
-        raise ValueError(f"no dynamic program for kind {f.kind!r}")
-    if f.kind == "junta":
+    if engine == "auto" and f.kind == "junta":
         out: Number = Fraction(1) if pi.exact else 1.0
         for _, sym in f.payload["constraints"]:
             out *= pi.probs[sym]
@@ -835,17 +850,15 @@ def expectation(
 
 
 def variance(
-    f: FunctionSpec, pi: MarginalDistribution, n: int | None = None,
+    f: FunctionSpec, pi: MarginalDistribution,
     engine: str = "auto", budget: int | None = None,
 ) -> Number:
-    """Var[f(X)]; for indicator kinds E[f^2] = E[f], so every engine applies.
-    Float results are clamped at 0 against rounding."""
+    """Var[f(X)], on the route of `resolve_engine`; for indicator kinds
+    E[f^2] = E[f], so every route applies.  Float results are clamped at 0
+    against rounding."""
     _check_alphabet(f, pi)
+    resolve_engine(engine, (f,))
     if f.kind == "table":
-        if n is not None and n != f.n:
-            raise ValueError("n disagrees with the function's coordinate count")
-        if engine == "dp":
-            raise ValueError("no dynamic program for kind 'table'")
         exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget)
         mean = _contract(values, weights, f.n)[0]
         sq = _contract([v * v for v in values], weights, f.n)[0]
@@ -854,7 +867,7 @@ def variance(
         # E[f^2] - E[f]^2 over the common denominator w_scale^(2n) v_scale^2
         w_n = w_scale**f.n
         return Fraction(sq * w_n - mean * mean, w_n * w_n * v_scale * v_scale)
-    mu = expectation(f, pi, n, engine=engine, budget=budget)
+    mu = expectation(f, pi, engine=engine, budget=budget)
     return mu - mu * mu if pi.exact else max(mu - mu * mu, 0.0)
 
 
@@ -907,39 +920,30 @@ def _influence_junta(f, pi, i) -> Number:
 
 
 def influence(
-    f: FunctionSpec, pi: MarginalDistribution, n: int | None = None, i: int = 1,
+    f: FunctionSpec, pi: MarginalDistribution, i: int = 1,
     engine: str = "auto", budget: int | None = None,
 ) -> Number:
     """Inf_i(f) = E[Var[f(X) | X at all coordinates except i]], exact when inputs are.
 
-    Engines and budgets as for `expectation`; the dp walks every coordinate
-    but i (see `_influence_count`), and 'auto' uses the closed form for
-    juntas.  Float results are clamped at 0 against rounding.
+    Routes and budgets as for `expectation`; the dp walks every coordinate
+    but i (see `_influence_count`).  Float results are clamped at 0 against
+    rounding.
     """
-    if n is not None and n != f.n:
-        raise ValueError("n disagrees with the function's coordinate count")
     if not 1 <= i <= f.n:
         raise ValueError("coordinate out of range")
     _check_alphabet(f, pi)
-    if engine not in ("auto", "enumerate", "dp"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine != "enumerate":
-        if f.kind in COUNT_KINDS:
-            return _influence_count(f, pi, i, budget)
-        if engine == "dp":
-            raise ValueError(f"no dynamic program for kind {f.kind!r}")
-        if f.kind == "junta":
-            return _influence_junta(f, pi, i)
+    if resolve_engine(engine, (f,)) == "dp":
+        return _influence_count(f, pi, i, budget)
+    if engine == "auto" and f.kind == "junta":
+        return _influence_junta(f, pi, i)
     exact, den, (num,) = _influence_contract(f, pi, (i,), budget)
     return Fraction(num, den) if exact else max(num, 0.0)
 
 
 def total_influence(
-    f: FunctionSpec, pi: MarginalDistribution, n: int | None = None,
+    f: FunctionSpec, pi: MarginalDistribution,
     engine: str = "auto", budget: int | None = None,
 ) -> Number:
-    if n is not None and n != f.n:
-        raise ValueError("n disagrees with the function's coordinate count")
     return sum(influence(f, pi, i=i, engine=engine, budget=budget) for i in range(1, f.n + 1))
 
 
@@ -1072,12 +1076,9 @@ def _along_axes(t: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def analyze(
-    f: FunctionSpec, basis: OrthonormalBasis, n: int | None = None,
-    budget: int | None = None,
+    f: FunctionSpec, basis: OrthonormalBasis, budget: int | None = None,
 ) -> FourierExpansion:
     """Coefficients f_hat(sigma) = E[f * phi_sigma] by exact-support enumeration."""
-    if n is not None and n != f.n:
-        raise ValueError("n disagrees with the function's coordinate count")
     k = basis.size
     _check_budget(k, f.n, budget)
     # tensor of f over support^n, axis per coordinate, coordinate 1 first
@@ -1122,11 +1123,10 @@ def synthesize(expansion: FourierExpansion, budget: int | None = None) -> Functi
 
 
 def low_degree_max_coefficient(
-    f: FunctionSpec, k: int, basis: OrthonormalBasis, n: int | None = None,
-    budget: int | None = None,
+    f: FunctionSpec, k: int, basis: OrthonormalBasis, budget: int | None = None,
 ) -> float:
     """max |f_hat(sigma)| over 0 < |sigma| <= k; zero when no such sigma."""
-    expansion = analyze(f, basis, n, budget)
+    expansion = analyze(f, basis, budget)
     best = 0.0
     for sigma, c in expansion.coeffs.items():
         deg = sum(1 for s in sigma if s != 0)
@@ -1170,8 +1170,7 @@ def _average_axes(f: FunctionSpec, pi: MarginalDistribution, rho, coords) -> Fun
 
 
 def noise_operator(
-    f: FunctionSpec, rho, pi: MarginalDistribution, n: int | None = None,
-    budget: int | None = None,
+    f: FunctionSpec, rho, pi: MarginalDistribution, budget: int | None = None,
 ) -> FunctionSpec:
     """T_rho f: each coordinate kept with probability rho, resampled otherwise.
 
@@ -1180,14 +1179,11 @@ def noise_operator(
     synthesizing; the routes must agree within 1e-10 on the support.  Returns
     the averaged table (exact for rational rho and f).
     """
-    if n is not None and n != f.n:
-        raise ValueError("n disagrees with the function's coordinate count")
     if not 0 <= float(rho) <= 1:
         raise ValueError("rho must lie in [0,1]")
     _check_alphabet(f, pi)
     _check_budget(len(f.alphabet), f.n, budget)
-    if f.kind != "table":
-        f = to_table(f, budget=budget)
+    f = to_table(f, budget=budget)
     averaged = _average_axes(f, pi, rho, range(1, f.n + 1))
 
     basis = build_basis(pi)
@@ -1208,19 +1204,15 @@ def noise_operator(
 
 
 def projection_subset(
-    f: FunctionSpec, s, pi: MarginalDistribution, n: int | None = None,
-    budget: int | None = None,
+    f: FunctionSpec, s, pi: MarginalDistribution, budget: int | None = None,
 ) -> FunctionSpec:
     """f projected onto coordinates in s: average out every other coordinate."""
-    if n is not None and n != f.n:
-        raise ValueError("n disagrees with the function's coordinate count")
     keep_set = set(int(c) for c in s)
     if any(not 1 <= c <= f.n for c in keep_set):
         raise ValueError("projection coordinate out of range")
     _check_alphabet(f, pi)
     _check_budget(len(f.alphabet), f.n, budget)
-    if f.kind != "table":
-        f = to_table(f, budget=budget)
+    f = to_table(f, budget=budget)
     return _average_axes(f, pi, 0, (c for c in range(1, f.n + 1) if c not in keep_set))
 
 
@@ -1351,7 +1343,7 @@ def _find_restriction(
 
 
 def is_resilient(
-    f: FunctionSpec, eps, k: int, pi: MarginalDistribution, n: int | None = None,
+    f: FunctionSpec, eps, k: int, pi: MarginalDistribution,
     budget: int | None = None, upper_only: bool = False,
 ):
     """Exhaustively test (1-eps) E[f] <= E[Rf] <= (1+eps) E[f] over |R| <= k.
@@ -1364,8 +1356,6 @@ def is_resilient(
     per coordinate set gives every E[Rf] of that set, compared in ints when
     eps, f and pi are exact; no restricted table is built.
     """
-    if n is not None and n != f.n:
-        raise ValueError("n disagrees with the function's coordinate count")
     if not 0 <= k <= f.n:
         raise ValueError("k must lie in [0, n]")
     if eps < 0:
@@ -1390,15 +1380,12 @@ class LocalVarianceCertificate:
 
 
 def resilience_from_local_variance(
-    f: FunctionSpec, eps, k: int, pi: MarginalDistribution, n: int | None = None,
-    budget: int | None = None,
+    f: FunctionSpec, eps, k: int, pi: MarginalDistribution, budget: int | None = None,
 ) -> LocalVarianceCertificate:
     """Check Var[f^{subset S}] <= alpha(pi)^k (eps mu)^2 for every |S| = k.
 
     Passing certifies eps-resilience up to k (one-way implication).
     """
-    if n is not None and n != f.n:
-        raise ValueError("n disagrees with the function's coordinate count")
     support = pi.support_indices()
     a = min(pi.probs[s] for s in support)
     mu = expectation(f, pi)

@@ -32,7 +32,6 @@ from .dist_core import (
     rho,
 )
 from .fourier import (
-    COUNT_KINDS,
     TABLE_BUDGET,
     BudgetExceeded,
     FunctionSpec,
@@ -49,6 +48,7 @@ from .fourier import (
     is_resilient,
     make_anchored_symmetric,
     max_operator,
+    resolve_engine,
     restrict,
     to_table,
 )
@@ -97,8 +97,7 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
     den = scale**n
     tables = []
     for f in fns:
-        if f.kind != "table":
-            f = to_table(f, budget=budget)
+        f = to_table(f, budget=budget)
         v_scale, values = f.view.scaled(exact)
         den *= v_scale
         tables.append(values)
@@ -140,8 +139,6 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
 def _multi_dp(p: StepDistribution, n: int, fns, budget) -> Number:
     """The product expectation by the joint-count program of `fourier`:
     every coordinate draws a support tuple of p, one symbol per step."""
-    if any(f.kind not in COUNT_KINDS for f in fns):
-        raise ValueError("functions are not compatible with the joint-count route")
     total = _joint_count(fns, p._scaled_support, n, budget)
     return Fraction(total, p._scale**n) if p.exact else float(total)
 
@@ -151,13 +148,11 @@ def multi_set_expectation(
 ) -> Number:
     """E[prod_j f^(j)(X^(j))] with coordinates drawn i.i.d. from p, exact.
 
-    engine 'enumerate' sums over all support assignments, 'dp' runs the
-    joint-count program (window and modular-linear functions, with any
-    anchors and ignored coordinates), 'auto' takes the dp when every
-    function is of those kinds and enumeration otherwise.  Both routes
-    scale rational weights and values to integers, work on ints, and divide
-    once at the end, so exact inputs give exact Fractions; float inputs give
-    floats.
+    The route is `fourier.resolve_engine(engine, fns)`: enumeration of the
+    sum over all support assignments, or the joint-count program over the
+    support tuples of p.  Both routes scale rational weights and values to
+    integers, work on ints, and divide once at the end, so exact inputs give
+    exact Fractions; float inputs give floats.
 
     Enumeration contracts the step tables along every coordinate (see
     `_multi_enumerate`), materializing other kinds with `to_table`; besides
@@ -180,17 +175,6 @@ def multi_set_expectation(
     if resolve_engine(engine, fns) == "dp":
         return _multi_dp(p, n, fns, budget)
     return _multi_enumerate(p, n, fns, budget)
-
-
-def resolve_engine(engine: str, fns) -> str:
-    """The engine that `multi_set_expectation` runs for `engine` on `fns`:
-    'dp' or 'enumerate' as asked, and for 'auto' the dp when every function
-    is of a joint-count kind, enumeration otherwise."""
-    if engine not in ("auto", "enumerate", "dp"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        return "dp" if all(f.kind in COUNT_KINDS for f in fns) else "enumerate"
-    return engine
 
 
 def same_set_expectation(
@@ -591,8 +575,7 @@ def max_gain_check(
     """
     if n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
-    if f.kind != "table":
-        f = to_table(f, budget=budget)
+    f = to_table(f, budget=budget)
     pi = marginal(p, j_star)
     mu = expectation(f, pi, budget=budget)
     if not 1 <= i <= n:
@@ -928,8 +911,7 @@ def markov_same_set_check(
     ok, kernels = is_markov_generated(p)
     if not ok:
         raise ValueError("distribution is not generated by a Markov chain")
-    if f.kind != "table":
-        f = to_table(f, budget=budget)
+    f = to_table(f, budget=budget)
     ell = p.steps
     exact = p.exact and f.is_exact()
     h_scale, h = _apply_kernel_tensor(kernels[-1], f, exact)

@@ -292,18 +292,14 @@ def sample_ensemble(ens: EnsembleSequence, rng: Generator, size: int) -> np.ndar
 
 
 def poly_from_function(
-    f: FunctionSpec, basis: OrthonormalBasis, n: int | None = None,
-    budget: int | None = None,
+    f: FunctionSpec, basis: OrthonormalBasis, budget: int | None = None,
 ) -> MultilinearPolynomial:
     """Expand a table function in the product basis and re-verify pointwise.
 
     The returned polynomial evaluated on the discrete ensemble values of a
     point reproduces f at that point within 1e-10 over the whole support grid.
     """
-    if f.kind != "table":
-        f = to_table(f, budget=budget)
-    if n is not None and n != f.n:
-        raise ValueError("n disagrees with the function's coordinate count")
+    f = to_table(f, budget=budget)
     expansion = analyze(f, basis, budget=budget)
     poly = MultilinearPolynomial.from_coeffs(f.n, basis.size - 1, expansion.coeffs)
     got = _grid_values(poly, np.array(basis.functions))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -445,6 +447,33 @@ def test_unknown_subcommand_exits_two(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["fourier", "--dist", "basic.dist", "--fn", "dictator.json", "--engine", "dp"],
+    ["inspect", "basic.dist", "--engine", "dp"],
+])
+def test_engine_is_an_option_of_hit_only(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([str(workdir / a) if "." in a else a for a in argv])
+    assert exc.value.code == 2
+
+
+def test_readme_command_lines_run(monkeypatch, capsys):
+    """Every `corrhit ...` line of the README's "Command line" block parses
+    and exits 0, so a moved flag cannot leave the README stale."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [
+        shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("corrhit ")
+    ]
+    assert len(lines) >= 5
+    monkeypatch.chdir(root)
+    for argv in lines:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_module_entry_point(workdir):

@@ -368,6 +368,20 @@ def test_expectation_dp_rejects_tables():
         expectation(f, pi, engine="dp")
 
 
+def test_every_call_refuses_an_engine_it_cannot_run():
+    """An unknown engine, and 'dp' on a kind the joint-count program does not
+    read, are refused by every exact quantity, before the zero shortcut."""
+    pi = uniform_marginal(2)
+    table = make_table_function(1, BIT, [Fraction(0), Fraction(1)])
+    zero = make_junta(2, BIT, [(1, "0"), (1, "1")])
+    assert zero.zero
+    for f in (table, zero):
+        for engine in ("bogus", "dp"):
+            for call in (expectation, variance, total_influence):
+                with pytest.raises(ValueError, match="unknown engine|no dynamic program"):
+                    call(f, pi, engine=engine)
+
+
 def test_influence_matches_independent_oracle():
     pit = {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
     pi = uniform_marginal(3)
@@ -494,14 +508,6 @@ def test_enumerate_engine_on_indicator_kinds_matches_reference():
                 assert influence(f, pi, i=i, engine="enumerate") == want
 
 
-def test_coordinate_count_mismatch_is_refused():
-    pi = uniform_marginal(2)
-    f = make_table_function(2, BIT, [Fraction(0), Fraction(1), Fraction(1), Fraction(1)])
-    for call in (total_influence, variance, expectation):
-        with pytest.raises(ValueError, match="n disagrees"):
-            call(f, pi, n=7)
-
-
 def test_marginal_over_another_alphabet_is_refused():
     """A table over {0,1,2} with a {0,1} marginal, and the reverse, on every
     engine and in every call that averages f against a marginal."""
@@ -559,7 +565,7 @@ def test_junta_influence_at_large_n_and_dp_refusal():
     pi = uniform_marginal(2)
     f = make_junta(30, BIT, [(1, "0"), (7, "1"), (30, "1")])
     assert expectation(f, pi) == Fraction(1, 8)
-    assert influence(f, pi, n=30, i=7) == Fraction(1, 4) * Fraction(1, 4)
+    assert influence(f, pi, i=7) == Fraction(1, 4) * Fraction(1, 4)
     assert influence(f, pi, i=2) == 0
     with pytest.raises(BudgetExceeded):
         influence(f, pi, i=7, engine="enumerate")
