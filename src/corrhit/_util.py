@@ -12,6 +12,9 @@ from typing import NamedTuple
 
 Number = Fraction | float
 
+# the default cap on table entries, enumerated points and live DP states
+TABLE_BUDGET = 2**24
+
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _RAT_RE = re.compile(r"^[+-]?\d+/\d+$")
 

@@ -96,6 +96,10 @@ class _LoadError(Exception):
     """Input file unreadable or unparseable: exit code 2."""
 
 
+class _UsageError(ValueError):
+    """A command given more or fewer functions than it takes: exit code 2."""
+
+
 def _read_file(path: str, inputs: dict) -> str:
     try:
         with open(path, "rb") as fh:
@@ -158,6 +162,13 @@ def _load_fns(args, inputs: dict) -> list:
     """Every --fn, re-targeted at --n when given."""
     fns = [_load_fn(path, inputs) for path in args.fn]
     return fns if args.n is None else [_rebase(f, args.n) for f in fns]
+
+
+def _load_one_fn(args, inputs: dict, what: str) -> FunctionSpec:
+    """The one --fn of a command that takes exactly one function."""
+    if len(args.fn) != 1:
+        raise _UsageError(f"{what} takes exactly one function")
+    return _load_fns(args, inputs)[0]
 
 
 def _flat_lines(tree, prefix=""):
@@ -239,7 +250,7 @@ def _cmd_decompose(args, inputs):
 
 def _cmd_fourier(args, inputs):
     p = _load_dist(args.dist, inputs)
-    f = _load_fns(args, inputs)[0]
+    f = _load_one_fn(args, inputs, "fourier")
     pi = marginal(p, args.step)
     basis = build_basis(pi)
     exp_val = expectation(f, pi, budget=args.budget)
@@ -340,7 +351,7 @@ def _cmd_reduce(args, inputs):
         results = {"loop": "influence", "log": _influence_log_json(gs, log, p.alphabet)}
     elif args.eps is not None:
         if len(fns) != 1:
-            raise ValueError("the density loop takes exactly one function")
+            raise _UsageError("the density loop takes exactly one function")
         k = args.k if args.k is not None else 1
         g, chain, log = density_increment(
             p, fns[0].n, fns[0], args.eps, k, budget=args.budget
@@ -621,7 +632,7 @@ def _polys_for(p, fns):
 
 def _cmd_inv_hyper(args, inputs):
     p = _load_dist(args.dist, inputs)
-    f = _load_fns(args, inputs)[0]
+    f = _load_one_fn(args, inputs, "invariance hyper")
     pi = marginal(p, args.step)
     basis = build_basis(pi)
     poly = poly_from_function(f, basis, budget=args.budget)
@@ -803,14 +814,12 @@ def _cmd_invariance(args, inputs):
 # parser
 
 
-def _add_common(sp, dist=False, fn=False, needs_n=False):
+def _add_common(sp, dist=False, fn="", needs_n=False):
+    """Options every subcommand shares; `fn`, when given, is the help of --fn."""
     if dist:
         sp.add_argument("--dist", required=True, help="distribution file path")
     if fn:
-        sp.add_argument(
-            "--fn", action="append", required=True,
-            help="function spec file (repeatable for multi-set operations)",
-        )
+        sp.add_argument("--fn", action="append", required=True, help=f"function spec file ({fn})")
     if needs_n:
         sp.add_argument("--n", type=int, default=None,
                         help="coordinate count (re-targets structured functions)")
@@ -841,19 +850,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_decompose)
 
     sp = sub.add_parser("fourier", help="expectation, variance, influences, coefficients")
-    _add_common(sp, dist=True, fn=True, needs_n=True)
+    _add_common(sp, dist=True, fn="exactly one", needs_n=True)
     sp.add_argument("--step", type=int, default=1, help="marginal used for the basis")
     sp.add_argument("--top", type=int, default=16, help="coefficient table size")
     sp.set_defaults(handler=_cmd_fourier)
 
     sp = sub.add_parser("hit", help="same-set / multi-set expectation")
-    _add_common(sp, dist=True, fn=True, needs_n=True)
+    _add_common(sp, dist=True, fn="one, or one per step", needs_n=True)
     sp.add_argument("--engine", choices=("auto", "enumerate", "dp"), default="auto",
                     help="auto takes the joint-count dp when every function allows it")
     sp.set_defaults(handler=_cmd_hit)
 
     sp = sub.add_parser("reduce", help="density increment or influence reduction loop")
-    _add_common(sp, dist=True, fn=True, needs_n=True)
+    _add_common(sp, dist=True, fn="one per step for --tau, exactly one for --eps", needs_n=True)
     sp.add_argument("--tau", type=float, default=None, help="influence threshold")
     sp.add_argument("--eps", type=float, default=None, help="density increment factor")
     sp.add_argument("--k", type=int, default=None, help="restriction size cap")
@@ -871,20 +880,20 @@ def build_parser() -> argparse.ArgumentParser:
     inv = sp.add_subparsers(dest="subcheck", required=True)
 
     ip = inv.add_parser("hyper", help="hypercontractive third-moment inequalities")
-    _add_common(ip, dist=True, fn=True, needs_n=True)
+    _add_common(ip, dist=True, fn="exactly one", needs_n=True)
     ip.add_argument("--step", type=int, default=1)
     ip.add_argument("--alpha", type=float, default=None,
                     help="least symbol probability (default: from the marginal)")
     ip.set_defaults(handler=_cmd_invariance)
 
     ip = inv.add_parser("gap", help="discrete vs Gaussian mollified-product gap")
-    _add_common(ip, dist=True, fn=True, needs_n=True)
+    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True)
     ip.add_argument("--lambda", dest="lam", type=float, required=True)
     ip.add_argument("--c-const", type=float, default=10.0)
     ip.set_defaults(handler=_cmd_invariance)
 
     ip = inv.add_parser("smooth", help="noise-smoothing expectation gap")
-    _add_common(ip, dist=True, fn=True, needs_n=True)
+    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True)
     ip.add_argument("--gamma", type=float, required=True)
     ip.add_argument("--eps", type=float, required=True)
     ip.set_defaults(handler=_cmd_invariance)
@@ -924,7 +933,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         results, ok = args.handler(args, inputs)
-    except _LoadError as e:
+    except (_LoadError, _UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetExceeded as e:

@@ -20,6 +20,7 @@ from operator import itemgetter, truediv
 import numpy as np
 
 from ._util import (
+    TABLE_BUDGET,
     Number,
     ScaledView,
     format_number,
@@ -263,6 +264,8 @@ def parse_distribution(text: str, name: str | None = None) -> StepDistribution:
     Weights written as `p/q` or integers stay exact; decimals force the whole
     table to float.  Missing entries are zero.  Duplicate entry lines, negative
     weights, and totals differing from 1 are errors; nothing is renormalized.
+    A table of more than 2^24 weights (m^steps for m symbols) is refused
+    before it is built.
     """
     alphabet: Alphabet | None = None
     steps: int | None = None
@@ -285,9 +288,15 @@ def parse_distribution(text: str, name: str | None = None) -> StepDistribution:
         elif kw == "steps":
             if steps is not None:
                 raise DistributionFormatError(f"line {lineno}: duplicate steps line")
-            if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
+            # ASCII digits only, and no more than int() converts ('²' passes
+            # isdigit, and so do 5000 digits)
+            digits = toks[1] if len(toks) == 2 else ""
+            try:
+                steps = int(digits) if digits.isascii() and digits.isdigit() else 0
+            except ValueError:
+                steps = 0
+            if steps < 1:
                 raise DistributionFormatError(f"line {lineno}: steps needs one positive integer")
-            steps = int(toks[1])
         elif kw == "entry":
             if alphabet is None or steps is None:
                 raise DistributionFormatError(
@@ -314,8 +323,14 @@ def parse_distribution(text: str, name: str | None = None) -> StepDistribution:
             raise DistributionFormatError(f"line {lineno}: unknown directive {kw!r}")
     if alphabet is None or steps is None:
         raise DistributionFormatError("missing alphabet or steps line")
-    exact = all(isinstance(w, Fraction) for w in entries.values())
     m = len(alphabet)
+    # with m >= 2, steps past 25 already give m^steps > 2^24: the power taken
+    # after that test has at most 25 factors
+    if m > 1 and (steps > TABLE_BUDGET.bit_length() or m**steps > TABLE_BUDGET):
+        raise DistributionFormatError(
+            f"{m} symbols over {steps} steps make more than {TABLE_BUDGET} weights"
+        )
+    exact = all(isinstance(w, Fraction) for w in entries.values())
     zero: Number = Fraction(0) if exact else 0.0
     weights = [zero] * (m**steps)
     for tup, w in entries.items():

@@ -38,6 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import (
+    TABLE_BUDGET,
     Number,
     ScaledView,
     contract_axes,
@@ -49,7 +50,6 @@ from ._util import (
 )
 from .dist_core import Alphabet, MarginalDistribution
 
-TABLE_BUDGET = 2**24
 BASIS_TOL = 1e-12
 
 
@@ -466,28 +466,34 @@ def _expectation_contract(
 # function: a step tuple of the distribution for a product, the one-step
 # tuple (a,) of the marginal for a single function.  The joint state of all
 # functions is one packed int; masses are the draws' weights scaled to ints
-# (floats in float mode), divided once at the end.  A run of coordinates with
-# equal effects draws in one multinomial step when no effect shifts a residue
-# and no two bump the same count (`_JointLayout._draw_run`).
+# (floats in float mode), divided once at the end.  One draw moves a key in
+# residue r by step[r], read from a table the layout keeps per distinct effect
+# (`_Step`), so each residue's change is computed once per layout.  A run of
+# coordinates with equal effects draws in one multinomial step when no effect
+# shifts a residue and no two bump the same count (`_JointLayout._draw_run`).
 
 COUNT_KINDS = ("anchored_symmetric", "mod_linear")
 
 
-class _ResidueShift(dict):
-    """Change of the packed residue number when every modular function j adds inc[j]."""
+class _Step(dict):
+    """Residue r -> the change of a packed key in residue r when one draw adds
+    `bump` to the window counts and inc[j] to each modular function j's residue.
 
-    def __init__(self, mods, inc):
+    Filled lazily; a `_JointLayout` keeps one per (bump, inc), shared by
+    every coordinate signature whose effects carry that pair.
+    """
+
+    def __init__(self, mods, bump, inc):
         super().__init__()
-        self.mods = mods
-        self.inc = inc
+        self.mods, self.bump, self.inc = mods, bump, inc
 
     def __missing__(self, r: int) -> int:
-        shift = 0
+        step = self.bump
         for (_, q, radix), a in zip(self.mods, self.inc):
             digit = r // radix % q
-            shift += ((digit + a) % q - digit) * radix
-        self[r] = shift
-        return shift
+            step += ((digit + a) % q - digit) * radix
+        self[r] = step
+        return step
 
 
 def _disjoint(effects) -> bool:
@@ -495,7 +501,7 @@ def _disjoint(effects) -> bool:
     disjoint slots, so that a run of draws can go in one step."""
     bumps = [bump for bump, _, _ in effects]
     return (
-        not any(any(shift.inc) for _, shift, _ in effects)
+        not any(any(step.inc) for _, step, _ in effects)
         and sum(bumps) == functools.reduce(operator.or_, bumps, 0)
     )
 
@@ -532,6 +538,12 @@ class _JointLayout:
     bit and one AND with `guard` catches an overrun in any slot.  `start` is
     the state before any draw.  `support` lists (tuple, scaled weight) pairs,
     one symbol per function.
+
+    A draw's effect is a window increment `bump` (a 1 at the lowest bit of
+    each slot it counts in) and an increment per modular residue.  The
+    layout keeps one lazily filled `_Step` table per distinct (bump,
+    increments) pair, read by every coordinate signature whose effects carry
+    that pair, so each entry is computed at most once per layout.
     """
 
     def __init__(self, fns, support):
@@ -576,6 +588,7 @@ class _JointLayout:
         self.final = self.floor([0] * len(fns))
         self.exact = all(isinstance(w, int) for _, w in support)
         self._effects: dict = {}
+        self._steps: dict = {}
 
     def floor(self, rest) -> int:
         """Packed lower bounds a state must meet to reach every window's lo
@@ -609,12 +622,14 @@ class _JointLayout:
         return self.special.get(coord), self.coeffs[coord - 1]
 
     def effects(self, coord: int):
-        """(window increment, residue shift, weight) per distinct effect of the
+        """(window increment, step table, weight) per distinct effect of the
         draw at `coord`, support tuples with equal effects merged.
 
         A function anchored at `coord` admits only the tuples that carry its
         anchor symbol there, and one that ignores `coord` bumps none of its
-        slots.  Coordinates with one `signature` share one list.
+        slots.  Coordinates with one `signature` share one list, and effects
+        with one (bump, residue increments) pair share one `_Step` table
+        across signatures.
         """
         sig = self.signature(coord)
         if sig in self._effects:
@@ -634,9 +649,11 @@ class _JointLayout:
                 for c, (j, q, _) in zip(sig[1], self.mods)
             )
             merged[bump, inc] = merged.get((bump, inc), 0) + w
-        effects = [
-            (bump, _ResidueShift(self.mods, inc), w) for (bump, inc), w in merged.items()
-        ]
+        effects = []
+        for (bump, inc), w in merged.items():
+            if (bump, inc) not in self._steps:
+                self._steps[bump, inc] = _Step(self.mods, bump, inc)
+            effects.append((bump, self._steps[bump, inc], w))
         self._effects[sig] = effects
         return effects
 
@@ -687,8 +704,8 @@ class _JointLayout:
         nxt: dict = {}
         for key, mass in states.items():
             r = key & rmask
-            for bump, shift, w in effects:
-                new = key + bump + shift[r]
+            for _, step, w in effects:
+                new = key + step[r]
                 if new & guard or (floor and ((new | guard) - floor) & guard != guard):
                     continue
                 nxt[new] = nxt.get(new, 0) + mass * w
@@ -789,7 +806,7 @@ def _influence_count(f: FunctionSpec, pi: MarginalDistribution, i: int, budget) 
     total = 0
     for key, mass in states.items():
         r = key & rmask
-        hit = sum(w for bump, shift, w in effects if layout.accepts(key + bump + shift[r]))
+        hit = sum(w for _, step, w in effects if layout.accepts(key + step[r]))
         total += mass * (sw * hit - hit * hit)
     # float weights summing to just above sw can leave total a rounding below 0
     return Fraction(total, sw ** (f.n + 1)) if pi.exact else max(float(total), 0.0)

@@ -432,6 +432,32 @@ def test_function_document_of_the_wrong_shape_exits_two(workdir, capsys, doc, me
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["fourier"], "fourier"),
+    (["invariance", "hyper", "--samples", "100"], "invariance hyper"),
+    (["reduce", "--n", "1", "--eps", "0.25"], "the density loop"),
+], ids=["fourier", "invariance-hyper", "reduce-density"])
+def test_single_function_commands_refuse_a_second_fn(workdir, capsys, argv, what):
+    code, captured = run_cli(capsys, [
+        *argv, "--dist", workdir / "basic.dist",
+        "--fn", workdir / "dictator.json", "--fn", workdir / "table.json",
+    ])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {what} takes exactly one function\n"
+
+
+def test_inspect_refuses_a_distribution_too_large_to_build(workdir, capsys):
+    big = workdir / "big.dist"
+    big.write_text("alphabet 0 1\nsteps 40\nentry " + "0 " * 40 + "1\n")
+    code, captured = run_cli(capsys, ["inspect", big])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {big}: 2 symbols over 40 steps make more than 16777216 weights\n"
+    )
+
+
 def test_fourier_reads_a_list_symbol_map(workdir, capsys):
     (workdir / "mod.json").write_text(json.dumps({**MOD_DOC, "symbol_map": [0, 1, 2]}))
     code, report = run_json(

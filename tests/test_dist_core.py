@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,33 @@ def test_parse_rejects_zero_denominator():
     text = "alphabet 0 1\nsteps 2\nentry 0 0 1/0\nentry 1 1 1/2\n"
     with pytest.raises(DistributionFormatError, match="zero denominator"):
         parse_distribution(text)
+
+
+@pytest.mark.parametrize("value", ["\u00b2", "1" * 5000, "0", "1_0", "+2", "2 3", ""],
+                         ids=["superscript-two", "5000-digits", "zero", "underscore",
+                              "plus-sign", "two-numbers", "none"])
+def test_parse_rejects_a_steps_value_that_is_not_one_positive_integer(value):
+    with pytest.raises(DistributionFormatError, match="line 2: steps needs one positive integer"):
+        parse_distribution(f"alphabet 0 1\nsteps {value}\nentry 0 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("alphabet 0 1\nsteps 40\nentry " + "0 " * 40 + "1\n", "2 symbols over 40 steps"),
+    ("steps 100000000000\nalphabet 0 1 2\n", "3 symbols over 100000000000 steps"),
+    ("alphabet 0 1\nsteps 25\n", "2 symbols over 25 steps"),
+    ("alphabet 0 1 2\nsteps 16\n", "3 symbols over 16 steps"),
+], ids=["steps-40", "steps-1e11", "two-to-the-25", "three-to-the-16"])
+def test_parse_refuses_more_than_the_table_budget_of_weights(text, message):
+    # m^steps is compared with 2^24 before any weight list is built, and the
+    # bit lengths before the power, so a huge steps returns at once
+    tracemalloc.start()
+    try:
+        with pytest.raises(DistributionFormatError, match=f"{message} make more than 16777216"):
+            parse_distribution(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_decimal_weights_force_float_mode():

@@ -25,6 +25,7 @@ from corrhit.dist_core import (
 from corrhit.fourier import (
     BudgetExceeded,
     Restriction,
+    _JointLayout,
     expectation,
     influence,
     is_resilient,
@@ -328,6 +329,32 @@ def test_dp_budget_caps_live_states():
             assert call(threshold) == call(None)
             with pytest.raises(BudgetExceeded, match="joint-count state space"):
                 call(threshold - 1)
+
+
+def test_dp_step_tables_are_shared_across_signatures():
+    # A mod_linear pair, q = 5, over a full-support 3-symbol two-step
+    # distribution at n = 48, coefficients in 1..4: up to 16 coordinate
+    # signatures over 25 residues.  The layout keeps one step table per
+    # distinct (bump, residue increments) effect, which every signature
+    # carrying that effect reads, so the walk fills at most 25 entries per
+    # distinct effect however many signatures draw.
+    rng = random.Random(15)
+    n, q = 48, 5
+    p = helpers.random_dist(rng, 3, 2, full_support=True)
+    fns = tuple(
+        make_mod_linear(n, TRIT, q, [rng.randint(1, q - 1) for _ in range(n)],
+                        rng.randrange(q), (0, 1, 3))
+        for _ in range(2)
+    )
+    layout = _JointLayout(fns, p._scaled_support)
+    states = layout.walk(range(1, n + 1), None)
+    assert states
+    effects = [e for c in range(1, n + 1) for e in layout.effects(c)]
+    tables = {id(step): step for _, step, _ in effects}
+    pairs = {(bump, step.inc) for bump, step, _ in effects}
+    assert len({layout.signature(c) for c in range(1, n + 1)}) > 8
+    assert len(tables) == len(pairs)
+    assert sum(map(len, tables.values())) <= len(pairs) * q * q
 
 
 def test_dp_run_step_raises_before_storing_the_whole_run():
