@@ -62,7 +62,6 @@ from .hitting import (
     influence_reduction,
     markov_same_set_check,
     multi_set_expectation,
-    same_set_expectation,
 )
 from .invariance import (
     ThresholdForm,
@@ -171,6 +170,16 @@ def _load_one_fn(args, inputs: dict, what: str) -> FunctionSpec:
     return _load_fns(args, inputs)[0]
 
 
+def _load_step_fns(args, inputs: dict, p: StepDistribution, what: str, shared: bool = True) -> list:
+    """One function per step of p from the --fn; with `shared`, a single --fn
+    also serves every step."""
+    if len(args.fn) != p.steps and not (shared and len(args.fn) == 1):
+        how = "one function, or one per step" if shared else "exactly one function per step"
+        raise _UsageError(f"{what} takes {how} of the distribution ({p.steps})")
+    fns = _load_fns(args, inputs)
+    return fns if len(fns) == p.steps else fns * p.steps
+
+
 def _flat_lines(tree, prefix=""):
     if isinstance(tree, dict):
         if set(tree) == {"value", "kind"}:
@@ -277,11 +286,8 @@ def _cmd_fourier(args, inputs):
 
 def _cmd_hit(args, inputs):
     p = _load_dist(args.dist, inputs)
-    fns = _load_fns(args, inputs)
-    if len(fns) == 1:
-        value = same_set_expectation(p, fns[0].n, fns[0], args.engine, args.budget)
-    else:
-        value = multi_set_expectation(p, fns[0].n, tuple(fns), args.engine, args.budget)
+    fns = _load_step_fns(args, inputs, p, "hit")
+    value = multi_set_expectation(p, fns[0].n, tuple(fns), args.engine, args.budget)
     results = {
         "distribution": args.dist,
         "functions": list(args.fn),
@@ -343,19 +349,16 @@ def _influence_log_json(gs, log, alphabet):
 
 def _cmd_reduce(args, inputs):
     p = _load_dist(args.dist, inputs)
-    fns = _load_fns(args, inputs)
     if args.tau is not None:
+        fns = _load_step_fns(args, inputs, p, "the influence loop", shared=False)
         gs, log = influence_reduction(
             p, fns[0].n, tuple(fns), args.tau, budget=args.budget
         )
         results = {"loop": "influence", "log": _influence_log_json(gs, log, p.alphabet)}
     elif args.eps is not None:
-        if len(fns) != 1:
-            raise _UsageError("the density loop takes exactly one function")
+        f = _load_one_fn(args, inputs, "the density loop")
         k = args.k if args.k is not None else 1
-        g, chain, log = density_increment(
-            p, fns[0].n, fns[0], args.eps, k, budget=args.budget
-        )
+        g, chain, log = density_increment(p, f.n, f, args.eps, k, budget=args.budget)
         results = {"loop": "density", "log": _density_log_json(g, chain, log, p.alphabet)}
     else:
         raise ValueError("pass --tau for the influence loop or --eps [--k] for density")
@@ -619,15 +622,11 @@ def _cmd_verify(args, inputs):
 
 
 def _polys_for(p, fns):
-    bases = tuple(build_basis(marginal(p, j)) for j in range(1, p.steps + 1))
-    if len(fns) == 1:
-        fns = fns * p.steps
-    if len(fns) != p.steps:
-        raise ValueError("pass one function, or one per step")
-    polys = tuple(
-        poly_from_function(f, basis) for f, basis in zip(fns, bases)
+    """The polynomial of each step's function in its marginal's basis."""
+    return tuple(
+        poly_from_function(f, build_basis(marginal(p, j)))
+        for j, f in enumerate(fns, start=1)
     )
-    return polys, bases
 
 
 def _cmd_inv_hyper(args, inputs):
@@ -670,8 +669,7 @@ def _cmd_inv_hyper(args, inputs):
 
 def _cmd_inv_gap(args, inputs):
     p = _load_dist(args.dist, inputs)
-    fns = _load_fns(args, inputs)
-    polys, _ = _polys_for(p, fns)
+    polys = _polys_for(p, _load_step_fns(args, inputs, p, "invariance gap"))
     rep = invariance_gap(
         polys, p, args.lam, samples=args.samples, seed=args.seed,
         c_const=args.c_const, budget=args.budget,
@@ -697,8 +695,7 @@ def _cmd_inv_gap(args, inputs):
 
 def _cmd_inv_smooth(args, inputs):
     p = _load_dist(args.dist, inputs)
-    fns = _load_fns(args, inputs)
-    polys, _ = _polys_for(p, fns)
+    polys = _polys_for(p, _load_step_fns(args, inputs, p, "invariance smooth"))
     rep = smoothing_gap(polys, p, args.gamma, args.eps, budget=args.budget)
     results = {
         "check": "smoothing-gap",

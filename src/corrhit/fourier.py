@@ -779,11 +779,29 @@ class _JointLayout:
         return nxt
 
 
-def _joint_count(fns, support, n: int, budget):
-    """Scaled mass of the draws at coordinates 1..n that every function accepts."""
+def _accepted(fns, support, n: int, budget):
+    """The layout of `fns` and its states {packed key: scaled mass} after the
+    draws at coordinates 1..n, kept where every function accepts."""
     layout = _JointLayout(fns, support)
     states = layout.walk(range(1, n + 1), budget)
-    return sum(mass for key, mass in states.items() if layout.accepts(key))
+    return layout, {key: mass for key, mass in states.items() if layout.accepts(key)}
+
+
+def _joint_count(fns, support, n: int, budget):
+    """Scaled mass of the draws at coordinates 1..n that every function accepts."""
+    return sum(_accepted(fns, support, n, budget)[1].values())
+
+
+def _window_counts(fns, support, n: int, budget) -> dict:
+    """Scaled mass of the accepted draws at coordinates 1..n per tuple of
+    window counts, one count per window slot in (function, symbol) order."""
+    layout, states = _accepted(fns, support, n, budget)
+    fields = [(pos, (1 << hi.bit_length()) - 1, off) for pos, off, _, hi in layout.slots.values()]
+    out: dict = {}
+    for key, mass in states.items():
+        counts = tuple((key >> pos & mask) - off for pos, mask, off in fields)
+        out[counts] = out.get(counts, 0) + mass
+    return out
 
 
 def _marginal_support(pi: MarginalDistribution):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +43,9 @@ from .fourier import (
     _influence_contract,
     _joint_count,
     _kernel_inputs,
+    _marginal_support,
     _slab,
+    _window_counts,
     expectation,
     influence,
     is_resilient,
@@ -964,19 +967,37 @@ def _fit_slope(xs, ys) -> tuple[float, float, float]:
 
 def estimate_hitting_exponent(
     p: StepDistribution, mu_grid, n: int = 30, family: str = "threshold",
-    engine: str = "auto", budget: int | None = None,
+    budget: int | None = None,
 ) -> ExponentReport:
     """Fit log(same-set value) against log(measure) over a threshold family.
 
     Only defined for two-step symmetric distributions with positive diagonal
-    mass; anything else is refused.  Family members are the indicators
-    1[count of the first alphabet symbol >= t]; each target measure picks the
-    t whose achieved measure is nearest.  Empirical evidence only.
+    mass, n >= 1 and finite real targets in `mu_grid`; anything else raises
+    ValueError before any walk.  Family members are the indicators
+    1[count of the first alphabet symbol >= t], t = 0..n, whose measure lies
+    strictly between 0 and 1; each target picks the member whose measure is
+    nearest.  Empirical evidence only.
+
+    The family is nested in t, so two joint-count walks answer every member.
+    One walks the step-1 marginal with the window [0, n] and gives the mass
+    of each count c; the measure of member t is the mass of c >= t.  The
+    other walks the support tuples of p with the window [t0, n] on both
+    steps, t0 the least chosen threshold, and gives the mass of each count
+    pair; the same-set value of member t is the mass of pairs with both
+    counts >= t.  These are the values that `fourier.expectation` and
+    `same_set_expectation` give member by member, as exact Fractions on
+    exact inputs.  `budget` caps the live states after each step of either
+    walk (see `fourier._JointLayout.walk`).
     """
     if p.steps != 2:
         raise ValueError("exponent estimation needs exactly 2 steps")
     if family != "threshold":
         raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    targets = list(mu_grid)
+    if not all(isinstance(target, numbers.Real) and math.isfinite(target) for target in targets):
+        raise ValueError("mu_grid targets must be finite numbers")
     m = len(p.alphabet)
     for x in range(m):
         for y in range(m):
@@ -987,23 +1008,30 @@ def estimate_hitting_exponent(
         raise ValueError("needs positive diagonal mass")
     pi = marginal(p, 1)
     sym = p.alphabet.symbols[0]
+
+    def threshold(t: int) -> FunctionSpec:
+        return make_anchored_symmetric(n, p.alphabet, {sym: (t, n)})
+
+    counts = _window_counts((threshold(0),), _marginal_support(pi), n, budget)
     members = []
-    for t in range(0, n + 1):
-        f = make_anchored_symmetric(n, p.alphabet, {sym: (t, n)})
-        mu_hat = expectation(f, pi, budget=budget)
+    for t in range(n + 1):
+        total = sum(w for (c,), w in counts.items() if c >= t)
+        mu_hat = Fraction(total, pi.view.scale**n) if pi.exact else float(total)
         if 0 < mu_hat < 1:
-            members.append((t, f, mu_hat))
-    chosen: dict[int, tuple] = {}
-    for target in mu_grid:
-        best = min(members, key=lambda item: abs(float(item[2]) - float(target)))
-        chosen[best[0]] = best
+            members.append((t, mu_hat))
+    # threshold -> measure of the member nearest each target
+    chosen = dict(
+        min(members, key=lambda item: abs(float(item[1]) - float(target))) for target in targets
+    ) if members else {}
+    if len(chosen) < 2:
+        raise ValueError("need at least two usable family members")
+    pairs = _window_counts((threshold(min(chosen)),) * 2, p._scaled_support, n, budget)
     points = []
     for t in sorted(chosen):
-        _, f, mu_hat = chosen[t]
-        delta = same_set_expectation(p, n, f, engine=engine, budget=budget)
-        if delta <= 0:
-            continue
-        points.append((float(mu_hat), float(delta)))
+        total = sum(w for c, w in pairs.items() if min(c) >= t)
+        delta = Fraction(total, p._scale**n) if p.exact else float(total)
+        if delta > 0:
+            points.append((float(chosen[t]), float(delta)))
     if len(points) < 2:
         raise ValueError("need at least two usable family members")
     xs = [math.log(mu) for mu, _ in points]

@@ -250,6 +250,23 @@ def binom_pmf(n, k, p):
     return Fraction(math.comb(n, k)) * p**k * (1 - p) ** (n - k)
 
 
+def binom_tail(n, t, p):
+    """Pr[Bin(n, p) >= t]."""
+    return sum((binom_pmf(n, k, p) for k in range(t, n + 1)), Fraction(0))
+
+
+def threshold_same_set(n, t, p, coupling):
+    """Pr[both steps put symbol 0 at >= t of n coordinates], each coordinate's
+    step-1 symbol being 0 with probability p.
+
+    Under 'product' the two steps draw independently, so the value is the
+    squared tail; under 'identity' the second step repeats the first, so it
+    is the tail itself.
+    """
+    tail = binom_tail(n, t, p)
+    return tail * tail if coupling == "product" else tail
+
+
 def ap3_measure_exact(n):
     """Pr[Bin(n,1/3) < n/3] for the blocked-symbol count at a single step."""
     th = (n + 2) // 3  # smallest integer >= n/3; count must be strictly below n/3

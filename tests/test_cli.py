@@ -447,6 +447,24 @@ def test_single_function_commands_refuse_a_second_fn(workdir, capsys, argv, what
     assert captured.err == f"error: {what} takes exactly one function\n"
 
 
+@pytest.mark.parametrize("argv, count, what", [
+    (["hit"], 3, "hit takes one function, or one per step"),
+    (["invariance", "gap", "--lambda", "0.1", "--samples", "100"], 3,
+     "invariance gap takes one function, or one per step"),
+    (["invariance", "smooth", "--gamma", "0.1", "--eps", "0.1"], 3,
+     "invariance smooth takes one function, or one per step"),
+    (["reduce", "--tau", "0.1"], 1, "the influence loop takes exactly one function per step"),
+    (["reduce", "--tau", "0.1"], 3, "the influence loop takes exactly one function per step"),
+], ids=["hit-three", "gap-three", "smooth-three", "reduce-tau-one", "reduce-tau-three"])
+def test_per_step_commands_refuse_a_wrong_fn_count(workdir, capsys, argv, count, what):
+    code, captured = run_cli(capsys, [
+        *argv, "--dist", workdir / "basic.dist", *["--fn", workdir / "dictator.json"] * count,
+    ])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {what} of the distribution (2)\n"
+
+
 def test_inspect_refuses_a_distribution_too_large_to_build(workdir, capsys):
     big = workdir / "big.dist"
     big.write_text("alphabet 0 1\nsteps 40\nentry " + "0 " * 40 + "1\n")

@@ -1052,3 +1052,86 @@ def test_exponent_refuses_asymmetric_distributions():
 def test_exponent_refuses_three_steps():
     with pytest.raises(ValueError):
         estimate_hitting_exponent(ap3_distribution(), MU_GRID, n=10)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_exponent_refuses_n_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        estimate_hitting_exponent(parse_distribution(helpers.UNIFORM_BITS_TEXT), MU_GRID, n=n)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "0.3"])
+def test_exponent_refuses_targets_that_are_not_finite_numbers(bad):
+    with pytest.raises(ValueError, match="targets must be finite numbers"):
+        estimate_hitting_exponent(parse_distribution(helpers.UNIFORM_BITS_TEXT), [0.1, bad], n=10)
+
+
+# (coupling of the two steps, step marginal, n); symbol 0 carries the threshold
+FIT_FAMILIES = [
+    ("product", (Fraction(3, 10), Fraction(7, 10)), 12),
+    ("identity", (Fraction(3, 10), Fraction(7, 10)), 17),
+    ("product", (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)), 9),
+    ("identity", (Fraction(1, 5), Fraction(1, 2), Fraction(3, 10)), 22),
+    ("product", (Fraction(2, 5), Fraction(1, 10), Fraction(1, 2)), 16),
+]
+
+
+def _coupled(coupling: str, pi, decimal: bool = False) -> StepDistribution:
+    """Two steps with marginal pi each, drawn independently ('product') or
+    equal ('identity'); `decimal` writes the weights as decimals (float mode)."""
+    m = len(pi)
+    if coupling == "product":
+        cells = {(x, y): pi[x] * pi[y] for x in range(m) for y in range(m)}
+    else:
+        cells = {(x, x): w for x, w in enumerate(pi)}
+    lines = ["alphabet " + " ".join(str(a) for a in range(m)), "steps 2"]
+    lines += [f"entry {x} {y} {float(w) if decimal else w}" for (x, y), w in cells.items()]
+    return parse_distribution("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("coupling, pi, n", FIT_FAMILIES)
+def test_exponent_points_equal_the_per_member_route_and_the_binomial_tails(coupling, pi, n):
+    p = _coupled(coupling, pi)
+    rep = estimate_hitting_exponent(p, MU_GRID, n=n)
+    members = {}
+    for t in range(n + 1):
+        f = make_anchored_symmetric(n, p.alphabet, {"0": (t, n)})
+        mu = expectation(f, marginal(p, 1))
+        assert mu == oracles.binom_tail(n, t, pi[0])
+        if 0 < mu < 1:
+            members[t] = (mu, f)
+    chosen = {
+        min(members, key=lambda t: abs(float(members[t][0]) - target)) for target in MU_GRID
+    }
+    want = []
+    for t in sorted(chosen):
+        mu, f = members[t]
+        delta = same_set_expectation(p, n, f)
+        assert delta == oracles.threshold_same_set(n, t, pi[0], coupling)
+        want.append((float(mu), float(delta)))
+    assert rep.points == tuple(want)
+    assert rep.slope == pytest.approx(2.0 if coupling == "product" else 1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("coupling, pi, n", FIT_FAMILIES)
+def test_exponent_of_decimal_weights_matches_the_exact_fit(coupling, pi, n):
+    exact = estimate_hitting_exponent(_coupled(coupling, pi), MU_GRID, n=n)
+    twin = estimate_hitting_exponent(_coupled(coupling, pi, decimal=True), MU_GRID, n=n)
+    assert len(twin.points) == len(exact.points)
+    for got, want in zip(twin.points, exact.points):
+        assert got == pytest.approx(want, rel=1e-12)
+    assert twin.slope == pytest.approx(exact.slope, rel=1e-12)
+
+
+def test_exponent_budget_caps_the_live_states_of_the_joint_walk():
+    n, t0 = 12, 4
+    p = parse_distribution(helpers.UNIFORM_BITS_TEXT)  # independent uniform bits
+    grid = [float(oracles.binom_tail(n, t, Fraction(1, 2))) for t in (t0, 8)]
+    # after k draws every count pair in [0, k]^2 is reachable; the walk keeps
+    # those whose counts can still reach t0 in the n - k draws left
+    peak = max((k + 1 - max(0, t0 - (n - k))) ** 2 for k in range(1, n + 1))
+    assert peak > n + 1  # the marginal walk's n + 1 counts fit under both budgets
+    rep = estimate_hitting_exponent(p, grid, n=n, budget=peak)
+    assert [mu for mu, _ in rep.points] == grid
+    with pytest.raises(BudgetExceeded):
+        estimate_hitting_exponent(p, grid, n=n, budget=peak - 1)
