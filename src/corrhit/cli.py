@@ -348,6 +348,8 @@ def _influence_log_json(gs, log, alphabet):
 
 
 def _cmd_reduce(args, inputs):
+    if args.k is not None and args.eps is None:
+        raise _UsageError("--k caps the density loop and needs --eps")
     p = _load_dist(args.dist, inputs)
     if args.tau is not None:
         fns = _load_step_fns(args, inputs, p, "the influence loop", shared=False)
@@ -355,13 +357,11 @@ def _cmd_reduce(args, inputs):
             p, fns[0].n, tuple(fns), args.tau, budget=args.budget
         )
         results = {"loop": "influence", "log": _influence_log_json(gs, log, p.alphabet)}
-    elif args.eps is not None:
+    else:
         f = _load_one_fn(args, inputs, "the density loop")
         k = args.k if args.k is not None else 1
         g, chain, log = density_increment(p, f.n, f, args.eps, k, budget=args.budget)
         results = {"loop": "density", "log": _density_log_json(g, chain, log, p.alphabet)}
-    else:
-        raise ValueError("pass --tau for the influence loop or --eps [--k] for density")
     return results, True
 
 
@@ -860,9 +860,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reduce", help="density increment or influence reduction loop")
     _add_common(sp, dist=True, fn="one per step for --tau, exactly one for --eps", needs_n=True)
-    sp.add_argument("--tau", type=float, default=None, help="influence threshold")
-    sp.add_argument("--eps", type=float, default=None, help="density increment factor")
-    sp.add_argument("--k", type=int, default=None, help="restriction size cap")
+    loop = sp.add_mutually_exclusive_group(required=True)
+    loop.add_argument("--tau", type=float, default=None, help="influence threshold")
+    loop.add_argument("--eps", type=float, default=None, help="density increment factor")
+    sp.add_argument("--k", type=int, default=None,
+                    help="restriction size cap of the density loop (default 1; needs --eps)")
     sp.set_defaults(handler=_cmd_reduce)
 
     sp = sub.add_parser("verify", help="named verification suite")

@@ -81,9 +81,10 @@ class FunctionSpec:
     A table also carries its integer view (`ScaledView`): whether every value
     is a Fraction, the lcm of their denominators, and the values scaled by it
     to ints (floats with scale 1 when not exact).  Construction builds it
-    from the values; `restrict` and `max_operator` instead pass the view they
-    gather from their input's view by the same slab copies as the values,
-    which construction reduces to the lcm of the entries kept.  The kernels
+    from the values; `restrict`, `max_operator` and the influence loop of
+    `hitting` (which drops and re-inserts dummy axes) instead pass the view
+    they gather from their input's view by the same slab copies as the
+    values, which construction reduces to the lcm of the entries kept.  The kernels
     read the view and never rescale the values.  Other kinds have no view.
     """
 
@@ -1343,7 +1344,7 @@ def _first_outside(exact: bool, den: int, nums, upper, strict: bool, lower):
 
 def _find_restriction(
     f: FunctionSpec, pi: MarginalDistribution, k: int, first_size: int, cap: int,
-    upper, strict: bool, lower=None,
+    upper, strict: bool, lower=None, free=None,
 ):
     """First restriction R with first_size <= |R| <= k whose E[Rf] lies above
     `upper` (or equals it, unless strict) or below `lower`, as (R, E[Rf]),
@@ -1355,26 +1356,60 @@ def _find_restriction(
     BudgetExceeded.  Each coordinate set's values come from one
     `_restriction_values` call, and only the hit becomes a Restriction and a
     Fraction (or float).
+
+    `free` (default: every coordinate) names the coordinates whose sets are
+    contracted.  The caller guarantees that every other coordinate is dummy
+    in f, and that E[f] is no hit unless the search starts at size 0, where
+    the empty restriction comes first.  A set that meets a dummy coordinate
+    then holds no first hit: each of its candidates has the value of its
+    part on free coordinates, which comes earlier at a smaller size, or E[f]
+    when that part is empty.  Such a set is not contracted, but its
+    candidates still count against `cap` in search order, so every
+    BudgetExceeded falls where the search over all coordinates raises it.
     """
     support = pi.support_indices()
+    free = frozenset(range(1, f.n + 1) if free is None else free)
     count = 0
     for size in range(first_size, k + 1):
         for coords in itertools.combinations(range(1, f.n + 1), size):
             room = cap - count
             if room <= 0:
                 raise BudgetExceeded(f"restriction search exceeds {cap} candidates")
-            exact, den, nums = _restriction_values(f, pi, coords, support)
-            t = _first_outside(exact, den, nums[:room], upper, strict, lower)
-            if t is not None:
-                syms = next(itertools.islice(
-                    itertools.product(support, repeat=size), t, None
-                ))
-                r = Restriction.from_dict(f.n, dict(zip(coords, syms)))
-                return r, Fraction(nums[t], den) if exact else nums[t]
-            if len(nums) > room:
+            if free.issuperset(coords):
+                exact, den, nums = _restriction_values(f, pi, coords, support)
+                t = _first_outside(exact, den, nums[:room], upper, strict, lower)
+                if t is not None:
+                    syms = next(itertools.islice(
+                        itertools.product(support, repeat=size), t, None
+                    ))
+                    r = Restriction.from_dict(f.n, dict(zip(coords, syms)))
+                    return r, Fraction(nums[t], den) if exact else nums[t]
+                candidates = len(nums)
+            else:
+                candidates = len(support) ** size
+            if candidates > room:
                 raise BudgetExceeded(f"restriction search exceeds {cap} candidates")
-            count += len(nums)
+            count += candidates
     return None
+
+
+def _resilience_witness(
+    f: FunctionSpec, eps, k: int, pi: MarginalDistribution, cap: int, free,
+    upper_only: bool = False,
+):
+    """(True, None), or (False, R) for the first R with |R| <= k, the empty
+    restriction included, whose E[Rf] leaves [(1-eps) E[f], (1+eps) E[f]]
+    (only the upper side when `upper_only`), with E[f] computed afresh.
+
+    The coordinates outside `free` must be dummy in f.  The search then
+    contracts only the coordinate sets inside `free` and gives the answer
+    of the search over all coordinates (see `_find_restriction`).
+    `is_resilient` is this check over every coordinate.
+    """
+    mu = expectation(f, pi)
+    lower = None if upper_only else (1 - eps) * mu
+    found = _find_restriction(f, pi, k, 0, cap, (1 + eps) * mu, True, lower, free)
+    return (True, None) if found is None else (False, found[0])
 
 
 def is_resilient(
@@ -1396,12 +1431,8 @@ def is_resilient(
     if eps < 0:
         raise ValueError("eps must be non-negative")
     _check_alphabet(f, pi)
-    mu = expectation(f, pi)
-    lo = (1 - eps) * mu
-    hi = (1 + eps) * mu
     cap = TABLE_BUDGET if budget is None else budget
-    found = _find_restriction(f, pi, k, 0, cap, hi, True, None if upper_only else lo)
-    return (True, None) if found is None else (False, found[0])
+    return _resilience_witness(f, eps, k, pi, cap, range(1, f.n + 1), upper_only)
 
 
 @dataclass(frozen=True)

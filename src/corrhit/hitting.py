@@ -44,13 +44,12 @@ from .fourier import (
     _joint_count,
     _kernel_inputs,
     _marginal_support,
+    _resilience_witness,
     _slab,
     _window_counts,
     expectation,
     influence,
-    is_resilient,
     make_anchored_symmetric,
-    max_operator,
     resolve_engine,
     restrict,
     to_table,
@@ -250,14 +249,21 @@ def density_increment(
     with eps' = alpha(P)^k * eps, replace g by the first such R's image in
     search order (size, coordinate subset in lex order, then support symbols
     in mixed-radix order).  Stopping makes g eps'-upper-resilient, which
-    implies eps-resilience; that implication is re-verified exhaustively
-    with `is_resilient`, not trusted.  Expectations run against the
-    first-step marginal.  For a table, each coordinate set's candidates come
-    from one partial contraction of g's integer view, compared with the
-    threshold in ints when it is exact; only the chosen restriction is
-    applied.  More than `budget` candidates in one iteration raise
-    BudgetExceeded.  Returns (g, chain, log) where chain is the tuple of
-    applied restrictions.
+    implies eps-resilience; that implication is not trusted but re-verified
+    exhaustively over the free coordinates, those no restriction of the
+    chain has fixed (`fourier._resilience_witness`, the check behind
+    `is_resilient`).  That covers every restriction: `restrict` makes a fixed
+    coordinate dummy, so a restriction that also fixes fixed coordinates has
+    the value of its part on free ones, checked at a smaller size, and one
+    that fixes only fixed coordinates has the value E[g] of the empty
+    restriction.  For the same reason each iteration's search contracts only
+    the coordinate sets inside the free coordinates; the others still count
+    against the budget.  Expectations run against the first-step marginal.
+    For a table, each coordinate set's candidates come from one partial
+    contraction of g's integer view, compared with the threshold in ints
+    when it is exact; only the chosen restriction is applied.  More than
+    `budget` candidates in one iteration raise BudgetExceeded.  Returns
+    (g, chain, log) where chain is the tuple of applied restrictions.
     """
     if n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
@@ -280,15 +286,18 @@ def density_increment(
     cur = mu
     chain: list[Restriction] = []
     steps: list[DensityStep] = []
+    # coordinates no restriction of the chain has fixed; the others are dummy in g
+    free = list(range(1, n + 1))
     while True:
         threshold = (1 + eps_prime) * cur
-        found = _find_restriction(g, pi, k, 1, cap, threshold, False)
+        found = _find_restriction(g, pi, k, 1, cap, threshold, False, free=free)
         if found is None:
             break
         r, val = found
         loss: Number = Fraction(1) if pi.exact else 1.0
-        for _, sym in r.fixed_items():
+        for coord, sym in r.fixed_items():
             loss *= pi.probs[sym]
+            free.remove(coord)
         steps.append(DensityStep(r, cur, val, loss))
         chain.append(r)
         g = restrict(g, r)
@@ -298,7 +307,7 @@ def density_increment(
                 f"density increment ran {len(steps)} iterations, bound is {max_iters}"
             )
 
-    ok, witness = is_resilient(g, eps, k, pi, budget=budget)
+    ok, witness = _resilience_witness(g, eps, k, pi, cap, free)
     if not ok:
         raise ArithmeticError(
             f"stopped function fails the resilience re-check at {witness}"
@@ -351,21 +360,27 @@ def influence_reduction(
     finite float, and mismatched functions before any work.
 
     Everything runs on the fibres of the step tables along axis i, read from
-    their integer views (as floats when any input is a float).  The
-    influences of a table come from one kernel over one common denominator
-    (`fourier._influence_contract`) and are compared by cross-multiplying;
-    coordinates chosen earlier are dummy in every step, so they are not
-    recomputed.  A step j != j* gets E[f_j | x_i = a] for every a, the
-    expectation of its restriction to that x-bar symbol, from one
+    their integer views (as floats when any input is a float).  A chosen
+    coordinate is dummy in every step from then on, so the loop's tables
+    carry the live coordinates only: each iteration builds the new step
+    tables without axis i (keeping one dummy axis once none is live), and
+    the returned tables get the dummy axes back once, at the end.
+    Influences, expectations and product expectations over the live axes
+    equal those over all n, since a dummy axis only multiplies them by its
+    total weight, 1 (exactly, for exact inputs); the log keeps the original
+    coordinates.  The influences of a table come from one kernel over one
+    common denominator (`fourier._influence_contract`) and are compared by
+    cross-multiplying.  A step j != j* gets E[f_j | x_i = a] for every a,
+    the expectation of its restriction to that x-bar symbol, from one
     contraction keeping axis i.  E[M[i,y,z] f_j*] is the contraction of the
     fibre max(f[x_i = y], f[x_i = z]) over the other axes, computed per
     unordered pair {y, z} when the scan first reaches it and kept for that
     iteration only (`_MaxFibres`).  Candidates meet the gain threshold in
     ints over the lcm of the steps' denominators, and only the chosen tuple
-    builds its max-operator and restricted tables.  Each iteration's
-    expectations and product expectation carry over as the next one's
-    `before` and `product_before`, so the loop runs one product expectation
-    per iteration and one per call.  Exact inputs give the same Fractions as
+    builds its max-operator and restricted tables (`_fix_axis`).  Each
+    iteration's expectations and product expectation carry over as the next
+    one's `before` and `product_before`, so the loop runs one product
+    expectation per iteration and one per call.  Exact inputs give the same Fractions as
     restricting and averaging every candidate.
     """
     fns = tuple(fns)
@@ -408,17 +423,18 @@ def influence_reduction(
     )
     product = product_initial = multi_set_expectation(p, n, fns, budget=budget)
     steps: list[InfluenceStep] = []
-    # a chosen coordinate is dummy in every step from then on: influence 0
+    # the coordinates of the tables' axes, in order, while any is live
     live = list(range(1, n + 1))
     while live:
+        width = len(live)
         dens, infl = [], []
         for g, pi in zip(cur, marginals):
-            _, den, nums = _influence_contract(g, pi, live, budget, exact)
+            _, den, nums = _influence_contract(g, pi, range(1, width + 1), budget, exact)
             dens.append(den)
             infl.append(nums)
         # the first maximum in (coordinate, step) order, by cross-multiplication
         wc = wj = 0
-        for c in range(len(live)):
+        for c in range(width):
             for j in range(ell):
                 if infl[j][c] * dens[wj] > infl[wj][wc] * dens[j]:
                     wc, wj = c, j
@@ -426,6 +442,7 @@ def influence_reduction(
         if worst <= tau:
             break
         i, j_star = live.pop(wc), wj + 1
+        stride = m**wc  # of coordinate i's axis
         other_steps = [j for j in range(1, ell + 1) if j != j_star]
 
         # after-values over scales[j]: restricted steps for every symbol from
@@ -435,13 +452,13 @@ def influence_reduction(
             _, v_scale, values, w_scale, weights = _kernel_inputs(
                 cur[j - 1], marginals[j - 1], budget, exact
             )
-            scales[j] = v_scale * w_scale**n
+            scales[j] = v_scale * w_scale**width
             if j == j_star:
-                cols = [_slab(values, m, m ** (i - 1), a) for a in range(m)]
-                sums[j] = _MaxFibres(cols, weights, n)
+                cols = [_slab(values, m, stride, a) for a in range(m)]
+                sums[j] = _MaxFibres(cols, weights, width)
             else:
                 mass = sum(weights)
-                sums[j] = [c * mass for c in _contract(values, weights, n, keep=(i,))]
+                sums[j] = [c * mass for c in _contract(values, weights, width, keep=(wc + 1,))]
         if exact:
             den = math.lcm(*scales.values())
             lift = {j: den // s for j, s in scales.items()}
@@ -474,15 +491,18 @@ def influence_reduction(
         x_bar, y, z = hit
         picks = dict(zip(other_steps, x_bar))
         picks[j_star] = (y, z)
-        trial = list(cur)
-        trial[j_star - 1] = max_operator(cur[j_star - 1], i, y, z, budget=budget)
-        for j, a in zip(other_steps, x_bar):
-            trial[j - 1] = restrict(cur[j - 1], Restriction.from_dict(n, {i: a}))
+        # M[i,y,z] f for j*, and f restricted to x_i = a (the max of a and a)
+        # for every other step, with axis i dropped
+        trial = [
+            _fix_axis(g, stride, y, z, not live) if j == j_star
+            else _fix_axis(g, stride, picks[j], picks[j], not live)
+            for j, g in enumerate(cur, 1)
+        ]
         after = tuple(
             Fraction(sums[j][picks[j]], scales[j]) if exact else sums[j][picks[j]]
             for j in range(1, ell + 1)
         )
-        product_after = multi_set_expectation(p, n, trial, budget=budget)
+        product_after = multi_set_expectation(p, trial[0].n, trial, budget=budget)
         if product < beta_hat * product_after:
             raise ArithmeticError(
                 "per-step product certificate failed: "
@@ -501,6 +521,9 @@ def influence_reduction(
             raise ArithmeticError(
                 f"influence reduction ran {len(steps)} iterations, cap is {cap_iters}"
             )
+    if steps:
+        kept = live or [steps[-1].i]
+        cur = [_with_dummy_axes(g, kept, n) for g in cur]
 
     log = ReductionLog(
         "influence_reduction",
@@ -537,6 +560,46 @@ class _MaxFibres(dict):
         fibre = cols[y] if y == z else list(map(max, cols[y], cols[z]))
         self[y, z] = self[z, y] = _contract(fibre, self.weights, self.n - 1)[0] * self.mass
         return self[y, z]
+
+
+def _fix_axis(f: FunctionSpec, stride: int, y: int, z: int, last: bool) -> FunctionSpec:
+    """The table max(f[x = y], f[x = z]) for the axis x of the given stride:
+    M[i,y,z] f, or for y = z the restriction x = y, without that axis, or
+    with it as a dummy when it is f's `last` one.  The values and the view's
+    ints take the same slabs."""
+    m = len(f.alphabet)
+
+    def fibre(t) -> tuple:
+        t = _slab(t, m, stride, y) if y == z else list(
+            map(max, _slab(t, m, stride, y), _slab(t, m, stride, z))
+        )
+        return tuple(t * m if last else t)
+
+    return FunctionSpec(
+        f.n if last else f.n - 1, f.alphabet, "table",
+        {"values": fibre(f.payload["values"])}, f.view._replace(ints=fibre(f.view.ints)),
+    )
+
+
+def _with_dummy_axes(f: FunctionSpec, kept, n: int) -> FunctionSpec:
+    """The table f, whose axes are the coordinates `kept` in ascending order,
+    as a table over coordinates 1..n that ignores every other one."""
+    m = len(f.alphabet)
+
+    def spread(t) -> tuple:
+        for c in range(1, n + 1):
+            if c not in kept:
+                # each block of the c - 1 axes below repeats along the new axis c
+                s = m ** (c - 1)
+                t = tuple(itertools.chain.from_iterable(
+                    t[b:b + s] * m for b in range(0, len(t), s)
+                ))
+        return t
+
+    return FunctionSpec(
+        n, f.alphabet, "table",
+        {"values": spread(f.payload["values"])}, f.view._replace(ints=spread(f.view.ints)),
+    )
 
 
 def _assemble_tuple(x_bar, other_steps, j_star, sym) -> tuple[int, ...]:

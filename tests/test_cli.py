@@ -252,14 +252,24 @@ def test_reduce_influence_golden(workdir, capsys):
     assert len(log["result_functions"]) == 2
 
 
-def test_reduce_needs_a_mode(workdir, capsys):
-    code, report = run_json(
-        capsys,
-        ["reduce", "--dist", workdir / "basic.dist",
-         "--fn", workdir / "dictator.json", "--n", "1"],
-    )
-    assert code == 1
-    assert "refusal" in report["results"]
+@pytest.mark.parametrize("flags, message", [
+    (["--tau", "0.1", "--eps", "0.25"], "argument --eps: not allowed with argument --tau"),
+    ([], "one of the arguments --tau --eps is required"),
+    (["--tau", "0.1", "--k", "2"], "--k caps the density loop and needs --eps"),
+], ids=["both", "neither", "k-without-eps"])
+def test_reduce_takes_one_loop_and_k_only_with_eps(workdir, capsys, flags, message):
+    """Usage errors, found before any input is read: the --dist named here
+    does not exist."""
+    argv = ["reduce", "--dist", workdir / "missing.dist", "--fn", workdir / "dictator.json",
+            "--fn", workdir / "dictator.json", *flags]
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

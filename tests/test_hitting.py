@@ -736,6 +736,39 @@ def test_influence_reduction_float_twin_picks_the_same_tuples():
             assert list(f.payload["values"]) == pytest.approx([float(v) for v in t], rel=rel, abs=0)
 
 
+def _slabs(t, m: int, i: int):
+    """The m slabs of the list t along coordinate i (1-based)."""
+    s = m ** (i - 1)
+    return [[v for idx, v in enumerate(t) if idx // s % m == a] for a in range(m)]
+
+
+def test_influence_reduction_returns_every_axis_with_chosen_coordinates_dummy():
+    """The loop runs on tables over the live coordinates and puts the others
+    back as dummy axes: every returned table has all n coordinates, every
+    chosen coordinate has m equal slabs in the values and in the view, and
+    the view is the one the values build.  n = 1 and runs that choose every
+    coordinate keep one dummy axis through the loop."""
+    tau = Fraction(1, 10)
+    every = 0
+    for p, n, tables in _reduction_instances(4242):
+        m = len(p.alphabet)
+        for dist, cast in ((p, Fraction), (_float_twin(p), float)):
+            symbols = p.alphabet.symbols
+            fns = tuple(make_table_function(n, symbols, [cast(v) for v in t]) for t in tables)
+            out, log = influence_reduction(dist, n, fns, tau)
+            chosen = {step.i for step in log.iterations}
+            every += n > 1 and len(chosen) == n
+            for g in out:
+                values = list(g.payload["values"])
+                assert (g.kind, g.n, len(values)) == ("table", n, m**n)
+                assert g.view == make_table_function(n, symbols, values).view
+                for i in chosen:
+                    for t in (values, g.view.ints):
+                        first, *rest = _slabs(t, m, i)
+                        assert all(slab == first for slab in rest)
+    assert every >= 4  # runs at n = 2 and 3 that choose every coordinate
+
+
 # ---------------------------------------------------------------------------
 # max-gain inequality
 

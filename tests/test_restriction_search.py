@@ -7,6 +7,7 @@ lists.  Also here: the exact candidate-count refusals of both searches.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,11 +16,14 @@ import pytest
 
 import helpers
 import oracles
-from corrhit import hitting
+from corrhit import fourier, hitting
 from corrhit.dist_core import Alphabet, MarginalDistribution, StepDistribution, marginal
 from corrhit.fourier import (
+    TABLE_BUDGET,
     BudgetExceeded,
     _find_restriction,
+    _resilience_witness,
+    expectation,
     is_resilient,
     make_anchored_symmetric,
     make_junta,
@@ -207,6 +211,103 @@ def test_density_increment_on_other_kinds_equals_oracle():
             assert [(s.before, s.after, s.loss) for s in log.iterations] == [s[1:] for s in want]
 
 
+def random_density_function(rng: random.Random, n: int, pi):
+    """A table, a junta or an anchored window function with E[f] > 0."""
+    m = len(pi.alphabet)
+    while True:
+        kind = rng.choice(("table", "junta", "window"))
+        if kind == "table":
+            f = make_table_function(n, pi.alphabet, random_values(rng, m, n))
+        elif kind == "junta":
+            coords = rng.sample(range(1, n + 1), rng.randint(1, n))
+            f = make_junta(n, pi.alphabet, [(c, rng.randrange(m)) for c in coords])
+        else:
+            ignored = rng.sample(range(1, n + 1), rng.randint(0, n - 1))
+            rest = [c for c in range(1, n + 1) if c not in ignored]
+            anchor = (rng.choice(rest), rng.randrange(m)) if rng.random() < 0.5 else None
+            lo = rng.randint(0, len(rest) - 1)
+            windows = {rng.randrange(m): (lo, rng.randint(lo, len(rest)))}
+            f = make_anchored_symmetric(n, pi.alphabet, windows, anchor=anchor, ignored=ignored)
+        if expectation(f, pi) > 0:
+            return f
+
+
+def test_resilience_recheck_over_free_coordinates_equals_is_resilient():
+    """The final g of a density run ignores every coordinate its chain fixed;
+    the re-check over the other coordinates gives the (ok, witness) of
+    `is_resilient` over all of them, for every k and for bounds that do and
+    do not hold, exact and in float mode."""
+    rng = random.Random(7073)
+    fixed = checked = witnesses = 0
+    for m in (2, 3):
+        for n in range(1, 5):
+            for _ in range(6):
+                p = helpers.random_dist(rng, m, 2, full_support=True, positive_diagonal=True)
+                f = random_density_function(rng, n, marginal(p, 1))
+                k_run = rng.randint(0, n)
+                fp = StepDistribution(p.alphabet, p.steps, tuple(map(float, p.weights)), False)
+                f_float = f
+                if f.kind == "table":
+                    floats = list(map(float, f.payload["values"]))
+                    f_float = make_table_function(n, p.alphabet, floats)
+                for dist, fn, eps in ((p, f, Fraction(1, 2)), (fp, f_float, 0.5)):
+                    pi = marginal(dist, 1)
+                    g, chain, _ = density_increment(dist, n, fn, eps, k_run)
+                    free = [c for c in range(1, n + 1)
+                            if all(r.entries[c - 1] is None for r in chain)]
+                    fixed += len(free) < n
+                    for k in range(0, n + 1):
+                        for e in (eps / 8, eps, 4 * eps):
+                            got = _resilience_witness(g, e, k, pi, TABLE_BUDGET, free)
+                            assert got == is_resilient(g, e, k, pi)
+                            checked += 1
+                            witnesses += got[1] is not None
+    assert fixed >= 40 and witnesses >= 80 and checked - witnesses >= 500
+
+
+def test_density_increment_contracts_only_sets_of_free_coordinates(monkeypatch):
+    """Each search of a density run contracts only the coordinate sets that
+    avoid the coordinates its chain has fixed: up to the hit's set while the
+    chain grows, all of them in the last search and in the re-check (which
+    also takes the empty set)."""
+    p = helpers.random_dist(random.Random(5), 2, 2, full_support=True, positive_diagonal=True)
+    n, k, eps = 5, 2, Fraction(1, 4)
+    values = [Fraction(0)] * 31 + [Fraction(1)]  # the AND of five bits
+    f = make_table_function(n, p.alphabet, values)
+    calls = []
+    contract = fourier._restriction_values
+
+    def counted(f, pi, coords, support):
+        calls.append(coords)
+        return contract(f, pi, coords, support)
+
+    monkeypatch.setattr(fourier, "_restriction_values", counted)
+    _, chain, _ = density_increment(p, n, f, eps, k)
+    assert len(chain) >= 2
+
+    def sets(sizes, free, stop=None):
+        out = []
+        for size in sizes:
+            for coords in itertools.combinations(range(1, n + 1), size):
+                if set(coords) <= free:
+                    out.append(coords)
+                if coords == stop:
+                    return out
+        return out
+
+    free, want, full = set(range(1, n + 1)), [], 0
+    for r in chain:
+        hit = tuple(c for c, _ in r.fixed_items())
+        want += sets(range(1, k + 1), free, hit)
+        full += len(sets(range(1, k + 1), set(range(1, n + 1)), hit))
+        free -= set(hit)
+    want += sets(range(1, k + 1), free) + sets(range(0, k + 1), free)
+    assert calls == want
+    # every set of every search, as a search over all coordinates contracts them
+    full += candidate_count(n, 1, range(1, k + 1)) + candidate_count(n, 1, range(0, k + 1))
+    assert len(want) < full
+
+
 def test_search_bounds_are_exact_at_and_near_the_values():
     """f = (1/4, 3/4) over a uniform bit: the size-1 candidates have E[Rf] =
     1/4 and 3/4.  Bounds at a value and 1/1000 beside it, exact and as floats."""
@@ -272,7 +373,7 @@ def test_density_increment_budget_counts_per_iteration(monkeypatch):
     density_increment(p, n, f, eps, k, budget=count + 1)
     with pytest.raises(BudgetExceeded):
         density_increment(p, n, f, eps, k, budget=count)  # refused by the re-check
-    monkeypatch.setattr(hitting, "is_resilient", lambda *args, **kwargs: (True, None))
+    monkeypatch.setattr(hitting, "_resilience_witness", lambda *args, **kwargs: (True, None))
     density_increment(p, n, f, eps, k, budget=count)
     with pytest.raises(BudgetExceeded):
         density_increment(p, n, f, eps, k, budget=count - 1)
