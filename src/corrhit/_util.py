@@ -64,10 +64,11 @@ def contract_axes(t, mats) -> list:
     that of the entries: scaled ints stay exact, floats round as the
     left-to-right sum of the terms.
 
-    Callers: the `enumerate` engine and the Markov identity in `hitting`,
-    every expectation, influence and restriction-search contraction in
-    `fourier`, and the averaging operators there (the noise operator and the
-    projections), which pass one square averaging matrix per averaged axis.
+    Callers: the `enumerate` engine and the Markov identity in `hitting`;
+    in `fourier`, the float expectation, influence and restriction-search
+    sums (`_weighted_sums`; exact ones are one dot there instead), and the
+    averaging operators (the noise operator and the projections), which
+    pass one square averaging matrix per averaged axis.
     """
     for mat in mats:
         if isinstance(mat, int):

@@ -612,9 +612,6 @@ _VERIFY_SUITES = {
 
 
 def _cmd_verify(args, inputs):
-    args.n_list = (
-        [int(tok) for tok in args.n.split(",")] if args.n is not None else None
-    )
     return _VERIFY_SUITES[args.suite](args)
 
 
@@ -716,12 +713,8 @@ def _cmd_inv_rhc(args, inputs):
     ell = args.ell
     r = args.rho
     cov = [[1.0 if a == b else r for b in range(ell)] for a in range(ell)]
-    offsets = (
-        [float(t) for t in args.offsets.split(",")] if args.offsets else [0.0] * ell
-    )
-    signs = (
-        [int(t) for t in args.signs.split(",")] if args.signs else [1] * ell
-    )
+    offsets = args.offsets or [0.0] * ell
+    signs = args.signs or [1] * ell
     if len(offsets) != ell or len(signs) != ell:
         raise ValueError("offsets and signs must list one value per step")
     forms = tuple(ThresholdForm(s, t) for s, t in zip(signs, offsets))
@@ -811,6 +804,32 @@ def _cmd_invariance(args, inputs):
 # parser
 
 
+def _listed(convert, what: str):
+    """An argparse type for a comma-separated list of `what`: a malformed
+    token is a usage error (exit 2) before any work."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            ) from None
+
+    return parse
+
+
+def _count(text: str) -> int:
+    """An argparse type for a size that may be 0 but not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sp, dist=False, fn="", needs_n=False):
     """Options every subcommand shares; `fn`, when given, is the help of --fn."""
     if dist:
@@ -849,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fourier", help="expectation, variance, influences, coefficients")
     _add_common(sp, dist=True, fn="exactly one", needs_n=True)
     sp.add_argument("--step", type=int, default=1, help="marginal used for the basis")
-    sp.add_argument("--top", type=int, default=16, help="coefficient table size")
+    sp.add_argument("--top", type=_count, default=16, help="coefficient table size")
     sp.set_defaults(handler=_cmd_fourier)
 
     sp = sub.add_parser("hit", help="same-set / multi-set expectation")
@@ -869,7 +888,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="named verification suite")
     sp.add_argument("suite", choices=sorted(_VERIFY_SUITES))
-    sp.add_argument("--n", type=str, default=None, help="comma-separated sizes")
+    sp.add_argument("--n", dest="n_list", type=_listed(int, "integers"), default=None,
+                    help="comma-separated sizes")
     sp.add_argument("--three-n", type=int, default=60,
                     help="three-sets catalog size (counterexamples suite)")
     _add_common(sp)
@@ -901,8 +921,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ip)
     ip.add_argument("--ell", type=int, default=2)
     ip.add_argument("--rho", type=float, default=0.5)
-    ip.add_argument("--offsets", type=str, default=None, help="comma-separated")
-    ip.add_argument("--signs", type=str, default=None, help="comma-separated +-1")
+    ip.add_argument("--offsets", type=_listed(float, "numbers"), default=None,
+                    help="comma-separated")
+    ip.add_argument("--signs", type=_listed(int, "integers"), default=None,
+                    help="comma-separated +-1")
     ip.set_defaults(handler=_cmd_invariance)
 
     ip = inv.add_parser("mollifier", help="smoothed-clamp value / grid properties")

@@ -84,9 +84,11 @@ class StepDistribution:
     of every symbol) and `_marginals` (the same as MarginalDistribution
     objects).  The view never changes, like the object it derives from.
     `rho` stores its result on the distribution the first time it is asked
-    (`_rho`); that attribute is not a field, so it enters neither `==` nor
-    `hash`, and a fresh distribution carries no correlation until one is
-    asked for.
+    (`_rho`), and the enumeration route of `hitting` its plan, the prefix
+    matrices and scaled weights it reads of the support
+    (`_enumeration_plan`); these attributes are not fields, so they enter
+    neither `==` nor `hash`, and a fresh distribution carries neither until
+    one is asked for.
     """
 
     alphabet: Alphabet

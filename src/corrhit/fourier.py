@@ -11,15 +11,16 @@ operator.  The one dynamic program, `_JointLayout`, runs over a marginal's
 one-step support here and over a distribution's step tuples in `hitting`.
 
 Expectations, variances and influences of tables (and of the other kinds on
-the 'enumerate' engine) contract the value list one coordinate at a time.
-Every table and marginal carries an integer view, built once at
-construction, so the contractions run on plain ints with one division at the
-end; table restrictions and max-substitutions copy slabs of the values and
+the 'enumerate' engine) are sums under the product measure.  Every table and
+marginal carries an integer view, built once at construction, so exact sums
+are dot products of plain ints against the product weights, with one
+division at the end; float sums contract the value list one coordinate at a
+time.  Table restrictions and max-substitutions copy slabs of the values and
 of the view by stride arithmetic.  The restriction search behind
 `is_resilient` (and `hitting.density_increment`) contracts all axes but one
 coordinate set at a time, which yields the expectation under every symbol
 choice of that set at once.  The averaging operators (the noise operator
-T_rho and the projections f^S) run the same kernel with one integer
+T_rho and the projections f^S) run the per-axis kernel with one integer
 averaging matrix per averaged axis (`_average_axes`) and return tables that
 carry their view.  On the float side, `analyze` and `synthesize` apply the
 basis matrix and its transpose along every axis (`_along_axes`).
@@ -393,11 +394,16 @@ def evaluate(f: FunctionSpec, x) -> Number:
 # ---------------------------------------------------------------------------
 # expectation and variance
 #
-# Tables are contracted one coordinate at a time.  Values are scaled by the
-# least common denominator of the table and probabilities by that of the
-# marginal, so the single division at the end gives the Fraction that
-# rational arithmetic throughout would give.  Float inputs run the same
-# contractions on floats.
+# Values are scaled by the least common denominator of the table and
+# probabilities by that of the marginal, so the single division at the end
+# gives the Fraction that rational arithmetic throughout would give.  Exact
+# sums under the product measure are dot products of the scaled values with
+# the product weights; float inputs are contracted one coordinate at a time,
+# which fixes their rounding.
+
+# Entries of the longest product-weight list an exact sum builds, and of the
+# longest list the enumeration route's contractions build in `hitting`.
+_BLOCK = 4096
 
 
 def _check_budget(m: int, n: int, budget: int | None):
@@ -431,22 +437,59 @@ def _kernel_inputs(f: FunctionSpec, pi: MarginalDistribution, budget, exact: boo
 def _contract(t, weights, n: int, keep=()) -> list:
     """Sum out every axis of the n-axis tensor t except the coordinates in `keep`.
 
-    Axes go least significant first.  One `contract_axes` pass per summed
-    axis, with the weight row, and one identity pass (a re-ordering of
-    slices) per run of consecutive kept axes, which act as one axis.  The
-    result is indexed by the kept coordinates, the lowest least significant;
-    with nothing kept it is the one-entry list [sum over all points].
+    Axes go least significant first.  The slab of t for each choice of kept
+    symbols is summed over the other axes by `_weighted_sums`: in one dot
+    against the product weights for exact weights, axis by axis
+    (`contract_axes`) for float ones.  The result is indexed by the kept
+    coordinates, the lowest least significant; with nothing kept it is the
+    one-entry list [sum over all points].
     """
     m = len(weights)
-    mats: list = []
-    for c in range(1, n + 1):
-        if c not in keep:
-            mats.append([weights])
-        elif mats and isinstance(mats[-1], int):
-            mats[-1] *= m
-        else:
-            mats.append(m)
-    return contract_axes(t, mats)
+    slabs = [t]
+    for c in sorted(keep, reverse=True):
+        # a lower kept coordinate keeps its stride and becomes the lower digit
+        slabs = [_slab(u, m, m ** (c - 1), a) for u in slabs for a in range(m)]
+    return _weighted_sums(slabs, weights, n - len(keep))
+
+
+def _product_weights(weights, axes: int) -> list:
+    """prod_c weights[x_c] for every point x of `axes` axes, axis 0 least
+    significant."""
+    out = [1]
+    for _ in range(axes):
+        out = [u * w for w in weights for u in out]
+    return out
+
+
+def _weighted_sums(tensors, weights, axes: int) -> list:
+    """sum_x t[x] prod_c weights[x_c] over the m^axes entries, for every t
+    in the iterable `tensors`, read one at a time.
+
+    Exact weights (the ints of an integer view; Fractions work as well) sum
+    each tensor in one dot against the product weights, built once for all
+    tensors; exact sums do not depend on their order.  Past `_BLOCK` entries a
+    tensor is summed in blocks over the low axes, each block's dot times the
+    weight of its high-axis point (blocks of weight 0 are skipped), so no
+    list built exceeds `_BLOCK` entries besides the tensors and the
+    high-axis weights.  Float mode keeps `contract_axes`, one pass per axis
+    with the weight row, whose left-to-right sums fix the rounding.
+    """
+    if isinstance(weights[0], float):
+        return [contract_axes(t, [[weights]] * axes)[0] for t in tensors]
+    m, low = len(weights), axes
+    while low and m**low > _BLOCK:
+        low -= 1
+    pw = _product_weights(weights, low)
+    if low == axes:
+        return [sum(map(operator.mul, t, pw)) for t in tensors]
+    size, high = len(pw), _product_weights(weights, axes - low)
+    return [
+        sum(
+            h * sum(map(operator.mul, t[b * size:(b + 1) * size], pw))
+            for b, h in enumerate(high) if h
+        )
+        for t in tensors
+    ]
 
 
 def _expectation_contract(
@@ -926,20 +969,24 @@ def _influence_contract(f, pi, coords, budget, exact: bool = True):
     exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget, exact)
     n, m = f.n, len(weights)
     sq = w_scale * _contract([v * v for v in values], weights, n)[0]
-    nums = []
-    for i in coords:
-        s = m ** (i - 1)
-        mean = None
-        for a, w in enumerate(weights):
-            if not w:
-                continue
-            # entries with digit a at coordinate i, in the order of the other axes
-            col = _slab(values, m, s, a)
-            if mean is None:
-                mean = [w * y for y in col]
-            else:
-                mean = [x + w * y for x, y in zip(mean, col)]
-        nums.append(sq - _contract([u * u for u in mean], weights, n - 1)[0])
+
+    def squared_means():
+        # one U_i^2 at a time, summed before the next is built
+        for i in coords:
+            s = m ** (i - 1)
+            mean = None
+            for a, w in enumerate(weights):
+                if not w:
+                    continue
+                # entries with digit a at coordinate i, in the order of the other axes
+                col = _slab(values, m, s, a)
+                if mean is None:
+                    mean = [w * y for y in col]
+                else:
+                    mean = [x + w * y for x, y in zip(mean, col)]
+            yield [u * u for u in mean]
+
+    nums = [sq - q for q in _weighted_sums(squared_means(), weights, n - 1)]
     return exact, w_scale ** (n + 1) * v_scale * v_scale, nums
 
 

@@ -37,6 +37,7 @@ from .fourier import (
     BudgetExceeded,
     FunctionSpec,
     Restriction,
+    _BLOCK,
     _contract,
     _expectation_contract,
     _find_restriction,
@@ -66,9 +67,58 @@ from .fourier import (
 # that rational arithmetic throughout would give.  Float inputs run the same
 # loops on floats.
 
-# Entries of the longest list the enumeration route's contractions build;
-# larger products walk their most significant coordinates instead.
-_BLOCK = 4096
+
+class _EnumerationPlan:
+    """What `_multi_enumerate` reads of a distribution p, built once per p.
+
+    With P_k the distinct length-k prefixes of p's support tuples, in order:
+    `tuples` lists the support tuples and `width` is max(m, |P_k|);
+    `lift[k - 1]` lifts a function of one symbol onto P_k (each prefix reads
+    its last symbol), or is None where that matrix is the identity (P_k
+    lists the alphabet in order by last symbol); `up[k - 1]` sums the
+    children of each prefix of P_k onto P_(k-1).  `modes[exact]` is
+    (scale, weights, last): the support weights and the matrix
+    last[q][x] = w(q + (x,)) over q in P_(l-1), as the ints of p's view for
+    exact mode and as floats (p's own, or float() of its Fractions) for
+    float mode, so an exact p read in float mode mixes nothing.  All of it
+    derives from the support, which never changes; no result is kept.
+    """
+
+    def __init__(self, p: StepDistribution):
+        m = len(p.alphabet)
+        self.tuples = [tup for tup, _ in p._support]
+        prefixes = [sorted({tup[:k] for tup in self.tuples}) for k in range(p.steps)]
+        self.width = max(m, *map(len, prefixes))
+        identity = [[int(a == x) for x in range(m)] for a in range(m)]
+        self.lift = []
+        for ps in prefixes[1:]:
+            lift = [[int(q[-1] == x) for x in range(m)] for q in ps]
+            self.lift.append(None if lift == identity else lift)
+        self.up = [
+            [[int(q[:-1] == r) for q in ps] for r in shorter]
+            for shorter, ps in zip(prefixes, prefixes[1:])
+        ]
+        rank = {q: r for r, q in enumerate(prefixes[-1])}
+        floats = [float(w) for _, w in p._support]
+        self.modes = {False: (1, floats, self._last(m, floats, rank))}
+        if p.exact:
+            ints = [w for _, w in p._scaled_support]
+            self.modes[True] = (p._scale, ints, self._last(m, ints, rank))
+
+    def _last(self, m: int, weights, rank) -> list:
+        last = [[0] * m for _ in rank]
+        for tup, w in zip(self.tuples, weights):
+            last[rank[tup[:-1]]][tup[-1]] = w
+        return last
+
+    @classmethod
+    def of(cls, p: StepDistribution) -> _EnumerationPlan:
+        """p's plan, built on the first call and stored on p (as `rho` is)."""
+        plan = p.__dict__.get("_enumeration_plan")
+        if plan is None:
+            plan = cls(p)
+            object.__setattr__(p, "_enumeration_plan", plan)
+        return plan
 
 
 def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
@@ -78,24 +128,30 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
     assignments factorizes per axis.  With P_k the distinct length-k prefixes
     of the support tuples, the last step's table contracts by
     W[q][x] = w(q + (x,)) onto P_(l-1)^n; then, for k = l-1 down to 1, f_k is
-    lifted onto P_k^n (each prefix reads its last symbol), multiplied in
-    pointwise, and the children of each prefix are summed onto P_(k-1)^n,
-    ending on the single point P_0^n.  When max(m, |P_k|)^n exceeds `_BLOCK`,
-    the most significant coordinates are walked over the support tuples,
-    each taking every table's contiguous slab for its symbol, and only the
-    remaining axes are contracted.
+    lifted onto P_k^n (each prefix reads its last symbol; an identity lift is
+    skipped), multiplied in pointwise, and the children of each prefix are
+    summed onto P_(k-1)^n, ending on the single point P_0^n.  In exact mode
+    that last sum, of f_1 times the contracted rest, is one dot; float mode
+    keeps the axis-by-axis contraction, whose order fixes the rounding.
+    The matrices and the scaled weights come from p's `_EnumerationPlan`.
+    When max(m, |P_k|)^n exceeds `_BLOCK`, the most significant coordinates
+    are walked over the support tuples, each taking every table's
+    contiguous slab for its symbol, and only the remaining axes are
+    contracted.
     """
-    support = p.support()
+    support_size = len(p._support)
     cap = TABLE_BUDGET if budget is None else budget
-    if len(support) ** n > cap:
+    if support_size ** n > cap:
         raise BudgetExceeded(
-            f"{len(support)}^{n} support assignments exceed the budget {cap}"
+            f"{support_size}^{n} support assignments exceed the budget {cap}"
         )
     exact = p.exact and all(f.is_exact() for f in fns)
     if any(f.zero for f in fns):
         return Fraction(0) if exact else 0.0
     m, ell = len(p.alphabet), p.steps
-    scale, weights = scale_to_ints([w for _, w in support], exact)
+    plan = _EnumerationPlan.of(p)
+    lift, up = plan.lift, plan.up
+    scale, weights, last = plan.modes[exact]
     den = scale**n
     tables = []
     for f in fns:
@@ -103,25 +159,19 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
         v_scale, values = f.view.scaled(exact)
         den *= v_scale
         tables.append(values)
-    prefixes = [sorted({tup[:k] for tup, _ in support}) for k in range(ell)]
-    rank = {q: r for r, q in enumerate(prefixes[-1])}
-    last = [[0] * m for _ in prefixes[-1]]
-    for (tup, _), w in zip(support, weights):
-        last[rank[tup[:-1]]][tup[-1]] = w
-    lift = [[[int(q[-1] == x) for x in range(m)] for q in ps] for ps in prefixes[1:]]
-    up = [
-        [[int(q[:-1] == r) for q in ps] for r in shorter]
-        for shorter, ps in zip(prefixes, prefixes[1:])
-    ]
-    width = max(m, *map(len, prefixes))
     axes = n
-    while axes and width**axes > _BLOCK:
+    while axes and plan.width**axes > _BLOCK:
         axes -= 1
 
     def product(slabs) -> Number:
         g = contract_axes(slabs[-1], [last] * axes)
         for k in range(ell - 1, 0, -1):
-            g = list(map(operator.mul, g, contract_axes(slabs[k - 1], [lift[k - 1]] * axes)))
+            f_k = slabs[k - 1]
+            if lift[k - 1] is not None:
+                f_k = contract_axes(f_k, [lift[k - 1]] * axes)
+            if k == 1 and exact:
+                return sum(map(operator.mul, g, f_k))
+            g = list(map(operator.mul, g, f_k))
             g = contract_axes(g, [up[k - 1]] * axes)
         return g[0]
 
@@ -131,7 +181,7 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
         size = m ** (coord - 1)
         return sum(
             w * walk(coord - 1, [t[x * size:(x + 1) * size] for t, x in zip(slabs, tup)])
-            for (tup, _), w in zip(support, weights)
+            for tup, w in zip(plan.tuples, weights)
         )
 
     total = walk(n, tables)

@@ -426,6 +426,26 @@ def table_moments_enumerate(values, m, n, probs, exact):
     return total, sq
 
 
+def product_measure_sums(values, m, n, weights, keep):
+    """For each choice s of symbols at the coordinates `keep` (ascending; the
+    lowest is the least significant digit of the output index): the sum over
+    the points x with x_keep = s of values[x] times prod_c weights[x_c] over
+    the coordinates c not kept.  Every point's term is formed on its own, in
+    object arrays, so ints and Fractions stay exact and zero weights are
+    summed like any other."""
+    idx = np.arange(m**n)
+    digits = [(idx // m**c) % m for c in range(n)]
+    w = np.array(list(weights), dtype=object)
+    terms = np.array(list(values), dtype=object)
+    for c in range(n):
+        if c + 1 not in keep:
+            terms = terms * w[digits[c]]
+    kept = np.zeros(m**n, dtype=np.int64)
+    for j, c in enumerate(keep):
+        kept += digits[c - 1] * m**j
+    return [sum(terms[kept == s].tolist()) for s in range(m ** len(keep))]
+
+
 def table_influence_enumerate(values, m, n, probs, exact, i):
     """Inf_i as the weighted conditional variance along coordinate i."""
     support = [a for a, p in enumerate(probs) if p > 0]

@@ -211,6 +211,53 @@ def test_fourier_golden(workdir, capsys):
     assert top[0]["coefficient"]["value"] == pytest.approx(0.4714045207910317, abs=1e-9)
 
 
+def run_usage_error(argv):
+    """The exit code of a command line that argparse may refuse."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    return code
+
+
+@pytest.mark.parametrize("top", ["-1", "-16"])
+def test_fourier_refuses_a_negative_top(workdir, capsys, top):
+    """A negative --top once sliced the coefficient list from the end and
+    silently dropped coefficients."""
+    argv = ["fourier", "--dist", workdir / "basic.dist", "--fn", workdir / "table.json"]
+    code = run_usage_error([*argv, "--top", top])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --top: expected an integer >= 0, got '{top}'\n")
+    # the whole list and the empty one are still there
+    _, every = run_json(capsys, [*argv, "--top", "100"])
+    _, none = run_json(capsys, [*argv, "--top", "0"])
+    assert len(every["results"]["top_coefficients"]) == 3
+    assert none["results"]["top_coefficients"] == []
+
+
+@pytest.mark.parametrize("argv, flag, what", [
+    (["verify", "counterexamples", "--n", "x"], "--n", "integers"),
+    (["verify", "counterexamples", "--n", "3,,6"], "--n", "integers"),
+    (["verify", "exponent", "--n", "12,1.5"], "--n", "integers"),
+    (["invariance", "rhc", "--offsets", "0.1,y"], "--offsets", "numbers"),
+    (["invariance", "rhc", "--offsets", "0.5,"], "--offsets", "numbers"),
+    (["invariance", "rhc", "--signs", "1,x"], "--signs", "integers"),
+    (["invariance", "rhc", "--signs", "+1,-"], "--signs", "integers"),
+])
+def test_malformed_list_flags_are_usage_errors(capsys, argv, flag, what):
+    """A malformed token exits 2 with argparse's refusal before any work,
+    not 1 with Python's own int()/float() message in a report."""
+    code = run_usage_error(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument {flag}: expected comma-separated {what}, got {argv[-1]!r}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

@@ -1,15 +1,19 @@
 """Every route to a product of step functions against a brute-force oracle.
 
-The enumeration engine of `multi_set_expectation`, the Markov kernel
-application and the partial contractions behind the restriction searches
-all run on the one per-axis kernel `_util.contract_axes`; the joint-count dp
-is the second route for window and residue functions, with any anchors and
-ignored coordinates.
+Exact sums under a product measure (expectations, influences, the partial
+contractions behind the restriction searches) run as one dot against the
+product weights (`fourier._contract`); float ones, the enumeration engine of
+`multi_set_expectation` and the Markov kernel application run on the
+per-axis kernel `_util.contract_axes`.  The joint-count dp is the second
+route for window and residue functions, with any anchors and ignored
+coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,9 +22,10 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
-from corrhit._util import mixed_radix_index
+from corrhit._util import contract_axes, mixed_radix_index
 from corrhit.dist_core import StepDistribution, is_markov_generated
 from corrhit.fourier import (
+    _BLOCK,
     Restriction,
     _contract,
     make_anchored_symmetric,
@@ -29,7 +34,12 @@ from corrhit.fourier import (
     make_table_function,
     restrict,
 )
-from corrhit.hitting import _apply_kernel_tensor, markov_same_set_check, multi_set_expectation
+from corrhit.hitting import (
+    _apply_kernel_tensor,
+    _EnumerationPlan,
+    markov_same_set_check,
+    multi_set_expectation,
+)
 
 KINDS = ("table", "table", "junta", "mod_linear", "window")
 DP_KINDS = ("mod_linear", "window")
@@ -208,3 +218,153 @@ def test_partial_contraction_equals_restricted_expectations(case):
                 restricted = oracles.table_restrict(values, m, n, dict(zip(keep, syms)))
                 want, _ = oracles.table_moments_enumerate(restricted, m, n, probs, True)
                 assert kept[mixed_radix_index(syms, m)] == want
+
+
+# ---------------------------------------------------------------------------
+# the product-measure kernel
+
+
+def _axis_by_axis(t, weights, n, keep=()):
+    """The per-axis route of `contract_axes`: a pass with the weight row per
+    summed axis, an identity pass per run of consecutive kept axes."""
+    m = len(weights)
+    mats: list = []
+    for c in range(1, n + 1):
+        if c not in keep:
+            mats.append([weights])
+        elif mats and isinstance(mats[-1], int):
+            mats[-1] *= m
+        else:
+            mats.append(m)
+    return contract_axes(t, mats)
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in (2, 3, 4) for n in range(1, 9)])
+def test_contract_equals_brute_sums_and_the_per_axis_route(m, n):
+    """Exact sums are equal ints on both routes and against the oracle, for
+    every kept set of size <= 2; float sums equal the per-axis route bit for
+    bit.  Weights include zeros; 3^8, 4^7 and 4^8 cross the `_BLOCK` of the
+    dot's product weights."""
+    rng = random.Random(f"contract:{m}:{n}")
+    values = [rng.randint(-5, 40) for _ in range(m**n)]
+    weights = [rng.randint(0, 9) for _ in range(m)]
+    weights[rng.randrange(m)] = 0
+    floats = [rng.randint(0, 999) / 1000 for _ in range(m**n)]
+    float_weights = [w / 17 for w in weights]
+    for size in range(min(n, 2) + 1):
+        for keep in itertools.combinations(range(1, n + 1), size):
+            ours = _contract(values, weights, n, keep)
+            assert all(type(v) is int for v in ours)
+            assert ours == oracles.product_measure_sums(values, m, n, weights, keep)
+            assert ours == _axis_by_axis(values, weights, n, keep)
+            got = _contract(floats, float_weights, n, keep)
+            assert _bits(got) == _bits(_axis_by_axis(floats, float_weights, n, keep))
+
+
+def test_contract_allocates_no_more_than_the_per_axis_route():
+    """On a 3^9 table the dot, blocked at `_BLOCK` entries, allocates less at
+    its peak than the per-axis passes do."""
+    m, n = 3, 9
+    assert m**n > _BLOCK
+    rng = random.Random("contract-memory")
+    values = [rng.randint(0, 10**6) for _ in range(m**n)]
+    weights = [rng.randint(300, 900) for _ in range(m)]
+    peaks = {}
+    for name, route in (("dot", _contract), ("per_axis", _axis_by_axis)):
+        tracemalloc.start()
+        try:
+            for keep in ((), (5,)):
+                route(values, weights, n, keep)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert _contract(values, weights, n) == _axis_by_axis(values, weights, n)
+    assert peaks["dot"] <= peaks["per_axis"]
+
+
+# ---------------------------------------------------------------------------
+# the enumeration plan
+
+
+def _enumerate_per_axis(p, n, fns, exact):
+    """The enumeration route with every lift applied and the last sum as a
+    contraction: what `_multi_enumerate` computes, without its plan, its
+    identity-lift skip or its final dot (n small, so no walk)."""
+    m, ell = len(p.alphabet), p.steps
+    support = p.support()
+    weights = [w if exact else float(w) for _, w in support]
+    prefixes = [sorted({tup[:k] for tup, _ in support}) for k in range(ell)]
+    rank = {q: r for r, q in enumerate(prefixes[-1])}
+    last = [[0] * m for _ in prefixes[-1]]
+    for (tup, _), w in zip(support, weights):
+        last[rank[tup[:-1]]][tup[-1]] = w
+    g = contract_axes(list(fns[-1].payload["values"]), [last] * n)
+    for k in range(ell - 1, 0, -1):
+        lift = [[int(q[-1] == x) for x in range(m)] for q in prefixes[k]]
+        up = [[int(q[:-1] == r) for q in prefixes[k]] for r in prefixes[k - 1]]
+        f_k = contract_axes(list(fns[k - 1].payload["values"]), [lift] * n)
+        g = contract_axes([a * b for a, b in zip(g, f_k)], [up] * n)
+    return g[0]
+
+
+def _plan_cases():
+    """(p, which lifts are the identity): full support; a first step
+    narrower than the alphabet; 3-step distributions whose second lift is
+    not the identity, or is (the second step repeats the first)."""
+    rng = random.Random("enumeration-plan")
+    full = helpers.random_dist(rng, 3, 2, full_support=True)
+    narrow = helpers.dist_from_cells(
+        {(a, b): Fraction(1 + (a + 2 * b) % 3) for a in range(2) for b in range(3)}, 3, 2
+    )
+    three_steps = helpers.random_dist(rng, 2, 3, full_support=True)
+    sticky = helpers.dist_from_cells(
+        {(a, a, b): Fraction(1 + (a * b) % 4) for a in range(3) for b in range(3)}, 3, 3
+    )
+    return [
+        (full, [True]), (narrow, [False]), (three_steps, [True, False]),
+        (helpers.ap3_dist(), [True, False]), (sticky, [True, True]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_enumeration_plan_is_reused_and_never_mixes_modes(case):
+    p, identity = _plan_cases()[case]
+    m, n = len(p.alphabet), 3
+    rng = random.Random(f"plan:{case}")
+    exact_fns = tuple(
+        make_table_function(n, p.alphabet, helpers.random_unit_table(rng, n, m))
+        for _ in range(p.steps)
+    )
+    float_fns = tuple(
+        make_table_function(n, p.alphabet, [float(v) for v in f.payload["values"]])
+        for f in exact_fns
+    )
+
+    def fresh():
+        return StepDistribution(p.alphabet, p.steps, p.weights, p.exact)
+
+    want = _enumerate_per_axis(p, n, exact_fns, True)
+    want_float = _enumerate_per_axis(p, n, float_fns, False)
+    # exact first, then float on the same plan; and float first on a fresh one
+    assert multi_set_expectation(p, n, exact_fns, engine="enumerate") == want
+    assert multi_set_expectation(p, n, float_fns, engine="enumerate").hex() == want_float.hex()
+    q = fresh()
+    assert multi_set_expectation(q, n, float_fns, engine="enumerate").hex() == want_float.hex()
+    assert multi_set_expectation(q, n, exact_fns, engine="enumerate") == want
+    # reused plans give what a fresh distribution gives, on other functions too
+    others = tuple(restrict(f, Restriction.from_dict(n, {2: 0})) for f in exact_fns)
+    assert multi_set_expectation(p, n, others, engine="enumerate") == multi_set_expectation(
+        fresh(), n, others, engine="enumerate"
+    )
+    twin = _float_twin(p)
+    assert multi_set_expectation(twin, n, float_fns, engine="enumerate").hex() == want_float.hex()
+    # the plan is the one built on the first call, and skips exactly the identity lifts
+    plan = _EnumerationPlan.of(p)
+    assert plan is _EnumerationPlan.of(p) and plan is not _EnumerationPlan.of(fresh())
+    assert [lift is None for lift in plan.lift] == identity
+    assert set(plan.modes) == {True, False}
+    assert set(_EnumerationPlan.of(twin).modes) == {False}
