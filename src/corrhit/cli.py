@@ -819,19 +819,25 @@ def _listed(convert, what: str):
     return parse
 
 
-def _count(text: str) -> int:
-    """An argparse type for a size that may be 0 but not negative."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _at_least(low: int):
+    """An argparse type for an integer >= low: anything else is a usage
+    error (exit 2) before any work."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _add_common(sp, dist=False, fn="", needs_n=False):
-    """Options every subcommand shares; `fn`, when given, is the help of --fn."""
+def _add_common(sp, dist=False, fn="", needs_n=False, samples=int):
+    """Options every subcommand shares; `fn`, when given, is the help of --fn,
+    and `samples` the type of --samples."""
     if dist:
         sp.add_argument("--dist", required=True, help="distribution file path")
     if fn:
@@ -842,7 +848,7 @@ def _add_common(sp, dist=False, fn="", needs_n=False):
     sp.add_argument("--budget", type=int, default=None,
                     help="enumeration cap (default 2^24); refuses beyond it")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--samples", type=samples, default=None)
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="as_table", action="store_false", default=False)
     fmt.add_argument("--table", dest="as_table", action="store_true")
@@ -868,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fourier", help="expectation, variance, influences, coefficients")
     _add_common(sp, dist=True, fn="exactly one", needs_n=True)
     sp.add_argument("--step", type=int, default=1, help="marginal used for the basis")
-    sp.add_argument("--top", type=_count, default=16, help="coefficient table size")
+    sp.add_argument("--top", type=_at_least(0), default=16, help="coefficient table size")
     sp.set_defaults(handler=_cmd_fourier)
 
     sp = sub.add_parser("hit", help="same-set / multi-set expectation")
@@ -898,28 +904,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invariance", help="polynomial/Gaussian checks")
     inv = sp.add_subparsers(dest="subcheck", required=True)
 
+    # under invariance, --samples is a Monte Carlo sample count
+    mc_samples = _at_least(2)
     ip = inv.add_parser("hyper", help="hypercontractive third-moment inequalities")
-    _add_common(ip, dist=True, fn="exactly one", needs_n=True)
+    _add_common(ip, dist=True, fn="exactly one", needs_n=True, samples=mc_samples)
     ip.add_argument("--step", type=int, default=1)
     ip.add_argument("--alpha", type=float, default=None,
                     help="least symbol probability (default: from the marginal)")
     ip.set_defaults(handler=_cmd_invariance)
 
     ip = inv.add_parser("gap", help="discrete vs Gaussian mollified-product gap")
-    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True)
+    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True, samples=mc_samples)
     ip.add_argument("--lambda", dest="lam", type=float, required=True)
     ip.add_argument("--c-const", type=float, default=10.0)
     ip.set_defaults(handler=_cmd_invariance)
 
     ip = inv.add_parser("smooth", help="noise-smoothing expectation gap")
-    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True)
+    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True, samples=mc_samples)
     ip.add_argument("--gamma", type=float, required=True)
     ip.add_argument("--eps", type=float, required=True)
     ip.set_defaults(handler=_cmd_invariance)
 
     ip = inv.add_parser("rhc", help="Gaussian reverse hypercontractivity MC check")
-    _add_common(ip)
-    ip.add_argument("--ell", type=int, default=2)
+    _add_common(ip, samples=mc_samples)
+    ip.add_argument("--ell", type=_at_least(1), default=2)
     ip.add_argument("--rho", type=float, default=0.5)
     ip.add_argument("--offsets", type=_listed(float, "numbers"), default=None,
                     help="comma-separated")
@@ -928,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     ip.set_defaults(handler=_cmd_invariance)
 
     ip = inv.add_parser("mollifier", help="smoothed-clamp value / grid properties")
-    _add_common(ip)
+    _add_common(ip, samples=mc_samples)
     ip.add_argument("--lambda", dest="lam", type=float, required=True)
     ip.add_argument("--x", type=float, default=None)
     ip.set_defaults(handler=_cmd_invariance)

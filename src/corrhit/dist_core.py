@@ -34,6 +34,7 @@ REVERSIBILITY_TOL = 1e-10
 ROUTE_TOL = 1e-8
 EIGEN_NEG_TOL = 1e-8
 FLOAT_SUM_TOL = 1e-12
+MARKOV_TOL = 1e-10
 
 
 class DistributionFormatError(ValueError):
@@ -83,12 +84,25 @@ class StepDistribution:
     order with their weights), `_scaled_marginals` (per step, the scaled mass
     of every symbol) and `_marginals` (the same as MarginalDistribution
     objects).  The view never changes, like the object it derives from.
-    `rho` stores its result on the distribution the first time it is asked
-    (`_rho`), and the enumeration route of `hitting` its plan, the prefix
-    matrices and scaled weights it reads of the support
-    (`_enumeration_plan`); these attributes are not fields, so they enter
-    neither `==` nor `hash`, and a fresh distribution carries neither until
-    one is asked for.
+
+    Structure derived from the view alone is built on first use and stored
+    on the distribution by the one accessor `_derived`:
+
+    - `_rho`: the value of `rho`;
+    - `_double_sample_<j>`: the integer double-sample matrix of step j,
+      symmetry-checked (`_double_sample_matrix`), read by `rho`,
+      `double_sample_kernel` and `hitting.max_gain_check`;
+    - `_markov_chain`: the answer of `is_markov_generated` at its default tol;
+    - `_enumeration_plan`: what the enumeration route of `hitting` reads of
+      the support (`hitting._EnumerationPlan`);
+    - `_markov_plan`: what `hitting.markov_same_set_check` reads
+      (`hitting._MarkovPlan`: the last chain kernel scaled to ints per mode,
+      and the distribution of the first steps - 1 steps, which stores its own
+      structure in turn).
+
+    These attributes are not fields, so they enter neither `==` nor `hash`,
+    and a fresh distribution carries none until one is asked for.  Nothing
+    that depends on a function or another argument is stored.
     """
 
     alphabet: Alphabet
@@ -250,6 +264,17 @@ def _check_reversibility(
             elif abs(float(lhs) - float(rhs)) > tol:
                 return False
     return True
+
+
+def _derived(p: StepDistribution, name: str, build):
+    """p's derived structure `name`: build(p) on the first call, stored on p
+    (outside its fields) and returned as is on every later call."""
+    try:
+        return p.__dict__[name]
+    except KeyError:
+        value = build(p)
+        object.__setattr__(p, name, value)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +440,14 @@ def _integer_support(p: StepDistribution):
 
 
 def _double_sample_matrix(p: StepDistribution, j: int):
+    """(support, S, L, M) of step j, built once per distribution and step.
+
+    Raises ArithmeticError if S is not symmetric; nothing is stored then.
+    """
+    return _derived(p, f"_double_sample_{j}", lambda p: _build_double_sample(p, j))
+
+
+def _build_double_sample(p: StepDistribution, j: int):
     """(support, S, L, M): the double-sample mass matrix of step j, in ints.
 
     `support` lists the symbols with positive step-j mass.  With W the
@@ -424,8 +457,8 @@ def _double_sample_matrix(p: StepDistribution, j: int):
     W(rest, z) (L / R_rest) for y = support[a], z = support[b], and M[a] is
     the mass of y at step j; both sum the same groups, so sum_b S[a][b] =
     L M[a].  The probability that two resamples of step j given the rest are
-    (y, z) is S[a][b] / (L sum(M)).  S is symmetric by construction; callers
-    check it.
+    (y, z) is S[a][b] / (L sum(M)).  S is symmetric by construction; that is
+    checked here, and a failure raises ArithmeticError.
     """
     k = j - 1
     support = _support_indices(p._scaled_marginals[k])
@@ -446,11 +479,9 @@ def _double_sample_matrix(p: StepDistribution, j: int):
             wa *= factor
             for b, wb in g:
                 row[b] += wa * wb
-    return support, s, lcm, mass
-
-
-def _is_symmetric(s) -> bool:
-    return all(s[a][b] == s[b][a] for a in range(len(s)) for b in range(a))
+    if any(s[a][b] != s[b][a] for a in range(n) for b in range(a)):
+        raise ArithmeticError("double-sample kernel violates reversibility")
+    return support, tuple(map(tuple, s)), lcm, tuple(mass)
 
 
 def double_sample_kernel(p: StepDistribution, j: int) -> MarkovKernel:
@@ -463,12 +494,12 @@ def double_sample_kernel(p: StepDistribution, j: int) -> MarkovKernel:
     correctly rounded value of the same quotient of the weights' exact binary
     values.  K is reversible with respect to the step-j marginal exactly when
     S is symmetric; that is checked, and a failure raises ArithmeticError.
+    S is built once per distribution and step; the kernel is divided out on
+    every call.
     """
     if not 1 <= j <= p.steps:
         raise ValueError(f"step {j} out of range 1..{p.steps}")
     support, s, lcm, mass = _double_sample_matrix(p, j)
-    if not _is_symmetric(s):
-        raise ArithmeticError("double-sample kernel violates reversibility")
     ratio = Fraction if p.exact else truediv
     rows = tuple(
         tuple(ratio(x, lcm * mass[a]) for x in row) for a, row in enumerate(s)
@@ -493,8 +524,6 @@ def _double_sample_lambda2(p: StepDistribution, j: int) -> float:
     largest eigenvalue of the deflated matrix.  One support symbol gives 0.
     """
     _, s, lcm, mass = _double_sample_matrix(p, j)
-    if not _is_symmetric(s):
-        raise ArithmeticError("double-sample kernel violates reversibility")
     total = sum(mass)
     den = lcm * total * total
     d = [math.sqrt(x / total) for x in mass]
@@ -584,14 +613,11 @@ def rho(p: StepDistribution) -> float:
     ArithmeticError is raised.  A one-step distribution has no opposing
     group; returns 0.0.
 
-    The value is computed on the first call for `p` and stored on it (see
-    `StepDistribution`), so later calls for the same object return it at once.
+    The value is computed on the first call for `p` and stored on it, as are
+    the double-sample matrices it reads (see `StepDistribution`), so later
+    calls for the same object return it at once.
     """
-    memo = p.__dict__.get("_rho")
-    if memo is None:
-        memo = _rho(p)
-        object.__setattr__(p, "_rho", memo)
-    return memo
+    return _derived(p, "_rho", _rho)
 
 
 def _rho(p: StepDistribution) -> float:
@@ -623,14 +649,19 @@ def _rho(p: StepDistribution) -> float:
 
 
 def is_markov_generated(
-    p: StepDistribution, tol: float = 1e-10
-) -> tuple[bool, list[tuple[tuple[Number, ...], ...]] | None]:
+    p: StepDistribution, tol: float = MARKOV_TOL
+) -> tuple[bool, tuple[tuple[tuple[Number, ...], ...], ...] | None]:
     """Whether the steps form a Markov chain: step j depends on step j-1 only.
 
     Checked entrywise within `tol` on the support; prefixes of zero mass are
-    skipped.  Returns (True, [T_2, ..., T_steps]) with each T_j a matrix over
-    the full alphabet (rows of symbols never seen as a positive-mass step j-1
-    value are zero-filled), or (False, None).  Two steps are vacuously Markov.
+    skipped.  Returns (True, (T_2, ..., T_steps)) with each T_j a tuple of
+    rows over the full alphabet (rows of symbols never seen as a
+    positive-mass step j-1 value are zero-filled), or (False, None).  Two
+    steps are vacuously Markov.
+
+    At the default tol the answer is computed on the first call for `p` and
+    stored on it (see `StepDistribution`); being tuples, the kernels cannot
+    be changed by a caller.  Any other tol computes afresh.
 
     Prefix masses are summed on the integer view (floats in float mode).  The
     conditional row of each prefix is compared with the first row seen for
@@ -640,6 +671,13 @@ def is_markov_generated(
     """
     if p.steps < 2:
         raise ValueError("needs at least 2 steps")
+    if tol == MARKOV_TOL:
+        return _derived(p, "_markov_chain", _markov_chain)
+    return _markov_chain(p, tol)
+
+
+def _markov_chain(p: StepDistribution, tol: float = MARKOV_TOL):
+    """The answer of `is_markov_generated`, computed afresh."""
     m = len(p.alphabet)
     zero: Number = Fraction(0) if p.exact else 0.0
     ratio = Fraction if p.exact else truediv
@@ -675,7 +713,7 @@ def is_markov_generated(
                 for row in first
             )
         )
-    return True, kernels
+    return True, tuple(kernels)
 
 
 @dataclass(frozen=True)

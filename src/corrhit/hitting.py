@@ -24,8 +24,8 @@ from fractions import Fraction
 from ._util import Number, ScaledView, contract_axes, mixed_radix_index, scale_to_ints
 from .dist_core import (
     StepDistribution,
+    _derived,
     _double_sample_matrix,
-    _is_symmetric,
     alpha,
     is_markov_generated,
     marginal,
@@ -82,6 +82,7 @@ class _EnumerationPlan:
     exact mode and as floats (p's own, or float() of its Fractions) for
     float mode, so an exact p read in float mode mixes nothing.  All of it
     derives from the support, which never changes; no result is kept.
+    `of(p)` builds it once and stores it on p (`dist_core._derived`).
     """
 
     def __init__(self, p: StepDistribution):
@@ -113,12 +114,7 @@ class _EnumerationPlan:
 
     @classmethod
     def of(cls, p: StepDistribution) -> _EnumerationPlan:
-        """p's plan, built on the first call and stored on p (as `rho` is)."""
-        plan = p.__dict__.get("_enumeration_plan")
-        if plan is None:
-            plan = cls(p)
-            object.__setattr__(p, "_enumeration_plan", plan)
-        return plan
+        return _derived(p, "_enumeration_plan", cls)
 
 
 def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
@@ -687,7 +683,9 @@ def max_gain_check(
     over the support of step j_star; floats py K(y, z) in float mode),
     sum_{y,z} W_yz max(f[x_i = y], f[x_i = z]) is contracted once over the
     other n - 1 axes and divided once.  Exact inputs give the same Fraction
-    as averaging the max-operator images one pair at a time.
+    as averaging the max-operator images one pair at a time.  S and rho are
+    built once per distribution and read from it on later calls (see
+    `StepDistribution`).
     """
     if n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
@@ -697,8 +695,6 @@ def max_gain_check(
     if not 1 <= i <= n:
         raise ValueError("coordinate out of range")
     support, s, lcm, mass = _double_sample_matrix(p, j_star)
-    if not _is_symmetric(s):
-        raise ArithmeticError("double-sample kernel violates reversibility")
     exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget)
     m = len(weights)
     if exact:
@@ -984,12 +980,41 @@ class MarkovCheckReport:
     ell: int
 
 
-def _apply_kernel_tensor(kernel_rows, f: FunctionSpec, exact: bool):
+class _MarkovPlan:
+    """What `markov_same_set_check` reads of a Markov-generated p, built once
+    per p.
+
+    `modes[exact]` is (scale, rows): the rows of p's last chain kernel (from
+    `is_markov_generated` at its default tol) as ints over one scale for
+    exact mode, and as floats with scale 1 for float mode, so an exact p read
+    in float mode mixes nothing.  `prefix` is the distribution of the first
+    steps - 1 steps (`_prefix_distribution`), which stores its own
+    enumeration plan on its first enumeration.  A p that is not Markov gets
+    no plan: building one raises ValueError.
+    """
+
+    def __init__(self, p: StepDistribution):
+        ok, kernels = is_markov_generated(p)
+        if not ok:
+            raise ValueError("distribution is not generated by a Markov chain")
+        flat = [c for row in kernels[-1] for c in row]
+        m = len(kernels[-1])
+        self.modes = {}
+        for exact in {False, p.exact}:
+            scale, ints = scale_to_ints(flat, exact)
+            self.modes[exact] = (scale, [ints[a * m:(a + 1) * m] for a in range(m)])
+        self.prefix = _prefix_distribution(p)
+
+    @classmethod
+    def of(cls, p: StepDistribution) -> _MarkovPlan:
+        return _derived(p, "_markov_plan", cls)
+
+
+def _apply_kernel_tensor(kernel, f: FunctionSpec, exact: bool):
     """(scale, h) with h[x] / scale = sum_y prod_i K(x_i, y_i) f(y): the
-    kernel rows, scaled to ints, applied along every axis of f's view."""
-    k_scale, flat = scale_to_ints([c for row in kernel_rows for c in row], exact)
-    m = len(kernel_rows)
-    rows = [flat[a * m:(a + 1) * m] for a in range(m)]
+    kernel, (k_scale, rows) of a `_MarkovPlan` mode, applied along every
+    axis of f's view."""
+    k_scale, rows = kernel
     v_scale, values = f.view.scaled(exact)
     scale = v_scale * k_scale**f.n
     h = contract_axes(values, [rows] * f.n)
@@ -1023,14 +1048,16 @@ def markov_same_set_check(
     f, the product g = f * h satisfies: the full product expectation over all
     steps equals the product over the first steps - 1 with the last function
     replaced by g.  Also checks g <= f pointwise.
+
+    The chain kernels, the last one scaled to ints, and the (steps - 1)-step
+    distribution are built on the first call for `p` and stored on it
+    (`_MarkovPlan`); each call computes only what depends on f.
     """
-    ok, kernels = is_markov_generated(p)
-    if not ok:
-        raise ValueError("distribution is not generated by a Markov chain")
+    plan = _MarkovPlan.of(p)
     f = to_table(f, budget=budget)
     ell = p.steps
     exact = p.exact and f.is_exact()
-    h_scale, h = _apply_kernel_tensor(kernels[-1], f, exact)
+    h_scale, h = _apply_kernel_tensor(plan.modes[exact], f, exact)
     v_scale, values = f.view.scaled(exact)
     # g = f h over v_scale * h_scale, so g <= f iff g_ints <= values * h_scale
     g_ints = tuple(map(operator.mul, values, h))
@@ -1041,9 +1068,8 @@ def markov_same_set_check(
         f.n, f.alphabet, "table", {"values": g_values}, ScaledView(exact, g_scale, g_ints)
     )
     lhs = multi_set_expectation(p, n, (f,) * ell, budget=budget)
-    prefix = _prefix_distribution(p)
     rhs_fns = (f,) * (ell - 2) + (g,)
-    rhs = multi_set_expectation(prefix, n, rhs_fns, budget=budget)
+    rhs = multi_set_expectation(plan.prefix, n, rhs_fns, budget=budget)
     if exact:
         equal = lhs == rhs
     else:

@@ -20,6 +20,7 @@ transposed copy of the draws (`_columns`) puts the N values of each
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -428,6 +429,13 @@ class HypercontractivityReport:
     stderr: float
 
 
+def _check_samples(samples) -> None:
+    """Refuse a Monte Carlo sample count below 2, which leaves no standard
+    error (one draw gives a nan stderr, none a division by zero)."""
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
+
+
 def hypercontractivity_check(
     poly: MultilinearPolynomial, ens: EnsembleSequence, a,
     budget: int | None = None, samples: int = 200_000, seed: int = 0,
@@ -436,8 +444,10 @@ def hypercontractivity_check(
 
     Discrete ensembles are enumerated exactly.  Gaussian ensembles use
     Gauss-Hermite quadrature when n*p <= 2 and Monte Carlo otherwise; the
-    comparisons then include a 3-standard-error slack.
+    comparisons then include a 3-standard-error slack.  `samples` below 2
+    raises ValueError, whatever the route.
     """
+    _check_samples(samples)
     a = float(a)
     if not 0 < a <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -642,8 +652,10 @@ def invariance_gap(
     """|E[chi_lam(polys on discrete ensembles)] - E[chi_lam(polys on Gaussian
     counterparts)]|: exact enumeration on the discrete side, seeded Monte Carlo
     on the Gaussian side, compared with the C l^(5/2) tau^(1/8) / alpha^(4d)
-    envelope (consistency with some constant, C configurable).
+    envelope (consistency with some constant, C configurable).  `samples`
+    below 2 raises ValueError.
     """
+    _check_samples(samples)
     polys = tuple(polys)
     ell = dist.steps
     if len(polys) != ell:
@@ -822,8 +834,9 @@ def gaussian_rhc_check(
     semidefiniteness condition cov - p I >= 0 with p = (1-rho^2)/l is reported.
     For two steps a quadrature cross-value of the product probability is
     included.  Estimates come with standard errors; the inequality is asserted
-    with 3-sigma slack on both sides.
+    with 3-sigma slack on both sides.  `samples` below 2 raises ValueError.
     """
+    _check_samples(samples)
     cov = np.asarray(cov, dtype=float)
     forms = tuple(forms)
     ell = len(forms)

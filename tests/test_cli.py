@@ -258,6 +258,34 @@ def test_malformed_list_flags_are_usage_errors(capsys, argv, flag, what):
     )
 
 
+@pytest.mark.parametrize("argv, flag, low", [
+    (["invariance", "rhc", "--samples", "0"], "--samples", 2),
+    (["invariance", "rhc", "--samples", "1"], "--samples", 2),
+    (["invariance", "rhc", "--samples", "-4"], "--samples", 2),
+    (["invariance", "mollifier", "--lambda", "0.1", "--samples", "1"], "--samples", 2),
+    (["invariance", "rhc", "--ell", "0"], "--ell", 1),
+    (["invariance", "rhc", "--ell", "-1"], "--ell", 1),
+    (["invariance", "rhc", "--ell", "two"], "--ell", 1),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv, flag, low):
+    """`--samples 0` once exited 1 with a division by zero, `--samples 1`
+    reported a standard error that one draw cannot give, and `--ell 0` or
+    `-1` failed later under another flag's name."""
+    code = run_usage_error(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument {flag}: expected an integer >= {low}, got {argv[-1]!r}\n"
+    )
+
+
+def test_one_step_rhc_and_two_samples_run(capsys):
+    code, report = run_json(capsys, ["invariance", "rhc", "--ell", "1", "--samples", "2"])
+    assert code == 0
+    assert report["results"]["ell"] == 1 and report["results"]["samples"] == 2
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

@@ -772,6 +772,37 @@ def test_threshold_form_validates_sign():
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo sample counts
+
+
+@pytest.mark.parametrize("samples", [1, 0, -5, 2.5])
+def test_monte_carlo_checks_refuse_fewer_than_two_samples(samples):
+    # one draw leaves a nan stderr (a false failed certificate in the gap, a
+    # false refutation in the hypercontractivity check, a zero stderr in the
+    # reverse hypercontractivity check), no draw a division by zero, and a
+    # negative count numpy's own error
+    q = random_poly(random.Random(5), 2, 2, max_degree=2)
+    with pytest.raises(ValueError, match="samples"):
+        hypercontractivity_check(q, gaussian_ensemble(2, 2), 0.5, samples=samples)
+    p = helpers.basic_dist()
+    g = MultilinearPolynomial.from_coeffs(1, 1, {(0,): 0.5, (1,): 0.4})
+    with pytest.raises(ValueError, match="samples"):
+        invariance_gap((g, g), p, lam=0.2, samples=samples)
+    forms = (ThresholdForm(), ThresholdForm())
+    with pytest.raises(ValueError, match="samples"):
+        gaussian_rhc_check([[1.0, 0.5], [0.5, 1.0]], forms, samples=samples)
+
+
+def test_two_samples_are_enough():
+    q = random_poly(random.Random(5), 2, 2, max_degree=2)
+    rep = hypercontractivity_check(q, gaussian_ensemble(2, 2), 0.5, samples=2, seed=1)
+    assert rep.method == "mc" and math.isfinite(rep.stderr)
+    forms = (ThresholdForm(), ThresholdForm())
+    rep = gaussian_rhc_check([[1.0, 0.5], [0.5, 1.0]], forms, samples=2, seed=1)
+    assert rep.samples == 2
+
+
+# ---------------------------------------------------------------------------
 # gamma decay
 
 

@@ -37,6 +37,7 @@ from corrhit.fourier import (
 from corrhit.hitting import (
     _apply_kernel_tensor,
     _EnumerationPlan,
+    _MarkovPlan,
     markov_same_set_check,
     multi_set_expectation,
 )
@@ -164,7 +165,7 @@ def test_markov_kernel_and_reduced_function_match_brute(rnd, m, steps, n):
     _, kernels = is_markov_generated(p)
     rows = kernels[-1]
     h_brute = oracles.apply_kernel_brute(rows, values, m, n)
-    scale, h = _apply_kernel_tensor(rows, f, True)
+    scale, h = _apply_kernel_tensor(_MarkovPlan.of(p).modes[True], f, True)
     assert [Fraction(v, scale) for v in h] == h_brute
     g_brute = [fv * hv for fv, hv in zip(values, h_brute)]
 
@@ -182,8 +183,7 @@ def test_markov_kernel_and_reduced_function_match_brute(rnd, m, steps, n):
     assert rep.pointwise_ok == all(g <= v for g, v in zip(g_brute, values))
 
     twin = _float_twin(p)
-    _, float_kernels = is_markov_generated(twin)
-    scale, h = _apply_kernel_tensor(float_kernels[-1], f, False)
+    scale, h = _apply_kernel_tensor(_MarkovPlan.of(twin).modes[False], f, False)
     assert scale == 1
     assert h == pytest.approx([float(v) for v in h_brute], rel=1e-12, abs=1e-15)
     approx = markov_same_set_check(twin, n, f)
