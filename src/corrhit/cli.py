@@ -904,10 +904,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invariance", help="polynomial/Gaussian checks")
     inv = sp.add_subparsers(dest="subcheck", required=True)
 
-    # under invariance, --samples is a Monte Carlo sample count
+    # gap and rhc always draw, so their --samples is a Monte Carlo sample count
     mc_samples = _at_least(2)
     ip = inv.add_parser("hyper", help="hypercontractive third-moment inequalities")
-    _add_common(ip, dist=True, fn="exactly one", needs_n=True, samples=mc_samples)
+    _add_common(ip, dist=True, fn="exactly one", needs_n=True)
     ip.add_argument("--step", type=int, default=1)
     ip.add_argument("--alpha", type=float, default=None,
                     help="least symbol probability (default: from the marginal)")
@@ -920,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     ip.set_defaults(handler=_cmd_invariance)
 
     ip = inv.add_parser("smooth", help="noise-smoothing expectation gap")
-    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True, samples=mc_samples)
+    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True)
     ip.add_argument("--gamma", type=float, required=True)
     ip.add_argument("--eps", type=float, required=True)
     ip.set_defaults(handler=_cmd_invariance)
@@ -936,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     ip.set_defaults(handler=_cmd_invariance)
 
     ip = inv.add_parser("mollifier", help="smoothed-clamp value / grid properties")
-    _add_common(ip, samples=mc_samples)
+    _add_common(ip)
     ip.add_argument("--lambda", dest="lam", type=float, required=True)
     ip.add_argument("--x", type=float, default=None)
     ip.set_defaults(handler=_cmd_invariance)

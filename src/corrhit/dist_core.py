@@ -34,7 +34,6 @@ REVERSIBILITY_TOL = 1e-10
 ROUTE_TOL = 1e-8
 EIGEN_NEG_TOL = 1e-8
 FLOAT_SUM_TOL = 1e-12
-MARKOV_TOL = 1e-10
 
 
 class DistributionFormatError(ValueError):
@@ -92,7 +91,6 @@ class StepDistribution:
     - `_double_sample_<j>`: the integer double-sample matrix of step j,
       symmetry-checked (`_double_sample_matrix`), read by `rho`,
       `double_sample_kernel` and `hitting.max_gain_check`;
-    - `_markov_chain`: the answer of `is_markov_generated` at its default tol;
     - `_enumeration_plan`: what the enumeration route of `hitting` reads of
       the support (`hitting._EnumerationPlan`);
     - `_markov_plan`: what `hitting.markov_same_set_check` reads
@@ -649,19 +647,14 @@ def _rho(p: StepDistribution) -> float:
 
 
 def is_markov_generated(
-    p: StepDistribution, tol: float = MARKOV_TOL
-) -> tuple[bool, tuple[tuple[tuple[Number, ...], ...], ...] | None]:
+    p: StepDistribution, tol: float = 1e-10
+) -> tuple[bool, list[tuple[tuple[Number, ...], ...]] | None]:
     """Whether the steps form a Markov chain: step j depends on step j-1 only.
 
     Checked entrywise within `tol` on the support; prefixes of zero mass are
-    skipped.  Returns (True, (T_2, ..., T_steps)) with each T_j a tuple of
-    rows over the full alphabet (rows of symbols never seen as a
-    positive-mass step j-1 value are zero-filled), or (False, None).  Two
-    steps are vacuously Markov.
-
-    At the default tol the answer is computed on the first call for `p` and
-    stored on it (see `StepDistribution`); being tuples, the kernels cannot
-    be changed by a caller.  Any other tol computes afresh.
+    skipped.  Returns (True, [T_2, ..., T_steps]) with each T_j a matrix over
+    the full alphabet (rows of symbols never seen as a positive-mass step j-1
+    value are zero-filled), or (False, None).  Two steps are vacuously Markov.
 
     Prefix masses are summed on the integer view (floats in float mode).  The
     conditional row of each prefix is compared with the first row seen for
@@ -671,13 +664,6 @@ def is_markov_generated(
     """
     if p.steps < 2:
         raise ValueError("needs at least 2 steps")
-    if tol == MARKOV_TOL:
-        return _derived(p, "_markov_chain", _markov_chain)
-    return _markov_chain(p, tol)
-
-
-def _markov_chain(p: StepDistribution, tol: float = MARKOV_TOL):
-    """The answer of `is_markov_generated`, computed afresh."""
     m = len(p.alphabet)
     zero: Number = Fraction(0) if p.exact else 0.0
     ratio = Fraction if p.exact else truediv
@@ -713,7 +699,7 @@ def _markov_chain(p: StepDistribution, tol: float = MARKOV_TOL):
                 for row in first
             )
         )
-    return True, tuple(kernels)
+    return True, kernels
 
 
 @dataclass(frozen=True)

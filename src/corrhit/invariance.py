@@ -444,10 +444,9 @@ def hypercontractivity_check(
 
     Discrete ensembles are enumerated exactly.  Gaussian ensembles use
     Gauss-Hermite quadrature when n*p <= 2 and Monte Carlo otherwise; the
-    comparisons then include a 3-standard-error slack.  `samples` below 2
-    raises ValueError, whatever the route.
+    comparisons then include a 3-standard-error slack.  On the Monte Carlo
+    route, `samples` below 2 raises ValueError; the other routes ignore it.
     """
-    _check_samples(samples)
     a = float(a)
     if not 0 < a <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -472,6 +471,7 @@ def hypercontractivity_check(
         third_noisy, third_plain = _gauss_quadrature_thirds(poly, noisy)
         method = "quadrature"
     else:
+        _check_samples(samples)
         # the (samples, n, p) normals of sample_ensemble, without its constant
         # slot; element s of coordinate i+1 is row i p + s - 1
         rng = Generator(Philox(key=int(seed)))

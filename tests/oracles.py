@@ -184,7 +184,7 @@ def is_markov_generated_brute(p, ell, m, tol=1e-10):
         kernels.append(tuple(
             tuple(r) if r is not None else (Fraction(0),) * m for r in rows
         ))
-    return True, tuple(kernels)
+    return True, kernels
 
 
 def apply_kernel_brute(rows, values, m, n):

@@ -262,7 +262,8 @@ def test_malformed_list_flags_are_usage_errors(capsys, argv, flag, what):
     (["invariance", "rhc", "--samples", "0"], "--samples", 2),
     (["invariance", "rhc", "--samples", "1"], "--samples", 2),
     (["invariance", "rhc", "--samples", "-4"], "--samples", 2),
-    (["invariance", "mollifier", "--lambda", "0.1", "--samples", "1"], "--samples", 2),
+    (["invariance", "gap", "--dist", "x.json", "--fn", "f.json", "--lambda", "0.1",
+      "--samples", "1"], "--samples", 2),
     (["invariance", "rhc", "--ell", "0"], "--ell", 1),
     (["invariance", "rhc", "--ell", "-1"], "--ell", 1),
     (["invariance", "rhc", "--ell", "two"], "--ell", 1),

@@ -58,7 +58,7 @@ def test_repeated_checks_build_each_structure_once(monkeypatch):
            for _ in range(3)]
     builders = (
         (dist_core, "_rho"), (dist_core, "_build_double_sample"),
-        (dist_core, "_markov_chain"), (hitting, "_prefix_distribution"),
+        (hitting, "_prefix_distribution"),
     )
     builds = {name: _count_builds(monkeypatch, module, name) for module, name in builders}
     bare = set(p.__dict__)
@@ -70,33 +70,30 @@ def test_repeated_checks_build_each_structure_once(monkeypatch):
                 max_gain_check(q, j, 1, n, f)
                 double_sample_kernel(q, j)
             rho(q)
-            is_markov_generated(q)
 
     run(p)
     assert {name: len(calls) for name, calls in builds.items()} == {
-        "_rho": 1, "_build_double_sample": 3, "_markov_chain": 1, "_prefix_distribution": 1,
+        "_rho": 1, "_build_double_sample": 3, "_prefix_distribution": 1,
     }
     assert set(p.__dict__) - bare == {
         "_rho", "_double_sample_1", "_double_sample_2", "_double_sample_3",
-        "_markov_chain", "_markov_plan", "_enumeration_plan",
+        "_markov_plan", "_enumeration_plan",
     }
     plan = _MarkovPlan.of(p)
     prefix_plan = _EnumerationPlan.of(plan.prefix)
     matrices = [_double_sample_matrix(p, j) for j in (1, 2, 3)]
-    chain = is_markov_generated(p)
     run(p)
     assert _MarkovPlan.of(p) is plan and _EnumerationPlan.of(plan.prefix) is prefix_plan
     assert all(_double_sample_matrix(p, j) is s for j, s in zip((1, 2, 3), matrices))
-    assert is_markov_generated(p) is chain
     assert {name: len(calls) for name, calls in builds.items()} == {
-        "_rho": 1, "_build_double_sample": 3, "_markov_chain": 1, "_prefix_distribution": 1,
+        "_rho": 1, "_build_double_sample": 3, "_prefix_distribution": 1,
     }
     # a fresh, equal distribution builds its own
     q = _fresh(p)
     assert q == p and set(q.__dict__) == bare
     run(q)
     assert {name: len(calls) for name, calls in builds.items()} == {
-        "_rho": 2, "_build_double_sample": 6, "_markov_chain": 2, "_prefix_distribution": 2,
+        "_rho": 2, "_build_double_sample": 6, "_prefix_distribution": 2,
     }
     assert _MarkovPlan.of(q) is not plan and _MarkovPlan.of(q).prefix == plan.prefix
     assert _EnumerationPlan.of(_MarkovPlan.of(q).prefix) is not prefix_plan
@@ -141,22 +138,11 @@ def _chain_off_by(eps: Fraction) -> StepDistribution:
     return helpers.dist_from_cells(cells, 2, 3)
 
 
-def test_markov_answer_at_another_tol_is_computed_afresh():
-    # 1e-12 apart: Markov at the default tol 1e-10, not at 1e-13
-    p = _chain_off_by(Fraction(1, 10**12))
-    ok, kernels = is_markov_generated(p)
-    assert ok and isinstance(kernels, tuple) and all(isinstance(k, tuple) for k in kernels)
-    assert is_markov_generated(p, tol=1e-13) == (False, None)
-    assert is_markov_generated(p) == (True, kernels)
-    q = _fresh(p)
-    assert is_markov_generated(q, tol=1e-13) == (False, None)
-    assert "_markov_chain" not in q.__dict__
-    assert is_markov_generated(q)[0]
-    # 1e-8 apart: not Markov at the default tol, Markov at 1e-6
+def test_a_distribution_that_is_not_markov_gets_no_plan():
+    # 1e-8 apart: not Markov at the default tol the plan reads, Markov at 1e-6
     r = _chain_off_by(Fraction(1, 10**8))
     assert is_markov_generated(r) == (False, None)
     assert is_markov_generated(r, tol=1e-6)[0]
-    assert is_markov_generated(r) == (False, None)
     with pytest.raises(ValueError, match="Markov"):
         markov_same_set_check(r, 1, make_table_function(1, r.alphabet, [Fraction(1), Fraction(0)]))
     assert "_markov_plan" not in r.__dict__

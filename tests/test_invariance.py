@@ -793,6 +793,18 @@ def test_monte_carlo_checks_refuse_fewer_than_two_samples(samples):
         gaussian_rhc_check([[1.0, 0.5], [0.5, 1.0]], forms, samples=samples)
 
 
+def test_routes_that_draw_nothing_ignore_the_sample_count():
+    rng = random.Random(6)
+    exact = discrete_ensemble(uniform_marginal(2), 2)
+    q = random_poly(rng, 2, 1, max_degree=2)
+    assert hypercontractivity_check(q, exact, 0.5, samples=0) == (
+        hypercontractivity_check(q, exact, 0.5)
+    )
+    q = random_poly(rng, 1, 1)
+    rep = hypercontractivity_check(q, gaussian_ensemble(1, 1), 0.5, samples=1)
+    assert rep.method == "quadrature" and rep.noise_holds and rep.degree_holds
+
+
 def test_two_samples_are_enough():
     q = random_poly(random.Random(5), 2, 2, max_degree=2)
     rep = hypercontractivity_check(q, gaussian_ensemble(2, 2), 0.5, samples=2, seed=1)
