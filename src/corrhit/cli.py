@@ -898,7 +898,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated sizes")
     sp.add_argument("--three-n", type=int, default=60,
                     help="three-sets catalog size (counterexamples suite)")
-    _add_common(sp)
+    # a suite that checks no instance would report a vacuous pass
+    _add_common(sp, samples=_at_least(1))
     sp.set_defaults(handler=_cmd_verify)
 
     sp = sub.add_parser("invariance", help="polynomial/Gaussian checks")

@@ -514,7 +514,10 @@ def _expectation_contract(
 # residue r by step[r], read from a table the layout keeps per distinct effect
 # (`_Step`), so each residue's change is computed once per layout.  A run of
 # coordinates with equal effects draws in one multinomial step when no effect
-# shifts a residue and no two bump the same count (`_JointLayout._draw_run`).
+# shifts a residue (`_JointLayout._draw_run`): it walks the compositions of
+# the run's draws over the effects, not the states between them.  Effects may
+# bump the same count, as two tuples that agree at a step do; compositions
+# that land on one key add up there.
 
 COUNT_KINDS = ("anchored_symmetric", "mod_linear")
 
@@ -540,14 +543,10 @@ class _Step(dict):
         return step
 
 
-def _disjoint(effects) -> bool:
-    """Whether the effects shift no residue and their bumps touch pairwise
-    disjoint slots, so that a run of draws can go in one step."""
-    bumps = [bump for bump, _, _ in effects]
-    return (
-        not any(any(step.inc) for _, step, _ in effects)
-        and sum(bumps) == functools.reduce(operator.or_, bumps, 0)
-    )
+def _shifts_no_residue(effects) -> bool:
+    """Whether no effect shifts a residue, so that a run of draws can go in
+    one step: its final key depends only on how many draws each effect takes."""
+    return not any(any(step.inc) for _, step, _ in effects)
 
 
 def _run_pays(live: int, k: int, effects) -> bool:
@@ -556,15 +555,26 @@ def _run_pays(live: int, k: int, effects) -> bool:
 
     With e moving effects, t draws spread over C(t + e, e) compositions
     (C(t + e - 1, e - 1) when no effect stays put).  The run step walks every
-    composition from every state; the t-th single draw walks every effect
-    from each state then live, taken as the larger of `live` and the
-    compositions of t draws.  From one state the run always pays; from many,
-    compositions of several effects land on shared keys and the single
-    draws stay cheaper.
+    composition from every state.  One state's single draws reach one key
+    per composition when the bumps are disjoint; bumps that share slots
+    collide, and the keys are then at most the count vectors of the s slots
+    the bumps move, (t + 1)^s after t draws.  The t-th single draw walks
+    every effect from each state then live, taken as the larger of `live`
+    and the lesser of those two counts.  From one state a run of disjoint
+    bumps always pays; from many states, or when many compositions share
+    keys, the single draws may stay cheaper.
     """
-    parts = sum(1 for bump, _, _ in effects if bump) - all(bump for bump, _, _ in effects)
-    comps = [math.comb(t + parts, parts) for t in range(k + 1)]
-    return live * comps[k] <= len(effects) * sum(max(live, c) for c in comps[1:])
+    bumps = [bump for bump, _, _ in effects]
+    parts = sum(1 for bump in bumps if bump) - all(bumps)
+    slots = functools.reduce(operator.or_, bumps, 0).bit_count()
+    run = live * math.comb(k + parts, parts)
+    single, comps = 0, 1
+    for t in range(1, k + 1):
+        comps = comps * (t + parts) // t
+        single += len(effects) * max(live, min(comps, (t + 1) ** slots))
+        if single >= run:
+            return True
+    return False
 
 
 def _over_budget(size: int, cap: int) -> BudgetExceeded:
@@ -706,15 +716,17 @@ class _JointLayout:
         draw, in that order.
 
         Each run of consecutive coordinates with one `signature` draws in one
-        step (`_draw_run`) when its effects shift no residue, their nonzero
-        bumps touch pairwise disjoint slots and the step costs less than its
-        single draws from the states live before it (`_run_pays`); every
-        other coordinate draws on its own.  A state is dropped when a window
+        step (`_draw_run`) when its effects shift no residue and the step
+        costs less than its single draws from the states live before it
+        (`_run_pays`); every other coordinate draws on its own.  The bumps
+        of a run's effects may share slots.  A state is dropped when a window
         overruns or when some window's lo is out of reach with the rest of
-        `coords` and the coordinates `later` still to draw.  More than `budget` live states
-        after a step (one draw, or one run drawn at once) raise
-        BudgetExceeded; a run raises as soon as it stores one state too
-        many.  A zero function leaves no state.
+        `coords` and the coordinates `later` still to draw.  More than
+        `budget` live states after a step (one draw, or one run drawn at
+        once) raise BudgetExceeded; a run raises as soon as it stores one
+        state too many.  A run ends on the states its single draws end on,
+        and those only grow along it, so any budget its single draws meet,
+        the run meets too.  A zero function leaves no state.
         """
         if any(f.zero for f in self.fns):
             return {}
@@ -727,7 +739,9 @@ class _JointLayout:
             # the functions whose slots the run's coordinates may bump
             live = [run[0] not in ign for ign in self.ignored]
             at_once = (
-                len(run) > 1 and _disjoint(effects) and _run_pays(len(states), len(run), effects)
+                len(run) > 1
+                and _shifts_no_residue(effects)
+                and _run_pays(len(states), len(run), effects)
             )
             for k in [len(run)] if at_once else [1] * len(run):
                 rest = [r - k * d for r, d in zip(rest, live)]
@@ -758,28 +772,50 @@ class _JointLayout:
     def _draw_run(self, states, effects, k, floor, cap) -> dict:
         """States after k coordinates with the same `effects` draw, in one step.
 
-        The effects shift no residue and their nonzero bumps touch disjoint
-        slots, so from each state every composition (c_e draws of each moving
-        effect e, the other k - sum c of the bump-0 effect of weight w_0) lands
-        on its own key, with mass C(k; c) prod w_e^c_e w_0^(k - sum c).  Only
-        e moves the slots of e, so from a state c_e runs from the least count
-        that lifts them to the floor up to the most before one overruns,
-        leaving enough draws for the least counts of the effects after e;
-        with w_0 = 0 the last effect takes every draw left.  A state below the
-        floor in a slot no effect moves is dropped.  Every composition walked
-        is thus stored, and the state that passes `cap` raises
-        BudgetExceeded at once.  The mass term of e grows by
+        The effects shift no residue, so from each state a composition (c_e
+        draws of each moving effect e, the other k - sum c of the bump-0
+        effect of weight w_0) lands on key + sum c_e bump_e, with mass
+        C(k; c) prod w_e^c_e w_0^(k - sum c); compositions that land on one
+        key add up there.  Counts run over the effects in order.  A slot that
+        only e moves bounds c_e from the state alone: from the least count
+        that lifts it to the floor up to the most before it overruns, leaving
+        enough draws for the least counts of the effects after e.  A slot
+        that several effects move bounds each of their counts by the room
+        left in it once the effects before have drawn, so no field carries
+        past its guard bit, and the last of them takes its floor.  With w_0 =
+        0 every draw goes to a moving effect, so c_e also takes the draws
+        left beyond the most counts of the effects after e, and the last
+        effect every draw left.  A state below the floor in a slot no effect
+        moves is dropped.  Every composition that reaches the last effect is
+        thus stored, and the state that passes `cap` raises BudgetExceeded at
+        once.  The mass term of e grows by
         (rem - c) w_e / (c + 1) per count, exact in ints.  The floor applies
-        to the states after the run only: a count short of it midway stays
-        short at the end, so the result is the one of k single draws.
+        to the states after the run only: overruns and floor misses only
+        grow along a run, so the result is the one of k single draws.
         """
         guard = self.guard
         div = operator.floordiv if self.exact else operator.truediv
         w0 = sum(w for bump, _, w in effects if not bump)
-        moving = [(bump, w) for bump, _, w in effects if bump]
-        fields = [[fd for fd in self.fields if bump >> fd[0] & 1] for bump, _ in moving]
+        bumps = [(bump, w) for bump, _, w in effects if bump]
+        last = len(bumps)
+        # the bits of the slots that some effect moves, and of those that
+        # several effects move
+        moved = shared = 0
+        for bump, _ in bumps:
+            shared |= moved & bump
+            moved |= bump
+        fields = self.fields
+        own = [[fd for fd in fields if (bump & ~shared) >> fd[0] & 1] for bump, _ in bumps]
+        # per moving effect (bump, weight, its shared slots, the shared slots
+        # whose floor it takes as their last mover)
+        moving, after = [], 0
+        for bump, w in reversed(bumps):
+            room = [fd for fd in fields if (bump & shared) >> fd[0] & 1] if shared else []
+            floors = [fd for fd in room if not after >> fd[0] & 1] if floor else []
+            moving.insert(0, (bump, w, room, floors))
+            after |= bump
+        still = floor & sum(mask << pos for pos, mask, _ in fields if not moved >> pos & 1)
         tail = [w0**r for r in range(k + 1)]
-        last = len(moving)
         nxt: dict = {}
 
         def spread(key, term, e, rem):
@@ -788,11 +824,16 @@ class _JointLayout:
                 if len(nxt) > cap:
                     raise _over_budget(len(nxt), cap)
                 return
-            bump, w = moving[e]
+            bump, w, room, floors = moving[e]
             lo, most = bounds[e]
+            if room:
+                for pos, mask, top in room:
+                    most = min(most, top - (key >> pos & mask))
+                for pos, mask, _ in floors:
+                    lo = max(lo, (floor >> pos & mask) - (key >> pos & mask))
             hi = min(most, rem - least_after[e + 1])
-            if not w0 and e == last - 1:
-                lo = max(lo, rem)
+            if not w0:
+                lo = max(lo, rem - most_after[e + 1])
             if lo > hi:
                 return
             for c in range(1, lo + 1):
@@ -805,19 +846,20 @@ class _JointLayout:
                 spread(key, term, e + 1, rem - c)
 
         for key, mass in states.items():
+            if still and ((key | guard) - still) & guard != guard:
+                continue
             # per moving effect, (least count meeting the floor, most count)
+            # over the slots only it moves
             bounds = [
                 (
-                    max(0, *((floor >> pos & mask) - (key >> pos & mask) for pos, mask, _ in fs)),
-                    min(top - (key >> pos & mask) for pos, mask, top in fs),
+                    max([0, *((floor >> pos & mask) - (key >> pos & mask) for pos, mask, _ in fs)]),
+                    min([k, *(top - (key >> pos & mask) for pos, mask, top in fs)]),
                 )
-                for fs in fields
+                for fs in own
             ]
             least_after = [sum(lo for lo, _ in bounds[e:]) for e in range(last + 1)]
+            most_after = [sum(most for _, most in bounds[e:]) for e in range(last + 1)]
             if least_after[0] > k or any(lo > most for lo, most in bounds):
-                continue
-            lowest = key + sum(lo * bump for (lo, _), (bump, _) in zip(bounds, moving))
-            if floor and ((lowest | guard) - floor) & guard != guard:
                 continue
             spread(key, mass, 0, k)
         return nxt

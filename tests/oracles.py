@@ -152,6 +152,29 @@ def multi_set_expectation_brute(p, ell, n, fns):
     return total
 
 
+def threshold_family_brute(p, n):
+    """(t, mu_t, delta_t) for t = 0..n on a two-step distribution p: mu_t the
+    chance that symbol 0 fills at least t of the n coordinates of step 1,
+    delta_t the chance that it does so at both steps, each summed over every
+    sequence of n support tuples."""
+    support = [(t, w) for t, w in p.items() if w > 0]
+    pairs = {}
+    for assign in itertools.product(support, repeat=n):
+        w = Fraction(1)
+        for _, wt in assign:
+            w *= wt
+        key = tuple(sum(1 for t, _ in assign if t[j] == 0) for j in range(2))
+        pairs[key] = pairs.get(key, Fraction(0)) + w
+    return [
+        (
+            t,
+            sum((w for (c1, _), w in pairs.items() if c1 >= t), Fraction(0)),
+            sum((w for (c1, c2), w in pairs.items() if min(c1, c2) >= t), Fraction(0)),
+        )
+        for t in range(n + 1)
+    ]
+
+
 def prefix_marginal_brute(p):
     """Law of all steps but the last: the last step summed out, cell by cell."""
     out = {}

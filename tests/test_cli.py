@@ -267,11 +267,16 @@ def test_malformed_list_flags_are_usage_errors(capsys, argv, flag, what):
     (["invariance", "rhc", "--ell", "0"], "--ell", 1),
     (["invariance", "rhc", "--ell", "-1"], "--ell", 1),
     (["invariance", "rhc", "--ell", "two"], "--ell", 1),
+    (["verify", "edge-variance", "--samples", "0"], "--samples", 1),
+    (["verify", "markov", "--samples", "-3"], "--samples", 1),
+    (["verify", "decomposition", "--samples", "many"], "--samples", 1),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv, flag, low):
     """`--samples 0` once exited 1 with a division by zero, `--samples 1`
     reported a standard error that one draw cannot give, and `--ell 0` or
-    `-1` failed later under another flag's name."""
+    `-1` failed later under another flag's name.  `verify --samples 0` once
+    exited 0 with a vacuous pass over no instance and a worst margin of
+    Infinity, which is not JSON."""
     code = run_usage_error(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -279,6 +284,12 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, flag, low):
     assert captured.err.endswith(
         f"error: argument {flag}: expected an integer >= {low}, got {argv[-1]!r}\n"
     )
+
+
+def test_verify_runs_one_instance(capsys):
+    code, report = run_json(capsys, ["verify", "edge-variance", "--samples", "1"])
+    assert code == 0
+    assert report["results"]["instances"] == 1 and report["results"]["all_hold"]
 
 
 def test_one_step_rhc_and_two_samples_run(capsys):

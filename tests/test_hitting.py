@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
 import oracles
+from corrhit import fourier
 from corrhit.dist_core import (
     Alphabet,
     MarginalDistribution,
@@ -302,19 +308,21 @@ def test_dp_budget_caps_live_states():
     # For window and residue kinds the budget caps the live states after each
     # step, counted after dropping those that can no longer reach a window's
     # lower bound.  A step is one coordinate's draw, or a run of coordinates
-    # with one effect list drawn at once (no residue shift, disjoint bumps,
-    # and few enough live states before it that one step costs less).
+    # with one effect list drawn at once (no residue shift, and few enough
+    # live states before it that one step costs less).
     # Window 3 <= #0 <= 5 over n = 8 bits is one run of eight and ends on the
     # counts 3..5: 3 states.  In its influence at i = 2 the seven coordinates
     # other than i draw as one run, with i still to come: counts 2..5, 4
     # states.  Residue sum x mod 5 over three symbols shifts residues, so
     # every coordinate draws on its own: at most 5 live residues.  On two
     # independent uniform steps the window pair's tuples 00, 01 and 10 bump
-    # overlapping slots, so the pair draws one coordinate at a time and peaks
-    # at 6 x 6 = 36 joint counts (t = 5); the residue pair peaks at 25.
+    # overlapping slots; from the one start state the eight coordinates
+    # still draw as one run and end on the 3 x 3 = 9 count pairs in the
+    # windows (one coordinate at a time they would peak at 6 x 6 = 36 joint
+    # counts, t = 5); the residue pair peaks at 25.
     window = make_anchored_symmetric(8, BIT, {"0": (3, 5)})
     residue = make_mod_linear(4, TRIT, 5, (1,) * 4, 2, (0, 1, 2))
-    for f, peaks in ((window, (3, 4, 36)), (residue, (5, 5, 25))):
+    for f, peaks in ((window, (3, 4, 9)), (residue, (5, 5, 25))):
         m = len(f.alphabet)
         p = helpers.dist_from_cells(
             {(a, b): Fraction(1, m * m) for a in range(m) for b in range(m)}, m, 2
@@ -399,11 +407,12 @@ def test_dp_run_step_starts_each_count_at_the_floor():
 # joint-count run steps against the brute-force oracles
 #
 # A run of coordinates with one effect signature, whose effects shift no
-# residue and bump pairwise disjoint slots, draws in one multinomial step;
-# every other coordinate draws on its own.  Exact results must equal the
-# oracles as Fractions and float results lie within FLOAT_REL of them.  An
-# exact 0 admits 1e-15 absolute: a float influence sums terms sw*hit - hit^2
-# that cancel only up to rounding.
+# residue, draws in one multinomial step when that costs less than its single
+# draws; every other coordinate draws on its own.  Bumps may share a slot:
+# distinct tuples that agree at a step count in the same window slot.  Exact
+# results must equal the oracles as Fractions and float results lie within
+# FLOAT_REL of them.  An exact 0 admits 1e-15 absolute: a float influence sums
+# terms sw*hit - hit^2 that cancel only up to rounding.
 
 FLOAT_REL = 1e-12
 
@@ -494,6 +503,217 @@ def test_dp_run_steps_match_brute_product_oracle(data):
     assert isinstance(got, Fraction) and got == want
     twin = StepDistribution(p.alphabet, p.steps, tuple(float(w) for w in p.weights), False)
     _assert_close(multi_set_expectation(twin, n, fns, engine="dp"), want)
+
+
+def test_dp_run_drops_states_below_the_floor_of_a_slot_no_draw_moves():
+    # Symbol 1 has mass 0, so no draw moves its slot and its window's lo = 1
+    # is out of reach once every coordinate has drawn: the run over all of
+    # them drops the start state before walking a composition and stores
+    # nothing, where keeping it would store the 7 counts of symbol 0.
+    n = 6
+    f = make_anchored_symmetric(n, TRIT, {"0": (0, n), "1": (1, n)})
+    pi = MarginalDistribution(Alphabet(TRIT), (Fraction(1, 2), Fraction(0), Fraction(1, 2)), True)
+    assert expectation(f, pi, engine="dp", budget=1) == 0
+
+
+def _runs(pays):
+    """Runs drawn at once wherever the effects shift no residue (True), no
+    run at all (False), or the walk's own choice (None)."""
+    if pays is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(fourier, "_run_pays", lambda live, k, effects: pays)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_dp_shared_slot_runs_match_enumeration_and_brute_oracle(data):
+    # Random supports on 2 or 3 steps, so distinct tuples that agree at a step
+    # bump one window slot together; windows on one or more symbols, lo > 0,
+    # anchors and restriction-ignored coordinates from `run_windows`, and now
+    # and then only the tuples that bump some slot (no bump-0 effect, w_0 =
+    # 0).  Forced runs, single draws and the walk's own choice all equal the
+    # enumeration engine and the brute oracle as Fractions, decimal twins
+    # within FLOAT_REL.  Influences walk one function, whose one-symbol draws
+    # bump at most one slot each, so their runs are disjoint; they are checked
+    # under the same three rules.
+    m = data.draw(st.integers(2, 3))
+    ell = data.draw(st.integers(2, 3))
+    tuples = list(itertools.product(range(m), repeat=ell))
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(tuples), max_size=len(tuples)))
+    cells = {t: Fraction(w) for t, w in zip(tuples, weights) if w} or {tuples[0]: Fraction(1)}
+    n = data.draw(st.integers(1, max(k for k in range(1, 6) if k == 1 or len(cells) ** k <= 1500)))
+    pairs = [data.draw(run_windows(n, m)) for _ in range(ell)]
+    fns, oracle_fns = tuple(f for f, _ in pairs), [o for _, o in pairs]
+    if data.draw(st.booleans()):
+        bumping = {
+            t: w for t, w in cells.items()
+            if any(t[j] in f.payload["windows"] for j, f in enumerate(fns))
+        }
+        cells = bumping or cells
+    p = helpers.dist_from_cells(cells, m, ell)
+    want = oracles.multi_set_expectation_brute(dict(zip(p.tuples(), p.weights)), ell, n, oracle_fns)
+    assert multi_set_expectation(p, n, fns, engine="enumerate") == want
+    twin = _float_twin(p)
+    j = data.draw(st.integers(1, ell))
+    pi = marginal(p, j)
+    pid = {a: pi.probs[a] for a in range(m)}
+    i = data.draw(st.integers(1, n))
+    want_inf = oracles.influence_iid(pid, n, oracle_fns[j - 1], tuple(range(m)), i)
+    assert influence(fns[j - 1], pi, i=i, engine="enumerate") == want_inf
+    for pays in (True, False, None):
+        with _runs(pays):
+            got = multi_set_expectation(p, n, fns, engine="dp")
+            assert isinstance(got, Fraction) and got == want
+            _assert_close(multi_set_expectation(twin, n, fns, engine="dp"), want)
+            got = influence(fns[j - 1], pi, i=i, engine="dp")
+            assert isinstance(got, Fraction) and got == want_inf
+            _assert_close(influence(fns[j - 1], marginal(twin, j), i=i, engine="dp"), want_inf)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_exponent_fits_with_shared_slot_runs_match_the_brute_oracle(data):
+    # The joint walk of an exponent fit puts a threshold window on symbol 0
+    # at both steps, so the diagonal tuple (0, 0) bumps both slots and shares
+    # each with one off-diagonal tuple.  Targets sit on the members'
+    # measures, so every member with 0 < mu < 1 is chosen.
+    m = data.draw(st.integers(2, 3))
+    n = data.draw(st.integers(2, 5 if m == 2 else 4))
+    cells = {}
+    for a in range(m):
+        cells[(a, a)] = Fraction(data.draw(st.integers(1, 3)))
+        for b in range(a + 1, m):
+            w = data.draw(st.integers(0, 3))
+            if w:
+                cells[(a, b)] = cells[(b, a)] = Fraction(w)
+    p = helpers.dist_from_cells(cells, m, 2)
+    family = oracles.threshold_family_brute(dict(zip(p.tuples(), p.weights)), n)
+    members = [(mu, delta) for _, mu, delta in family if 0 < mu < 1]
+    assume(len(members) >= 2)
+    grid = [float(mu) for mu, _ in members]
+    want = tuple((float(mu), float(delta)) for mu, delta in members if delta > 0)
+    for pays in (True, False, None):
+        with _runs(pays):
+            if len(want) < 2:
+                with pytest.raises(ValueError, match="usable family members"):
+                    estimate_hitting_exponent(p, grid, n=n)
+                continue
+            assert estimate_hitting_exponent(p, grid, n=n).points == want
+            twin = estimate_hitting_exponent(_float_twin(p), grid, n=n)
+            assert len(twin.points) == len(want)
+            for got, (mu, delta) in zip(twin.points, want):
+                assert got == pytest.approx((mu, delta), rel=FLOAT_REL)
+
+
+def _disjoint_runs_only(effects) -> bool:
+    """Runs only where the bumps touch pairwise disjoint slots, as the walk
+    drew before runs took shared slots."""
+    bumps = [bump for bump, _, _ in effects]
+    disjoint = sum(bumps) == functools.reduce(operator.or_, bumps, 0)
+    return not any(any(step.inc) for _, step, _ in effects) and disjoint
+
+
+def _peak_live_states(call, gate=None):
+    """The value of call(None) and the most live states one of its steps
+    leaves: the least budget under which it passes."""
+    peak = [0]
+
+    def spy(method):
+        def wrapped(self, *args):
+            states = method(self, *args)
+            peak[0] = max(peak[0], len(states))
+            return states
+
+        return wrapped
+
+    with contextlib.ExitStack() as stack:
+        for name in ("_draw", "_draw_run"):
+            stack.enter_context(
+                mock.patch.object(_JointLayout, name, spy(getattr(_JointLayout, name)))
+            )
+        if gate is not None:
+            stack.enter_context(mock.patch.object(fourier, "_shifts_no_residue", gate))
+        value = call(None)
+    return value, peak[0]
+
+
+def test_dp_budget_of_single_draws_admits_shared_slot_runs():
+    # A run's states are the states its single draws end on, and those only
+    # grow along the run, so a run never peaks above the single draws.  Any
+    # budget that passes with shared-slot runs drawn one coordinate at a
+    # time still passes, with the same value.
+    rng = random.Random(2020)
+    shared = 0
+    for _ in range(40):
+        steps = rng.choice((2, 3))
+        p = helpers.random_dist(rng, rng.choice((2, 3)), steps)
+        n = rng.randint(6, 14 if steps == 2 else 9)
+        special = rng.sample(range(1, n + 1), rng.randint(0, 2))
+        while True:
+            fns, _ = _random_dp_instance(rng, p, n, special)
+            if all(f.kind == "anchored_symmetric" for f in fns):
+                break
+
+        def call(budget):
+            return multi_set_expectation(p, n, fns, engine="dp", budget=budget)
+
+        want, single = _peak_live_states(call, _disjoint_runs_only)
+        value, peak = _peak_live_states(call)
+        assert value == want
+        assert peak <= single
+        shared += peak < single
+        if single:
+            assert call(single) == want
+        if peak:
+            assert call(peak) == want
+            with pytest.raises(BudgetExceeded, match="joint-count state space"):
+                call(peak - 1)
+    assert shared >= 10
+
+
+def test_dp_declined_shared_slot_run_draws_one_coordinate_at_a_time():
+    # Independent uniform bits, a window on symbol 0 at each step.  Step 1
+    # fixes coordinates 1..8, so those draw as one run that bumps only step
+    # 2's slot and ends on 9 counts.  Over coordinates 9..13 the tuple 00
+    # bumps both slots, 01 and 10 one each: from 9 live states five single
+    # draws reach at most 9, 9, 16, 25 and 36 count pairs, cheaper than
+    # walking the C(5 + 3, 3) = 56 compositions from each of the 9 states,
+    # so that run draws one coordinate at a time.  (Counted as compositions,
+    # 4, 10, 20, 35 and 56 keys, the single draws would look dearer.)
+    # Unrestricted, the thirteen coordinates are one run from the one start
+    # state.
+    n = 13
+    p = parse_distribution(helpers.UNIFORM_BITS_TEXT)
+    pi = marginal(p, 1)
+    window = make_anchored_symmetric(n, BIT, {"0": (3, 9)})
+    fixed = restrict(window, Restriction.from_dict(n, {c: c % 2 for c in range(1, 9)}))
+    layout = _JointLayout((fixed, window), p._scaled_support)
+    effects = layout.effects(9)
+    bumps = [bump for bump, _, _ in effects]
+    assert len(effects) == 4 and sum(bumps) != functools.reduce(operator.or_, bumps)
+    assert not fourier._run_pays(9, 5, effects)
+    assert fourier._run_pays(1, n, effects)
+    for f1, runs, singles in ((fixed, [8], 5), (window, [n], 0)):
+        calls = {"_draw": [], "_draw_run": []}
+
+        def spy(name):
+            method = getattr(_JointLayout, name)
+
+            def wrapped(self, states, effects, *args):
+                calls[name].append(args[0] if name == "_draw_run" else len(states))
+                return method(self, states, effects, *args)
+
+            return wrapped
+
+        with mock.patch.object(_JointLayout, "_draw", spy("_draw")), mock.patch.object(
+            _JointLayout, "_draw_run", spy("_draw_run")
+        ):
+            got = multi_set_expectation(p, n, (f1, window), engine="dp")
+        assert calls["_draw_run"] == runs
+        assert len(calls["_draw"]) == singles
+        assert all(live >= 9 for live in calls["_draw"])
+        want = expectation(f1, pi, engine="enumerate") * expectation(window, pi, engine="enumerate")
+        assert got == want
 
 
 def test_dp_refuses_incompatible_functions():
