@@ -265,7 +265,7 @@ def _cmd_fourier(args, inputs):
     exp_val = expectation(f, pi, budget=args.budget)
     var_val = variance(f, pi, budget=args.budget)
     infs = [influence(f, pi, i=i, budget=args.budget) for i in range(1, f.n + 1)]
-    expansion = analyze(to_table(f, budget=args.budget), basis, budget=args.budget)
+    expansion = analyze(f, basis, budget=args.budget)
     top = sorted(
         expansion.coeffs.items(), key=lambda kv: (-abs(kv[1]), kv[0])
     )[: args.top]

@@ -23,7 +23,10 @@ choice of that set at once.  The averaging operators (the noise operator
 T_rho and the projections f^S) run the per-axis kernel with one integer
 averaging matrix per averaged axis (`_average_axes`) and return tables that
 carry their view.  On the float side, `analyze` and `synthesize` apply the
-basis matrix and its transpose along every axis (`_along_axes`).
+basis matrix and its transpose along every axis (`_along_axes`).  Window,
+junta and residue functions reach these routes through one per-axis builder,
+`_indicator`, read over the whole alphabet by `to_table` and over the
+basis support by `analyze`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from ._util import (
     ScaledView,
     contract_axes,
     is_exact,
-    mixed_radix_digits,
     mixed_radix_index,
     parse_weight,
     scale_to_ints,
@@ -358,37 +360,46 @@ def restrict(f: FunctionSpec, r: Restriction) -> FunctionSpec:
 # evaluation
 
 
+def _indicator(f: FunctionSpec, symbols) -> np.ndarray:
+    """A window, junta or residue function as a bool array on the grid
+    symbols[0] x ... x symbols[n-1] of symbol indices, axis c - 1 for
+    coordinate c.
+
+    Built one axis at a time: a window's count is a sum of one-hot rows over
+    the coordinates it does not ignore; a residue is summed mod q after each
+    axis, in int64 while q < 2^62 keeps every partial sum below 2^63 and in
+    Python ints past that; anchors and junta pins are per-axis masks.
+    """
+    pay = f.payload
+    grid = np.ix_(*(np.asarray(syms) for syms in symbols))
+    ok = np.full([len(syms) for syms in symbols], not f.zero)
+    pins = pay["constraints"] if f.kind == "junta" else ()
+    if f.kind == "mod_linear":
+        q, total = pay["modulus"], 0
+        for coeff, axis in zip(pay["coeffs"], grid):
+            terms = [coeff * v % q for v in pay["symbol_map"]]
+            total = (total + np.array(terms, np.int64 if q < 2**62 else object)[axis]) % q
+        ok &= total == pay["residue"]
+    elif f.kind == "anchored_symmetric":
+        pins = () if pay["anchor"] is None else (pay["anchor"],)
+        axes = [axis for c, axis in enumerate(grid, start=1) if c not in pay["ignored"]]
+        for sym, (lo, hi) in pay["windows"].items():
+            count = sum((axis == sym for axis in axes), 0)
+            ok &= (lo <= count) & (count <= hi)
+    for coord, sym in pins:
+        ok &= grid[coord - 1] == sym
+    return ok
+
+
 def evaluate(f: FunctionSpec, x) -> Number:
-    """Value of f at a point given as symbol indices or tokens."""
+    """Value of f at a point given as symbol indices or tokens; a kind other
+    than a table reads `_indicator` on the one-point grid."""
     if len(x) != f.n:
         raise ValueError("point length must match coordinate count")
     point = tuple(_symbol_index(f.alphabet, s) for s in x)
-    m = len(f.alphabet)
-    if f.zero:
-        return Fraction(0)
     if f.kind == "table":
-        return f.payload["values"][mixed_radix_index(point, m)]
-    if f.kind == "junta":
-        ok = all(point[coord - 1] == sym for coord, sym in f.payload["constraints"])
-        return Fraction(1 if ok else 0)
-    if f.kind == "mod_linear":
-        pay = f.payload
-        total = sum(
-            c * pay["symbol_map"][s] for c, s in zip(pay["coeffs"], point)
-        )
-        return Fraction(1 if total % pay["modulus"] == pay["residue"] else 0)
-    pay = f.payload
-    anchor = pay["anchor"]
-    if anchor is not None and point[anchor[0] - 1] != anchor[1]:
-        return Fraction(0)
-    counts = [0] * m
-    for pos, s in enumerate(point):
-        if (pos + 1) not in pay["ignored"]:
-            counts[s] += 1
-    for sym, (lo, hi) in pay["windows"].items():
-        if not lo <= counts[sym] <= hi:
-            return Fraction(0)
-    return Fraction(1)
+        return f.payload["values"][mixed_radix_index(point, len(f.alphabet))]
+    return Fraction(int(_indicator(f, [[s] for s in point]).item()))
 
 
 # ---------------------------------------------------------------------------
@@ -921,8 +932,8 @@ def resolve_engine(engine: str, fns) -> str:
 
     The one engine rule of `expectation`, `variance`, `influence` and
     `hitting.multi_set_expectation`.  'enumerate' contracts the values at
-    every point, materializing other kinds with `to_table`; 'dp' runs the
-    joint-count program, which reads only window and residue kinds
+    every point, materializing other kinds per axis with `to_table`; 'dp'
+    runs the joint-count program, which reads only window and residue kinds
     (`COUNT_KINDS`); 'auto' takes the dp when every function is of those
     kinds and enumeration otherwise.  Under 'auto', `expectation` and
     `influence` answer a junta by its closed form in place of enumeration.
@@ -1173,10 +1184,13 @@ class FourierExpansion:
 
 
 def _support_tensor(f: FunctionSpec, support) -> np.ndarray:
-    """The table's values as floats on support^n, axis c - 1 for coordinate c.
+    """f's values as floats on support^n, axis c - 1 for coordinate c.
 
-    The view's floats round like float() of each value.
+    A table's floats are its view's, which round like float() of each
+    value; any other kind reads `_indicator` on the support grid.
     """
+    if f.kind != "table":
+        return _indicator(f, [support] * f.n).astype(float)
     m = len(f.alphabet)
     table = np.array(f.view.scaled(False)[1]).reshape((m,) * f.n).transpose()
     return table[np.ix_(*[support] * f.n)]
@@ -1203,25 +1217,13 @@ def _along_axes(t: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def analyze(
     f: FunctionSpec, basis: OrthonormalBasis, budget: int | None = None,
 ) -> FourierExpansion:
-    """Coefficients f_hat(sigma) = E[f * phi_sigma] by exact-support enumeration."""
-    k = basis.size
-    _check_budget(k, f.n, budget)
-    # tensor of f over support^n, axis per coordinate, coordinate 1 first
-    pts = list(itertools.product(range(k), repeat=f.n))
-    if f.kind == "table":
-        values = _support_tensor(f, basis.support)
-    else:
-        values = np.zeros((k,) * f.n)
-        for pos in pts:
-            point = tuple(basis.support[p] for p in pos)
-            values[pos] = float(evaluate(f, point))
-    t = _along_axes(values, _analysis_matrix(basis))
-    coeffs: dict[tuple[int, ...], float] = {}
-    for sigma in pts:
-        c = float(t[sigma])
-        if c != 0.0:
-            coeffs[sigma] = c
-    return FourierExpansion(basis, f.n, coeffs)
+    """Coefficients f_hat(sigma) = E[f * phi_sigma] of any kind, from its
+    values on support^n (`_support_tensor`)."""
+    _check_budget(basis.size, f.n, budget)
+    t = _along_axes(_support_tensor(f, basis.support), _analysis_matrix(basis))
+    nonzero = np.nonzero(t)
+    sigmas = zip(*(axis.tolist() for axis in nonzero))
+    return FourierExpansion(basis, f.n, dict(zip(sigmas, t[nonzero].tolist())))
 
 
 def synthesize(expansion: FourierExpansion, budget: int | None = None) -> FunctionSpec:
@@ -1342,15 +1344,16 @@ def projection_subset(
 
 
 def to_table(f: FunctionSpec, budget: int | None = None) -> FunctionSpec:
-    """Materialize any representation as a dense table."""
+    """Materialize any representation as a dense table of Fractions; a kind
+    other than a table reads `_indicator` over the whole alphabet."""
     if f.kind == "table":
         return f
     m = len(f.alphabet)
     _check_budget(m, f.n, budget)
-    values = [
-        evaluate(f, mixed_radix_digits(idx, m, f.n)) for idx in range(m**f.n)
-    ]
-    return FunctionSpec(f.n, f.alphabet, "table", {"values": tuple(values)})
+    # coordinate 1 least significant: the grid flattened in Fortran order
+    flat = _indicator(f, [range(m)] * f.n).ravel(order="F").tolist()
+    values = tuple(map([Fraction(0), Fraction(1)].__getitem__, flat))
+    return FunctionSpec(f.n, f.alphabet, "table", {"values": values})
 
 
 def max_operator(f: FunctionSpec, i: int, y, z, budget: int | None = None) -> FunctionSpec:

@@ -32,9 +32,9 @@ from .fourier import (
     BudgetExceeded,
     FunctionSpec,
     OrthonormalBasis,
+    _support_tensor,
     analyze,
     build_basis,
-    to_table,
 )
 
 
@@ -295,19 +295,16 @@ def sample_ensemble(ens: EnsembleSequence, rng: Generator, size: int) -> np.ndar
 def poly_from_function(
     f: FunctionSpec, basis: OrthonormalBasis, budget: int | None = None,
 ) -> MultilinearPolynomial:
-    """Expand a table function in the product basis and re-verify pointwise.
+    """Expand a function of any kind in the product basis and re-verify pointwise.
 
     The returned polynomial evaluated on the discrete ensemble values of a
-    point reproduces f at that point within 1e-10 over the whole support grid.
+    point reproduces f at that point within 1e-10 over the whole support grid,
+    the support^n points that bound `analyze`'s budget.
     """
-    f = to_table(f, budget=budget)
     expansion = analyze(f, basis, budget=budget)
     poly = MultilinearPolynomial.from_coeffs(f.n, basis.size - 1, expansion.coeffs)
     got = _grid_values(poly, np.array(basis.functions))
-    # table index: coordinate 1 least significant; transposed, it leads
-    m = len(f.alphabet)
-    table = np.array(f.view.scaled(False)[1]).reshape((m,) * f.n).transpose()
-    want = table[np.ix_(*[basis.support] * f.n)].reshape(-1)
+    want = _support_tensor(f, basis.support).reshape(-1)
     bad = np.flatnonzero(np.abs(got - want) > 1e-10)
     if bad.size:
         t = bad[0]

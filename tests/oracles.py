@@ -418,6 +418,26 @@ def influence_iid(pi, n, f, symbols, i):
     return total
 
 
+def indicator_value(kind, payload, m, point):
+    """0 or 1: a window ('anchored_symmetric'), junta or residue ('mod_linear')
+    function read from its payload dict at a point of symbol indices in
+    range(m), coordinate 1 first."""
+    if len(point) == 0 or any(not 0 <= s < m for s in point):
+        raise ValueError("point outside the alphabet")
+    if payload["zero"]:
+        return 0
+    if kind == "junta":
+        return int(all(point[c - 1] == s for c, s in payload["constraints"]))
+    if kind == "mod_linear":
+        total = sum(c * payload["symbol_map"][s] for c, s in zip(payload["coeffs"], point))
+        return int(total % payload["modulus"] == payload["residue"])
+    anchor = payload["anchor"]
+    if anchor is not None and point[anchor[0] - 1] != anchor[1]:
+        return 0
+    counted = [s for c, s in enumerate(point, start=1) if c not in payload["ignored"]]
+    return int(all(lo <= counted.count(s) <= hi for s, (lo, hi) in payload["windows"].items()))
+
+
 # ---------------------------------------------------------------------------
 # per-point enumeration over a dense table: the reference for the contraction
 # kernels.  `values` is the mixed-radix table (coordinate 1 least significant),

@@ -13,7 +13,10 @@ import pytest
 
 import helpers
 from corrhit.cli import main
+from corrhit.dist_core import marginal, parse_distribution
 from corrhit.fourier import (
+    analyze,
+    build_basis,
     format_function,
     make_anchored_symmetric,
     make_junta,
@@ -209,6 +212,29 @@ def test_fourier_golden(workdir, capsys):
     assert res["influences"][0]["value"] == "2/9"
     top = res["top_coefficients"]
     assert top[0]["coefficient"]["value"] == pytest.approx(0.4714045207910317, abs=1e-9)
+
+
+def test_fourier_reads_the_support_budget(workdir, capsys):
+    """The step-1 marginal lives on {0, 1} of a 3-symbol alphabet, so a window
+    function at n = 4 has 2^4 = 16 support points and 3^4 alphabet points:
+    `--budget 16` admits it, as it does for `analyze`, whose coefficients the
+    report lists."""
+    thin = "alphabet 0 1 2\nsteps 2\nentry 0 0 1/3\nentry 0 1 1/3\nentry 1 2 1/3\n"
+    (workdir / "thin.dist").write_text(thin)
+    f = make_anchored_symmetric(4, TRIT, {"0": (1, 2)}, anchor=(2, "1"))
+    (workdir / "window.json").write_text(format_function(f))
+    argv = ["fourier", "--dist", workdir / "thin.dist", "--fn", workdir / "window.json"]
+    code, report = run_json(capsys, [*argv, "--budget", "16", "--top", "100"])
+    assert code == 0
+    got = {
+        tuple(c["sigma"]): c["coefficient"]["value"]
+        for c in report["results"]["top_coefficients"]
+    }
+    basis = build_basis(marginal(parse_distribution(thin), 1))
+    assert got == analyze(f, basis, budget=16).coeffs
+    code, report = run_json(capsys, [*argv, "--budget", "15"])
+    assert code == 1
+    assert report["results"] == {"refusal": "2^4 points exceed the exact-enumeration budget 15"}
 
 
 def run_usage_error(argv):

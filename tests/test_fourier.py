@@ -650,20 +650,20 @@ def test_parseval_and_influence_identities_on_random_tables():
         ) + 1e-10
 
 
-def _analyze_pointwise(f, basis):
-    """Fourier coefficients from one float(evaluate()) per support point,
+def _analyze_pointwise(n, basis, value):
+    """Fourier coefficients from one float value(point) per support point,
     contracted axis by axis as `analyze` does."""
     k = basis.size
     probs = [float(basis.pi.probs[s]) for s in basis.support]
-    t = np.zeros((k,) * f.n)
-    for pos in itertools.product(range(k), repeat=f.n):
-        t[pos] = float(evaluate(f, [basis.support[q] for q in pos]))
+    t = np.zeros((k,) * n)
+    for pos in itertools.product(range(k), repeat=n):
+        t[pos] = value(tuple(basis.support[q] for q in pos))
     mat = np.array([[probs[j] * basis.functions[s][j] for j in range(k)] for s in range(k)])
-    for axis in range(f.n):
+    for axis in range(n):
         t = np.moveaxis(np.tensordot(mat, t, axes=([1], [axis])), 0, axis)
     return {
         sigma: float(t[sigma])
-        for sigma in itertools.product(range(k), repeat=f.n)
+        for sigma in itertools.product(range(k), repeat=n)
         if float(t[sigma]) != 0.0
     }
 
@@ -682,7 +682,64 @@ def test_analyze_reads_the_table_view_bit_identically():
             values = [float(v) for v in values]
         f = make_table_function(n, alphabet, values)
         basis = build_basis(pi)
-        assert analyze(f, basis).coeffs == _analyze_pointwise(f, basis)
+        want = _analyze_pointwise(n, basis, lambda x: float(oracles.table_value(values, m, x)))
+        assert analyze(f, basis).coeffs == want
+
+
+def random_indicator(rng: random.Random):
+    """A window, junta or residue function with m in 2..4 and n in 1..5.
+
+    Windows take an anchor and ignored coordinates now and then, residues a
+    modulus past 2^62 now and then, any kind the zero flag; half the residues
+    accept a random point, and half of all functions are restricted at random
+    coordinates.
+    """
+    m, n = rng.randint(2, 4), rng.randint(1, 5)
+    alphabet = tuple(str(a) for a in range(m))
+    zero = rng.random() < 0.1
+    kind = rng.randrange(3)
+    if kind == 0:
+        ignored = rng.sample(range(1, n + 1), rng.randint(0, n - 1))
+        free = [c for c in range(1, n + 1) if c not in ignored]
+        anchor = (rng.choice(free), rng.randrange(m)) if rng.random() < 0.5 else None
+        # lo > 0 and empty windows (lo > hi) included
+        windows = {s: (rng.randint(0, n), rng.randint(0, n)) for s in rng.sample(range(m), rng.randint(1, 2))}
+        f = make_anchored_symmetric(n, alphabet, windows, anchor=anchor, ignored=ignored, zero=zero)
+    elif kind == 1:
+        pins = [(rng.randint(1, n), rng.randrange(m)) for _ in range(rng.randint(0, n))]
+        f = make_junta(n, alphabet, pins, zero=zero)
+    else:
+        mod = rng.choice((2, 3, 5, 2**70 + 1))
+        coeffs = [rng.randrange(mod) for _ in range(n)]
+        smap = [rng.randrange(mod) for _ in range(m)]
+        residue = rng.randrange(mod)
+        if rng.random() < 0.5:
+            residue = sum(c * smap[rng.randrange(m)] for c in coeffs)
+        f = make_mod_linear(n, alphabet, mod, coeffs, residue, smap, zero=zero)
+    if rng.random() < 0.5:
+        fixed = {c: rng.randrange(m) for c in rng.sample(range(1, n + 1), rng.randint(1, n))}
+        f = restrict(f, Restriction.from_dict(n, fixed))
+    return f
+
+
+def test_indicator_kinds_match_the_payload_oracle():
+    """`evaluate`, `to_table` and `analyze` read one per-axis builder for the
+    window, junta and residue kinds; each is checked at every point against
+    the oracle reading the payload."""
+    rng = random.Random(2121)
+    for _ in range(300):
+        f = random_indicator(rng)
+        m = len(f.alphabet)
+        points = list(itertools.product(range(m), repeat=f.n))
+        want = {x: oracles.indicator_value(f.kind, f.payload, m, x) for x in points}
+        for x in points:
+            got = evaluate(f, x)
+            assert type(got) is Fraction and got == want[x]
+        table = to_table(f).payload["values"]
+        assert all(type(v) is Fraction for v in table)
+        assert [oracles.table_value(table, m, x) for x in points] == [want[x] for x in points]
+        basis = build_basis(kernel_marginal(rng, m, with_zero=rng.random() < 0.5))
+        assert analyze(f, basis).coeffs == _analyze_pointwise(f.n, basis, lambda x: float(want[x]))
 
 
 def test_synthesize_reproduces_function_on_support():

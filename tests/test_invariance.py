@@ -16,7 +16,9 @@ from corrhit import invariance
 from corrhit.dist_core import Alphabet, MarginalDistribution, marginal, parse_distribution
 from corrhit.fourier import (
     BudgetExceeded,
+    analyze,
     build_basis,
+    make_anchored_symmetric,
     make_junta,
     make_table_function,
 )
@@ -218,6 +220,19 @@ def test_poly_from_function_dictator_golden():
     q = poly_from_function(f, build_basis(pi))
     assert q.coefficient((0,)) == pytest.approx(0.5, abs=1e-12)
     assert q.coefficient((1,)) == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_poly_from_function_reads_the_support_budget():
+    """On a 3-symbol alphabet whose marginal lives on {0, 1}, a window function
+    at n = 4 has 2^4 = 16 support points and 3^4 alphabet points: a budget of
+    16 admits it, as it does for `analyze`, whose coefficients it keeps."""
+    pi = MarginalDistribution(Alphabet(TRIT), (Fraction(2, 3), Fraction(1, 3), Fraction(0)), True)
+    f = make_anchored_symmetric(4, TRIT, {"0": (1, 2)}, anchor=(2, "1"))
+    basis = build_basis(pi)
+    q = poly_from_function(f, basis, budget=16)
+    assert q.coeffs() == analyze(f, basis, budget=16).coeffs
+    with pytest.raises(BudgetExceeded):
+        poly_from_function(f, basis, budget=15)
 
 
 def test_poly_from_function_random_tables_round_trip():
