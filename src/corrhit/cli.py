@@ -618,10 +618,10 @@ def _cmd_verify(args, inputs):
 # -- invariance subcommands
 
 
-def _polys_for(p, fns):
+def _polys_for(p, fns, budget):
     """The polynomial of each step's function in its marginal's basis."""
     return tuple(
-        poly_from_function(f, build_basis(marginal(p, j)))
+        poly_from_function(f, build_basis(marginal(p, j)), budget=budget)
         for j, f in enumerate(fns, start=1)
     )
 
@@ -666,7 +666,9 @@ def _cmd_inv_hyper(args, inputs):
 
 def _cmd_inv_gap(args, inputs):
     p = _load_dist(args.dist, inputs)
-    polys = _polys_for(p, _load_step_fns(args, inputs, p, "invariance gap"))
+    polys = _polys_for(
+        p, _load_step_fns(args, inputs, p, "invariance gap"), args.budget
+    )
     rep = invariance_gap(
         polys, p, args.lam, samples=args.samples, seed=args.seed,
         c_const=args.c_const, budget=args.budget,
@@ -692,7 +694,9 @@ def _cmd_inv_gap(args, inputs):
 
 def _cmd_inv_smooth(args, inputs):
     p = _load_dist(args.dist, inputs)
-    polys = _polys_for(p, _load_step_fns(args, inputs, p, "invariance smooth"))
+    polys = _polys_for(
+        p, _load_step_fns(args, inputs, p, "invariance smooth"), args.budget
+    )
     rep = smoothing_gap(polys, p, args.gamma, args.eps, budget=args.budget)
     results = {
         "check": "smoothing-gap",

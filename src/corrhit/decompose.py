@@ -21,54 +21,6 @@ from .dist_core import Alphabet, StepDistribution, alpha, equal_marginals
 
 
 @dataclass(frozen=True)
-class WeightedDigraph:
-    """Directed graph over an alphabet with non-negative rational edge weights."""
-
-    alphabet: Alphabet
-    weights: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        m = len(self.alphabet)
-        if len(self.weights) != m or any(len(r) != m for r in self.weights):
-            raise ValueError("weight table must be square over the alphabet")
-        for row in self.weights:
-            for w in row:
-                if not isinstance(w, Fraction) or w < 0:
-                    raise ValueError("weights must be non-negative rationals")
-
-    def is_regular(self) -> bool:
-        """In-weight equals out-weight at every vertex, exactly."""
-        m = len(self.alphabet)
-        for v in range(m):
-            out_w = sum((self.weights[v][u] for u in range(m)), Fraction(0))
-            in_w = sum((self.weights[u][v] for u in range(m)), Fraction(0))
-            if out_w != in_w:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class WeightedCycle:
-    """Directed cycle with pairwise distinct vertices and a uniform edge weight."""
-
-    vertices: tuple[int, ...]
-    weight: Fraction
-
-    def __post_init__(self):
-        if len(self.vertices) < 1:
-            raise ValueError("cycle needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("cycle vertices must be distinct")
-        if not isinstance(self.weight, Fraction) or self.weight <= 0:
-            raise ValueError("cycle weight must be a positive rational")
-
-    def edges(self):
-        s = len(self.vertices)
-        for i in range(s):
-            yield self.vertices[i], self.vertices[(i + 1) % s]
-
-
-@dataclass(frozen=True)
 class CycleDistribution:
     """Parameters of an (s, p)-cycle: diagonal mass p/s, forward edges (1-p)/s."""
 
@@ -173,10 +125,14 @@ class ConvexDecomposition:
 
 
 def _peel_cycles(residual) -> list[tuple[tuple[int, ...], Number]]:
-    """(vertices, weight) cycles of a regular digraph given as a square matrix.
+    """Split a regular digraph, given as a square matrix of ints or
+    Fractions, into at most m^2 (vertices, weight) cycles.
 
-    The walk of `digraph_cycle_decomposition`, on ints or Fractions alike;
-    the matrix is consumed.  An irregular matrix raises ValueError.
+    Walk rule: start at the smallest vertex with positive out-weight, always
+    follow the smallest-index positive out-edge; the first repeated vertex
+    closes a cycle, which is removed at the minimum edge weight along it.
+    Each extraction zeroes at least one edge, so the loop terminates.  The
+    matrix is consumed.  An irregular matrix raises ValueError.
     """
     m = len(residual)
     for v in range(m):
@@ -219,18 +175,6 @@ def _peel_cycles(residual) -> list[tuple[tuple[int, ...], Number]]:
         if len(cycles) > m * m:
             raise ArithmeticError("cycle count exceeded the square bound")
     return cycles
-
-
-def digraph_cycle_decomposition(g: WeightedDigraph) -> list[WeightedCycle]:
-    """Split a regular digraph into at most |alphabet|^2 weighted cycles.
-
-    Walk rule: start at the smallest vertex with positive out-weight, always
-    follow the smallest-index positive out-edge; the first repeated vertex
-    closes a cycle, which is removed at the minimum edge weight along it.
-    Each extraction zeroes at least one edge, so the loop terminates.
-    """
-    residual = [list(row) for row in g.weights]
-    return [WeightedCycle(cyc, w) for cyc, w in _peel_cycles(residual)]
 
 
 # ---------------------------------------------------------------------------

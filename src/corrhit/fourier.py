@@ -1249,19 +1249,6 @@ def synthesize(expansion: FourierExpansion, budget: int | None = None) -> Functi
     return FunctionSpec(n, basis.pi.alphabet, "table", {"values": values})
 
 
-def low_degree_max_coefficient(
-    f: FunctionSpec, k: int, basis: OrthonormalBasis, budget: int | None = None,
-) -> float:
-    """max |f_hat(sigma)| over 0 < |sigma| <= k; zero when no such sigma."""
-    expansion = analyze(f, basis, budget)
-    best = 0.0
-    for sigma, c in expansion.coeffs.items():
-        deg = sum(1 for s in sigma if s != 0)
-        if 0 < deg <= k:
-            best = max(best, abs(c))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # averaging operators
 
@@ -1525,40 +1512,6 @@ def is_resilient(
     _check_alphabet(f, pi)
     cap = TABLE_BUDGET if budget is None else budget
     return _resilience_witness(f, eps, k, pi, cap, range(1, f.n + 1), upper_only)
-
-
-@dataclass(frozen=True)
-class LocalVarianceCertificate:
-    """Outcome of the sufficient local-variance condition for resilience."""
-
-    passed: bool
-    threshold: float
-    worst_subset: tuple[int, ...]
-    worst_variance: float
-
-
-def resilience_from_local_variance(
-    f: FunctionSpec, eps, k: int, pi: MarginalDistribution, budget: int | None = None,
-) -> LocalVarianceCertificate:
-    """Check Var[f^{subset S}] <= alpha(pi)^k (eps mu)^2 for every |S| = k.
-
-    Passing certifies eps-resilience up to k (one-way implication).
-    """
-    support = pi.support_indices()
-    a = min(pi.probs[s] for s in support)
-    mu = expectation(f, pi)
-    threshold = float(a) ** k * float(eps * mu) ** 2
-    worst_s: tuple[int, ...] = ()
-    worst_v = 0.0
-    passed = True
-    for coords in itertools.combinations(range(1, f.n + 1), k):
-        proj = projection_subset(f, coords, pi, budget=budget)
-        v = float(variance(proj, pi, budget=budget))
-        if v > worst_v:
-            worst_v, worst_s = v, coords
-        if v > threshold + 1e-15:
-            passed = False
-    return LocalVarianceCertificate(passed, threshold, worst_s, worst_v)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ step tables along every coordinate, and the joint-count dynamic program of
 `fourier` for window and modular-linear functions, run over the
 distribution's support tuples (the same program gives their single
 expectations and influences).  On top sit the two
-constructive loops (density increment and influence reduction), closed-form
-bound evaluators, the counterexample catalogs, the Markov-chain product
+constructive loops (density increment and influence reduction), the
+closed-form low-influence bound, the counterexample catalogs, the Markov-chain product
 identity, and an empirical hitting-exponent fit.
 """
 
@@ -759,32 +759,6 @@ def low_influence_bound(mus, rho_value, ell: int, eps, a, c_const: float = 10.0)
     exponent = c_const * ell * math.log(ell / eps) * math.log(1.0 / a) / ((1.0 - rho_value) * eps)
     tau = base**exponent
     return bound, tau
-
-
-def explicit_c_bound(a, rho_value, ell: int, mu, d) -> float:
-    """The triple-exponential loss floor 1/exp(exp(exp((1/mu)^D))).
-
-    alpha, rho, and l do not enter the formula (the caller supplies D, which
-    absorbs the distribution dependence); they are validated for range only.
-    Underflow clamps to the smallest positive float so the result stays in (0,1).
-    """
-    mu = float(mu)
-    if not 0 < mu <= 0.99:
-        raise ValueError("mu must lie in (0, 0.99]")
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if not 0 < float(a) <= 1 or not 0 <= float(rho_value) <= 1:
-        raise ValueError("alpha must lie in (0,1], rho in [0,1]")
-    t1 = (1.0 / mu) ** float(d)
-    if t1 > math.log(709.0):  # exp(t1) would overflow the next level
-        return 5e-324
-    t2 = math.exp(t1)
-    if t2 > 709.0:
-        return 5e-324
-    t3 = math.exp(t2)
-    if t3 > 745.0:
-        return 5e-324
-    return max(math.exp(-t3), 5e-324)
 
 
 # ---------------------------------------------------------------------------

@@ -185,40 +185,6 @@ def t_rho_poly(poly: MultilinearPolynomial, rho_value: float) -> MultilinearPoly
     )
 
 
-def truncate(poly: MultilinearPolynomial, d: int, mode: str = "le") -> MultilinearPolynomial:
-    """Keep monomials whose support size compares to d as mode says."""
-    comps = {
-        "le": lambda k: k <= d,
-        "lt": lambda k: k < d,
-        "ge": lambda k: k >= d,
-        "gt": lambda k: k > d,
-    }
-    if mode not in comps:
-        raise ValueError(f"unknown comparator {mode!r}")
-    keep = comps[mode]
-    return MultilinearPolynomial.from_coeffs(
-        poly.n,
-        poly.p,
-        {s: c for s, c in poly.terms if keep(sum(1 for x in s if x))},
-    )
-
-
-def projection_part(poly: MultilinearPolynomial, coords) -> MultilinearPolynomial:
-    """Monomials supported on exactly the given coordinate set."""
-    want = frozenset(int(c) for c in coords)
-    if any(not 1 <= c <= poly.n for c in want):
-        raise ValueError("coordinate out of range")
-    return MultilinearPolynomial.from_coeffs(
-        poly.n,
-        poly.p,
-        {
-            s: c
-            for s, c in poly.terms
-            if frozenset(i + 1 for i, x in enumerate(s) if x) == want
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 
@@ -253,39 +219,6 @@ def discrete_ensemble(pi: MarginalDistribution, n: int) -> EnsembleSequence:
 
 def gaussian_ensemble(n: int, p: int) -> EnsembleSequence:
     return EnsembleSequence("gaussian", n, p)
-
-
-def ensemble_orthonormality(ens: EnsembleSequence) -> float:
-    """Worst deviation of E[X_j X_k] from the identity (0 for Gaussian, known)."""
-    if ens.kind == "gaussian":
-        return 0.0
-    basis = ens.basis
-    probs = [float(basis.pi.probs[s]) for s in basis.support]
-    worst = 0.0
-    for a in range(basis.size):
-        for b in range(basis.size):
-            ip = sum(
-                p * x * y
-                for p, x, y in zip(probs, basis.functions[a], basis.functions[b])
-            )
-            worst = max(worst, abs(ip - (1.0 if a == b else 0.0)))
-    worst = max(worst, max(abs(x - 1.0) for x in basis.functions[0]))
-    return worst
-
-
-def sample_ensemble(ens: EnsembleSequence, rng: Generator, size: int) -> np.ndarray:
-    """(size, n, p+1) array of ensemble values; [:, :, 0] is the constant 1."""
-    out = np.empty((size, ens.n, ens.p + 1))
-    out[:, :, 0] = 1.0
-    if ens.kind == "gaussian":
-        out[:, :, 1:] = rng.standard_normal((size, ens.n, ens.p))
-        return out
-    basis = ens.basis
-    probs = np.array([float(basis.pi.probs[s]) for s in basis.support])
-    draws = rng.choice(len(basis.support), size=(size, ens.n), p=probs)
-    mat = np.array(basis.functions)  # (p+1, |support|)
-    out[:, :, :] = mat.T[draws]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +402,8 @@ def hypercontractivity_check(
         method = "quadrature"
     else:
         _check_samples(samples)
-        # the (samples, n, p) normals of sample_ensemble, without its constant
-        # slot; element s of coordinate i+1 is row i p + s - 1
+        # (samples, n, p) normals, point-major; element s of coordinate i+1
+        # is row i p + s - 1
         rng = Generator(Philox(key=int(seed)))
         cols = _columns(rng.standard_normal((samples, ens.n, ens.p)))
 
@@ -592,12 +525,6 @@ def mollifier_phi(lam: float, x) -> float:
     the collars |x| < lambda and |x - 1| < lambda it reads the collar profile
     tabulated at import."""
     return float(_phi_values(float(lam), np.asarray([x], dtype=float))[0])
-
-
-def mollifier_chi(lam: float, xbar) -> float:
-    """Product of mollified ramps, one per step value."""
-    vals = _phi_values(float(lam), np.asarray(xbar, dtype=float))
-    return float(np.prod(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -923,37 +850,3 @@ def _bivariate_product_probability(cov: np.ndarray, forms) -> float:
         -((h - k) ** 2 + 4.0 * h * k * np.sin(delta / 2) ** 2) / (2.0 * np.sin(delta) ** 2)
     )
     return base + sign * float(np.sum(dens @ _GL_W * half[:, 0])) / (2.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# gamma decay
-
-
-@dataclass(frozen=True)
-class GammaDecayReport:
-    gamma: float
-    holds_all: bool
-    first_violation: int | None
-    profile: tuple[tuple[int, float, float], ...]  # (d, tail mass, envelope)
-
-
-def gamma_decay_check(poly: MultilinearPolynomial, gamma: float) -> GammaDecayReport:
-    """Tail coefficient mass E[(P^(>=d))^2] against the (1-gamma)^d envelope.
-
-    Checks every d from 0 through deg+1; beyond the degree the tail is zero,
-    so that range decides the property outright.
-    """
-    if not 0 <= gamma <= 1:
-        raise ValueError("gamma must lie in [0, 1]")
-    deg = poly.degree()
-    profile = []
-    first_violation = None
-    for d in range(deg + 2):
-        tail = math.fsum(
-            c * c for sigma, c in poly.terms if sum(1 for s in sigma if s) >= d
-        )
-        envelope = (1.0 - gamma) ** d
-        profile.append((d, tail, envelope))
-        if tail > envelope + 1e-12 and first_violation is None:
-            first_violation = d
-    return GammaDecayReport(gamma, first_violation is None, first_violation, tuple(profile))

@@ -458,6 +458,23 @@ def test_invariance_smooth(workdir, capsys):
     assert report["results"]["holds"] is True
 
 
+def test_invariance_smooth_expands_within_the_budget(monkeypatch, capsys):
+    """`--budget` bounds the expansion of each step function, so the 3^4
+    alphabet points of the residue function are refused before any
+    polynomial or the 6^4 support grid is built."""
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parents[1])
+    code, report = run_json(
+        capsys,
+        ["invariance", "smooth", "--dist", "demos/data/basic.dist",
+         "--fn", "demos/data/modlinear.json", "--n", "4", "--budget", "10",
+         "--gamma", "0.1", "--eps", "0.5", "--json"],
+    )
+    assert code == 1
+    assert report["results"] == {
+        "refusal": "3^4 points exceed the exact-enumeration budget 10"
+    }
+
+
 def test_invariance_rhc(workdir, capsys):
     code, report = run_json(
         capsys,
@@ -668,9 +685,11 @@ def test_closed_pipe_ends_quietly(workdir):
 
 
 def test_import_leaves_scipy_out():
+    # a None entry marks an import that was blocked, not a loaded module
     code = (
         "import sys, corrhit, corrhit.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m, mod in sys.modules.items() "
+        "if mod is not None and m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

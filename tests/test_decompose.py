@@ -10,13 +10,12 @@ import pytest
 
 import helpers
 import oracles
+from corrhit import decompose
 from corrhit.decompose import (
     DecompositionPart,
-    WeightedDigraph,
     convex_cycle_decomposition,
     cycle_rho,
     decomposition_guarantees,
-    digraph_cycle_decomposition,
     make_cycle,
 )
 from corrhit.dist_core import Alphabet, StepDistribution, alpha, equal_marginals, rho
@@ -73,11 +72,27 @@ def test_cycle_rho_matches_kernel_route():
 # digraph cycle peeling
 
 
-def _digraph_from_rows(rows) -> WeightedDigraph:
+def _peeled(rows) -> list[tuple[tuple[int, ...], int]]:
+    """The cycles `_peel_cycles` takes from a copy of an int matrix, checked
+    for the walk's bound and shape: at most m^2 cycles, each of distinct
+    vertices and positive weight."""
     m = len(rows)
-    alphabet = Alphabet(tuple(str(i) for i in range(m)))
-    weights = tuple(tuple(Fraction(w) for w in row) for row in rows)
-    return WeightedDigraph(alphabet, weights)
+    cycles = decompose._peel_cycles([list(row) for row in rows])
+    assert len(cycles) <= m * m
+    for vertices, w in cycles:
+        assert vertices and len(set(vertices)) == len(vertices)
+        assert all(0 <= v < m for v in vertices)
+        assert w > 0
+    return cycles
+
+
+def _rebuilt(cycles, m: int) -> list[list[int]]:
+    """Edge weights summed back from (vertices, weight) cycles."""
+    rebuilt = [[0] * m for _ in range(m)]
+    for vertices, w in cycles:
+        for u, v in zip(vertices, vertices[1:] + vertices[:1]):
+            rebuilt[u][v] += w
+    return rebuilt
 
 
 def test_digraph_decomposition_reproduces_edge_weights():
@@ -86,24 +101,12 @@ def test_digraph_decomposition_reproduces_edge_weights():
         [1, 0, 2],
         [2, 0, 0],
     ]
-    g = _digraph_from_rows(rows)
-    assert g.is_regular()
-    cycles = digraph_cycle_decomposition(g)
-    rebuilt = [[Fraction(0)] * 3 for _ in range(3)]
-    for c in cycles:
-        for u, v in c.edges():
-            rebuilt[u][v] += c.weight
-    assert rebuilt == [[Fraction(w) for w in row] for row in rows]
-    # vertex-disjointness within each cycle is enforced by the dataclass
-    for c in cycles:
-        assert len(set(c.vertices)) == len(c.vertices)
+    assert _rebuilt(_peeled(rows), 3) == rows
 
 
 def test_digraph_decomposition_rejects_irregular():
-    g = _digraph_from_rows([[0, 1], [0, 0]])
-    assert not g.is_regular()
-    with pytest.raises(ValueError):
-        digraph_cycle_decomposition(g)
+    with pytest.raises(ValueError, match="not regular"):
+        decompose._peel_cycles([[0, 1], [0, 0]])
 
 
 def test_digraph_decomposition_random_regular_instances():
@@ -111,21 +114,14 @@ def test_digraph_decomposition_random_regular_instances():
     for _ in range(20):
         m = rng.choice((2, 3, 4))
         # random circulation: superpose random simple cycles
-        rows = [[Fraction(0)] * m for _ in range(m)]
+        rows = [[0] * m for _ in range(m)]
         for _ in range(rng.randint(1, 4)):
             size = rng.randint(1, m)
             verts = rng.sample(range(m), size)
-            w = Fraction(rng.randint(1, 5))
+            w = rng.randint(1, 5)
             for a, b in zip(verts, verts[1:] + verts[:1]):
                 rows[a][b] += w
-        g = _digraph_from_rows(rows)
-        assert g.is_regular()
-        cycles = digraph_cycle_decomposition(g)
-        rebuilt = [[Fraction(0)] * m for _ in range(m)]
-        for c in cycles:
-            for u, v in c.edges():
-                rebuilt[u][v] += c.weight
-        assert rebuilt == rows
+        assert _rebuilt(_peeled(rows), m) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from corrhit.fourier import (
     format_function,
     influence,
     is_resilient,
-    low_degree_max_coefficient,
     make_anchored_symmetric,
     make_junta,
     make_mod_linear,
@@ -35,7 +34,6 @@ from corrhit.fourier import (
     noise_operator,
     parse_function,
     projection_subset,
-    resilience_from_local_variance,
     restrict,
     synthesize,
     to_table,
@@ -880,12 +878,6 @@ def test_averaging_operators_float_mode_within_tolerance():
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
 
 
-def test_low_degree_max_coefficient_dictator():
-    pi = uniform_marginal(2)
-    f = make_junta(1, BIT, [(1, "1")])
-    assert low_degree_max_coefficient(f, 1, build_basis(pi)) == pytest.approx(0.5)
-
-
 def test_max_operator_is_pointwise_max():
     rng = random.Random(303)
     f = make_table_function(2, TRIT, helpers.random_unit_table(rng, 2, 3))
@@ -932,27 +924,6 @@ def test_constant_function_is_resilient():
     f = make_table_function(2, BIT, [Fraction(1, 2)] * 4)
     ok, witness = is_resilient(f, Fraction(1, 100), 2, pi)
     assert ok and witness is None
-
-
-def test_local_variance_certificate_implies_resilience():
-    rng = random.Random(555)
-    hits = 0
-    for _ in range(40):
-        m = 2
-        n = rng.randint(2, 3)
-        pi = uniform_marginal(m)
-        vals = [
-            Fraction(rng.randint(6, 10), 16) for _ in range(m**n)
-        ]  # near-constant tables are plausibly resilient
-        f = make_table_function(n, BIT, vals)
-        k = rng.randint(1, n)
-        eps = Fraction(1, 2)
-        cert = resilience_from_local_variance(f, eps, k, pi)
-        if cert.passed:
-            hits += 1
-            ok, _ = is_resilient(f, eps, k, pi)
-            assert ok, "certificate passed but exhaustive resilience failed"
-    assert hits > 0, "generator never produced a certified instance"
 
 
 # ---------------------------------------------------------------------------

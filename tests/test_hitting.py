@@ -50,7 +50,6 @@ from corrhit.hitting import (
     counterexample_unequal_marginals,
     density_increment,
     estimate_hitting_exponent,
-    explicit_c_bound,
     influence_reduction,
     low_influence_bound,
     markov_same_set_check,
@@ -1109,15 +1108,6 @@ def test_low_influence_bound_shapes():
         low_influence_bound((0.5, 0.5), 1.0, 2, 0.1, 0.25)
     with pytest.raises(ValueError):
         low_influence_bound((0.5,), 0.5, 2, 0.1, 0.25)
-
-
-def test_explicit_c_bound_monotone_and_clamped():
-    loose = explicit_c_bound(0.25, 0.5, 2, 0.99, 0.1)
-    tight = explicit_c_bound(0.25, 0.5, 2, 0.01, 0.1)
-    assert 0 < tight <= loose < 1
-    assert explicit_c_bound(0.25, 0.5, 2, 0.001, 3) == 5e-324
-    with pytest.raises(ValueError):
-        explicit_c_bound(0.25, 0.5, 2, 1.5, 1)
 
 
 # ---------------------------------------------------------------------------

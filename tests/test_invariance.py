@@ -26,21 +26,15 @@ from corrhit.invariance import (
     MultilinearPolynomial,
     ThresholdForm,
     discrete_ensemble,
-    ensemble_orthonormality,
-    gamma_decay_check,
     gaussian_counterpart,
     gaussian_ensemble,
     gaussian_rhc_check,
     hypercontractivity_check,
     invariance_gap,
-    mollifier_chi,
     mollifier_phi,
     poly_from_function,
-    projection_part,
-    sample_ensemble,
     smoothing_gap,
     t_rho_poly,
-    truncate,
 )
 
 TRIT = ("0", "1", "2")
@@ -117,48 +111,6 @@ def test_t_rho_twice_equals_t_rho_squared():
             assert twice.coefficient(sigma) == pytest.approx(c, abs=1e-12)
 
 
-def test_truncate_partitions_coefficient_mass():
-    rng = random.Random(4)
-    q = random_poly(rng, 3, 1)
-    for d in range(4):
-        low = truncate(q, d, "le")
-        high = truncate(q, d, "gt")
-        assert low.second_moment() + high.second_moment() == pytest.approx(
-            q.second_moment(), abs=1e-12
-        )
-        assert truncate(q, d, "lt").second_moment() + truncate(
-            q, d, "ge"
-        ).second_moment() == pytest.approx(q.second_moment(), abs=1e-12)
-
-
-def test_projection_parts_tile_the_polynomial():
-    rng = random.Random(5)
-    q = random_poly(rng, 2, 2)
-    total = 0.0
-    for s in ((), (1,), (2,), (1, 2)):
-        total += projection_part(q, s).second_moment()
-    assert total == pytest.approx(q.second_moment(), abs=1e-12)
-
-
-def test_projection_parts_are_orthogonal_under_enumeration():
-    pi = uniform_marginal(3)
-    basis = build_basis(pi)
-    rng = random.Random(6)
-    q = random_poly(rng, 2, 2)
-    parts = [projection_part(q, s) for s in ((1,), (2,), (1, 2))]
-    for qa, qb in itertools.combinations(parts, 2):
-        acc = 0.0
-        for pos in itertools.product(range(basis.size), repeat=2):
-            w = 1.0
-            for pq in pos:
-                w *= float(pi.probs[basis.support[pq]])
-            values = [
-                [basis.functions[k][pq] for k in range(basis.size)] for pq in pos
-            ]
-            acc += w * qa.evaluate(values) * qb.evaluate(values)
-        assert acc == pytest.approx(0.0, abs=1e-10)
-
-
 def test_vectorized_values_equal_pointwise_evaluation():
     # the support grid and a block of draws give, bit for bit, the values
     # that evaluate() gives one point at a time
@@ -171,8 +123,9 @@ def test_vectorized_values_equal_pointwise_evaluation():
         for t, pos in enumerate(itertools.product(range(m), repeat=n)):
             point = [funcs[:, d] for d in pos]
             assert grid[t] == q.evaluate(point)
-        draws = sample_ensemble(
-            gaussian_ensemble(n, m - 1), np.random.Generator(np.random.Philox(key=2)), 50
+        draws = np.ones((50, n, m))
+        draws[:, :, 1:] = np.random.Generator(np.random.Philox(key=2)).standard_normal(
+            (50, n, m - 1)
         )
         block = invariance._poly_values(q, lambda i, s: draws[:, i, s], 50)
         assert [q.evaluate(d) for d in draws] == list(block)
@@ -189,24 +142,17 @@ def test_evaluate_multiplies_in_coordinate_order():
 
 
 def test_discrete_ensemble_orthonormality():
+    # the Gram matrix sum_x pi(x) phi_a(x) phi_b(x) over the support is the
+    # identity, and phi_0 is the constant 1
     rng = random.Random(7)
     for _ in range(10):
         pi = marginal(helpers.random_dist(rng, m=rng.choice((2, 3, 4)), steps=2), 1)
-        ens = discrete_ensemble(pi, 2)
-        assert ensemble_orthonormality(ens) < 1e-10
-
-
-def test_sample_ensemble_shapes_and_constant_slot():
-    ens = discrete_ensemble(uniform_marginal(3), 4)
-    rng = np.random.Generator(np.random.Philox(key=1))
-    draws = sample_ensemble(ens, rng, 100)
-    assert draws.shape == (100, 4, 3)
-    assert np.all(draws[:, :, 0] == 1.0)
-
-    gens = gaussian_ensemble(2, 2)
-    draws = sample_ensemble(gens, np.random.Generator(np.random.Philox(key=1)), 50)
-    assert draws.shape == (50, 2, 3)
-    assert np.all(draws[:, :, 0] == 1.0)
+        basis = build_basis(pi)
+        probs = np.array([float(pi.probs[s]) for s in basis.support])
+        funcs = np.array(basis.functions)
+        gram = (funcs * probs) @ funcs.T
+        assert np.abs(gram - np.eye(basis.size)).max() < 1e-10
+        assert np.abs(funcs[0] - 1.0).max() < 1e-10
 
 
 def test_gaussian_ensemble_rejects_basis():
@@ -484,15 +430,6 @@ def test_mollifier_collar_matches_direct_quadrature():
 
 def test_bump_constant_matches_direct_quadrature():
     assert abs(invariance._BUMP_C - oracles.bump_constant()) <= 1e-15
-
-
-def test_mollifier_chi_is_the_product():
-    lam = 0.3
-    xs = (0.5, 1.4, -0.1)
-    want = 1.0
-    for x in xs:
-        want *= mollifier_phi(lam, x)
-    assert mollifier_chi(lam, xs) == pytest.approx(want, abs=1e-12)
 
 
 def test_mollifier_rejects_bad_lambda():
@@ -827,35 +764,3 @@ def test_two_samples_are_enough():
     forms = (ThresholdForm(), ThresholdForm())
     rep = gaussian_rhc_check([[1.0, 0.5], [0.5, 1.0]], forms, samples=2, seed=1)
     assert rep.samples == 2
-
-
-# ---------------------------------------------------------------------------
-# gamma decay
-
-
-def test_gamma_decay_for_smoothed_unit_polynomials():
-    rng = random.Random(21)
-    for _ in range(10):
-        q = random_poly(rng, 3, 1)
-        norm = math.sqrt(q.second_moment())
-        q = MultilinearPolynomial.from_coeffs(
-            3, 1, {s: c / norm for s, c in q.terms}
-        )
-        gamma = rng.uniform(0.05, 0.6)
-        smoothed = t_rho_poly(q, 1.0 - gamma)
-        rep = gamma_decay_check(smoothed, gamma)
-        assert rep.holds_all, rep.profile
-
-
-def test_gamma_decay_detects_heavy_tails():
-    q = MultilinearPolynomial.from_coeffs(2, 1, {(1, 1): 1.0})
-    rep = gamma_decay_check(q, 0.3)
-    assert not rep.holds_all
-    assert rep.first_violation == 1
-
-
-def test_gamma_decay_trivial_for_constants():
-    q = MultilinearPolynomial.from_coeffs(2, 1, {(0, 0): 0.7})
-    rep = gamma_decay_check(q, 0.5)
-    assert rep.holds_all
-    assert rep.first_violation is None
