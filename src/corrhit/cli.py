@@ -8,6 +8,10 @@ succeeded and every checked inequality held, 1 on a violated certificate or an
 explicit refusal (correlation 1, budget cap, ...), 2 on usage or input-parse
 errors.  A reader that closes the pipe early (`| head`) cuts the output off
 quietly; the exit status stays that of the computation.
+
+Each subcommand, and each `verify` suite, parses only the options its handler
+reads; any other flag is a usage error.  The report carries `seed` exactly
+when the command takes --seed.
 """
 
 from __future__ import annotations
@@ -410,9 +414,9 @@ def _random_rational_dist(rng: random.Random, steps: int, m: int,
             return p
 
 
-def _suite_edge_variance(args):
+def _suite_edge_variance(args, inputs):
     rng = random.Random(args.seed)
-    count = args.samples if args.samples is not None else 50
+    count = args.samples
     worst = math.inf
     checked = 0
     for _ in range(count):
@@ -439,9 +443,9 @@ def _suite_edge_variance(args):
     }, True
 
 
-def _suite_decomposition(args):
+def _suite_decomposition(args, inputs):
     rng = random.Random(args.seed)
-    count = args.samples if args.samples is not None else 20
+    count = args.samples
     worst_parts = 0
     for _ in range(count):
         p = _random_rational_dist(
@@ -450,15 +454,8 @@ def _suite_decomposition(args):
         dec = convex_cycle_decomposition(p)
         guarantees = decomposition_guarantees(dec, p)
         m = len(p.alphabet)
-        recomposed: dict = {}
-        for part in dec.parts:
-            for tup, w in part.dist.support():
-                recomposed[tup] = recomposed.get(tup, Fraction(0)) + part.weight * w
-        for tup, w in p.support():
-            if recomposed.get(tup, Fraction(0)) != w:
-                raise ArithmeticError(f"decomposition does not recompose at {tup}")
-        if any(recomposed[t] != p.weight(t) for t in recomposed):
-            raise ArithmeticError("decomposition adds mass outside the support")
+        if dec.reconstruct() != p.weights:
+            raise ArithmeticError("decomposition does not recompose the distribution")
         if len(dec.parts) > m * m + m:
             raise ArithmeticError("part count exceeds |alphabet|^2 + |alphabet|")
         if not guarantees.all_ok:
@@ -472,9 +469,8 @@ def _suite_decomposition(args):
     }, True
 
 
-def _suite_counterexamples(args):
-    n_list = args.n_list or [6, 9, 12]
-    skew = counterexample_unequal_marginals(n_list, budget=args.budget)
+def _suite_counterexamples(args, inputs):
+    skew = counterexample_unequal_marginals(args.n_list, budget=args.budget)
     three = counterexample_three_sets(args.three_n, budget=args.budget)
     return {
         "suite": "counterexamples",
@@ -537,9 +533,9 @@ def _random_table_fn(rng: random.Random, n: int, m: int) -> FunctionSpec:
     return make_table_function(n, tuple(str(a) for a in range(m)), values)
 
 
-def _suite_markov(args):
+def _suite_markov(args, inputs):
     rng = random.Random(args.seed)
-    count = args.samples if args.samples is not None else 20
+    count = args.samples
     for _ in range(count):
         m = rng.choice((2, 3))
         p = _random_markov_dist(rng, m, 3)
@@ -572,9 +568,9 @@ entry 1 1 1/2
 """
 
 
-def _suite_exponent(args):
+def _suite_exponent(args, inputs):
     mu_grid = [0.05, 0.08, 0.12, 0.2, 0.3, 0.45, 0.6]
-    n = args.n_list[0] if args.n_list else 30
+    n = args.n
     independent = estimate_hitting_exponent(
         parse_distribution(_INDEPENDENT_BITS), mu_grid, n=n, budget=args.budget
     )
@@ -602,19 +598,6 @@ def _suite_exponent(args):
     return results, ok
 
 
-_VERIFY_SUITES = {
-    "edge-variance": _suite_edge_variance,
-    "decomposition": _suite_decomposition,
-    "counterexamples": _suite_counterexamples,
-    "markov": _suite_markov,
-    "exponent": _suite_exponent,
-}
-
-
-def _cmd_verify(args, inputs):
-    return _VERIFY_SUITES[args.suite](args)
-
-
 # -- invariance subcommands
 
 
@@ -636,9 +619,7 @@ def _cmd_inv_hyper(args, inputs):
     if a is None:
         a = min(float(pi.probs[s]) for s in pi.support_indices())
     ens = discrete_ensemble(pi, f.n)
-    rep = hypercontractivity_check(
-        poly, ens, a, budget=args.budget, samples=args.samples, seed=args.seed
-    )
+    rep = hypercontractivity_check(poly, ens, a, budget=args.budget)
     results = {
         "check": "hypercontractivity",
         "alpha": _tag_float(a),
@@ -657,9 +638,6 @@ def _cmd_inv_hyper(args, inputs):
             "statement": "E[|P|^3]^(1/3) <= (2/alpha^(1/6))^d E[P^2]^(1/2)",
             "holds": rep.degree_holds,
         },
-        "seed": args.seed,
-        "samples": args.samples if rep.method == "mc" else 0,
-        "stderr": _tag_mc(rep.stderr),
     }
     return results, rep.noise_holds and rep.degree_holds
 
@@ -791,19 +769,6 @@ def _cmd_inv_mollifier(args, inputs):
     return results, ok
 
 
-_INVARIANCE_SUBCOMMANDS = {
-    "hyper": _cmd_inv_hyper,
-    "gap": _cmd_inv_gap,
-    "smooth": _cmd_inv_smooth,
-    "rhc": _cmd_inv_rhc,
-    "mollifier": _cmd_inv_mollifier,
-}
-
-
-def _cmd_invariance(args, inputs):
-    return _INVARIANCE_SUBCOMMANDS[args.subcheck](args, inputs)
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -839,9 +804,10 @@ def _at_least(low: int):
     return parse
 
 
-def _add_common(sp, dist=False, fn="", needs_n=False, samples=int):
-    """Options every subcommand shares; `fn`, when given, is the help of --fn,
-    and `samples` the type of --samples."""
+def _add_common(sp, dist=False, fn="", needs_n=False, budget=False, samples=None):
+    """The options of a subcommand, each one its handler reads: `fn`, when
+    given, is the help of --fn; `samples`, when given, is the (least value,
+    default) of --samples, which always comes with --seed."""
     if dist:
         sp.add_argument("--dist", required=True, help="distribution file path")
     if fn:
@@ -849,10 +815,13 @@ def _add_common(sp, dist=False, fn="", needs_n=False, samples=int):
     if needs_n:
         sp.add_argument("--n", type=int, default=None,
                         help="coordinate count (re-targets structured functions)")
-    sp.add_argument("--budget", type=int, default=None,
-                    help="enumeration cap (default 2^24); refuses beyond it")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=samples, default=None)
+    if budget:
+        sp.add_argument("--budget", type=int, default=None,
+                        help="enumeration cap (default 2^24); refuses beyond it")
+    if samples is not None:
+        least, default = samples
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--samples", type=_at_least(least), default=default)
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="as_table", action="store_false", default=False)
     fmt.add_argument("--table", dest="as_table", action="store_true")
@@ -876,19 +845,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_decompose)
 
     sp = sub.add_parser("fourier", help="expectation, variance, influences, coefficients")
-    _add_common(sp, dist=True, fn="exactly one", needs_n=True)
+    _add_common(sp, dist=True, fn="exactly one", needs_n=True, budget=True)
     sp.add_argument("--step", type=int, default=1, help="marginal used for the basis")
     sp.add_argument("--top", type=_at_least(0), default=16, help="coefficient table size")
     sp.set_defaults(handler=_cmd_fourier)
 
     sp = sub.add_parser("hit", help="same-set / multi-set expectation")
-    _add_common(sp, dist=True, fn="one, or one per step", needs_n=True)
+    _add_common(sp, dist=True, fn="one, or one per step", needs_n=True, budget=True)
     sp.add_argument("--engine", choices=("auto", "enumerate", "dp"), default="auto",
                     help="auto takes the joint-count dp when every function allows it")
     sp.set_defaults(handler=_cmd_hit)
 
     sp = sub.add_parser("reduce", help="density increment or influence reduction loop")
-    _add_common(sp, dist=True, fn="one per step for --tau, exactly one for --eps", needs_n=True)
+    _add_common(sp, dist=True, fn="one per step for --tau, exactly one for --eps",
+                needs_n=True, budget=True)
     loop = sp.add_mutually_exclusive_group(required=True)
     loop.add_argument("--tau", type=float, default=None, help="influence threshold")
     loop.add_argument("--eps", type=float, default=None, help="density increment factor")
@@ -897,38 +867,58 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_reduce)
 
     sp = sub.add_parser("verify", help="named verification suite")
-    sp.add_argument("suite", choices=sorted(_VERIFY_SUITES))
-    sp.add_argument("--n", dest="n_list", type=_listed(int, "integers"), default=None,
-                    help="comma-separated sizes")
-    sp.add_argument("--three-n", type=int, default=60,
-                    help="three-sets catalog size (counterexamples suite)")
-    # a suite that checks no instance would report a vacuous pass
-    _add_common(sp, samples=_at_least(1))
-    sp.set_defaults(handler=_cmd_verify)
+    suites = sp.add_subparsers(dest="suite", required=True)
+    # --samples counts random instances: a suite that checks none would
+    # report a vacuous pass
+    vp = suites.add_parser("edge-variance", help="edge-variance inequality on indicators")
+    _add_common(vp, samples=(1, 50))
+    vp.set_defaults(handler=_suite_edge_variance)
+
+    vp = suites.add_parser("decomposition", help="convex decompositions recompose")
+    _add_common(vp, samples=(1, 20))
+    vp.set_defaults(handler=_suite_decomposition)
+
+    vp = suites.add_parser("counterexamples", help="skew-pair and three-sets catalogs")
+    _add_common(vp, budget=True)
+    vp.add_argument("--n", dest="n_list", type=_listed(int, "integers"), default=[6, 9, 12],
+                    help="comma-separated skew-pair sizes")
+    vp.add_argument("--three-n", type=_at_least(1), default=60,
+                    help="three-sets catalog size")
+    vp.set_defaults(handler=_suite_counterexamples)
+
+    vp = suites.add_parser("markov", help="Markov chain reduction identity")
+    _add_common(vp, budget=True, samples=(1, 20))
+    vp.set_defaults(handler=_suite_markov)
+
+    vp = suites.add_parser("exponent", help="hitting exponent slopes 2 and 1")
+    _add_common(vp, budget=True)
+    vp.add_argument("--n", type=_at_least(1), default=30, help="coordinate count")
+    vp.set_defaults(handler=_suite_exponent)
 
     sp = sub.add_parser("invariance", help="polynomial/Gaussian checks")
     inv = sp.add_subparsers(dest="subcheck", required=True)
 
     # gap and rhc always draw, so their --samples is a Monte Carlo sample count
-    mc_samples = _at_least(2)
+    mc_samples = (2, 200_000)
     ip = inv.add_parser("hyper", help="hypercontractive third-moment inequalities")
-    _add_common(ip, dist=True, fn="exactly one", needs_n=True)
+    _add_common(ip, dist=True, fn="exactly one", needs_n=True, budget=True)
     ip.add_argument("--step", type=int, default=1)
     ip.add_argument("--alpha", type=float, default=None,
                     help="least symbol probability (default: from the marginal)")
-    ip.set_defaults(handler=_cmd_invariance)
+    ip.set_defaults(handler=_cmd_inv_hyper)
 
     ip = inv.add_parser("gap", help="discrete vs Gaussian mollified-product gap")
-    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True, samples=mc_samples)
+    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True, budget=True,
+                samples=mc_samples)
     ip.add_argument("--lambda", dest="lam", type=float, required=True)
     ip.add_argument("--c-const", type=float, default=10.0)
-    ip.set_defaults(handler=_cmd_invariance)
+    ip.set_defaults(handler=_cmd_inv_gap)
 
     ip = inv.add_parser("smooth", help="noise-smoothing expectation gap")
-    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True)
+    _add_common(ip, dist=True, fn="one, or one per step", needs_n=True, budget=True)
     ip.add_argument("--gamma", type=float, required=True)
     ip.add_argument("--eps", type=float, required=True)
-    ip.set_defaults(handler=_cmd_invariance)
+    ip.set_defaults(handler=_cmd_inv_smooth)
 
     ip = inv.add_parser("rhc", help="Gaussian reverse hypercontractivity MC check")
     _add_common(ip, samples=mc_samples)
@@ -938,13 +928,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated")
     ip.add_argument("--signs", type=_listed(int, "integers"), default=None,
                     help="comma-separated +-1")
-    ip.set_defaults(handler=_cmd_invariance)
+    ip.set_defaults(handler=_cmd_inv_rhc)
 
     ip = inv.add_parser("mollifier", help="smoothed-clamp value / grid properties")
     _add_common(ip)
     ip.add_argument("--lambda", dest="lam", type=float, required=True)
     ip.add_argument("--x", type=float, default=None)
-    ip.set_defaults(handler=_cmd_invariance)
+    ip.set_defaults(handler=_cmd_inv_mollifier)
 
     return parser
 
@@ -953,16 +943,10 @@ def build_parser() -> argparse.ArgumentParser:
 # driver
 
 
-_MC_DEFAULT_SAMPLES = 200_000
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.samples is None and args.command in ("invariance",):
-        args.samples = _MC_DEFAULT_SAMPLES
+    args = build_parser().parse_args(argv)
     inputs: dict = {}
     started = time.perf_counter()
     try:
@@ -979,11 +963,12 @@ def main(argv=None) -> int:
     report = {
         "command": list(argv),
         "inputs": inputs,
-        "seed": args.seed,
         "ok": ok,
         "results": results,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
+    if "seed" in args:
+        report["seed"] = args.seed
     try:
         if args.as_table:
             for line in _flat_lines(results):

@@ -180,14 +180,6 @@ class StepDistribution:
         for idx in range(m**self.steps):
             yield mixed_radix_digits(idx, m, self.steps)
 
-    def as_array(self) -> np.ndarray:
-        """Dense float tensor with one axis per step, step 1 first."""
-        m = len(self.alphabet)
-        arr = np.zeros((m,) * self.steps)
-        for idx, w in enumerate(self.weights):
-            arr[mixed_radix_digits(idx, m, self.steps)] = float(w)
-        return arr
-
 
 @dataclass(frozen=True)
 class MarginalDistribution:
@@ -212,9 +204,6 @@ class MarginalDistribution:
 
     def support_indices(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.probs) if p > 0)
-
-    def prob(self, symbol_index: int) -> Number:
-        return self.probs[symbol_index]
 
 
 @dataclass(frozen=True)

@@ -1164,9 +1164,6 @@ class FourierExpansion:
     n: int
     coeffs: dict[tuple[int, ...], float] = field(compare=False)
 
-    def weight_at(self, sigma: tuple[int, ...]) -> float:
-        return self.coeffs.get(sigma, 0.0)
-
     def degree(self) -> int:
         deg = 0
         for sigma, c in self.coeffs.items():

@@ -842,9 +842,7 @@ class SkewReport:
     ratios_strictly_decreasing: bool
 
 
-def counterexample_unequal_marginals(
-    n_list, engine: str = "auto", budget: int | None = None,
-) -> SkewReport:
+def counterexample_unequal_marginals(n_list, budget: int | None = None) -> SkewReport:
     """Same-set expectations of the union set on the skew pair, per n.
 
     The union indicator splits exactly into the two disjoint anchored sets, so
@@ -863,7 +861,7 @@ def counterexample_unequal_marginals(
         value: Number = Fraction(0)
         for fa in (s1, s2):
             for fb in (s1, s2):
-                value += multi_set_expectation(p, n, (fa, fb), engine=engine, budget=budget)
+                value += multi_set_expectation(p, n, (fa, fb), budget=budget)
         s1_measure = expectation(s1, pi1, budget=budget)
         s2_measure = expectation(s2, pi2, budget=budget)
         m1 = s1_measure + expectation(s2, pi1, budget=budget)
@@ -1062,7 +1060,6 @@ class ExponentReport:
     rms_residual: float
     points: tuple[tuple[float, float], ...]  # (mu achieved, delta)
     n: int
-    family: str
 
 
 def _fit_slope(xs, ys) -> tuple[float, float, float]:
@@ -1079,8 +1076,7 @@ def _fit_slope(xs, ys) -> tuple[float, float, float]:
 
 
 def estimate_hitting_exponent(
-    p: StepDistribution, mu_grid, n: int = 30, family: str = "threshold",
-    budget: int | None = None,
+    p: StepDistribution, mu_grid, n: int = 30, budget: int | None = None,
 ) -> ExponentReport:
     """Fit log(same-set value) against log(measure) over a threshold family.
 
@@ -1104,8 +1100,6 @@ def estimate_hitting_exponent(
     """
     if p.steps != 2:
         raise ValueError("exponent estimation needs exactly 2 steps")
-    if family != "threshold":
-        raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     targets = list(mu_grid)
@@ -1150,4 +1144,4 @@ def estimate_hitting_exponent(
     xs = [math.log(mu) for mu, _ in points]
     ys = [math.log(d) for _, d in points]
     slope, intercept, rms = _fit_slope(xs, ys)
-    return ExponentReport(slope, intercept, rms, tuple(points), n, family)
+    return ExponentReport(slope, intercept, rms, tuple(points), n)

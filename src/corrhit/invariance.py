@@ -726,9 +726,6 @@ class ThresholdForm:
         """Boolean sign * x > offset; negating x and offset is exact."""
         return x > self.offset if self.sign == 1 else x < -self.offset
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.hits(x).astype(float)
-
 
 @dataclass(frozen=True)
 class RhcReport:

@@ -58,14 +58,15 @@ def run_json(capsys, argv):
 def test_report_envelope_fields(workdir, capsys):
     code, report = run_json(capsys, ["inspect", workdir / "basic.dist"])
     assert code == 0
-    assert set(report) == {
-        "command", "inputs", "seed", "ok", "results", "wall_time_s",
-    }
+    # `seed` belongs to the subcommands that take --seed
+    assert set(report) == {"command", "inputs", "ok", "results", "wall_time_s"}
     assert report["ok"] is True
-    assert report["seed"] == 0
     (path, digest), = report["inputs"].items()
     assert path.endswith("basic.dist")
     assert digest.startswith("sha256:") and len(digest) == len("sha256:") + 64
+    code, report = run_json(capsys, ["invariance", "rhc", "--samples", "100", "--seed", "5"])
+    assert code == 0
+    assert report["seed"] == 5 and report["inputs"] == {}
 
 
 def test_inspect_golden(workdir, capsys):
@@ -266,7 +267,7 @@ def test_fourier_refuses_a_negative_top(workdir, capsys, top):
 @pytest.mark.parametrize("argv, flag, what", [
     (["verify", "counterexamples", "--n", "x"], "--n", "integers"),
     (["verify", "counterexamples", "--n", "3,,6"], "--n", "integers"),
-    (["verify", "exponent", "--n", "12,1.5"], "--n", "integers"),
+    (["verify", "counterexamples", "--n", "12,1.5"], "--n", "integers"),
     (["invariance", "rhc", "--offsets", "0.1,y"], "--offsets", "numbers"),
     (["invariance", "rhc", "--offsets", "0.5,"], "--offsets", "numbers"),
     (["invariance", "rhc", "--signs", "1,x"], "--signs", "integers"),
@@ -296,13 +297,16 @@ def test_malformed_list_flags_are_usage_errors(capsys, argv, flag, what):
     (["verify", "edge-variance", "--samples", "0"], "--samples", 1),
     (["verify", "markov", "--samples", "-3"], "--samples", 1),
     (["verify", "decomposition", "--samples", "many"], "--samples", 1),
+    (["verify", "counterexamples", "--three-n", "0"], "--three-n", 1),
+    (["verify", "exponent", "--n", "0"], "--n", 1),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv, flag, low):
     """`--samples 0` once exited 1 with a division by zero, `--samples 1`
     reported a standard error that one draw cannot give, and `--ell 0` or
     `-1` failed later under another flag's name.  `verify --samples 0` once
     exited 0 with a vacuous pass over no instance and a worst margin of
-    Infinity, which is not JSON."""
+    Infinity, which is not JSON.  `verify counterexamples --three-n 0` once
+    ran the skew catalog before it refused."""
     code = run_usage_error(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -431,6 +435,8 @@ def test_invariance_hyper(workdir, capsys):
     assert res["noise_inequality"]["holds"] is True
     assert res["degree_inequality"]["holds"] is True
     assert res["method"] == "exact"
+    # the discrete ensemble is enumerated: no draws to seed or count
+    assert not {"seed", "samples", "stderr"} & set(res)
 
 
 def test_invariance_gap(workdir, capsys):
@@ -574,7 +580,7 @@ def test_function_document_of_the_wrong_shape_exits_two(workdir, capsys, doc, me
 
 @pytest.mark.parametrize("argv, what", [
     (["fourier"], "fourier"),
-    (["invariance", "hyper", "--samples", "100"], "invariance hyper"),
+    (["invariance", "hyper"], "invariance hyper"),
     (["reduce", "--n", "1", "--eps", "0.25"], "the density loop"),
 ], ids=["fourier", "invariance-hyper", "reduce-density"])
 def test_single_function_commands_refuse_a_second_fn(workdir, capsys, argv, what):
@@ -633,14 +639,63 @@ def test_unknown_subcommand_exits_two(workdir, capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["fourier", "--dist", "basic.dist", "--fn", "dictator.json", "--engine", "dp"],
-    ["inspect", "basic.dist", "--engine", "dp"],
+_DIST_FN = ["--dist", "basic.dist", "--fn", "dictator.json"]
+
+# a valid command line per subcommand or suite, and the options it does not take
+_COMMANDS = {
+    "inspect": ["inspect", "basic.dist"],
+    "decompose": ["decompose", "basic.dist"],
+    "fourier": ["fourier", *_DIST_FN],
+    "hit": ["hit", *_DIST_FN],
+    "reduce": ["reduce", *_DIST_FN, "--n", "2", "--eps", "0.25"],
+    "hyper": ["invariance", "hyper", *_DIST_FN, "--n", "2"],
+    "smooth": ["invariance", "smooth", *_DIST_FN, "--gamma", "0.01", "--eps", "0.25"],
+    "rhc": ["invariance", "rhc", "--samples", "1000"],
+    "mollifier": ["invariance", "mollifier", "--lambda", "0.1", "--x", "0.5"],
+    "edge-variance": ["verify", "edge-variance", "--samples", "1"],
+    "decomposition": ["verify", "decomposition", "--samples", "1"],
+    "markov": ["verify", "markov", "--samples", "1"],
+    "counterexamples": ["verify", "counterexamples", "--n", "6", "--three-n", "12"],
+    "exponent": ["verify", "exponent", "--n", "12"],
+}
+_UNREAD_OPTIONS = {
+    "inspect": ("--budget", "--seed", "--samples"),
+    "decompose": ("--budget", "--seed", "--samples"),
+    "mollifier": ("--budget", "--seed", "--samples"),
+    "fourier": ("--seed", "--samples"),
+    "hit": ("--seed", "--samples"),
+    "reduce": ("--seed", "--samples"),
+    "hyper": ("--seed", "--samples"),
+    "smooth": ("--seed", "--samples"),
+    "rhc": ("--budget",),
+    "edge-variance": ("--n", "--three-n", "--budget"),
+    "decomposition": ("--n", "--three-n", "--budget"),
+    "markov": ("--n", "--three-n"),
+    "counterexamples": ("--seed", "--samples"),
+    "exponent": ("--three-n", "--seed", "--samples"),
+}
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    *[pytest.param([*_COMMANDS[name], flag, "1"], f"unrecognized arguments: {flag} 1",
+                   id=f"{name}{flag}")
+      for name, flags in _UNREAD_OPTIONS.items() for flag in flags],
+    pytest.param([*_COMMANDS["fourier"], "--engine", "dp"],
+                 "unrecognized arguments: --engine dp", id="fourier--engine"),
+    pytest.param([*_COMMANDS["inspect"], "--engine", "dp"],
+                 "unrecognized arguments: --engine dp", id="inspect--engine"),
+    pytest.param(["verify", "exponent", "--n", "30,1"],
+                 "argument --n: expected an integer >= 1, got '30,1'", id="exponent--n-list"),
 ])
-def test_engine_is_an_option_of_hit_only(workdir, capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([str(workdir / a) if "." in a else a for a in argv])
-    assert exc.value.code == 2
+def test_options_a_handler_does_not_read_are_usage_errors(workdir, capsys, argv, refusal):
+    """Each subcommand and suite parses only the options its handler reads.
+    `inspect --seed 9` once exited 0 with `"seed": 9` in its report, and
+    `verify exponent --n 30,1` read only the 30."""
+    code = run_usage_error([workdir / a if a.endswith((".dist", ".json")) else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {refusal}\n")
 
 
 def test_readme_command_lines_run(monkeypatch, capsys):

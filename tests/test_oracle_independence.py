@@ -45,10 +45,10 @@ def test_oracles_import_nothing_from_corrhit():
 
 
 def test_library_has_no_assert_statements():
-    sources = sorted(LIBRARY.glob("*.py"))
+    sources = sorted(LIBRARY.rglob("*.py"))
     assert sources, "no library sources found"
     found = [
-        f"{path.name}:{node.lineno}"
+        f"{path.relative_to(LIBRARY)}:{node.lineno}"
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
