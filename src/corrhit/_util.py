@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import operator
@@ -161,6 +160,10 @@ def is_exact(x: Number) -> bool:
 
 
 def sha256_bytes(data: bytes) -> str:
+    """The hex SHA-256 digest of data; hashlib, and OpenSSL with it, loads
+    at the first call, so that importing the package does not load it."""
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 from ._util import Number, number_to_json, sha256_bytes
 from .dist_core import (
     DistributionFormatError,
+    MarginalDistribution,
     StepDistribution,
     alpha,
     beta,
@@ -100,7 +101,8 @@ class _LoadError(Exception):
 
 
 class _UsageError(ValueError):
-    """A command given more or fewer functions than it takes: exit code 2."""
+    """A command given more or fewer functions than it takes, or a step its
+    distribution lacks: exit code 2."""
 
 
 def _read_file(path: str, inputs: dict) -> str:
@@ -184,6 +186,14 @@ def _load_step_fns(args, inputs: dict, p: StepDistribution, what: str, shared: b
     return fns if len(fns) == p.steps else fns * p.steps
 
 
+def _step_marginal(p: StepDistribution, step: int) -> MarginalDistribution:
+    """The marginal of --step, which the parser holds to >= 1; a step past
+    the distribution's steps is a usage error, as a wrong --fn count is."""
+    if step > p.steps:
+        raise _UsageError(f"--step {step} exceeds the distribution's {p.steps} steps")
+    return marginal(p, step)
+
+
 def _flat_lines(tree, prefix=""):
     if isinstance(tree, dict):
         if set(tree) == {"value", "kind"}:
@@ -263,8 +273,8 @@ def _cmd_decompose(args, inputs):
 
 def _cmd_fourier(args, inputs):
     p = _load_dist(args.dist, inputs)
+    pi = _step_marginal(p, args.step)
     f = _load_one_fn(args, inputs, "fourier")
-    pi = marginal(p, args.step)
     basis = build_basis(pi)
     exp_val = expectation(f, pi, budget=args.budget)
     var_val = variance(f, pi, budget=args.budget)
@@ -611,8 +621,8 @@ def _polys_for(p, fns, budget):
 
 def _cmd_inv_hyper(args, inputs):
     p = _load_dist(args.dist, inputs)
+    pi = _step_marginal(p, args.step)
     f = _load_one_fn(args, inputs, "invariance hyper")
-    pi = marginal(p, args.step)
     basis = build_basis(pi)
     poly = poly_from_function(f, basis, budget=args.budget)
     a = args.alpha
@@ -816,7 +826,7 @@ def _add_common(sp, dist=False, fn="", needs_n=False, budget=False, samples=None
         sp.add_argument("--n", type=int, default=None,
                         help="coordinate count (re-targets structured functions)")
     if budget:
-        sp.add_argument("--budget", type=int, default=None,
+        sp.add_argument("--budget", type=_at_least(1), default=None,
                         help="enumeration cap (default 2^24); refuses beyond it")
     if samples is not None:
         least, default = samples
@@ -846,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fourier", help="expectation, variance, influences, coefficients")
     _add_common(sp, dist=True, fn="exactly one", needs_n=True, budget=True)
-    sp.add_argument("--step", type=int, default=1, help="marginal used for the basis")
+    sp.add_argument("--step", type=_at_least(1), default=1, help="marginal used for the basis")
     sp.add_argument("--top", type=_at_least(0), default=16, help="coefficient table size")
     sp.set_defaults(handler=_cmd_fourier)
 
@@ -902,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc_samples = (2, 200_000)
     ip = inv.add_parser("hyper", help="hypercontractive third-moment inequalities")
     _add_common(ip, dist=True, fn="exactly one", needs_n=True, budget=True)
-    ip.add_argument("--step", type=int, default=1)
+    ip.add_argument("--step", type=_at_least(1), default=1)
     ip.add_argument("--alpha", type=float, default=None,
                     help="least symbol probability (default: from the marginal)")
     ip.set_defaults(handler=_cmd_inv_hyper)

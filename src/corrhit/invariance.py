@@ -15,16 +15,21 @@ The Monte Carlo checks draw their normals point-major, in the shapes their
 docstrings give, and evaluate polynomials from coordinate-major columns: one
 transposed copy of the draws (`_columns`) puts the N values of each
 (coordinate, element) pair in one contiguous row.
+
+Importing this module loads nothing that only these routes read: numpy.random
+loads at the first Monte Carlo draw (`_philox` builds every stream), and
+numpy.polynomial, the mollifier's collar table and the orthant's 20-point
+rule at their first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .dist_core import MarginalDistribution, StepDistribution, marginal, rho
 from .fourier import (
@@ -136,6 +141,14 @@ def _columns(draws: np.ndarray) -> np.ndarray:
     for a in range(0, flat.shape[0], 4096):
         out[:, a : a + 4096] = flat[a : a + 4096].T
     return out
+
+
+def _philox(seed) -> np.random.Generator:
+    """The pinned Monte Carlo stream of a seed; numpy.random loads on the
+    first call."""
+    from numpy.random import Generator, Philox
+
+    return Generator(Philox(key=int(seed)))
 
 
 def _grid_column(vec, i: int, n: int) -> np.ndarray:
@@ -274,7 +287,7 @@ class GaussianCounterpart:
     def gaussian_cov(self) -> np.ndarray:
         return self.matrix @ self.matrix.T
 
-    def sample(self, rng: Generator, size: int, n: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int, n: int) -> np.ndarray:
         """(size, n, #rows) Gaussian ensemble values, coordinates independent.
 
         The draws are mapped by one (size * n, base_dim) matrix product, which
@@ -404,8 +417,7 @@ def hypercontractivity_check(
         _check_samples(samples)
         # (samples, n, p) normals, point-major; element s of coordinate i+1
         # is row i p + s - 1
-        rng = Generator(Philox(key=int(seed)))
-        cols = _columns(rng.standard_normal((samples, ens.n, ens.p)))
+        cols = _columns(_philox(seed).standard_normal((samples, ens.n, ens.p)))
 
         def column(i, s):
             return cols[i * ens.p + s - 1]
@@ -455,6 +467,13 @@ def _gauss_quadrature_thirds(poly, noisy):
 # mollifier
 
 
+@functools.cache
+def _leggauss(nodes: int):
+    """The `nodes`-point Gauss-Legendre rule (points, weights) on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+@functools.cache
 def _collar_table(cells: int = 4096, nodes: int = 6):
     """The mass c of the bump exp(-1/(x+1)^2 - 1/(x-1)^2) on (-1, 1), and the
     collar profile at the cell edges u_t = -1 + 2t/cells: returns
@@ -465,9 +484,9 @@ def _collar_table(cells: int = 4096, nodes: int = 6):
     symmetry of psi, that is u Psi(u) - M(u) with Psi the distribution
     function of psi and M(u) = integral_{-1}^{u} t psi(t) dt.  Its slope is
     exactly g' = Psi.  Both integrals are running sums of a `nodes`-point
-    Gauss-Legendre rule on each cell.
+    Gauss-Legendre rule on each cell.  Built on the first mollifier call.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _leggauss(nodes)
     edges = np.linspace(-1.0, 1.0, cells + 1)
     half = 1.0 / cells
     t = (edges[:-1] + half)[:, None] + half * x
@@ -480,23 +499,21 @@ def _collar_table(cells: int = 4096, nodes: int = 6):
     return c, edges, edges * cdf - moment, cdf
 
 
-_BUMP_C, _COLLAR_U, _COLLAR_G, _COLLAR_SLOPE = _collar_table()
-
-
 def _collar(u: np.ndarray) -> np.ndarray:
     """g on [-1, 1] by cubic Hermite interpolation of the tabulated values and
     exact slopes (error about 3e-15)."""
-    cells = len(_COLLAR_U) - 1
+    _, edges, g, slope = _collar_table()
+    cells = len(edges) - 1
     h = 2.0 / cells
     k = np.clip(((u + 1.0) / h).astype(np.intp), 0, cells - 1)
-    s = (u - _COLLAR_U[k]) / h
+    s = (u - edges[k]) / h
     s2 = s * s
     s3 = s2 * s
     return (
-        (2.0 * s3 - 3.0 * s2 + 1.0) * _COLLAR_G[k]
-        + (s3 - 2.0 * s2 + s) * h * _COLLAR_SLOPE[k]
-        + (3.0 * s2 - 2.0 * s3) * _COLLAR_G[k + 1]
-        + (s3 - s2) * h * _COLLAR_SLOPE[k + 1]
+        (2.0 * s3 - 3.0 * s2 + 1.0) * g[k]
+        + (s3 - 2.0 * s2 + s) * h * slope[k]
+        + (3.0 * s2 - 2.0 * s3) * g[k + 1]
+        + (s3 - s2) * h * slope[k + 1]
     )
 
 
@@ -600,10 +617,9 @@ def invariance_gap(
         prod *= _phi_values(lam, vals)
     discrete_value = float(np.sum(weights * prod))
 
-    rng = Generator(Philox(key=int(seed)))
     rows = len(counterpart.rows)
     # row i * rows + r: counterpart row r at coordinate i+1
-    cols = _columns(counterpart.sample(rng, samples, n))
+    cols = _columns(counterpart.sample(_philox(seed), samples, n))
     prod_g = np.ones(samples)
     for j, poly in enumerate(polys, 1):
         pv = _poly_values(
@@ -779,8 +795,7 @@ def gaussian_rhc_check(
 
     vals, vecs = np.linalg.eigh(cov)
     transform = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0)))
-    rng = Generator(Philox(key=int(seed)))
-    base = rng.standard_normal((samples, ell))
+    base = _philox(seed).standard_normal((samples, ell))
     g = base @ transform.T
     hits = [form.hits(g[:, j]) for j, form in enumerate(forms)]
     # counts of 0/1 values are exact, so these equal the means of indicators
@@ -817,9 +832,6 @@ def gaussian_rhc_check(
     return report
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
-
-
 def _bivariate_product_probability(cov: np.ndarray, forms) -> float:
     """P[sign_1 G_1 > t_1, sign_2 G_2 > t_2], that is Phi_2(h, k; r) with
     h = -t_1, k = -t_2 and r the correlation of sign_1 G_1 and sign_2 G_2.
@@ -842,8 +854,9 @@ def _bivariate_product_probability(cov: np.ndarray, forms) -> float:
         edges.append(2.0 * edges[-1])
     e = np.array(edges + [math.pi / 2])
     lo, half = e[:-1, None], (e[1:, None] - e[:-1, None]) / 2
-    delta = lo + half * (1.0 + _GL_X)
+    x, w = _leggauss(20)
+    delta = lo + half * (1.0 + x)
     dens = np.exp(
         -((h - k) ** 2 + 4.0 * h * k * np.sin(delta / 2) ** 2) / (2.0 * np.sin(delta) ** 2)
     )
-    return base + sign * float(np.sum(dens @ _GL_W * half[:, 0])) / (2.0 * math.pi)
+    return base + sign * float(np.sum(dens @ w * half[:, 0])) / (2.0 * math.pi)

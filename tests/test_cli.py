@@ -299,6 +299,11 @@ def test_malformed_list_flags_are_usage_errors(capsys, argv, flag, what):
     (["verify", "decomposition", "--samples", "many"], "--samples", 1),
     (["verify", "counterexamples", "--three-n", "0"], "--three-n", 1),
     (["verify", "exponent", "--n", "0"], "--n", 1),
+    (["hit", "--dist", "x.dist", "--fn", "f.json", "--budget", "-5"], "--budget", 1),
+    (["hit", "--dist", "x.dist", "--fn", "f.json", "--budget", "0"], "--budget", 1),
+    (["fourier", "--dist", "x.dist", "--fn", "f.json", "--step", "0"], "--step", 1),
+    (["invariance", "hyper", "--dist", "x.dist", "--fn", "f.json", "--step", "0"],
+     "--step", 1),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv, flag, low):
     """`--samples 0` once exited 1 with a division by zero, `--samples 1`
@@ -306,7 +311,8 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, flag, low):
     `-1` failed later under another flag's name.  `verify --samples 0` once
     exited 0 with a vacuous pass over no instance and a worst margin of
     Infinity, which is not JSON.  `verify counterexamples --three-n 0` once
-    ran the skew catalog before it refused."""
+    ran the skew catalog before it refused.  `--budget -5` and `--step 0`
+    once loaded the files and exited 1 with a refusal in the report."""
     code = run_usage_error(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -593,6 +599,20 @@ def test_single_function_commands_refuse_a_second_fn(workdir, capsys, argv, what
     assert captured.err == f"error: {what} takes exactly one function\n"
 
 
+@pytest.mark.parametrize("argv", [["fourier"], ["invariance", "hyper"]],
+                         ids=["fourier", "invariance-hyper"])
+def test_a_step_past_the_distribution_is_a_usage_error(workdir, capsys, argv):
+    """A --step past the distribution's steps once exited 1 with a refusal
+    in the report."""
+    code, captured = run_cli(capsys, [
+        *argv, "--dist", workdir / "basic.dist", "--fn", workdir / "dictator.json",
+        "--step", "3",
+    ])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --step 3 exceeds the distribution's 2 steps\n"
+
+
 @pytest.mark.parametrize("argv, count, what", [
     (["hit"], 3, "hit takes one function, or one per step"),
     (["invariance", "gap", "--lambda", "0.1", "--samples", "100"], 3,
@@ -739,12 +759,23 @@ def test_closed_pipe_ends_quietly(workdir):
     assert err == ""
 
 
+# modules that only the test oracles (scipy), the Monte Carlo draws
+# (numpy.random), the quadrature tables (numpy.polynomial) or the hashing of
+# CLI input files (hashlib and OpenSSL's _hashlib) read
+NOT_LOADED_AT_IMPORT = (
+    "scipy", "numpy.random", "numpy.polynomial", "hashlib", "_hashlib",
+)
+
+
 def test_import_leaves_scipy_out():
+    """`import corrhit, corrhit.cli` loads none of NOT_LOADED_AT_IMPORT, nor
+    any of their submodules."""
     # a None entry marks an import that was blocked, not a loaded module
     code = (
         "import sys, corrhit, corrhit.cli; "
-        "print(sorted(m for m, mod in sys.modules.items() "
-        "if mod is not None and m.split('.')[0] == 'scipy'))"
+        f"names = {NOT_LOADED_AT_IMPORT!r}; "
+        "print(sorted(m for m, mod in sys.modules.items() if mod is not None "
+        "and any(m == x or m.startswith(x + '.') for x in names)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -429,7 +429,7 @@ def test_mollifier_collar_matches_direct_quadrature():
 
 
 def test_bump_constant_matches_direct_quadrature():
-    assert abs(invariance._BUMP_C - oracles.bump_constant()) <= 1e-15
+    assert abs(invariance._collar_table()[0] - oracles.bump_constant()) <= 1e-15
 
 
 def test_mollifier_rejects_bad_lambda():
