@@ -25,8 +25,9 @@ import sys
 import time
 from fractions import Fraction
 
-from ._util import Number, number_to_json, sha256_bytes
+from ._util import Number, mixed_radix_digits, number_to_json, sha256_bytes
 from .dist_core import (
+    Alphabet,
     DistributionFormatError,
     MarginalDistribution,
     StepDistribution,
@@ -388,14 +389,10 @@ def _random_rational_dist(rng: random.Random, steps: int, m: int,
     """Seeded random exact distribution; per-step support size always >= 2."""
     while True:
         cells = {}
-        tuples = [
-            tuple((idx // m**j) % m for j in range(steps))
-            for idx in range(m**steps)
-        ]
-        for tup in tuples:
+        for idx in range(m**steps):
             w = rng.choice((0, 0, 1, 1, 2, 3))
             if w:
-                cells[tup] = Fraction(w)
+                cells[mixed_radix_digits(idx, m, steps)] = Fraction(w)
         if force_diagonal:
             for a in range(m):
                 cells[(a,) * steps] = Fraction(max(1, int(cells.get((a,) * steps, 0))))
@@ -408,20 +405,23 @@ def _random_rational_dist(rng: random.Random, steps: int, m: int,
         total = sum(cells.values())
         if not cells or total == 0:
             continue
-        entries = [
-            " ".join(str(a) for a in tup) + f" {w / total}"
-            for tup, w in sorted(cells.items())
-        ]
-        text = (
-            "alphabet " + " ".join(str(a) for a in range(m)) + "\n"
-            + f"steps {steps}\n"
-            + "".join(f"entry {e}\n" for e in entries)
-        )
-        p = parse_distribution(text)
-        if all(
-            len(marginal(p, j).support_indices()) >= 2 for j in range(1, steps + 1)
-        ):
+        p = _cells_dist(m, steps, {tup: w / total for tup, w in cells.items()})
+        if p is not None:
             return p
+
+
+def _cells_dist(m: int, steps: int, cells: dict) -> StepDistribution | None:
+    """The exact distribution over symbols 0..m-1 with weight cells[tup]
+    (Fractions summing to 1) on each listed step tuple and 0 elsewhere, or
+    None if some step's marginal has fewer than 2 support symbols."""
+    zero = Fraction(0)
+    weights = tuple(
+        cells.get(mixed_radix_digits(idx, m, steps), zero) for idx in range(m**steps)
+    )
+    p = StepDistribution(Alphabet(tuple(map(str, range(m)))), steps, weights, True)
+    if all(len(marginal(p, j).support_indices()) >= 2 for j in range(1, steps + 1)):
+        return p
+    return None
 
 
 def _suite_edge_variance(args, inputs):
@@ -515,7 +515,7 @@ def _random_markov_dist(rng: random.Random, m: int, steps: int) -> StepDistribut
         total = sum(row_sums)
         cells = {}
         for idx in range(m**steps):
-            tup = tuple((idx // m**j) % m for j in range(steps))
+            tup = mixed_radix_digits(idx, m, steps)
             w = Fraction(row_sums[tup[0]], total)
             ok = True
             for a, b in zip(tup, tup[1:]):
@@ -525,16 +525,8 @@ def _random_markov_dist(rng: random.Random, m: int, steps: int) -> StepDistribut
                 w *= Fraction(sym[a][b], row_sums[a])
             if ok and w > 0:
                 cells[tup] = w
-        text = (
-            "alphabet " + " ".join(str(a) for a in range(m)) + "\n"
-            + f"steps {steps}\n"
-            + "".join(
-                "entry " + " ".join(str(a) for a in tup) + f" {w}\n"
-                for tup, w in sorted(cells.items())
-            )
-        )
-        p = parse_distribution(text)
-        if all(len(marginal(p, j).support_indices()) >= 2 for j in range(1, steps + 1)):
+        p = _cells_dist(m, steps, cells)
+        if p is not None:
             return p
 
 

@@ -15,8 +15,12 @@ the 'enumerate' engine) are sums under the product measure.  Every table and
 marginal carries an integer view, built once at construction, so exact sums
 are dot products of plain ints against the product weights, with one
 division at the end; float sums contract the value list one coordinate at a
-time.  Table restrictions and max-substitutions copy slabs of the values and
-of the view by stride arithmetic.  The restriction search behind
+time.  Every table substitution (restrictions, max-substitutions, and the
+axes that `hitting.influence_reduction` drops and re-inserts) composes three
+primitives: `_fibre`, the max of two slabs (`_slab`) along one axis with that
+axis dropped; `_repeat_blocks`, one pass that fixes a coordinate in place or
+inserts a dummy axis; and `_map_table`, which applies one such copy to the
+values and to the view alike.  The restriction search behind
 `is_resilient` (and `hitting.density_increment`) contracts all axes but one
 coordinate set at a time, which yields the expectation under every symbol
 choice of that set at once.  The averaging operators (the noise operator
@@ -84,11 +88,12 @@ class FunctionSpec:
     A table also carries its integer view (`ScaledView`): whether every value
     is a Fraction, the lcm of their denominators, and the values scaled by it
     to ints (floats with scale 1 when not exact).  Construction builds it
-    from the values; `restrict`, `max_operator` and the influence loop of
-    `hitting` (which drops and re-inserts dummy axes) instead pass the view
-    they gather from their input's view by the same slab copies as the
-    values, which construction reduces to the lcm of the entries kept.  The kernels
-    read the view and never rescale the values.  Other kinds have no view.
+    from the values; a table substitution (`restrict`, `max_operator`, and
+    the influence loop of `hitting`, which drops and re-inserts dummy axes)
+    is built by `_map_table` instead, which applies one copy to the values
+    and to the view's ints, and construction reduces that view to the lcm of
+    the entries kept.  The kernels read the view and never rescale the
+    values.  Other kinds have no view.
     """
 
     n: int
@@ -267,16 +272,40 @@ def _slab(t, m: int, s: int, a: int) -> list:
     ))
 
 
-def _fix_coordinate(t, m: int, coord: int, sym: int) -> tuple:
-    """t with coordinate `coord` fixed to `sym`.
+def _repeat_blocks(t, m: int, s: int, first: int, step: int) -> tuple:
+    """The blocks t[b:b + s] for b = first, first + step, ..., each written
+    m times in a row, in one pass.
 
-    Entry idx becomes t[idx - (idx // s % m - sym) * s] with s = m^(coord-1):
-    slab sym of every block of s*m entries fills all m slabs.
+    With first = a*s and step s*m this fixes the coordinate of stride s to a
+    in place: slab a of every block of s*m entries fills all m slabs.  With
+    first 0 and step s it inserts a dummy axis of stride s: entry idx of the
+    result reads t at idx with its digit at stride s removed.
     """
-    s = m ** (coord - 1)
+    if s == 1:
+        # single-entry blocks: one extended slice, each entry m times
+        return tuple(itertools.chain.from_iterable(zip(*[t[first::step]] * m)))
     return tuple(itertools.chain.from_iterable(
-        t[b:b + s] * m for b in range(sym * s, len(t), s * m)
+        t[b:b + s] * m for b in range(first, len(t), step)
     ))
+
+
+def _fibre(t, m: int, s: int, y: int, z: int) -> tuple:
+    """max(t[x = y], t[x = z]) for the axis x of stride s, without that axis:
+    slab y when y == z."""
+    if y == z:
+        return tuple(_slab(t, m, s, y))
+    return tuple(map(max, _slab(t, m, s, y), _slab(t, m, s, z)))
+
+
+def _map_table(f: FunctionSpec, n: int, copy) -> FunctionSpec:
+    """The table over n coordinates whose values and view ints are the
+    tuples `copy` makes of f's.  The view's numbers order like the values,
+    so slices, repeats and max pick the same entries from both;
+    construction reduces the view to the lcm of the entries kept."""
+    return FunctionSpec(
+        n, f.alphabet, "table",
+        {"values": copy(f.payload["values"])}, f.view._replace(ints=copy(f.view.ints)),
+    )
 
 
 def restrict(f: FunctionSpec, r: Restriction) -> FunctionSpec:
@@ -294,13 +323,15 @@ def restrict(f: FunctionSpec, r: Restriction) -> FunctionSpec:
     if r.size == 0:
         return f
     if f.kind == "table":
-        values, ints = f.payload["values"], f.view.ints
-        for coord, sym in r.fixed_items():
-            values = _fix_coordinate(values, m, coord, sym)
-            ints = _fix_coordinate(ints, m, coord, sym)
-        return FunctionSpec(
-            f.n, f.alphabet, "table", {"values": values}, f.view._replace(ints=ints)
-        )
+        fixed = r.fixed_items()
+
+        def fix(t):
+            for coord, a in fixed:
+                s = m ** (coord - 1)
+                t = _repeat_blocks(t, m, s, a * s, s * m)
+            return t
+
+        return _map_table(f, f.n, fix)
     if f.kind == "junta":
         if f.zero:
             return f
@@ -1350,18 +1381,8 @@ def max_operator(f: FunctionSpec, i: int, y, z, budget: int | None = None) -> Fu
     _check_budget(m, f.n, budget)
     yi, zi = _symbol_index(f.alphabet, y), _symbol_index(f.alphabet, z)
     s = m ** (i - 1)
-
-    def substitute(t) -> tuple:
-        # per block of s*m entries: the larger of slabs y and z, in all m slabs
-        return tuple(itertools.chain.from_iterable(
-            list(map(max, t[b + yi * s:b + yi * s + s], t[b + zi * s:b + zi * s + s])) * m
-            for b in range(0, len(t), s * m)
-        ))
-
-    values = substitute(f.payload["values"])
-    # the view's numbers order like the values, so max picks the same entries
-    view = f.view._replace(ints=substitute(f.view.ints))
-    return FunctionSpec(f.n, f.alphabet, "table", {"values": values}, view)
+    # drop axis i as the fibre max of its slabs y and z, then put it back dummy
+    return _map_table(f, f.n, lambda t: _repeat_blocks(_fibre(t, m, s, yi, zi), m, s, 0, s))
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,14 @@ from .fourier import (
     _BLOCK,
     _contract,
     _expectation_contract,
+    _fibre,
     _find_restriction,
     _influence_contract,
     _joint_count,
     _kernel_inputs,
+    _map_table,
     _marginal_support,
+    _repeat_blocks,
     _resilience_witness,
     _slab,
     _window_counts,
@@ -410,7 +413,8 @@ def influence_reduction(
     coordinate is dummy in every step from then on, so the loop's tables
     carry the live coordinates only: each iteration builds the new step
     tables without axis i (keeping one dummy axis once none is live), and
-    the returned tables get the dummy axes back once, at the end.
+    the returned tables get the dummy axes back once, at the end
+    (`fourier._repeat_blocks`).
     Influences, expectations and product expectations over the live axes
     equal those over all n, since a dummy axis only multiplies them by its
     total weight, 1 (exactly, for exact inputs); the log keeps the original
@@ -423,7 +427,8 @@ def influence_reduction(
     unordered pair {y, z} when the scan first reaches it and kept for that
     iteration only (`_MaxFibres`).  Candidates meet the gain threshold in
     ints over the lcm of the steps' denominators, and only the chosen tuple
-    builds its max-operator and restricted tables (`_fix_axis`).  Each
+    builds its max-operator and restricted tables, each the fibre max along
+    axis i (`fourier._fibre`, through `fourier._map_table`).  Each
     iteration's expectations and product expectation carry over as the next
     one's `before` and `product_before`, so the loop runs one product
     expectation per iteration and one per call.  Exact inputs give the same Fractions as
@@ -537,11 +542,17 @@ def influence_reduction(
         x_bar, y, z = hit
         picks = dict(zip(other_steps, x_bar))
         picks[j_star] = (y, z)
-        # M[i,y,z] f for j*, and f restricted to x_i = a (the max of a and a)
-        # for every other step, with axis i dropped
+        # M[i,y,z] f for j*, and f restricted to x_i = a (the fibre max of a
+        # and a) for every other step: axis i dropped, or kept as a dummy
+        # when it was the last live one
+        def fix_axis(y, z):
+            if live:
+                return lambda t: _fibre(t, m, stride, y, z)
+            return lambda t: _repeat_blocks(_fibre(t, m, stride, y, z), m, stride, 0, stride)
+
         trial = [
-            _fix_axis(g, stride, y, z, not live) if j == j_star
-            else _fix_axis(g, stride, picks[j], picks[j], not live)
+            _map_table(g, len(live) or 1, fix_axis(*picks[j]) if j == j_star
+                       else fix_axis(picks[j], picks[j]))
             for j, g in enumerate(cur, 1)
         ]
         after = tuple(
@@ -569,7 +580,16 @@ def influence_reduction(
             )
     if steps:
         kept = live or [steps[-1].i]
-        cur = [_with_dummy_axes(g, kept, n) for g in cur]
+
+        def spread(t):
+            # each block of the c - 1 axes below repeats along the new axis c
+            for c in range(1, n + 1):
+                if c not in kept:
+                    s = m ** (c - 1)
+                    t = _repeat_blocks(t, m, s, 0, s)
+            return t
+
+        cur = [_map_table(g, n, spread) for g in cur]
 
     log = ReductionLog(
         "influence_reduction",
@@ -606,46 +626,6 @@ class _MaxFibres(dict):
         fibre = cols[y] if y == z else list(map(max, cols[y], cols[z]))
         self[y, z] = self[z, y] = _contract(fibre, self.weights, self.n - 1)[0] * self.mass
         return self[y, z]
-
-
-def _fix_axis(f: FunctionSpec, stride: int, y: int, z: int, last: bool) -> FunctionSpec:
-    """The table max(f[x = y], f[x = z]) for the axis x of the given stride:
-    M[i,y,z] f, or for y = z the restriction x = y, without that axis, or
-    with it as a dummy when it is f's `last` one.  The values and the view's
-    ints take the same slabs."""
-    m = len(f.alphabet)
-
-    def fibre(t) -> tuple:
-        t = _slab(t, m, stride, y) if y == z else list(
-            map(max, _slab(t, m, stride, y), _slab(t, m, stride, z))
-        )
-        return tuple(t * m if last else t)
-
-    return FunctionSpec(
-        f.n if last else f.n - 1, f.alphabet, "table",
-        {"values": fibre(f.payload["values"])}, f.view._replace(ints=fibre(f.view.ints)),
-    )
-
-
-def _with_dummy_axes(f: FunctionSpec, kept, n: int) -> FunctionSpec:
-    """The table f, whose axes are the coordinates `kept` in ascending order,
-    as a table over coordinates 1..n that ignores every other one."""
-    m = len(f.alphabet)
-
-    def spread(t) -> tuple:
-        for c in range(1, n + 1):
-            if c not in kept:
-                # each block of the c - 1 axes below repeats along the new axis c
-                s = m ** (c - 1)
-                t = tuple(itertools.chain.from_iterable(
-                    t[b:b + s] * m for b in range(0, len(t), s)
-                ))
-        return t
-
-    return FunctionSpec(
-        n, f.alphabet, "table",
-        {"values": spread(f.payload["values"])}, f.view._replace(ints=spread(f.view.ints)),
-    )
 
 
 def _assemble_tuple(x_bar, other_steps, j_star, sym) -> tuple[int, ...]:
@@ -685,15 +665,16 @@ def max_gain_check(
     other n - 1 axes and divided once.  Exact inputs give the same Fraction
     as averaging the max-operator images one pair at a time.  S and rho are
     built once per distribution and read from it on later calls (see
-    `StepDistribution`).
+    `StepDistribution`).  A wrong n, i or j_star raises ValueError before
+    any table is built.
     """
     if n != f.n:
         raise ValueError("n disagrees with the function's coordinate count")
-    f = to_table(f, budget=budget)
-    pi = marginal(p, j_star)
-    mu = expectation(f, pi, budget=budget)
     if not 1 <= i <= n:
         raise ValueError("coordinate out of range")
+    pi = marginal(p, j_star)
+    f = to_table(f, budget=budget)
+    mu = expectation(f, pi, budget=budget)
     support, s, lcm, mass = _double_sample_matrix(p, j_star)
     exact, v_scale, values, w_scale, weights = _kernel_inputs(f, pi, budget)
     m = len(weights)

@@ -18,8 +18,9 @@ transposed copy of the draws (`_columns`) puts the N values of each
 
 Importing this module loads nothing that only these routes read: numpy.random
 loads at the first Monte Carlo draw (`_philox` builds every stream), and
-numpy.polynomial, the mollifier's collar table and the orthant's 20-point
-rule at their first use.
+numpy.polynomial, the mollifier's collar table and the Gauss rules
+(`_gauss_rule`: 6- and 20-point Legendre, 96-point Hermite) at their first
+use.
 """
 
 from __future__ import annotations
@@ -445,8 +446,7 @@ def _gauss_quadrature_thirds(poly, noisy):
     for i in range(poly.n):
         for k in range(1, poly.p + 1):
             dims.append((i, k))
-    nodes, weights = np.polynomial.hermite_e.hermegauss(96)
-    weights = weights / math.sqrt(2.0 * math.pi)
+    nodes, weights = _gauss_rule("hermite", 96)
     if len(dims) == 1:
         pts = nodes[:, None]
         w = weights
@@ -468,9 +468,14 @@ def _gauss_quadrature_thirds(poly, noisy):
 
 
 @functools.cache
-def _leggauss(nodes: int):
-    """The `nodes`-point Gauss-Legendre rule (points, weights) on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(nodes)
+def _gauss_rule(family: str, nodes: int):
+    """The `nodes`-point Gauss rule (points, weights), built on first use:
+    'legendre' on [-1, 1], or 'hermite' against the standard normal density
+    (the probabilists' Hermite weights over sqrt(2 pi))."""
+    if family == "legendre":
+        return np.polynomial.legendre.leggauss(nodes)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(nodes)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
 @functools.cache
@@ -486,7 +491,7 @@ def _collar_table(cells: int = 4096, nodes: int = 6):
     exactly g' = Psi.  Both integrals are running sums of a `nodes`-point
     Gauss-Legendre rule on each cell.  Built on the first mollifier call.
     """
-    x, w = _leggauss(nodes)
+    x, w = _gauss_rule("legendre", nodes)
     edges = np.linspace(-1.0, 1.0, cells + 1)
     half = 1.0 / cells
     t = (edges[:-1] + half)[:, None] + half * x
@@ -563,11 +568,26 @@ class InvarianceGapReport:
     seed: int
 
 
-def _support_grid(p: StepDistribution, n: int, budget: int | None):
-    """(support, weights) of the grid of support-tuple assignments to n
-    coordinates; over `budget` points raise BudgetExceeded."""
+def _step_grid(polys, p: StepDistribution, budget: int | None):
+    """(n, bases, support, weights) for one polynomial per step of p: the
+    shared coordinate count, the step bases, and the grid of support-tuple
+    assignments to the n coordinates with its weights.  Refuses a wrong
+    polynomial count, unequal n and an index range other than the step
+    basis's with ValueError, and a grid over `budget` points with
+    BudgetExceeded."""
+    ell = p.steps
+    if len(polys) != ell:
+        raise ValueError("need one polynomial per step")
+    n = polys[0].n
+    if any(q.n != n for q in polys):
+        raise ValueError("polynomials must share n")
+    bases = tuple(build_basis(marginal(p, j)) for j in range(1, ell + 1))
+    for q, b in zip(polys, bases):
+        if q.p != b.size - 1:
+            raise ValueError("polynomial index range disagrees with the step basis")
     support = p.support()
-    return support, _grid_weights(np.array([float(w) for _, w in support]), n, budget)
+    weights = _grid_weights(np.array([float(w) for _, w in support]), n, budget)
+    return n, bases, support, weights
 
 
 def _step_values(polys, bases, support) -> list[np.ndarray]:
@@ -599,18 +619,9 @@ def invariance_gap(
     _check_samples(samples)
     polys = tuple(polys)
     ell = dist.steps
-    if len(polys) != ell:
-        raise ValueError("need one polynomial per step")
-    n = polys[0].n
-    if any(q.n != n for q in polys):
-        raise ValueError("polynomials must share n")
-    bases = tuple(build_basis(marginal(dist, j)) for j in range(1, ell + 1))
-    for q, b in zip(polys, bases):
-        if q.p != b.size - 1:
-            raise ValueError("polynomial index range disagrees with the step basis")
+    n, bases, support, weights = _step_grid(polys, dist, budget)
     counterpart = gaussian_counterpart(dist, bases)
 
-    support, weights = _support_grid(dist, n, budget)
     step_vals = _step_values(polys, bases, support)
     prod = np.ones(weights.shape[0])
     for vals in step_vals:
@@ -677,21 +688,11 @@ def smoothing_gap(
     """
     polys = tuple(polys)
     ell = dist.steps
-    if len(polys) != ell:
-        raise ValueError("need one polynomial per step")
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must lie in [0, 1]")
     if not 0 < eps < ell:
         raise ValueError("eps must lie in (0, steps)")
-    n = polys[0].n
-    if any(q.n != n for q in polys):
-        raise ValueError("polynomials must share n")
-    bases = tuple(build_basis(marginal(dist, j)) for j in range(1, ell + 1))
-    for q, b in zip(polys, bases):
-        if q.p != b.size - 1:
-            raise ValueError("polynomial index range disagrees with the step basis")
-
-    support, weights = _support_grid(dist, n, budget)
+    _, bases, support, weights = _step_grid(polys, dist, budget)
     raw_vals = _step_values(polys, bases, support)
     # a step's symbols on the support grid meet in every combination, so
     # these values cover its whole marginal grid
@@ -854,7 +855,7 @@ def _bivariate_product_probability(cov: np.ndarray, forms) -> float:
         edges.append(2.0 * edges[-1])
     e = np.array(edges + [math.pi / 2])
     lo, half = e[:-1, None], (e[1:, None] - e[:-1, None]) / 2
-    x, w = _leggauss(20)
+    x, w = _gauss_rule("legendre", 20)
     delta = lo + half * (1.0 + x)
     dens = np.exp(
         -((h - k) ** 2 + 4.0 * h * k * np.sin(delta / 2) ** 2) / (2.0 * np.sin(delta) ** 2)

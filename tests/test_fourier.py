@@ -19,6 +19,9 @@ from corrhit.dist_core import Alphabet, MarginalDistribution, marginal, parse_di
 from corrhit.fourier import (
     BudgetExceeded,
     Restriction,
+    _fibre,
+    _map_table,
+    _repeat_blocks,
     analyze,
     build_basis,
     evaluate,
@@ -270,6 +273,42 @@ def test_derived_tables_carry_the_view_of_their_values():
     ):
         assert f.view is None
         assert_view_matches_values(to_table(f))
+
+
+def test_dropping_and_reinserting_an_axis_gives_restrict_and_max_operator():
+    """The one fibre kernel against the oracles, for every coordinate i and
+    every symbol pair (y, z), y = z included.  The table without axis i
+    (`_fibre` through `_map_table`, as the influence loop builds it) carries
+    the view of its values; putting axis i back as a dummy
+    (`_repeat_blocks`) gives max_operator, and for y = z restrict to
+    x_i = y."""
+    rng = random.Random(5163)
+    for m, n, pi, values in kernel_instances(5164):
+        if m**n > 256:
+            continue
+        for vals in (values, [float(v) for v in values], [rng.randint(0, 1) for _ in values]):
+            f = make_table_function(n, pi.alphabet, vals)
+            for i in range(1, n + 1):
+                s = m ** (i - 1)
+                for y, z in itertools.product(range(m), repeat=2):
+                    want = oracles.table_max_operator(vals, m, n, i, y, z)
+                    if y == z:
+                        assert want == oracles.table_restrict(vals, m, n, {i: y})
+                        got = restrict(f, Restriction.from_dict(n, {i: y}))
+                        assert list(got.payload["values"]) == want
+                    assert list(max_operator(f, i, y, z).payload["values"]) == want
+                    if n == 1:
+                        # the loop's last live axis: dropped and kept as a dummy
+                        back = _map_table(
+                            f, 1, lambda t: _repeat_blocks(_fibre(t, m, s, y, z), m, s, 0, s)
+                        )
+                    else:
+                        dropped = _map_table(f, n - 1, lambda t: _fibre(t, m, s, y, z))
+                        assert len(dropped.payload["values"]) == m ** (n - 1)
+                        assert_view_matches_values(dropped)
+                        back = _map_table(dropped, n, lambda t: _repeat_blocks(t, m, s, 0, s))
+                    assert list(back.payload["values"]) == want
+                    assert_view_matches_values(back)
 
 
 def test_restriction_lcm_shrinks_to_the_kept_entries():

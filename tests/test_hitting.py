@@ -1010,6 +1010,19 @@ def test_max_gain_rejects_a_wrong_coordinate_count():
         max_gain_check(p, 1, 1, 3, f)
 
 
+def test_max_gain_refuses_a_bad_coordinate_or_step_before_building_the_table():
+    """3^30 points exceed the default budget, so a check that materialized f
+    first would raise BudgetExceeded for these malformed arguments."""
+    p = helpers.basic_dist()
+    f = make_anchored_symmetric(30, TRIT, {"0": (0, 30)})
+    for j_star, i, match in ((1, 0, "coordinate out of range"),
+                             (1, 31, "coordinate out of range"),
+                             (0, 1, "step 0 out of range"),
+                             (3, 1, "step 3 out of range")):
+        with pytest.raises(ValueError, match=match):
+            max_gain_check(p, j_star, i, 30, f)
+
+
 def test_max_gain_matches_brute_oracle_and_holds():
     cells, _, ell = oracles.three_cycle_dist()
     p = helpers.basic_dist()

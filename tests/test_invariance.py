@@ -498,14 +498,33 @@ def test_invariance_gap_mc_follows_the_raw_philox_stream():
         assert rep.gaussian_stderr == float(np.std(prods, ddof=1) / math.sqrt(samples))
 
 
-def test_invariance_gap_validates_shapes():
+_ONE = MultilinearPolynomial.from_coeffs(1, 2, {(0,): 0.5})
+_MALFORMED_POLYS = {
+    "count": ((_ONE,), "need one polynomial per step"),
+    "shared_n": (
+        (_ONE, MultilinearPolynomial.from_coeffs(2, 2, {(0, 0): 0.5})),
+        "polynomials must share n",
+    ),
+    "basis_size": (
+        (_ONE, MultilinearPolynomial.from_coeffs(1, 1, {(0,): 0.5})),
+        "polynomial index range disagrees with the step basis",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(_MALFORMED_POLYS))
+@pytest.mark.parametrize("check", ["invariance_gap", "smoothing_gap"])
+def test_gap_checks_refuse_malformed_polynomials(check, refusal):
+    """Both gaps refuse, with the same ValueError, a polynomial count other
+    than the steps, polynomials over different n, and an index range other
+    than the step basis's (basic_dist: two steps, bases of size 3)."""
     p = helpers.basic_dist()
-    q = MultilinearPolynomial.from_coeffs(1, 2, {(0,): 0.5})
-    with pytest.raises(ValueError):
-        invariance_gap((q,), p, lam=0.2)
-    bad = MultilinearPolynomial.from_coeffs(1, 1, {(1,): 0.5})
-    with pytest.raises(ValueError):
-        invariance_gap((bad, bad), p, lam=0.2)
+    polys, match = _MALFORMED_POLYS[refusal]
+    with pytest.raises(ValueError, match=match):
+        if check == "invariance_gap":
+            invariance_gap(polys, p, lam=0.2, samples=100)
+        else:
+            smoothing_gap(polys, p, gamma=0.0, eps=0.25)
 
 
 def test_invariance_gap_budget_refusal():
