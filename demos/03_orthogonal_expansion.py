@@ -3,8 +3,10 @@ Orthogonal expansion, influences, and the noise operator
 ========================================================
 
 Functions on product spaces expand over a product orthonormal basis.
-The expansion gives Parseval, coordinate influences by two routes, a
-noise operator, and projections onto coordinate subsets.
+The expansion is a multilinear polynomial in the basis functions, the
+same object the invariance checks evaluate. It gives Parseval,
+coordinate influences by two routes, a noise operator, and projections
+onto coordinate subsets.
 """
 
 import itertools
@@ -36,15 +38,17 @@ print("E[f]   =", expectation(f, pi))
 print("Var[f] =", variance(f, pi))
 print("influence of coordinate 1:", influence(f, pi, i=1))
 
-# expand over the orthonormal basis of the uniform trit marginal
+# expand over the orthonormal basis of the uniform trit marginal: the
+# coefficients of a multilinear polynomial, whose squared sums give E[f^2]
+# and, over the terms that involve coordinate 1, its influence
 basis = build_basis(pi)
 exp = analyze(f, basis)
 print("coefficients:")
 for sigma, c in sorted(exp.coeffs.items()):
     if abs(c) > 1e-12:
         print("  ", sigma, round(c, 6))
-print("Parseval total (= E[f^2]):", round(exp.parseval_total(), 12))
-print("influence from coefficients:", round(exp.influence_from_coeffs(1), 12))
+print("Parseval total (= E[f^2]):", round(exp.second_moment(), 12))
+print("influence from coefficients:", round(exp.influence(1), 12))
 
 # the noise operator averages the function under re-randomization;
 # at rho = 1/2 the dictator smooths to (1/4, 3/4, 1/4)-style values

@@ -276,11 +276,11 @@ def _cmd_fourier(args, inputs):
     p = _load_dist(args.dist, inputs)
     pi = _step_marginal(p, args.step)
     f = _load_one_fn(args, inputs, "fourier")
-    basis = build_basis(pi)
+    # the expansion's budget check refuses support^n before any walk below
+    expansion = analyze(f, build_basis(pi), budget=args.budget)
     exp_val = expectation(f, pi, budget=args.budget)
     var_val = variance(f, pi, budget=args.budget)
     infs = [influence(f, pi, i=i, budget=args.budget) for i in range(1, f.n + 1)]
-    expansion = analyze(f, basis, budget=args.budget)
     top = sorted(
         expansion.coeffs.items(), key=lambda kv: (-abs(kv[1]), kv[0])
     )[: args.top]

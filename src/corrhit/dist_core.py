@@ -375,17 +375,11 @@ def marginal(p: StepDistribution, j: int) -> MarginalDistribution:
     return p._marginals[j - 1]
 
 
-def equal_marginals(p: StepDistribution, tol: float = 0.0) -> bool:
-    """Whether all step marginals coincide (exactly, or within tol for floats)."""
-    if p.exact and tol == 0.0:
-        first = p._scaled_marginals[0]
-        return all(cur == first for cur in p._scaled_marginals[1:])
-    first = p._marginals[0].probs
-    return all(
-        abs(float(a) - float(b)) <= tol
-        for cur in p._marginals[1:]
-        for a, b in zip(cur.probs, first)
-    )
+def equal_marginals(p: StepDistribution) -> bool:
+    """Whether all step marginals coincide: as Fractions, or as the same
+    floats in float mode."""
+    first = p._scaled_marginals[0]
+    return all(cur == first for cur in p._scaled_marginals[1:])
 
 
 def alpha(p: StepDistribution) -> Number:

@@ -27,7 +27,10 @@ choice of that set at once.  The averaging operators (the noise operator
 T_rho and the projections f^S) run the per-axis kernel with one integer
 averaging matrix per averaged axis (`_average_axes`) and return tables that
 carry their view.  On the float side, `analyze` and `synthesize` apply the
-basis matrix and its transpose along every axis (`_along_axes`).  Window,
+basis matrix and its transpose along every axis (`_along_axes`).  An
+expansion is a `MultilinearPolynomial` in the basis ensemble, the one type
+that `invariance` also evaluates, over grids and Gaussian draws alike,
+through `_poly_values`.  Window,
 junta and residue functions reach these routes through one per-axis builder,
 `_indicator`, read over the whole alphabet by `to_table` and over the
 basis support by `analyze`.
@@ -450,7 +453,9 @@ _BLOCK = 4096
 
 def _check_budget(m: int, n: int, budget: int | None):
     cap = TABLE_BUDGET if budget is None else budget
-    if m**n > cap:
+    # for m >= 2, m^n exceeds the cap once n passes its bit length: a huge n
+    # is refused before m^n is computed
+    if (m > 1 and n > cap.bit_length()) or m**n > cap:
         raise BudgetExceeded(f"{m}^{n} points exceed the exact-enumeration budget {cap}")
 
 
@@ -1188,27 +1193,92 @@ def build_basis(pi: MarginalDistribution) -> OrthonormalBasis:
 
 
 @dataclass(frozen=True)
-class FourierExpansion:
-    """Sparse coefficient map over multi-indices sigma in {0..m-1}^n."""
+class MultilinearPolynomial:
+    """Sparse sum of monomials prod_i X_{i, sigma_i} with real coefficients.
 
-    basis: OrthonormalBasis
+    The one type of an orthogonal expansion: `analyze` returns the
+    coefficients of a function over a product basis as one, and the checks
+    of `invariance` evaluate one over discrete or Gaussian ensembles.
+    terms holds (sigma, coefficient) pairs, sigma in {0..p}^n, sorted and
+    deduplicated; index 0 marks the constant factor.
+    """
+
     n: int
-    coeffs: dict[tuple[int, ...], float] = field(compare=False)
+    p: int
+    terms: tuple[tuple[tuple[int, ...], float], ...]
+
+    def __post_init__(self):
+        if self.n < 1 or self.p < 0:
+            raise ValueError("need n >= 1 and p >= 0")
+        seen = set()
+        for sigma, c in self.terms:
+            if len(sigma) != self.n:
+                raise ValueError("index tuple length must equal n")
+            if any(not 0 <= s <= self.p for s in sigma):
+                raise ValueError("index entries must lie in 0..p")
+            if sigma in seen:
+                raise ValueError("duplicate index tuple")
+            seen.add(sigma)
+            if not math.isfinite(c):
+                raise ValueError("coefficients must be finite")
+
+    @classmethod
+    def from_coeffs(cls, n: int, p: int, coeffs: dict) -> "MultilinearPolynomial":
+        terms = tuple(
+            (tuple(sigma), float(c)) for sigma, c in sorted(coeffs.items()) if c != 0
+        )
+        return cls(n, p, terms)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], float]:
+        return dict(self.terms)
+
+    def coefficient(self, sigma) -> float:
+        sigma = tuple(sigma)
+        for s, c in self.terms:
+            if s == sigma:
+                return c
+        return 0.0
 
     def degree(self) -> int:
-        deg = 0
-        for sigma, c in self.coeffs.items():
-            if c != 0.0:
-                deg = max(deg, sum(1 for s in sigma if s != 0))
-        return deg
+        return max((sum(1 for s in sigma if s) for sigma, _ in self.terms), default=0)
 
-    def parseval_total(self) -> float:
-        return sum(c * c for c in self.coeffs.values())
+    def expectation(self) -> float:
+        return self.coefficient((0,) * self.n)
 
-    def influence_from_coeffs(self, i: int) -> float:
-        return sum(
-            c * c for sigma, c in self.coeffs.items() if sigma[i - 1] != 0
-        )
+    def second_moment(self) -> float:
+        return math.fsum(c * c for _, c in self.terms)
+
+    def variance(self) -> float:
+        return math.fsum(c * c for sigma, c in self.terms if any(sigma))
+
+    def influence(self, i: int) -> float:
+        if not 1 <= i <= self.n:
+            raise ValueError("coordinate out of range")
+        return math.fsum(c * c for sigma, c in self.terms if sigma[i - 1] != 0)
+
+    def evaluate(self, values) -> float:
+        """values[i][k]: the k-th ensemble element of coordinate i+1 (k=0 -> 1)."""
+        return float(_poly_values(self, lambda i, s: values[i][s], ()))
+
+
+def _poly_values(poly: MultilinearPolynomial, column, shape) -> np.ndarray:
+    """Values of poly at a block of points, as an array of the given shape.
+
+    column(i, s) gives element s >= 1 of coordinate i+1 at every point as an
+    array of `shape`: one contiguous row of `invariance._columns` for a
+    draw, one coordinate's column of a flattened product grid, or a scalar
+    for one point.  Every term multiplies its coefficient by its factors in
+    coordinate order and is added in term order, so all callers round alike.
+    """
+    out = np.zeros(shape)
+    for sigma, c in poly.terms:
+        factors = (column(i, s) for i, s in enumerate(sigma) if s)
+        term = c * next(factors, 1.0)
+        for x in factors:
+            term *= x
+        out += term
+    return out
 
 
 def _support_tensor(f: FunctionSpec, support) -> np.ndarray:
@@ -1244,28 +1314,38 @@ def _along_axes(t: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 def analyze(
     f: FunctionSpec, basis: OrthonormalBasis, budget: int | None = None,
-) -> FourierExpansion:
-    """Coefficients f_hat(sigma) = E[f * phi_sigma] of any kind, from its
-    values on support^n (`_support_tensor`)."""
+) -> MultilinearPolynomial:
+    """The expansion of f over the product basis, as a polynomial in its
+    ensemble: coefficients f_hat(sigma) = E[f * phi_sigma] of any kind, from
+    its values on support^n (`_support_tensor`), with p = basis.size - 1.
+    The nonzero coefficients are kept, in sorted sigma order.  More than
+    `budget` points of support^n raise BudgetExceeded before any is read."""
+    _check_alphabet(f, basis.pi)
     _check_budget(basis.size, f.n, budget)
     t = _along_axes(_support_tensor(f, basis.support), _analysis_matrix(basis))
     nonzero = np.nonzero(t)
     sigmas = zip(*(axis.tolist() for axis in nonzero))
-    return FourierExpansion(basis, f.n, dict(zip(sigmas, t[nonzero].tolist())))
+    return MultilinearPolynomial(f.n, basis.size - 1, tuple(zip(sigmas, t[nonzero].tolist())))
 
 
-def synthesize(expansion: FourierExpansion, budget: int | None = None) -> FunctionSpec:
-    """Dense table of sum_sigma f_hat(sigma) phi_sigma; zero off the support.
+def synthesize(
+    poly: MultilinearPolynomial, basis: OrthonormalBasis, budget: int | None = None,
+) -> FunctionSpec:
+    """Dense table of sum_sigma f_hat(sigma) phi_sigma over the product basis
+    that `analyze` expanded in; zero off the support.
 
-    Values may drift from [0,1] by float rounding only; drifts beyond 1e-8
-    raise, smaller ones are clamped.
+    A polynomial whose index range 0..p is not the basis's raises
+    ValueError.  Values may drift from [0,1] by float rounding only; drifts
+    beyond 1e-8 raise, smaller ones are clamped.
     """
-    basis = expansion.basis
-    n = expansion.n
+    if poly.p + 1 != basis.size:
+        raise ValueError("polynomial index range disagrees with the basis size")
+    n = poly.n
     _check_budget(basis.size, n, budget)
     t = np.zeros((basis.size,) * n)
-    if expansion.coeffs:
-        t[tuple(np.array(list(expansion.coeffs)).T)] = list(expansion.coeffs.values())
+    if poly.terms:
+        sigmas, values = zip(*poly.terms)
+        t[tuple(np.array(sigmas).T)] = values
     t = _along_axes(t, np.array(basis.functions).T)
     bad = ~((t >= -1e-8) & (t <= 1 + 1e-8))
     if bad.any():

@@ -2,14 +2,17 @@
 mollified indicators, invariance gaps, smoothing, and Gaussian reverse
 hypercontractivity.
 
-Polynomials live over orthonormal ensembles: per coordinate, index 0 is the
-constant 1 and indices 1..p are mean-zero orthonormal functions of the step
-symbol (discrete) or independent standard normals (Gaussian).  Formal
-coefficient algebra is exact in the coefficients; evaluations and Monte Carlo
-runs are float, with counter-based RNG so every estimate is reproducible
-bit-for-bit from (seed, sample count).  All quadrature is fixed numpy
-rules: Gauss-Legendre for the mollifier and the two-step orthant,
-Gauss-Hermite for third moments over one or two normals.
+Polynomials (`fourier.MultilinearPolynomial`, the type `analyze` returns)
+live over orthonormal ensembles: per coordinate, index 0 is the constant 1
+and indices 1..p are mean-zero orthonormal functions of the step symbol
+(discrete) or independent standard normals (Gaussian).  Formal coefficient
+algebra is exact in the coefficients; evaluations and Monte Carlo runs are
+float, with counter-based RNG so every estimate is reproducible bit-for-bit
+from (seed, sample count).  Exact sums run over product grids
+(`_grid_weights`, `_grid_values`): the support grid of a discrete ensemble,
+or the product Gauss-Hermite rule for third moments over one or two
+normals.  All quadrature is fixed numpy rules: Gauss-Legendre for the
+mollifier and the two-step orthant, Gauss-Hermite for those third moments.
 
 The Monte Carlo checks draw their normals point-major, in the shapes their
 docstrings give, and evaluate polynomials from coordinate-major columns: one
@@ -37,7 +40,9 @@ from .fourier import (
     TABLE_BUDGET,
     BudgetExceeded,
     FunctionSpec,
+    MultilinearPolynomial,
     OrthonormalBasis,
+    _poly_values,
     _support_tensor,
     analyze,
     build_basis,
@@ -45,92 +50,7 @@ from .fourier import (
 
 
 # ---------------------------------------------------------------------------
-# multilinear polynomials
-
-
-@dataclass(frozen=True)
-class MultilinearPolynomial:
-    """Sparse sum of monomials prod_i X_{i, sigma_i} with real coefficients.
-
-    terms holds (sigma, coefficient) pairs, sigma in {0..p}^n, sorted and
-    deduplicated; index 0 marks the constant factor.
-    """
-
-    n: int
-    p: int
-    terms: tuple[tuple[tuple[int, ...], float], ...]
-
-    def __post_init__(self):
-        if self.n < 1 or self.p < 0:
-            raise ValueError("need n >= 1 and p >= 0")
-        seen = set()
-        for sigma, c in self.terms:
-            if len(sigma) != self.n:
-                raise ValueError("index tuple length must equal n")
-            if any(not 0 <= s <= self.p for s in sigma):
-                raise ValueError("index entries must lie in 0..p")
-            if sigma in seen:
-                raise ValueError("duplicate index tuple")
-            seen.add(sigma)
-            if not math.isfinite(c):
-                raise ValueError("coefficients must be finite")
-
-    @classmethod
-    def from_coeffs(cls, n: int, p: int, coeffs: dict) -> "MultilinearPolynomial":
-        terms = tuple(
-            (tuple(sigma), float(c)) for sigma, c in sorted(coeffs.items()) if c != 0
-        )
-        return cls(n, p, terms)
-
-    def coeffs(self) -> dict[tuple[int, ...], float]:
-        return dict(self.terms)
-
-    def coefficient(self, sigma) -> float:
-        sigma = tuple(sigma)
-        for s, c in self.terms:
-            if s == sigma:
-                return c
-        return 0.0
-
-    def degree(self) -> int:
-        return max((sum(1 for s in sigma if s) for sigma, _ in self.terms), default=0)
-
-    def expectation(self) -> float:
-        return self.coefficient((0,) * self.n)
-
-    def second_moment(self) -> float:
-        return math.fsum(c * c for _, c in self.terms)
-
-    def variance(self) -> float:
-        return math.fsum(c * c for sigma, c in self.terms if any(sigma))
-
-    def influence(self, i: int) -> float:
-        if not 1 <= i <= self.n:
-            raise ValueError("coordinate out of range")
-        return math.fsum(c * c for sigma, c in self.terms if sigma[i - 1] != 0)
-
-    def evaluate(self, values) -> float:
-        """values[i][k]: the k-th ensemble element of coordinate i+1 (k=0 -> 1)."""
-        return float(_poly_values(self, lambda i, s: values[i][s], ()))
-
-
-def _poly_values(poly: MultilinearPolynomial, column, shape) -> np.ndarray:
-    """Values of poly at a block of points, as an array of the given shape.
-
-    column(i, s) gives element s >= 1 of coordinate i+1 at every point as an
-    array of `shape`: one contiguous row of `_columns` for a draw, one
-    coordinate's column of a flattened product grid, or a scalar for one
-    point.  Every term multiplies its coefficient by its factors in
-    coordinate order and is added in term order, so all callers round alike.
-    """
-    out = np.zeros(shape)
-    for sigma, c in poly.terms:
-        factors = (column(i, s) for i, s in enumerate(sigma) if s)
-        term = c * next(factors, 1.0)
-        for x in factors:
-            term *= x
-        out += term
-    return out
+# polynomial values on draws and grids
 
 
 def _columns(draws: np.ndarray) -> np.ndarray:
@@ -242,14 +162,14 @@ def gaussian_ensemble(n: int, p: int) -> EnsembleSequence:
 def poly_from_function(
     f: FunctionSpec, basis: OrthonormalBasis, budget: int | None = None,
 ) -> MultilinearPolynomial:
-    """Expand a function of any kind in the product basis and re-verify pointwise.
+    """`analyze`, re-verified pointwise.
 
     The returned polynomial evaluated on the discrete ensemble values of a
     point reproduces f at that point within 1e-10 over the whole support grid,
-    the support^n points that bound `analyze`'s budget.
+    the support^n points that bound `analyze`'s budget; a larger error raises
+    ArithmeticError.
     """
-    expansion = analyze(f, basis, budget=budget)
-    poly = MultilinearPolynomial.from_coeffs(f.n, basis.size - 1, expansion.coeffs)
+    poly = analyze(f, basis, budget=budget)
     got = _grid_values(poly, np.array(basis.functions))
     want = _support_tensor(f, basis.support).reshape(-1)
     bad = np.flatnonzero(np.abs(got - want) > 1e-10)
@@ -386,10 +306,12 @@ def hypercontractivity_check(
 ) -> HypercontractivityReport:
     """Check the (2, 3, a^(1/6)/2) inequality and the degree-d third-moment bound.
 
-    Discrete ensembles are enumerated exactly.  Gaussian ensembles use
-    Gauss-Hermite quadrature when n*p <= 2 and Monte Carlo otherwise; the
-    comparisons then include a 3-standard-error slack.  On the Monte Carlo
-    route, `samples` below 2 raises ValueError; the other routes ignore it.
+    Discrete ensembles are enumerated exactly over the product grid of the
+    basis support.  Gaussian ensembles with n*p <= 2 run the same grid sums
+    over the product Gauss-Hermite rule (96 points per normal, whatever
+    `budget` is), and Monte Carlo otherwise; the comparisons then include a
+    3-standard-error slack.  On the Monte Carlo route, `samples` below 2
+    raises ValueError; the other routes ignore it.
     """
     a = float(a)
     if not 0 < a <= 1:
@@ -404,15 +326,17 @@ def hypercontractivity_check(
     if ens.kind == "discrete":
         basis = ens.basis
         probs = np.array([float(basis.pi.probs[s]) for s in basis.support])
-        weights = _grid_weights(probs, poly.n, budget)
-        funcs = np.array(basis.functions)  # funcs[s][pos]
-        vals = _grid_values(poly, funcs)
-        noisy_vals = _grid_values(noisy, funcs)
-        third_noisy = float(np.sum(weights * np.abs(noisy_vals) ** 3))
-        third_plain = float(np.sum(weights * np.abs(vals) ** 3))
+        table = np.array(basis.functions)  # table[s][t]: element s at symbol t
         method = "exact"
     elif ens.n * ens.p <= 2:
-        third_noisy, third_plain = _gauss_quadrature_thirds(poly, noisy)
+        # one coordinate's symbols are the points of the 96-point Hermite
+        # rule over each of its p normals, element k the k-th normal's node
+        nodes, w = _gauss_rule("hermite", 96)
+        table = np.array(
+            [np.ones(len(nodes) ** ens.p)]
+            + [_grid_column(nodes, k, ens.p) for k in range(ens.p)]
+        )
+        probs = _grid_weights(w, ens.p, None)
         method = "quadrature"
     else:
         _check_samples(samples)
@@ -428,6 +352,11 @@ def hypercontractivity_check(
         third_noisy = float(np.mean(cubes))
         stderr = float(np.std(cubes, ddof=1) / math.sqrt(samples))
         method = "mc"
+    if method != "mc":
+        # the quadrature grid has at most 96^2 points
+        weights = _grid_weights(probs, poly.n, budget if method == "exact" else None)
+        third_noisy = float(np.sum(weights * np.abs(_grid_values(noisy, table)) ** 3))
+        third_plain = float(np.sum(weights * np.abs(_grid_values(poly, table)) ** 3))
     noise_lhs = third_noisy ** (1.0 / 3.0)
     noise_rhs = math.sqrt(sq)
     degree_lhs = third_plain ** (1.0 / 3.0)
@@ -438,29 +367,6 @@ def hypercontractivity_check(
         d, degree_lhs, degree_rhs, degree_lhs <= degree_rhs + slack,
         method, stderr,
     )
-
-
-def _gauss_quadrature_thirds(poly, noisy):
-    """Third absolute moments of P and T_rho P over 1 or 2 standard normals."""
-    dims = []
-    for i in range(poly.n):
-        for k in range(1, poly.p + 1):
-            dims.append((i, k))
-    nodes, weights = _gauss_rule("hermite", 96)
-    if len(dims) == 1:
-        pts = nodes[:, None]
-        w = weights
-    else:
-        a, b = np.meshgrid(nodes, nodes, indexing="ij")
-        pts = np.stack([a.reshape(-1), b.reshape(-1)], axis=1)
-        w = np.outer(weights, weights).reshape(-1)
-
-    def column(i, k):
-        return pts[:, dims.index((i, k))]
-
-    third_plain = float(np.sum(w * np.abs(_poly_values(poly, column, len(w))) ** 3))
-    third_noisy = float(np.sum(w * np.abs(_poly_values(noisy, column, len(w))) ** 3))
-    return third_noisy, third_plain
 
 
 # ---------------------------------------------------------------------------

@@ -868,6 +868,38 @@ def bivariate_upper_probability(t1, t2, r):
     return total
 
 
+def gauss_third_moments(coeffs, n, p, r, nodes=120):
+    """(E|P|^3, E|T_r P|^3) for P = sum of c * prod_i G_(i, sigma_i) over n p
+    independent standard normals (G_(i, 0) = 1), where T_r scales the term of
+    sigma by r^(number of nonzero entries).
+
+    A tensor product of one `nodes`-point Gauss-Hermite rule per normal,
+    normal (i, k) on axis i p + k - 1; numpy only, so it runs without scipy.
+    """
+    from numpy.polynomial.hermite_e import hermegauss
+
+    x, w = hermegauss(nodes)
+    w = w / math.sqrt(2.0 * math.pi)
+    dims = n * p
+    axes = np.meshgrid(*([x] * dims), indexing="ij")
+    mass = np.ones((nodes,) * dims)
+    for k in range(dims):
+        mass = mass * w.reshape([nodes if a == k else 1 for a in range(dims)])
+    plain = np.zeros((nodes,) * dims)
+    noisy = np.zeros((nodes,) * dims)
+    for sigma, c in coeffs.items():
+        term = np.full((nodes,) * dims, float(c))
+        for i, s in enumerate(sigma):
+            if s:
+                term = term * axes[i * p + s - 1]
+        plain += term
+        noisy += r ** sum(1 for s in sigma if s) * term
+    return (
+        float(np.sum(mass * np.abs(plain) ** 3)),
+        float(np.sum(mass * np.abs(noisy) ** 3)),
+    )
+
+
 def bump_raw(s):
     """The unnormalized bump exp(-1/(s+1)^2 - 1/(s-1)^2) on (-1, 1)."""
     if not -1.0 < s < 1.0:

@@ -19,7 +19,6 @@ import pytest
 
 import helpers
 from corrhit import (
-    FourierExpansion,
     MultilinearPolynomial,
     ThresholdForm,
     alpha,
@@ -194,11 +193,11 @@ def test_criterion_04_fourier_suite():
         exp = analyze(f, basis)
         # Parseval
         second = float(variance(f, pi)) + float(expectation(f, pi)) ** 2
-        assert abs(exp.parseval_total() - second) <= 1e-9
+        assert abs(exp.second_moment() - second) <= 1e-9
         # conditional-variance influence vs coefficient-sum influence
         for i in range(1, n + 1):
             assert abs(
-                float(influence(f, pi, i=i)) - exp.influence_from_coeffs(i)
+                float(influence(f, pi, i=i)) - exp.influence(i)
             ) <= 1e-10
         # noise operator: averaging route vs explicit coefficient scaling
         r = Fraction(rng.randint(1, 3), 4)
@@ -207,7 +206,8 @@ def test_criterion_04_fourier_suite():
             sigma: c * float(r) ** sum(1 for v in sigma if v)
             for sigma, c in exp.coeffs.items()
         }
-        via_coeffs = synthesize(FourierExpansion(basis, n, scaled))
+        scaled_poly = MultilinearPolynomial.from_coeffs(n, basis.size - 1, scaled)
+        via_coeffs = synthesize(scaled_poly, basis)
         for x in itertools.product(pi.support_indices(), repeat=n):
             assert abs(
                 float(evaluate(via_avg, x)) - float(evaluate(via_coeffs, x))

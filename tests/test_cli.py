@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from corrhit import fourier
 from corrhit.cli import main
 from corrhit.dist_core import marginal, parse_distribution
 from corrhit.fourier import (
@@ -238,6 +239,28 @@ def test_fourier_reads_the_support_budget(workdir, capsys):
     assert report["results"] == {"refusal": "2^4 points exceed the exact-enumeration budget 15"}
 
 
+def test_fourier_refuses_an_over_budget_expansion_before_any_walk(workdir, capsys, monkeypatch):
+    """The expansion's support^n check comes first, so an anchored window on
+    2000 coordinates is refused before the n + 2 joint-count walks of its
+    expectation, variance and influences, which take seconds at this n."""
+    walks = []
+    walk = fourier._JointLayout.walk
+
+    def counted(self, *args, **kwargs):
+        walks.append(None)
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(fourier._JointLayout, "walk", counted)
+    f = make_anchored_symmetric(2000, TRIT, {"0": (600, 700)}, anchor=(1, "1"))
+    (workdir / "wide.json").write_text(format_function(f))
+    code, report = run_json(
+        capsys, ["fourier", "--dist", workdir / "basic.dist", "--fn", workdir / "wide.json"]
+    )
+    assert code == 1
+    assert report["results"]["refusal"].startswith("3^2000 points exceed")
+    assert walks == []
+
+
 def run_usage_error(argv):
     """The exit code of a command line that argparse may refuse."""
     try:
@@ -424,6 +447,21 @@ def test_verify_edge_variance(workdir, capsys):
     assert code == 0
     assert report["results"]["all_hold"] is True
     assert report["results"]["instances"] == 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["edge-variance", "--samples", "2"],
+    ["decomposition", "--samples", "2"],
+    ["markov", "--samples", "2"],
+    ["counterexamples", "--n", "6", "--three-n", "12"],
+    ["exponent", "--n", "12"],
+], ids=lambda argv: argv[0])
+def test_every_verify_suite_runs_at_a_small_size(capsys, argv):
+    code, report = run_json(capsys, ["verify", *argv])
+    assert code == 0
+    assert report["ok"] is True
+    assert report["results"]["suite"] == argv[0]
+    assert report["results"].get("all_hold", True) is True
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,17 @@ def test_marginals_and_equality():
     assert marginal(skew, 2).probs == (Fraction(1, 3), Fraction(2, 3))
     assert not equal_marginals(skew)
 
+    # float distributions compare their marginals as floats, and agree with
+    # their exact twins; the weights are dyadic, so the float sums are exact
+    bits = Alphabet(("0", "1"))
+    for weights, equal in [
+        ((0.375, 0.125, 0.125, 0.375), True),
+        ((0.25, 0.25, 0.5, 0.0), False),
+    ]:
+        fp = StepDistribution(bits, 2, weights, False)
+        exact = StepDistribution(bits, 2, tuple(map(Fraction, weights)), True)
+        assert equal_marginals(fp) is equal_marginals(exact) is equal
+
 
 def test_marginal_views_hold_the_probabilities():
     """probs[t] == ints[t] / scale, exactly or as the same float, for step

@@ -547,7 +547,8 @@ def test_enumerate_engine_on_indicator_kinds_matches_reference():
 
 def test_marginal_over_another_alphabet_is_refused():
     """A table over {0,1,2} with a {0,1} marginal, and the reverse, on every
-    engine and in every call that averages f against a marginal."""
+    engine, in every call that averages f against a marginal, and in the
+    expansion over the marginal's basis."""
     trit_table = make_table_function(2, TRIT, [Fraction(i, 8) for i in range(9)])
     bit_table = make_table_function(2, BIT, [Fraction(i, 4) for i in range(4)])
     pairs = [
@@ -563,6 +564,7 @@ def test_marginal_over_another_alphabet_is_refused():
             lambda: is_resilient(f, Fraction(1, 4), 1, pi),
             lambda: projection_subset(f, (1,), pi),
             lambda: noise_operator(f, Fraction(1, 2), pi),
+            lambda: analyze(f, build_basis(pi)),
         ]
         for engine in ("auto", "enumerate", "dp"):
             calls += [
@@ -675,11 +677,11 @@ def test_parseval_and_influence_identities_on_random_tables():
         exp = analyze(f, basis)
         # Parseval: sum of squared coefficients equals E[f^2]
         second = float(variance(f, pi)) + float(expectation(f, pi)) ** 2
-        assert exp.parseval_total() == pytest.approx(second, abs=1e-9)
+        assert exp.second_moment() == pytest.approx(second, abs=1e-9)
         # influences: conditional-variance route equals the coefficient route
         for i in range(1, n + 1):
             assert float(influence(f, pi, i=i)) == pytest.approx(
-                exp.influence_from_coeffs(i), abs=1e-10
+                exp.influence(i), abs=1e-10
             )
         # total influence bounded by degree times variance
         assert float(total_influence(f, pi)) <= exp.degree() * float(
@@ -790,13 +792,26 @@ def test_synthesize_reproduces_function_on_support():
     for pi, n in cases:
         m = len(pi.alphabet)
         f = make_table_function(n, pi.alphabet, helpers.random_unit_table(rng, n, m))
-        g = synthesize(analyze(f, build_basis(pi)))
+        basis = build_basis(pi)
+        g = synthesize(analyze(f, basis), basis)
         support = pi.support_indices()
         for x in itertools.product(range(m), repeat=n):
             if all(s in support for s in x):
                 assert float(evaluate(g, x)) == pytest.approx(float(evaluate(f, x)), abs=1e-10)
             else:
                 assert evaluate(g, x) == 0.0
+
+
+def test_synthesize_refuses_a_polynomial_of_another_basis_size():
+    """A polynomial carries no basis: one whose index range 0..p is not the
+    given basis's (here a support of 3 symbols against one of 2) is refused."""
+    three = MarginalDistribution(Alphabet(TRIT), (Fraction(1, 3),) * 3, True)
+    two = MarginalDistribution(Alphabet(TRIT), (Fraction(1, 2), Fraction(0), Fraction(1, 2)), True)
+    f = make_junta(2, TRIT, [(1, "0")])
+    for ours, other in ((three, two), (two, three)):
+        poly = analyze(f, build_basis(ours))
+        with pytest.raises(ValueError, match="disagrees with the basis size"):
+            synthesize(poly, build_basis(other))
 
 
 def test_projection_variance_identity():

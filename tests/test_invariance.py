@@ -106,8 +106,8 @@ def test_t_rho_twice_equals_t_rho_squared():
         q = random_poly(rng, 2, 2)
         twice = t_rho_poly(t_rho_poly(q, 0.6), 0.5)
         combined = t_rho_poly(q, 0.3)
-        assert twice.coeffs().keys() == combined.coeffs().keys()
-        for sigma, c in combined.coeffs().items():
+        assert twice.coeffs.keys() == combined.coeffs.keys()
+        for sigma, c in combined.coeffs.items():
             assert twice.coefficient(sigma) == pytest.approx(c, abs=1e-12)
 
 
@@ -176,7 +176,7 @@ def test_poly_from_function_reads_the_support_budget():
     f = make_anchored_symmetric(4, TRIT, {"0": (1, 2)}, anchor=(2, "1"))
     basis = build_basis(pi)
     q = poly_from_function(f, basis, budget=16)
-    assert q.coeffs() == analyze(f, basis, budget=16).coeffs
+    assert q.coeffs == analyze(f, basis, budget=16).coeffs
     with pytest.raises(BudgetExceeded):
         poly_from_function(f, basis, budget=15)
 
@@ -315,6 +315,32 @@ def test_hypercontractivity_gaussian_quadrature_route():
         rep = hypercontractivity_check(q, ens, 0.5)
         assert rep.method == "quadrature"
         assert rep.noise_holds and rep.degree_holds
+
+
+def test_hypercontractivity_quadrature_matches_a_finer_hermite_rule():
+    """The product rule over one or two normals, (n, p) = (1, 1), (2, 1) and
+    (1, 2), against a 120-point tensor rule of the oracles.
+
+    Each polynomial is 1 plus terms of size at most 0.1, so it is negative
+    only far in the tail, where the normal mass is negligible.  |P|^3 then
+    integrates as the polynomial P^3, which both rules integrate exactly, so
+    the comparison tests which node each element reads and which weight each
+    point carries.  Where P changes sign in the bulk, the kink of |P|^3
+    limits either rule to about 1e-5.
+    """
+    rng = random.Random(14)
+    for n, p in ((1, 1), (2, 1), (1, 2)):
+        for _ in range(5):
+            coeffs = {
+                sigma: rng.uniform(-0.1, 0.1) if any(sigma) else 1.0
+                for sigma in itertools.product(range(p + 1), repeat=n)
+            }
+            q = MultilinearPolynomial.from_coeffs(n, p, coeffs)
+            rep = hypercontractivity_check(q, gaussian_ensemble(n, p), rng.uniform(0.1, 1.0))
+            assert rep.method == "quadrature"
+            plain, noisy = oracles.gauss_third_moments(coeffs, n, p, rep.rho)
+            assert rep.degree_lhs == pytest.approx(plain ** (1 / 3), rel=0, abs=1e-9)
+            assert rep.noise_lhs == pytest.approx(noisy ** (1 / 3), rel=0, abs=1e-9)
 
 
 def test_hypercontractivity_gaussian_mc_route():
