@@ -34,6 +34,13 @@ def mixed_radix_digits(index: int, base: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def power_exceeds(base: int, n: int, cap: int) -> bool:
+    """Whether base^n > cap.  For base >= 2, base^n exceeds the cap once n
+    passes its bit length, so a huge n is answered before base^n is
+    computed."""
+    return (base > 1 and n > cap.bit_length()) or base**n > cap
+
+
 def scale_to_ints(numbers, exact: bool):
     """(scale, scaled) with numbers[t] == scaled[t] / scale.
 

@@ -51,9 +51,6 @@ from .fourier import (
     expectation,
     format_function,
     influence,
-    make_anchored_symmetric,
-    make_junta,
-    make_mod_linear,
     make_table_function,
     parse_function,
     resolve_engine,
@@ -136,32 +133,19 @@ def _load_fn(path: str, inputs: dict) -> FunctionSpec:
 
 
 def _rebase(f: FunctionSpec, n: int) -> FunctionSpec:
-    """Re-target a structured function at a different coordinate count."""
+    """Re-target a structured function at a different coordinate count: its
+    document (`format_function`) with n set and a mod-linear function's
+    coefficients cut or padded with zeros, parsed back (`parse_function`),
+    which checks every coordinate and window bound.  Tables are refused."""
     if n == f.n:
         return f
-    if f.kind == "junta":
-        return make_junta(n, f.alphabet, f.payload["constraints"], f.zero)
-    if f.kind == "anchored_symmetric":
-        pay = f.payload
-        windows = {
-            f.alphabet.symbols[s]: w for s, w in pay["windows"].items()
-        }
-        anchor = pay["anchor"]
-        if anchor is not None:
-            anchor = (anchor[0], f.alphabet.symbols[anchor[1]])
-        return make_anchored_symmetric(
-            n, f.alphabet, windows, anchor, sorted(pay["ignored"]), f.zero
-        )
+    if f.kind == "table":
+        raise ValueError(f"table function of {f.n} coordinates cannot be re-targeted to {n}")
+    doc = json.loads(format_function(f))
+    doc["n"] = n
     if f.kind == "mod_linear":
-        pay = f.payload
-        coeffs = list(pay["coeffs"])[:n] + [0] * max(0, n - f.n)
-        symbol_map = {
-            sym: pay["symbol_map"][i] for i, sym in enumerate(f.alphabet.symbols)
-        }
-        return make_mod_linear(
-            n, f.alphabet, pay["modulus"], coeffs, pay["residue"], symbol_map, f.zero
-        )
-    raise ValueError(f"table function of {f.n} coordinates cannot be re-targeted to {n}")
+        doc["coeffs"] = doc["coeffs"][:n] + [0] * (n - f.n)
+    return parse_function(json.dumps(doc))
 
 
 def _load_fns(args, inputs: dict) -> list:
@@ -414,11 +398,7 @@ def _cells_dist(m: int, steps: int, cells: dict) -> StepDistribution | None:
     """The exact distribution over symbols 0..m-1 with weight cells[tup]
     (Fractions summing to 1) on each listed step tuple and 0 elsewhere, or
     None if some step's marginal has fewer than 2 support symbols."""
-    zero = Fraction(0)
-    weights = tuple(
-        cells.get(mixed_radix_digits(idx, m, steps), zero) for idx in range(m**steps)
-    )
-    p = StepDistribution(Alphabet(tuple(map(str, range(m)))), steps, weights, True)
+    p = StepDistribution.from_cells(Alphabet(tuple(map(str, range(m)))), steps, cells)
     if all(len(marginal(p, j).support_indices()) >= 2 for j in range(1, steps + 1)):
         return p
     return None

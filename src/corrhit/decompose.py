@@ -7,6 +7,8 @@ follows a deterministic trace: subtract the diagonal floor, decompose the
 remaining regular digraph into weighted cycles, then cap each cycle's diagonal
 share.  A part is kept as its cycle record and read for its guarantees in
 closed form; it becomes a StepDistribution only when someone asks for one.
+One builder, `_cycle`, makes every cycle distribution, those of `make_cycle`
+and of the parts alike, from its cells (`StepDistribution.from_cells`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class CycleDistribution:
             raise ValueError("p must lie strictly between 0 and 1")
 
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -86,17 +87,7 @@ class DecompositionPart:
 
     @cached_property
     def dist(self) -> StepDistribution:
-        m = len(self.alphabet)
-        s = len(self.vertices)
-        stay = self.q / s
-        move = (1 - self.q) / s
-        weights = [_ZERO] * (m * m)
-        # pair (x, y) sits at x + m * y; a point's forward edge is its own
-        # diagonal pair, so the stay mass is written last
-        for x, y in zip(self.vertices, self.vertices[1:] + self.vertices[:1]):
-            weights[x + m * y] = move
-            weights[x + m * x] = stay
-        return StepDistribution(self.alphabet, 2, tuple(weights), True)
+        return _cycle(self.alphabet, self.vertices, self.q)
 
 
 @dataclass(frozen=True)
@@ -181,6 +172,21 @@ def _peel_cycles(residual) -> list[tuple[tuple[int, ...], Number]]:
 # (s, p)-cycle distributions
 
 
+def _cycle(alphabet: Alphabet, vertices: tuple[int, ...], q) -> StepDistribution:
+    """The two-step (s, q)-cycle on the symbol indices `vertices`, in walk
+    order: q/s on each diagonal pair and (1-q)/s on each forward edge, 0
+    elsewhere.  One vertex with q = 1 is the point mass on its diagonal pair.
+    Exact for a Fraction q."""
+    s = len(vertices)
+    cells = {}
+    # a point's forward edge is its own diagonal pair, so the stay mass is
+    # written last
+    for x, y in zip(vertices, vertices[1:] + vertices[:1]):
+        cells[x, y] = (1 - q) / s
+        cells[x, x] = q / s
+    return StepDistribution.from_cells(alphabet, 2, cells)
+
+
 def make_cycle(s: int, p, vertices=None) -> StepDistribution:
     """Two-step (s, p)-cycle distribution: P(x,x) = p/s, P(x, x+1 mod s) = (1-p)/s."""
     if s < 2:
@@ -192,17 +198,8 @@ def make_cycle(s: int, p, vertices=None) -> StepDistribution:
     vertices = tuple(vertices)
     if len(vertices) != s or len(set(vertices)) != s:
         raise ValueError("need s distinct vertices")
-    alphabet = Alphabet(vertices)
-    exact = isinstance(p, (Fraction, int))
-    pv: Number = Fraction(p) if exact else float(p)
-    zero: Number = Fraction(0) if exact else 0.0
-    m = s
-    weights = [zero] * (m * m)
-    # mixed-radix: step 1 least significant, so pair (x, y) sits at x + m * y
-    for x in range(s):
-        weights[x + m * x] = pv / s
-        weights[x + m * ((x + 1) % s)] = (1 - pv) / s
-    return StepDistribution(alphabet, 2, tuple(weights), exact)
+    pv: Number = Fraction(p) if isinstance(p, (Fraction, int)) else float(p)
+    return _cycle(Alphabet(vertices), tuple(range(s)), pv)
 
 
 def cycle_rho(s: int, p) -> tuple[float, float]:
@@ -261,11 +258,13 @@ def convex_cycle_decomposition(p: StepDistribution) -> ConvexDecomposition:
     m = len(p.alphabet)
     t2 = m * m
     unit = p._scale * t2  # a weight w of P is w * unit here
-    diagonal = [p._scaled[x * (m + 1)] * t2 for x in range(m)]
+    residual = [[0] * m for _ in range(m)]
+    for (x, y), w in p._scaled_support:
+        residual[x][y] = w * t2
+    diagonal = [residual[x][x] for x in range(m)]
     a = min(diagonal)
     if a <= 0:
         raise ValueError("decomposition requires positive diagonal mass")
-    residual = [[p._scaled[x + m * y] * t2 for y in range(m)] for x in range(m)]
     for x in range(m):
         residual[x][x] -= a
     cap = a // t2  # a / t^2, exact by the choice of unit

@@ -5,8 +5,11 @@ step.  Coordinates of a product space draw such tuples independently.  The
 module computes the diagonal mass `alpha`, the support-box floor `beta`, the
 maximal correlation `rho` (by two independent routes that are cross-checked),
 double-sample kernels, and related diagnostics.  Exact quantities are computed
-on each distribution's integer view (weights scaled by the lcm of their
-denominators) and converted to Fractions once at the end.
+on each distribution's integer view (the support weights scaled by the lcm of
+their denominators) and converted to Fractions once at the end.
+
+Only this module lays out the dense weight table: other modules build a
+distribution with `StepDistribution.from_cells` and read its integer view.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from ._util import (
     mixed_radix_digits,
     mixed_radix_index,
     parse_weight,
+    power_exceeds,
     scale_to_ints,
 )
 
@@ -71,18 +75,20 @@ class StepDistribution:
     """Joint distribution over `steps`-tuples of symbols from one alphabet.
 
     Weights are stored densely in mixed-radix order with step 1 least
-    significant.  `exact` is true when every weight is a Fraction; exact and
-    float weights never mix.  Weights must be finite and non-negative and sum
-    to 1, exactly or within FLOAT_SUM_TOL in float mode; nothing is
-    renormalized.
+    significant; this module owns that layout, and code elsewhere builds a
+    distribution from its positive cells with `from_cells`.  `exact` is true
+    when every weight is a Fraction; exact and float weights never mix.
+    Weights must be finite and non-negative and sum to 1, exactly or within
+    FLOAT_SUM_TOL in float mode; nothing is renormalized.
 
     Validation builds the distribution's integer view once, and every quantity
-    in this package reads it: `_scale` and `_scaled` (weights times the lcm of
-    their denominators, as ints; in float mode the float weights with scale
-    1), `_support` and `_scaled_support` (positive-weight tuples in index
-    order with their weights), `_scaled_marginals` (per step, the scaled mass
-    of every symbol) and `_marginals` (the same as MarginalDistribution
-    objects).  The view never changes, like the object it derives from.
+    in this package reads it: `_scale` (the lcm of the weights'
+    denominators; 1 in float mode), `_support` and `_scaled_support`
+    (positive-weight tuples in index order with their weights, and with the
+    weights times `_scale` as ints, or as the float weights in float mode),
+    `_scaled_marginals` (per step, the scaled mass of every symbol) and
+    `_marginals` (the same as MarginalDistribution objects).  The view never
+    changes, like the object it derives from.
 
     Structure derived from the view alone is built on first use and stored
     on the distribution by the one accessor `_derived`:
@@ -151,7 +157,6 @@ class StepDistribution:
             probs = [tuple(row) for row in margins]
         view = {
             "_scale": scale,
-            "_scaled": tuple(scaled),
             "_support": tuple(support),
             "_scaled_support": tuple(scaled_support),
             "_scaled_marginals": tuple(tuple(row) for row in margins),
@@ -164,6 +169,17 @@ class StepDistribution:
         }
         for name, value in view.items():
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_cells(cls, alphabet: Alphabet, steps: int, cells: dict, name=None):
+        """Weight cells[tup] on each listed step tuple and 0 on every other;
+        exact when every weight is a Fraction, else every weight a float."""
+        m = len(alphabet)
+        exact = all(isinstance(w, Fraction) for w in cells.values())
+        weights: list[Number] = [Fraction(0) if exact else 0.0] * (m**steps)
+        for tup, w in cells.items():
+            weights[mixed_radix_index(tup, m)] = w if exact else float(w)
+        return cls(alphabet, steps, tuple(weights), exact, name=name)
 
     def weight(self, tup: tuple[int, ...]) -> Number:
         return self.weights[mixed_radix_index(tup, len(self.alphabet))]
@@ -338,18 +354,11 @@ def parse_distribution(text: str, name: str | None = None) -> StepDistribution:
     if alphabet is None or steps is None:
         raise DistributionFormatError("missing alphabet or steps line")
     m = len(alphabet)
-    # with m >= 2, steps past 25 already give m^steps > 2^24: the power taken
-    # after that test has at most 25 factors
-    if m > 1 and (steps > TABLE_BUDGET.bit_length() or m**steps > TABLE_BUDGET):
+    if power_exceeds(m, steps, TABLE_BUDGET):
         raise DistributionFormatError(
             f"{m} symbols over {steps} steps make more than {TABLE_BUDGET} weights"
         )
-    exact = all(isinstance(w, Fraction) for w in entries.values())
-    zero: Number = Fraction(0) if exact else 0.0
-    weights = [zero] * (m**steps)
-    for tup, w in entries.items():
-        weights[mixed_radix_index(tup, m)] = w if exact else float(w)
-    return StepDistribution(alphabet, steps, tuple(weights), exact, name=name)
+    return StepDistribution.from_cells(alphabet, steps, entries, name=name)
 
 
 def format_distribution(p: StepDistribution) -> str:

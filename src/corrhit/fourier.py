@@ -34,6 +34,11 @@ through `_poly_values`.  Window,
 junta and residue functions reach these routes through one per-axis builder,
 `_indicator`, read over the whole alphabet by `to_table` and over the
 basis support by `analyze`.
+
+Only this module builds a `FunctionSpec` or reads its payload; other modules
+go through the constructors, the document codec (`parse_function`,
+`format_function`), `to_table`, `_view_table` (a table from a `ScaledView`)
+and `_max_influence`.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from ._util import (
     is_exact,
     mixed_radix_index,
     parse_weight,
+    power_exceeds,
     scale_to_ints,
 )
 from .dist_core import Alphabet, MarginalDistribution
@@ -300,6 +306,14 @@ def _fibre(t, m: int, s: int, y: int, z: int) -> tuple:
     return tuple(map(max, _slab(t, m, s, y), _slab(t, m, s, z)))
 
 
+def _view_table(n: int, alphabet: Alphabet, view: ScaledView) -> FunctionSpec:
+    """The table over n coordinates whose values are the numbers of `view`,
+    ints[t] / scale (the floats themselves when not exact); it carries the
+    view, which construction reduces to the lcm of its entries."""
+    values = tuple(Fraction(v, view.scale) for v in view.ints) if view.exact else view.ints
+    return FunctionSpec(n, alphabet, "table", {"values": values}, view)
+
+
 def _map_table(f: FunctionSpec, n: int, copy) -> FunctionSpec:
     """The table over n coordinates whose values and view ints are the
     tuples `copy` makes of f's.  The view's numbers order like the values,
@@ -453,9 +467,7 @@ _BLOCK = 4096
 
 def _check_budget(m: int, n: int, budget: int | None):
     cap = TABLE_BUDGET if budget is None else budget
-    # for m >= 2, m^n exceeds the cap once n passes its bit length: a huge n
-    # is refused before m^n is computed
-    if (m > 1 and n > cap.bit_length()) or m**n > cap:
+    if power_exceeds(m, n, cap):
         raise BudgetExceeded(f"{m}^{n} points exceed the exact-enumeration budget {cap}")
 
 
@@ -1119,6 +1131,21 @@ def total_influence(
     return sum(influence(f, pi, i=i, engine=engine, budget=budget) for i in range(1, f.n + 1))
 
 
+def _max_influence(f: FunctionSpec, pi, budget) -> Number:
+    """max_i Inf_i(f).  A symmetric window function has at most three
+    coordinate classes (its anchor, its ignored coordinates, where the
+    influence is 0, and the rest, which are interchangeable), so one
+    coordinate per class suffices; other kinds visit every coordinate."""
+    coords = range(1, f.n + 1)
+    if f.kind == "anchored_symmetric":
+        pay = f.payload
+        anchor = {pay["anchor"][0]} if pay["anchor"] is not None else set()
+        free = next((i for i in coords if i not in anchor and i not in pay["ignored"]), None)
+        ignored = min(pay["ignored"], default=None)
+        coords = sorted(anchor | {i for i in (free, ignored) if i is not None})
+    return max(influence(f, pi, i=i, budget=budget) for i in coords)
+
+
 # ---------------------------------------------------------------------------
 # orthonormal basis and Fourier expansions
 
@@ -1210,17 +1237,17 @@ class MultilinearPolynomial:
     def __post_init__(self):
         if self.n < 1 or self.p < 0:
             raise ValueError("need n >= 1 and p >= 0")
-        seen = set()
-        for sigma, c in self.terms:
-            if len(sigma) != self.n:
-                raise ValueError("index tuple length must equal n")
-            if any(not 0 <= s <= self.p for s in sigma):
-                raise ValueError("index entries must lie in 0..p")
-            if sigma in seen:
-                raise ValueError("duplicate index tuple")
-            seen.add(sigma)
-            if not math.isfinite(c):
-                raise ValueError("coefficients must be finite")
+        if not self.terms:
+            return
+        sigmas, coeffs = zip(*self.terms)
+        if set(map(len, sigmas)) != {self.n}:
+            raise ValueError("index tuple length must equal n")
+        if min(map(min, sigmas)) < 0 or max(map(max, sigmas)) > self.p:
+            raise ValueError("index entries must lie in 0..p")
+        if len(set(sigmas)) != len(sigmas):
+            raise ValueError("duplicate index tuple")
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError("coefficients must be finite")
 
     @classmethod
     def from_coeffs(cls, n: int, p: int, coeffs: dict) -> "MultilinearPolynomial":
@@ -1387,8 +1414,7 @@ def _average_axes(f: FunctionSpec, pi: MarginalDistribution, rho, coords) -> Fun
     coords = set(coords)
     ints = tuple(contract_axes(values, [avg if c in coords else m for c in range(1, f.n + 1)]))
     den = v_scale * (b * sw) ** len(coords)
-    out = tuple(Fraction(v, den) for v in ints) if exact else ints
-    return FunctionSpec(f.n, f.alphabet, "table", {"values": out}, ScaledView(exact, den, ints))
+    return _view_table(f.n, f.alphabet, ScaledView(exact, den, ints))
 
 
 def noise_operator(

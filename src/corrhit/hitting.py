@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import Number, ScaledView, contract_axes, mixed_radix_index, scale_to_ints
+from ._util import Number, ScaledView, contract_axes, power_exceeds, scale_to_ints
 from .dist_core import (
     StepDistribution,
     _derived,
@@ -47,9 +47,11 @@ from .fourier import (
     _kernel_inputs,
     _map_table,
     _marginal_support,
+    _max_influence,
     _repeat_blocks,
     _resilience_witness,
     _slab,
+    _view_table,
     _window_counts,
     expectation,
     influence,
@@ -140,7 +142,7 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
     """
     support_size = len(p._support)
     cap = TABLE_BUDGET if budget is None else budget
-    if support_size ** n > cap:
+    if power_exceeds(support_size, n, cap):
         raise BudgetExceeded(
             f"{support_size}^{n} support assignments exceed the budget {cap}"
         )
@@ -905,21 +907,6 @@ def counterexample_three_sets(
     return ThreeSetsReport(n, rho(p), value, measures, infl)
 
 
-def _max_influence(f: FunctionSpec, pi, budget) -> Number:
-    """max_i Inf_i(f).  A symmetric window function has at most three
-    coordinate classes (its anchor, its ignored coordinates, where the
-    influence is 0, and the rest, which are interchangeable), so one
-    coordinate per class suffices; other kinds visit every coordinate."""
-    coords = range(1, f.n + 1)
-    if f.kind == "anchored_symmetric":
-        pay = f.payload
-        anchor = {pay["anchor"][0]} if pay["anchor"] is not None else set()
-        free = next((i for i in coords if i not in anchor and i not in pay["ignored"]), None)
-        ignored = min(pay["ignored"], default=None)
-        coords = sorted(anchor | {i for i in (free, ignored) if i is not None})
-    return max(influence(f, pi, i=i, budget=budget) for i in coords)
-
-
 # ---------------------------------------------------------------------------
 # Markov product identity
 
@@ -982,14 +969,12 @@ def _prefix_distribution(p: StepDistribution) -> StepDistribution:
     The prefix masses are summed on the integer view, in index order, and
     divided by its scale once per cell (floats keep scale 1).
     """
-    m = len(p.alphabet)
-    size = m ** (p.steps - 1)
-    masses = [0 if p.exact else 0.0] * size
+    masses: dict[tuple[int, ...], Number] = {}
     for tup, w in p._scaled_support:
-        masses[mixed_radix_index(tup[:-1], m)] += w
+        masses[tup[:-1]] = masses.get(tup[:-1], 0) + w
     ratio = Fraction if p.exact else operator.truediv
-    weights = tuple(ratio(w, p._scale) for w in masses)
-    return StepDistribution(p.alphabet, p.steps - 1, weights, p.exact)
+    cells = {tup: ratio(w, p._scale) for tup, w in masses.items()}
+    return StepDistribution.from_cells(p.alphabet, p.steps - 1, cells)
 
 
 def markov_same_set_check(
@@ -1016,10 +1001,7 @@ def markov_same_set_check(
     g_ints = tuple(map(operator.mul, values, h))
     g_scale = v_scale * h_scale
     pointwise_ok = all(gv <= fv * h_scale for gv, fv in zip(g_ints, values))
-    g_values = tuple(Fraction(v, g_scale) for v in g_ints) if exact else g_ints
-    g = FunctionSpec(
-        f.n, f.alphabet, "table", {"values": g_values}, ScaledView(exact, g_scale, g_ints)
-    )
+    g = _view_table(f.n, f.alphabet, ScaledView(exact, g_scale, g_ints))
     lhs = multi_set_expectation(p, n, (f,) * ell, budget=budget)
     rhs_fns = (f,) * (ell - 2) + (g,)
     rhs = multi_set_expectation(plan.prefix, n, rhs_fns, budget=budget)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import power_exceeds
 from .dist_core import MarginalDistribution, StepDistribution, marginal, rho
 from .fourier import (
     TABLE_BUDGET,
@@ -89,7 +90,7 @@ def _grid_weights(w: np.ndarray, n: int, budget: int | None) -> np.ndarray:
     """
     r = len(w)
     cap = TABLE_BUDGET if budget is None else budget
-    if r**n > cap:
+    if power_exceeds(r, n, cap):
         raise BudgetExceeded(f"{r}^{n} support assignments exceed the budget {cap}")
     weights = np.ones(1)
     for _ in range(n):

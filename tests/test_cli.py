@@ -13,7 +13,7 @@ import pytest
 
 import helpers
 from corrhit import fourier
-from corrhit.cli import main
+from corrhit.cli import _rebase, main
 from corrhit.dist_core import marginal, parse_distribution
 from corrhit.fourier import (
     analyze,
@@ -21,6 +21,7 @@ from corrhit.fourier import (
     format_function,
     make_anchored_symmetric,
     make_junta,
+    make_mod_linear,
     make_table_function,
 )
 
@@ -123,6 +124,58 @@ def test_hit_retargets_structured_functions(workdir, capsys):
     assert code == 0
     assert report["results"]["expectation"]["value"] == "1/6"
     assert report["results"]["n"] == 4
+
+
+WINDOW = make_anchored_symmetric(
+    4, TRIT, {"0": (1, 3), "2": (0, 2)}, anchor=(2, "1"), ignored=[4], zero=True
+)
+RESIDUE = make_mod_linear(4, TRIT, 5, [1, 2, 3, 4], 3, [0, 1, 2])
+
+
+@pytest.mark.parametrize("f, n, want", [
+    (WINDOW, 4, WINDOW),
+    (WINDOW, 6, make_anchored_symmetric(
+        6, TRIT, {"0": (1, 3), "2": (0, 2)}, anchor=(2, "1"), ignored=[4], zero=True)),
+    (make_junta(2, TRIT, [(1, "0"), (1, "1")]), 5,
+     make_junta(5, TRIT, [(1, "1")], zero=True)),
+    (RESIDUE, 2, make_mod_linear(2, TRIT, 5, [1, 2], 3, [0, 1, 2])),
+    (RESIDUE, 6, make_mod_linear(6, TRIT, 5, [1, 2, 3, 4, 0, 0], 3, [0, 1, 2])),
+    (make_table_function(1, TRIT, (Fraction(1), Fraction(0), Fraction(1, 2))), 2,
+     "table function of 1 coordinates cannot be re-targeted to 2"),
+    (WINDOW, 2, "window bounds must lie within [0, n]"),
+    (make_anchored_symmetric(4, TRIT, {}, anchor=(4, "0")), 3,
+     "anchor coordinate out of range"),
+    (make_anchored_symmetric(4, TRIT, {"1": (0, 3)}, ignored=[4]), 3,
+     "ignored coordinate out of range"),
+    (make_junta(4, TRIT, [(4, "2")]), 3, "constraint coordinate out of range"),
+], ids=[
+    "window-same-n", "window-anchor-ignored-zero", "junta-zero", "mod-linear-cut",
+    "mod-linear-padded", "table-refused", "window-bound-above-n", "anchor-above-n",
+    "ignored-above-n", "junta-coordinate-above-n",
+])
+def test_rebase_retargets_each_kind(f, n, want):
+    """`--n` re-targets every structured kind, flags and all, and refuses a
+    table or any coordinate or window bound past the new n."""
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want.replace("[", r"\[")):
+            _rebase(f, n)
+    else:
+        assert format_function(_rebase(f, n)) == format_function(want)
+
+
+def test_hit_enumerate_refuses_a_huge_n_at_once(workdir):
+    """The enumeration budget is checked before |support|^n is computed, so
+    a window re-targeted at n = 10^8 is refused within seconds."""
+    window = make_anchored_symmetric(1, TRIT, {"0": (0, 1)})
+    (workdir / "window.json").write_text(format_function(window))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrhit", "hit", "--dist", str(workdir / "basic.dist"),
+         "--fn", str(workdir / "window.json"), "--engine", "enumerate", "--n", "100000000"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1
+    refusal = json.loads(proc.stdout)["results"]["refusal"]
+    assert refusal == "6^100000000 support assignments exceed the budget 16777216"
 
 
 def test_hit_dp_refuses_juntas(workdir, capsys):

@@ -33,6 +33,16 @@ def test_make_cycle_weights():
     assert sum(p.weights) == 1
 
 
+@pytest.mark.parametrize("s", [2, 3, 5])
+def test_make_cycle_weights_in_float_mode(s):
+    p = make_cycle(s, 0.3)
+    assert not p.exact
+    for x in range(s):
+        for y in range(s):
+            want = 0.3 / s if y == x else (1 - 0.3) / s if y == (x + 1) % s else 0.0
+            assert p.weight((x, y)) == want and type(p.weight((x, y))) is float
+
+
 def test_three_cycle_half_is_the_basic_distribution():
     assert make_cycle(3, Fraction(1, 2)).weights == helpers.basic_dist().weights
 

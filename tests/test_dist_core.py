@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
+from corrhit._util import format_number
 from corrhit.dist_core import (
     Alphabet,
     DistributionFormatError,
@@ -122,6 +123,35 @@ def test_format_parse_roundtrip_is_exact():
         assert q.alphabet == p.alphabet
         assert q.steps == p.steps
         assert q.weights == p.weights
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_from_cells_equals_parsing_the_same_cells(exact):
+    """`StepDistribution.from_cells` lays out the weights, the exact flag and
+    the name exactly as parsing a file of the same entries does."""
+    rng = random.Random(11)
+    for k in range(40):
+        m, steps = rng.randint(1, 4), rng.randint(1, 3)
+        alphabet = Alphabet(tuple(f"s{a}" for a in range(m)))
+        tuples = sorted({tuple(rng.randrange(m) for _ in range(steps)) for _ in range(5)})
+        raw = [rng.randint(0, 6) for _ in tuples]
+        raw[0] += 1
+        cells = {
+            tup: Fraction(w, sum(raw)) if exact else w / sum(raw)
+            for tup, w in zip(tuples, raw)
+        }
+        if not exact and abs(sum(cells.values()) - 1) > 1e-12:
+            continue
+        lines = [f"alphabet {' '.join(alphabet.symbols)}", f"steps {steps}"] + [
+            f"entry {' '.join(alphabet.symbols[a] for a in tup)} {format_number(w)}"
+            for tup, w in cells.items()
+        ]
+        name = f"cells-{k}" if k % 2 else None
+        want = parse_distribution("\n".join(lines) + "\n", name=name)
+        got = StepDistribution.from_cells(alphabet, steps, cells, name=name)
+        assert got == want and got.name == want.name
+        assert got.exact is exact
+        assert list(map(type, got.weights)) == list(map(type, want.weights))
 
 
 @st.composite

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from corrhit.fourier import (
     make_anchored_symmetric,
     make_junta,
     make_table_function,
+    to_table,
 )
 from corrhit.invariance import (
     MultilinearPolynomial,
@@ -98,6 +100,22 @@ def test_polynomial_validates_shapes():
         MultilinearPolynomial(1, 1, (((2,), 1.0),))
     with pytest.raises(ValueError):
         MultilinearPolynomial(1, 1, (((1,), float("nan")),))
+
+
+@pytest.mark.parametrize("terms, message", [
+    ((((), 1.0), ((1,), 0.5)), "index tuple length must equal n"),
+    ((((0,), 1.0), ((1, 1), 0.5)), "index tuple length must equal n"),
+    ((((0,), 1.0), ((3,), 0.5)), "index entries must lie in 0..p"),
+    ((((-1,), 1.0), ((1,), 0.5)), "index entries must lie in 0..p"),
+    ((((1,), 1.0), ((1,), 0.5)), "duplicate index tuple"),
+    ((((0,), 1.0), ((1,), float("inf"))), "coefficients must be finite"),
+    ((((0,), float("nan")), ((1,), 0.5)), "coefficients must be finite"),
+], ids=["short", "long", "above-p", "negative", "duplicate", "infinite", "nan"])
+def test_polynomial_refusals_name_their_rule(terms, message):
+    """A polynomial that breaks one rule, in any of its terms, is refused
+    with that rule's message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultilinearPolynomial(1, 2, terms)
 
 
 def test_t_rho_twice_equals_t_rho_squared():
@@ -385,6 +403,17 @@ def test_grid_weights_multiply_in_coordinate_order():
                 mass *= w[x]
             want.append(mass)
         assert invariance._grid_weights(w, n, None).tolist() == want
+
+
+def test_grid_budgets_refuse_a_huge_exponent_before_the_power():
+    """The table and grid budgets compare n with the cap's bit length before
+    they compute base^n, so n = 10^12 is refused at once (the enumeration
+    budget has its test in test_cli.py)."""
+    n = 10**12
+    with pytest.raises(BudgetExceeded, match=f"3\\^{n} points exceed"):
+        to_table(make_anchored_symmetric(n, ("0", "1", "2"), {"0": (0, n)}))
+    with pytest.raises(BudgetExceeded, match=f"2\\^{n} support assignments"):
+        invariance._grid_weights(np.array([0.5, 0.5]), n, None)
 
 
 def test_hypercontractivity_on_a_grid_of_more_than_64_axes():
