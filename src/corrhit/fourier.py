@@ -567,63 +567,91 @@ def _expectation_contract(
 # the hitting product E[prod_j f_j(X^(j))] are one count over i.i.d.
 # coordinate draws.  Each coordinate draws a support tuple, one symbol per
 # function: a step tuple of the distribution for a product, the one-step
-# tuple (a,) of the marginal for a single function.  The joint state of all
-# functions is one packed int; masses are the draws' weights scaled to ints
-# (floats in float mode), divided once at the end.  One draw moves a key in
-# residue r by step[r], read from a table the layout keeps per distinct effect
-# (`_Step`), so each residue's change is computed once per layout.  A run of
-# coordinates with equal effects draws in one multinomial step when no effect
-# shifts a residue (`_JointLayout._draw_run`): it walks the compositions of
-# the run's draws over the effects, not the states between them.  Effects may
-# bump the same count, as two tuples that agree at a step do; compositions
-# that land on one key add up there.
+# tuple (a,) of the marginal for a single function.  A live state is a
+# window key (every window slot's count, packed into one int) with a residue
+# index (the modular functions' residues as one mixed-radix number) and its
+# mass: the draws' weights scaled to ints (floats in float mode), divided
+# once at the end.  The keyed route keeps the residue index in the low bits
+# of the key, {key: mass}; one draw moves the key of a state in residue r by
+# a shift read from a table the layout keeps per distinct residue increment
+# (`_Turn`), so each shift is computed once per layout.  An exact layout
+# (`_packs`) maps each window key to one int of R fixed-width fields
+# instead, R the number of residue indices, field r holding the mass in
+# residue r: one draw rotates the fields once per distinct increment, a few
+# big-int operations in place of R dict updates per effect.  A run of
+# coordinates with equal effects draws in one multinomial step when no
+# effect shifts a residue (`_JointLayout._draw_run`), on either route: it
+# walks the compositions of the run's draws over the effects, not the
+# states between them.  Effects may bump the same count, as two tuples that
+# agree at a step do; compositions that land on one key add up there.
 
 COUNT_KINDS = ("anchored_symmetric", "mod_linear")
 
 
-class _Step(dict):
-    """Residue r -> the change of a packed key in residue r when one draw adds
-    `bump` to the window counts and inc[j] to each modular function j's residue.
+class _Turn(dict):
+    """One draw's residue increments inc[d], one per modular digit d.
 
-    Filled lazily; a `_JointLayout` keeps one per (bump, inc), shared by
-    every coordinate signature whose effects carry that pair.
+    As a table, residue index r -> the change of r under the increments,
+    filled lazily: a keyed state's key moves by it.  Called on a packed int,
+    it moves the field of every residue index r to that of r + inc: per
+    digit with a nonzero increment, two shifts, two ANDs and one OR (`rots`,
+    built by `_JointLayout._rotation`).  A layout keeps one per distinct
+    increment, shared by every coordinate signature that draws it.
     """
 
-    def __init__(self, mods, bump, inc):
+    def __init__(self, mods, inc, rots):
         super().__init__()
-        self.mods, self.bump, self.inc = mods, bump, inc
+        self.mods, self.inc, self.rots = mods, inc, rots
 
     def __missing__(self, r: int) -> int:
-        step = self.bump
+        shift = 0
         for (_, q, radix), a in zip(self.mods, self.inc):
             digit = r // radix % q
-            step += ((digit + a) % q - digit) * radix
-        self[r] = step
-        return step
+            shift += ((digit + a) % q - digit) * radix
+        self[r] = shift
+        return shift
+
+    def __call__(self, packed: int) -> int:
+        for low, up, high, down in self.rots:
+            packed = (packed & low) << up | (packed & high) >> down
+        return packed
+
+
+# Bits per field of a packed int before the walk first widens its fields.
+_WIDTH = 1024
+
+
+def _packs(exact: bool, residues: int, support: int, n: int) -> bool:
+    """Whether a layout of R = `residues` residue indices maps each window
+    key to one packed int of R fields (see `_JointLayout`): when its masses
+    are exact ints, R is at most `_BLOCK`, and R is at most |support|^n, the
+    most residues that n draws reach."""
+    return exact and residues <= _BLOCK and power_exceeds(support, n, residues - 1)
 
 
 def _shifts_no_residue(effects) -> bool:
     """Whether no effect shifts a residue, so that a run of draws can go in
     one step: its final key depends only on how many draws each effect takes."""
-    return not any(any(step.inc) for _, step, _ in effects)
+    return not any(any(turn.inc) for turn, _, _ in effects)
 
 
 def _run_pays(live: int, k: int, effects) -> bool:
-    """Whether k draws of `effects` from `live` states cost no more in one
+    """Whether k draws of `effects` from `live` keys cost no more in one
     step than one at a time, by an estimate that ignores window bounds.
 
     With e moving effects, t draws spread over C(t + e, e) compositions
     (C(t + e - 1, e - 1) when no effect stays put).  The run step walks every
-    composition from every state.  One state's single draws reach one key
+    composition from every key.  One key's single draws reach one key
     per composition when the bumps are disjoint; bumps that share slots
     collide, and the keys are then at most the count vectors of the s slots
     the bumps move, (t + 1)^s after t draws.  The t-th single draw walks
-    every effect from each state then live, taken as the larger of `live`
-    and the lesser of those two counts.  From one state a run of disjoint
-    bumps always pays; from many states, or when many compositions share
-    keys, the single draws may stay cheaper.
+    every effect from each key then live, taken as the larger of `live`
+    and the lesser of those two counts.  From one key a run of disjoint
+    bumps always pays; from many keys, or when many compositions share
+    keys, the single draws may stay cheaper.  A packed key costs the same
+    in both, so keys are counted, not their residues.
     """
-    bumps = [bump for bump, _, _ in effects]
+    bumps = [bump for _, bump, _ in effects]
     parts = sum(1 for bump in bumps if bump) - all(bumps)
     slots = functools.reduce(operator.or_, bumps, 0).bit_count()
     run = live * math.comb(k + parts, parts)
@@ -641,22 +669,45 @@ def _over_budget(size: int, cap: int) -> BudgetExceeded:
 
 
 class _JointLayout:
-    """The joint state of window and residue functions packed into one int,
-    and the effect of one coordinate's draw on it.
+    """The joint state of window and residue functions, and the effect of one
+    coordinate's draw on it.
 
-    The residues of the modular-linear functions form a mixed-radix number in
-    the low `rmask` bits.  Above them each window slot (function, symbol)
-    owns a field of b = hi.bit_length() value bits and one guard bit.  The
-    field holds count + 2^b - 1 - hi, so a count passing hi sets the guard
-    bit and one AND with `guard` catches an overrun in any slot.  `start` is
-    the state before any draw.  `support` lists (tuple, scaled weight) pairs,
+    Each window slot (function, symbol) owns a field of the window key: b =
+    hi.bit_length() value bits and one guard bit.  The field holds count +
+    2^b - 1 - hi, so a count passing hi sets the guard bit and one AND with
+    `guard` catches an overrun in any slot; `start` is the window key
+    before any draw.  The residues of the R =
+    prod moduli residue indices form a mixed-radix number r (`mods`: per
+    digit the function, its modulus and its radix), r = `target` where every
+    modular function accepts.  `support` lists (tuple, scaled weight) pairs,
     one symbol per function.
 
+    A live state is a (window key, residue index) pair with its mass.  On
+    the keyed route r sits in the low `rmask` bits of the key, below the
+    window fields, and the states are {key: mass}.  On the packed route
+    (`_packs`: exact layouts with residues to pack) the states are {window
+    key: packed int}, `rmask` is 0, and the packed int holds the mass of
+    residue r in bits [r W, (r + 1) W) of `width` W, a multiple of 8.  A
+    stored mass after t draws is a sum of path weights, at most scale^t,
+    scale the sum of the support weights.  Before each step the walk makes
+    W hold scale^t for the draws t made by the end of the step (`_fit`):
+    it starts at `_WIDTH` bits, or `top`, the bytes that hold scale^n, when
+    that is less, and widens as the masses grow, since every field op
+    costs in proportion to W.  So no stored field carries into the next.
+    A run (`_draw_run`) may pass W bits in a field of a term it has not
+    stored yet, but it only multiplies that int by counts and weights and
+    divides it by a count c that divides every field, and such steps are
+    exact on the int whatever its fields hold; the term is back in its
+    fields when it is stored.  Either way the budget counts live (key,
+    residue) states: the keys, or on the packed route the nonzero fields
+    (`size`).
+
     A draw's effect is a window increment `bump` (a 1 at the lowest bit of
-    each slot it counts in) and an increment per modular residue.  The
-    layout keeps one lazily filled `_Step` table per distinct (bump,
-    increments) pair, read by every coordinate signature whose effects carry
-    that pair, so each entry is computed at most once per layout.
+    each slot it counts in) and an increment per modular digit.  The layout
+    keeps one `_Turn` per distinct increment, read by every coordinate
+    signature that draws it; a packed layout builds the masks of its
+    rotations lazily, once per (digit, increment) that some effect carries
+    and per width.
     """
 
     def __init__(self, fns, support):
@@ -667,7 +718,15 @@ class _JointLayout:
             if f.kind == "mod_linear":
                 self.mods.append((j, f.payload["modulus"], radix))
                 radix *= f.payload["modulus"]
-        pos = (radix - 1).bit_length()
+        self.residues = radix
+        self.exact = all(isinstance(w, int) for _, w in support)
+        self.width = self.top = 0
+        if self.mods and _packs(self.exact, radix, len(support), fns[0].n):
+            self.scale = sum(w for _, w in support)
+            self.top = -(-(self.scale ** fns[0].n).bit_length() // 8) * 8
+            self.width = min(self.top, _WIDTH)
+        # packed keys hold no residue bits
+        pos = 0 if self.width else (radix - 1).bit_length()
         self.rmask = (1 << pos) - 1
         self.target = sum(fns[j].payload["residue"] * r for j, _, r in self.mods)
         self.slots = {}  # (function, symbol) -> (bit position, offset, lo, hi)
@@ -699,9 +758,9 @@ class _JointLayout:
         coeffs = [fns[j].payload["coeffs"] for j, _, _ in self.mods]
         self.coeffs = list(zip(*coeffs)) if coeffs else [()] * fns[0].n
         self.final = self.floor([0] * len(fns))
-        self.exact = all(isinstance(w, int) for _, w in support)
         self._effects: dict = {}
-        self._steps: dict = {}
+        self._turns: dict = {}
+        self._rotations: dict = {}
 
     def floor(self, rest) -> int:
         """Packed lower bounds a state must meet to reach every window's lo
@@ -719,15 +778,60 @@ class _JointLayout:
                 floor |= (off + need) << pos
         return floor
 
-    def accepts(self, key: int) -> bool:
-        """Whether a state after the last draw lies in every window and hits
-        every residue."""
+    def accepts(self, key: int, r: int) -> bool:
+        """Whether the window key `key` (no residue bits) with residue index
+        r, after the last draw, lies in every window and hits every residue."""
         guard = self.guard
         return (
-            not key & guard
+            r == self.target
+            and not key & guard
             and ((key | guard) - self.final) & guard == guard
-            and key & self.rmask == self.target
         )
+
+    def masses(self, states, residue=None):
+        """(window key, residue index, mass) of every live state, or of the
+        states in residue index `residue` when given: a packed layout reads
+        that one field of each key, or unpacks the nonzero fields."""
+        if not self.width:
+            rmask = self.rmask
+            for key, mass in states.items():
+                r = key & rmask
+                if residue is None or r == residue:
+                    yield key - r, r, mass
+            return
+        width = self.width
+        if residue is not None:
+            shift, mask = residue * width, (1 << width) - 1
+            for key, packed in states.items():
+                mass = packed >> shift & mask
+                if mass:
+                    yield key, residue, mass
+            return
+        size = width // 8
+        for key, packed in states.items():
+            raw, live = self._fields(packed)
+            for r in np.flatnonzero(live).tolist():
+                yield key, r, int.from_bytes(raw[r * size:(r + 1) * size], "little")
+
+    def _fields(self, packed: int):
+        """A packed int's bytes, and per field whether it is nonzero."""
+        raw = packed.to_bytes(self.residues * self.width // 8, "little")
+        return raw, np.frombuffer(raw, np.uint8).reshape(self.residues, -1).any(1)
+
+    def size(self, states) -> int:
+        """The live (key, residue) states: the keys, or on the packed route
+        the nonzero fields of every key."""
+        if not self.width:
+            return len(states)
+        return sum(int(self._fields(v)[1].sum()) for v in states.values())
+
+    def _check(self, states, cap: int):
+        """Raise BudgetExceeded past `cap` live states; fields are counted
+        only when the keys times R pass the cap."""
+        if len(states) * (self.residues if self.width else 1) > cap:
+            size = self.size(states)
+            if size > cap:
+                raise _over_budget(size, cap)
 
     def signature(self, coord: int):
         """The key of the draw's effects at `coord`: the anchors and ignoring
@@ -735,63 +839,112 @@ class _JointLayout:
         return self.special.get(coord), self.coeffs[coord - 1]
 
     def effects(self, coord: int):
-        """(window increment, step table, weight) per distinct effect of the
-        draw at `coord`, support tuples with equal effects merged.
+        """(turn, window increment, weight) per distinct effect of the draw
+        at `coord`, support tuples with equal effects merged; `turn` is the
+        `_Turn` of the effect's residue increments.
 
         A function anchored at `coord` admits only the tuples that carry its
         anchor symbol there, and one that ignores `coord` bumps none of its
-        slots.  Coordinates with one `signature` share one list, and effects
-        with one (bump, residue increments) pair share one `_Step` table
-        across signatures.
+        slots.  Coordinates with one `signature` share one list.  A keyed
+        layout keeps the effects in the order of the support, which fixes
+        the order of its float sums; a packed one, whose sums are exact in
+        any order, puts the effects of one increment next to each other, so
+        that a key rotates once per increment.
         """
         sig = self.signature(coord)
         if sig in self._effects:
             return self._effects[sig]
         anchors, muted = sig[0] or ((), ())
+        maps = [self.fns[j].payload["symbol_map"] for j, _, _ in self.mods]
         merged: dict = {}
         for tup, w in self.support:
-            if any(tup[j] != a for j, a in anchors):
+            if anchors and any(tup[j] != a for j, a in anchors):
                 continue
             bump = 0
-            for j, sym in enumerate(tup):
+            for j, sym in enumerate(tup) if self.slots else ():
                 slot = self.slots.get((j, sym))
                 if slot is not None and j not in muted:
                     bump += 1 << slot[0]
-            inc = tuple(
-                c * self.fns[j].payload["symbol_map"][tup[j]] % q
-                for c, (j, q, _) in zip(sig[1], self.mods)
-            )
-            merged[bump, inc] = merged.get((bump, inc), 0) + w
-        effects = []
-        for (bump, inc), w in merged.items():
-            if (bump, inc) not in self._steps:
-                self._steps[bump, inc] = _Step(self.mods, bump, inc)
-            effects.append((bump, self._steps[bump, inc], w))
-        self._effects[sig] = effects
+            inc = tuple([c * sm[tup[j]] % q for c, (j, q, _), sm in zip(sig[1], self.mods, maps)])
+            merged[inc, bump] = merged.get((inc, bump), 0) + w
+        items = merged.items()
+        if self.width:
+            items = sorted(items, key=lambda item: item[0][0])
+        effects = self._effects[sig] = [(self._turn(inc), bump, w) for (inc, bump), w in items]
         return effects
 
+    def _turn(self, inc) -> _Turn:
+        """The layout's one `_Turn` of the residue increments `inc`."""
+        if inc not in self._turns:
+            self._turns[inc] = _Turn(self.mods, inc, self._rots(inc) if self.width else ())
+        return self._turns[inc]
+
+    def _rots(self, inc) -> tuple:
+        """The rotations of a packed int by `inc`, one per nonzero digit."""
+        for d, a in enumerate(inc):
+            if a and (d, a) not in self._rotations:
+                self._rotations[d, a] = self._rotation(d, a)
+        return tuple(self._rotations[d, a] for d, a in enumerate(inc) if a)
+
+    def _fit(self, states, draws: int) -> dict:
+        """The packed states with fields that hold the masses after `draws`
+        draws, scale^draws at most: when they are too narrow, every field
+        widens to half again the bits needed, or to `top`, the width for all
+        n draws, and the rotations are rebuilt for the new width."""
+        need = (self.scale**draws).bit_length()
+        if need <= self.width:
+            return states
+        old, self.width = self.width // 8, min(self.top, -(-3 * need // 16) * 8)
+        wide = {}
+        for key, packed in states.items():
+            fields = np.zeros((self.residues, self.width // 8), np.uint8)
+            raw = packed.to_bytes(self.residues * old, "little")
+            fields[:, :old] = np.frombuffer(raw, np.uint8).reshape(self.residues, old)
+            wide[key] = int.from_bytes(fields.tobytes(), "little")
+        self._rotations.clear()
+        for inc, turn in self._turns.items():
+            turn.rots = self._rots(inc)
+        return wide
+
+    def _rotation(self, d: int, a: int):
+        """(low, up, high, down) of a packed int's rotation by a at digit d:
+        the fields whose digit d is below q - a move up by a places of that
+        digit, the others down by q - a."""
+        _, q, radix = self.mods[d]
+        width, total = self.width, self.residues * self.width
+        full = (1 << total) - 1
+        # the first q - a places of the digit, repeated every q places
+        low, reps = (1 << (q - a) * radix * width) - 1, 1
+        while reps * q * radix < self.residues:
+            low |= low << reps * q * radix * width
+            reps *= 2
+        low &= full
+        return low, a * radix * width, low ^ full, (q - a) * radix * width
+
     def walk(self, coords, budget, later=()) -> dict:
-        """Live states {packed key: scaled mass} after the coordinates `coords`
-        draw, in that order.
+        """Live states after the coordinates `coords` draw, in that order:
+        {key: mass} on the keyed route, {window key: packed int} on the
+        packed one.
 
         Each run of consecutive coordinates with one `signature` draws in one
         step (`_draw_run`) when its effects shift no residue and the step
-        costs less than its single draws from the states live before it
+        costs less than its single draws from the keys live before it
         (`_run_pays`); every other coordinate draws on its own.  The bumps
         of a run's effects may share slots.  A state is dropped when a window
         overruns or when some window's lo is out of reach with the rest of
-        `coords` and the coordinates `later` still to draw.  More than
-        `budget` live states after a step (one draw, or one run drawn at
-        once) raise BudgetExceeded; a run raises as soon as it stores one
-        state too many.  A run ends on the states its single draws end on,
-        and those only grow along it, so any budget its single draws meet,
-        the run meets too.  A zero function leaves no state.
+        `coords` and the coordinates `later` still to draw.  Packed fields
+        widen before a step whose masses might not fit them (`_fit`).  More
+        than `budget` live (key, residue) states after a step (one draw, or one
+        run drawn at once) raise BudgetExceeded; a run also raises as soon
+        as it stores one key too many.  A run ends on the states its single
+        draws end on, and those only grow along it, so any budget its single
+        draws meet, the run meets too.  A zero function leaves no state.
         """
         if any(f.zero for f in self.fns):
             return {}
         cap = TABLE_BUDGET if budget is None else budget
         rest = [sum(c not in ign for c in (*coords, *later)) for ign in self.ignored]
-        states = {self.start: 1}
+        states, drawn = {self.start: 1}, 0
         for _, run in itertools.groupby(coords, self.signature):
             run = list(run)
             effects = self.effects(run[0])
@@ -805,24 +958,44 @@ class _JointLayout:
             for k in [len(run)] if at_once else [1] * len(run):
                 rest = [r - k * d for r, d in zip(rest, live)]
                 floor = self.floor(rest)
+                drawn += k
+                if self.width < self.top:
+                    states = self._fit(states, drawn)
                 if at_once:
                     states = self._draw_run(states, effects, k, floor, cap)
                 else:
                     states = self._draw(states, effects, floor)
-                    if len(states) > cap:
-                        raise _over_budget(len(states), cap)
+                self._check(states, cap)
                 if not states:
                     return states
         return states
 
     def _draw(self, states, effects, floor) -> dict:
-        """States after one coordinate draws."""
-        guard, rmask = self.guard, self.rmask
+        """States after one coordinate draws.
+
+        A keyed state moves its key by the `_Turn` of its residue and its
+        window increment, effect by effect.  A packed one rotates its fields
+        once per residue increment, then adds the rotation times each weight
+        at each window increment that carries it.
+        """
+        guard = self.guard
         nxt: dict = {}
+        if self.width:
+            for key, packed in states.items():
+                turn = None
+                for step, bump, w in effects:
+                    if step is not turn:
+                        turn, value = step, step(packed)
+                    new = key + bump
+                    if new & guard or (floor and ((new | guard) - floor) & guard != guard):
+                        continue
+                    nxt[new] = nxt.get(new, 0) + value * w
+            return nxt
+        rmask = self.rmask
         for key, mass in states.items():
             r = key & rmask
-            for _, step, w in effects:
-                new = key + step[r]
+            for turn, bump, w in effects:
+                new = key + turn[r] + bump
                 if new & guard or (floor and ((new | guard) - floor) & guard != guard):
                     continue
                 nxt[new] = nxt.get(new, 0) + mass * w
@@ -835,7 +1008,9 @@ class _JointLayout:
         draws of each moving effect e, the other k - sum c of the bump-0
         effect of weight w_0) lands on key + sum c_e bump_e, with mass
         C(k; c) prod w_e^c_e w_0^(k - sum c); compositions that land on one
-        key add up there.  Counts run over the effects in order.  A slot that
+        key add up there.  A packed int takes the same products: every one
+        of its fields is a mass, and each division below is exact in every
+        field.  Counts run over the effects in order.  A slot that
         only e moves bounds c_e from the state alone: from the least count
         that lifts it to the floor up to the most before it overruns, leaving
         enough draws for the least counts of the effects after e.  A slot
@@ -846,7 +1021,7 @@ class _JointLayout:
         left beyond the most counts of the effects after e, and the last
         effect every draw left.  A state below the floor in a slot no effect
         moves is dropped.  Every composition that reaches the last effect is
-        thus stored, and the state that passes `cap` raises BudgetExceeded at
+        thus stored, and the key that passes `cap` raises BudgetExceeded at
         once.  The mass term of e grows by
         (rem - c) w_e / (c + 1) per count, exact in ints.  The floor applies
         to the states after the run only: overruns and floor misses only
@@ -854,8 +1029,8 @@ class _JointLayout:
         """
         guard = self.guard
         div = operator.floordiv if self.exact else operator.truediv
-        w0 = sum(w for bump, _, w in effects if not bump)
-        bumps = [(bump, w) for bump, _, w in effects if bump]
+        w0 = sum(w for _, bump, w in effects if not bump)
+        bumps = [(bump, w) for _, bump, w in effects if bump]
         last = len(bumps)
         # the bits of the slots that some effect moves, and of those that
         # several effects move
@@ -925,11 +1100,15 @@ class _JointLayout:
 
 
 def _accepted(fns, support, n: int, budget):
-    """The layout of `fns` and its states {packed key: scaled mass} after the
-    draws at coordinates 1..n, kept where every function accepts."""
+    """The layout of `fns` and its states {window key: scaled mass} after
+    the draws at coordinates 1..n, kept where every function accepts."""
     layout = _JointLayout(fns, support)
     states = layout.walk(range(1, n + 1), budget)
-    return layout, {key: mass for key, mass in states.items() if layout.accepts(key)}
+    return layout, {
+        key: mass
+        for key, r, mass in layout.masses(states, layout.target)
+        if layout.accepts(key, r)
+    }
 
 
 def _joint_count(fns, support, n: int, budget):
@@ -960,16 +1139,16 @@ def _influence_count(f: FunctionSpec, pi: MarginalDistribution, i: int, budget) 
     Every coordinate but i draws, with i counted as still to come in the
     floors.  In a live state of scaled mass M, the draws at i that lead to
     acceptance weigh P of the weight scale sw, so the state adds
-    M (sw P - P^2) / sw^(n+1) to E[Var[f | every coordinate but i]].
+    M (sw P - P^2) / sw^(n+1) to E[Var[f | every coordinate but i]].  A
+    packed layout unpacks its fields once, after the walk.
     """
     sw = pi.view.scale
     layout = _JointLayout((f,), _marginal_support(pi))
     states = layout.walk([c for c in range(1, f.n + 1) if c != i], budget, later=(i,))
-    effects, rmask = layout.effects(i), layout.rmask
+    effects = layout.effects(i)
     total = 0
-    for key, mass in states.items():
-        r = key & rmask
-        hit = sum(w for _, step, w in effects if layout.accepts(key + step[r]))
+    for key, r, mass in layout.masses(states):
+        hit = sum(w for turn, bump, w in effects if layout.accepts(key + bump, r + turn[r]))
         total += mass * (sw * hit - hit * hit)
     # float weights summing to just above sw can leave total a rounding below 0
     return Fraction(total, sw ** (f.n + 1)) if pi.exact else max(float(total), 0.0)
@@ -1012,7 +1191,8 @@ def expectation(
     contraction; on the dp it caps the live states after each step (one
     coordinate's draw, or a run of coordinates drawn at once, see
     `_JointLayout.walk`), counted after dropping those that can no longer
-    reach a window's lower bound.
+    reach a window's lower bound.  A live state is one (window counts,
+    residue) pair, counted alike whether the walk keys or packs residues.
     """
     _check_alphabet(f, pi)
     route = resolve_engine(engine, (f,))
@@ -1739,7 +1919,11 @@ def parse_function(text: str) -> FunctionSpec:
             symbol_map = {str(s): _integer(v, "a symbol map value") for s, v in symbol_map.items()}
         else:
             symbol_map = [_integer(v, "a symbol map value") for v in symbol_map]
-        coeffs = [_integer(c, "a coefficient") for c in _field(doc, "coeffs", list, "a list")]
+        coeffs = _field(doc, "coeffs", list, "a list")
+        # one pass over plain ints; any other entry (a bool too) goes through
+        # `_integer`, item by item, for its message
+        if not all(type(c) is int for c in coeffs):
+            coeffs = [_integer(c, "a coefficient") for c in coeffs]
         return make_mod_linear(
             n, alphabet, _integer(_field(doc, "modulus"), "modulus"), coeffs,
             _integer(_field(doc, "residue"), "residue"), symbol_map, zero,

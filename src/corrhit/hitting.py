@@ -215,7 +215,11 @@ def multi_set_expectation(
     and fail the second with BudgetExceeded; for the dp it caps the live
     states after each step (one coordinate's draw, or a run of coordinates
     drawn at once, see `fourier._JointLayout.walk`), counted after dropping
-    states that can no longer reach some window's lower bound.
+    states that can no longer reach some window's lower bound.  A live state
+    is one joint value of every window count and every residue with its
+    mass.  Exact walks may hold all residues of one set of window counts in
+    one packed int, whose nonzero fields are then counted, so the budget
+    reads the same on both of the walk's routes.
     """
     fns = tuple(fns)
     if len(fns) != p.steps:

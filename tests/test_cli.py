@@ -163,6 +163,23 @@ def test_rebase_retargets_each_kind(f, n, want):
         assert format_function(_rebase(f, n)) == format_function(want)
 
 
+def test_rebase_reads_plain_int_coefficients_in_one_pass(monkeypatch):
+    """Re-targeting a mod-linear function to n = 10^4 parses its padded
+    coefficients without one `_integer` call per coordinate (10,005 calls
+    before); the count is the document's few scalar fields."""
+    calls = []
+    integer = fourier._integer
+
+    def counted(item, what):
+        calls.append(what)
+        return integer(item, what)
+
+    monkeypatch.setattr(fourier, "_integer", counted)
+    f = _rebase(RESIDUE, 10**4)
+    assert f.payload["coeffs"] == (1, 2, 3, 4) + (0,) * (10**4 - 4)
+    assert "a coefficient" not in calls and len(calls) < 10
+
+
 def test_hit_enumerate_refuses_a_huge_n_at_once(workdir):
     """The enumeration budget is checked before |support|^n is computed, so
     a window re-targeted at n = 10^8 is refused within seconds."""

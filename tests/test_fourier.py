@@ -1047,6 +1047,21 @@ def test_parse_function_refuses_a_symbol_map_of_another_type():
             parse_function(json.dumps({**MOD_DOC, "symbol_map": symbol_map}))
 
 
+def test_parse_function_reads_coefficients_that_are_not_plain_ints_item_by_item():
+    # Numeral strings and bools are read as before the one-pass check of
+    # plain ints; a float or another string is refused with its own message.
+    doc = {**MOD_DOC, "symbol_map": [0, 1, 2]}
+    f = parse_function(json.dumps({**doc, "coeffs": ["2", True]}))
+    assert f.payload["coeffs"] == (2, 1)
+    for bad, shown in ((1.5, "1.5"), ("x", '"x"'), (False, None)):
+        text = json.dumps({**doc, "coeffs": [1, bad]})
+        if shown is None:
+            assert parse_function(text).payload["coeffs"] == (1, 0)
+            continue
+        with pytest.raises(ValueError, match=f"a coefficient must be an integer, not {shown}"):
+            parse_function(text)
+
+
 def test_parse_function_refuses_retyped_and_missing_fields():
     # each of these raised TypeError or KeyError, or was truncated, before
     # the field checks

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -338,13 +339,10 @@ def test_dp_budget_caps_live_states():
                 call(threshold - 1)
 
 
-def test_dp_step_tables_are_shared_across_signatures():
-    # A mod_linear pair, q = 5, over a full-support 3-symbol two-step
-    # distribution at n = 48, coefficients in 1..4: up to 16 coordinate
-    # signatures over 25 residues.  The layout keeps one step table per
-    # distinct (bump, residue increments) effect, which every signature
-    # carrying that effect reads, so the walk fills at most 25 entries per
-    # distinct effect however many signatures draw.
+def _residue_pair_layout():
+    """A mod_linear pair, q = 5, over a full-support 3-symbol two-step
+    distribution at n = 48, coefficients in 1..4: up to 16 coordinate
+    signatures over 25 residues."""
     rng = random.Random(15)
     n, q = 48, 5
     p = helpers.random_dist(rng, 3, 2, full_support=True)
@@ -353,15 +351,60 @@ def test_dp_step_tables_are_shared_across_signatures():
                         rng.randrange(q), (0, 1, 3))
         for _ in range(2)
     )
-    layout = _JointLayout(fns, p._scaled_support)
-    states = layout.walk(range(1, n + 1), None)
-    assert states
+    return n, q, fns, p
+
+
+def _packing(packs):
+    """Residues packed wherever the layout is exact (True), never (False),
+    or by the layout's own rule (None)."""
+    if packs is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(fourier, "_packs", lambda exact, *args: packs and exact)
+
+
+def test_dp_step_tables_are_shared_across_signatures():
+    # Keyed: the layout keeps one residue-shift table per distinct residue
+    # increment, which every signature carrying that increment reads, so the
+    # walk fills at most 25 entries per distinct increment however many
+    # signatures draw.
+    n, q, fns, p = _residue_pair_layout()
+    with _packing(False):
+        layout = _JointLayout(fns, p._scaled_support)
+        states = layout.walk(range(1, n + 1), None)
+    assert states and not layout.width
     effects = [e for c in range(1, n + 1) for e in layout.effects(c)]
-    tables = {id(step): step for _, step, _ in effects}
-    pairs = {(bump, step.inc) for bump, step, _ in effects}
+    tables = {id(turn): turn for turn, _, _ in effects}
+    incs = {turn.inc for turn, _, _ in effects}
     assert len({layout.signature(c) for c in range(1, n + 1)}) > 8
-    assert len(tables) == len(pairs)
-    assert sum(map(len, tables.values())) <= len(pairs) * q * q
+    assert len(tables) == len(incs)
+    assert sum(map(len, tables.values())) <= len(incs) * q * q
+
+
+def test_dp_rotation_masks_are_built_once_per_digit_and_increment():
+    # Packed: every rotation the walk applies is one of the layout's
+    # (digit, increment) masks, each built once however many increments and
+    # signatures carry it; the walk ends on the keyed walk's states.
+    n, q, fns, p = _residue_pair_layout()
+    built = collections.Counter()
+    rotation = _JointLayout._rotation
+
+    def spy(self, d, a):
+        built[d, a] += 1
+        return rotation(self, d, a)
+
+    with mock.patch.object(_JointLayout, "_rotation", spy):
+        layout = _JointLayout(fns, p._scaled_support)
+        states = layout.walk(range(1, n + 1), None)
+    assert layout.width and len(states) == 1
+    effects = [e for c in range(1, n + 1) for e in layout.effects(c)]
+    carried = {(d, a) for turn, _, _ in effects for d, a in enumerate(turn.inc) if a}
+    assert set(built) == carried and set(built.values()) == {1}
+    assert len({turn.inc for turn, _, _ in effects}) > len(carried)
+    with _packing(False):
+        keyed = _JointLayout(fns, p._scaled_support)
+        want = keyed.walk(range(1, n + 1), None)
+    assert layout.size(states) == len(want) == q * q
+    assert sorted(layout.masses(states)) == sorted(keyed.masses(want))
 
 
 def test_dp_run_step_raises_before_storing_the_whole_run():
@@ -604,12 +647,189 @@ def test_exponent_fits_with_shared_slot_runs_match_the_brute_oracle(data):
                 assert got == pytest.approx((mu, delta), rel=FLOAT_REL)
 
 
+@st.composite
+def packed_residues(draw, n, m):
+    """A residue function of modulus 2..7 whose zero coefficients give
+    residue-free coordinates, restricted at random coordinates now and
+    then, and its oracle."""
+    q = draw(st.integers(2, 7))
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.integers(1, q - 1)), min_size=n, max_size=n))
+    smap = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+    residue = draw(st.integers(0, q - 1))
+    f = make_mod_linear(n, tuple(str(a) for a in range(m)), q, coeffs, residue, smap)
+    fixed = draw(st.dictionaries(st.integers(1, n), st.integers(0, m - 1), max_size=min(n - 1, 2)))
+    oracle = _residue_indicator(q, coeffs, residue, smap)
+    if not fixed:
+        return f, oracle
+    return restrict(f, Restriction.from_dict(n, fixed)), (
+        lambda x: oracle([fixed.get(c, s) for c, s in enumerate(x, start=1)])
+    )
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dp_packed_and_keyed_residues_match_the_brute_oracle(data):
+    # One or two residue functions of moduli 2..7 beside windows (anchored
+    # and restricted), on random supports with zero weights.  Residues
+    # packed wherever exact, never packed, and the layout's own rule, each
+    # with runs forced and by the walk's choice, give the brute oracle's
+    # Fraction; decimal twins (never packed) agree within FLOAT_REL.  The
+    # influence of a residue function is checked under the same rules.
+    m = data.draw(st.integers(2, 3))
+    ell = data.draw(st.integers(2, 3))
+    tuples = list(itertools.product(range(m), repeat=ell))
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(tuples), max_size=len(tuples)))
+    cells = {t: Fraction(w) for t, w in zip(tuples, weights) if w} or {tuples[0]: Fraction(1)}
+    n = data.draw(st.integers(1, max(k for k in range(1, 6) if k == 1 or len(cells) ** k <= 1500)))
+    modular = data.draw(st.lists(st.integers(0, ell - 1), min_size=1, max_size=2, unique=True))
+    pairs = [
+        data.draw(packed_residues(n, m) if j in modular else run_windows(n, m))
+        for j in range(ell)
+    ]
+    fns, oracle_fns = tuple(f for f, _ in pairs), [o for _, o in pairs]
+    p = helpers.dist_from_cells(cells, m, ell)
+    twin = _float_twin(p)
+    want = oracles.multi_set_expectation_brute(dict(zip(p.tuples(), p.weights)), ell, n, oracle_fns)
+    j = data.draw(st.sampled_from(modular))
+    pi, i = marginal(p, j + 1), data.draw(st.integers(1, n))
+    want_inf = oracles.influence_iid(
+        {a: pi.probs[a] for a in range(m)}, n, oracle_fns[j], tuple(range(m)), i
+    )
+    for packs, pays in itertools.product((True, False, None), (True, None)):
+        with _packing(packs), _runs(pays):
+            got = multi_set_expectation(p, n, fns, engine="dp")
+            assert isinstance(got, Fraction) and got == want
+            _assert_close(multi_set_expectation(twin, n, fns, engine="dp"), want)
+            got = influence(fns[j], pi, i=i, engine="dp")
+            assert isinstance(got, Fraction) and got == want_inf
+            _assert_close(influence(fns[j], marginal(twin, j + 1), i=i, engine="dp"), want_inf)
+
+
+def test_dp_packed_budget_counts_the_keyed_states():
+    # On residue layouts (with windows beside them, and zero coefficients
+    # that draw as runs) the packed walk peaks at the keyed walk's live
+    # states, so the least passing budget is the same, and one less raises
+    # the same BudgetExceeded.  With no budget set the packed walk never
+    # counts its fields: the keys times R stay under the default cap.
+    rng = random.Random(2028)
+    packed_runs = 0
+    for _ in range(30):
+        steps = rng.choice((2, 3))
+        p = helpers.random_dist(rng, rng.choice((2, 3)), steps)
+        m, n = len(p.alphabet), rng.randint(6, 12 if steps == 2 else 8)
+        special = rng.sample(range(1, n + 1), rng.randint(0, 2))
+        while True:
+            fns, _ = _random_dp_instance(rng, p, n, special)
+            if any(f.kind == "mod_linear" for f in fns):
+                break
+        # zero coefficients on a block of coordinates, so residue-free runs
+        start = rng.randint(1, n)
+        fns = tuple(
+            restrict(f, Restriction.from_dict(n, {c: 0 for c in range(start, n + 1)}))
+            if f.kind == "mod_linear" else f
+            for f in fns
+        )
+
+        def call(budget):
+            return multi_set_expectation(p, n, fns, engine="dp", budget=budget)
+
+        with _packing(False):
+            want, keyed = _peak_live_states(call)
+        runs = []
+        draw_run = _JointLayout._draw_run
+
+        def counted(self, *args):
+            runs.append(self.width)
+            return draw_run(self, *args)
+
+        with mock.patch.object(_JointLayout, "_draw_run", counted), mock.patch.object(
+            _JointLayout, "size", side_effect=AssertionError("fields counted")
+        ):
+            assert call(None) == want
+        packed_runs += any(runs)
+        with _packing(True):
+            value, peak = _peak_live_states(call)
+        assert value == want and peak == keyed
+        if not peak:
+            continue
+        errors = []
+        for packs in (True, False):
+            with _packing(packs):
+                assert call(peak) == want
+                with pytest.raises(BudgetExceeded) as raised:
+                    call(peak - 1)
+                errors.append(str(raised.value))
+        assert errors[0] == errors[1] == (
+            f"joint-count state space {peak} exceeds the budget {peak - 1}"
+        )
+    assert packed_runs >= 5
+
+
+def test_dp_packed_fields_hold_long_runs_of_concentrated_weights():
+    # n = 320 draws of a support with one tuple of weight 97 in 100: every
+    # tuple bumps a window slot at step 1, and the residue function at step
+    # 2 has zero coefficients on blocks of 80 coordinates, which draw as
+    # runs.  The heavy tuple keeps most mass on few fields, whose values
+    # come within a byte of scale^t, the bound each width is built on.  The
+    # fields start at 1024 bits and widen on the way to the 2128 that hold
+    # 100^320, each width with its own rotation masks, built once; the
+    # packed walk equals the keyed one exactly.
+    n = 320
+    cells = {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(1), (1, 1): Fraction(97)}
+    p = helpers.dist_from_cells(cells, 2, 2)
+    window = make_anchored_symmetric(n, BIT, {"0": (0, 40), "1": (n - 60, n)})
+    coeffs = [0 if (c // 80) % 2 == 0 else 1 + c % 3 for c in range(n)]
+    residue = make_mod_linear(n, BIT, 5, coeffs, 2, (0, 1))
+    draw_run, rotation = _JointLayout._draw_run, _JointLayout._rotation
+    runs, built = [], collections.Counter()
+
+    def counted(self, *args):
+        runs.append((self.width, args[2]))
+        return draw_run(self, *args)
+
+    def spy(self, d, a):
+        built[d, a, self.width] += 1
+        return rotation(self, d, a)
+
+    with mock.patch.object(_JointLayout, "_draw_run", counted), mock.patch.object(
+        _JointLayout, "_rotation", spy
+    ):
+        got = multi_set_expectation(p, n, (window, residue), engine="dp")
+    assert runs and all(width for width, _ in runs) and max(k for _, k in runs) == 80
+    widths = sorted({width for _, _, width in built})
+    assert widths[0] == 1024 and widths[-1] == 2128 and len(widths) > 2
+    assert set(built.values()) == {1}
+    with _packing(False):
+        want = multi_set_expectation(p, n, (window, residue), engine="dp")
+    assert isinstance(got, Fraction) and got == want and 0 < got < 1
+
+
+def test_dp_packed_run_terms_may_pass_the_field_width():
+    # Two tuples of weight 1 (scale 2, fields of 72 bits at n = 64) that
+    # both bump a slot, and a residue that only the last coordinate moves:
+    # coordinates 1..63 draw as one run, and its terms before their last
+    # counts are multinomials near 3^63 (98 bits) in field 0.  They spill
+    # into the next fields, but only pass through products and exact
+    # divisions on the whole int, so the stored fields, and the value, are
+    # exact.
+    n = 64
+    p = helpers.dist_from_cells({(0, 0): Fraction(1), (1, 1): Fraction(1)}, 2, 2)
+    window = make_anchored_symmetric(n, BIT, {"0": (0, n), "1": (0, n)})
+    residue = make_mod_linear(n, BIT, 3, [0] * (n - 1) + [1], 1, (0, 1))
+    k = n - 1
+    terms = (math.comb(k, c) * math.comb(k - c, d) * d for c in range(n) for d in range(n - c))
+    assert max(terms).bit_length() > 72
+    for packs in (True, False):
+        with _packing(packs):
+            assert multi_set_expectation(p, n, (window, residue), engine="dp") == Fraction(1, 2)
+
+
 def _disjoint_runs_only(effects) -> bool:
     """Runs only where the bumps touch pairwise disjoint slots, as the walk
     drew before runs took shared slots."""
-    bumps = [bump for bump, _, _ in effects]
+    bumps = [bump for _, bump, _ in effects]
     disjoint = sum(bumps) == functools.reduce(operator.or_, bumps, 0)
-    return not any(any(step.inc) for _, step, _ in effects) and disjoint
+    return not any(any(turn.inc) for turn, _, _ in effects) and disjoint
 
 
 def _peak_live_states(call, gate=None):
@@ -620,7 +840,7 @@ def _peak_live_states(call, gate=None):
     def spy(method):
         def wrapped(self, *args):
             states = method(self, *args)
-            peak[0] = max(peak[0], len(states))
+            peak[0] = max(peak[0], self.size(states))
             return states
 
         return wrapped
@@ -688,7 +908,7 @@ def test_dp_declined_shared_slot_run_draws_one_coordinate_at_a_time():
     fixed = restrict(window, Restriction.from_dict(n, {c: c % 2 for c in range(1, 9)}))
     layout = _JointLayout((fixed, window), p._scaled_support)
     effects = layout.effects(9)
-    bumps = [bump for bump, _, _ in effects]
+    bumps = [bump for _, bump, _ in effects]
     assert len(effects) == 4 and sum(bumps) != functools.reduce(operator.or_, bumps)
     assert not fourier._run_pays(9, 5, effects)
     assert fourier._run_pays(1, n, effects)
