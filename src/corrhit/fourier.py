@@ -617,16 +617,23 @@ class _Turn(dict):
         return packed
 
 
-# Bits per field of a packed int before the walk first widens its fields.
+# Most bits per field of a packed int: a layout whose masses need more
+# walks keyed, since every field op costs in proportion to the width.
 _WIDTH = 1024
 
 
-def _packs(exact: bool, residues: int, support: int, n: int) -> bool:
+def _packs(exact: bool, residues: int, support: int, n: int, scale) -> bool:
     """Whether a layout of R = `residues` residue indices maps each window
     key to one packed int of R fields (see `_JointLayout`): when its masses
-    are exact ints, R is at most `_BLOCK`, and R is at most |support|^n, the
-    most residues that n draws reach."""
-    return exact and residues <= _BLOCK and power_exceeds(support, n, residues - 1)
+    are exact ints, R is at most `_BLOCK`, R is at most |support|^n, the
+    most residues that n draws reach, and scale^n, the most mass a field
+    holds, fits `_WIDTH` bits."""
+    return (
+        exact
+        and residues <= _BLOCK
+        and power_exceeds(support, n, residues - 1)
+        and not power_exceeds(scale, n, (1 << _WIDTH) - 1)
+    )
 
 
 def _shifts_no_residue(effects) -> bool:
@@ -687,27 +694,22 @@ class _JointLayout:
     window fields, and the states are {key: mass}.  On the packed route
     (`_packs`: exact layouts with residues to pack) the states are {window
     key: packed int}, `rmask` is 0, and the packed int holds the mass of
-    residue r in bits [r W, (r + 1) W) of `width` W, a multiple of 8.  A
-    stored mass after t draws is a sum of path weights, at most scale^t,
-    scale the sum of the support weights.  Before each step the walk makes
-    W hold scale^t for the draws t made by the end of the step (`_fit`):
-    it starts at `_WIDTH` bits, or `top`, the bytes that hold scale^n, when
-    that is less, and widens as the masses grow, since every field op
-    costs in proportion to W.  So no stored field carries into the next.
-    A run (`_draw_run`) may pass W bits in a field of a term it has not
-    stored yet, but it only multiplies that int by counts and weights and
-    divides it by a count c that divides every field, and such steps are
-    exact on the int whatever its fields hold; the term is back in its
-    fields when it is stored.  Either way the budget counts live (key,
-    residue) states: the keys, or on the packed route the nonzero fields
-    (`size`).
+    residue r in bits [r W, (r + 1) W) of `width` W.  A stored mass after t
+    draws is a sum of path weights, at most scale^t, scale the sum of the
+    support weights; W is the bits of scale^n rounded up to whole bytes, so
+    no stored field carries into the next.  A run (`_draw_run`) may pass W
+    bits in a field of a term it has not stored yet, but it only multiplies
+    that int by counts and weights and divides it by a count c that divides
+    every field, and such steps are exact on the int whatever its fields
+    hold; the term is back in its fields when it is stored.  Either way the
+    budget counts live (key, residue) states: the keys, or on the packed
+    route the nonzero fields (`size`).
 
     A draw's effect is a window increment `bump` (a 1 at the lowest bit of
     each slot it counts in) and an increment per modular digit.  The layout
     keeps one `_Turn` per distinct increment, read by every coordinate
     signature that draws it; a packed layout builds the masks of its
-    rotations lazily, once per (digit, increment) that some effect carries
-    and per width.
+    rotations lazily, once per (digit, increment) that some effect carries.
     """
 
     def __init__(self, fns, support):
@@ -720,11 +722,12 @@ class _JointLayout:
                 radix *= f.payload["modulus"]
         self.residues = radix
         self.exact = all(isinstance(w, int) for _, w in support)
-        self.width = self.top = 0
-        if self.mods and _packs(self.exact, radix, len(support), fns[0].n):
-            self.scale = sum(w for _, w in support)
-            self.top = -(-(self.scale ** fns[0].n).bit_length() // 8) * 8
-            self.width = min(self.top, _WIDTH)
+        self.width = 0
+        scale, n = sum(w for _, w in support), fns[0].n
+        if self.mods and _packs(self.exact, radix, len(support), n, scale):
+            self.width = -(-(scale**n).bit_length() // 8) * 8
+        # the most live states one stored value holds
+        self.per = radix if self.width else 1
         # packed keys hold no residue bits
         pos = 0 if self.width else (radix - 1).bit_length()
         self.rmask = (1 << pos) - 1
@@ -818,17 +821,20 @@ class _JointLayout:
         raw = packed.to_bytes(self.residues * self.width // 8, "little")
         return raw, np.frombuffer(raw, np.uint8).reshape(self.residues, -1).any(1)
 
+    def _live(self, value) -> int:
+        """The live (key, residue) states one stored value holds: one mass,
+        or the nonzero fields of a packed int."""
+        return int(self._fields(value)[1].sum()) if self.width else 1
+
     def size(self, states) -> int:
         """The live (key, residue) states: the keys, or on the packed route
         the nonzero fields of every key."""
-        if not self.width:
-            return len(states)
-        return sum(int(self._fields(v)[1].sum()) for v in states.values())
+        return sum(map(self._live, states.values())) if self.width else len(states)
 
     def _check(self, states, cap: int):
         """Raise BudgetExceeded past `cap` live states; fields are counted
         only when the keys times R pass the cap."""
-        if len(states) * (self.residues if self.width else 1) > cap:
+        if len(states) * self.per > cap:
             size = self.size(states)
             if size > cap:
                 raise _over_budget(size, cap)
@@ -886,26 +892,6 @@ class _JointLayout:
                 self._rotations[d, a] = self._rotation(d, a)
         return tuple(self._rotations[d, a] for d, a in enumerate(inc) if a)
 
-    def _fit(self, states, draws: int) -> dict:
-        """The packed states with fields that hold the masses after `draws`
-        draws, scale^draws at most: when they are too narrow, every field
-        widens to half again the bits needed, or to `top`, the width for all
-        n draws, and the rotations are rebuilt for the new width."""
-        need = (self.scale**draws).bit_length()
-        if need <= self.width:
-            return states
-        old, self.width = self.width // 8, min(self.top, -(-3 * need // 16) * 8)
-        wide = {}
-        for key, packed in states.items():
-            fields = np.zeros((self.residues, self.width // 8), np.uint8)
-            raw = packed.to_bytes(self.residues * old, "little")
-            fields[:, :old] = np.frombuffer(raw, np.uint8).reshape(self.residues, old)
-            wide[key] = int.from_bytes(fields.tobytes(), "little")
-        self._rotations.clear()
-        for inc, turn in self._turns.items():
-            turn.rots = self._rots(inc)
-        return wide
-
     def _rotation(self, d: int, a: int):
         """(low, up, high, down) of a packed int's rotation by a at digit d:
         the fields whose digit d is below q - a move up by a places of that
@@ -932,19 +918,18 @@ class _JointLayout:
         (`_run_pays`); every other coordinate draws on its own.  The bumps
         of a run's effects may share slots.  A state is dropped when a window
         overruns or when some window's lo is out of reach with the rest of
-        `coords` and the coordinates `later` still to draw.  Packed fields
-        widen before a step whose masses might not fit them (`_fit`).  More
-        than `budget` live (key, residue) states after a step (one draw, or one
+        `coords` and the coordinates `later` still to draw.  More than
+        `budget` live (key, residue) states after a step (one draw, or one
         run drawn at once) raise BudgetExceeded; a run also raises as soon
-        as it stores one key too many.  A run ends on the states its single
-        draws end on, and those only grow along it, so any budget its single
-        draws meet, the run meets too.  A zero function leaves no state.
+        as it stores one live state too many.  A run ends on the states its
+        single draws end on, and those only grow along it, so any budget its
+        single draws meet, the run meets too.  A zero function leaves no state.
         """
         if any(f.zero for f in self.fns):
             return {}
         cap = TABLE_BUDGET if budget is None else budget
         rest = [sum(c not in ign for c in (*coords, *later)) for ign in self.ignored]
-        states, drawn = {self.start: 1}, 0
+        states = {self.start: 1}
         for _, run in itertools.groupby(coords, self.signature):
             run = list(run)
             effects = self.effects(run[0])
@@ -958,9 +943,6 @@ class _JointLayout:
             for k in [len(run)] if at_once else [1] * len(run):
                 rest = [r - k * d for r, d in zip(rest, live)]
                 floor = self.floor(rest)
-                drawn += k
-                if self.width < self.top:
-                    states = self._fit(states, drawn)
                 if at_once:
                     states = self._draw_run(states, effects, k, floor, cap)
                 else:
@@ -1021,9 +1003,11 @@ class _JointLayout:
         left beyond the most counts of the effects after e, and the last
         effect every draw left.  A state below the floor in a slot no effect
         moves is dropped.  Every composition that reaches the last effect is
-        thus stored, and the key that passes `cap` raises BudgetExceeded at
-        once.  The mass term of e grows by
-        (rem - c) w_e / (c + 1) per count, exact in ints.  The floor applies
+        thus stored, and the store that passes `cap` live states raises
+        BudgetExceeded at once, as in `_check`: a packed run counts the
+        nonzero fields of the keys it stores once the keys times R pass
+        `cap`, so both routes refuse on state cap + 1.  The mass term of e
+        grows by (rem - c) w_e / (c + 1) per count, exact in ints.  The floor applies
         to the states after the run only: overruns and floor misses only
         grow along a run, so the result is the one of k single draws.
         """
@@ -1051,12 +1035,28 @@ class _JointLayout:
         still = floor & sum(mask << pos for pos, mask, _ in fields if not moved >> pos & 1)
         tail = [w0**r for r in range(k + 1)]
         nxt: dict = {}
+        # live states per stored key, and their sum, once the keys times R
+        # pass the cap
+        live: dict = {}
+        total, per = 0, self.per
+
+        def count(key, value):
+            nonlocal total
+            if not live:
+                live.update((stored, self._live(v)) for stored, v in nxt.items())
+                total = sum(live.values())
+            else:
+                total -= live.get(key, 0)
+                live[key] = self._live(value)
+                total += live[key]
+            if total > cap:
+                raise _over_budget(cap + 1, cap)
 
         def spread(key, term, e, rem):
             if e == last:
-                nxt[key] = nxt.get(key, 0) + term * tail[rem]
-                if len(nxt) > cap:
-                    raise _over_budget(len(nxt), cap)
+                nxt[key] = value = nxt.get(key, 0) + term * tail[rem]
+                if len(nxt) * per > cap:
+                    count(key, value)
                 return
             bump, w, room, floors = moving[e]
             lo, most = bounds[e]

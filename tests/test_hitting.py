@@ -765,14 +765,54 @@ def test_dp_packed_budget_counts_the_keyed_states():
     assert packed_runs >= 5
 
 
+def test_dp_packed_run_refuses_on_the_keyed_state():
+    # A residue function mod 5 moved by coordinates 1..3 only, beside a
+    # window that the run over coordinates 4..40 spreads over 41 keys, each
+    # with up to 5 residues.  Under budgets well below the peak the run
+    # step is the one that passes them, and both routes refuse on live
+    # state budget + 1, though the packed run holds fewer keys than that.
+    n = 40
+    cells = {(a, b): Fraction(1 + a + 2 * b) for a in range(2) for b in range(2)}
+    p = helpers.dist_from_cells(cells, 2, 2)
+    window = make_anchored_symmetric(n, BIT, {"0": (0, n)})
+    residue = make_mod_linear(n, BIT, 5, [1, 2, 3] + [0] * (n - 3), 0, (0, 1))
+
+    def call(budget):
+        return multi_set_expectation(p, n, (window, residue), engine="dp", budget=budget)
+
+    with _runs(True):
+        with _packing(False):
+            want, peak = _peak_live_states(call)
+        widths = []
+        draw_run = _JointLayout._draw_run
+
+        def counted(self, *args):
+            widths.append(self.width)
+            return draw_run(self, *args)
+
+        with _packing(True), mock.patch.object(_JointLayout, "_draw_run", counted):
+            assert call(None) == want
+        assert widths and all(widths)
+        assert peak > 150
+        for budget in (peak // 4, peak // 2, peak - 1):
+            errors = []
+            for packs in (True, False):
+                with _packing(packs), pytest.raises(BudgetExceeded) as raised:
+                    call(budget)
+                errors.append(str(raised.value))
+            assert errors[0] == errors[1] == (
+                f"joint-count state space {budget + 1} exceeds the budget {budget}"
+            )
+
+
 def test_dp_packed_fields_hold_long_runs_of_concentrated_weights():
     # n = 320 draws of a support with one tuple of weight 97 in 100: every
     # tuple bumps a window slot at step 1, and the residue function at step
     # 2 has zero coefficients on blocks of 80 coordinates, which draw as
     # runs.  The heavy tuple keeps most mass on few fields, whose values
-    # come within a byte of scale^t, the bound each width is built on.  The
-    # fields start at 1024 bits and widen on the way to the 2128 that hold
-    # 100^320, each width with its own rotation masks, built once; the
+    # come within a byte of scale^n.  100^320 needs more than `_WIDTH` bits,
+    # so the layout's rule walks it keyed; packed anyway, its fields are the
+    # 2128 bits that hold 100^320, each rotation mask is built once, and the
     # packed walk equals the keyed one exactly.
     n = 320
     cells = {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(1), (1, 1): Fraction(97)}
@@ -780,6 +820,7 @@ def test_dp_packed_fields_hold_long_runs_of_concentrated_weights():
     window = make_anchored_symmetric(n, BIT, {"0": (0, 40), "1": (n - 60, n)})
     coeffs = [0 if (c // 80) % 2 == 0 else 1 + c % 3 for c in range(n)]
     residue = make_mod_linear(n, BIT, 5, coeffs, 2, (0, 1))
+    assert not _JointLayout((window, residue), p._scaled_support).width
     draw_run, rotation = _JointLayout._draw_run, _JointLayout._rotation
     runs, built = [], collections.Counter()
 
@@ -791,17 +832,17 @@ def test_dp_packed_fields_hold_long_runs_of_concentrated_weights():
         built[d, a, self.width] += 1
         return rotation(self, d, a)
 
-    with mock.patch.object(_JointLayout, "_draw_run", counted), mock.patch.object(
+    with _packing(True), mock.patch.object(_JointLayout, "_draw_run", counted), mock.patch.object(
         _JointLayout, "_rotation", spy
     ):
         got = multi_set_expectation(p, n, (window, residue), engine="dp")
-    assert runs and all(width for width, _ in runs) and max(k for _, k in runs) == 80
-    widths = sorted({width for _, _, width in built})
-    assert widths[0] == 1024 and widths[-1] == 2128 and len(widths) > 2
-    assert set(built.values()) == {1}
+    assert runs and {width for width, _ in runs} == {2128} and max(k for _, k in runs) == 80
+    assert {width for _, _, width in built} == {2128} and set(built.values()) == {1}
     with _packing(False):
         want = multi_set_expectation(p, n, (window, residue), engine="dp")
     assert isinstance(got, Fraction) and got == want and 0 < got < 1
+    with _packing(None):
+        assert multi_set_expectation(p, n, (window, residue), engine="dp") == want
 
 
 def test_dp_packed_run_terms_may_pass_the_field_width():
