@@ -46,16 +46,15 @@ from .decompose import convex_cycle_decomposition, decomposition_guarantees
 from .fourier import (
     BudgetExceeded,
     FunctionSpec,
+    _moments,
+    _rebase,
     analyze,
     build_basis,
-    expectation,
     format_function,
-    influence,
     make_table_function,
     parse_function,
     resolve_engine,
     to_table,
-    variance,
 )
 from .hitting import (
     counterexample_three_sets,
@@ -130,22 +129,6 @@ def _load_fn(path: str, inputs: dict) -> FunctionSpec:
         return parse_function(text)
     except ValueError as e:
         raise _LoadError(f"{path}: {e}") from e
-
-
-def _rebase(f: FunctionSpec, n: int) -> FunctionSpec:
-    """Re-target a structured function at a different coordinate count: its
-    document (`format_function`) with n set and a mod-linear function's
-    coefficients cut or padded with zeros, parsed back (`parse_function`),
-    which checks every coordinate and window bound.  Tables are refused."""
-    if n == f.n:
-        return f
-    if f.kind == "table":
-        raise ValueError(f"table function of {f.n} coordinates cannot be re-targeted to {n}")
-    doc = json.loads(format_function(f))
-    doc["n"] = n
-    if f.kind == "mod_linear":
-        doc["coeffs"] = doc["coeffs"][:n] + [0] * (n - f.n)
-    return parse_function(json.dumps(doc))
 
 
 def _load_fns(args, inputs: dict) -> list:
@@ -262,9 +245,7 @@ def _cmd_fourier(args, inputs):
     f = _load_one_fn(args, inputs, "fourier")
     # the expansion's budget check refuses support^n before any walk below
     expansion = analyze(f, build_basis(pi), budget=args.budget)
-    exp_val = expectation(f, pi, budget=args.budget)
-    var_val = variance(f, pi, budget=args.budget)
-    infs = [influence(f, pi, i=i, budget=args.budget) for i in range(1, f.n + 1)]
+    exp_val, var_val, infs = _moments(f, pi, args.budget)
     top = sorted(
         expansion.coeffs.items(), key=lambda kv: (-abs(kv[1]), kv[0])
     )[: args.top]

@@ -37,8 +37,10 @@ basis support by `analyze`.
 
 Only this module builds a `FunctionSpec` or reads its payload; other modules
 go through the constructors, the document codec (`parse_function`,
-`format_function`), `to_table`, `_view_table` (a table from a `ScaledView`)
-and `_max_influence`.
+`format_function`), `_rebase` (a function re-targeted at another n),
+`to_table`, `_view_table` (a table from a `ScaledView`), and
+`_count_influences` and `_moments`, which read a function's coordinate
+classes.
 """
 
 from __future__ import annotations
@@ -234,6 +236,28 @@ def make_mod_linear(
         "zero": bool(zero),
     }
     return FunctionSpec(n, alphabet, "mod_linear", payload)
+
+
+def _rebase(f: FunctionSpec, n: int) -> FunctionSpec:
+    """f re-targeted at n coordinates, rebuilt by its kind's constructor,
+    which checks every coordinate and window bound against n: a mod-linear
+    function's coefficients are cut or padded with zeros.  Tables are
+    refused."""
+    if n == f.n:
+        return f
+    pay = f.payload
+    if f.kind == "table":
+        raise ValueError(f"table function of {f.n} coordinates cannot be re-targeted to {n}")
+    if f.kind == "anchored_symmetric":
+        return make_anchored_symmetric(
+            n, f.alphabet, pay["windows"], pay["anchor"], pay["ignored"], f.zero
+        )
+    if f.kind == "junta":
+        return make_junta(n, f.alphabet, pay["constraints"], f.zero)
+    coeffs = pay["coeffs"][:n] + (0,) * (n - f.n)
+    return make_mod_linear(
+        n, f.alphabet, pay["modulus"], coeffs, pay["residue"], pay["symbol_map"], f.zero
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1133,25 +1157,50 @@ def _marginal_support(pi: MarginalDistribution):
     return [((a,), w) for a, w in enumerate(pi.view.ints) if w > 0]
 
 
-def _influence_count(f: FunctionSpec, pi: MarginalDistribution, i: int, budget) -> Number:
-    """Inf_i(f) of a window or residue function by the joint-count program.
+def _influence_count(f: FunctionSpec, pi: MarginalDistribution, i: int, budget):
+    """(E[f], Inf_i(f)) of a window or residue function by one walk of the
+    joint-count program.
 
     Every coordinate but i draws, with i counted as still to come in the
     floors.  In a live state of scaled mass M, the draws at i that lead to
-    acceptance weigh P of the weight scale sw, so the state adds
-    M (sw P - P^2) / sw^(n+1) to E[Var[f | every coordinate but i]].  A
-    packed layout unpacks its fields once, after the walk.
+    acceptance weigh P of the weight scale sw, so the state adds M P / sw^n
+    to E[f] and M (sw P - P^2) / sw^(n+1) to E[Var[f | every coordinate but
+    i]].  A packed layout unpacks its fields once, after the walk.
     """
     sw = pi.view.scale
     layout = _JointLayout((f,), _marginal_support(pi))
     states = layout.walk([c for c in range(1, f.n + 1) if c != i], budget, later=(i,))
     effects = layout.effects(i)
-    total = 0
+    mean = total = 0
     for key, r, mass in layout.masses(states):
         hit = sum(w for turn, bump, w in effects if layout.accepts(key + bump, r + turn[r]))
+        mean += mass * hit
         total += mass * (sw * hit - hit * hit)
+    if pi.exact:
+        return Fraction(mean, sw**f.n), Fraction(total, sw ** (f.n + 1))
     # float weights summing to just above sw can leave total a rounding below 0
-    return Fraction(total, sw ** (f.n + 1)) if pi.exact else max(float(total), 0.0)
+    return float(mean), max(float(total), 0.0)
+
+
+def _count_influences(f: FunctionSpec, pi: MarginalDistribution, budget):
+    """(E[f], [(coordinates, their Inf_i(f)) per class]) of a window or
+    residue function, one joint-count walk per class of coordinates that
+    are exchangeable under i.i.d. draws and so share one influence: a
+    window function's anchor, its ignored coordinates (influence 0) and the
+    rest; a residue function's coordinates of one coefficient.  E[f] is
+    read off the first walk."""
+    pay = f.payload
+    if f.kind == "anchored_symmetric":
+        anchor = [pay["anchor"][0]] if pay["anchor"] is not None else []
+        rest = [i for i in range(1, f.n + 1) if i not in pay["ignored"] and i not in anchor]
+        classes = [coords for coords in (anchor, sorted(pay["ignored"]), rest) if coords]
+    else:
+        by_coeff: dict = {}
+        for i, c in enumerate(pay["coeffs"], start=1):
+            by_coeff.setdefault(c, []).append(i)
+        classes = list(by_coeff.values())
+    reads = [(coords, _influence_count(f, pi, coords[0], budget)) for coords in classes]
+    return reads[0][1][0], [(coords, inf) for coords, (_, inf) in reads]
 
 
 def resolve_engine(engine: str, fns) -> str:
@@ -1227,8 +1276,13 @@ def variance(
         # E[f^2] - E[f]^2 over the common denominator w_scale^(2n) v_scale^2
         w_n = w_scale**f.n
         return Fraction(sq * w_n - mean * mean, w_n * w_n * v_scale * v_scale)
-    mu = expectation(f, pi, engine=engine, budget=budget)
-    return mu - mu * mu if pi.exact else max(mu - mu * mu, 0.0)
+    return _indicator_variance(expectation(f, pi, engine=engine, budget=budget))
+
+
+def _indicator_variance(mu: Number) -> Number:
+    """mu - mu^2, the variance of an indicator of mean mu; a float is
+    clamped at 0 against rounding."""
+    return mu - mu * mu if isinstance(mu, Fraction) else max(mu - mu * mu, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1289,15 +1343,18 @@ def influence(
 ) -> Number:
     """Inf_i(f) = E[Var[f(X) | X at all coordinates except i]], exact when inputs are.
 
-    Routes and budgets as for `expectation`; the dp walks every coordinate
-    but i (see `_influence_count`).  Float results are clamped at 0 against
-    rounding.
+    Routes and budgets as for `expectation`.  The dp runs one walk, of every
+    coordinate but i, and reads Inf_i(f) off it (`_influence_count`); that
+    walk gives E[f] too, and one walk per class of exchangeable coordinates
+    gives every influence (`_count_influences`), as the catalogs of
+    `hitting` and the CLI read them.  Float results are clamped at 0
+    against rounding.
     """
     if not 1 <= i <= f.n:
         raise ValueError("coordinate out of range")
     _check_alphabet(f, pi)
     if resolve_engine(engine, (f,)) == "dp":
-        return _influence_count(f, pi, i, budget)
+        return _influence_count(f, pi, i, budget)[1]
     if engine == "auto" and f.kind == "junta":
         return _influence_junta(f, pi, i)
     exact, den, (num,) = _influence_contract(f, pi, (i,), budget)
@@ -1311,19 +1368,27 @@ def total_influence(
     return sum(influence(f, pi, i=i, engine=engine, budget=budget) for i in range(1, f.n + 1))
 
 
-def _max_influence(f: FunctionSpec, pi, budget) -> Number:
-    """max_i Inf_i(f).  A symmetric window function has at most three
-    coordinate classes (its anchor, its ignored coordinates, where the
-    influence is 0, and the rest, which are interchangeable), so one
-    coordinate per class suffices; other kinds visit every coordinate."""
-    coords = range(1, f.n + 1)
-    if f.kind == "anchored_symmetric":
-        pay = f.payload
-        anchor = {pay["anchor"][0]} if pay["anchor"] is not None else set()
-        free = next((i for i in coords if i not in anchor and i not in pay["ignored"]), None)
-        ignored = min(pay["ignored"], default=None)
-        coords = sorted(anchor | {i for i in (free, ignored) if i is not None})
-    return max(influence(f, pi, i=i, budget=budget) for i in coords)
+def _moments(f: FunctionSpec, pi: MarginalDistribution, budget):
+    """(E[f], Var[f], [Inf_1(f), ..., Inf_n(f)]) as `expectation`,
+    `variance` and `influence` give them on the 'auto' engine, in the
+    fewest passes: one joint-count walk per coordinate class of a window or
+    residue function, which also gives E[f] (`_count_influences`); one
+    contraction for all n influences of a table; closed forms for a junta.
+    An indicator's variance is E[f] - E[f]^2."""
+    _check_alphabet(f, pi)
+    if f.kind in COUNT_KINDS:
+        mu, classes = _count_influences(f, pi, budget)
+        infs: list = [None] * f.n
+        for coords, inf in classes:
+            for i in coords:
+                infs[i - 1] = inf
+        return mu, _indicator_variance(mu), infs
+    mu = expectation(f, pi, budget=budget)
+    if f.kind == "junta":
+        return mu, _indicator_variance(mu), [_influence_junta(f, pi, i) for i in range(1, f.n + 1)]
+    exact, den, nums = _influence_contract(f, pi, range(1, f.n + 1), budget)
+    infs = [Fraction(num, den) if exact else max(num, 0.0) for num in nums]
+    return mu, variance(f, pi, budget=budget), infs
 
 
 # ---------------------------------------------------------------------------

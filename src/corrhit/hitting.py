@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from ._util import Number, ScaledView, contract_axes, power_exceeds, scale_to_ints
 from .dist_core import (
+    MarginalDistribution,
     StepDistribution,
     _derived,
     _double_sample_matrix,
@@ -39,6 +40,7 @@ from .fourier import (
     Restriction,
     _BLOCK,
     _contract,
+    _count_influences,
     _expectation_contract,
     _fibre,
     _find_restriction,
@@ -47,7 +49,6 @@ from .fourier import (
     _kernel_inputs,
     _map_table,
     _marginal_support,
-    _max_influence,
     _repeat_blocks,
     _resilience_witness,
     _slab,
@@ -801,14 +802,43 @@ def _weight_window(n: int, center_num: int, center_den: int) -> tuple[int, int]:
     return max(lo, 0), min(hi, n)
 
 
+def _skew_windows(n: int) -> tuple:
+    """(anchor symbol at coordinate 1, lo, hi) of the two skew sets: S1 is
+    anchored at 1 with its count of 1s near n/3, S2 at 0 with it near 2n/3."""
+    return (("1", *_weight_window(n, 1, 3)), ("0", *_weight_window(n, 2, 3)))
+
+
 def skew_pair_sets(n: int) -> tuple[FunctionSpec, FunctionSpec]:
     """The two anchored weight-window sets of the unequal-marginals example."""
     p = skew_pair_distribution()
-    lo1, hi1 = _weight_window(n, 1, 3)
-    lo2, hi2 = _weight_window(n, 2, 3)
-    s1 = make_anchored_symmetric(n, p.alphabet, {"1": (lo1, hi1)}, anchor=(1, "1"))
-    s2 = make_anchored_symmetric(n, p.alphabet, {"1": (lo2, hi2)}, anchor=(1, "0"))
-    return s1, s2
+    return tuple(
+        make_anchored_symmetric(n, p.alphabet, {"1": (lo, hi)}, anchor=(1, sym))
+        for sym, lo, hi in _skew_windows(n)
+    )
+
+
+def _skew_measures(pi: MarginalDistribution, n: int, budget) -> list:
+    """The measures of the two skew sets under pi, from one joint-count walk.
+
+    A set holds x_1 = a and a count of 1s in [lo, hi], so its measure is
+    W_a / sw times the mass of the counts of 1s over coordinates 2..n in
+    [lo - [a = 1], hi - [a = 1]].  The walk draws those n - 1 coordinates
+    with the window that spans both sets' ranges and keeps each count's
+    mass (`fourier._window_counts`).
+    """
+    ranges = [
+        (pi.alphabet.index(sym), lo - (sym == "1"), hi - (sym == "1"))
+        for sym, lo, hi in _skew_windows(n)
+    ]
+    low = max(min(lo for _, lo, _ in ranges), 0)
+    high = min(max(hi for _, _, hi in ranges), n - 1)
+    span = make_anchored_symmetric(n - 1, pi.alphabet, {"1": (low, high)})
+    counts = _window_counts((span,), _marginal_support(pi), n - 1, budget)
+    weights, den = pi.view.ints, pi.view.scale**n
+    return [
+        Fraction(weights[a] * sum(w for (c,), w in counts.items() if lo <= c <= hi), den)
+        for a, lo, hi in ranges
+    ]
 
 
 @dataclass(frozen=True)
@@ -833,26 +863,35 @@ def counterexample_unequal_marginals(n_list, budget: int | None = None) -> SkewR
     """Same-set expectations of the union set on the skew pair, per n.
 
     The union indicator splits exactly into the two disjoint anchored sets, so
-    E[f f] expands into four cross terms, each handled by the joint-count
-    program.  Asserts that E[ff] / min(mu1, mu2)^2 strictly decreases along
+    E[f f] expands into four cross terms, each one joint-count walk over the
+    pair's support tuples.  The four measures (each set under each step
+    marginal) take one walk per marginal (`_skew_measures`): six walks per
+    n.  Asserts that E[ff] / min(mu1, mu2)^2 strictly decreases along
     n_list.
+
+    `budget` caps the live states after each step of every walk (see
+    `fourier._JointLayout.walk`).  The measure walks keep one state per
+    count of 1s in the window that spans both sets, so the least passing
+    budget is that window's width: 5, 10, 22 and 44 at n = 9, 24, 60 and
+    120.
     """
     p = skew_pair_distribution()
+    pis = (marginal(p, 1), marginal(p, 2))
     entries = []
     for n in n_list:
         n = int(n)
         if n < 3 or n % 3:
             raise ValueError("each n must be >= 3 and divisible by 3")
         s1, s2 = skew_pair_sets(n)
-        pi1, pi2 = marginal(p, 1), marginal(p, 2)
         value: Number = Fraction(0)
         for fa in (s1, s2):
             for fb in (s1, s2):
                 value += multi_set_expectation(p, n, (fa, fb), budget=budget)
-        s1_measure = expectation(s1, pi1, budget=budget)
-        s2_measure = expectation(s2, pi2, budget=budget)
-        m1 = s1_measure + expectation(s2, pi1, budget=budget)
-        m2 = expectation(s1, pi2, budget=budget) + s2_measure
+        (s1_measure, s2_on_1), (s1_on_2, s2_measure) = (
+            _skew_measures(pi, n, budget) for pi in pis
+        )
+        m1 = s1_measure + s2_on_1
+        m2 = s1_on_2 + s2_measure
         ratio = value / min(m1, m2) ** 2
         entries.append(SkewEntry(n, value, m1, m2, ratio, s1_measure, s2_measure))
     decreasing = all(
@@ -898,16 +937,23 @@ def counterexample_three_sets(
 
     Every support tuple feeds exactly one of the three scarcity counts, so the
     counts sum to n and cannot all stay below n/3; the dynamic program
-    reproduces the zero exactly.
+    reproduces the zero exactly.  `engine` picks the triple product's route.
+    Each set's coordinates are exchangeable, so one walk of every coordinate
+    but the first gives both its measure and its influence
+    (`fourier._count_influences`): four walks in all on the dp.  `budget`
+    caps the live states after each step of every walk (see
+    `fourier._JointLayout.walk`); each set's walk keeps one state per count
+    in its window [0, ceil(n/3) - 1], so the least passing budget is
+    ceil(n/3): 3, 8, 20 and 40 at n = 9, 24, 60 and 120.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = ap3_distribution()
     fns = ap3_sets(n)
     value = multi_set_expectation(p, n, fns, engine=engine, budget=budget)
-    pis = [marginal(p, j) for j in (1, 2, 3)]
-    measures = tuple(expectation(f, pi, budget=budget) for f, pi in zip(fns, pis))
-    infl = tuple(_max_influence(f, pi, budget) for f, pi in zip(fns, pis))
+    reads = [_count_influences(f, marginal(p, j), budget) for j, f in enumerate(fns, start=1)]
+    measures = tuple(mu for mu, _ in reads)
+    infl = tuple(max(inf for _, inf in classes) for _, classes in reads)
     return ThreeSetsReport(n, rho(p), value, measures, infl)
 
 
@@ -1060,10 +1106,12 @@ def estimate_hitting_exponent(
     other walks the support tuples of p with the window [t0, n] on both
     steps, t0 the least chosen threshold, and gives the mass of each count
     pair; the same-set value of member t is the mass of pairs with both
-    counts >= t.  These are the values that `fourier.expectation` and
-    `same_set_expectation` give member by member, as exact Fractions on
+    counts >= t.  One pass over each table sums those masses for every t at
+    once, from t = n down.  These are the values that `fourier.expectation`
+    and `same_set_expectation` give member by member, as exact Fractions on
     exact inputs.  `budget` caps the live states after each step of either
-    walk (see `fourier._JointLayout.walk`).
+    walk (see `fourier._JointLayout.walk`): up to n + 1 counts in the first,
+    up to (n + 1 - t0)^2 count pairs in the second.
     """
     if p.steps != 2:
         raise ValueError("exponent estimation needs exactly 2 steps")
@@ -1086,11 +1134,19 @@ def estimate_hitting_exponent(
     def threshold(t: int) -> FunctionSpec:
         return make_anchored_symmetric(n, p.alphabet, {sym: (t, n)})
 
-    counts = _window_counts((threshold(0),), _marginal_support(pi), n, budget)
+    def tails(counts) -> list:
+        # per t, the mass of the count tuples whose least count is >= t
+        out = [0] * (n + 2)
+        for c, w in counts.items():
+            out[min(c)] += w
+        for t in range(n, -1, -1):
+            out[t] += out[t + 1]
+        return out
+
+    measures = tails(_window_counts((threshold(0),), _marginal_support(pi), n, budget))
     members = []
     for t in range(n + 1):
-        total = sum(w for (c,), w in counts.items() if c >= t)
-        mu_hat = Fraction(total, pi.view.scale**n) if pi.exact else float(total)
+        mu_hat = Fraction(measures[t], pi.view.scale**n) if pi.exact else float(measures[t])
         if 0 < mu_hat < 1:
             members.append((t, mu_hat))
     # threshold -> measure of the member nearest each target
@@ -1099,11 +1155,10 @@ def estimate_hitting_exponent(
     ) if members else {}
     if len(chosen) < 2:
         raise ValueError("need at least two usable family members")
-    pairs = _window_counts((threshold(min(chosen)),) * 2, p._scaled_support, n, budget)
+    same = tails(_window_counts((threshold(min(chosen)),) * 2, p._scaled_support, n, budget))
     points = []
     for t in sorted(chosen):
-        total = sum(w for c, w in pairs.items() if min(c) >= t)
-        delta = Fraction(total, p._scale**n) if p.exact else float(total)
+        delta = Fraction(same[t], p._scale**n) if p.exact else float(same[t])
         if delta > 0:
             points.append((float(chosen[t]), float(delta)))
     if len(points) < 2:

@@ -1,4 +1,4 @@
-"""Shared distribution texts and seeded instance generators for the tests.
+"""Shared distribution texts, seeded instance generators and probes for the tests.
 
 Generators here are deliberately independent of the package's own random
 suites in cli.py: tests must not inherit a bug from the code under test.
@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from corrhit import fourier
 from corrhit.dist_core import StepDistribution, marginal, parse_distribution
 
 BASIC_TEXT = """\
@@ -135,3 +136,17 @@ def random_markov_dist(rng: random.Random, m: int, steps: int) -> StepDistributi
 def random_unit_table(rng: random.Random, n: int, m: int, denominator: int = 8):
     """Random [0,1] rational table values for alphabet size m, n coordinates."""
     return [Fraction(rng.randint(0, denominator), denominator) for _ in range(m**n)]
+
+
+def count_walks(monkeypatch) -> list:
+    """A list that gains one entry per joint-count walk
+    (`fourier._JointLayout.walk`) for the rest of the test."""
+    walks: list = []
+    walk = fourier._JointLayout.walk
+
+    def counted(self, *args, **kwargs):
+        walks.append(None)
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(fourier._JointLayout, "walk", counted)
+    return walks

@@ -13,16 +13,21 @@ import pytest
 
 import helpers
 from corrhit import fourier
-from corrhit.cli import _rebase, main
+from corrhit.cli import _tag, main
 from corrhit.dist_core import marginal, parse_distribution
 from corrhit.fourier import (
+    _rebase,
     analyze,
     build_basis,
+    expectation,
     format_function,
+    influence,
     make_anchored_symmetric,
     make_junta,
     make_mod_linear,
     make_table_function,
+    parse_function,
+    variance,
 )
 
 TRIT = ("0", "1", "2")
@@ -164,9 +169,9 @@ def test_rebase_retargets_each_kind(f, n, want):
 
 
 def test_rebase_reads_plain_int_coefficients_in_one_pass(monkeypatch):
-    """Re-targeting a mod-linear function to n = 10^4 parses its padded
+    """Re-targeting a mod-linear function to n = 10^4 reads its padded
     coefficients without one `_integer` call per coordinate (10,005 calls
-    before); the count is the document's few scalar fields."""
+    once); the constructor takes them as they are."""
     calls = []
     integer = fourier._integer
 
@@ -178,6 +183,45 @@ def test_rebase_reads_plain_int_coefficients_in_one_pass(monkeypatch):
     f = _rebase(RESIDUE, 10**4)
     assert f.payload["coeffs"] == (1, 2, 3, 4) + (0,) * (10**4 - 4)
     assert "a coefficient" not in calls and len(calls) < 10
+
+
+def _codec_rebase(f, n):
+    """The document route of re-targeting: f's JSON document with n set and
+    a mod-linear function's coefficients cut or padded, parsed back."""
+    if n == f.n:
+        return f
+    if f.kind == "table":
+        raise ValueError(f"table function of {f.n} coordinates cannot be re-targeted to {n}")
+    doc = json.loads(format_function(f))
+    doc["n"] = n
+    if f.kind == "mod_linear":
+        doc["coeffs"] = doc["coeffs"][:n] + [0] * (n - f.n)
+    return parse_function(json.dumps(doc))
+
+
+@pytest.mark.parametrize("f", [
+    WINDOW,
+    make_anchored_symmetric(3, TRIT, {"1": (0, 2)}),
+    make_junta(3, TRIT, [(1, "0"), (3, "2")]),
+    make_junta(2, TRIT, [(1, "0"), (1, "1")]),
+    RESIDUE,
+    make_mod_linear(3, TRIT, 2, [1, 0, 1], 1, {"0": 0, "1": 1, "2": 1}, zero=True),
+    make_table_function(1, TRIT, (Fraction(1), Fraction(0), Fraction(1, 2))),
+], ids=["window", "plain-window", "junta", "junta-zero", "mod-linear", "mod-linear-zero", "table"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50])
+def test_rebase_equals_the_document_route(f, n):
+    """Re-targeting through the constructors gives the function, or the
+    refusal, that the JSON document route gives, for every kind."""
+    try:
+        want = _codec_rebase(f, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _rebase(f, n)
+        assert str(got.value) == str(exc)
+        return
+    got = _rebase(f, n)
+    assert got == want and got.payload == want.payload
+    assert format_function(got) == format_function(want)
 
 
 def test_hit_enumerate_refuses_a_huge_n_at_once(workdir):
@@ -311,16 +355,9 @@ def test_fourier_reads_the_support_budget(workdir, capsys):
 
 def test_fourier_refuses_an_over_budget_expansion_before_any_walk(workdir, capsys, monkeypatch):
     """The expansion's support^n check comes first, so an anchored window on
-    2000 coordinates is refused before the n + 2 joint-count walks of its
-    expectation, variance and influences, which take seconds at this n."""
-    walks = []
-    walk = fourier._JointLayout.walk
-
-    def counted(self, *args, **kwargs):
-        walks.append(None)
-        return walk(self, *args, **kwargs)
-
-    monkeypatch.setattr(fourier._JointLayout, "walk", counted)
+    2000 coordinates is refused before the joint-count walks of its
+    expectation and influences, which take seconds at this n."""
+    walks = helpers.count_walks(monkeypatch)
     f = make_anchored_symmetric(2000, TRIT, {"0": (600, 700)}, anchor=(1, "1"))
     (workdir / "wide.json").write_text(format_function(f))
     code, report = run_json(
@@ -329,6 +366,44 @@ def test_fourier_refuses_an_over_budget_expansion_before_any_walk(workdir, capsy
     assert code == 1
     assert report["results"]["refusal"].startswith("3^2000 points exceed")
     assert walks == []
+
+
+def test_fourier_walks_once_per_coordinate_class(workdir, capsys, monkeypatch):
+    """On a one-symbol marginal the expansion admits n = 50, and the report
+    walks once per coordinate class of the window (its anchor, its ignored
+    coordinates and the rest): 3 walks, where an expectation, a variance
+    and one walk per influence once made 52."""
+    (workdir / "one.dist").write_text("alphabet 0 1 2\nsteps 2\nentry 0 0 1/2\nentry 0 1 1/2\n")
+    f = make_anchored_symmetric(50, TRIT, {"0": (30, 48)}, anchor=(1, "0"), ignored=[7, 50])
+    (workdir / "wide.json").write_text(format_function(f))
+    walks = helpers.count_walks(monkeypatch)
+    code, report = run_json(
+        capsys, ["fourier", "--dist", workdir / "one.dist", "--fn", workdir / "wide.json"]
+    )
+    assert code == 0
+    assert len(walks) == 3
+    assert report["results"]["expectation"] == {"value": "1", "kind": "rational"}
+
+
+@pytest.mark.parametrize("f", [
+    make_anchored_symmetric(5, TRIT, {"0": (1, 3), "2": (0, 2)}, anchor=(2, "1"), ignored=[4]),
+    make_mod_linear(5, TRIT, 3, [1, 2, 1, 0, 2], 1, [0, 1, 2]),
+    make_junta(5, TRIT, [(2, "0"), (5, "1")]),
+    make_table_function(2, TRIT, [Fraction(k, 8) for k in (0, 3, 8, 1, 5, 2, 7, 4, 6)]),
+], ids=["window", "mod-linear", "junta", "table"])
+def test_fourier_report_equals_the_per_quantity_api(workdir, capsys, f):
+    """Every kind's report carries the values that `expectation`,
+    `variance` and `influence` give one by one."""
+    (workdir / "f.json").write_text(format_function(f))
+    code, report = run_json(
+        capsys, ["fourier", "--dist", workdir / "basic.dist", "--fn", workdir / "f.json"]
+    )
+    assert code == 0
+    pi = marginal(helpers.basic_dist(), 1)
+    res = report["results"]
+    assert res["expectation"] == _tag(expectation(f, pi))
+    assert res["variance"] == _tag(variance(f, pi))
+    assert res["influences"] == [_tag(influence(f, pi, i=i)) for i in range(1, f.n + 1)]
 
 
 def run_usage_error(argv):
@@ -501,6 +576,17 @@ def test_verify_counterexamples(workdir, capsys):
     assert res["unequal_marginals"]["strictly_decreasing"] is True
     assert res["unequal_marginals"]["values"][0]["value"] == "10/729"
     assert res["three_sets"]["triple_product"]["value"] == "0"
+
+
+def test_verify_counterexamples_least_passing_budget(capsys):
+    """At its default flags the suite passes at --budget 20, the three-set
+    walks' need at n = 60, and refuses at 19."""
+    code, report = run_json(capsys, ["verify", "counterexamples", "--budget", "20"])
+    assert code == 0
+    assert report["results"]["three_sets"]["n"] == 60
+    code, report = run_json(capsys, ["verify", "counterexamples", "--budget", "19"])
+    assert code == 1
+    assert report["results"]["refusal"] == "joint-count state space 20 exceeds the budget 19"
 
 
 def test_verify_exponent(workdir, capsys):

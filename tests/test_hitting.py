@@ -33,6 +33,7 @@ from corrhit.fourier import (
     BudgetExceeded,
     Restriction,
     _JointLayout,
+    _count_influences,
     expectation,
     influence,
     is_resilient,
@@ -43,7 +44,6 @@ from corrhit.fourier import (
     restrict,
 )
 from corrhit.hitting import (
-    _max_influence,
     _prefix_distribution,
     ap3_distribution,
     ap3_sets,
@@ -1413,6 +1413,39 @@ def test_skew_s1_measure_golden():
     assert oracles.skew_s1_measure_exact(9) == Fraction(1792, 19683)
 
 
+def test_catalogs_walk_once_per_distinct_walk(monkeypatch):
+    """Each catalog call starts one joint-count walk per distinct walk it
+    needs: the three-set catalog one for the triple product and one per set
+    (measure and influence together), the skew catalog four cross terms and
+    one measure walk per step marginal for each n, the exponent fit one per
+    count table."""
+    walks = helpers.count_walks(monkeypatch)
+    counterexample_three_sets(24)
+    assert len(walks) == 4
+    walks.clear()
+    counterexample_unequal_marginals([9, 12, 15])
+    assert len(walks) == 6 * 3
+    walks.clear()
+    p = _coupled("product", (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)))
+    estimate_hitting_exponent(p, MU_GRID, n=9)
+    assert len(walks) == 2
+
+
+@pytest.mark.parametrize("n, three, skew", [
+    (9, 3, 5), (24, 8, 10), (60, 20, 22), (120, 40, 44),
+])
+def test_catalog_least_passing_budgets(n, three, skew):
+    """The three-set catalog passes at ceil(n/3), the states of a window
+    [0, ceil(n/3) - 1]; the skew catalog at the width of the count window
+    its measure walks span."""
+    assert counterexample_three_sets(n, budget=three).triple_product == 0
+    with pytest.raises(BudgetExceeded):
+        counterexample_three_sets(n, budget=three - 1)
+    assert counterexample_unequal_marginals([n], budget=skew).entries[0].n == n
+    with pytest.raises(BudgetExceeded):
+        counterexample_unequal_marginals([n], budget=skew - 1)
+
+
 def test_skew_rejects_bad_n():
     with pytest.raises(ValueError):
         counterexample_unequal_marginals([4])
@@ -1448,9 +1481,14 @@ def test_ap3_influences_match_oracle_and_decrease():
 
 
 def test_max_influence_coordinate_classes_match_every_coordinate():
+    """One walk per coordinate class (anchor, ignored, the rest) gives E[f]
+    and every influence of a window function: the measure equals
+    `expectation` and each coordinate's value, hence the maximum, equals
+    `influence` there, exactly on exact weights and within FLOAT_REL of the
+    exact values on a decimal twin."""
     rng = random.Random(606)
     p = helpers.basic_dist()
-    pi = marginal(p, 1)
+    pi, twin = marginal(p, 1), marginal(_float_twin(p), 1)
     for _ in range(20):
         n = rng.randint(1, 7)
         windows = {}
@@ -1461,8 +1499,48 @@ def test_max_influence_coordinate_classes_match_every_coordinate():
         pool = [c for c in range(1, n + 1) if anchor is None or c != anchor[0]]
         ignored = rng.sample(pool, rng.randint(0, len(pool)))
         f = make_anchored_symmetric(n, TRIT, windows, anchor=anchor, ignored=ignored)
-        every = max(influence(f, pi, i=i) for i in range(1, n + 1))
-        assert _max_influence(f, pi, None) == every
+        every = [influence(f, pi, i=i) for i in range(1, n + 1)]
+        mu, classes = _count_influences(f, pi, None)
+        assert mu == expectation(f, pi)
+        assert sorted(i for coords, _ in classes for i in coords) == list(range(1, n + 1))
+        for coords, inf in classes:
+            assert [every[i - 1] for i in coords] == [inf] * len(coords)
+        assert max(inf for _, inf in classes) == max(every)
+        mu_twin, twin_classes = _count_influences(f, twin, None)
+        _assert_close(mu_twin, mu)
+        for coords, inf in twin_classes:
+            for i in coords:
+                _assert_close(inf, every[i - 1])
+
+
+def test_residue_coordinate_classes_match_every_coordinate(monkeypatch):
+    """A residue function's coordinates of one coefficient are exchangeable:
+    one walk per distinct coefficient gives E[f] and the influence of each
+    of them, equal to `expectation` and to `influence` at every coordinate
+    of the class, exactly on exact weights and within FLOAT_REL on a
+    decimal twin."""
+    rng = random.Random(607)
+    for _ in range(20):
+        p = helpers.random_dist(rng, 3, 2)
+        pi, twin = marginal(p, 1), marginal(_float_twin(p), 1)
+        n, q = rng.randint(1, 8), rng.randint(2, 5)
+        coeffs = [rng.randrange(q) for _ in range(n)]
+        f = make_mod_linear(
+            n, TRIT, q, coeffs, rng.randrange(q), [rng.randrange(q) for _ in range(3)]
+        )
+        walks = helpers.count_walks(monkeypatch)
+        mu, classes = _count_influences(f, pi, None)
+        assert len(walks) == len(classes) == len(set(coeffs))
+        monkeypatch.undo()
+        assert mu == expectation(f, pi)
+        assert sorted(i for coords, _ in classes for i in coords) == list(range(1, n + 1))
+        mu_twin, twin_classes = _count_influences(f, twin, None)
+        _assert_close(mu_twin, mu)
+        for (coords, inf), (_, inf_twin) in zip(classes, twin_classes):
+            assert {coeffs[i - 1] for i in coords} == {coeffs[coords[0] - 1]}
+            for i in coords:
+                assert influence(f, pi, i=i) == inf
+                _assert_close(inf_twin, inf)
 
 
 def test_ap3_support_feeds_exactly_one_scarcity_count():
@@ -1632,11 +1710,19 @@ def test_exponent_points_equal_the_per_member_route_and_the_binomial_tails(coupl
 
 @pytest.mark.parametrize("coupling, pi, n", FIT_FAMILIES)
 def test_exponent_of_decimal_weights_matches_the_exact_fit(coupling, pi, n):
+    """A decimal twin's points agree within 1e-12 with the exact fit's, and
+    with `expectation` and `same_set_expectation` read member by member on
+    the twin itself."""
     exact = estimate_hitting_exponent(_coupled(coupling, pi), MU_GRID, n=n)
-    twin = estimate_hitting_exponent(_coupled(coupling, pi, decimal=True), MU_GRID, n=n)
+    p = _coupled(coupling, pi, decimal=True)
+    twin = estimate_hitting_exponent(p, MU_GRID, n=n)
     assert len(twin.points) == len(exact.points)
+    tails = {float(oracles.binom_tail(n, t, pi[0])): t for t in range(n + 1)}
     for got, want in zip(twin.points, exact.points):
         assert got == pytest.approx(want, rel=1e-12)
+        f = make_anchored_symmetric(n, p.alphabet, {"0": (tails[want[0]], n)})
+        per_member = (expectation(f, marginal(p, 1)), same_set_expectation(p, n, f))
+        assert got == pytest.approx(per_member, rel=1e-12)
     assert twin.slope == pytest.approx(exact.slope, rel=1e-12)
 
 
