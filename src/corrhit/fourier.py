@@ -602,12 +602,17 @@ def _expectation_contract(
 # (`_packs`) maps each window key to one int of R fixed-width fields
 # instead, R the number of residue indices, field r holding the mass in
 # residue r: one draw rotates the fields once per distinct increment, a few
-# big-int operations in place of R dict updates per effect.  A run of
-# coordinates with equal effects draws in one multinomial step when no
-# effect shifts a residue (`_JointLayout._draw_run`), on either route: it
-# walks the compositions of the run's draws over the effects, not the
-# states between them.  Effects may bump the same count, as two tuples that
-# agree at a step do; compositions that land on one key add up there.
+# big-int operations in place of R dict updates per effect.  When such a
+# layout has window slots and its whole box of window counts times residues
+# is small (`_BOX`), the whole state is one int of those fields: a draw
+# rotates it once per distinct increment, shifts the rotation by each
+# effect's window increment, and clears the overrun and below-floor fields
+# with one AND, with no per-key pass at all.  A run of coordinates with
+# equal effects draws in one multinomial step when no effect shifts a
+# residue (`_JointLayout._draw_run`), on every route: it walks the
+# compositions of the run's draws over the effects, not the states between
+# them.  Effects may bump the same count, as two tuples that agree at a
+# step do; compositions that land on one key add up there.
 
 COUNT_KINDS = ("anchored_symmetric", "mod_linear")
 
@@ -644,6 +649,12 @@ class _Turn(dict):
 # Most bits per field of a packed int: a layout whose masses need more
 # walks keyed, since every field op costs in proportion to the width.
 _WIDTH = 1024
+# Most fields (window counts with an overrun row per slot, times residues)
+# of a packed layout that keeps its whole state in one int, and most bits
+# in one row of R fields: past that a draw's big-int work dwarfs the
+# per-key loop that the whole int saves.
+_BOX = _BLOCK
+_ROW = 1 << 14
 
 
 def _packs(exact: bool, residues: int, support: int, n: int, scale) -> bool:
@@ -713,27 +724,39 @@ class _JointLayout:
     modular function accepts.  `support` lists (tuple, scaled weight) pairs,
     one symbol per function.
 
-    A live state is a (window key, residue index) pair with its mass.  On
-    the keyed route r sits in the low `rmask` bits of the key, below the
-    window fields, and the states are {key: mass}.  On the packed route
-    (`_packs`: exact layouts with residues to pack) the states are {window
-    key: packed int}, `rmask` is 0, and the packed int holds the mass of
-    residue r in bits [r W, (r + 1) W) of `width` W.  A stored mass after t
-    draws is a sum of path weights, at most scale^t, scale the sum of the
-    support weights; W is the bits of scale^n rounded up to whole bytes, so
-    no stored field carries into the next.  A run (`_draw_run`) may pass W
-    bits in a field of a term it has not stored yet, but it only multiplies
-    that int by counts and weights and divides it by a count c that divides
-    every field, and such steps are exact on the int whatever its fields
-    hold; the term is back in its fields when it is stored.  Either way the
-    budget counts live (key, residue) states: the keys, or on the packed
-    route the nonzero fields (`size`).
+    A live state is a (window key, residue index) pair with its mass.  The
+    walk holds its states in one of three forms:
+
+    - keyed: {key: mass}, r in the low `rmask` bits of the key, below the
+      window fields;
+    - packed per key (`_packs`: exact layouts with residues to pack):
+      {window key: packed int}, `rmask` 0, the packed int holding the mass
+      of residue r in bits [r W, (r + 1) W) of `width` W;
+    - whole: one int of `box` fields, when a packed layout has window slots,
+      box = prod_s (hi_s + 2) R is at most `_BOX` and a row of R fields at
+      most `_ROW` bits.  Field (c_1..c_S, r) sits at r + R (c_1 + (hi_1 +
+      2) (c_2 + ...)), slot 1 of `slots` varying fastest; row hi_s + 1 of
+      each slot catches an overrun, since a draw bumps a slot by at most 1,
+      and is cleared after every draw.
+
+    `masses` and `size` read every form as window keys in the guard-bit
+    encoding, so acceptance, window counts and the budget read the same on
+    all three.  A stored mass after t draws is a sum of path weights, at
+    most scale^t, scale the sum of the support weights; W is the bits of
+    scale^n rounded up to whole bytes, so no stored field carries into the
+    next.  A run (`_draw_run`) may pass W bits in a field of a term it has
+    not stored yet, but it only multiplies that int by counts and weights
+    and divides it by a count c that divides every field, and such steps are
+    exact on the int whatever its fields hold; the term is back in its
+    fields when it is stored.  On every form the budget counts live (key,
+    residue) states: the keys, or the nonzero fields (`size`).
 
     A draw's effect is a window increment `bump` (a 1 at the lowest bit of
     each slot it counts in) and an increment per modular digit.  The layout
     keeps one `_Turn` per distinct increment, read by every coordinate
     signature that draws it; a packed layout builds the masks of its
-    rotations lazily, once per (digit, increment) that some effect carries.
+    rotations lazily, once per (digit, increment) that some effect carries,
+    over the fields of its packed ints.
     """
 
     def __init__(self, fns, support):
@@ -757,6 +780,8 @@ class _JointLayout:
         self.rmask = (1 << pos) - 1
         self.target = sum(fns[j].payload["residue"] * r for j, _, r in self.mods)
         self.slots = {}  # (function, symbol) -> (bit position, offset, lo, hi)
+        # per support tuple, its window increment
+        self._bumps = [0] * len(support)
         self.fields = []  # per slot (bit position, mask with guard, largest live value)
         self.guard = self.start = 0
         # per function, the coordinates that bump none of its slots; and the
@@ -770,6 +795,9 @@ class _JointLayout:
                 bits = hi.bit_length()
                 off = (1 << bits) - 1 - hi
                 self.slots[(j, sym)] = (pos, off, lo, hi)
+                for t, (tup, _) in enumerate(support):
+                    if tup[j] == sym:
+                        self._bumps[t] += 1 << pos
                 self.fields.append((pos, (2 << bits) - 1, (1 << bits) - 1))
                 self.start |= off << pos
                 self.guard |= 1 << (pos + bits)
@@ -785,9 +813,27 @@ class _JointLayout:
         coeffs = [fns[j].payload["coeffs"] for j, _, _ in self.mods]
         self.coeffs = list(zip(*coeffs)) if coeffs else [()] * fns[0].n
         self.final = self.floor([0] * len(fns))
+        # per modular digit, the symbol-map value of each support tuple
+        self._symbols = [
+            [fns[j].payload["symbol_map"][tup[j]] for tup, _ in support] for j, _, _ in self.mods
+        ]
+        # the whole-state box of a packed layout: per slot (bit position,
+        # offset, rows, mask with guard), and the fields of the whole int, 0
+        # when the states are not one int
+        self.dims, self.box = (), 0
+        if self.width and self.slots and radix * self.width <= _ROW:
+            self.dims = [
+                (pos, off, hi + 2, (2 << hi.bit_length()) - 1)
+                for pos, off, _, hi in self.slots.values()
+            ]
+            box = radix * math.prod([rows for _, _, rows, _ in self.dims])
+            self.box = box if box <= _BOX else 0
         self._effects: dict = {}
+        self._incs: dict = {}
         self._turns: dict = {}
         self._rotations: dict = {}
+        self._shifts: dict = {}
+        self._masks: dict = {}
 
     def floor(self, rest) -> int:
         """Packed lower bounds a state must meet to reach every window's lo
@@ -818,7 +864,10 @@ class _JointLayout:
     def masses(self, states, residue=None):
         """(window key, residue index, mass) of every live state, or of the
         states in residue index `residue` when given: a packed layout reads
-        that one field of each key, or unpacks the nonzero fields."""
+        that one field of each key, or unpacks the nonzero fields; a whole
+        int is split into its live keys first."""
+        if self.box:
+            states = self._split(states)
         if not self.width:
             rmask = self.rmask
             for key, mass in states.items():
@@ -840,25 +889,65 @@ class _JointLayout:
             for r in np.flatnonzero(live).tolist():
                 yield key, r, int.from_bytes(raw[r * size:(r + 1) * size], "little")
 
-    def _fields(self, packed: int):
-        """A packed int's bytes, and per field whether it is nonzero."""
-        raw = packed.to_bytes(self.residues * self.width // 8, "little")
-        return raw, np.frombuffer(raw, np.uint8).reshape(self.residues, -1).any(1)
+    def _fields(self, packed: int, fields: int = 0):
+        """The bytes of a packed int of `fields` fields (R by default), and
+        per field whether it is nonzero."""
+        raw = packed.to_bytes((fields or self.residues) * self.width // 8, "little")
+        return raw, np.frombuffer(raw, np.uint8).reshape(-1, self.width // 8).any(1)
 
     def _live(self, value) -> int:
         """The live (key, residue) states one stored value holds: one mass,
         or the nonzero fields of a packed int."""
         return int(self._fields(value)[1].sum()) if self.width else 1
 
+    def _split(self, whole: int) -> dict:
+        """{window key: packed int of its R fields} of the live rows of a
+        whole-state int."""
+        size = self.residues * self.width // 8
+        raw, live = self._fields(whole, self.box)
+        return {
+            self._key(row): int.from_bytes(raw[row * size:(row + 1) * size], "little")
+            for row in np.flatnonzero(live.reshape(-1, self.residues).any(1)).tolist()
+        }
+
+    def _key(self, row: int) -> int:
+        """The window key of row `row` of a whole-state int."""
+        key = self.start
+        for pos, _, rows, _ in self.dims:
+            row, c = divmod(row, rows)
+            key += c << pos
+        return key
+
+    def _join(self, states: dict) -> int:
+        """The whole-state int of {window key: packed int} states, none of
+        them past its windows."""
+        size = self.residues * self.width // 8
+        raw = bytearray(self.box * self.width // 8)
+        for key, packed in states.items():
+            row, stride = 0, 1
+            for pos, off, rows, mask in self.dims:
+                row += ((key >> pos & mask) - off) * stride
+                stride *= rows
+            raw[row * size:(row + 1) * size] = packed.to_bytes(size, "little")
+        return int.from_bytes(raw, "little")
+
+    def _keys(self, states) -> int:
+        """The live window keys."""
+        if self.box:
+            return int(self._fields(states, self.box)[1].reshape(-1, self.residues).any(1).sum())
+        return len(states)
+
     def size(self, states) -> int:
-        """The live (key, residue) states: the keys, or on the packed route
-        the nonzero fields of every key."""
+        """The live (key, residue) states: the keys, or on the packed
+        routes the nonzero fields."""
+        if self.box:
+            return int(self._fields(states, self.box)[1].sum())
         return sum(map(self._live, states.values())) if self.width else len(states)
 
     def _check(self, states, cap: int):
         """Raise BudgetExceeded past `cap` live states; fields are counted
-        only when the keys times R pass the cap."""
-        if len(states) * self.per > cap:
+        only when the keys times R, or the box, pass the cap."""
+        if (self.box or len(states) * self.per) > cap:
             size = self.size(states)
             if size > cap:
                 raise _over_budget(size, cap)
@@ -885,23 +974,44 @@ class _JointLayout:
         if sig in self._effects:
             return self._effects[sig]
         anchors, muted = sig[0] or ((), ())
-        maps = [self.fns[j].payload["symbol_map"] for j, _, _ in self.mods]
+        # per tuple its residue increments, one column per modular digit
+        cols = [self._column(d, c) for d, c in enumerate(sig[1])]
+        incs = zip(*cols) if cols else itertools.repeat(())
         merged: dict = {}
-        for tup, w in self.support:
+        for (tup, w), bump, inc in zip(self.support, self._bumps, incs):
             if anchors and any(tup[j] != a for j, a in anchors):
                 continue
-            bump = 0
-            for j, sym in enumerate(tup) if self.slots else ():
-                slot = self.slots.get((j, sym))
-                if slot is not None and j not in muted:
-                    bump += 1 << slot[0]
-            inc = tuple([c * sm[tup[j]] % q for c, (j, q, _), sm in zip(sig[1], self.mods, maps)])
+            for j in muted:
+                if (j, tup[j]) in self.slots:
+                    bump -= 1 << self.slots[j, tup[j]][0]
             merged[inc, bump] = merged.get((inc, bump), 0) + w
         items = merged.items()
         if self.width:
             items = sorted(items, key=lambda item: item[0][0])
         effects = self._effects[sig] = [(self._turn(inc), bump, w) for (inc, bump), w in items]
+        if self.box:
+            for _, bump, _ in effects:
+                if bump not in self._shifts:
+                    self._shifts[bump] = self._shift(bump)
         return effects
+
+    def _column(self, d: int, c: int) -> tuple:
+        """Per support tuple, the increment of modular digit d at
+        coefficient c: c times the tuple's symbol-map value, mod q."""
+        if (d, c) not in self._incs:
+            q = self.mods[d][1]
+            self._incs[d, c] = tuple([c * s % q for s in self._symbols[d]])
+        return self._incs[d, c]
+
+    def _shift(self, bump: int) -> int:
+        """The bits a whole-state int moves by under the window increment
+        `bump`: one row of each slot it counts in."""
+        shift, stride = 0, self.residues
+        for pos, _, rows, _ in self.dims:
+            if bump >> pos & 1:
+                shift += stride
+            stride *= rows
+        return shift * self.width
 
     def _turn(self, inc) -> _Turn:
         """The layout's one `_Turn` of the residue increments `inc`."""
@@ -919,22 +1029,43 @@ class _JointLayout:
     def _rotation(self, d: int, a: int):
         """(low, up, high, down) of a packed int's rotation by a at digit d:
         the fields whose digit d is below q - a move up by a places of that
-        digit, the others down by q - a."""
+        digit, the others down by q - a.  The masks span the R fields of a
+        key, or every row of a whole-state int."""
         _, q, radix = self.mods[d]
-        width, total = self.width, self.residues * self.width
+        fields = self.box or self.residues
+        width, total = self.width, fields * self.width
         full = (1 << total) - 1
         # the first q - a places of the digit, repeated every q places
         low, reps = (1 << (q - a) * radix * width) - 1, 1
-        while reps * q * radix < self.residues:
+        while reps * q * radix < fields:
             low |= low << reps * q * radix * width
             reps *= 2
         low &= full
         return low, a * radix * width, low ^ full, (q - a) * radix * width
 
-    def walk(self, coords, budget, later=()) -> dict:
+    def _mask(self, floor: int) -> int:
+        """The fields of a whole-state int that lie in every window and meet
+        the packed lower bounds `floor` (see `floor`), all residues each:
+        per slot, copies of the lower slots' mask at rows need..hi.  The
+        first slot's rows hold every field, so its copies are one run of
+        ones."""
+        if floor not in self._masks:
+            block, mask = self.residues * self.width, -1
+            for pos, off, rows, bits in self.dims:
+                need = max((floor >> pos & bits) - off, 0)
+                copies, have = rows - 1 - need, 1
+                while mask != -1 and have < copies:
+                    mask |= mask << have * block
+                    have *= 2
+                mask = (mask & (1 << copies * block) - 1) << need * block
+                block *= rows
+            self._masks[floor] = mask
+        return self._masks[floor]
+
+    def walk(self, coords, budget, later=()):
         """Live states after the coordinates `coords` draw, in that order:
-        {key: mass} on the keyed route, {window key: packed int} on the
-        packed one.
+        {key: mass} on the keyed route, {window key: packed int} when packed
+        per key, one int when whole (see `_JointLayout`).
 
         Each run of consecutive coordinates with one `signature` draws in one
         step (`_draw_run`) when its effects shift no residue and the step
@@ -950,10 +1081,10 @@ class _JointLayout:
         single draws meet, the run meets too.  A zero function leaves no state.
         """
         if any(f.zero for f in self.fns):
-            return {}
+            return 0 if self.box else {}
         cap = TABLE_BUDGET if budget is None else budget
         rest = [sum(c not in ign for c in (*coords, *later)) for ign in self.ignored]
-        states = {self.start: 1}
+        states = 1 if self.box else {self.start: 1}
         for _, run in itertools.groupby(coords, self.signature):
             run = list(run)
             effects = self.effects(run[0])
@@ -962,7 +1093,7 @@ class _JointLayout:
             at_once = (
                 len(run) > 1
                 and _shifts_no_residue(effects)
-                and _run_pays(len(states), len(run), effects)
+                and _run_pays(self._keys(states), len(run), effects)
             )
             for k in [len(run)] if at_once else [1] * len(run):
                 rest = [r - k * d for r, d in zip(rest, live)]
@@ -976,14 +1107,24 @@ class _JointLayout:
                     return states
         return states
 
-    def _draw(self, states, effects, floor) -> dict:
+    def _draw(self, states, effects, floor):
         """States after one coordinate draws.
 
         A keyed state moves its key by the `_Turn` of its residue and its
         window increment, effect by effect.  A packed one rotates its fields
         once per residue increment, then adds the rotation times each weight
-        at each window increment that carries it.
+        at each window increment that carries it.  A whole-state int does
+        the same with no keys: each effect shifts the rotation by the rows
+        of its window increment, and one AND (`_mask`) clears the overrun
+        rows and the fields below the floor.
         """
+        if self.box:
+            nxt, turn, shifts = 0, None, self._shifts
+            for step, bump, w in effects:
+                if step is not turn:
+                    turn, value = step, step(states)
+                nxt += value * w << shifts[bump]
+            return nxt & self._mask(floor)
         guard = self.guard
         nxt: dict = {}
         if self.width:
@@ -1007,7 +1148,7 @@ class _JointLayout:
                 nxt[new] = nxt.get(new, 0) + mass * w
         return nxt
 
-    def _draw_run(self, states, effects, k, floor, cap) -> dict:
+    def _draw_run(self, states, effects, k, floor, cap):
         """States after k coordinates with the same `effects` draw, in one step.
 
         The effects shift no residue, so from each state a composition (c_e
@@ -1030,11 +1171,14 @@ class _JointLayout:
         thus stored, and the store that passes `cap` live states raises
         BudgetExceeded at once, as in `_check`: a packed run counts the
         nonzero fields of the keys it stores once the keys times R pass
-        `cap`, so both routes refuse on state cap + 1.  The mass term of e
+        `cap`, so every state form refuses on state cap + 1.  The mass term of e
         grows by (rem - c) w_e / (c + 1) per count, exact in ints.  The floor applies
         to the states after the run only: overruns and floor misses only
-        grow along a run, so the result is the one of k single draws.
+        grow along a run, so the result is the one of k single draws.  A
+        whole-state int is split into its keys for the run and joined after.
         """
+        if self.box:
+            states = self._split(states)
         guard = self.guard
         div = operator.floordiv if self.exact else operator.truediv
         w0 = sum(w for _, bump, w in effects if not bump)
@@ -1120,7 +1264,7 @@ class _JointLayout:
             if least_after[0] > k or any(lo > most for lo, most in bounds):
                 continue
             spread(key, mass, 0, k)
-        return nxt
+        return self._join(nxt) if self.box else nxt
 
 
 def _accepted(fns, support, n: int, budget):
@@ -1365,6 +1509,12 @@ def total_influence(
     f: FunctionSpec, pi: MarginalDistribution,
     engine: str = "auto", budget: int | None = None,
 ) -> Number:
+    """sum_i Inf_i(f), routes and budgets as for `influence`.  The dp reads
+    one influence per class of exchangeable coordinates and weighs it by the
+    class size (`_count_influences`): a few walks, not n."""
+    _check_alphabet(f, pi)
+    if resolve_engine(engine, (f,)) == "dp":
+        return sum(len(coords) * inf for coords, inf in _count_influences(f, pi, budget)[1])
     return sum(influence(f, pi, i=i, engine=engine, budget=budget) for i in range(1, f.n + 1))
 
 

@@ -219,8 +219,9 @@ def multi_set_expectation(
     states that can no longer reach some window's lower bound.  A live state
     is one joint value of every window count and every residue with its
     mass.  Exact walks may hold all residues of one set of window counts in
-    one packed int, whose nonzero fields are then counted, so the budget
-    reads the same on both of the walk's routes.
+    one packed int, or, when all window counts times all residues make a
+    small box, the whole state in one int; their nonzero fields are then
+    counted, so the budget reads the same on all three of the walk's forms.
     """
     fns = tuple(fns)
     if len(fns) != p.steps:
@@ -794,11 +795,12 @@ def ap3_distribution() -> StepDistribution:
 
 
 def _weight_window(n: int, center_num: int, center_den: int) -> tuple[int, int]:
-    """Exact bounds of |count - n*center| <= 0.01 n with rational arithmetic."""
-    c = Fraction(n * center_num, center_den)
-    slack = Fraction(n, 100)
-    lo = math.ceil(c - slack)
-    hi = math.floor(c + slack)
+    """Exact bounds of |count - n*center| <= 0.01 n, center = num / den:
+    the counts from ceil((100 num - den) n / (100 den)) to floor((100 num +
+    den) n / (100 den)), in integer arithmetic."""
+    den = 100 * center_den
+    lo = -((center_den - 100 * center_num) * n // den)
+    hi = (100 * center_num + center_den) * n // den
     return max(lo, 0), min(hi, n)
 
 
@@ -808,16 +810,21 @@ def _skew_windows(n: int) -> tuple:
     return (("1", *_weight_window(n, 1, 3)), ("0", *_weight_window(n, 2, 3)))
 
 
-def skew_pair_sets(n: int) -> tuple[FunctionSpec, FunctionSpec]:
-    """The two anchored weight-window sets of the unequal-marginals example."""
+def _skew_sets(n: int, windows) -> tuple[FunctionSpec, FunctionSpec]:
+    """The two skew sets from their (anchor symbol, lo, hi) `windows`."""
     p = skew_pair_distribution()
     return tuple(
         make_anchored_symmetric(n, p.alphabet, {"1": (lo, hi)}, anchor=(1, sym))
-        for sym, lo, hi in _skew_windows(n)
+        for sym, lo, hi in windows
     )
 
 
-def _skew_measures(pi: MarginalDistribution, n: int, budget) -> list:
+def skew_pair_sets(n: int) -> tuple[FunctionSpec, FunctionSpec]:
+    """The two anchored weight-window sets of the unequal-marginals example."""
+    return _skew_sets(n, _skew_windows(n))
+
+
+def _skew_measures(pi: MarginalDistribution, n: int, windows, budget) -> list:
     """The measures of the two skew sets under pi, from one joint-count walk.
 
     A set holds x_1 = a and a count of 1s in [lo, hi], so its measure is
@@ -828,7 +835,7 @@ def _skew_measures(pi: MarginalDistribution, n: int, budget) -> list:
     """
     ranges = [
         (pi.alphabet.index(sym), lo - (sym == "1"), hi - (sym == "1"))
-        for sym, lo, hi in _skew_windows(n)
+        for sym, lo, hi in windows
     ]
     low = max(min(lo for _, lo, _ in ranges), 0)
     high = min(max(hi for _, _, hi in ranges), n - 1)
@@ -882,13 +889,14 @@ def counterexample_unequal_marginals(n_list, budget: int | None = None) -> SkewR
         n = int(n)
         if n < 3 or n % 3:
             raise ValueError("each n must be >= 3 and divisible by 3")
-        s1, s2 = skew_pair_sets(n)
+        windows = _skew_windows(n)
+        s1, s2 = _skew_sets(n, windows)
         value: Number = Fraction(0)
         for fa in (s1, s2):
             for fb in (s1, s2):
                 value += multi_set_expectation(p, n, (fa, fb), budget=budget)
         (s1_measure, s2_on_1), (s1_on_2, s2_measure) = (
-            _skew_measures(pi, n, budget) for pi in pis
+            _skew_measures(pi, n, windows, budget) for pi in pis
         )
         m1 = s1_measure + s2_on_1
         m2 = s1_on_2 + s2_measure

@@ -419,6 +419,33 @@ def test_every_call_refuses_an_engine_it_cannot_run():
                     call(f, pi, engine=engine)
 
 
+def test_total_influence_walks_once_per_coordinate_class(monkeypatch):
+    # On the dp a window or residue function's total influence is one
+    # influence per class of exchangeable coordinates times the class size:
+    # an anchored window with an ignored coordinate at n = 200 takes 3
+    # walks, not 200, and equals the sum of the per-coordinate influences
+    # as a Fraction; the decimal twin agrees within 1e-12.  Tables and the
+    # enumeration engine still sum coordinate by coordinate.
+    pi = marginal(helpers.basic_dist(), 1)
+    twin = MarginalDistribution(pi.alphabet, tuple(float(q) for q in pi.probs), False)
+    window = make_anchored_symmetric(200, TRIT, {"0": (60, 75)}, anchor=(1, "1"), ignored=[100])
+    residue = make_mod_linear(40, TRIT, 5, [c % 3 for c in range(40)], 2, [0, 1, 3])
+    for f, classes in ((window, 3), (residue, 3)):
+        want = sum(influence(f, pi, i=i) for i in range(1, f.n + 1))
+        walks = helpers.count_walks(monkeypatch)
+        got = total_influence(f, pi)
+        assert len(walks) == classes
+        assert isinstance(got, Fraction) and got == want > 0
+        approx = total_influence(f, twin)
+        assert isinstance(approx, float) and approx == pytest.approx(float(want), rel=1e-12)
+        monkeypatch.undo()
+    small = make_anchored_symmetric(4, TRIT, {"0": (1, 2)}, anchor=(2, "1"), ignored=[4])
+    table = to_table(small)
+    for f, engine in ((small, "enumerate"), (table, "auto")):
+        want = sum(influence(f, pi, i=i, engine=engine) for i in range(1, 5))
+        assert total_influence(f, pi, engine=engine) == want == total_influence(small, pi)
+
+
 def test_influence_matches_independent_oracle():
     pit = {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
     pi = uniform_marginal(3)

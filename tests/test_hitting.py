@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
-from corrhit import fourier
+from corrhit import fourier, hitting
 from corrhit.dist_core import (
     Alphabet,
     MarginalDistribution,
@@ -378,6 +378,55 @@ def test_dp_step_tables_are_shared_across_signatures():
     assert len({layout.signature(c) for c in range(1, n + 1)}) > 8
     assert len(tables) == len(incs)
     assert sum(map(len, tables.values())) <= len(incs) * q * q
+
+
+def _effects_by_hand(layout, fns, support, coord):
+    """(residue increments, window increment, weight) per distinct effect of
+    the draw at `coord`, built from the functions' payloads: support tuples
+    in order, the first of each effect fixing its place, then grouped by
+    increment when residues are packed."""
+    merged: dict = {}
+    for tup, w in support:
+        windows = [(j, f) for j, f in enumerate(fns) if f.kind == "anchored_symmetric"]
+        if any(f.payload["anchor"] is not None and f.payload["anchor"][0] == coord
+               and tup[j] != f.payload["anchor"][1] for j, f in windows):
+            continue
+        bump = sum(
+            1 << layout.slots[j, tup[j]][0]
+            for j, f in windows
+            if tup[j] in f.payload["windows"] and coord not in f.payload["ignored"]
+        )
+        inc = tuple(
+            f.payload["coeffs"][coord - 1] * f.payload["symbol_map"][tup[j]] % f.payload["modulus"]
+            for j, f in enumerate(fns) if f.kind == "mod_linear"
+        )
+        merged[inc, bump] = merged.get((inc, bump), 0) + w
+    items = list(merged.items())
+    if layout.width:
+        items.sort(key=lambda item: item[0][0])
+    return [(inc, bump, w) for (inc, bump), w in items]
+
+
+def test_dp_effect_lists_match_a_construction_by_hand():
+    # Window and residue functions with anchors and restriction-ignored
+    # coordinates, on exact and decimal supports: every coordinate's effect
+    # list holds the effects built by hand from the payloads, in the same
+    # order (keyed float sums depend on it).
+    rng = random.Random(2030)
+    special_seen = 0
+    for _ in range(60):
+        steps = rng.choice((2, 3))
+        p = helpers.random_dist(rng, rng.choice((2, 3)), steps)
+        n = rng.randint(2, 9)
+        special = rng.sample(range(1, n + 1), rng.randint(0, 2))
+        fns, _ = _random_dp_instance(rng, p, n, special)
+        for support in (p._scaled_support, _float_twin(p)._scaled_support):
+            layout = _JointLayout(fns, support)
+            for c in range(1, n + 1):
+                got = [(turn.inc, bump, w) for turn, bump, w in layout.effects(c)]
+                assert got == _effects_by_hand(layout, fns, support, c)
+            special_seen += bool(layout.special)
+    assert special_seen >= 20
 
 
 def test_dp_rotation_masks_are_built_once_per_digit_and_increment():
@@ -976,6 +1025,159 @@ def test_dp_declined_shared_slot_run_draws_one_coordinate_at_a_time():
         assert got == want
 
 
+# ---------------------------------------------------------------------------
+# whole-state walks: packed layouts with window slots keep one int
+
+
+def _box(cap):
+    """Whole-state ints up to `cap` fields; 0 packs per window key."""
+    return mock.patch.object(fourier, "_BOX", cap)
+
+
+@st.composite
+def box_windows(draw, n, m, most):
+    """A window function on 1..`most` symbols, lo > 0 and now and then an
+    empty window (lo > hi), anchored or not, restricted at random
+    coordinates (which it ignores from then on), and its oracle."""
+    syms = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=min(m, most), unique=True))
+    windows = {}
+    for sym in syms:
+        lo = draw(st.integers(0, n))
+        empty = draw(st.integers(0, 9)) == 0
+        windows[sym] = (lo, draw(st.integers(0, n) if empty else st.integers(lo, n)))
+    anchor = (draw(st.integers(1, n)), draw(st.integers(0, m - 1))) if draw(st.booleans()) else None
+    fixed = draw(st.dictionaries(st.integers(1, n), st.integers(0, m - 1), max_size=min(n - 1, 2)))
+    f = make_anchored_symmetric(n, tuple(str(a) for a in range(m)), windows, anchor=anchor)
+    if fixed:
+        f = restrict(f, Restriction.from_dict(n, fixed))
+    return f, _window_indicator(n, windows, anchor, fixed)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_dp_whole_state_walk_matches_per_key_keyed_and_brute(data):
+    # Two or three steps: at least one window function (1..3 slots in all,
+    # anchors, restriction-ignored coordinates, lo > 0, empty windows) and
+    # at least one residue function (zero coefficients, so residue-free
+    # runs occur), on random supports with zero weights.  The whole-state
+    # walk, the walk packed per window key (box cap 0) and the keyed walk
+    # give the brute oracle's Fraction, with runs forced and by the walk's
+    # choice; they peak at the same live states, so the least passing
+    # budget is the same on all three and one less raises the same message.
+    m = data.draw(st.integers(2, 3))
+    ell = data.draw(st.integers(2, 3))
+    tuples = list(itertools.product(range(m), repeat=ell))
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(tuples), max_size=len(tuples)))
+    cells = {t: Fraction(w) for t, w in zip(tuples, weights) if w} or {tuples[0]: Fraction(1)}
+    n = data.draw(st.integers(1, max(k for k in range(1, 6) if k == 1 or len(cells) ** k <= 1500)))
+    windowed = data.draw(st.lists(st.booleans(), min_size=ell, max_size=ell).filter(
+        lambda kinds: any(kinds) and not all(kinds)
+    ))
+    pairs, slots = [], 3 - windowed.count(True)
+    for is_window in windowed:
+        if is_window:
+            pair = data.draw(box_windows(n, m, slots + 1))
+            slots -= len(pair[0].payload["windows"]) - 1
+        else:
+            pair = data.draw(packed_residues(n, m))
+        pairs.append(pair)
+    fns, oracle_fns = tuple(f for f, _ in pairs), [o for _, o in pairs]
+    p = helpers.dist_from_cells(cells, m, ell)
+    want = oracles.multi_set_expectation_brute(dict(zip(p.tuples(), p.weights)), ell, n, oracle_fns)
+
+    def call(budget):
+        return multi_set_expectation(p, n, fns, engine="dp", budget=budget)
+
+    routes = {
+        "whole": (_packing(True), _box(1 << 20)),
+        "per key": (_packing(True), _box(0)),
+        "keyed": (_packing(False), contextlib.nullcontext()),
+    }
+    for pays in (True, None):
+        peaks, errors = {}, {}
+        for name, (packing, box) in routes.items():
+            with packing, box, _runs(pays):
+                layout = _JointLayout(fns, p._scaled_support)
+                assert bool(layout.box) == (name == "whole")
+                got, peaks[name] = _peak_live_states(call)
+                assert isinstance(got, Fraction) and got == want
+                peak = peaks[name]
+                if peak:
+                    assert call(peak) == want
+                    with pytest.raises(BudgetExceeded) as raised:
+                        call(peak - 1)
+                    errors[name] = str(raised.value)
+        assert len(set(peaks.values())) == 1
+        assert len(set(errors.values())) <= 1
+
+
+def _workload_pair(m, n, seed):
+    """A window on one symbol (lo n/5, hi 2n/3, anchored at coordinate 1)
+    beside a residue function mod 5 with nonzero coefficients and an
+    injective symbol map, on a full-support two-step distribution in
+    twentieths."""
+    rng = random.Random(seed)
+    tuples = list(itertools.product(range(m), repeat=2))
+    counts = collections.Counter(tuples)
+    for _ in range(20 - len(tuples)):
+        counts[rng.choice(tuples)] += 1
+    p = helpers.dist_from_cells({t: Fraction(c) for t, c in counts.items()}, m, 2)
+    alphabet = tuple(str(a) for a in range(m))
+    symbol, anchor = str(rng.randrange(m)), (1, str(rng.randrange(m)))
+    window = make_anchored_symmetric(n, alphabet, {symbol: (n // 5, 2 * n // 3)}, anchor=anchor)
+    residue = make_mod_linear(
+        n, alphabet, 5, [rng.randrange(1, 5) for _ in range(n)], rng.randrange(5),
+        rng.sample(range(5), m),
+    )
+    return p, (window, residue)
+
+
+@pytest.mark.parametrize("m, n", [(2, 24), (2, 28), (2, 32), (3, 16)])
+def test_dp_workload_window_residue_pairs_walk_whole(m, n):
+    # The exact window/residue pairs of the benchmark's pair slots fit the
+    # box, so their walks keep one int, and give the per-key walk's value.
+    p, fns = _workload_pair(m, n, seed=n)
+    layout = _JointLayout(fns, p._scaled_support)
+    assert layout.box == 5 * (2 * n // 3 + 2)
+    states = layout.walk(range(1, n + 1), None)
+    assert isinstance(states, int) and states
+    got = multi_set_expectation(p, n, fns)
+    with _box(0):
+        assert not _JointLayout(fns, p._scaled_support).box
+        assert multi_set_expectation(p, n, fns) == got
+
+
+def test_dp_box_past_the_cap_packs_per_key():
+    # Windows on all three symbols up to n = 20: 22^3 rows times 5 residues
+    # pass the box cap.  A window [0, 10] beside residues mod 5 and 7 at
+    # n = 80 makes a small box, but its rows of 35 fields of the bits of
+    # scale^80 pass the row cap.  Both layouts pack per window key and
+    # agree with the keyed walk.
+    rng = random.Random(7)
+    n = 20
+    p = helpers.random_dist(rng, 3, 2, full_support=True)
+    window = make_anchored_symmetric(n, TRIT, {s: (1, n) for s in TRIT})
+    residue = make_mod_linear(n, TRIT, 5, [1 + c % 4 for c in range(n)], 2, (0, 1, 3))
+    wide = helpers.random_dist(rng, 3, 3, full_support=True)
+    n_wide = 80
+    fns_wide = (
+        make_anchored_symmetric(n_wide, TRIT, {"0": (0, 10)}),
+        make_mod_linear(n_wide, TRIT, 5, [1 + c % 4 for c in range(n_wide)], 2, (0, 1, 3)),
+        make_mod_linear(n_wide, TRIT, 7, [1 + c % 6 for c in range(n_wide)], 3, (0, 1, 3)),
+    )
+    for dist, fns, size in ((p, (window, residue), n), (wide, fns_wide, n_wide)):
+        layout = _JointLayout(fns, dist._scaled_support)
+        assert layout.width and not layout.box
+        states = layout.walk(range(1, size + 1), None)
+        assert isinstance(states, dict) and len(states) > 1
+        got = multi_set_expectation(dist, size, fns)
+        with _packing(False):
+            assert multi_set_expectation(dist, size, fns) == got
+    assert 5 * 22**3 > fourier._BOX
+    layout = _JointLayout(fns_wide, wide._scaled_support)
+    assert 12 * 35 <= fourier._BOX and 35 * layout.width > fourier._ROW
+
+
 def test_dp_refuses_incompatible_functions():
     p = helpers.basic_dist()
     f = make_junta(2, TRIT, [(1, "0")])
@@ -1429,6 +1631,29 @@ def test_catalogs_walk_once_per_distinct_walk(monkeypatch):
     p = _coupled("product", (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)))
     estimate_hitting_exponent(p, MU_GRID, n=9)
     assert len(walks) == 2
+
+
+def test_skew_windows_match_the_rational_bounds():
+    # The skew sets hold counts of 1s within n/100 of n/3 and 2n/3; the
+    # integer bounds equal ceil and floor of the rational ones, clipped to
+    # [0, n], for every n up to 3000, and the catalog reads each n's bounds
+    # once.
+    for n in range(1, 3001):
+        want = []
+        for sym, center in (("1", Fraction(n, 3)), ("0", Fraction(2 * n, 3))):
+            slack = Fraction(n, 100)
+            lo, hi = math.ceil(center - slack), math.floor(center + slack)
+            want.append((sym, max(lo, 0), min(hi, n)))
+        assert hitting._skew_windows(n) == tuple(want)
+    for n in (9, 24):
+        s1, s2 = skew_pair_sets(n)
+        (_, lo1, hi1), (_, lo2, hi2) = hitting._skew_windows(n)
+        assert s1.payload["windows"] == {1: (lo1, hi1)} and s2.payload["windows"] == {1: (lo2, hi2)}
+    calls = []
+    windows = hitting._skew_windows
+    with mock.patch.object(hitting, "_skew_windows", lambda n: calls.append(n) or windows(n)):
+        counterexample_unequal_marginals([9, 12, 15])
+    assert calls == [9, 12, 15]
 
 
 @pytest.mark.parametrize("n, three, skew", [

@@ -471,6 +471,7 @@ def test_mollifier_stays_close_to_the_clamp():
 
 
 def test_mollifier_collar_matches_direct_quadrature():
+    pytest.importorskip("scipy.integrate")
     us = np.linspace(-1.0, 1.0, 401)
     direct = np.array([oracles.collar_profile(float(u)) for u in us])
     assert float(np.max(np.abs(invariance._collar(us) - direct))) <= 1e-13
@@ -484,6 +485,7 @@ def test_mollifier_collar_matches_direct_quadrature():
 
 
 def test_bump_constant_matches_direct_quadrature():
+    pytest.importorskip("scipy.integrate")
     assert abs(invariance._collar_table()[0] - oracles.bump_constant()) <= 1e-15
 
 
@@ -690,6 +692,7 @@ def test_smoothing_gap_rejects_polynomials_leaving_unit_interval():
 
 
 def test_rhc_orthant_golden():
+    pytest.importorskip("scipy.integrate")
     cov = [[1.0, 0.5], [0.5, 1.0]]
     forms = (ThresholdForm(), ThresholdForm())
     rep = gaussian_rhc_check(cov, forms, samples=200_000, seed=3)
@@ -735,6 +738,7 @@ def test_rhc_mc_follows_the_raw_philox_stream():
 
 
 def test_orthant_matches_double_integral():
+    pytest.importorskip("scipy.integrate")
     rng = random.Random(41)
     limit = 1.0 - 1e-9  # the largest |rho| tested
     cases = []
