@@ -13,6 +13,14 @@ Number = Fraction | float
 
 # the default cap on table entries, enumerated points and live DP states
 TABLE_BUDGET = 2**24
+# Entries of the longest product-weight list an exact sum builds, and of the
+# longest list the enumeration route's contractions build in `hitting`.
+_BLOCK = 4096
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when an exact route would enumerate more states than allowed."""
+
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _RAT_RE = re.compile(r"^[+-]?\d+/\d+$")

@@ -776,7 +776,7 @@ def _add_common(sp, dist=False, fn="", needs_n=False, budget=False, samples=None
     if fn:
         sp.add_argument("--fn", action="append", required=True, help=f"function spec file ({fn})")
     if needs_n:
-        sp.add_argument("--n", type=int, default=None,
+        sp.add_argument("--n", type=_at_least(1), default=None,
                         help="coordinate count (re-targets structured functions)")
     if budget:
         sp.add_argument("--budget", type=_at_least(1), default=None,

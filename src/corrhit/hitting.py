@@ -4,7 +4,7 @@ The central quantity is E[prod_j f^(j)(X^(j))] where every coordinate draws a
 step tuple independently from one distribution.  Two exact routes compute it:
 enumeration of the sum over support assignments, run as contractions of the
 step tables along every coordinate, and the joint-count dynamic program of
-`fourier` for window and modular-linear functions, run over the
+`_jointcount` for window and modular-linear functions, run over the
 distribution's support tuples (the same program gives their single
 expectations and influences).  On top sit the two
 constructive loops (density increment and influence reduction), the
@@ -21,7 +21,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import Number, ScaledView, contract_axes, power_exceeds, scale_to_ints
+from ._jointcount import _count_influences, _joint_count, _marginal_support, _window_counts
+from ._util import Number, ScaledView, _BLOCK, contract_axes, power_exceeds, scale_to_ints
 from .dist_core import (
     MarginalDistribution,
     StepDistribution,
@@ -38,22 +39,18 @@ from .fourier import (
     BudgetExceeded,
     FunctionSpec,
     Restriction,
-    _BLOCK,
     _contract,
-    _count_influences,
+    _count_spec,
     _expectation_contract,
     _fibre,
     _find_restriction,
     _influence_contract,
-    _joint_count,
     _kernel_inputs,
     _map_table,
-    _marginal_support,
     _repeat_blocks,
     _resilience_witness,
     _slab,
     _view_table,
-    _window_counts,
     expectation,
     influence,
     make_anchored_symmetric,
@@ -191,9 +188,9 @@ def _multi_enumerate(p: StepDistribution, n: int, fns, budget) -> Number:
 
 
 def _multi_dp(p: StepDistribution, n: int, fns, budget) -> Number:
-    """The product expectation by the joint-count program of `fourier`:
+    """The product expectation by the joint-count program of `_jointcount`:
     every coordinate draws a support tuple of p, one symbol per step."""
-    total = _joint_count(fns, p._scaled_support, n, budget)
+    total = _joint_count([_count_spec(f) for f in fns], p._scaled_support, n, budget)
     return Fraction(total, p._scale**n) if p.exact else float(total)
 
 
@@ -215,13 +212,11 @@ def multi_set_expectation(
     function, so a support narrower than the alphabet can pass the first cap
     and fail the second with BudgetExceeded; for the dp it caps the live
     states after each step (one coordinate's draw, or a run of coordinates
-    drawn at once, see `fourier._JointLayout.walk`), counted after dropping
-    states that can no longer reach some window's lower bound.  A live state
-    is one joint value of every window count and every residue with its
-    mass.  Exact walks may hold all residues of one set of window counts in
-    one packed int, or, when all window counts times all residues make a
-    small box, the whole state in one int; their nonzero fields are then
-    counted, so the budget reads the same on all three of the walk's forms.
+    drawn at once, see `_jointcount._JointLayout.walk`), counted after
+    dropping states that can no longer reach some window's lower bound.  A
+    live state is one joint value of every window count and every residue
+    with its mass, counted alike on every form of the walk's states (see
+    `_jointcount`).
     """
     fns = tuple(fns)
     if len(fns) != p.steps:
@@ -831,7 +826,7 @@ def _skew_measures(pi: MarginalDistribution, n: int, windows, budget) -> list:
     W_a / sw times the mass of the counts of 1s over coordinates 2..n in
     [lo - [a = 1], hi - [a = 1]].  The walk draws those n - 1 coordinates
     with the window that spans both sets' ranges and keeps each count's
-    mass (`fourier._window_counts`).
+    mass (`_jointcount._window_counts`).
     """
     ranges = [
         (pi.alphabet.index(sym), lo - (sym == "1"), hi - (sym == "1"))
@@ -840,7 +835,7 @@ def _skew_measures(pi: MarginalDistribution, n: int, windows, budget) -> list:
     low = max(min(lo for _, lo, _ in ranges), 0)
     high = min(max(hi for _, _, hi in ranges), n - 1)
     span = make_anchored_symmetric(n - 1, pi.alphabet, {"1": (low, high)})
-    counts = _window_counts((span,), _marginal_support(pi), n - 1, budget)
+    counts = _window_counts((_count_spec(span),), _marginal_support(pi), n - 1, budget)
     weights, den = pi.view.ints, pi.view.scale**n
     return [
         Fraction(weights[a] * sum(w for (c,), w in counts.items() if lo <= c <= hi), den)
@@ -877,7 +872,7 @@ def counterexample_unequal_marginals(n_list, budget: int | None = None) -> SkewR
     n_list.
 
     `budget` caps the live states after each step of every walk (see
-    `fourier._JointLayout.walk`).  The measure walks keep one state per
+    `_jointcount._JointLayout.walk`).  The measure walks keep one state per
     count of 1s in the window that spans both sets, so the least passing
     budget is that window's width: 5, 10, 22 and 44 at n = 9, 24, 60 and
     120.
@@ -948,10 +943,10 @@ def counterexample_three_sets(
     reproduces the zero exactly.  `engine` picks the triple product's route.
     Each set's coordinates are exchangeable, so one walk of every coordinate
     but the first gives both its measure and its influence
-    (`fourier._count_influences`): four walks in all on the dp.  `budget`
-    caps the live states after each step of every walk (see
-    `fourier._JointLayout.walk`); each set's walk keeps one state per count
-    in its window [0, ceil(n/3) - 1], so the least passing budget is
+    (`_jointcount._count_influences`): four walks in all on the dp.
+    `budget` caps the live states after each step of every walk (see
+    `_jointcount._JointLayout.walk`); each set's walk keeps one state per
+    count in its window [0, ceil(n/3) - 1], so the least passing budget is
     ceil(n/3): 3, 8, 20 and 40 at n = 9, 24, 60 and 120.
     """
     if n < 1:
@@ -959,7 +954,10 @@ def counterexample_three_sets(
     p = ap3_distribution()
     fns = ap3_sets(n)
     value = multi_set_expectation(p, n, fns, engine=engine, budget=budget)
-    reads = [_count_influences(f, marginal(p, j), budget) for j, f in enumerate(fns, start=1)]
+    reads = [
+        _count_influences(_count_spec(f), marginal(p, j), budget)
+        for j, f in enumerate(fns, start=1)
+    ]
     measures = tuple(mu for mu, _ in reads)
     infl = tuple(max(inf for _, inf in classes) for _, classes in reads)
     return ThreeSetsReport(n, rho(p), value, measures, infl)
@@ -1118,8 +1116,8 @@ def estimate_hitting_exponent(
     once, from t = n down.  These are the values that `fourier.expectation`
     and `same_set_expectation` give member by member, as exact Fractions on
     exact inputs.  `budget` caps the live states after each step of either
-    walk (see `fourier._JointLayout.walk`): up to n + 1 counts in the first,
-    up to (n + 1 - t0)^2 count pairs in the second.
+    walk (see `_jointcount._JointLayout.walk`): up to n + 1 counts in the
+    first, up to (n + 1 - t0)^2 count pairs in the second.
     """
     if p.steps != 2:
         raise ValueError("exponent estimation needs exactly 2 steps")
@@ -1151,7 +1149,7 @@ def estimate_hitting_exponent(
             out[t] += out[t + 1]
         return out
 
-    measures = tails(_window_counts((threshold(0),), _marginal_support(pi), n, budget))
+    measures = tails(_window_counts((_count_spec(threshold(0)),), _marginal_support(pi), n, budget))
     members = []
     for t in range(n + 1):
         mu_hat = Fraction(measures[t], pi.view.scale**n) if pi.exact else float(measures[t])
@@ -1163,7 +1161,8 @@ def estimate_hitting_exponent(
     ) if members else {}
     if len(chosen) < 2:
         raise ValueError("need at least two usable family members")
-    same = tails(_window_counts((threshold(min(chosen)),) * 2, p._scaled_support, n, budget))
+    pair = (_count_spec(threshold(min(chosen))),) * 2
+    same = tails(_window_counts(pair, p._scaled_support, n, budget))
     points = []
     for t in sorted(chosen):
         delta = Fraction(same[t], p._scale**n) if p.exact else float(same[t])

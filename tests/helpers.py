@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from corrhit import fourier
+from corrhit import _jointcount
 from corrhit.dist_core import StepDistribution, marginal, parse_distribution
 
 BASIC_TEXT = """\
@@ -140,13 +140,13 @@ def random_unit_table(rng: random.Random, n: int, m: int, denominator: int = 8):
 
 def count_walks(monkeypatch) -> list:
     """A list that gains one entry per joint-count walk
-    (`fourier._JointLayout.walk`) for the rest of the test."""
+    (`_jointcount._JointLayout.walk`) for the rest of the test."""
     walks: list = []
-    walk = fourier._JointLayout.walk
+    walk = _jointcount._JointLayout.walk
 
     def counted(self, *args, **kwargs):
         walks.append(None)
         return walk(self, *args, **kwargs)
 
-    monkeypatch.setattr(fourier._JointLayout, "walk", counted)
+    monkeypatch.setattr(_jointcount._JointLayout, "walk", counted)
     return walks

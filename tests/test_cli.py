@@ -472,6 +472,13 @@ def test_malformed_list_flags_are_usage_errors(capsys, argv, flag, what):
     (["fourier", "--dist", "x.dist", "--fn", "f.json", "--step", "0"], "--step", 1),
     (["invariance", "hyper", "--dist", "x.dist", "--fn", "f.json", "--step", "0"],
      "--step", 1),
+    (["hit", "--dist", "x.dist", "--fn", "f.json", "--n", "0"], "--n", 1),
+    (["fourier", "--dist", "x.dist", "--fn", "f.json", "--n", "-3"], "--n", 1),
+    (["reduce", "--dist", "x.dist", "--fn", "f.json", "--eps", "0.25", "--n", "0"], "--n", 1),
+    (["invariance", "hyper", "--dist", "x.dist", "--fn", "f.json", "--n", "0"], "--n", 1),
+    (["invariance", "gap", "--dist", "x.dist", "--fn", "f.json", "--lambda", "0.1",
+      "--n", "two"], "--n", 1),
+    (["invariance", "smooth", "--dist", "x.dist", "--fn", "f.json", "--n", "-1"], "--n", 1),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv, flag, low):
     """`--samples 0` once exited 1 with a division by zero, `--samples 1`
@@ -480,7 +487,8 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, flag, low):
     exited 0 with a vacuous pass over no instance and a worst margin of
     Infinity, which is not JSON.  `verify counterexamples --three-n 0` once
     ran the skew catalog before it refused.  `--budget -5` and `--step 0`
-    once loaded the files and exited 1 with a refusal in the report."""
+    once loaded the files and exited 1 with a refusal in the report, and
+    so did `hit --n 0` and `fourier --n -3`."""
     code = run_usage_error(argv)
     captured = capsys.readouterr()
     assert code == 2

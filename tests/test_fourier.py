@@ -1115,6 +1115,13 @@ def test_parse_function_refuses_retyped_and_missing_fields():
         # this one computed 2^(10^400) and never returned
         ({"n": 10**400, "alphabet": list(BIT), "kind": "table", "values": [0, 1]},
          r"table length must be \|alphabet\|\^n"),
+        # the first built the zero function from the string "false"; the
+        # table's flag was dropped without a word
+        ({**MOD_DOC, "symbol_map": [0, 1, 2], "zero": "false"},
+         r'zero must be true or false, not "false"'),
+        ({**WINDOW_DOC, "windows": {}, "zero": 0}, r"zero must be true or false, not 0"),
+        ({"n": 1, "alphabet": list(BIT), "kind": "table", "values": [0, 1], "zero": True},
+         r"a table has no zero flag"),
     ):
         with pytest.raises(ValueError, match=message):
             parse_function(json.dumps(doc))

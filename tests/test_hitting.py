@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
-from corrhit import fourier, hitting
+from corrhit import _jointcount, fourier, hitting
+from corrhit._jointcount import _JointLayout
 from corrhit.dist_core import (
     Alphabet,
     MarginalDistribution,
@@ -32,8 +33,6 @@ from corrhit.dist_core import (
 from corrhit.fourier import (
     BudgetExceeded,
     Restriction,
-    _JointLayout,
-    _count_influences,
     expectation,
     influence,
     is_resilient,
@@ -354,12 +353,28 @@ def _residue_pair_layout():
     return n, q, fns, p
 
 
-def _packing(packs):
-    """Residues packed wherever the layout is exact (True), never (False),
-    or by the layout's own rule (None)."""
-    if packs is None:
+def _layout(fns, support):
+    """The joint-count layout of window and residue functions over `support`."""
+    return _JointLayout([fourier._count_spec(f) for f in fns], support)
+
+
+def _forcing(form):
+    """Layouts built inside walk in `form` wherever they can: keyed always;
+    "packed" per window key and "whole" on exact layouts with a residue
+    function, whatever their size; "whole" only with window slots, packed
+    per key otherwise.  None leaves the form to the layout's own rule
+    (`_jointcount._form`)."""
+    if form is None:
         return contextlib.nullcontext()
-    return mock.patch.object(fourier, "_packs", lambda exact, *args: packs and exact)
+
+    def forced(exact, residues, specs, support, n, scale):
+        if form == "keyed" or not (exact and residues):
+            return "keyed", 0
+        width = -(-(scale**n).bit_length() // 8) * 8
+        whole = form == "whole" and any(s.windows for s in specs)
+        return ("whole" if whole else "packed"), width
+
+    return mock.patch.object(_jointcount, "_form", forced)
 
 
 def test_dp_step_tables_are_shared_across_signatures():
@@ -368,10 +383,10 @@ def test_dp_step_tables_are_shared_across_signatures():
     # walk fills at most 25 entries per distinct increment however many
     # signatures draw.
     n, q, fns, p = _residue_pair_layout()
-    with _packing(False):
-        layout = _JointLayout(fns, p._scaled_support)
+    with _forcing("keyed"):
+        layout = _layout(fns, p._scaled_support)
         states = layout.walk(range(1, n + 1), None)
-    assert states and not layout.width
+    assert states and layout.form == "keyed"
     effects = [e for c in range(1, n + 1) for e in layout.effects(c)]
     tables = {id(turn): turn for turn, _, _ in effects}
     incs = {turn.inc for turn, _, _ in effects}
@@ -402,7 +417,7 @@ def _effects_by_hand(layout, fns, support, coord):
         )
         merged[inc, bump] = merged.get((inc, bump), 0) + w
     items = list(merged.items())
-    if layout.width:
+    if layout.form != "keyed":
         items.sort(key=lambda item: item[0][0])
     return [(inc, bump, w) for (inc, bump), w in items]
 
@@ -421,7 +436,7 @@ def test_dp_effect_lists_match_a_construction_by_hand():
         special = rng.sample(range(1, n + 1), rng.randint(0, 2))
         fns, _ = _random_dp_instance(rng, p, n, special)
         for support in (p._scaled_support, _float_twin(p)._scaled_support):
-            layout = _JointLayout(fns, support)
+            layout = _layout(fns, support)
             for c in range(1, n + 1):
                 got = [(turn.inc, bump, w) for turn, bump, w in layout.effects(c)]
                 assert got == _effects_by_hand(layout, fns, support, c)
@@ -442,15 +457,15 @@ def test_dp_rotation_masks_are_built_once_per_digit_and_increment():
         return rotation(self, d, a)
 
     with mock.patch.object(_JointLayout, "_rotation", spy):
-        layout = _JointLayout(fns, p._scaled_support)
+        layout = _layout(fns, p._scaled_support)
         states = layout.walk(range(1, n + 1), None)
-    assert layout.width and len(states) == 1
+    assert layout.form == "packed" and len(states) == 1
     effects = [e for c in range(1, n + 1) for e in layout.effects(c)]
     carried = {(d, a) for turn, _, _ in effects for d, a in enumerate(turn.inc) if a}
     assert set(built) == carried and set(built.values()) == {1}
     assert len({turn.inc for turn, _, _ in effects}) > len(carried)
-    with _packing(False):
-        keyed = _JointLayout(fns, p._scaled_support)
+    with _forcing("keyed"):
+        keyed = _layout(fns, p._scaled_support)
         want = keyed.walk(range(1, n + 1), None)
     assert layout.size(states) == len(want) == q * q
     assert sorted(layout.masses(states)) == sorted(keyed.masses(want))
@@ -612,7 +627,7 @@ def _runs(pays):
     run at all (False), or the walk's own choice (None)."""
     if pays is None:
         return contextlib.nullcontext()
-    return mock.patch.object(fourier, "_run_pays", lambda live, k, effects: pays)
+    return mock.patch.object(_jointcount, "_run_pays", lambda live, k, effects: pays)
 
 
 @given(st.data())
@@ -720,10 +735,11 @@ def packed_residues(draw, n, m):
 def test_dp_packed_and_keyed_residues_match_the_brute_oracle(data):
     # One or two residue functions of moduli 2..7 beside windows (anchored
     # and restricted), on random supports with zero weights.  Residues
-    # packed wherever exact, never packed, and the layout's own rule, each
-    # with runs forced and by the walk's choice, give the brute oracle's
-    # Fraction; decimal twins (never packed) agree within FLOAT_REL.  The
-    # influence of a residue function is checked under the same rules.
+    # packed per key wherever exact, never packed, and the layout's own
+    # rule, each with runs forced and by the walk's choice, give the brute
+    # oracle's Fraction; decimal twins (never packed) agree within
+    # FLOAT_REL.  The influence of a residue function is checked under the
+    # same rules.
     m = data.draw(st.integers(2, 3))
     ell = data.draw(st.integers(2, 3))
     tuples = list(itertools.product(range(m), repeat=ell))
@@ -744,8 +760,8 @@ def test_dp_packed_and_keyed_residues_match_the_brute_oracle(data):
     want_inf = oracles.influence_iid(
         {a: pi.probs[a] for a in range(m)}, n, oracle_fns[j], tuple(range(m)), i
     )
-    for packs, pays in itertools.product((True, False, None), (True, None)):
-        with _packing(packs), _runs(pays):
+    for form, pays in itertools.product(("packed", "keyed", None), (True, None)):
+        with _forcing(form), _runs(pays):
             got = multi_set_expectation(p, n, fns, engine="dp")
             assert isinstance(got, Fraction) and got == want
             _assert_close(multi_set_expectation(twin, n, fns, engine="dp"), want)
@@ -782,13 +798,13 @@ def test_dp_packed_budget_counts_the_keyed_states():
         def call(budget):
             return multi_set_expectation(p, n, fns, engine="dp", budget=budget)
 
-        with _packing(False):
+        with _forcing("keyed"):
             want, keyed = _peak_live_states(call)
         runs = []
         draw_run = _JointLayout._draw_run
 
         def counted(self, *args):
-            runs.append(self.width)
+            runs.append(self.form != "keyed")
             return draw_run(self, *args)
 
         with mock.patch.object(_JointLayout, "_draw_run", counted), mock.patch.object(
@@ -796,14 +812,14 @@ def test_dp_packed_budget_counts_the_keyed_states():
         ):
             assert call(None) == want
         packed_runs += any(runs)
-        with _packing(True):
+        with _forcing("packed"):
             value, peak = _peak_live_states(call)
         assert value == want and peak == keyed
         if not peak:
             continue
         errors = []
-        for packs in (True, False):
-            with _packing(packs):
+        for form in ("packed", "keyed"):
+            with _forcing(form):
                 assert call(peak) == want
                 with pytest.raises(BudgetExceeded) as raised:
                     call(peak - 1)
@@ -818,7 +834,7 @@ def test_dp_packed_run_refuses_on_the_keyed_state():
     # A residue function mod 5 moved by coordinates 1..3 only, beside a
     # window that the run over coordinates 4..40 spreads over 41 keys, each
     # with up to 5 residues.  Under budgets well below the peak the run
-    # step is the one that passes them, and both routes refuse on live
+    # step is the one that passes them, and every form refuses on live
     # state budget + 1, though the packed run holds fewer keys than that.
     n = 40
     cells = {(a, b): Fraction(1 + a + 2 * b) for a in range(2) for b in range(2)}
@@ -830,28 +846,26 @@ def test_dp_packed_run_refuses_on_the_keyed_state():
         return multi_set_expectation(p, n, (window, residue), engine="dp", budget=budget)
 
     with _runs(True):
-        with _packing(False):
+        with _forcing("keyed"):
             want, peak = _peak_live_states(call)
-        widths = []
+        forms = []
         draw_run = _JointLayout._draw_run
 
         def counted(self, *args):
-            widths.append(self.width)
+            forms.append(self.form)
             return draw_run(self, *args)
 
-        with _packing(True), mock.patch.object(_JointLayout, "_draw_run", counted):
+        with _forcing("packed"), mock.patch.object(_JointLayout, "_draw_run", counted):
             assert call(None) == want
-        assert widths and all(widths)
+        assert forms and set(forms) == {"packed"}
         assert peak > 150
         for budget in (peak // 4, peak // 2, peak - 1):
-            errors = []
-            for packs in (True, False):
-                with _packing(packs), pytest.raises(BudgetExceeded) as raised:
+            errors = set()
+            for form in ("whole", "packed", "keyed"):
+                with _forcing(form), pytest.raises(BudgetExceeded) as raised:
                     call(budget)
-                errors.append(str(raised.value))
-            assert errors[0] == errors[1] == (
-                f"joint-count state space {budget + 1} exceeds the budget {budget}"
-            )
+                errors.add(str(raised.value))
+            assert errors == {f"joint-count state space {budget + 1} exceeds the budget {budget}"}
 
 
 def test_dp_packed_fields_hold_long_runs_of_concentrated_weights():
@@ -869,7 +883,7 @@ def test_dp_packed_fields_hold_long_runs_of_concentrated_weights():
     window = make_anchored_symmetric(n, BIT, {"0": (0, 40), "1": (n - 60, n)})
     coeffs = [0 if (c // 80) % 2 == 0 else 1 + c % 3 for c in range(n)]
     residue = make_mod_linear(n, BIT, 5, coeffs, 2, (0, 1))
-    assert not _JointLayout((window, residue), p._scaled_support).width
+    assert _layout((window, residue), p._scaled_support).form == "keyed"
     draw_run, rotation = _JointLayout._draw_run, _JointLayout._rotation
     runs, built = [], collections.Counter()
 
@@ -881,16 +895,16 @@ def test_dp_packed_fields_hold_long_runs_of_concentrated_weights():
         built[d, a, self.width] += 1
         return rotation(self, d, a)
 
-    with _packing(True), mock.patch.object(_JointLayout, "_draw_run", counted), mock.patch.object(
-        _JointLayout, "_rotation", spy
-    ):
+    with _forcing("packed"), mock.patch.object(
+        _JointLayout, "_draw_run", counted
+    ), mock.patch.object(_JointLayout, "_rotation", spy):
         got = multi_set_expectation(p, n, (window, residue), engine="dp")
     assert runs and {width for width, _ in runs} == {2128} and max(k for _, k in runs) == 80
     assert {width for _, _, width in built} == {2128} and set(built.values()) == {1}
-    with _packing(False):
+    with _forcing("keyed"):
         want = multi_set_expectation(p, n, (window, residue), engine="dp")
     assert isinstance(got, Fraction) and got == want and 0 < got < 1
-    with _packing(None):
+    with _forcing(None):
         assert multi_set_expectation(p, n, (window, residue), engine="dp") == want
 
 
@@ -909,8 +923,8 @@ def test_dp_packed_run_terms_may_pass_the_field_width():
     k = n - 1
     terms = (math.comb(k, c) * math.comb(k - c, d) * d for c in range(n) for d in range(n - c))
     assert max(terms).bit_length() > 72
-    for packs in (True, False):
-        with _packing(packs):
+    for form in ("whole", "packed", "keyed"):
+        with _forcing(form):
             assert multi_set_expectation(p, n, (window, residue), engine="dp") == Fraction(1, 2)
 
 
@@ -941,7 +955,7 @@ def _peak_live_states(call, gate=None):
                 mock.patch.object(_JointLayout, name, spy(getattr(_JointLayout, name)))
             )
         if gate is not None:
-            stack.enter_context(mock.patch.object(fourier, "_shifts_no_residue", gate))
+            stack.enter_context(mock.patch.object(_jointcount, "_shifts_no_residue", gate))
         value = call(None)
     return value, peak[0]
 
@@ -996,12 +1010,12 @@ def test_dp_declined_shared_slot_run_draws_one_coordinate_at_a_time():
     pi = marginal(p, 1)
     window = make_anchored_symmetric(n, BIT, {"0": (3, 9)})
     fixed = restrict(window, Restriction.from_dict(n, {c: c % 2 for c in range(1, 9)}))
-    layout = _JointLayout((fixed, window), p._scaled_support)
+    layout = _layout((fixed, window), p._scaled_support)
     effects = layout.effects(9)
     bumps = [bump for _, bump, _ in effects]
     assert len(effects) == 4 and sum(bumps) != functools.reduce(operator.or_, bumps)
-    assert not fourier._run_pays(9, 5, effects)
-    assert fourier._run_pays(1, n, effects)
+    assert not _jointcount._run_pays(9, 5, effects)
+    assert _jointcount._run_pays(1, n, effects)
     for f1, runs, singles in ((fixed, [8], 5), (window, [n], 0)):
         calls = {"_draw": [], "_draw_run": []}
 
@@ -1027,11 +1041,6 @@ def test_dp_declined_shared_slot_run_draws_one_coordinate_at_a_time():
 
 # ---------------------------------------------------------------------------
 # whole-state walks: packed layouts with window slots keep one int
-
-
-def _box(cap):
-    """Whole-state ints up to `cap` fields; 0 packs per window key."""
-    return mock.patch.object(fourier, "_BOX", cap)
 
 
 @st.composite
@@ -1060,7 +1069,7 @@ def test_dp_whole_state_walk_matches_per_key_keyed_and_brute(data):
     # anchors, restriction-ignored coordinates, lo > 0, empty windows) and
     # at least one residue function (zero coefficients, so residue-free
     # runs occur), on random supports with zero weights.  The whole-state
-    # walk, the walk packed per window key (box cap 0) and the keyed walk
+    # walk, the walk packed per window key and the keyed walk
     # give the brute oracle's Fraction, with runs forced and by the walk's
     # choice; they peak at the same live states, so the least passing
     # budget is the same on all three and one less raises the same message.
@@ -1088,17 +1097,11 @@ def test_dp_whole_state_walk_matches_per_key_keyed_and_brute(data):
     def call(budget):
         return multi_set_expectation(p, n, fns, engine="dp", budget=budget)
 
-    routes = {
-        "whole": (_packing(True), _box(1 << 20)),
-        "per key": (_packing(True), _box(0)),
-        "keyed": (_packing(False), contextlib.nullcontext()),
-    }
     for pays in (True, None):
         peaks, errors = {}, {}
-        for name, (packing, box) in routes.items():
-            with packing, box, _runs(pays):
-                layout = _JointLayout(fns, p._scaled_support)
-                assert bool(layout.box) == (name == "whole")
+        for name in ("whole", "packed", "keyed"):
+            with _forcing(name), _runs(pays):
+                assert _layout(fns, p._scaled_support).form == name
                 got, peaks[name] = _peak_live_states(call)
                 assert isinstance(got, Fraction) and got == want
                 peak = peaks[name]
@@ -1137,13 +1140,13 @@ def test_dp_workload_window_residue_pairs_walk_whole(m, n):
     # The exact window/residue pairs of the benchmark's pair slots fit the
     # box, so their walks keep one int, and give the per-key walk's value.
     p, fns = _workload_pair(m, n, seed=n)
-    layout = _JointLayout(fns, p._scaled_support)
-    assert layout.box == 5 * (2 * n // 3 + 2)
+    layout = _layout(fns, p._scaled_support)
+    assert layout.form == "whole" and layout.box == 5 * (2 * n // 3 + 2)
     states = layout.walk(range(1, n + 1), None)
     assert isinstance(states, int) and states
     got = multi_set_expectation(p, n, fns)
-    with _box(0):
-        assert not _JointLayout(fns, p._scaled_support).box
+    with _forcing("packed"):
+        assert _layout(fns, p._scaled_support).form == "packed"
         assert multi_set_expectation(p, n, fns) == got
 
 
@@ -1166,16 +1169,83 @@ def test_dp_box_past_the_cap_packs_per_key():
         make_mod_linear(n_wide, TRIT, 7, [1 + c % 6 for c in range(n_wide)], 3, (0, 1, 3)),
     )
     for dist, fns, size in ((p, (window, residue), n), (wide, fns_wide, n_wide)):
-        layout = _JointLayout(fns, dist._scaled_support)
-        assert layout.width and not layout.box
+        layout = _layout(fns, dist._scaled_support)
+        assert layout.form == "packed"
         states = layout.walk(range(1, size + 1), None)
         assert isinstance(states, dict) and len(states) > 1
         got = multi_set_expectation(dist, size, fns)
-        with _packing(False):
+        with _forcing("keyed"):
             assert multi_set_expectation(dist, size, fns) == got
-    assert 5 * 22**3 > fourier._BOX
-    layout = _JointLayout(fns_wide, wide._scaled_support)
-    assert 12 * 35 <= fourier._BOX and 35 * layout.width > fourier._ROW
+    assert 5 * 22**3 > _jointcount._BOX
+    layout = _layout(fns_wide, wide._scaled_support)
+    assert 12 * 35 <= _jointcount._BOX and 35 * layout.width > _jointcount._ROW
+
+
+def test_every_forcing_reaches_the_walks_the_library_builds(monkeypatch):
+    # A forcing that no longer reached the walk would compare a route with
+    # itself and pass.  Each forced form is the form of every layout that
+    # walks inside the call, on layouts whose own rule gives another form:
+    # keyed forced on a packed and on a whole layout, per key on a whole
+    # one, whole on one packed per key, per key on a keyed one.  Runs
+    # forced at once draw a run, forced off or gated off draw none, and
+    # `helpers.count_walks` counts the walk of a dp expectation.
+    whole_p, whole_fns = _workload_pair(2, 24, seed=24)
+    n, _, residue_fns, residue_p = _residue_pair_layout()
+    rng = random.Random(7)
+    wide_p = helpers.random_dist(rng, 3, 2, full_support=True)
+    wide_fns = (
+        make_anchored_symmetric(20, TRIT, {s: (1, 20) for s in TRIT}),
+        make_mod_linear(20, TRIT, 5, [1 + c % 4 for c in range(20)], 2, (0, 1, 3)),
+    )
+    heavy_p = helpers.dist_from_cells(
+        {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(1), (1, 1): Fraction(97)},
+        2, 2,
+    )
+    heavy_fns = (
+        make_anchored_symmetric(320, BIT, {"0": (0, 40), "1": (260, 320)}),
+        make_mod_linear(320, BIT, 5, [0] * 319 + [1], 2, (0, 1)),
+    )
+    cases = [
+        (whole_p, 24, whole_fns, "whole", ("keyed", "packed")),
+        (residue_p, n, residue_fns, "packed", ("keyed",)),
+        (wide_p, 20, wide_fns, "packed", ("whole",)),
+        (heavy_p, 320, heavy_fns, "keyed", ("packed",)),
+    ]
+    walk = _JointLayout.walk
+
+    def recorded(self, *args, **kwargs):
+        forms.append(self.form)
+        return walk(self, *args, **kwargs)
+
+    for p, size, fns, own, forced in cases:
+        assert _layout(fns, p._scaled_support).form == own
+        want = multi_set_expectation(p, size, fns, engine="dp")
+        for form in forced:
+            forms = []
+            with _forcing(form), mock.patch.object(_JointLayout, "walk", recorded):
+                assert _layout(fns, p._scaled_support).form == form
+                assert multi_set_expectation(p, size, fns, engine="dp") == want
+            assert forms == [form]
+    q = parse_distribution(helpers.UNIFORM_BITS_TEXT)
+    window = make_anchored_symmetric(13, BIT, {"0": (3, 9)})
+    draw_run = _JointLayout._draw_run
+    for forcing, runs in (
+        (_runs(True), True),
+        (_runs(False), False),
+        (mock.patch.object(_jointcount, "_shifts_no_residue", lambda effects: False), False),
+    ):
+        drawn = []
+
+        def counted(self, *args):
+            drawn.append(args[1])
+            return draw_run(self, *args)
+
+        with forcing, mock.patch.object(_JointLayout, "_draw_run", counted):
+            multi_set_expectation(q, 13, (window, window), engine="dp")
+        assert bool(drawn) == runs
+    walks = helpers.count_walks(monkeypatch)
+    expectation(window, marginal(q, 1), engine="dp")
+    assert len(walks) == 1
 
 
 def test_dp_refuses_incompatible_functions():
@@ -1725,13 +1795,14 @@ def test_max_influence_coordinate_classes_match_every_coordinate():
         ignored = rng.sample(pool, rng.randint(0, len(pool)))
         f = make_anchored_symmetric(n, TRIT, windows, anchor=anchor, ignored=ignored)
         every = [influence(f, pi, i=i) for i in range(1, n + 1)]
-        mu, classes = _count_influences(f, pi, None)
+        spec = fourier._count_spec(f)
+        mu, classes = _jointcount._count_influences(spec, pi, None)
         assert mu == expectation(f, pi)
         assert sorted(i for coords, _ in classes for i in coords) == list(range(1, n + 1))
         for coords, inf in classes:
             assert [every[i - 1] for i in coords] == [inf] * len(coords)
         assert max(inf for _, inf in classes) == max(every)
-        mu_twin, twin_classes = _count_influences(f, twin, None)
+        mu_twin, twin_classes = _jointcount._count_influences(spec, twin, None)
         _assert_close(mu_twin, mu)
         for coords, inf in twin_classes:
             for i in coords:
@@ -1753,13 +1824,14 @@ def test_residue_coordinate_classes_match_every_coordinate(monkeypatch):
         f = make_mod_linear(
             n, TRIT, q, coeffs, rng.randrange(q), [rng.randrange(q) for _ in range(3)]
         )
+        spec = fourier._count_spec(f)
         walks = helpers.count_walks(monkeypatch)
-        mu, classes = _count_influences(f, pi, None)
+        mu, classes = _jointcount._count_influences(spec, pi, None)
         assert len(walks) == len(classes) == len(set(coeffs))
         monkeypatch.undo()
         assert mu == expectation(f, pi)
         assert sorted(i for coords, _ in classes for i in coords) == list(range(1, n + 1))
-        mu_twin, twin_classes = _count_influences(f, twin, None)
+        mu_twin, twin_classes = _jointcount._count_influences(spec, twin, None)
         _assert_close(mu_twin, mu)
         for (coords, inf), (_, inf_twin) in zip(classes, twin_classes):
             assert {coeffs[i - 1] for i in coords} == {coeffs[coords[0] - 1]}

@@ -5,7 +5,8 @@ module calls `StepDistribution(...)` (they build with
 `StepDistribution.from_cells`) or reads the dense `_scaled` table.
 `fourier` alone reads or builds function payloads: no other module calls
 `FunctionSpec(...)` or reads `.payload`.  Annotations and docstrings that
-name these do not count.
+name these do not count.  The joint-count program sits below both: its
+module imports no corrhit module but `_util` and `dist_core`.
 """
 
 from __future__ import annotations
@@ -72,3 +73,44 @@ def test_the_finder_sees_calls_and_reads_but_not_annotations():
     assert sorted(trespasses(source, {"FunctionSpec"}, {"payload"})) == [
         "4: FunctionSpec(", "5: .payload",
     ]
+
+
+def _in_package(name: str) -> str | None:
+    """The module of the package that the absolute import `name` names
+    ("corrhit" for the package itself), or None outside it."""
+    if name != "corrhit" and not name.startswith("corrhit."):
+        return None
+    return name.removeprefix("corrhit").lstrip(".") or "corrhit"
+
+
+def corrhit_imports(source: str) -> set[str]:
+    """The corrhit modules that `source`, a module of the package, imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {_in_package(alias.name) for alias in node.names} - {None}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or "" if node.level else _in_package(node.module or "")
+            if module in ("", "corrhit"):
+                found |= {alias.name for alias in node.names}
+            elif module is not None:
+                found.add(module)
+    return found
+
+
+def test_the_joint_count_program_imports_only_the_layers_below():
+    source = (PACKAGE / "_jointcount.py").read_text()
+    assert corrhit_imports(source) == {"_util", "dist_core"}
+
+
+def test_the_import_finder_sees_every_form():
+    source = (
+        "import numpy as np\n"
+        "from . import fourier\n"
+        "from .hitting import x\n"
+        "from corrhit.cli import main\n"
+        "import corrhit.invariance\n"
+        "from corrhit import decompose\n"
+        "from numpy import linalg\n"
+    )
+    assert corrhit_imports(source) == {"fourier", "hitting", "cli", "invariance", "decompose"}
