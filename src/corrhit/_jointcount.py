@@ -1,14 +1,16 @@
 """The joint-count dynamic program: exact expectations, influences and
-hitting products of window and residue functions.
+hitting products of window, junta and residue functions.
 
-A window (anchored_symmetric) or residue (mod_linear) function reads a point
-only through per-symbol counts and linear residues, so E[f], Inf_i(f) and
-the hitting product E[prod_j f_j(X^(j))] are one count over i.i.d.
-coordinate draws.  Each coordinate draws a support tuple, one symbol per
-function: a step tuple of the distribution for a product (`hitting`), the
-one-step tuple (a,) of the marginal for a single function (`fourier`).  The
-functions arrive as `_CountSpec`s, which `fourier._count_spec` reads off
-their payloads.
+A window (anchored_symmetric), junta or residue (mod_linear) function reads
+a point only through per-symbol counts, pinned coordinates and linear
+residues, so E[f], Inf_i(f) and the hitting product E[prod_j f_j(X^(j))]
+are one count over i.i.d. coordinate draws.  Each coordinate draws a
+support tuple, one symbol per function: a step tuple of the distribution
+for a product (`hitting`), the one-step tuple (a,) of the marginal for a
+single function (`fourier`).  The functions arrive as `_CountSpec`s, which
+`fourier._count_spec` reads off their payloads: a window's anchor and a
+junta's constraints are both pins, coordinates whose draw must carry one
+symbol.
 
 A live state is a window key (every window slot's count, packed into one
 int, see `_JointLayout`) with a residue index (the residue functions'
@@ -55,23 +57,23 @@ import numpy as np
 from ._util import TABLE_BUDGET, BudgetExceeded, _BLOCK, power_exceeds
 from .dist_core import MarginalDistribution
 
-COUNT_KINDS = ("anchored_symmetric", "mod_linear")
-
-
 class _CountSpec(NamedTuple):
-    """A window or residue function of n coordinates as the walk reads it.
+    """A window, junta or residue function of n coordinates as the walk
+    reads it.
 
-    A window function has `windows` {symbol index: (lo, hi)}, its `anchor`
-    (coordinate, symbol index) or None and its `ignored` coordinates, and
-    `modulus` 0; a residue function has `modulus` q > 0, one coefficient per
-    coordinate, the `residue` it accepts and its `symbol_map`, and no
-    windows.  `zero` marks the hard-zero function.
+    A window function has `windows` {symbol index: (lo, hi)}, `pins` (its
+    anchor as one (coordinate, symbol index) pair, or none) and its
+    `ignored` coordinates; a junta has its constraints as `pins` and no
+    windows; both have `modulus` 0.  A residue function has `modulus` q > 0,
+    one coefficient per coordinate, the `residue` it accepts and its
+    `symbol_map`, and no windows or pins.  `zero` marks the hard-zero
+    function.
     """
 
     n: int
     zero: bool
     windows: dict
-    anchor: tuple | None
+    pins: tuple
     ignored: frozenset
     modulus: int
     coeffs: tuple
@@ -106,6 +108,19 @@ class _Turn(dict):
         for low, up, high, down in self.rots:
             packed = (packed & low) << up | (packed & high) >> down
         return packed
+
+
+class _Powers(dict):
+    """base^r per r, filled lazily: a run's compositions read only the
+    powers at the draws that their moving effects leave over."""
+
+    def __init__(self, base):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, r: int):
+        self[r] = value = self.base**r
+        return value
 
 
 # Most bits per field of a packed int: a layout whose masses need more
@@ -189,8 +204,8 @@ def _over_budget(size: int, cap: int) -> BudgetExceeded:
 
 
 class _JointLayout:
-    """The joint state of window and residue functions (`_CountSpec`s), and
-    the effect of one coordinate's draw on it.
+    """The joint state of window, junta and residue functions
+    (`_CountSpec`s), and the effect of one coordinate's draw on it.
 
     Each window slot (function, symbol) owns a field of the window key: b =
     hi.bit_length() value bits and one guard bit.  The field holds count +
@@ -251,7 +266,7 @@ class _JointLayout:
         self.fields = []  # per slot (bit position, mask with guard, largest live value)
         self.guard = self.start = 0
         # per function, the coordinates that bump none of its slots; and the
-        # coordinates some window anchors or ignores -> (anchors, muted functions)
+        # coordinates some function pins or ignores -> (pins, muted functions)
         self.ignored = [frozenset()] * len(specs)
         self.special: dict = {}
         for j, s in enumerate(specs):
@@ -270,12 +285,11 @@ class _JointLayout:
                 pos += bits + 1
             self.ignored[j] = s.ignored
             for c in self.ignored[j]:
-                anchors, muted = self.special.get(c, ((), ()))
-                self.special[c] = (anchors, muted + (j,))
-            if s.anchor is not None:
-                c, sym = s.anchor
-                anchors, muted = self.special.get(c, ((), ()))
-                self.special[c] = (anchors + ((j, sym),), muted)
+                pins, muted = self.special.get(c, ((), ()))
+                self.special[c] = (pins, muted + (j,))
+            for c, sym in s.pins:
+                pins, muted = self.special.get(c, ((), ()))
+                self.special[c] = (pins + ((j, sym),), muted)
         coeffs = [specs[j].coeffs for j, _, _ in self.mods]
         self.coeffs = list(zip(*coeffs)) if coeffs else [()] * n
         self.final = self.floor([0] * len(specs))
@@ -417,8 +431,9 @@ class _JointLayout:
                 raise _over_budget(size, cap)
 
     def signature(self, coord: int):
-        """The key of the draw's effects at `coord`: the anchors and ignoring
-        functions there, and the modular coefficients."""
+        """The key of the draw's effects at `coord`: the pins and ignoring
+        functions there, and the modular coefficients.  Coordinates with one
+        signature are exchangeable under i.i.d. draws."""
         return self.special.get(coord), self.coeffs[coord - 1]
 
     def effects(self, coord: int):
@@ -426,8 +441,8 @@ class _JointLayout:
         at `coord`, support tuples with equal effects merged; `turn` is the
         `_Turn` of the effect's residue increments.
 
-        A function anchored at `coord` admits only the tuples that carry its
-        anchor symbol there, and one that ignores `coord` bumps none of its
+        A function pinned at `coord` admits only the tuples that carry its
+        pinned symbol there, and one that ignores `coord` bumps none of its
         slots.  Coordinates with one `signature` share one list.  A keyed
         layout keeps the effects in the order of the support, which fixes
         the order of its float sums; a packed one, whose sums are exact in
@@ -437,13 +452,13 @@ class _JointLayout:
         sig = self.signature(coord)
         if sig in self._effects:
             return self._effects[sig]
-        anchors, muted = sig[0] or ((), ())
+        pins, muted = sig[0] or ((), ())
         # per tuple its residue increments, one column per modular digit
         cols = [self._column(d, c) for d, c in enumerate(sig[1])]
         incs = zip(*cols) if cols else itertools.repeat(())
         merged: dict = {}
         for (tup, w), bump, inc in zip(self.support, self._bumps, incs):
-            if anchors and any(tup[j] != a for j, a in anchors):
+            if pins and any(tup[j] != a for j, a in pins):
                 continue
             for j in muted:
                 if (j, tup[j]) in self.slots:
@@ -542,7 +557,8 @@ class _JointLayout:
         run drawn at once) raise BudgetExceeded; a run also raises as soon
         as it stores one live state too many.  A run ends on the states its
         single draws end on, and those only grow along it, so any budget its
-        single draws meet, the run meets too.  A zero function leaves no state.
+        single draws meet, the run meets too.  A zero function, or a
+        coordinate whose pins admit no support tuple, leaves no state.
         """
         if any(s.zero for s in self.specs):
             return 0 if self.box else {}
@@ -552,6 +568,8 @@ class _JointLayout:
         for _, run in itertools.groupby(coords, self.signature):
             run = list(run)
             effects = self.effects(run[0])
+            if not effects:
+                return 0 if self.box else {}
             # the functions whose slots the run's coordinates may bump
             live = [run[0] not in ign for ign in self.ignored]
             at_once = (
@@ -665,7 +683,7 @@ class _JointLayout:
             moving.insert(0, (bump, w, room, floors))
             after |= bump
         still = floor & sum(mask << pos for pos, mask, _ in fields if not moved >> pos & 1)
-        tail = [w0**r for r in range(k + 1)]
+        tail = _Powers(w0)
         nxt: dict = {}
         # live states per stored key, and their sum, once the keys times R
         # pass the cap
@@ -765,9 +783,10 @@ def _marginal_support(pi: MarginalDistribution):
     return [((a,), w) for a, w in enumerate(pi.view.ints) if w > 0]
 
 
-def _influence_count(spec: _CountSpec, pi: MarginalDistribution, i: int, budget):
-    """(E[f], Inf_i(f)) of a window or residue function by one walk of the
-    joint-count program.
+def _influence_count(spec: _CountSpec, pi: MarginalDistribution, i: int, budget, layout=None):
+    """(E[f], Inf_i(f)) of a window, junta or residue function by one walk
+    of the joint-count program, on `layout` when given (one of `spec` over
+    the support of pi).
 
     Every coordinate but i draws, with i counted as still to come in the
     floors.  In a live state of scaled mass M, the draws at i that lead to
@@ -776,7 +795,7 @@ def _influence_count(spec: _CountSpec, pi: MarginalDistribution, i: int, budget)
     i]].  A packed layout unpacks its fields once, after the walk.
     """
     sw, n = pi.view.scale, spec.n
-    layout = _JointLayout((spec,), _marginal_support(pi))
+    layout = layout or _JointLayout((spec,), _marginal_support(pi))
     states = layout.walk([c for c in range(1, n + 1) if c != i], budget, later=(i,))
     effects = layout.effects(i)
     mean = total = 0
@@ -791,20 +810,17 @@ def _influence_count(spec: _CountSpec, pi: MarginalDistribution, i: int, budget)
 
 
 def _count_influences(spec: _CountSpec, pi: MarginalDistribution, budget):
-    """(E[f], [(coordinates, their Inf_i(f)) per class]) of a window or
-    residue function, one joint-count walk per class of coordinates that
-    are exchangeable under i.i.d. draws and so share one influence: a
-    window function's anchor, its ignored coordinates (influence 0) and the
-    rest; a residue function's coordinates of one coefficient.  E[f] is
-    read off the first walk."""
-    if not spec.modulus:
-        anchor = [spec.anchor[0]] if spec.anchor is not None else []
-        rest = [i for i in range(1, spec.n + 1) if i not in spec.ignored and i not in anchor]
-        classes = [coords for coords in (anchor, sorted(spec.ignored), rest) if coords]
-    else:
-        by_coeff: dict = {}
-        for i, c in enumerate(spec.coeffs, start=1):
-            by_coeff.setdefault(c, []).append(i)
-        classes = list(by_coeff.values())
-    reads = [(coords, _influence_count(spec, pi, coords[0], budget)) for coords in classes]
+    """(E[f], [(coordinates, their Inf_i(f)) per class]) of a window, junta
+    or residue function: one walk of one layout per class of coordinates
+    with one `_JointLayout.signature`, which are exchangeable under i.i.d.
+    draws and so share one influence.  Classes go in the order of their
+    first coordinate; E[f] is read off the first walk."""
+    layout = _JointLayout((spec,), _marginal_support(pi))
+    classes: dict = {}
+    for i in range(1, spec.n + 1):
+        classes.setdefault(layout.signature(i), []).append(i)
+    reads = [
+        (coords, _influence_count(spec, pi, coords[0], budget, layout))
+        for coords in classes.values()
+    ]
     return reads[0][1][0], [(coords, inf) for coords, (_, inf) in reads]

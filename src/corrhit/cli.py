@@ -816,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hit", help="same-set / multi-set expectation")
     _add_common(sp, dist=True, fn="one, or one per step", needs_n=True, budget=True)
     sp.add_argument("--engine", choices=("auto", "enumerate", "dp"), default="auto",
-                    help="auto takes the joint-count dp when every function allows it")
+                    help="auto takes the joint-count dp unless some function is a table")
     sp.set_defaults(handler=_cmd_hit)
 
     sp = sub.add_parser("reduce", help="density increment or influence reduction loop")

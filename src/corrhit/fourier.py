@@ -3,8 +3,8 @@
 Four function representations share one interface: dense tables, symmetric
 count-window acceptors with an optional anchored coordinate, junta indicators,
 and modular linear-form indicators.  On top of them: exact expectations and
-influences (by tensor contraction over all points, by the joint-count program
-of `_jointcount` for windows and residues, and in closed form for juntas),
+influences (by tensor contraction over all points, and by the joint-count
+program of `_jointcount` for every kind but tables),
 orthonormal bases, Fourier expansions, the noise operator, projections onto
 coordinate subsets, restrictions, resilience checks, and the pointwise-max
 substitution operator.
@@ -39,7 +39,7 @@ go through the constructors, the document codec (`parse_function`,
 `format_function`), `_rebase` (a function re-targeted at another n),
 `to_table`, `_view_table` (a table from a `ScaledView`), `_moments`,
 which reads a function's coordinate classes, and `_count_spec`, which
-decodes a window or residue function for the joint-count program.
+decodes a window, junta or residue function for the joint-count program.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from fractions import Fraction
 import numpy as np
 
 from ._jointcount import (
-    COUNT_KINDS,
     _CountSpec,
     _count_influences,
     _influence_count,
@@ -140,15 +139,19 @@ class FunctionSpec:
 
 
 def _count_spec(f: FunctionSpec) -> _CountSpec:
-    """A window or residue function as the joint-count program of
-    `_jointcount` reads it."""
+    """A window, junta or residue function as the joint-count program of
+    `_jointcount` reads it: a window's anchor and a junta's constraints are
+    its pins."""
     pay = f.payload
-    if f.kind == "anchored_symmetric":
-        return _CountSpec(f.n, f.zero, pay["windows"], pay["anchor"], pay["ignored"], 0, (), 0, ())
-    return _CountSpec(
-        f.n, f.zero, {}, None, frozenset(),
-        pay["modulus"], pay["coeffs"], pay["residue"], pay["symbol_map"],
-    )
+    if f.kind == "mod_linear":
+        return _CountSpec(
+            f.n, f.zero, {}, (), frozenset(),
+            pay["modulus"], pay["coeffs"], pay["residue"], pay["symbol_map"],
+        )
+    if f.kind == "junta":
+        return _CountSpec(f.n, f.zero, {}, pay["constraints"], frozenset(), 0, (), 0, ())
+    pins = (pay["anchor"],) if pay["anchor"] else ()
+    return _CountSpec(f.n, f.zero, pay["windows"], pins, pay["ignored"], 0, (), 0, ())
 
 
 def _coerce_alphabet(alphabet) -> Alphabet:
@@ -600,21 +603,18 @@ def resolve_engine(engine: str, fns) -> str:
     The one engine rule of `expectation`, `variance`, `influence` and
     `hitting.multi_set_expectation`.  'enumerate' contracts the values at
     every point, materializing other kinds per axis with `to_table`; 'dp'
-    runs the joint-count program, which reads only window and residue kinds
-    (`COUNT_KINDS`); 'auto' takes the dp when every function is of those
-    kinds and enumeration otherwise.  Under 'auto', `expectation` and
-    `influence` answer a junta by its closed form in place of enumeration.
-    An unknown engine, or 'dp' on any other kind, raises ValueError.
+    runs the joint-count program, which reads every kind but a table; 'auto'
+    takes the dp unless some function is a table.  An unknown engine, or
+    'dp' on a table, raises ValueError.
     """
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "enumerate":
         return engine
-    other = next((f.kind for f in fns if f.kind not in COUNT_KINDS), None)
-    if other is None:
+    if all(f.kind != "table" for f in fns):
         return "dp"
     if engine == "dp":
-        raise ValueError(f"no dynamic program for kind {other!r}")
+        raise ValueError("no dynamic program for kind 'table'")
     return "enumerate"
 
 
@@ -625,15 +625,14 @@ def expectation(
     """E[f(X)] with X_i independent draws from pi.
 
     The route is `resolve_engine(engine, (f,))`: the contraction over all m^n
-    points, the joint-count program over the marginal's one-step support, or
-    under 'auto' the closed form of a junta.  Exact inputs give exact
-    rationals on every route.  `budget` caps the m^n points of a
-    contraction; on the dp it caps the live states after each step (one
-    coordinate's draw, or a run of coordinates drawn at once, see
-    `_jointcount._JointLayout.walk`), counted after dropping those that can
-    no longer reach a window's lower bound.  A live state is one (window
-    counts, residue) pair, counted alike on every form of the walk's states
-    (see `_jointcount`).
+    points, or the joint-count program over the marginal's one-step
+    support.  Exact inputs give exact rationals on both routes.  `budget`
+    caps the m^n points of a contraction; on the dp it caps the live states
+    after each step (one coordinate's draw, or a run of coordinates drawn at
+    once, see `_jointcount._JointLayout.walk`), counted after dropping those
+    that can no longer reach a window's lower bound.  A live state is one
+    (window counts, residue) pair, counted alike on every form of the walk's
+    states (see `_jointcount`).
     """
     _check_alphabet(f, pi)
     route = resolve_engine(engine, (f,))
@@ -642,11 +641,6 @@ def expectation(
     if route == "dp":
         total = _joint_count((_count_spec(f),), _marginal_support(pi), f.n, budget)
         return Fraction(total, pi.view.scale**f.n) if pi.exact else float(total)
-    if engine == "auto" and f.kind == "junta":
-        out: Number = Fraction(1) if pi.exact else 1.0
-        for _, sym in f.payload["constraints"]:
-            out *= pi.probs[sym]
-        return out
     return _expectation_contract(f, pi, budget)
 
 
@@ -717,18 +711,6 @@ def _influence_contract(f, pi, coords, budget, exact: bool = True):
     return exact, w_scale ** (n + 1) * v_scale * v_scale, nums
 
 
-def _influence_junta(f, pi, i) -> Number:
-    """Inf_i of a conjunction: p_i (1 - p_i) times the other constraints' mass."""
-    out: Number = Fraction(1) if pi.exact else 1.0
-    cons = dict(f.payload["constraints"])
-    if f.zero or i not in cons:
-        return out * 0
-    for coord, sym in cons.items():
-        p = pi.probs[sym]
-        out *= p * (1 - p) if coord == i else p
-    return out
-
-
 def influence(
     f: FunctionSpec, pi: MarginalDistribution, i: int = 1,
     engine: str = "auto", budget: int | None = None,
@@ -738,17 +720,16 @@ def influence(
     Routes and budgets as for `expectation`.  The dp runs one walk, of every
     coordinate but i, and reads Inf_i(f) off it (`_influence_count`); that
     walk gives E[f] too, and one walk per class of exchangeable coordinates
-    gives every influence (`_count_influences`), as the catalogs of
-    `hitting` and the CLI read them.  Float results are clamped at 0
-    against rounding.
+    (one `_jointcount._JointLayout.signature`, such as a junta's coordinates
+    pinned to one symbol) gives every influence (`_count_influences`), as
+    the catalogs of `hitting` and the CLI read them.  Float results are
+    clamped at 0 against rounding.
     """
     if not 1 <= i <= f.n:
         raise ValueError("coordinate out of range")
     _check_alphabet(f, pi)
     if resolve_engine(engine, (f,)) == "dp":
         return _influence_count(_count_spec(f), pi, i, budget)[1]
-    if engine == "auto" and f.kind == "junta":
-        return _influence_junta(f, pi, i)
     exact, den, (num,) = _influence_contract(f, pi, (i,), budget)
     return Fraction(num, den) if exact else max(num, 0.0)
 
@@ -770,12 +751,12 @@ def total_influence(
 def _moments(f: FunctionSpec, pi: MarginalDistribution, budget):
     """(E[f], Var[f], [Inf_1(f), ..., Inf_n(f)]) as `expectation`,
     `variance` and `influence` give them on the 'auto' engine, in the
-    fewest passes: one joint-count walk per coordinate class of a window or
-    residue function, which also gives E[f] (`_count_influences`); one
-    contraction for all n influences of a table; closed forms for a junta.
-    An indicator's variance is E[f] - E[f]^2."""
+    fewest passes: one joint-count walk per coordinate class of a function
+    other than a table, which also gives E[f] (`_count_influences`); one
+    contraction for all n influences of a table.  An indicator's variance
+    is E[f] - E[f]^2."""
     _check_alphabet(f, pi)
-    if f.kind in COUNT_KINDS:
+    if f.kind != "table":
         mu, classes = _count_influences(_count_spec(f), pi, budget)
         infs: list = [None] * f.n
         for coords, inf in classes:
@@ -783,8 +764,6 @@ def _moments(f: FunctionSpec, pi: MarginalDistribution, budget):
                 infs[i - 1] = inf
         return mu, _indicator_variance(mu), infs
     mu = expectation(f, pi, budget=budget)
-    if f.kind == "junta":
-        return mu, _indicator_variance(mu), [_influence_junta(f, pi, i) for i in range(1, f.n + 1)]
     exact, den, nums = _influence_contract(f, pi, range(1, f.n + 1), budget)
     infs = [Fraction(num, den) if exact else max(num, 0.0) for num in nums]
     return mu, variance(f, pi, budget=budget), infs
@@ -1242,11 +1221,10 @@ def _find_restriction(
 
 def _resilience_witness(
     f: FunctionSpec, eps, k: int, pi: MarginalDistribution, cap: int, free,
-    upper_only: bool = False,
 ):
     """(True, None), or (False, R) for the first R with |R| <= k, the empty
-    restriction included, whose E[Rf] leaves [(1-eps) E[f], (1+eps) E[f]]
-    (only the upper side when `upper_only`), with E[f] computed afresh.
+    restriction included, whose E[Rf] leaves [(1-eps) E[f], (1+eps) E[f]],
+    with E[f] computed afresh.
 
     The coordinates outside `free` must be dummy in f.  The search then
     contracts only the coordinate sets inside `free` and gives the answer
@@ -1254,14 +1232,12 @@ def _resilience_witness(
     `is_resilient` is this check over every coordinate.
     """
     mu = expectation(f, pi)
-    lower = None if upper_only else (1 - eps) * mu
-    found = _find_restriction(f, pi, k, 0, cap, (1 + eps) * mu, True, lower, free)
+    found = _find_restriction(f, pi, k, 0, cap, (1 + eps) * mu, True, (1 - eps) * mu, free)
     return (True, None) if found is None else (False, found[0])
 
 
 def is_resilient(
-    f: FunctionSpec, eps, k: int, pi: MarginalDistribution,
-    budget: int | None = None, upper_only: bool = False,
+    f: FunctionSpec, eps, k: int, pi: MarginalDistribution, budget: int | None = None,
 ):
     """Exhaustively test (1-eps) E[f] <= E[Rf] <= (1+eps) E[f] over |R| <= k.
 
@@ -1279,7 +1255,7 @@ def is_resilient(
         raise ValueError("eps must be non-negative")
     _check_alphabet(f, pi)
     cap = TABLE_BUDGET if budget is None else budget
-    return _resilience_witness(f, eps, k, pi, cap, range(1, f.n + 1), upper_only)
+    return _resilience_witness(f, eps, k, pi, cap, range(1, f.n + 1))
 
 
 # ---------------------------------------------------------------------------

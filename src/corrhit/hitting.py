@@ -4,7 +4,7 @@ The central quantity is E[prod_j f^(j)(X^(j))] where every coordinate draws a
 step tuple independently from one distribution.  Two exact routes compute it:
 enumeration of the sum over support assignments, run as contractions of the
 step tables along every coordinate, and the joint-count dynamic program of
-`_jointcount` for window and modular-linear functions, run over the
+`_jointcount` for juntas, window and modular-linear functions, run over the
 distribution's support tuples (the same program gives their single
 expectations and influences).  On top sit the two
 constructive loops (density increment and influence reduction), the
@@ -201,9 +201,10 @@ def multi_set_expectation(
 
     The route is `fourier.resolve_engine(engine, fns)`: enumeration of the
     sum over all support assignments, or the joint-count program over the
-    support tuples of p.  Both routes scale rational weights and values to
-    integers, work on ints, and divide once at the end, so exact inputs give
-    exact Fractions; float inputs give floats.
+    support tuples of p, which reads every kind but a table.  Both routes
+    scale rational weights and values to integers, work on ints, and divide
+    once at the end, so exact inputs give exact Fractions; float inputs give
+    floats.
 
     Enumeration contracts the step tables along every coordinate (see
     `_multi_enumerate`), materializing other kinds with `to_table`; besides

@@ -613,14 +613,14 @@ def density_increment_brute(values, m, n, probs, eps_prime, k, exact):
         cur = value
 
 
-def resilience_witness_brute(values, m, n, probs, eps, k, upper_only, exact):
-    """First restriction of size 0..k with E[Rf] > (1+eps) E[f] or, unless
-    upper_only, E[Rf] < (1-eps) E[f], as a fixed dict; None when resilient."""
+def resilience_witness_brute(values, m, n, probs, eps, k, exact):
+    """First restriction of size 0..k with E[Rf] > (1+eps) E[f] or
+    E[Rf] < (1-eps) E[f], as a fixed dict; None when resilient."""
     mu = table_moments_enumerate(values, m, n, probs, exact)[0]
     lo, hi = (1 - eps) * mu, (1 + eps) * mu
     found = restriction_search_brute(
         values, m, n, probs, range(0, k + 1),
-        lambda v: v > hi or (not upper_only and v < lo), exact,
+        lambda v: v > hi or v < lo, exact,
     )
     return None if found is None else found[0]
 

@@ -239,15 +239,29 @@ def test_hit_enumerate_refuses_a_huge_n_at_once(workdir):
     assert refusal == "6^100000000 support assignments exceed the budget 16777216"
 
 
-def test_hit_dp_refuses_juntas(workdir, capsys):
+def test_hit_dp_answers_juntas_and_refuses_tables(workdir, capsys):
+    """The dp reads a junta and gives the enumeration engine's value, which
+    'auto' also takes; it refuses a table."""
+    values = {}
+    for engine in ("dp", "enumerate", "auto"):
+        code, report = run_json(
+            capsys,
+            ["hit", "--dist", workdir / "basic.dist",
+             "--fn", workdir / "dictator.json", "--n", "1", "--engine", engine],
+        )
+        assert code == 0
+        assert report["results"]["engine"] == ("enumerate" if engine == "enumerate" else "dp")
+        values[engine] = report["results"]["expectation"]
+    assert values["dp"] == values["enumerate"] == values["auto"]
+    assert values["dp"] == {"value": "1/6", "kind": "rational"}
     code, report = run_json(
         capsys,
         ["hit", "--dist", workdir / "basic.dist",
-         "--fn", workdir / "dictator.json", "--n", "1", "--engine", "dp"],
+         "--fn", workdir / "table.json", "--n", "1", "--engine", "dp"],
     )
     assert code == 1
     assert report["ok"] is False
-    assert "refusal" in report["results"]
+    assert report["results"]["refusal"] == "no dynamic program for kind 'table'"
 
 
 def test_hit_budget_refusal(workdir, capsys):

@@ -406,17 +406,22 @@ def test_expectation_dp_rejects_tables():
 
 
 def test_every_call_refuses_an_engine_it_cannot_run():
-    """An unknown engine, and 'dp' on a kind the joint-count program does not
-    read, are refused by every exact quantity, before the zero shortcut."""
+    """An unknown engine is refused by every exact quantity, before the zero
+    shortcut, and so is 'dp' on a table; the dp reads a junta, the zero one
+    included, and gives what enumeration gives."""
     pi = uniform_marginal(2)
     table = make_table_function(1, BIT, [Fraction(0), Fraction(1)])
     zero = make_junta(2, BIT, [(1, "0"), (1, "1")])
+    pinned = make_junta(3, BIT, [(1, "0"), (3, "1")])
     assert zero.zero
-    for f in (table, zero):
-        for engine in ("bogus", "dp"):
-            for call in (expectation, variance, total_influence):
-                with pytest.raises(ValueError, match="unknown engine|no dynamic program"):
-                    call(f, pi, engine=engine)
+    for call in (expectation, variance, total_influence):
+        for f in (table, zero, pinned):
+            with pytest.raises(ValueError, match="unknown engine"):
+                call(f, pi, engine="bogus")
+        with pytest.raises(ValueError, match="no dynamic program for kind 'table'"):
+            call(table, pi, engine="dp")
+        for f in (zero, pinned):
+            assert call(f, pi, engine="dp") == call(f, pi, engine="enumerate")
 
 
 def test_total_influence_walks_once_per_coordinate_class(monkeypatch):
@@ -604,7 +609,7 @@ def test_marginal_over_another_alphabet_is_refused():
                 call()
 
 
-def test_junta_influence_closed_form_matches_enumeration():
+def test_junta_influence_walk_matches_enumeration():
     rng = random.Random(5156)
     for _ in range(40):
         m = rng.choice((2, 3))
@@ -627,16 +632,21 @@ def test_junta_influence_closed_form_matches_enumeration():
     assert influence(zero, pi2, i=1) == 0 == influence(zero, pi2, i=1, engine="enumerate")
 
 
-def test_junta_influence_at_large_n_and_dp_refusal():
+def test_junta_influence_at_large_n_on_the_dp():
+    """At n = 30 enumeration is refused, while 'auto' and 'dp' walk the
+    junta; at n = 8 both engines answer and agree."""
     pi = uniform_marginal(2)
     f = make_junta(30, BIT, [(1, "0"), (7, "1"), (30, "1")])
-    assert expectation(f, pi) == Fraction(1, 8)
-    assert influence(f, pi, i=7) == Fraction(1, 4) * Fraction(1, 4)
-    assert influence(f, pi, i=2) == 0
+    for engine in ("auto", "dp"):
+        assert expectation(f, pi, engine=engine) == Fraction(1, 8)
+        assert influence(f, pi, i=7, engine=engine) == Fraction(1, 4) * Fraction(1, 4)
+        assert influence(f, pi, i=2, engine=engine) == 0
+        assert total_influence(f, pi, engine=engine) == 3 * Fraction(1, 16)
     with pytest.raises(BudgetExceeded):
         influence(f, pi, i=7, engine="enumerate")
-    with pytest.raises(ValueError):
-        influence(f, pi, i=7, engine="dp")
+    small = make_junta(8, BIT, [(1, "0"), (7, "1")])
+    for i in range(1, 9):
+        assert influence(small, pi, i=i, engine="dp") == influence(small, pi, i=i, engine="enumerate")
 
 
 def test_float_influence_and_variance_are_never_negative():

@@ -41,6 +41,8 @@ from corrhit.fourier import (
     make_mod_linear,
     make_table_function,
     restrict,
+    to_table,
+    total_influence,
 )
 from corrhit.hitting import (
     _prefix_distribution,
@@ -489,6 +491,27 @@ def test_dp_run_step_raises_before_storing_the_whole_run():
     assert peak < 2**20
 
 
+def test_dp_run_reads_only_the_powers_it_needs():
+    """A run of n - 1 draws with window [0, 3] on one symbol leaves k - c
+    draws to the bump-0 effect for c <= 3 only: its powers are read on
+    demand, so at n = 20000 the walk peaks under 8 MiB, where a table of
+    every power up to k held tens of MiB.  The value is P(x_1 = 1) times the
+    binomial tail of counts 0..3 over the other n - 1 coordinates."""
+    n = 20000
+    pi = marginal(helpers.basic_dist(), 1)
+    f = make_anchored_symmetric(n, TRIT, {"0": (0, 3)}, anchor=(1, "1"))
+    tracemalloc.start()
+    try:
+        got = expectation(f, pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p0 = pi.probs[0]
+    tail = sum(math.comb(n - 1, c) * p0**c * (1 - p0) ** (n - 1 - c) for c in range(4))
+    assert got == pi.probs[1] * tail
+    assert peak < 8 * 2**20
+
+
 def test_dp_run_step_starts_each_count_at_the_floor():
     # Windows [95, n] on three of four symbols at n = 300: a run walks only
     # counts 95 + d with d summing to at most 15 (816 states), not the
@@ -609,6 +632,49 @@ def test_dp_run_steps_match_brute_product_oracle(data):
     assert isinstance(got, Fraction) and got == want
     twin = StepDistribution(p.alphabet, p.steps, tuple(float(w) for w in p.weights), False)
     _assert_close(multi_set_expectation(twin, n, fns, engine="dp"), want)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_junta_moments_on_both_engines_match_iid_oracles(data):
+    """A junta's expectation, influences and total influence equal the i.i.d.
+    oracles as Fractions on both engines, pins on symbols of no mass and
+    adjacent pins on one symbol (a run of the dp) included; `_moments`
+    reads the same values off its class walks, and a decimal twin agrees
+    within FLOAT_REL."""
+    m = data.draw(st.integers(2, 3))
+    n = data.draw(st.integers(1, 5))
+    raw = data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any))
+    probs = tuple(Fraction(w, sum(raw)) for w in raw)
+    alphabet = Alphabet(tuple(str(a) for a in range(m)))
+    pi = MarginalDistribution(alphabet, probs, True)
+    twin = MarginalDistribution(alphabet, tuple(float(q) for q in probs), False)
+    pins = data.draw(st.dictionaries(st.integers(1, n), st.integers(0, m - 1), max_size=n))
+    if n > 1 and data.draw(st.booleans()):
+        coord, sym = data.draw(st.integers(1, n - 1)), data.draw(st.integers(0, m - 1))
+        pins.update({coord: sym, coord + 1: sym})
+    f = make_junta(n, alphabet, list(pins.items()))
+
+    def oracle(x):
+        return Fraction(int(all(x[c - 1] == s for c, s in pins.items())))
+
+    pid, symbols = dict(enumerate(probs)), tuple(range(m))
+    mu = oracles.fn_expectation_iid(pid, n, oracle, symbols)
+    infs = [oracles.influence_iid(pid, n, oracle, symbols, i) for i in range(1, n + 1)]
+    for engine in ("dp", "enumerate"):
+        got = expectation(f, pi, engine=engine)
+        assert isinstance(got, Fraction) and got == mu
+        _assert_close(expectation(f, twin, engine=engine), mu)
+        for i, want in enumerate(infs, start=1):
+            assert influence(f, pi, i=i, engine=engine) == want
+            _assert_close(influence(f, twin, i=i, engine=engine), want)
+        assert total_influence(f, pi, engine=engine) == sum(infs)
+        _assert_close(total_influence(f, twin, engine=engine), sum(infs))
+    assert fourier._moments(f, pi, None) == (mu, mu - mu * mu, infs)
+    mu_twin, _, infs_twin = fourier._moments(f, twin, None)
+    _assert_close(mu_twin, mu)
+    for approx, want in zip(infs_twin, infs):
+        _assert_close(approx, want)
 
 
 def test_dp_run_drops_states_below_the_floor_of_a_slot_no_draw_moves():
@@ -1249,10 +1315,29 @@ def test_every_forcing_reaches_the_walks_the_library_builds(monkeypatch):
 
 
 def test_dp_refuses_incompatible_functions():
+    """The dp reads juntas, alone or beside a window, and gives what
+    enumeration gives; a table among the functions is refused."""
     p = helpers.basic_dist()
     f = make_junta(2, TRIT, [(1, "0")])
-    with pytest.raises(ValueError):
-        multi_set_expectation(p, 2, (f, f), engine="dp")
+    window = make_anchored_symmetric(2, TRIT, {"1": (1, 2)}, anchor=(2, "2"))
+    for fns in ((f, f), (f, window), (window, f)):
+        assert multi_set_expectation(p, 2, fns, engine="dp") == multi_set_expectation(
+            p, 2, fns, engine="enumerate"
+        )
+    table = to_table(f)
+    with pytest.raises(ValueError, match="no dynamic program for kind 'table'"):
+        multi_set_expectation(p, 2, (f, table), engine="dp")
+
+
+def test_dictator_junta_same_set_at_large_n_walks_under_auto():
+    """At n = 30 enumeration would visit 6^30 support assignments, past the
+    budget; 'auto' walks the two pins and answers P(x_1 = y_1 = 0) times
+    P(x_7 = y_7 = 1) = 1/6 * 1/6."""
+    p = helpers.basic_dist()
+    f = make_junta(30, TRIT, [(1, "0"), (7, "1")])
+    assert same_set_expectation(p, 30, f) == Fraction(1, 36)
+    with pytest.raises(BudgetExceeded):
+        same_set_expectation(p, 30, f, engine="enumerate")
 
 
 def test_budget_refusal_on_enumeration():

@@ -5,8 +5,9 @@ contractions behind the restriction searches) run as one dot against the
 product weights (`fourier._contract`); float ones, the enumeration engine of
 `multi_set_expectation` and the Markov kernel application run on the
 per-axis kernel `_util.contract_axes`.  The joint-count dp is the second
-route for window and residue functions, with any anchors and ignored
-coordinates.
+route for juntas, window and residue functions, with any pins, anchors and
+ignored coordinates.  Float results on decimal twins agree with the exact
+ones within FLOAT_REL.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from corrhit.hitting import (
 )
 
 KINDS = ("table", "table", "junta", "mod_linear", "window")
-DP_KINDS = ("mod_linear", "window")
+DP_KINDS = ("junta", "mod_linear", "window")
+FLOAT_REL = 1e-12
 
 
 def _float_twin(p):
@@ -67,10 +69,15 @@ def step_function(draw, n, alphabet, kinds):
         values = [Fraction(v, 4) for v in draw(st.lists(st.integers(0, 4), min_size=m**n, max_size=m**n))]
         return make_table_function(n, alphabet, values), _table_oracle(values, m)
     if kind == "junta":
-        coord, sym = draw(st.integers(1, n)), draw(st.integers(0, m - 1))
+        # 0..n pins on any symbol, also one outside a step's support, and
+        # maybe two adjacent pins on one symbol, which the dp draws as a run
+        pins = draw(st.dictionaries(st.integers(1, n), st.integers(0, m - 1), max_size=n))
+        if n > 1 and draw(st.booleans()):
+            coord, sym = draw(st.integers(1, n - 1)), draw(st.integers(0, m - 1))
+            pins.update({coord: sym, coord + 1: sym})
         return (
-            make_junta(n, alphabet, [(coord, alphabet[sym])]),
-            lambda x: Fraction(int(x[coord - 1] == sym)),
+            make_junta(n, alphabet, [(c, alphabet[s]) for c, s in pins.items()]),
+            lambda x: Fraction(int(all(x[c - 1] == s for c, s in pins.items()))),
         )
     if kind == "mod_linear":
         q = draw(st.integers(2, 3))
@@ -127,7 +134,7 @@ def _check_against_brute(p, n, fns, oracle_fns, engines):
         assert ours == brute
         approx = multi_set_expectation(twin, n, fns, engine=engine)
         assert isinstance(approx, float)
-        assert approx == pytest.approx(float(brute), rel=1e-12, abs=1e-300)
+        assert approx == pytest.approx(float(brute), rel=FLOAT_REL, abs=1e-300)
 
 
 @given(product_instances())
@@ -139,7 +146,26 @@ def test_enumeration_matches_brute_oracle(instance):
 @given(product_instances(kinds=DP_KINDS))
 @settings(max_examples=80, deadline=None)
 def test_dp_equals_enumeration_on_window_and_residue_functions(instance):
+    """Juntas ride along: every kind but a table meets the oracle on both engines."""
     _check_against_brute(*instance, engines=("dp", "enumerate"))
+
+
+def test_dp_junta_pins_that_admit_no_tuple_draw_nothing():
+    """Adjacent pins on a symbol of no mass in the first step form a run of
+    coordinates whose draws admit no support tuple: the dp answers 0, as
+    enumeration does, alone and beside a residue function whose
+    coefficients leave the run whole."""
+    p = helpers.dist_from_cells(
+        {(a, b): Fraction(1 + a + b) for a in range(2) for b in range(3)}, 3, 2
+    )
+    n = 4
+    pinned = make_junta(n, p.alphabet, [(2, "2"), (3, "2")])
+    free = make_junta(n, p.alphabet, [])
+    residue = make_mod_linear(n, p.alphabet, 2, [1, 1, 1, 1], 0, [0, 1, 1])
+    for fns in ((pinned, free), (pinned, residue), (pinned, pinned)):
+        for q in (p, _float_twin(p)):
+            assert multi_set_expectation(q, n, fns, engine="dp") == 0
+            assert multi_set_expectation(q, n, fns, engine="enumerate") == 0
 
 
 @given(product_instances(kinds=("table",)))

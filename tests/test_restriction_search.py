@@ -87,21 +87,21 @@ def witness_dict(witness):
 
 
 def test_is_resilient_witness_equals_oracle():
+    # two seeds' instances, so that witnesses and resilient outcomes both
+    # pass 20
     witnesses = resilient = 0
-    for m, n, k, eps, pi, values in resilience_instances(6060):
+    instances = itertools.chain(resilience_instances(6060), resilience_instances(6063))
+    for m, n, k, eps, pi, values in instances:
         f = make_table_function(n, pi.alphabet, values)
-        for upper_only in (False, True):
-            ok, witness = is_resilient(f, eps, k, pi, upper_only=upper_only)
-            want = oracles.resilience_witness_brute(
-                values, m, n, pi.probs, eps, k, upper_only, True
-            )
-            assert witness_dict(witness) == want
-            assert ok == (want is None)
-            if witness is not None:
-                assert witness.entries.count(None) == n - len(want)
-                witnesses += 1
-            else:
-                resilient += 1
+        ok, witness = is_resilient(f, eps, k, pi)
+        want = oracles.resilience_witness_brute(values, m, n, pi.probs, eps, k, True)
+        assert witness_dict(witness) == want
+        assert ok == (want is None)
+        if witness is not None:
+            assert witness.entries.count(None) == n - len(want)
+            witnesses += 1
+        else:
+            resilient += 1
     assert witnesses > 20 and resilient > 20
 
 
@@ -117,7 +117,7 @@ def test_is_resilient_float_mode_equals_oracle():
             f = make_table_function(n, pi.alphabet, vals)
             ok, witness = is_resilient(f, float(eps), k, marg)
             want = oracles.resilience_witness_brute(
-                vals, m, n, marg.probs, float(eps), k, False, False
+                vals, m, n, marg.probs, float(eps), k, False
             )
             assert witness_dict(witness) == want
 
@@ -328,8 +328,11 @@ def test_search_bounds_are_exact_at_and_near_the_values():
         assert hit(cast(Fraction(1)), True, cast(Fraction(1, 4) + d)) == (0, Fraction(1, 4))
     ok, witness = is_resilient(f, Fraction(1, 4), 1, pi)  # bounds 3/8 and 5/8
     assert not ok and witness.entries == (0,)
-    ok, witness = is_resilient(f, Fraction(1, 4), 1, pi, upper_only=True)
-    assert not ok and witness.entries == (1,)
+    # bounds at the values 1/4 and 3/4 are met, and 1/1000 inside them are not
+    for cast in (Fraction, float):
+        assert is_resilient(f, cast(Fraction(1, 2)), 1, pi) == (True, None)
+        ok, witness = is_resilient(f, cast(Fraction(1, 2) - 2 * d), 1, pi)
+        assert not ok and witness.entries == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +353,15 @@ def test_is_resilient_budget_stops_at_the_witness():
     """A witness at candidate h is returned with budget h and refused below."""
     pi = exact_marginal(random.Random(2), 2, with_zero=False)
     values = [Fraction(1, 2)] * 8
-    values[7] = Fraction(1)  # only x = (1, 1, 1) differs: first witness fixes 1 -> 1
+    values[7] = Fraction(1)  # only x = (1, 1, 1) differs: E[f] > 1/2
     f = make_table_function(3, pi.alphabet, values)
-    ok, witness = is_resilient(f, Fraction(0), 1, pi, upper_only=True)
-    assert not ok and witness.fixed_items() == [(1, 1)]
-    h = 1 + 2  # the empty restriction, then x1 = 0, then x1 = 1
-    assert is_resilient(f, Fraction(0), 1, pi, budget=h, upper_only=True)[1] == witness
+    # the empty restriction is E[f] itself; x1 = 0 gives 1/2, below E[f]
+    ok, witness = is_resilient(f, Fraction(0), 1, pi)
+    assert not ok and witness.fixed_items() == [(1, 0)]
+    h = 1 + 1  # the empty restriction, then x1 = 0
+    assert is_resilient(f, Fraction(0), 1, pi, budget=h)[1] == witness
     with pytest.raises(BudgetExceeded):
-        is_resilient(f, Fraction(0), 1, pi, budget=h - 1, upper_only=True)
+        is_resilient(f, Fraction(0), 1, pi, budget=h - 1)
 
 
 def test_density_increment_budget_counts_per_iteration(monkeypatch):
