@@ -16,8 +16,8 @@ A live state is a window key (every window slot's count, packed into one
 int, see `_JointLayout`) with a residue index (the residue functions'
 residues as one mixed-radix number, one of R) and its mass: the draws'
 weights scaled to ints (floats in float mode), divided once at the end.  A
-walk holds its states in one of three forms, which `_form` decides once per
-layout:
+walk holds its states in one of four forms, which `_form` decides once per
+layout from the layout alone:
 
 - keyed: {key: mass}, the residue index in the low bits of the key, below
   the window fields.  One draw moves the key of a state in residue r by a
@@ -31,16 +31,22 @@ layout:
   draw rotates it once per distinct increment, shifts the rotation by each
   effect's window increment, and clears the overrun and below-floor fields
   with one AND, with no per-key pass at all.
+- array: the float counterpart of the whole int, one float64 array of
+  `box` cells in the same rows, R cells each.  A draw is one matrix
+  product per distinct window increment (`_JointLayout._transfers`), added
+  into the rows that the increment shifts to, and one mask per floor
+  clears the overrun rows and the cells below the floor.
 
-`_JointLayout.masses` and `size` read every form as (window key, residue
-index, mass), so acceptance, window counts and the budget read the same on
-all three: the budget counts live (key, residue) states, the keys or the
-nonzero fields.  A run of coordinates with equal effects draws in one
-multinomial step when no effect shifts a residue (`_JointLayout._draw_run`),
-on every form: it walks the compositions of the run's draws over the
-effects, not the states between them.  Effects may bump the same count, as
-two tuples that agree at a step do; compositions that land on one key add
-up there.
+The exact forms are packed, whole and keyed; the float ones array and
+keyed.  `_JointLayout.masses` and `size` read every form as (window key,
+residue index, mass), so acceptance, window counts and the budget read the
+same on all four: the budget counts live (key, residue) states, the keys or
+the nonzero fields or cells.  A run of coordinates with equal effects draws
+in one multinomial step when no effect shifts a residue
+(`_JointLayout._draw_run`), on every form: it walks the compositions of the
+run's draws over the effects, not the states between them.  Effects may
+bump the same count, as two tuples that agree at a step do; compositions
+that land on one key add up there.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -88,13 +95,16 @@ class _Turn(dict):
     filled lazily: a keyed state's key moves by it.  Called on a packed int,
     it moves the field of every residue index r to that of r + inc: per
     digit with a nonzero increment, two shifts, two ANDs and one OR (`rots`,
-    built by `_JointLayout._rotation`).  A layout keeps one per distinct
-    increment, shared by every coordinate signature that draws it.
+    built by `_JointLayout._rotation`).  `index` is inc as one residue
+    index, where an array's transfer matrices read the effect's weight.  A
+    layout keeps one per distinct increment, shared by every coordinate
+    signature that draws it.
     """
 
     def __init__(self, mods, inc, rots):
         super().__init__()
         self.mods, self.inc, self.rots = mods, inc, rots
+        self.index = sum(a * radix for (_, _, radix), a in zip(mods, inc))
 
     def __missing__(self, r: int) -> int:
         shift = 0
@@ -126,40 +136,54 @@ class _Powers(dict):
 # Most bits per field of a packed int: a layout whose masses need more
 # walks keyed, since every field op costs in proportion to the width.
 _WIDTH = 1024
-# Most fields (window counts with an overrun row per slot, times residues)
-# of a layout that keeps its whole state in one int, and most bits in one
-# row of R fields: past that a draw's big-int work dwarfs the per-key loop
-# that the whole int saves.
+# Most fields or cells (window counts with an overrun row per slot, times
+# residues) of a layout that keeps its whole state in one int or one array,
+# and most cells of an array's R x R transfer matrices; most bits in one row
+# of R fields of the int: past those a draw's big-int work or matrix
+# products dwarf the per-key loop that they save.
 _BOX = _BLOCK
 _ROW = 1 << 14
 
 
-def _form(exact: bool, residues: int, specs, support: int, n: int, scale) -> tuple[str, int]:
+def _form(exact: bool, residues: int, specs, weights, n: int) -> tuple[str, int]:
     """(form, field width W) of the states of a walk of n draws of the
-    functions `specs`: "keyed", "packed" (per window key) or "whole", W 0
-    when keyed.
+    functions `specs`: "keyed", "packed" (per window key), "whole" or
+    "array", W 0 unless packed or whole.
 
-    `residues` is R, or 0 when no function reads a residue; `support` is the
-    number of support tuples and `scale` the sum of their weights.  A
-    layout packs when it has a residue function, its masses are exact ints,
-    R is at most `_BLOCK` and at most support^n, the most residues that n
-    draws reach, and scale^n, the most mass a field holds, fits `_WIDTH`
-    bits; W is the bits of scale^n rounded up to whole bytes.  A packed
-    layout is whole when it has window slots and its box of R fields per
-    count vector (hi + 2 rows per slot: its counts and an overrun row) is
-    at most `_BOX` fields, and a row of R fields at most `_ROW` bits.
+    `residues` is R, or 0 when no function reads a residue; `weights` are
+    the support tuples' weights, exact ints or floats.  The box of a layout
+    is its R cells per count vector, hi + 2 rows per window slot (its counts
+    and an overrun row).
+
+    A float layout is "array" when it has a residue function, its box and
+    R x R are at most `_BOX` cells, and w^n is a normal float, w the least
+    weight: every mass the walk stores is then at least about w^n, so none
+    underflows to 0.0, and the nonzero cells are the states that the keyed
+    walk keeps, 0.0 masses included.  An exact layout packs when it has a
+    residue function, R is at most `_BLOCK` and at most support^n, the most
+    residues that n draws reach, and scale^n, scale the sum of the weights
+    and the most mass a field holds, fits `_WIDTH` bits; W is the bits of
+    scale^n rounded up to whole bytes.  A packed layout is whole when it has
+    window slots, its box is at most `_BOX` fields and a row of R fields at
+    most `_ROW` bits.
     """
+    rows = [hi + 2 for s in specs for _, hi in s.windows.values()]
+    box = residues * math.prod(rows)
+    if not exact:
+        least = min(weights)
+        normal = least >= 1 or least**n >= sys.float_info.min
+        array = residues and box <= _BOX and residues * residues <= _BOX and normal
+        return ("array" if array else "keyed"), 0
+    scale = sum(weights)
     if not (
         residues
-        and exact
         and residues <= _BLOCK
-        and power_exceeds(support, n, residues - 1)
+        and power_exceeds(len(weights), n, residues - 1)
         and not power_exceeds(scale, n, (1 << _WIDTH) - 1)
     ):
         return "keyed", 0
     width = -(-(scale**n).bit_length() // 8) * 8
-    rows = [hi + 2 for s in specs for _, hi in s.windows.values()]
-    if rows and residues * width <= _ROW and residues * math.prod(rows) <= _BOX:
+    if rows and residues * width <= _ROW and box <= _BOX:
         return "whole", width
     return "packed", width
 
@@ -221,16 +245,17 @@ class _JointLayout:
     keyed ones carry r in the low `rmask` bits of the key; packed ones
     (`rmask` 0) have fields of `width` W bits; a whole-state int has `box`
     fields, field (c_1..c_S, r) at r + R (c_1 + (hi_1 + 2) (c_2 + ...)),
-    slot 1 of `slots` varying fastest.  Row hi_s + 1 of each slot catches an
-    overrun, since a draw bumps a slot by at most 1, and is cleared after
-    every draw.  `width` and `box` are 0 on the forms without them.  A
-    stored mass after t draws is a sum of path weights, at most scale^t,
-    scale the sum of the support weights; W holds scale^n, so no stored
-    field carries into the next.  A run (`_draw_run`) may pass W bits in a
-    field of a term it has not stored yet, but it only multiplies that int
-    by counts and weights and divides it by a count c that divides every
-    field, and such steps are exact on the int whatever its fields hold;
-    the term is back in its fields when it is stored.
+    slot 1 of `slots` varying fastest.  An array has its `box` cells in the
+    same order, as rows of R, and its keys carry r as keyed ones do.  Row
+    hi_s + 1 of each slot catches an overrun, since a draw bumps a slot by
+    at most 1, and is cleared after every draw.  `width` and `box` are 0 on
+    the forms without them.  A stored mass after t draws is a sum of path
+    weights, at most scale^t, scale the sum of the support weights; W holds
+    scale^n, so no stored field carries into the next.  A run (`_draw_run`)
+    may pass W bits in a field of a term it has not stored yet, but it only
+    multiplies that int by counts and weights and divides it by a count c
+    that divides every field, and such steps are exact on the int whatever
+    its fields hold; the term is back in its fields when it is stored.
 
     A draw's effect is a window increment `bump` (a 1 at the lowest bit of
     each slot it counts in) and an increment per modular digit.  The layout
@@ -250,9 +275,9 @@ class _JointLayout:
                 radix *= s.modulus
         self.residues = radix
         self.exact = all(isinstance(w, int) for _, w in support)
-        scale, n = sum(w for _, w in support), specs[0].n
+        n = specs[0].n
         self.form, self.width = _form(
-            self.exact, radix if self.mods else 0, specs, len(support), n, scale
+            self.exact, radix if self.mods else 0, specs, [w for _, w in support], n
         )
         # the most live states one stored value holds
         self.per = radix if self.width else 1
@@ -297,21 +322,26 @@ class _JointLayout:
         self._symbols = [
             [specs[j].symbol_map[tup[j]] for tup, _ in support] for j, _, _ in self.mods
         ]
-        # the whole-state int: per slot (bit position, offset, rows, mask
-        # with guard), and its fields
+        # the whole-state int or array: per slot (bit position, offset, rows,
+        # mask with guard), and its fields or cells
         self.dims, self.box = (), 0
-        if self.form == "whole":
+        if self.form in ("whole", "array"):
             self.dims = [
                 (pos, off, hi + 2, (2 << hi.bit_length()) - 1)
                 for pos, off, _, hi in self.slots.values()
             ]
             self.box = radix * math.prod([rows for _, _, rows, _ in self.dims])
+        if self.form == "array":
+            # per (r, s), the residue index of s - r, digit by digit
+            digits = [(np.arange(radix) // rad % q, q, rad) for _, q, rad in self.mods]
+            self._differences = sum((d - d[:, None]) % q * rad for d, q, rad in digits)
         self._effects: dict = {}
         self._incs: dict = {}
         self._turns: dict = {}
         self._rotations: dict = {}
         self._shifts: dict = {}
         self._masks: dict = {}
+        self._steps: dict = {}
 
     def floor(self, rest) -> int:
         """Packed lower bounds a state must meet to reach every window's lo
@@ -343,7 +373,7 @@ class _JointLayout:
         """(window key, residue index, mass) of every live state, or of the
         states in residue index `residue` when given: a packed layout reads
         that one field of each key, or unpacks the nonzero fields; a whole
-        int is split into its live keys first."""
+        int or an array is split into its live keys first."""
         if self.box:
             states = self._split(states)
         if not self.width:
@@ -378,9 +408,14 @@ class _JointLayout:
         or the nonzero fields of a packed int."""
         return int(self._fields(value)[1].sum()) if self.width else 1
 
-    def _split(self, whole: int) -> dict:
-        """{window key: packed int of its R fields} of the live rows of a
-        whole-state int."""
+    def _split(self, whole) -> dict:
+        """The live keys of a whole-state int, {window key: packed int of
+        its R fields}, or of an array, {key: mass} as a keyed walk holds
+        them."""
+        if self.form == "array":
+            rows, rs = np.nonzero(whole)
+            cells = zip(rows.tolist(), rs.tolist(), whole[rows, rs].tolist())
+            return {self._key(row) + r: mass for row, r, mass in cells}
         size = self.residues * self.width // 8
         raw, live = self._fields(whole, self.box)
         return {
@@ -389,42 +424,57 @@ class _JointLayout:
         }
 
     def _key(self, row: int) -> int:
-        """The window key of row `row` of a whole-state int."""
+        """The window key of row `row` of a whole-state int or an array."""
         key = self.start
         for pos, _, rows, _ in self.dims:
             row, c = divmod(row, rows)
             key += c << pos
         return key
 
-    def _join(self, states: dict) -> int:
-        """The whole-state int of {window key: packed int} states, none of
-        them past its windows."""
+    def _row(self, key: int) -> int:
+        """The row of the window key `key` in a whole-state int or an array."""
+        row, stride = 0, 1
+        for pos, off, rows, mask in self.dims:
+            row += ((key >> pos & mask) - off) * stride
+            stride *= rows
+        return row
+
+    def _join(self, states: dict):
+        """The whole-state int of {window key: packed int} states, or the
+        array of {key: mass} states, none of them past its windows."""
+        if self.form == "array":
+            cells = np.zeros((self.box // self.residues, self.residues))
+            for key, mass in states.items():
+                cells[self._row(key), key & self.rmask] = mass
+            return cells
         size = self.residues * self.width // 8
         raw = bytearray(self.box * self.width // 8)
         for key, packed in states.items():
-            row, stride = 0, 1
-            for pos, off, rows, mask in self.dims:
-                row += ((key >> pos & mask) - off) * stride
-                stride *= rows
+            row = self._row(key)
             raw[row * size:(row + 1) * size] = packed.to_bytes(size, "little")
         return int.from_bytes(raw, "little")
 
     def _keys(self, states) -> int:
-        """The live window keys."""
+        """The keys a run step walks from: the live window keys of a packed
+        or whole layout, else the live states."""
+        if not self.width:
+            return self.size(states)
         if self.box:
             return int(self._fields(states, self.box)[1].reshape(-1, self.residues).any(1).sum())
         return len(states)
 
     def size(self, states) -> int:
-        """The live (key, residue) states: the keys, or on the packed
-        forms the nonzero fields."""
+        """The live (key, residue) states: the keys, or the nonzero fields
+        or cells."""
+        if self.form == "array":
+            return int(np.count_nonzero(states))
         if self.box:
             return int(self._fields(states, self.box)[1].sum())
         return sum(map(self._live, states.values())) if self.width else len(states)
 
     def _check(self, states, cap: int):
-        """Raise BudgetExceeded past `cap` live states; fields are counted
-        only when the keys times R, or the box, pass the cap."""
+        """Raise BudgetExceeded past `cap` live states; fields and cells are
+        counted only when the keys times R, or the box, pass the cap."""
         if (self.box or len(states) * self.per) > cap:
             size = self.size(states)
             if size > cap:
@@ -468,10 +518,10 @@ class _JointLayout:
         if self.width:
             items = sorted(items, key=lambda item: item[0][0])
         effects = self._effects[sig] = [(self._turn(inc), bump, w) for (inc, bump), w in items]
-        if self.box:
+        if self.box and self.width:
             for _, bump, _ in effects:
                 if bump not in self._shifts:
-                    self._shifts[bump] = self._shift(bump)
+                    self._shifts[bump] = self._shift(bump) * self.residues * self.width
         return effects
 
     def _column(self, d: int, c: int) -> tuple:
@@ -483,14 +533,14 @@ class _JointLayout:
         return self._incs[d, c]
 
     def _shift(self, bump: int) -> int:
-        """The bits a whole-state int moves by under the window increment
-        `bump`: one row of each slot it counts in."""
-        shift, stride = 0, self.residues
+        """The rows a whole-state int or an array moves by under the window
+        increment `bump`: one row of each slot it counts in."""
+        shift, stride = 0, 1
         for pos, _, rows, _ in self.dims:
             if bump >> pos & 1:
                 shift += stride
             stride *= rows
-        return shift * self.width
+        return shift
 
     def _turn(self, inc) -> _Turn:
         """The layout's one `_Turn` of the residue increments `inc`."""
@@ -522,13 +572,22 @@ class _JointLayout:
         low &= full
         return low, a * radix * width, low ^ full, (q - a) * radix * width
 
-    def _mask(self, floor: int) -> int:
+    def _mask(self, floor: int):
         """The fields of a whole-state int that lie in every window and meet
         the packed lower bounds `floor` (see `floor`), all residues each:
         per slot, copies of the lower slots' mask at rows need..hi.  The
         first slot's rows hold every field, so its copies are one run of
-        ones."""
-        if floor not in self._masks:
+        ones.  On an array, the same rows as a column of ones and zeros."""
+        if floor in self._masks:
+            return self._masks[floor]
+        if self.form == "array":
+            mask = np.ones(1)
+            for pos, off, rows, bits in self.dims:
+                cut = np.zeros(rows)
+                cut[max((floor >> pos & bits) - off, 0):rows - 1] = 1
+                mask = np.multiply.outer(cut, mask).ravel()
+            mask = mask[:, None]
+        else:
             block, mask = self.residues * self.width, -1
             for pos, off, rows, bits in self.dims:
                 need = max((floor >> pos & bits) - off, 0)
@@ -538,13 +597,14 @@ class _JointLayout:
                     have *= 2
                 mask = (mask & (1 << copies * block) - 1) << need * block
                 block *= rows
-            self._masks[floor] = mask
-        return self._masks[floor]
+        self._masks[floor] = mask
+        return mask
 
     def walk(self, coords, budget, later=()):
         """Live states after the coordinates `coords` draw, in that order:
         {key: mass} keyed, {window key: packed int} packed per key, one int
-        whole (see the module docstring).
+        whole, one float64 array of rows of R cells (see the module
+        docstring).
 
         Each run of consecutive coordinates with one `signature` draws in one
         step (`_draw_run`) when its effects shift no residue and the step
@@ -560,16 +620,17 @@ class _JointLayout:
         single draws meet, the run meets too.  A zero function, or a
         coordinate whose pins admit no support tuple, leaves no state.
         """
+        fresh = self._join if self.box else dict
         if any(s.zero for s in self.specs):
-            return 0 if self.box else {}
+            return fresh({})
         cap = TABLE_BUDGET if budget is None else budget
         rest = [sum(c not in ign for c in (*coords, *later)) for ign in self.ignored]
-        states = 1 if self.box else {self.start: 1}
+        states = fresh({self.start: 1})
         for _, run in itertools.groupby(coords, self.signature):
             run = list(run)
             effects = self.effects(run[0])
             if not effects:
-                return 0 if self.box else {}
+                return fresh({})
             # the functions whose slots the run's coordinates may bump
             live = [run[0] not in ign for ign in self.ignored]
             at_once = (
@@ -585,7 +646,7 @@ class _JointLayout:
                 else:
                     states = self._draw(states, effects, floor)
                 self._check(states, cap)
-                if not states:
+                if not (states.any() if self.form == "array" else states):
                     return states
         return states
 
@@ -598,8 +659,20 @@ class _JointLayout:
         at each window increment that carries it.  A whole-state int does
         the same with no keys: each effect shifts the rotation by the rows
         of its window increment, and one AND (`_mask`) clears the overrun
-        rows and the fields below the floor.
+        rows and the fields below the floor.  An array takes one matrix
+        product per window increment (`_transfers`), shifted by its rows,
+        and one product with `_mask`; with no window slot there is one
+        increment, 0, and nothing to clear.
         """
+        if self.form == "array":
+            steps = self._transfers(effects)
+            if not self.dims:
+                return states @ steps[0][1]
+            nxt, top = np.zeros_like(states), len(states)
+            for shift, matrix in steps:
+                nxt[shift:] += states[:top - shift] @ matrix
+            nxt *= self._mask(floor)
+            return nxt
         if self.box:
             nxt, turn, shifts = 0, None, self._shifts
             for step, bump, w in effects:
@@ -630,6 +703,27 @@ class _JointLayout:
                 nxt[new] = nxt.get(new, 0) + mass * w
         return nxt
 
+    def _transfers(self, effects) -> list:
+        """(row shift, R x R matrix) per distinct window increment of the
+        draw `effects` on an array.  The matrix holds at (r, s) the weight
+        of the effects whose residue increments take r to s, so one product
+        moves and weighs every residue of every row: per increment, the
+        weights by residue increment (one `bincount` for all increments),
+        read at the layout's `_differences`.  Built once per effect list,
+        which the layout keeps for its life, so its id is a stable key."""
+        steps = self._steps.get(id(effects))
+        if steps is None:
+            residues, bumps = self.residues, {}
+            for _, bump, _ in effects:
+                bumps.setdefault(bump, len(bumps))
+            cells = [bumps[bump] * residues + turn.index for turn, bump, _ in effects]
+            weights = np.bincount(cells, [w for _, _, w in effects], len(bumps) * residues)
+            matrices = weights.reshape(-1, residues)[:, self._differences]
+            steps = self._steps[id(effects)] = [
+                (self._shift(bump), matrix) for bump, matrix in zip(bumps, matrices)
+            ]
+        return steps
+
     def _draw_run(self, states, effects, k, floor, cap):
         """States after k coordinates with the same `effects` draw, in one step.
 
@@ -657,7 +751,8 @@ class _JointLayout:
         grows by (rem - c) w_e / (c + 1) per count, exact in ints.  The floor applies
         to the states after the run only: overruns and floor misses only
         grow along a run, so the result is the one of k single draws.  A
-        whole-state int is split into its keys for the run and joined after.
+        whole-state int or an array is split into its keys for the run and
+        joined after.
         """
         if self.box:
             states = self._split(states)

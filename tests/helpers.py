@@ -140,12 +140,13 @@ def random_unit_table(rng: random.Random, n: int, m: int, denominator: int = 8):
 
 def count_walks(monkeypatch) -> list:
     """A list that gains one entry per joint-count walk
-    (`_jointcount._JointLayout.walk`) for the rest of the test."""
+    (`_jointcount._JointLayout.walk`) for the rest of the test: the form of
+    the walk's states ("keyed", "packed", "whole" or "array")."""
     walks: list = []
     walk = _jointcount._JointLayout.walk
 
     def counted(self, *args, **kwargs):
-        walks.append(None)
+        walks.append(self.form)
         return walk(self, *args, **kwargs)
 
     monkeypatch.setattr(_jointcount._JointLayout, "walk", counted)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import helpers
 import oracles
 from corrhit import _jointcount, fourier, hitting
-from corrhit._jointcount import _JointLayout
+from corrhit._jointcount import _JointLayout, _window_counts
 from corrhit.dist_core import (
     Alphabet,
     MarginalDistribution,
@@ -361,18 +361,25 @@ def _layout(fns, support):
 
 
 def _forcing(form):
-    """Layouts built inside walk in `form` wherever they can: keyed always;
-    "packed" per window key and "whole" on exact layouts with a residue
-    function, whatever their size; "whole" only with window slots, packed
-    per key otherwise.  None leaves the form to the layout's own rule
-    (`_jointcount._form`)."""
+    """Layouts built inside walk in `form` wherever they can.  "keyed":
+    every layout.  "packed" and "whole": exact layouts with a residue
+    function, whatever their size, "whole" only with window slots and
+    packed per key otherwise; float layouts walk keyed.  "array": float
+    layouts with a residue function, whatever their box and weights; the
+    others follow their own rule.  None leaves the form to the layout's
+    own rule (`_jointcount._form`)."""
     if form is None:
         return contextlib.nullcontext()
+    own = _jointcount._form
 
-    def forced(exact, residues, specs, support, n, scale):
+    def forced(exact, residues, specs, weights, n):
+        if form == "array":
+            if exact or not residues:
+                return own(exact, residues, specs, weights, n)
+            return "array", 0
         if form == "keyed" or not (exact and residues):
             return "keyed", 0
-        width = -(-(scale**n).bit_length() // 8) * 8
+        width = -(-(sum(weights) ** n).bit_length() // 8) * 8
         whole = form == "whole" and any(s.windows for s in specs)
         return ("whole" if whole else "packed"), width
 
@@ -419,7 +426,7 @@ def _effects_by_hand(layout, fns, support, coord):
         )
         merged[inc, bump] = merged.get((inc, bump), 0) + w
     items = list(merged.items())
-    if layout.form != "keyed":
+    if layout.width:
         items.sort(key=lambda item: item[0][0])
     return [(inc, bump, w) for (inc, bump), w in items]
 
@@ -1180,10 +1187,11 @@ def test_dp_whole_state_walk_matches_per_key_keyed_and_brute(data):
         assert len(set(errors.values())) <= 1
 
 
-def _workload_pair(m, n, seed):
-    """A window on one symbol (lo n/5, hi 2n/3, anchored at coordinate 1)
-    beside a residue function mod 5 with nonzero coefficients and an
-    injective symbol map, on a full-support two-step distribution in
+def _workload_pair(m, n, seed, kinds="wr"):
+    """Two functions shaped as the benchmark's pair slots, one per letter
+    of `kinds`: "w" a window on one symbol (lo n/5, hi 2n/3, anchored at
+    coordinate 1), "r" a residue function mod 5 with nonzero coefficients
+    and an injective symbol map; on a full-support two-step distribution in
     twentieths."""
     rng = random.Random(seed)
     tuples = list(itertools.product(range(m), repeat=2))
@@ -1192,13 +1200,19 @@ def _workload_pair(m, n, seed):
         counts[rng.choice(tuples)] += 1
     p = helpers.dist_from_cells({t: Fraction(c) for t, c in counts.items()}, m, 2)
     alphabet = tuple(str(a) for a in range(m))
-    symbol, anchor = str(rng.randrange(m)), (1, str(rng.randrange(m)))
-    window = make_anchored_symmetric(n, alphabet, {symbol: (n // 5, 2 * n // 3)}, anchor=anchor)
-    residue = make_mod_linear(
-        n, alphabet, 5, [rng.randrange(1, 5) for _ in range(n)], rng.randrange(5),
-        rng.sample(range(5), m),
-    )
-    return p, (window, residue)
+    fns = []
+    for kind in kinds:
+        if kind == "w":
+            symbol, anchor = str(rng.randrange(m)), (1, str(rng.randrange(m)))
+            fns.append(make_anchored_symmetric(
+                n, alphabet, {symbol: (n // 5, 2 * n // 3)}, anchor=anchor
+            ))
+        else:
+            fns.append(make_mod_linear(
+                n, alphabet, 5, [rng.randrange(1, 5) for _ in range(n)], rng.randrange(5),
+                rng.sample(range(5), m),
+            ))
+    return p, tuple(fns)
 
 
 @pytest.mark.parametrize("m, n", [(2, 24), (2, 28), (2, 32), (3, 16)])
@@ -1250,11 +1264,13 @@ def test_dp_box_past_the_cap_packs_per_key():
 def test_every_forcing_reaches_the_walks_the_library_builds(monkeypatch):
     # A forcing that no longer reached the walk would compare a route with
     # itself and pass.  Each forced form is the form of every layout that
-    # walks inside the call, on layouts whose own rule gives another form:
-    # keyed forced on a packed and on a whole layout, per key on a whole
-    # one, whole on one packed per key, per key on a keyed one.  Runs
-    # forced at once draw a run, forced off or gated off draw none, and
-    # `helpers.count_walks` counts the walk of a dp expectation.
+    # walks inside the call, as `helpers.count_walks` records it, on
+    # layouts whose own rule gives another form: keyed forced on a packed,
+    # a whole and a float array layout, per key on a whole one, whole on
+    # one packed per key, per key on a keyed one, and the array on a float
+    # layout past the point where its masses may underflow.  Runs forced at
+    # once draw a run, forced off or gated off draw none.
+    walks = helpers.count_walks(monkeypatch)
     whole_p, whole_fns = _workload_pair(2, 24, seed=24)
     n, _, residue_fns, residue_p = _residue_pair_layout()
     rng = random.Random(7)
@@ -1271,27 +1287,28 @@ def test_every_forcing_reaches_the_walks_the_library_builds(monkeypatch):
         make_anchored_symmetric(320, BIT, {"0": (0, 40), "1": (260, 320)}),
         make_mod_linear(320, BIT, 5, [0] * 319 + [1], 2, (0, 1)),
     )
+    faint_p, faint_fns = _faint_pair(100)
     cases = [
         (whole_p, 24, whole_fns, "whole", ("keyed", "packed")),
         (residue_p, n, residue_fns, "packed", ("keyed",)),
         (wide_p, 20, wide_fns, "packed", ("whole",)),
         (heavy_p, 320, heavy_fns, "keyed", ("packed",)),
+        (_float_twin(residue_p), n, residue_fns, "array", ("keyed",)),
+        (faint_p, 100, faint_fns, "keyed", ("array",)),
     ]
-    walk = _JointLayout.walk
-
-    def recorded(self, *args, **kwargs):
-        forms.append(self.form)
-        return walk(self, *args, **kwargs)
-
     for p, size, fns, own, forced in cases:
         assert _layout(fns, p._scaled_support).form == own
         want = multi_set_expectation(p, size, fns, engine="dp")
         for form in forced:
-            forms = []
-            with _forcing(form), mock.patch.object(_JointLayout, "walk", recorded):
+            walks.clear()
+            with _forcing(form):
                 assert _layout(fns, p._scaled_support).form == form
-                assert multi_set_expectation(p, size, fns, engine="dp") == want
-            assert forms == [form]
+                got = multi_set_expectation(p, size, fns, engine="dp")
+            assert walks == [form]
+            if p.exact:
+                assert got == want
+            else:
+                _assert_close(got, want)
     q = parse_distribution(helpers.UNIFORM_BITS_TEXT)
     window = make_anchored_symmetric(13, BIT, {"0": (3, 9)})
     draw_run = _JointLayout._draw_run
@@ -1309,9 +1326,158 @@ def test_every_forcing_reaches_the_walks_the_library_builds(monkeypatch):
         with forcing, mock.patch.object(_JointLayout, "_draw_run", counted):
             multi_set_expectation(q, 13, (window, window), engine="dp")
         assert bool(drawn) == runs
-    walks = helpers.count_walks(monkeypatch)
+    walks.clear()
     expectation(window, marginal(q, 1), engine="dp")
-    assert len(walks) == 1
+    assert walks == ["keyed"]
+
+
+# ---------------------------------------------------------------------------
+# float array walks: float layouts with a residue function keep one array
+
+
+@pytest.mark.parametrize("m, kinds, n, form", [
+    (2, "ww", 16, "keyed"), (2, "rr", 36, "array"), (3, "wr", 16, "array"),
+])
+def test_dp_workload_float_twins_walk_an_array_where_they_read_a_residue(
+    m, kinds, n, form, monkeypatch
+):
+    # The decimal twins of the benchmark's float pair slots: the two that
+    # read a residue walk the array, the window pair stays keyed.  Each
+    # lies within FLOAT_REL of its exact twin and of the keyed float walk.
+    p, fns = _workload_pair(m, n, seed=n, kinds=kinds)
+    twin = _float_twin(p)
+    walks = helpers.count_walks(monkeypatch)
+    got = multi_set_expectation(twin, n, fns)
+    assert walks == [form]
+    want = multi_set_expectation(p, n, fns)
+    assert isinstance(want, Fraction) and 0 < want < 1
+    _assert_close(got, want)
+    with _forcing("keyed"):
+        _assert_close(got, multi_set_expectation(twin, n, fns))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_dp_float_array_matches_the_keyed_float_route_and_the_exact_twin(data):
+    # Two or three steps of window functions (up to 3 slots in all, so two
+    # slots occur, with anchors, restriction-ignored coordinates, lo > 0 and
+    # empty windows) and residue functions (zero coefficients, so
+    # residue-free runs occur), at least one residue function, residue-only
+    # layouts included, on random supports with zero weights.  On the float
+    # twin, the array walk gives the product expectation, a residue
+    # function's influence and `_window_counts` within FLOAT_REL of the
+    # keyed float walk and of the exact twin, with runs forced and by the
+    # walk's choice.  Both float walks peak at the same live states, so the
+    # least passing budget is the same and one less raises the same
+    # message.  The layout's own rule takes the array wherever its box and
+    # its R x R transfer matrices fit `_BOX`.
+    m = data.draw(st.integers(2, 3))
+    ell = data.draw(st.integers(2, 3))
+    tuples = list(itertools.product(range(m), repeat=ell))
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(tuples), max_size=len(tuples)))
+    cells = {t: Fraction(w) for t, w in zip(tuples, weights) if w} or {tuples[0]: Fraction(1)}
+    n = data.draw(st.integers(1, 8))
+    windowed = data.draw(st.lists(st.booleans(), min_size=ell, max_size=ell).filter(
+        lambda kinds: not all(kinds)
+    ))
+    fns, slots = [], 3 - windowed.count(True)
+    for is_window in windowed:
+        if is_window:
+            f, _ = data.draw(box_windows(n, m, slots + 1))
+            slots -= len(f.payload["windows"]) - 1
+        else:
+            f, _ = data.draw(packed_residues(n, m))
+        fns.append(f)
+    fns = tuple(fns)
+    p = helpers.dist_from_cells(cells, m, ell)
+    twin = _float_twin(p)
+    j = data.draw(st.sampled_from([j for j, is_window in enumerate(windowed) if not is_window]))
+    i = data.draw(st.integers(1, n))
+    specs = [fourier._count_spec(f) for f in fns]
+    with _forcing("array"):
+        forced = _layout(fns, twin._scaled_support)
+    fits = max(forced.box, forced.residues**2) <= _jointcount._BOX
+    assert _layout(fns, twin._scaled_support).form == ("array" if fits else "keyed")
+    want = multi_set_expectation(p, n, fns, engine="dp")
+    want_inf = influence(fns[j], marginal(p, j + 1), i=i, engine="dp")
+    scale = p._scale ** n
+    want_counts = _window_counts(specs, p._scaled_support, n, None)
+    calls = {
+        "product": lambda budget: multi_set_expectation(twin, n, fns, engine="dp", budget=budget),
+        "influence": lambda budget: influence(
+            fns[j], marginal(twin, j + 1), i=i, engine="dp", budget=budget
+        ),
+    }
+    for pays in (True, None):
+        values, peaks, errors, counts = {}, {}, {}, {}
+        for form in ("array", "keyed"):
+            with _forcing(form), _runs(pays):
+                for name, call in calls.items():
+                    values[form, name], peaks[form, name] = _peak_live_states(call)
+                    peak = peaks[form, name]
+                    if peak:
+                        _assert_close(call(peak), values[form, name])
+                        with pytest.raises(BudgetExceeded) as raised:
+                            call(peak - 1)
+                        errors[form, name] = str(raised.value)
+                counts[form] = _window_counts(specs, twin._scaled_support, n, None)
+        for name, exact in (("product", want), ("influence", want_inf)):
+            assert peaks["array", name] == peaks["keyed", name]
+            assert errors.get(("array", name)) == errors.get(("keyed", name))
+            _assert_close(values["array", name], exact)
+            _assert_close(values["array", name], values["keyed", name])
+        assert counts["array"].keys() == counts["keyed"].keys() == want_counts.keys()
+        for key, mass in counts["array"].items():
+            _assert_close(mass, Fraction(want_counts[key], scale))
+            _assert_close(mass, counts["keyed"][key])
+
+
+def _faint_pair(n):
+    """A window [0, n] on symbol 0 at step 1 beside a residue function mod
+    5 at step 2, on bits whose two tuples with 0 at step 1 weigh 1e-4 each.
+    The least weight to the n is subnormal from n = 77, and the states of
+    n zeros at step 1, about (2e-4)^n / 5 each, underflow to 0.0 from
+    n = 88."""
+    p = StepDistribution.from_cells(
+        Alphabet(BIT), 2, {(0, 0): 1e-4, (0, 1): 1e-4, (1, 0): 0.4999, (1, 1): 0.4999}
+    )
+    window = make_anchored_symmetric(n, BIT, {"0": (0, n)})
+    residue = make_mod_linear(n, BIT, 5, [1 + c % 4 for c in range(n)], 0, (1, 3))
+    return p, (window, residue)
+
+
+def test_dp_float_array_is_taken_only_while_no_mass_can_underflow():
+    # The keyed float walk keeps a key whose mass underflowed to 0.0, and
+    # counts it.  Below the point where the least weight to the n turns
+    # subnormal the layout takes the array, past it the keyed walk.  At
+    # both n, the layout's own route and the keyed float route peak at the
+    # same live states, so they pass the same least budget and one less
+    # raises the same message.  Past the point, the keyed walk holds keys
+    # of mass 0.0, and an array forced there peaks lower: counting its
+    # nonzero cells would pass budgets that the keyed walk refuses.
+    for n, own in ((76, "array"), (100, "keyed")):
+        p, fns = _faint_pair(n)
+        assert _layout(fns, p._scaled_support).form == own
+
+        def call(budget):
+            return multi_set_expectation(p, n, fns, budget=budget)
+
+        refusals = {}
+        for form in (None, "keyed"):
+            with _forcing(form):
+                value, peak = _peak_live_states(call)
+                with pytest.raises(BudgetExceeded) as raised:
+                    call(peak - 1)
+                refusals[form] = (peak, str(raised.value))
+                _assert_close(call(peak), value)
+        assert refusals[None] == refusals["keyed"]
+        assert refusals[None][1] == f"joint-count state space {peak} exceeds the budget {peak - 1}"
+    with _forcing("keyed"):
+        states = _layout(fns, p._scaled_support).walk(range(1, n + 1), None)
+    assert 0.0 in states.values()
+    with _forcing("array"):
+        _, faint = _peak_live_states(call)
+    assert faint < peak
 
 
 def test_dp_refuses_incompatible_functions():
